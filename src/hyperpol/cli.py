@@ -1,21 +1,21 @@
 """Command-line interface.
 
 Subcommands: simulate, steady, magic-table, sweep, find-tau-res,
-robustness.  Exit codes: 0 success, 2 configuration error, 3 convergence
-failure in single-run modes.
+robustness.  Exit codes: 0 success, 2 configuration error, 3 no rate in
+single-run modes (below threshold or no resonance).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys as _sys
 
 from . import analytic
 from .catalog import full_table, magic_params
 from .engine import (
     BelowThresholdError,
-    ConvergenceError,
     cycle_kraus,
     evaluate_exact,
     mixed_state,
@@ -26,7 +26,7 @@ from .sweep import NoResonanceError, SweepSpec, find_tau_res, robustness_scan, r
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
-EXIT_CONVERGENCE = 3
+EXIT_NO_RATE = 3
 
 
 class ConfigError(Exception):
@@ -65,6 +65,8 @@ def _write_json(doc: dict, out: str | None) -> None:
 
 
 def cmd_simulate(args) -> int:
+    if args.cycles < 1:
+        raise ConfigError(f"--cycles must be >= 1, got {args.cycles}")
     sys_p, seq_p = _load_config(args.config)
     pair = cycle_kraus(sys_p, seq_p)
     series = simulate(pair, mixed_state(), args.cycles,
@@ -151,6 +153,8 @@ def cmd_robustness(args) -> int:
         rows = [(magic_params(r["method"], int(r["sign"]), int(r["n_p"])), int(r["n_r"]))
                 for r in doc["rows"]]
         tau_pi_values = [resolve_time(t, sys_p.omega) for t in doc["tau_pi_values"]]
+        if not all(math.isfinite(t) for t in tau_pi_values):
+            raise ValueError(f"tau_pi values must be finite, got {tau_pi_values}")
     except (KeyError, TypeError, ValueError) as err:
         raise ConfigError(f"bad robustness config: {err}") from err
     table = robustness_scan(rows, tau_pi_values, sys_p)
@@ -216,9 +220,9 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"error: {err}", file=_sys.stderr)
         return EXIT_CONFIG
-    except (ConvergenceError, BelowThresholdError, NoResonanceError) as err:
+    except (BelowThresholdError, NoResonanceError) as err:
         print(f"error: {err}", file=_sys.stderr)
-        return EXIT_CONVERGENCE
+        return EXIT_NO_RATE
 
 
 if __name__ == "__main__":

@@ -1,8 +1,11 @@
 """Exact numerical evolution of the protocol.
 
-Composes segment propagators into the per-cycle 4x4 unitary, extracts the
-nuclear Kraus pair from its first block column, iterates the channel to the
-steady state, and measures the polarization rate from the simulated series.
+Composes segment propagators into the per-cycle 4x4 unitary and extracts
+the nuclear Kraus pair from its first block column.  The channel acts on
+vec(rho) as a 4x4 transfer matrix: one eigen-decomposition of it gives the
+steady polarization, the contraction factor and the series length the rate
+needs, and exact powers of it give the polarization series from which the
+rate is measured.
 """
 
 from __future__ import annotations
@@ -18,22 +21,13 @@ from .params import SequenceParams, SystemParams
 from .timeline import FREE_HYPERFINE, FREE_NUCLEAR, PULSE, Segment, Timeline, render_unit
 
 UNITARITY_TOL = 1e-10
-MAX_FIXED_POINT_ITERATIONS = 10 ** 6
 MAX_RATE_CYCLES = 2 ** 21
+SERIES_BLOCK = 1024
 
 IZ = SZ
 IX = SX
 
 E_FRACTION = 1.0 - math.exp(-1.0)
-
-
-class ConvergenceError(RuntimeError):
-    """Fixed-point iteration did not converge within the iteration cap."""
-
-    def __init__(self, message: str, iterations: int, last_distance: float):
-        super().__init__(f"{message} (iterations={iterations}, last_distance={last_distance:.3e})")
-        self.iterations = iterations
-        self.last_distance = last_distance
 
 
 class BelowThresholdError(RuntimeError):
@@ -134,7 +128,7 @@ def kraus(u: np.ndarray) -> KrausPair:
     if u.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got {u.shape}")
     defect = linalg.unitarity_defect(u)
-    if defect > UNITARITY_TOL:
+    if not defect <= UNITARITY_TOL:  # NaN fails too
         raise ValueError(f"input is not unitary (defect {defect:.3e})")
     return KrausPair(m_up=u[:2, :2].copy(), m_down=u[2:, :2].copy())
 
@@ -153,103 +147,59 @@ def _superop(k: KrausPair) -> np.ndarray:
 
 
 def simulate(k: KrausPair, rho0: np.ndarray, n: int, params: dict | None = None) -> PolarizationSeries:
-    """Polarization for cycles 1..n; cycle 1 is the freshly prepared state."""
+    """Polarization for cycles 1..n; cycle 1 is the freshly prepared state.
+
+    Block powers of the transfer matrix T: the read-out rows of T^j for
+    j < SERIES_BLOCK are built by doubling, and the state then jumps by
+    T^SERIES_BLOCK once per block.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
-    transfer = _superop(k)
-    x = np.asarray(rho0, dtype=complex).reshape(4).copy()
+    block = min(n, SERIES_BLOCK)
+    rows = np.array([[1, 0, 0, -1]], dtype=complex)  # <2 I_z> read-out of vec(rho)
+    power = _superop(k)
+    while len(rows) < block:
+        rows = np.vstack([rows, rows @ power])
+        power = power @ power
+    rows = rows[:block]
+    x = np.asarray(rho0, dtype=complex).reshape(4)
     values = np.empty(n)
-    values[0] = (x[0] - x[3]).real
-    for i in range(1, n):
-        x = transfer @ x
-        values[i] = (x[0] - x[3]).real
+    for start in range(0, n, block):
+        values[start:start + block] = (rows @ x).real[:n - start]
+        x = power @ x
     return PolarizationSeries(values=values, params=params or {})
 
 
-def _tail_lambda(p_history: np.ndarray, moved: bool) -> float:
-    """Deficit contraction factor estimated from the polarization tail.
+def _modes(k: KrausPair) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenvalues mu, eigenvectors and mixed-start coefficients of the transfer matrix.
 
-    Ratios of successive polarization increments converge to the same
-    limit as (P_s - P^(n+1))/(P_s - P^(n)) but carry no endpoint bias.
+    vec(rho) after n - 1 cycles is sum_k coeffs[k] mu[k]^(n-1) vecs[:, k].
     """
-    increments = np.diff(np.asarray(p_history))
-    ratios = [b / a for a, b in zip(increments[:-1], increments[1:]) if abs(a) > 1e-14]
-    ratios = ratios[-50:]
-    if not ratios:
-        return 0.0 if moved else 1.0
-    r = np.asarray(ratios)
-    est = float(np.mean(r))
-    if len(r) >= 3 and float(np.max(np.abs(r - est))) > 1e-9:
-        diffs = np.diff(r)
-        if np.any(diffs[:-1] * diffs[1:] < 0):
-            # oscillating tail: Aitken delta-squared on the ratio sequence
-            denom = r[2:] - 2 * r[1:-1] + r[:-2]
-            ok = np.abs(denom) > 1e-12 * np.maximum(np.abs(r[2:]), 1e-30)
-            if np.any(ok):
-                est = float((r[2:] - (r[2:] - r[1:-1]) ** 2 / np.where(ok, denom, 1.0))[ok][-1])
-    return min(max(est, 0.0), 1.0)
+    mu, vecs = np.linalg.eig(_superop(k))
+    return mu, vecs, np.linalg.solve(vecs, mixed_state().reshape(4))
 
 
-def _aitken_vec(x0: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-    """Component-wise Aitken delta-squared extrapolation of three iterates."""
-    d1 = x1 - x0
-    d2 = x2 - x1
-    denom = d2 - d1
-    ok = np.abs(denom) > 1e-300
-    return np.where(ok, x2 - d2 ** 2 / np.where(ok, denom, 1.0), x2)
+def _spectrum(k: KrausPair) -> tuple[float, float, float]:
+    """(P_s, lambda, sum of |w_k| over the moving modes); see steady_state."""
+    mu, vecs, coeffs = _modes(k)
+    weights = (vecs[0] - vecs[3]) * coeffs
+    steady = np.abs(mu - 1.0) <= UNITARITY_TOL
+    moving = ~steady & (np.abs(weights) > UNITARITY_TOL)
+    lam = float(np.max(np.abs(mu[moving]))) if moving.any() else 1.0
+    return float(weights[steady].sum().real), lam, float(np.abs(weights[moving]).sum())
 
 
-def steady_state(k: KrausPair, tol: float = 1e-10) -> tuple[float, float]:
-    """Fixed point of the channel from the mixed state: (P_s, lambda_est).
+def steady_state(k: KrausPair) -> tuple[float, float]:
+    """Steady polarization and contraction factor of the channel: (P_s, lambda).
 
-    Plain fixed-point iteration, with a periodic Aitken jump that kicks in
-    once the approach has turned geometric (the contraction can sit close
-    to 1 in weakly polarizing regions).  lambda_est is the limiting deficit
-    ratio (P_s - P^(n+1))/(P_s - P^(n)) estimated from the iterate tail.
-    Raises ConvergenceError after 1e6 iterations.
+    From the mixed start, P(n) = Re sum_k w_k mu_k^(n-1) over the eigenvalues
+    mu_k of the transfer matrix.  P_s is the weight on the mu = 1 eigenspace
+    (|mu - 1| <= UNITARITY_TOL).  lambda is the largest |mu_k| among the other
+    modes whose weight exceeds UNITARITY_TOL, the factor by which P_s - P(n)
+    shrinks per cycle for large n; it is 1.0 when no mode moves.
     """
-    if not 0 < tol <= 1e-6:
-        raise ValueError(f"tol must be in (0, 1e-6], got {tol}")
-    transfer = _superop(k)
-    x = np.array([0.5, 0, 0, 0.5], dtype=complex)
-    history = [(x[0] - x[3]).real]  # plain-iteration stretch since the last jump
-    lam_banked = None
-    moved = False
-    recent: list[np.ndarray] = [x]
-    distance = math.inf
-    iterations = 0
-    while iterations < MAX_FIXED_POINT_ITERATIONS:
-        new = transfer @ x
-        iterations += 1
-        distance = float(np.max(np.abs(new - x)))
-        if distance > tol:
-            moved = True
-        x = new
-        recent.append(x)
-        if len(recent) > 6:
-            recent.pop(0)
-        history.append((x[0] - x[3]).real)
-        if distance < tol:
-            if len(history) >= 20 or lam_banked is None:
-                return history[-1], _tail_lambda(np.asarray(history), moved)
-            return history[-1], lam_banked
-        if iterations % 256 == 0 and len(recent) == 6:
-            # two-level Aitken: a slow tail of two geometric modes (the
-            # conjugate coherence pair) is annihilated exactly
-            level1 = [_aitken_vec(*recent[i:i + 3]) for i in range(4)]
-            level2 = [_aitken_vec(*level1[i:i + 3]) for i in range(2)]
-            candidate = np.where(np.isfinite(level2[-1]), level2[-1], x)
-            probe = transfer @ candidate
-            iterations += 1
-            probe_distance = float(np.max(np.abs(probe - candidate)))
-            if probe_distance < 0.1 * distance:
-                lam_banked = _tail_lambda(np.asarray(history), moved)
-                x = probe
-                history = [(x[0] - x[3]).real]
-                recent = [x]
-                if probe_distance < tol:
-                    return history[-1], lam_banked
-    raise ConvergenceError("channel fixed point not found", MAX_FIXED_POINT_ITERATIONS, distance)
+    p_s, lam, _ = _spectrum(k)
+    return p_s, lam
 
 
 def measured_rate(series: PolarizationSeries, p_s: float, n_r: int, t_cycle: float) -> float:
@@ -299,34 +249,34 @@ class ExactResult:
         }
 
 
-def evaluate_exact(sys: SystemParams, seq: SequenceParams, tol: float = 1e-10,
+def evaluate_exact(sys: SystemParams, seq: SequenceParams,
                    use_nominal_duration: bool = False,
                    with_rate: bool = True) -> ExactResult:
     """Steady polarization, contraction factor and rate for one configuration.
 
     The rate normalization uses the pulse-inclusive cycle duration unless
     use_nominal_duration is set.  gamma is None when the channel does not
-    polarize (|P_s| below threshold) or when with_rate is off.
+    polarize (|P_s| below threshold), when the series does not reach
+    1 - 1/e of P_s within MAX_RATE_CYCLES, or when with_rate is off.
     """
     timeline = render_unit(sys, seq)
     pair = kraus(propagate(sys, timeline))
-    p_s, lam = steady_state(pair, tol=tol)
+    p_s, lam, spread = _spectrum(pair)
     t_cycle = timeline.nominal_T if use_nominal_duration else timeline.actual_T
-    if not with_rate or abs(p_s) <= 1e-6:
-        return ExactResult(p_s=p_s, lambda_est=lam, gamma=None, n_s=None, t_cycle=t_cycle)
-    if 0.0 < lam < 1.0:
-        n = int(8 * max(1.0, -1.0 / math.log(lam))) + 16
-    else:
-        n = 256
-    n = min(max(n, 256), MAX_RATE_CYCLES)
     gamma = None
-    while gamma is None:
-        series = simulate(pair, mixed_state(), n)
+    if with_rate and abs(p_s) > 1e-6:
+        # smallest n with spread * lam^(n-1) <= |P_s|/e, which bounds |P(n) - P_s|
+        target = abs(p_s) / math.e
+        if spread <= target or lam <= 0.0:
+            n = 1
+        elif lam >= 1.0:
+            n = MAX_RATE_CYCLES
+        else:
+            n = 1 + math.ceil(math.log(target / spread) / math.log(lam))
+        series = simulate(pair, mixed_state(), min(max(n, 256), MAX_RATE_CYCLES))
         try:
             gamma = measured_rate(series, p_s, seq.n_r, t_cycle)
         except BelowThresholdError:
-            if n >= MAX_RATE_CYCLES:
-                return ExactResult(p_s=p_s, lambda_est=lam, gamma=None, n_s=None, t_cycle=t_cycle)
-            n = min(n * 4, MAX_RATE_CYCLES)
-    return ExactResult(p_s=p_s, lambda_est=lam, gamma=gamma,
-                       n_s=1.0 / (gamma * t_cycle), t_cycle=t_cycle)
+            pass
+    n_s = None if gamma is None else 1.0 / (gamma * t_cycle)
+    return ExactResult(p_s=p_s, lambda_est=lam, gamma=gamma, n_s=n_s, t_cycle=t_cycle)

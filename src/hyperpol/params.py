@@ -27,6 +27,9 @@ class SystemParams:
     a_z: float = 0.0
 
     def __post_init__(self):
+        for name in ("omega", "a_perp", "a_z"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.omega > 0:
             raise ValueError(f"omega must be positive, got {self.omega}")
         if self.a_perp < 0:
@@ -100,10 +103,14 @@ class SequenceParams:
             problems.append(f"n_r must be >= 1, got {self.n_r}")
         for name in ("tau", "t_s", "t_w", "t_c"):
             value = getattr(self, name)
-            if value < 0:
+            if not math.isfinite(value):
+                problems.append(f"{name} not finite: {value}")
+            elif value < 0:
                 problems.append(f"{name} negative: {value}")
         if self.pulse_model.kind == FINITE and not self.pulse_model.tau_pi > 0:
             problems.append("tau_pi must be positive for the finite pulse model")
+        elif not math.isfinite(self.pulse_model.tau_pi):
+            problems.append(f"tau_pi not finite: {self.pulse_model.tau_pi}")
         return problems
 
     def with_pulse_model(self, pulse_model: PulseModel) -> "SequenceParams":

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import analytic
 from .catalog import MagicRow, finite_pulse_tau
-from .engine import ConvergenceError, evaluate_exact
+from .engine import evaluate_exact
 from .params import PulseModel, SequenceParams, SystemParams, config_from_dict, resolve_time
 
 SYSTEM_FIELDS = ("omega", "a_perp", "a_z")
@@ -170,7 +170,7 @@ def _evaluate_point(args) -> list[tuple]:
                 rows.append((axis1, axis2, engine, s.p_s, s.lam, s.gamma, "ok"))
                 continue
             res = evaluate_exact(sys_p, seq_p)
-        except (ConvergenceError, ValueError) as err:
+        except ValueError as err:
             rows.append((axis1, axis2, engine, None, None, None,
                          f"failed: {type(err).__name__}"))
             continue
@@ -211,7 +211,7 @@ def _rate_for_tau(sys: SystemParams, seq: SequenceParams, tau: float,
     trial = replace(seq, tau=tau, pulse_model=pulse_model)
     try:
         res = evaluate_exact(sys, trial)
-    except (ConvergenceError, ValueError):
+    except ValueError:
         return None
     return res.gamma
 
@@ -300,7 +300,7 @@ def robustness_scan(rows: list[tuple[MagicRow, int]], tau_pi_values,
                 seq = replace(ideal, tau=shifted, pulse_model=PulseModel.finite(tau_pi))
             try:
                 res = evaluate_exact(sys, seq)
-            except (ConvergenceError, ValueError) as err:
+            except ValueError as err:
                 table.rows.append(label + (None, None, f"failed: {type(err).__name__}"))
                 continue
             status = "ok" if res.gamma is not None else "below-threshold"

@@ -67,6 +67,24 @@ def test_exit_code_on_invalid_sequence(tmp_path):
     assert main(["steady", "--config", str(path)]) == 2
 
 
+@pytest.mark.parametrize("engine", ["exact", "analytic"])
+@pytest.mark.parametrize("section,key,value", [("sequence", "tau", math.inf),
+                                               ("system", "a_perp", math.nan)])
+def test_exit_code_on_non_finite_input(tmp_path, capsys, engine, section, key, value):
+    doc = json.loads(json.dumps(BASE_CONFIG))
+    doc[section][key] = value  # written as the JSON extensions Infinity / NaN
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["steady", "--config", str(path), "--engine", engine]) == 2
+    assert key in capsys.readouterr().err
+
+
+def test_simulate_rejects_zero_cycles(config_path, tmp_path, capsys):
+    assert main(["simulate", "--config", config_path, "--cycles", "0",
+                 "--out", str(tmp_path / "series.csv")]) == 2
+    assert "--cycles" in capsys.readouterr().err
+
+
 def test_magic_table_outputs(tmp_path):
     base = tmp_path / "table"
     assert main(["magic-table", "--max-np", "4", "--out", str(base)]) == 0
@@ -150,3 +168,15 @@ def test_robustness_cli(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[1] == "method,sign,n_p,n_r,tau_pi,abs_P_s,gamma,status"
     assert len(lines) == 2 + 4
+
+
+def test_robustness_cli_rejects_non_finite_tau_pi(tmp_path, capsys):
+    config = {
+        "system": {"omega": 1.0, "a_perp": 0.05},
+        "rows": [{"method": "I", "sign": 1, "n_p": 1, "n_r": 1}],
+        "tau_pi_values": [0.0, math.nan],
+    }
+    path = tmp_path / "rob.json"
+    path.write_text(json.dumps(config))
+    assert main(["robustness", "--config", str(path), "--out", str(tmp_path / "rob.csv")]) == 2
+    assert "tau_pi" in capsys.readouterr().err

@@ -1,11 +1,15 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hyperpol import analytic
 from hyperpol.catalog import magic_params
 from hyperpol.engine import (
+    UNITARITY_TOL,
     BelowThresholdError,
     PolarizationSeries,
     apply_channel,
@@ -19,8 +23,9 @@ from hyperpol.engine import (
     simulate,
     steady_state,
 )
+from hyperpol.engine import _modes, _spectrum, _superop
 from hyperpol.linalg import ID2, ID4, operator_distance, unitarity_defect
-from hyperpol.params import SystemParams
+from hyperpol.params import PulseModel, SequenceParams, SystemParams
 from hyperpol.timeline import FREE_NUCLEAR, Segment, Timeline, render_unit
 
 from oracles import random_params, trotter_propagate
@@ -223,9 +228,52 @@ def test_steady_state_magic_rows():
         assert lam == pytest.approx(math.cos(0.2) ** 2, abs=0.01)
 
 
-def test_steady_state_rejects_bad_tol():
-    with pytest.raises(ValueError):
-        steady_state(kraus(ID4), tol=1e-3)
+def test_steady_state_long_train_magic_row():
+    # the unit eigenvalue comes out as 1 + 1.35e-12 here
+    sys_p = SystemParams(omega=1.0, a_perp=0.001)
+    seq = magic_params("I", +1, 8).to_sequence_params(sys_p, n_r=64)
+    p_s, lam = steady_state(cycle_kraus(sys_p, seq))
+    assert p_s >= 0.98
+    assert 0.0 <= lam < 1.0
+
+
+@given(st.integers(0, 2 ** 31 - 1))
+def test_spectral_fixed_point_and_contraction(seed):
+    pair = cycle_kraus(*random_params(np.random.default_rng(seed)))
+    p_s, lam = steady_state(pair)
+    mu, vecs, coeffs = _modes(pair)
+    steady = np.abs(mu - 1.0) <= UNITARITY_TOL
+    fixed = vecs[:, steady] @ coeffs[steady]
+    assert np.max(np.abs(_superop(pair) @ fixed - fixed)) <= 1e-12
+    assert (fixed[0] - fixed[3]).real == pytest.approx(p_s, abs=1e-12)
+    # the deficit never decays slower than lambda ...
+    _, _, spread = _spectrum(pair)
+    deficit = np.abs(simulate(pair, mixed_state(), 4096).values - p_s)
+    envelope = spread * lam ** np.arange(4096) + 4 * UNITARITY_TOL
+    assert np.all(deficit <= envelope)
+    # ... and, once the slowest mode is also the heaviest, the successive
+    # deficit ratio tends to lambda; the weights of slower coherence modes
+    # are usually far below 1e-5 and only show once the deficit has
+    # dropped under rounding
+    weights = (vecs[0] - vecs[3]) * coeffs
+    heaviest = np.argmax(np.where(steady, 0.0, np.abs(weights)))
+    if abs(mu[heaviest]) == lam and 0.0 < lam < 1.0:
+        n = min(int(math.log(1e-6) / math.log(lam)) + 2, 2 ** 21)
+        tail = np.abs(simulate(pair, mixed_state(), n).values[-2:] - p_s)
+        assert tail[1] / tail[0] == pytest.approx(lam, abs=1e-6)
+
+
+README_BASE = SequenceParams(n_p=1, tau=2 * math.pi, t_s=1.5 * math.pi, t_w=1.5 * math.pi,
+                             t_c=1.5 * math.pi, n_r=4, pulse_model=PulseModel.finite(0.2 * math.pi))
+
+
+@pytest.mark.parametrize("t_s_over_pi", [0.1, 0.35, 0.6, 1.85])
+def test_slow_readme_sweep_points_are_solved(t_s_over_pi):
+    # the slowest mode lies within 2e-5 of 1: 1e5 to 2e6 cycles to the 1 - 1/e crossing
+    res = evaluate_exact(SYS, replace(README_BASE, t_s=t_s_over_pi * math.pi))
+    assert 0.1 <= abs(res.p_s) <= 1.0
+    assert 1.0 - 2e-5 < res.lambda_est < 1.0
+    assert res.gamma is None or res.gamma > 0
 
 
 def test_steady_state_matches_analytic_at_small_coupling():
@@ -277,6 +325,12 @@ def test_evaluate_exact_flags_non_polarizing():
     res = evaluate_exact(sys_p, seq)
     assert res.p_s == pytest.approx(0.0, abs=1e-9)
     assert res.gamma is None
+    # off the magic timing, with finite pulses and a_z: the mu = 1 eigenspace
+    # is two-dimensional and holds the mixed start
+    sys_p = SystemParams(omega=1.0, a_perp=0.0, a_z=0.1)
+    res = evaluate_exact(sys_p, replace(README_BASE, t_s=0.3 * math.pi))
+    assert res.p_s == pytest.approx(0.0, abs=1e-12)
+    assert res.gamma is None and res.n_s is None
 
 
 def test_rate_agreement_with_analytic_at_table_rows():
