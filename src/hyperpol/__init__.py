@@ -1,11 +1,10 @@
 """Sequential nuclear-spin hyperpolarization: exact simulator and analytics."""
 
-from .params import PulseModel, SequenceParams, SystemParams, validate
-from .timeline import Segment, Timeline, render_unit, total_duration
+from .params import PulseModel, SequenceParams, SystemParams
+from .timeline import Segment, Timeline, render_unit
 from .engine import (
     KrausPair,
     PolarizationSeries,
-    apply_channel,
     cycle_kraus,
     evaluate_exact,
     kraus,
@@ -43,7 +42,6 @@ __all__ = [
     "SystemParams",
     "Timeline",
     "alpha",
-    "apply_channel",
     "cycle_kraus",
     "evaluate_exact",
     "filter_f",
@@ -65,8 +63,6 @@ __all__ = [
     "stable_polarization",
     "steady_state",
     "summarize",
-    "total_duration",
-    "validate",
     "window_and_sidebands",
 ]
 

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .params import PulseModel, SequenceParams, SystemParams
+from .params import SequenceParams, SystemParams
 
 METHOD_I = "I"
 METHOD_II = "II"
@@ -65,8 +65,7 @@ class MagicRow:
         """Single-repetition duration 2 t_s + t_w + 4 n_p tau + t_c, in pi/omega."""
         return 2 * self.t_s + self.t_w + 4 * self.n_p * self.tau + self.t_c
 
-    def to_sequence_params(self, sys: SystemParams, n_r: int,
-                           pulse_model: PulseModel | None = None) -> SequenceParams:
+    def to_sequence_params(self, sys: SystemParams, n_r: int) -> SequenceParams:
         """Instantiate at a reference frequency; t_c drops out when n_r = 1."""
         unit = math.pi / sys.omega
         t_c = Fraction(0) if n_r == 1 else self.t_c
@@ -77,7 +76,6 @@ class MagicRow:
             t_w=float(self.t_w) * unit,
             t_c=float(t_c) * unit,
             n_r=n_r,
-            pulse_model=pulse_model or PulseModel.ideal(),
         )
 
     def to_dict(self) -> dict:

@@ -8,6 +8,7 @@ single-run modes (below threshold or no resonance).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys as _sys
@@ -28,6 +29,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NO_RATE = 3
 
+# what parsing a JSON document of the wrong shape, type or size can raise
+MALFORMED = (AttributeError, KeyError, OverflowError, TypeError, ValueError)
+
 
 class ConfigError(Exception):
     pass
@@ -47,7 +51,7 @@ def _load_config(path: str):
     doc = _load_json(path)
     try:
         sys_p, seq_p = config_from_dict(doc)
-    except (KeyError, TypeError, ValueError) as err:
+    except MALFORMED as err:
         raise ConfigError(f"bad configuration in {path}: {err}") from err
     problems = seq_p.violations()
     if problems:
@@ -116,25 +120,19 @@ def cmd_sweep(args) -> int:
     try:
         spec = SweepSpec.from_dict(doc)
         if args.engine:
-            spec = SweepSpec(target=spec.target, axes=spec.axes,
-                             base_system=spec.base_system,
-                             base_sequence=spec.base_sequence, engine=args.engine)
-        table = run_sweep(spec, jobs=args.jobs)
-    except (KeyError, TypeError, ValueError) as err:
+            spec = dataclasses.replace(spec, engine=args.engine)
+    except MALFORMED as err:
         raise ConfigError(f"bad sweep spec: {err}") from err
-    table.write(args.out)
+    run_sweep(spec, jobs=args.jobs).write(args.out)
     return EXIT_OK
 
 
 def cmd_find_tau_res(args) -> int:
     sys_p, seq_p = _load_config(args.config)
-    try:
-        tau_pi = resolve_time(args.tau_pi, sys_p.omega)
-        halfwidth = resolve_time(args.halfwidth, sys_p.omega)
-        grid_step = resolve_time(args.grid_step, sys_p.omega)
-        tau_res = find_tau_res(sys_p, seq_p, tau_pi, halfwidth, grid_step)
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
+    tau_pi = resolve_time(args.tau_pi, sys_p.omega)
+    halfwidth = resolve_time(args.halfwidth, sys_p.omega)
+    grid_step = resolve_time(args.grid_step, sys_p.omega)
+    tau_res = find_tau_res(sys_p, seq_p, tau_pi, halfwidth, grid_step)
     _write_json({
         "tau_res": tau_res,
         "tau_ideal": seq_p.tau,
@@ -155,7 +153,7 @@ def cmd_robustness(args) -> int:
         tau_pi_values = [resolve_time(t, sys_p.omega) for t in doc["tau_pi_values"]]
         if not all(math.isfinite(t) for t in tau_pi_values):
             raise ValueError(f"tau_pi values must be finite, got {tau_pi_values}")
-    except (KeyError, TypeError, ValueError) as err:
+    except MALFORMED as err:
         raise ConfigError(f"bad robustness config: {err}") from err
     table = robustness_scan(rows, tau_pi_values, sys_p)
     table.write(args.out)
@@ -217,7 +215,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as err:
+    except (ConfigError, ValueError) as err:
+        # past the parsers, a ValueError is a bad command-line value or a valid
+        # config the engine cannot evaluate (frequency times duration overflows)
         print(f"error: {err}", file=_sys.stderr)
         return EXIT_CONFIG
     except (BelowThresholdError, NoResonanceError) as err:

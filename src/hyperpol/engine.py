@@ -137,10 +137,6 @@ def cycle_kraus(sys: SystemParams, seq: SequenceParams) -> KrausPair:
     return kraus(propagate(sys, render_unit(sys, seq)))
 
 
-def apply_channel(k: KrausPair, rho: np.ndarray) -> np.ndarray:
-    return k.m_up @ rho @ k.m_up.conj().T + k.m_down @ rho @ k.m_down.conj().T
-
-
 def _superop(k: KrausPair) -> np.ndarray:
     """Channel as a 4x4 matrix on row-major vec(rho)."""
     return np.kron(k.m_up, k.m_up.conj()) + np.kron(k.m_down, k.m_down.conj())

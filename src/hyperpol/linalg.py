@@ -12,8 +12,6 @@ without any step-size tuning.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 HERMITICITY_TOL = 1e-12
@@ -88,22 +86,3 @@ def hermitian_expm(h: np.ndarray, t: float = 1.0) -> np.ndarray:
     # eigh of the Hermitian part keeps the factorization exactly unitary
     w, v = np.linalg.eigh((h + h.conj().T) / 2)
     return (v * np.exp(-1j * w * t)) @ v.conj().T
-
-
-@dataclass(frozen=True)
-class HermitianGenerator:
-    """A validated Hermitian matrix, construction fails on defect > 1e-12."""
-
-    matrix: np.ndarray
-    hermiticity_defect: float = field(init=False)
-
-    def __post_init__(self):
-        m = _as_square(self.matrix)
-        defect = hermiticity_defect(m)
-        if defect > HERMITICITY_TOL:
-            raise ValueError(f"not Hermitian within {HERMITICITY_TOL}: defect {defect:.3e}")
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "hermiticity_defect", defect)
-
-    def expm(self, t: float) -> np.ndarray:
-        return hermitian_expm(self.matrix, t)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 IDEAL = "ideal"
@@ -44,7 +44,8 @@ class PulseModel:
     """Pulse rendering model: zero-width or rectangular with Rabi drive.
 
     For the finite model tau_pi is the pi-pulse duration; half-pi pulses
-    last tau_pi/2 and the Rabi frequency is pi/tau_pi.
+    last tau_pi/2 and the Rabi frequency is pi/tau_pi.  Construction refuses
+    an unknown kind, a non-finite tau_pi and, for finite pulses, tau_pi <= 0.
     """
 
     kind: str = IDEAL
@@ -53,6 +54,8 @@ class PulseModel:
     def __post_init__(self):
         if self.kind not in (IDEAL, FINITE):
             raise ValueError(f"unknown pulse model kind {self.kind!r}")
+        if not math.isfinite(self.tau_pi):
+            raise ValueError(f"tau_pi not finite: {self.tau_pi}")
         if self.kind == FINITE and not self.tau_pi > 0:
             raise ValueError("finite pulse model needs tau_pi > 0")
 
@@ -83,8 +86,12 @@ class SequenceParams:
 
     n_p pi pulses at interval tau inside each DD block, waits t_s/t_w/t_c
     between blocks, n_r repetitions per electron initialization.
-    Construction does not reject bad values; use `violations` (or rendering,
-    which refuses invalid input) so diagnostics can report everything at once.
+
+    `violations` is the one rule for a runnable sequence: counts >= 1, finite
+    nonnegative times and, for finite pulses, tau >= tau_pi (each pi pulse
+    fits inside its cell); the pulse model checks tau_pi itself.  Construction
+    does not check, so the closed forms can be evaluated anywhere; rendering,
+    sweep points and the command line refuse a sequence with violations.
     """
 
     n_p: int
@@ -107,14 +114,10 @@ class SequenceParams:
                 problems.append(f"{name} not finite: {value}")
             elif value < 0:
                 problems.append(f"{name} negative: {value}")
-        if self.pulse_model.kind == FINITE and not self.pulse_model.tau_pi > 0:
-            problems.append("tau_pi must be positive for the finite pulse model")
-        elif not math.isfinite(self.pulse_model.tau_pi):
-            problems.append(f"tau_pi not finite: {self.pulse_model.tau_pi}")
+        if self.pulse_model.kind == FINITE and self.tau < self.pulse_model.tau_pi:
+            problems.append(f"tau {self.tau} shorter than the pi-pulse duration "
+                            f"tau_pi {self.pulse_model.tau_pi}")
         return problems
-
-    def with_pulse_model(self, pulse_model: PulseModel) -> "SequenceParams":
-        return replace(self, pulse_model=pulse_model)
 
     def to_dict(self) -> dict:
         return {
@@ -128,20 +131,23 @@ class SequenceParams:
         }
 
 
-def validate(seq: SequenceParams) -> list[str]:
-    """Diagnostic check; empty list means ok."""
-    return seq.violations()
+def whole_number(name: str, value) -> int:
+    """An integral count such as n_p; 2.0 is accepted, 1.5 is refused, not truncated."""
+    number = float(value)
+    if not math.isfinite(number) or abs(number - round(number)) > 1e-9:
+        raise ValueError(f"{name} must be an integer, got {value}")
+    return int(round(number))
 
 
 def resolve_time(value, omega: float) -> float:
     """Accept a number, a numeric string, or an "x pi/omega" string (x decimal or p/q)."""
     if isinstance(value, str):
         m = _PI_OVER_OMEGA.match(value)
-        if m:
-            return float(Fraction(m.group(1))) * math.pi / omega
         try:
+            if m:
+                return float(Fraction(m.group(1))) * math.pi / omega
             return float(Fraction(value.strip()))
-        except (ValueError, ZeroDivisionError) as err:
+        except (OverflowError, ValueError, ZeroDivisionError) as err:
             raise ValueError(f"cannot parse time {value!r}; expected a number "
                              f"or e.g. '3/2 pi/omega'") from err
     return float(value)
@@ -156,19 +162,17 @@ def system_from_dict(d: dict) -> SystemParams:
 
 
 def sequence_from_dict(d: dict, omega: float) -> SequenceParams:
-    pm = d.get("pulse_model", {"kind": IDEAL})
-    if pm.get("kind", IDEAL) == FINITE:
-        pulse_model = PulseModel.finite(resolve_time(pm["tau_pi"], omega))
-    else:
-        pulse_model = PulseModel.ideal()
+    pm = d.get("pulse_model", {})
+    kind = pm.get("kind", IDEAL)
+    tau_pi = resolve_time(pm["tau_pi"], omega) if kind == FINITE else 0.0
     return SequenceParams(
-        n_p=int(d["n_p"]),
+        n_p=whole_number("n_p", d["n_p"]),
         tau=resolve_time(d["tau"], omega),
         t_s=resolve_time(d.get("t_s", 0.0), omega),
         t_w=resolve_time(d.get("t_w", 0.0), omega),
         t_c=resolve_time(d.get("t_c", 0.0), omega),
-        n_r=int(d.get("n_r", 1)),
-        pulse_model=pulse_model,
+        n_r=whole_number("n_r", d.get("n_r", 1)),
+        pulse_model=PulseModel(kind, tau_pi),
     )
 
 

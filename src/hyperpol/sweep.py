@@ -7,6 +7,7 @@ the output is byte-identical regardless of worker count.
 
 from __future__ import annotations
 
+import csv
 import itertools
 import json
 import math
@@ -18,7 +19,8 @@ import numpy as np
 from . import analytic
 from .catalog import MagicRow, finite_pulse_tau
 from .engine import evaluate_exact
-from .params import PulseModel, SequenceParams, SystemParams, config_from_dict, resolve_time
+from .params import (PulseModel, SequenceParams, SystemParams, config_from_dict, resolve_time,
+                     whole_number)
 
 SYSTEM_FIELDS = ("omega", "a_perp", "a_z")
 SEQUENCE_FLOAT_FIELDS = ("tau", "t_s", "t_w", "t_c")
@@ -26,7 +28,7 @@ SEQUENCE_INT_FIELDS = ("n_p", "n_r")
 AXIS_NAMES = SYSTEM_FIELDS + SEQUENCE_FLOAT_FIELDS + SEQUENCE_INT_FIELDS + ("tau_pi",)
 
 ENGINES = ("exact", "analytic", "both")
-TARGETS = ("stable_polarization", "rate", "series")
+TARGETS = ("stable_polarization", "rate")
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -118,9 +120,10 @@ class ResultTable:
 
     def to_csv(self, fh) -> None:
         fh.write("# " + json.dumps(self.header, sort_keys=True) + "\n")
-        fh.write(",".join(self.columns) + "\n")
-        for row in self.rows:
-            fh.write(",".join(self._fmt(v) for v in row) + "\n")
+        # quotes a failure message that contains a comma, so every row keeps its fields
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(self.columns)
+        writer.writerows([self._fmt(v) for v in row] for row in self.rows)
 
     def write(self, path) -> None:
         with open(path, "w") as fh:
@@ -137,18 +140,17 @@ def apply_point(sys: SystemParams, seq: SequenceParams,
         elif name in SEQUENCE_FLOAT_FIELDS:
             seq_kwargs[name] = float(value)
         elif name in SEQUENCE_INT_FIELDS:
-            if abs(value - round(value)) > 1e-9:
-                raise ValueError(f"axis {name} must take integer values, got {value}")
-            seq_kwargs[name] = int(round(value))
+            seq_kwargs[name] = whole_number(name, value)
         elif name == "tau_pi":
-            if value < 0:
-                raise ValueError(f"tau_pi must be nonnegative, got {value}")
-            model = PulseModel.finite(float(value)) if value > 0 else PulseModel.ideal()
+            model = PulseModel.finite(float(value)) if value != 0 else PulseModel.ideal()
             seq_kwargs["pulse_model"] = model
     if sys_kwargs:
         sys = replace(sys, **sys_kwargs)
     if seq_kwargs:
         seq = replace(seq, **seq_kwargs)
+    problems = seq.violations()
+    if problems:
+        raise ValueError("invalid sequence: " + "; ".join(problems))
     return sys, seq
 
 
@@ -184,9 +186,6 @@ def _evaluate_point(args) -> list[tuple]:
 
 def run_sweep(spec: SweepSpec, jobs: int = 1) -> ResultTable:
     """Evaluate the grid in row-major axis order; output order is fixed."""
-    if spec.target == "series":
-        raise ValueError("the series target is for single-configuration simulation, "
-                         "not grids")
     grids = [a.values() for a in spec.axes]
     points = [tuple(float(v) for v in combo) for combo in itertools.product(*grids)]
     work = [(spec, values) for values in points]
@@ -206,8 +205,6 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> ResultTable:
 
 def _rate_for_tau(sys: SystemParams, seq: SequenceParams, tau: float,
                   pulse_model: PulseModel) -> float | None:
-    if tau <= 0 or (pulse_model.kind == "finite" and tau < pulse_model.tau_pi):
-        return None
     trial = replace(seq, tau=tau, pulse_model=pulse_model)
     try:
         res = evaluate_exact(sys, trial)
@@ -290,14 +287,14 @@ def robustness_scan(rows: list[tuple[MagicRow, int]], tau_pi_values,
                 seq = ideal
             else:
                 try:
-                    shifted = finite_pulse_tau(ideal.tau, tau_pi, row.n_p)
+                    seq = replace(ideal, tau=finite_pulse_tau(ideal.tau, tau_pi, row.n_p),
+                                  pulse_model=PulseModel.finite(tau_pi))
                 except ValueError:
-                    shifted = None
-                if shifted is None or shifted < tau_pi:
+                    seq = None
+                if seq is None or seq.violations():
                     # the pulse no longer fits inside its shortened cell
                     table.rows.append(label + (None, None, "invalid"))
                     continue
-                seq = replace(ideal, tau=shifted, pulse_model=PulseModel.finite(tau_pi))
             try:
                 res = evaluate_exact(sys, seq)
             except ValueError as err:

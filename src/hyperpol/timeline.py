@@ -75,9 +75,6 @@ def _dd_block(pi_axis: str, half_axis: str, seq: SequenceParams) -> list[Segment
 def render_unit(sys: SystemParams, seq: SequenceParams) -> Timeline:
     """Timeline for one initialization cycle (n_r protocol repetitions)."""
     problems = seq.violations()
-    if seq.pulse_model.kind == FINITE and seq.tau < seq.pulse_model.tau_pi:
-        problems.append(f"tau {seq.tau} shorter than the pi-pulse duration "
-                        f"{seq.pulse_model.tau_pi}")
     if problems:
         raise ValueError("invalid sequence: " + "; ".join(problems))
 
@@ -103,8 +100,3 @@ def render_unit(sys: SystemParams, seq: SequenceParams) -> Timeline:
     else:
         pulse_time = 0.0
     return Timeline(segments, nominal_T=nominal_T, actual_T=nominal_T + pulse_time)
-
-
-def total_duration(timeline: Timeline) -> float:
-    """Sum of segment durations; equals actual_T."""
-    return float(sum(seg.duration for seg in timeline.segments))

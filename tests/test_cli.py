@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperpol.cli import main
+from hyperpol.params import config_from_dict
 
 BASE_CONFIG = {
     "system": {"omega": 1.0, "a_perp": 0.05},
@@ -65,6 +70,40 @@ def test_exit_code_on_invalid_sequence(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     assert main(["steady", "--config", str(path)]) == 2
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_exit_code_when_the_engine_overflows(tmp_path, capsys):
+    # finite and valid, but omega * tau overflows the segment phases
+    doc = {"system": {"omega": 1e300, "a_perp": 1e300}, "sequence": {"n_p": 1, "tau": 1e10}}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    assert main(["simulate", "--config", str(path), "--cycles", "2",
+                 "--out", str(tmp_path / "series.csv")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+PI_PULSE_LONGER_THAN_TAU = {"pulse_model": {"kind": "finite", "tau_pi": "3 pi/omega"}}
+
+
+@pytest.mark.parametrize("argv,sequence", [
+    (["steady"], PI_PULSE_LONGER_THAN_TAU),
+    (["steady", "--engine", "analytic"], PI_PULSE_LONGER_THAN_TAU),
+    (["simulate", "--cycles", "2"], PI_PULSE_LONGER_THAN_TAU),
+    (["steady"], {"pulse_model": {"kind": "gaussian", "tau_pi": "0.2 pi/omega"}}),
+    (["steady"], {"n_p": 1.5}),
+    (["simulate", "--cycles", "2"], {"n_r": 1.5}),
+], ids=["steady-tau-pi", "analytic-tau-pi", "simulate-tau-pi", "unknown-kind",
+        "fractional-n_p", "fractional-n_r"])
+def test_exit_code_on_invalid_sequence_input(tmp_path, capsys, argv, sequence):
+    doc = json.loads(json.dumps(BASE_CONFIG))
+    doc["sequence"].update(sequence)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    out = ["--out", str(tmp_path / "out.csv")] if argv[0] == "simulate" else []
+    assert main(argv + ["--config", str(path)] + out) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out.csv").exists()
 
 
 @pytest.mark.parametrize("engine", ["exact", "analytic"])
@@ -141,6 +180,18 @@ def test_find_tau_res_cli(tmp_path):
     assert doc["tau_shifted"] == pytest.approx(1.3 * math.pi)
 
 
+def test_find_tau_res_cli_rejects_bad_grid_step(tmp_path, capsys):
+    config = {
+        "system": {"omega": 1.0, "a_perp": 0.01},
+        "sequence": {"n_p": 1, "tau": "3/2 pi/omega", "n_r": 8},
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert main(["find-tau-res", "--config", str(path), "--tau-pi", "0.2 pi/omega",
+                 "--grid-step", "0"]) == 2
+    assert "grid_step" in capsys.readouterr().err
+
+
 def test_find_tau_res_cli_flat_landscape_exit_code(tmp_path):
     config = {
         "system": {"omega": 1.0, "a_perp": 0.0},
@@ -180,3 +231,56 @@ def test_robustness_cli_rejects_non_finite_tau_pi(tmp_path, capsys):
     path.write_text(json.dumps(config))
     assert main(["robustness", "--config", str(path), "--out", str(tmp_path / "rob.csv")]) == 2
     assert "tau_pi" in capsys.readouterr().err
+
+
+# values a hand-written config may hold: numbers of every size and sign,
+# time strings good and bad, and the wrong JSON types
+_ANY_VALUE = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-3, 4),
+    st.sampled_from([10 ** 400, "2 pi/omega", "1/2 pi/omega", "-1 pi/omega", "3/0",
+                     "1e400", "1e400 pi/omega", "3/0 pi/omega", "pi", "", None, True, [], {}]),
+)
+# most draws are plausible, so that many configs get past the parser
+_TIME = st.one_of(st.floats(0.0, 20.0), st.sampled_from(["2 pi/omega", "3/2 pi/omega"]),
+                  _ANY_VALUE)
+# counts stay small: a valid n_p of 1e9 would render billions of segments
+_COUNT = st.one_of(st.integers(1, 4), st.integers(-1, 4),
+                   st.sampled_from([1.5, 2.0, "3", "x", None, 10 ** 400, math.inf, math.nan]))
+_PULSE_MODEL = st.one_of(
+    st.fixed_dictionaries({"kind": st.sampled_from(["ideal", "finite", "gaussian", 3])},
+                          optional={"tau_pi": _TIME}),
+    _ANY_VALUE,
+)
+_SEQUENCE = st.fixed_dictionaries(
+    {"n_p": _COUNT, "tau": _TIME},
+    optional={"t_s": _TIME, "t_w": _TIME, "t_c": _TIME, "n_r": _COUNT,
+              "pulse_model": _PULSE_MODEL},
+)
+_RATE = st.one_of(st.floats(0.01, 10.0), st.floats(0.01, 10.0), _ANY_VALUE)
+_SYSTEM = st.fixed_dictionaries({"omega": _RATE, "a_perp": _RATE}, optional={"a_z": _RATE})
+_CONFIG = st.one_of(
+    st.fixed_dictionaries({"system": _SYSTEM, "sequence": _SEQUENCE}),
+    st.fixed_dictionaries({"system": _SYSTEM, "sequence": _SEQUENCE}),
+    st.fixed_dictionaries({"system": _SYSTEM, "sequence": _ANY_VALUE}),
+    _ANY_VALUE,
+)
+
+
+@settings(max_examples=300)
+@given(_CONFIG)
+def test_config_fuzz_succeeds_or_exits_2(tmp_path_factory, doc):
+    tmp = tmp_path_factory.mktemp("fuzz")
+    path = tmp / "config.json"
+    path.write_text(json.dumps(doc))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["simulate", "--config", str(path), "--cycles", "2",
+                     "--out", str(tmp / "series.csv")])
+    if code == 0:
+        sys_p, seq_p = config_from_dict(doc)
+        assert seq_p.violations() == []
+        assert len((tmp / "series.csv").read_text().splitlines()) == 2 + 2
+    else:
+        assert code == 2
+        assert err.getvalue().startswith("error: ")

@@ -12,7 +12,6 @@ from hyperpol.engine import (
     UNITARITY_TOL,
     BelowThresholdError,
     PolarizationSeries,
-    apply_channel,
     cycle_kraus,
     evaluate_exact,
     kraus,
@@ -149,6 +148,11 @@ def test_exact_kraus_magnitudes_match_analytic_forms():
         approx = analytic.kraus_approx(a, bundle.theta, bundle.phi_big, n_r)
         assert np.max(np.abs(np.abs(exact.m_up) - np.abs(approx.m_up))) < 1e-5
         assert np.max(np.abs(np.abs(exact.m_down) - np.abs(approx.m_down))) < 1e-4
+
+
+def apply_channel(pair, rho):
+    """One cycle of the channel through its transfer matrix on row-major vec(rho)."""
+    return (_superop(pair) @ np.asarray(rho, dtype=complex).reshape(4)).reshape(2, 2)
 
 
 def test_apply_channel_identity_pair():

@@ -9,7 +9,6 @@ from hyperpol.linalg import (
     ID4,
     SX,
     SZ,
-    HermitianGenerator,
     hermitian_expm,
     hermiticity_defect,
     kron2,
@@ -77,18 +76,6 @@ def test_expm_rejects_non_hermitian():
 def test_unitarity_defect_values():
     assert unitarity_defect(ID4) == 0.0
     assert unitarity_defect(np.diag([1, 1, 1, 2.0])) == pytest.approx(3.0)
-
-
-def test_hermitian_generator_validates():
-    HermitianGenerator(np.diag([1.0, -1.0]))
-    with pytest.raises(ValueError):
-        HermitianGenerator(np.array([[0, 1], [0, 0]], dtype=complex))
-
-
-def test_hermitian_generator_expm_is_unitary(rng):
-    g = HermitianGenerator(random_hermitian(rng, 4))
-    assert g.hermiticity_defect <= 1e-12
-    assert unitarity_defect(g.expm(2.3)) < 1e-12
 
 
 @given(st.integers(0, 2 ** 31 - 1), st.sampled_from([2, 4]),

@@ -9,7 +9,6 @@ from hyperpol.params import (
     config_from_dict,
     resolve_time,
     sequence_from_dict,
-    validate,
 )
 
 
@@ -36,27 +35,33 @@ def test_pulse_model():
 
 def test_validate_ok_for_zero_times():
     seq = SequenceParams(n_p=1, tau=0.0, t_s=0.0, t_w=0.0, t_c=0.0, n_r=1)
-    assert validate(seq) == []
+    assert seq.violations() == []
 
 
 def test_validate_reports_negative_tau():
     seq = SequenceParams(n_p=1, tau=-1.0)
-    problems = validate(seq)
+    problems = seq.violations()
     assert any("tau negative" in p for p in problems)
 
 
 def test_validate_reports_bad_counts():
     seq = SequenceParams(n_p=0, tau=1.0, n_r=0)
-    problems = validate(seq)
+    problems = seq.violations()
     assert len(problems) == 2
 
 
 def test_validate_requires_positive_tau_pi():
-    # bypass the PulseModel constructor check to exercise the diagnostic
-    seq = SequenceParams(n_p=1, tau=1.0,
-                         pulse_model=PulseModel.finite(1.0))
-    object.__setattr__(seq.pulse_model, "tau_pi", 0.0)
-    assert any("tau_pi" in p for p in validate(seq))
+    # the pulse model owns tau_pi: a nonpositive or non-finite one never reaches a sequence
+    for tau_pi in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="tau_pi"):
+            PulseModel.finite(tau_pi)
+
+
+def test_validate_requires_pi_pulse_inside_its_cell():
+    fits = SequenceParams(n_p=1, tau=1.0, pulse_model=PulseModel.finite(1.0))
+    assert fits.violations() == []
+    seq = SequenceParams(n_p=1, tau=1.0, pulse_model=PulseModel.finite(1.5))
+    assert any("tau_pi" in p for p in seq.violations())
 
 
 def test_resolve_time_accepts_numbers_and_strings():
@@ -66,6 +71,9 @@ def test_resolve_time_accepts_numbers_and_strings():
     assert resolve_time("0 pi/omega", omega=1.0) == 0.0
     with pytest.raises(ValueError):
         resolve_time("3/2 tau", omega=1.0)
+    for bad in ("3/0 pi/omega", "1e400 pi/omega", "1e400"):
+        with pytest.raises(ValueError, match="cannot parse time"):
+            resolve_time(bad, omega=1.0)
 
 
 def test_config_round_trip():

@@ -1,10 +1,14 @@
+import csv
 import io
 import math
+from dataclasses import replace
 
 import pytest
 
+from hyperpol import analytic
 from hyperpol.catalog import magic_params
-from hyperpol.params import SequenceParams, SystemParams
+from hyperpol.engine import evaluate_exact
+from hyperpol.params import PulseModel, SequenceParams, SystemParams
 from hyperpol.sweep import (
     Axis,
     NoResonanceError,
@@ -108,9 +112,8 @@ def test_steady_polarization_crosses_zero_at_quarter_angles():
 
 
 def test_sweep_series_target_rejected():
-    spec = spec_for((Axis("t_s", 0.0, 1.0, 2),), target="series")
     with pytest.raises(ValueError):
-        run_sweep(spec)
+        spec_for((Axis("t_s", 0.0, 1.0, 2),), target="series")
 
 
 def test_sweep_integer_axis_validation():
@@ -120,6 +123,35 @@ def test_sweep_integer_axis_validation():
     statuses = [r[6] for r in table.rows]
     assert statuses[0] == "ok" and statuses[2] == "ok"
     assert statuses[1].startswith("failed")
+    # the failure message holds a comma; the CSV quotes it and keeps 7 fields
+    rows = list(csv.reader(csv_text(table).splitlines()[1:]))
+    assert all(len(row) == 7 for row in rows)
+    assert rows[2][6] == statuses[1]
+
+
+def test_every_engine_fails_at_invalid_grid_points():
+    # t_s = -1 is a negative wait; tau_pi = 2.5 pi exceeds the base tau of 2 pi
+    table = run_sweep(spec_for((Axis("t_s", -1.0, 1.0, 2),
+                                Axis("tau_pi", 0.2 * math.pi, 2.5 * math.pi, 2))))
+    assert len(table.rows) == 2 * 2 * 2
+    by_point = {}
+    for row in table.rows:
+        by_point.setdefault((row[0], row[1]), {})[row[2]] = row
+    valid = (1.0, 0.2 * math.pi)
+    for point, rows in by_point.items():
+        assert set(rows) == {"exact", "analytic"}
+        if point == valid:
+            continue
+        for row in rows.values():
+            assert row[6].startswith("failed: invalid sequence: ")
+            assert row[3:6] == (None, None, None)
+    # the valid point is evaluated as it would be on its own
+    seq = replace(magic_seq(), t_s=1.0, pulse_model=PulseModel.finite(0.2 * math.pi))
+    exact = evaluate_exact(SYS, seq)
+    summary = analytic.summarize(SYS, seq)
+    assert by_point[valid]["exact"][3:] == (exact.p_s, exact.lambda_est, exact.gamma, "ok")
+    assert by_point[valid]["analytic"][3:] == (summary.p_s, summary.lam, summary.gamma, "ok")
+    assert all(len(row) == 7 for row in csv.reader(csv_text(table).splitlines()[1:]))
 
 
 def test_sweep_csv_format():

@@ -9,10 +9,13 @@ from hyperpol.timeline import (
     PULSE,
     Timeline,
     render_unit,
-    total_duration,
 )
 
 SYS = SystemParams(omega=1.0, a_perp=0.05)
+
+
+def total_duration(timeline: Timeline) -> float:
+    return float(sum(seg.duration for seg in timeline.segments))
 
 
 def seq(n_p=1, tau=2 * math.pi, t_s=1.5 * math.pi, t_w=1.5 * math.pi,
