@@ -22,7 +22,7 @@ from .engine import (
     mixed_state,
     simulate,
 )
-from .params import config_from_dict, resolve_time
+from .params import config_from_dict, resolve_time, system_from_dict, whole_number
 from .sweep import NoResonanceError, SweepSpec, find_tau_res, robustness_scan, run_sweep
 
 EXIT_OK = 0
@@ -145,11 +145,15 @@ def cmd_find_tau_res(args) -> int:
 def cmd_robustness(args) -> int:
     doc = _load_json(args.config)
     try:
-        from .params import system_from_dict
-
         sys_p = system_from_dict(doc["system"])
-        rows = [(magic_params(r["method"], int(r["sign"]), int(r["n_p"])), int(r["n_r"]))
-                for r in doc["rows"]]
+        rows = []
+        for r in doc["rows"]:
+            n_r = whole_number("n_r", r["n_r"])
+            if n_r < 1:
+                raise ValueError(f"n_r must be >= 1, got {n_r}")
+            row = magic_params(r["method"], whole_number("sign", r["sign"]),
+                               whole_number("n_p", r["n_p"]))
+            rows.append((row, n_r))
         tau_pi_values = [resolve_time(t, sys_p.omega) for t in doc["tau_pi_values"]]
         if not all(math.isfinite(t) for t in tau_pi_values):
             raise ValueError(f"tau_pi values must be finite, got {tau_pi_values}")

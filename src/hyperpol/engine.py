@@ -1,11 +1,12 @@
 """Exact numerical evolution of the protocol.
 
-Composes segment propagators into the per-cycle 4x4 unitary and extracts
-the nuclear Kraus pair from its first block column.  The channel acts on
-vec(rho) as a 4x4 transfer matrix: one eigen-decomposition of it gives the
-steady polarization, the contraction factor and the series length the rate
-needs, and exact powers of it give the polarization series from which the
-rate is measured.
+Composes segment propagators into the per-cycle 4x4 unitary block by
+block along the timeline's nesting, raising each repeated block to its
+count by repeated squaring, and extracts the nuclear Kraus pair from its
+first block column.  The channel acts on vec(rho) as a 4x4 transfer
+matrix: one eigen-decomposition of it gives the steady polarization, the
+contraction factor and the series length the rate needs, and exact powers
+of it give the polarization series from which the rate is measured.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from . import linalg
 from .linalg import ID2, ID4, SX, SY, SZ, hermitian_expm, kron2
 from .params import SequenceParams, SystemParams
-from .timeline import FREE_HYPERFINE, FREE_NUCLEAR, PULSE, Segment, Timeline, render_unit
+from .timeline import FREE_HYPERFINE, FREE_NUCLEAR, PULSE, Repeat, Segment, Timeline, render_unit
 
 UNITARITY_TOL = 1e-10
 MAX_RATE_CYCLES = 2 ** 21
@@ -110,16 +111,28 @@ def segment_propagator(sys: SystemParams, seg: Segment) -> np.ndarray:
 
 
 def propagate(sys: SystemParams, timeline: Timeline) -> np.ndarray:
-    """Ordered product of segment propagators (later segments on the left)."""
-    cache: dict[Segment, np.ndarray] = {}
-    u = ID4.copy()
-    for seg in timeline.segments:
-        prop = cache.get(seg)
-        if prop is None:
-            prop = segment_propagator(sys, seg)
-            cache[seg] = prop
-        u = prop @ u
-    return u
+    """Cycle propagator: the ordered product of segment propagators.
+
+    Each block of `timeline.structure` is composed once (later parts on the
+    left) and raised to its count by repeated squaring; equal segments and
+    equal blocks are evaluated once.
+    """
+    cache: dict[Segment | Repeat, np.ndarray] = {}
+
+    def compose(node: Segment | Repeat) -> np.ndarray:
+        u = cache.get(node)
+        if u is None:
+            if isinstance(node, Repeat):
+                u = ID4.copy()
+                for part in node.body:
+                    u = compose(part) @ u
+                u = np.linalg.matrix_power(u, node.count)
+            else:
+                u = segment_propagator(sys, node)
+            cache[node] = u
+        return u
+
+    return compose(timeline.structure)
 
 
 def kraus(u: np.ndarray) -> KrausPair:

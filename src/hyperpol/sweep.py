@@ -267,7 +267,9 @@ def robustness_scan(rows: list[tuple[MagicRow, int]], tau_pi_values,
     """|P_s| and rate versus pulse duration for a set of magic rows.
 
     Each row keeps its waits; tau is shifted to tau - tau_pi/n_p per
-    point.  Rows whose shifted tau is nonpositive are marked invalid.
+    point.  Points whose sequence breaks `SequenceParams.violations` (the
+    pulse no longer fits inside its shortened cell, or n_r < 1) are marked
+    invalid, with ideal and finite pulses alike.
     """
     table = ResultTable(
         header={
@@ -291,10 +293,9 @@ def robustness_scan(rows: list[tuple[MagicRow, int]], tau_pi_values,
                                   pulse_model=PulseModel.finite(tau_pi))
                 except ValueError:
                     seq = None
-                if seq is None or seq.violations():
-                    # the pulse no longer fits inside its shortened cell
-                    table.rows.append(label + (None, None, "invalid"))
-                    continue
+            if seq is None or seq.violations():
+                table.rows.append(label + (None, None, "invalid"))
+                continue
             try:
                 res = evaluate_exact(sys, seq)
             except ValueError as err:

@@ -17,6 +17,11 @@ and all waits keep their nominal durations.  With this layout the
 resonance-restoring interval tau_ideal - tau_pi/n_p makes every
 inter-block phase equal its ideal-pulse value: the 4 n_p shortened cells
 per repetition give back exactly the 8 half-pi insertions.
+
+A timeline keeps this nesting as a tree of `Repeat` blocks (the repetition
+n_r times; inside each DD block the [tau/2, pi, tau/2] cell n_p times),
+which the engine composes by repeated squaring.  Its flat segment tuple is
+the same cycle rendered in time order, for the oracles and for inspection.
 """
 
 from __future__ import annotations
@@ -43,10 +48,34 @@ class Segment:
 
 
 @dataclass(frozen=True)
+class Repeat:
+    """The parts of `body` in time order, run `count` times in a row."""
+
+    body: tuple[Segment | Repeat, ...]
+    count: int = 1
+
+    def flatten(self) -> tuple[Segment, ...]:
+        once: list[Segment] = []
+        for part in self.body:
+            once.extend(part.flatten() if isinstance(part, Repeat) else (part,))
+        return tuple(once) * self.count
+
+
+@dataclass(frozen=True)
 class Timeline:
+    """One cycle as flat segments and as the nesting they flatten from.
+
+    A timeline built from segments alone is one block run once.
+    """
+
     segments: tuple[Segment, ...]
     nominal_T: float
     actual_T: float
+    structure: Repeat | None = None
+
+    def __post_init__(self):
+        if self.structure is None:
+            object.__setattr__(self, "structure", Repeat(tuple(self.segments)))
 
 
 def _pulse(axis: str, angle: float, seq: SequenceParams) -> Segment:
@@ -57,19 +86,15 @@ def _pulse(axis: str, angle: float, seq: SequenceParams) -> Segment:
     return Segment(PULSE, duration, axis=axis, angle=angle)
 
 
-def _dd_block(pi_axis: str, half_axis: str, seq: SequenceParams) -> list[Segment]:
+def _dd_block(pi_axis: str, half_axis: str, seq: SequenceParams) -> Repeat:
     if seq.pulse_model.kind == FINITE:
         half_free = (seq.tau - seq.pulse_model.tau_pi) / 2
     else:
         half_free = seq.tau / 2
+    free = Segment(FREE_HYPERFINE, half_free)
     half = _pulse(half_axis, HALF_PI, seq)
-    segments = [half]
-    for _ in range(seq.n_p):
-        segments.append(Segment(FREE_HYPERFINE, half_free))
-        segments.append(_pulse(pi_axis, PI, seq))
-        segments.append(Segment(FREE_HYPERFINE, half_free))
-    segments.append(half)
-    return segments
+    cell = Repeat((free, _pulse(pi_axis, PI, seq), free), seq.n_p)
+    return Repeat((half, cell, half))
 
 
 def render_unit(sys: SystemParams, seq: SequenceParams) -> Timeline:
@@ -80,17 +105,12 @@ def render_unit(sys: SystemParams, seq: SequenceParams) -> Timeline:
 
     ddx = _dd_block("-x", "+y", seq)
     ddy = _dd_block("+y", "+x", seq)
-    repetition = (
-        ddx
-        + [Segment(FREE_NUCLEAR, seq.t_s)]
-        + ddy
-        + [Segment(FREE_NUCLEAR, seq.t_w)]
-        + ddx
-        + [Segment(FREE_NUCLEAR, seq.t_s)]
-        + ddy
-        + [Segment(FREE_NUCLEAR, seq.t_c)]
+    wait_s = Segment(FREE_NUCLEAR, seq.t_s)
+    structure = Repeat(
+        (ddx, wait_s, ddy, Segment(FREE_NUCLEAR, seq.t_w),
+         ddx, wait_s, ddy, Segment(FREE_NUCLEAR, seq.t_c)),
+        seq.n_r,
     )
-    segments = tuple(repetition * seq.n_r)
 
     nominal_rep = 2 * seq.t_s + seq.t_w + 4 * seq.n_p * seq.tau + seq.t_c
     nominal_T = seq.n_r * nominal_rep
@@ -99,4 +119,5 @@ def render_unit(sys: SystemParams, seq: SequenceParams) -> Timeline:
         pulse_time = seq.n_r * 8 * (seq.pulse_model.tau_pi / 2)
     else:
         pulse_time = 0.0
-    return Timeline(segments, nominal_T=nominal_T, actual_T=nominal_T + pulse_time)
+    return Timeline(structure.flatten(), nominal_T=nominal_T,
+                    actual_T=nominal_T + pulse_time, structure=structure)

@@ -233,6 +233,26 @@ def test_robustness_cli_rejects_non_finite_tau_pi(tmp_path, capsys):
     assert "tau_pi" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key,value", [
+    ("n_r", 1.5), ("n_r", 0), ("n_r", -3), ("n_p", 2.9), ("sign", 1.7),
+])
+def test_robustness_cli_rejects_bad_counts(tmp_path, capsys, key, value):
+    row = {"method": "I", "sign": 1, "n_p": 1, "n_r": 1}
+    row[key] = value
+    config = {
+        "system": {"omega": 1.0, "a_perp": 0.05},
+        "rows": [row],
+        "tau_pi_values": [0.0, "0.2 pi/omega"],
+    }
+    path = tmp_path / "rob.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "rob.csv"
+    assert main(["robustness", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err
+    assert not out.exists()
+
+
 # values a hand-written config may hold: numbers of every size and sign,
 # time strings good and bad, and the wrong JSON types
 _ANY_VALUE = st.one_of(

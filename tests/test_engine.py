@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hyperpol import analytic
-from hyperpol.catalog import magic_params
+from hyperpol.catalog import finite_pulse_tau, magic_params
 from hyperpol.engine import (
     UNITARITY_TOL,
     BelowThresholdError,
@@ -19,6 +19,7 @@ from hyperpol.engine import (
     mixed_state,
     polarization,
     propagate,
+    segment_propagator,
     simulate,
     steady_state,
 )
@@ -76,6 +77,42 @@ def test_propagate_output_unitary(rng):
         sys_p, seq_p = random_params(rng)
         u = propagate(sys_p, render_unit(sys_p, seq_p))
         assert unitarity_defect(u) <= 1e-11
+
+
+def flat_product(sys_p, tl):
+    """Reference cycle propagator: the ordered loop over the flat segments."""
+    cache = {}
+    u = ID4.copy()
+    for seg in tl.segments:
+        if seg not in cache:
+            cache[seg] = segment_propagator(sys_p, seg)
+        u = cache[seg] @ u
+    return u
+
+
+def test_propagate_matches_flat_product_random(rng):
+    for _ in range(100):
+        sys_p, seq_p = random_params(rng)
+        tl = render_unit(sys_p, seq_p)
+        assert operator_distance(propagate(sys_p, tl), flat_product(sys_p, tl)) <= 1e-12
+
+
+# the long_train benchmark rows (method, sign, n_p, n_r) at its coupling
+LONG_TRAIN_SYS = SystemParams(omega=1.0, a_perp=0.001)
+
+
+@pytest.mark.parametrize("method,sign,n_p,n_r",
+                         [("I", +1, 8, 64), ("I", -1, 16, 32), ("II", +1, 32, 16), ("II", -1, 64, 8)])
+@pytest.mark.parametrize("tau_pi", [0.0, 0.05 * math.pi])
+def test_propagate_matches_flat_product_long_trains(method, sign, n_p, n_r, tau_pi):
+    seq_p = magic_params(method, sign, n_p).to_sequence_params(LONG_TRAIN_SYS, n_r)
+    if tau_pi:
+        seq_p = replace(seq_p, tau=finite_pulse_tau(seq_p.tau, tau_pi, n_p),
+                        pulse_model=PulseModel.finite(tau_pi))
+    tl = render_unit(LONG_TRAIN_SYS, seq_p)
+    u = propagate(LONG_TRAIN_SYS, tl)
+    assert operator_distance(u, flat_product(LONG_TRAIN_SYS, tl)) <= 1e-12
+    assert unitarity_defect(u) <= 1e-11
 
 
 def test_kraus_identity():

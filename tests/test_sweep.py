@@ -239,6 +239,12 @@ def test_robustness_scan_continuity_and_invalid_rows():
     assert tiny_g == pytest.approx(ideal_g, rel=1e-2)
 
 
+def test_robustness_scan_marks_invalid_rows_alike_for_every_pulse_width():
+    # n_r = 0 breaks SequenceParams.violations with ideal and finite pulses
+    table = robustness_scan([(magic_params("I", 1, 2), 0)], [0, 0.1 * math.pi], SYS)
+    assert [r[5:] for r in table.rows] == [(None, None, "invalid")] * 2
+
+
 def test_robustness_scan_orders_methods():
     sys_p = SystemParams(omega=1.0, a_perp=0.01)
     rows = [(magic_params("I", +1, 1), 13), (magic_params("II", +1, 1), 8)]

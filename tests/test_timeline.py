@@ -2,11 +2,13 @@ import math
 
 import pytest
 
-from hyperpol.params import PulseModel, SequenceParams, SystemParams
+from hyperpol.params import FINITE, PulseModel, SequenceParams, SystemParams
 from hyperpol.timeline import (
     FREE_HYPERFINE,
     FREE_NUCLEAR,
     PULSE,
+    Repeat,
+    Segment,
     Timeline,
     render_unit,
 )
@@ -115,3 +117,47 @@ def test_render_rejects_invalid():
     with pytest.raises(ValueError):
         # pi pulse no longer fits inside the interval
         render_unit(SYS, seq(tau=0.1 * math.pi, pulse_model=PulseModel.finite(0.2 * math.pi)))
+
+
+def written_out(s: SequenceParams) -> tuple[Segment, ...]:
+    """The cycle of the module docstring, segment by segment in time order."""
+    finite = s.pulse_model.kind == FINITE
+
+    def pulse(axis, angle):
+        return Segment(PULSE, angle / s.pulse_model.rabi if finite else 0.0,
+                       axis=axis, angle=angle)
+
+    free = Segment(FREE_HYPERFINE, (s.tau - s.pulse_model.tau_pi) / 2 if finite else s.tau / 2)
+
+    def dd(pi_axis, half_axis):
+        cells = [free, pulse(pi_axis, math.pi), free] * s.n_p
+        return [pulse(half_axis, math.pi / 2)] + cells + [pulse(half_axis, math.pi / 2)]
+
+    repetition = (dd("-x", "+y") + [Segment(FREE_NUCLEAR, s.t_s)]
+                  + dd("+y", "+x") + [Segment(FREE_NUCLEAR, s.t_w)]
+                  + dd("-x", "+y") + [Segment(FREE_NUCLEAR, s.t_s)]
+                  + dd("+y", "+x") + [Segment(FREE_NUCLEAR, s.t_c)])
+    return tuple(repetition * s.n_r)
+
+
+@pytest.mark.parametrize("n_p", [1, 2, 7, 64])
+@pytest.mark.parametrize("n_r", [1, 3, 8])
+@pytest.mark.parametrize("tau_pi", [0.0, 0.1 * math.pi])
+def test_structure_flattens_to_segments(n_p, n_r, tau_pi):
+    pulse_model = PulseModel.finite(tau_pi) if tau_pi else PulseModel.ideal()
+    s = seq(n_p=n_p, n_r=n_r, tau=math.pi, t_c=0.5 * math.pi, pulse_model=pulse_model)
+    tl = render_unit(SYS, s)
+    assert tl.segments == written_out(s)
+    assert tl.structure.flatten() == tl.segments
+    # the cycle is the repetition n_r times; each DD block holds its cell n_p times
+    assert tl.structure.count == n_r
+    blocks = [part for part in tl.structure.body if isinstance(part, Repeat)]
+    assert len(blocks) == 4
+    assert all(block.body[1].count == n_p for block in blocks)
+
+
+def test_hand_built_timeline_is_one_block():
+    segments = (Segment(FREE_NUCLEAR, 0.5), Segment(FREE_HYPERFINE, 0.25))
+    tl = Timeline(segments=segments, nominal_T=0.75, actual_T=0.75)
+    assert tl.structure == Repeat(segments, 1)
+    assert tl.structure.flatten() == segments
