@@ -14,7 +14,7 @@ import math
 import sys as _sys
 
 from . import analytic
-from .catalog import full_table, magic_params
+from .catalog import finite_pulse_tau, full_table, magic_params
 from .engine import (
     BelowThresholdError,
     cycle_kraus,
@@ -92,6 +92,8 @@ def cmd_steady(args) -> int:
 
 
 def cmd_magic_table(args) -> int:
+    if args.max_np < 1:
+        raise ConfigError(f"--max-np must be >= 1, got {args.max_np}")
     n_p_values = tuple(range(1, args.max_np + 1))
     rows = full_table(n_p_values)
     if args.format in ("json", "both"):
@@ -137,7 +139,7 @@ def cmd_find_tau_res(args) -> int:
         "tau_res": tau_res,
         "tau_ideal": seq_p.tau,
         "tau_pi": tau_pi,
-        "tau_shifted": seq_p.tau - tau_pi / seq_p.n_p,
+        "tau_shifted": finite_pulse_tau(seq_p.tau, tau_pi, seq_p.n_p),
     }, args.out)
     return EXIT_OK
 

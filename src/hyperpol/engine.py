@@ -211,7 +211,7 @@ def steady_state(k: KrausPair) -> tuple[float, float]:
     return p_s, lam
 
 
-def measured_rate(series: PolarizationSeries, p_s: float, n_r: int, t_cycle: float) -> float:
+def measured_rate(series: PolarizationSeries, p_s: float, t_cycle: float) -> float:
     """Rate 1/(N_s t_cycle) from the first crossing of 1 - 1/e of P_s.
 
     t_cycle is the actual duration of one full initialization cycle (all
@@ -220,8 +220,6 @@ def measured_rate(series: PolarizationSeries, p_s: float, n_r: int, t_cycle: flo
     (cycle 1 carries the freshly mixed state, so crossing at cycle N means
     N - 1 cycles of wall time), clamped at >= 1.
     """
-    if n_r < 1:
-        raise ValueError("n_r must be >= 1")
     if abs(p_s) <= 1e-6:
         # nothing to normalize against: the channel does not polarize
         raise BelowThresholdError(0.0)
@@ -284,7 +282,7 @@ def evaluate_exact(sys: SystemParams, seq: SequenceParams,
             n = 1 + math.ceil(math.log(target / spread) / math.log(lam))
         series = simulate(pair, mixed_state(), min(max(n, 256), MAX_RATE_CYCLES))
         try:
-            gamma = measured_rate(series, p_s, seq.n_r, t_cycle)
+            gamma = measured_rate(series, p_s, t_cycle)
         except BelowThresholdError:
             pass
     n_s = None if gamma is None else 1.0 / (gamma * t_cycle)

@@ -28,16 +28,6 @@ SX = SIGMA_X / 2
 SY = SIGMA_Y / 2
 SZ = SIGMA_Z / 2
 
-PAULI_BY_AXIS = {
-    "+x": SIGMA_X,
-    "-x": -SIGMA_X,
-    "+y": SIGMA_Y,
-    "-y": -SIGMA_Y,
-    "+z": SIGMA_Z,
-    "-z": -SIGMA_Z,
-}
-
-
 def _as_square(m: np.ndarray) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:

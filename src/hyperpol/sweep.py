@@ -173,8 +173,7 @@ def _evaluate_point(args) -> list[tuple]:
                 continue
             res = evaluate_exact(sys_p, seq_p)
         except ValueError as err:
-            rows.append((axis1, axis2, engine, None, None, None,
-                         f"failed: {type(err).__name__}"))
+            rows.append((axis1, axis2, engine, None, None, None, f"failed: {err}"))
             continue
         gamma = res.gamma
         status = "ok"
@@ -204,13 +203,11 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> ResultTable:
 
 
 def _rate_for_tau(sys: SystemParams, seq: SequenceParams, tau: float,
-                  pulse_model: PulseModel) -> float | None:
-    trial = replace(seq, tau=tau, pulse_model=pulse_model)
+                  tau_pi: float) -> float | None:
     try:
-        res = evaluate_exact(sys, trial)
+        return evaluate_exact(*apply_point(sys, seq, ("tau", "tau_pi"), (tau, tau_pi))).gamma
     except ValueError:
         return None
-    return res.gamma
 
 
 def find_tau_res(sys: SystemParams, seq: SequenceParams, tau_pi: float,
@@ -218,23 +215,19 @@ def find_tau_res(sys: SystemParams, seq: SequenceParams, tau_pi: float,
     """Pulse interval maximizing the exact polarization rate.
 
     The grid is centered on the resonance-restoring value
-    tau - tau_pi/n_p (or the ideal tau when tau_pi = 0), ties break toward
+    tau - tau_pi/n_p (the ideal tau when tau_pi = 0), ties break toward
     smaller tau, and a golden-section pass refines the best grid point to
-    +-grid_step/10.  Raises NoResonanceError on a flat landscape.
+    +-grid_step/10.  Raises ValueError for a negative tau_pi and
+    NoResonanceError on a flat landscape.
     """
     if grid_step <= 0:
         raise ValueError("grid_step must be positive")
     if search_halfwidth <= 0:
         raise ValueError("search_halfwidth must be positive")
-    if tau_pi > 0:
-        center = finite_pulse_tau(seq.tau, tau_pi, seq.n_p)
-        pulse_model = PulseModel.finite(tau_pi)
-    else:
-        center = seq.tau
-        pulse_model = PulseModel.ideal()
+    center = finite_pulse_tau(seq.tau, tau_pi, seq.n_p)
     steps = int(round(search_halfwidth / grid_step))
     taus = [center + k * grid_step for k in range(-steps, steps + 1)]
-    rates = [_rate_for_tau(sys, seq, t, pulse_model) for t in taus]
+    rates = [_rate_for_tau(sys, seq, t, tau_pi) for t in taus]
     usable = [(r, t) for r, t in zip(rates, taus) if r is not None]
     if not usable:
         raise NoResonanceError("no grid point produced a polarization rate")
@@ -243,7 +236,7 @@ def find_tau_res(sys: SystemParams, seq: SequenceParams, tau_pi: float,
 
     # one golden-section pass around the winning grid point
     def negated(t: float) -> float:
-        r = _rate_for_tau(sys, seq, t, pulse_model)
+        r = _rate_for_tau(sys, seq, t, tau_pi)
         return -r if r is not None else math.inf
 
     a, b = best_tau - grid_step, best_tau + grid_step
@@ -285,21 +278,16 @@ def robustness_scan(rows: list[tuple[MagicRow, int]], tau_pi_values,
         for tau_pi in tau_pi_values:
             tau_pi = float(tau_pi)
             label = (row.method, row.sign, row.n_p, n_r, tau_pi)
-            if tau_pi == 0:
-                seq = ideal
-            else:
-                try:
-                    seq = replace(ideal, tau=finite_pulse_tau(ideal.tau, tau_pi, row.n_p),
-                                  pulse_model=PulseModel.finite(tau_pi))
-                except ValueError:
-                    seq = None
-            if seq is None or seq.violations():
+            try:
+                point = apply_point(sys, ideal, ("tau", "tau_pi"),
+                                    (finite_pulse_tau(ideal.tau, tau_pi, row.n_p), tau_pi))
+            except ValueError:
                 table.rows.append(label + (None, None, "invalid"))
                 continue
             try:
-                res = evaluate_exact(sys, seq)
+                res = evaluate_exact(*point)
             except ValueError as err:
-                table.rows.append(label + (None, None, f"failed: {type(err).__name__}"))
+                table.rows.append(label + (None, None, f"failed: {err}"))
                 continue
             status = "ok" if res.gamma is not None else "below-threshold"
             table.rows.append(label + (abs(res.p_s), res.gamma, status))

@@ -20,8 +20,8 @@ per repetition give back exactly the 8 half-pi insertions.
 
 A timeline keeps this nesting as a tree of `Repeat` blocks (the repetition
 n_r times; inside each DD block the [tau/2, pi, tau/2] cell n_p times),
-which the engine composes by repeated squaring.  Its flat segment tuple is
-the same cycle rendered in time order, for the oracles and for inspection.
+which the engine composes by repeated squaring.  Its `segments` property
+flattens the tree into time order, for the oracles and for inspection.
 """
 
 from __future__ import annotations
@@ -63,19 +63,15 @@ class Repeat:
 
 @dataclass(frozen=True)
 class Timeline:
-    """One cycle as flat segments and as the nesting they flatten from.
+    """One cycle as a tree of blocks; `segments` flattens it in time order."""
 
-    A timeline built from segments alone is one block run once.
-    """
-
-    segments: tuple[Segment, ...]
+    structure: Repeat
     nominal_T: float
     actual_T: float
-    structure: Repeat | None = None
 
-    def __post_init__(self):
-        if self.structure is None:
-            object.__setattr__(self, "structure", Repeat(tuple(self.segments)))
+    @property
+    def segments(self) -> tuple[Segment, ...]:
+        return self.structure.flatten()
 
 
 def _pulse(axis: str, angle: float, seq: SequenceParams) -> Segment:
@@ -119,5 +115,4 @@ def render_unit(sys: SystemParams, seq: SequenceParams) -> Timeline:
         pulse_time = seq.n_r * 8 * (seq.pulse_model.tau_pi / 2)
     else:
         pulse_time = 0.0
-    return Timeline(structure.flatten(), nominal_T=nominal_T,
-                    actual_T=nominal_T + pulse_time, structure=structure)
+    return Timeline(structure, nominal_T=nominal_T, actual_T=nominal_T + pulse_time)

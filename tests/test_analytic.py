@@ -248,7 +248,7 @@ def test_gamma_analytic_matches_measured_rate():
     lam = math.cos(0.1) ** 2
     t_rep = 10.0
     series = PolarizationSeries(polarization_series_analytic(1.0, lam, 400))
-    measured = measured_rate(series, 1.0, 1, t_rep)
+    measured = measured_rate(series, 1.0, t_rep)
     assert measured == pytest.approx(gamma_analytic(lam, 1, t_rep), rel=0.02)
 
 

@@ -135,6 +135,14 @@ def test_magic_table_outputs(tmp_path):
     assert len(lines) == 1 + 16
 
 
+@pytest.mark.parametrize("max_np", ["0", "-1", "-8"])
+def test_magic_table_rejects_max_np_below_one(tmp_path, capsys, max_np):
+    base = tmp_path / "table"
+    assert main(["magic-table", "--max-np", max_np, "--out", str(base)]) == 2
+    assert capsys.readouterr().err.startswith("error: --max-np")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sweep_cli_deterministic(tmp_path, config_path):
     spec = {
         "target": "stable_polarization",
@@ -190,6 +198,21 @@ def test_find_tau_res_cli_rejects_bad_grid_step(tmp_path, capsys):
     assert main(["find-tau-res", "--config", str(path), "--tau-pi", "0.2 pi/omega",
                  "--grid-step", "0"]) == 2
     assert "grid_step" in capsys.readouterr().err
+
+
+def test_find_tau_res_cli_rejects_negative_tau_pi(tmp_path, capsys):
+    config = {
+        "system": {"omega": 1.0, "a_perp": 0.01},
+        "sequence": {"n_p": 1, "tau": "3/2 pi/omega", "n_r": 8},
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "res.json"
+    assert main(["find-tau-res", "--config", str(path), "--tau-pi", "-0.2 pi/omega",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "tau_pi" in err
+    assert not out.exists()
 
 
 def test_find_tau_res_cli_flat_landscape_exit_code(tmp_path):

@@ -26,7 +26,7 @@ from hyperpol.engine import (
 from hyperpol.engine import _modes, _spectrum, _superop
 from hyperpol.linalg import ID2, ID4, operator_distance, unitarity_defect
 from hyperpol.params import PulseModel, SequenceParams, SystemParams
-from hyperpol.timeline import FREE_NUCLEAR, Segment, Timeline, render_unit
+from hyperpol.timeline import FREE_NUCLEAR, Repeat, Segment, Timeline, render_unit
 
 from oracles import random_params, trotter_propagate
 
@@ -34,7 +34,7 @@ SYS = SystemParams(omega=1.0, a_perp=0.05)
 
 
 def empty_timeline():
-    return Timeline(segments=(), nominal_T=0.0, actual_T=0.0)
+    return Timeline(Repeat(()), nominal_T=0.0, actual_T=0.0)
 
 
 def test_propagate_empty_timeline():
@@ -43,7 +43,7 @@ def test_propagate_empty_timeline():
 
 def test_propagate_single_nuclear_wait():
     t = 0.73
-    tl = Timeline(segments=(Segment(FREE_NUCLEAR, t),), nominal_T=t, actual_T=t)
+    tl = Timeline(Repeat((Segment(FREE_NUCLEAR, t),)), nominal_T=t, actual_T=t)
     u = propagate(SYS, tl)
     expected = np.kron(ID2, np.diag([np.exp(-1j * t / 2), np.exp(1j * t / 2)]))
     assert operator_distance(u, expected) < 1e-14
@@ -327,27 +327,27 @@ def test_steady_state_matches_analytic_at_small_coupling():
 
 def test_measured_rate_clamp():
     series = PolarizationSeries(np.array([1.0, 1.0, 1.0]))
-    assert measured_rate(series, 1.0, 1, 2.0) == pytest.approx(0.5)
+    assert measured_rate(series, 1.0, 2.0) == pytest.approx(0.5)
 
 
 def test_measured_rate_interpolated():
     lam = 0.8
     series = PolarizationSeries(analytic.polarization_series_analytic(1.0, lam, 60))
-    gamma = measured_rate(series, 1.0, 1, 1.0)
+    gamma = measured_rate(series, 1.0, 1.0)
     assert gamma == pytest.approx(-math.log(lam), rel=0.05)
 
 
 def test_measured_rate_below_threshold():
     series = PolarizationSeries(np.array([0.0, 0.1, 0.2]))
     with pytest.raises(BelowThresholdError) as err:
-        measured_rate(series, 1.0, 1, 1.0)
+        measured_rate(series, 1.0, 1.0)
     assert err.value.max_fraction == pytest.approx(0.2)
 
 
 def test_measured_rate_tiny_steady_polarization():
     series = PolarizationSeries(np.zeros(5))
     with pytest.raises(BelowThresholdError):
-        measured_rate(series, 0.0, 1, 1.0)
+        measured_rate(series, 0.0, 1.0)
 
 
 def test_evaluate_exact_bundles_everything():

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from hyperpol import analytic
+from hyperpol import analytic, sweep
 from hyperpol.catalog import magic_params
 from hyperpol.engine import evaluate_exact
 from hyperpol.params import PulseModel, SequenceParams, SystemParams
@@ -154,6 +154,16 @@ def test_every_engine_fails_at_invalid_grid_points():
     assert all(len(row) == 7 for row in csv.reader(csv_text(table).splitlines()[1:]))
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_engine_failure_rows_keep_the_message():
+    # valid inputs whose segment phases overflow: the exact engine cannot evaluate them
+    spec = SweepSpec(target="stable_polarization", axes=(Axis("omega", 1.0, 1e300, 2),),
+                     base_system=SystemParams(omega=1.0, a_perp=1e300),
+                     base_sequence=SequenceParams(n_p=1, tau=1e10), engine="both")
+    exact = [row[6] for row in run_sweep(spec).rows if row[2] == "exact"]
+    assert exact == ["failed: input is not unitary (defect nan)"] * 2
+
+
 def test_sweep_csv_format():
     spec = spec_for((Axis("t_s", 0.0, 1.0, 2),), engine="analytic")
     text = csv_text(run_sweep(spec))
@@ -217,6 +227,12 @@ def test_find_tau_res_grid_offset_invariance():
     assert abs(a - b) <= step
 
 
+def test_find_tau_res_rejects_negative_tau_pi():
+    with pytest.raises(ValueError, match="tau_pi"):
+        find_tau_res(SYS, magic_seq(), tau_pi=-0.1, search_halfwidth=0.02 * math.pi,
+                     grid_step=0.01 * math.pi)
+
+
 def test_find_tau_res_flat_landscape():
     sys_p = SystemParams(omega=1.0, a_perp=0.0)
     seq = magic_seq()
@@ -243,6 +259,16 @@ def test_robustness_scan_marks_invalid_rows_alike_for_every_pulse_width():
     # n_r = 0 breaks SequenceParams.violations with ideal and finite pulses
     table = robustness_scan([(magic_params("I", 1, 2), 0)], [0, 0.1 * math.pi], SYS)
     assert [r[5:] for r in table.rows] == [(None, None, "invalid")] * 2
+
+
+def test_robustness_scan_failure_rows_keep_the_message(monkeypatch):
+    def fail(sys_p, seq_p):
+        raise ValueError("input is not unitary (defect nan)")
+
+    monkeypatch.setattr(sweep, "evaluate_exact", fail)
+    table = robustness_scan([(magic_params("I", 1, 1), 1)], [0.0, 0.1 * math.pi], SYS)
+    assert [r[5:] for r in table.rows] == [
+        (None, None, "failed: input is not unitary (defect nan)")] * 2
 
 
 def test_robustness_scan_orders_methods():

@@ -78,7 +78,7 @@ def test_nominal_duration_without_compensation_wait():
 
 
 def test_empty_timeline_total_duration():
-    assert total_duration(Timeline(segments=(), nominal_T=0.0, actual_T=0.0)) == 0.0
+    assert total_duration(Timeline(Repeat(()), nominal_T=0.0, actual_T=0.0)) == 0.0
 
 
 def test_finite_pulse_durations_and_actual_T():
@@ -158,6 +158,9 @@ def test_structure_flattens_to_segments(n_p, n_r, tau_pi):
 
 def test_hand_built_timeline_is_one_block():
     segments = (Segment(FREE_NUCLEAR, 0.5), Segment(FREE_HYPERFINE, 0.25))
-    tl = Timeline(segments=segments, nominal_T=0.75, actual_T=0.75)
-    assert tl.structure == Repeat(segments, 1)
-    assert tl.structure.flatten() == segments
+    tl = Timeline(Repeat(segments), nominal_T=0.75, actual_T=0.75)
+    assert tl.structure.count == 1
+    assert tl.segments == segments
+    # the flat view is derived from the tree, so the two cannot disagree
+    with pytest.raises(AttributeError):
+        tl.segments = segments[::-1]
