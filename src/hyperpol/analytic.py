@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .params import SequenceParams, SystemParams
 
@@ -69,6 +68,8 @@ def dd_integral_oracle(omega: float, n_p: int, tau: float,
         return f * math.cos(x), f * math.sin(x)
     if method != "quad":
         raise ValueError(f"unknown method {method!r}")
+    from scipy.integrate import quad  # imported here: it costs more than the rest of hyperpol
+
     edges = _piece_edges(n_p, tau)
     cos_int = 0.0
     sin_int = 0.0
@@ -93,6 +94,8 @@ def filter_f(omega: float, n_p: int, tau: float) -> float:
     if tau < 0:
         raise ValueError("tau must be nonnegative")
     u = omega * tau
+    if not math.isfinite(u):
+        raise ValueError(f"filter phase omega*tau overflows (omega={omega!r}, tau={tau!r})")
     sin2 = math.sin(u / 4) ** 2
     cos_half = math.cos(u / 2)
     if abs(cos_half) < SINGULAR_EPS:

@@ -5,8 +5,11 @@ block along the timeline's nesting, raising each repeated block to its
 count by repeated squaring, and extracts the nuclear Kraus pair from its
 first block column.  The channel acts on vec(rho) as a 4x4 transfer
 matrix: one eigen-decomposition of it gives the steady polarization, the
-contraction factor and the series length the rate needs, and exact powers
-of it give the polarization series from which the rate is measured.
+contraction factor and the series length the rate needs.  The rate comes
+from the first 1 - 1/e crossing of that series: its modes bound the series
+over each block of SERIES_BLOCK cycles, and only the first block and the
+blocks the bound cannot rule out are evaluated, with exact powers of the
+transfer matrix.  `simulate` still evaluates the whole series.
 """
 
 from __future__ import annotations
@@ -152,7 +155,18 @@ def cycle_kraus(sys: SystemParams, seq: SequenceParams) -> KrausPair:
 
 def _superop(k: KrausPair) -> np.ndarray:
     """Channel as a 4x4 matrix on row-major vec(rho)."""
-    return np.kron(k.m_up, k.m_up.conj()) + np.kron(k.m_down, k.m_down.conj())
+    return kron2(k.m_up, k.m_up.conj()) + kron2(k.m_down, k.m_down.conj())
+
+
+def _series_rows(k: KrausPair, block: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-out rows of T^j for j < block, built by doubling, and the power of T
+    the doubling reached (T^block when block is a power of two)."""
+    rows = np.array([[1, 0, 0, -1]], dtype=complex)  # <2 I_z> read-out of vec(rho)
+    power = _superop(k)
+    while len(rows) < block:
+        rows = np.vstack([rows, rows @ power])
+        power = power @ power
+    return rows[:block], power
 
 
 def simulate(k: KrausPair, rho0: np.ndarray, n: int, params: dict | None = None) -> PolarizationSeries:
@@ -165,12 +179,7 @@ def simulate(k: KrausPair, rho0: np.ndarray, n: int, params: dict | None = None)
     if n < 1:
         raise ValueError("n must be >= 1")
     block = min(n, SERIES_BLOCK)
-    rows = np.array([[1, 0, 0, -1]], dtype=complex)  # <2 I_z> read-out of vec(rho)
-    power = _superop(k)
-    while len(rows) < block:
-        rows = np.vstack([rows, rows @ power])
-        power = power @ power
-    rows = rows[:block]
+    rows, power = _series_rows(k, block)
     x = np.asarray(rho0, dtype=complex).reshape(4)
     values = np.empty(n)
     for start in range(0, n, block):
@@ -188,10 +197,19 @@ def _modes(k: KrausPair) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return mu, vecs, np.linalg.solve(vecs, mixed_state().reshape(4))
 
 
+def _weighted_modes(k: KrausPair) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues mu_k and weights w_k with P(n) = Re sum_k w_k mu_k^(n-1) from the mixed start."""
+    mu, vecs, coeffs = _modes(k)
+    return mu, (vecs[0] - vecs[3]) * coeffs
+
+
 def _spectrum(k: KrausPair) -> tuple[float, float, float]:
     """(P_s, lambda, sum of |w_k| over the moving modes); see steady_state."""
-    mu, vecs, coeffs = _modes(k)
-    weights = (vecs[0] - vecs[3]) * coeffs
+    return _spectral_summary(*_weighted_modes(k))
+
+
+def _spectral_summary(mu: np.ndarray, weights: np.ndarray) -> tuple[float, float, float]:
+    """_spectrum from the weighted modes."""
     steady = np.abs(mu - 1.0) <= UNITARITY_TOL
     moving = ~steady & (np.abs(weights) > UNITARITY_TOL)
     lam = float(np.max(np.abs(mu[moving]))) if moving.any() else 1.0
@@ -228,14 +246,75 @@ def measured_rate(series: PolarizationSeries, p_s: float, t_cycle: float) -> flo
     if len(above) == 0:
         raise BelowThresholdError(float(np.max(fractions, initial=-math.inf)))
     i = int(above[0])
-    if i == 0:
-        n_s = 1.0
-    else:
-        lo, hi = fractions[i - 1], fractions[i]
-        # entries i-1, i hold cycles i, i+1; the 1-based crossing cycle is i + t
-        crossing = i + (E_FRACTION - lo) / (hi - lo)
-        n_s = max(crossing - 1.0, 1.0)
+    n_s = _elapsed_cycles(i, fractions[i - 1] if i else None, fractions[i])
     return 1.0 / (n_s * t_cycle)
+
+
+def _elapsed_cycles(i: int, lo: float | None, hi: float) -> float:
+    """N_s when entry i (0-based) of the fraction series is the first at or above
+    1 - 1/e; lo and hi are entries i - 1 and i (lo is unused when i = 0)."""
+    if i == 0:
+        return 1.0
+    # entries i-1, i hold cycles i, i+1; the 1-based crossing cycle is i + t
+    crossing = i + (E_FRACTION - lo) / (hi - lo)
+    return max(crossing - 1.0, 1.0)
+
+
+def _series_length(p_s: float, lam: float, spread: float) -> int:
+    """Cycles of the rate series: the smallest n with spread * lam^(n-1) <= |P_s|/e,
+    which bounds |P(n) - P_s|, clamped to [256, MAX_RATE_CYCLES]."""
+    target = abs(p_s) / math.e
+    if spread <= target or lam <= 0.0:
+        n = 1
+    elif lam >= 1.0:
+        n = MAX_RATE_CYCLES
+    else:
+        n = 1 + math.ceil(math.log(target / spread) / math.log(lam))
+    return min(max(n, 256), MAX_RATE_CYCLES)
+
+
+def _rate_cycles(k: KrausPair, mu: np.ndarray, weights: np.ndarray, p_s: float,
+                 n: int) -> float | None:
+    """N_s that measured_rate reads from simulate(k, mixed_state(), n), or None.
+
+    The series is cut into simulate's blocks of SERIES_BLOCK cycles.  In
+    cycles 1 + m, m = a..b, of a block, the term Re(w_k mu_k^m)/P_s of the
+    fraction P/P_s is at most r_k = |w_k/P_s| max(|mu_k|^a, |mu_k|^b); and,
+    because its phase turns by |arg mu_k| per cycle, at most the larger of
+    its two block-end values plus 2 (b - a) |arg mu_k| r_k, which makes the
+    real positive modes monotone.  Blocks whose summed bound stays below
+    1 - 1/e by more than the mode sum's rounding (eigenvalues off by up to
+    UNITARITY_TOL, raised to the n-th power) cannot hold the crossing.  The
+    first block and the others are evaluated with simulate's own read-out
+    rows, each reached from the last by a matrix_power jump.
+    """
+    block = min(n, SERIES_BLOCK)
+    rows, power = _series_rows(k, block)
+    first = np.arange(0, n, block)
+    last = np.minimum(first + block, n) - 1
+    terms = weights / p_s
+    m = np.stack([first, last])[:, :, None]  # (block end, block, mode)
+    moduli = np.abs(terms) * np.abs(mu) ** m
+    reach = moduli.max(axis=0)
+    ends = (moduli * np.cos(np.angle(terms) + m * np.angle(mu))).max(axis=0)
+    turn = 2 * (block - 1) * np.abs(np.angle(mu)) * reach
+    bound = np.minimum(reach, ends + turn).sum(axis=1)
+    bound[0] = math.inf  # the first block is always evaluated
+    slack = n * UNITARITY_TOL * float(np.abs(terms).sum())
+    x = mixed_state().reshape(4)
+    at = 0  # x is the state at the start of block `at`
+    for b in np.nonzero(bound >= E_FRACTION - slack)[0]:
+        lo = None
+        if b > 0:
+            before = np.linalg.matrix_power(power, b - 1 - at) @ x
+            lo = (rows[-1] @ before).real / p_s
+            x, at = power @ before, b
+        fractions = (rows @ x).real[:n - first[b]] / p_s
+        above = np.nonzero(fractions >= E_FRACTION)[0]
+        if len(above):
+            i = int(above[0])
+            return _elapsed_cycles(int(first[b]) + i, fractions[i - 1] if i else lo, fractions[i])
+    return None
 
 
 @dataclass(frozen=True)
@@ -262,28 +341,22 @@ def evaluate_exact(sys: SystemParams, seq: SequenceParams,
     """Steady polarization, contraction factor and rate for one configuration.
 
     The rate normalization uses the pulse-inclusive cycle duration unless
-    use_nominal_duration is set.  gamma is None when the channel does not
-    polarize (|P_s| below threshold), when the series does not reach
-    1 - 1/e of P_s within MAX_RATE_CYCLES, or when with_rate is off.
+    use_nominal_duration is set.  gamma is what measured_rate reads from
+    simulate's series of _series_length cycles, found by _rate_cycles from
+    the first block and the blocks whose mode bound reaches 1 - 1/e; the
+    rest of the series is never evaluated.  gamma is None when the channel
+    does not polarize (|P_s| below threshold), when the series does not
+    reach 1 - 1/e of P_s within MAX_RATE_CYCLES, or when with_rate is off.
     """
     timeline = render_unit(sys, seq)
     pair = kraus(propagate(sys, timeline))
-    p_s, lam, spread = _spectrum(pair)
+    mu, weights = _weighted_modes(pair)
+    p_s, lam, spread = _spectral_summary(mu, weights)
     t_cycle = timeline.nominal_T if use_nominal_duration else timeline.actual_T
     gamma = None
     if with_rate and abs(p_s) > 1e-6:
-        # smallest n with spread * lam^(n-1) <= |P_s|/e, which bounds |P(n) - P_s|
-        target = abs(p_s) / math.e
-        if spread <= target or lam <= 0.0:
-            n = 1
-        elif lam >= 1.0:
-            n = MAX_RATE_CYCLES
-        else:
-            n = 1 + math.ceil(math.log(target / spread) / math.log(lam))
-        series = simulate(pair, mixed_state(), min(max(n, 256), MAX_RATE_CYCLES))
-        try:
-            gamma = measured_rate(series, p_s, t_cycle)
-        except BelowThresholdError:
-            pass
+        cycles = _rate_cycles(pair, mu, weights, p_s, _series_length(p_s, lam, spread))
+        if cycles is not None:
+            gamma = 1.0 / (cycles * t_cycle)
     n_s = None if gamma is None else 1.0 / (gamma * t_cycle)
     return ExactResult(p_s=p_s, lambda_est=lam, gamma=gamma, n_s=n_s, t_cycle=t_cycle)

@@ -41,7 +41,8 @@ def kron2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = _as_square(b)
     if a.shape != (2, 2) or b.shape != (2, 2):
         raise ValueError(f"kron2 needs two 2x2 matrices, got {a.shape} and {b.shape}")
-    return np.kron(a, b)
+    # the products np.kron forms, without its general-shape bookkeeping
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
 
 
 def hermiticity_defect(h: np.ndarray) -> float:

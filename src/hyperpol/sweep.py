@@ -79,7 +79,7 @@ class SweepSpec:
                 name=a["name"],
                 start=resolve_time(a["start"], base_system.omega),
                 stop=resolve_time(a["stop"], base_system.omega),
-                count=int(a["count"]),
+                count=whole_number(f"axis {a['name']} count", a["count"]),
             )
             for a in d["axes"]
         )

@@ -2,11 +2,16 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hyperpol
 from hyperpol.cli import main
 from hyperpol.params import config_from_dict
 
@@ -28,6 +33,16 @@ def config_path(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(BASE_CONFIG))
     return str(path)
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    # only the quadrature oracle needs it, and it costs more than the rest of the import
+    src = str(Path(hyperpol.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, hyperpol.cli; print('scipy.integrate' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_simulate_writes_series(config_path, tmp_path):
@@ -170,6 +185,38 @@ def test_sweep_cli_rejects_bad_axis(tmp_path):
     spec_path.write_text(json.dumps(spec))
     assert main(["sweep", "--config", str(spec_path), "--out",
                  str(tmp_path / "o.csv")]) == 2
+
+
+@pytest.mark.parametrize("count", [2.7, "3.5", float("nan")])
+def test_sweep_cli_rejects_fractional_count(tmp_path, capsys, count):
+    spec = {
+        "target": "stable_polarization",
+        "axes": [{"name": "t_s", "start": 0, "stop": 1, "count": count}],
+        "base": BASE_CONFIG,
+    }
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    out = tmp_path / "o.csv"
+    assert main(["sweep", "--config", str(spec_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: bad sweep spec: axis t_s count must be an integer")
+    assert not out.exists()
+
+
+def test_sweep_cli_accepts_integral_float_count(tmp_path):
+    spec = {
+        "target": "stable_polarization",
+        "engine": "analytic",
+        "axes": [{"name": "t_s", "start": 0, "stop": 1, "count": 3.0}],
+        "base": BASE_CONFIG,
+    }
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    out = tmp_path / "o.csv"
+    assert main(["sweep", "--config", str(spec_path), "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert json.loads(lines[0][2:])["axes"][0]["count"] == 3
+    assert len(lines) == 2 + 3
 
 
 def test_find_tau_res_cli(tmp_path):

@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 from hyperpol import analytic
 from hyperpol.catalog import finite_pulse_tau, magic_params
 from hyperpol.engine import (
+    MAX_RATE_CYCLES,
     UNITARITY_TOL,
     BelowThresholdError,
+    KrausPair,
     PolarizationSeries,
     cycle_kraus,
     evaluate_exact,
@@ -23,8 +25,9 @@ from hyperpol.engine import (
     simulate,
     steady_state,
 )
-from hyperpol.engine import _modes, _spectrum, _superop
-from hyperpol.linalg import ID2, ID4, operator_distance, unitarity_defect
+from hyperpol.engine import (_modes, _rate_cycles, _series_length, _spectrum, _superop,
+                             _weighted_modes)
+from hyperpol.linalg import ID2, ID4, SX, SZ, hermitian_expm, operator_distance, unitarity_defect
 from hyperpol.params import PulseModel, SequenceParams, SystemParams
 from hyperpol.timeline import FREE_NUCLEAR, Repeat, Segment, Timeline, render_unit
 
@@ -315,6 +318,78 @@ def test_slow_readme_sweep_points_are_solved(t_s_over_pi):
     assert 0.1 <= abs(res.p_s) <= 1.0
     assert 1.0 - 2e-5 < res.lambda_est < 1.0
     assert res.gamma is None or res.gamma > 0
+
+
+def test_readme_point_beyond_the_cap_has_no_rate():
+    # t_s = 0.6 pi: the full 2^21-cycle series never reaches 1 - 1/e of P_s
+    seq = replace(README_BASE, t_s=0.6 * math.pi)
+    res = evaluate_exact(SYS, seq)
+    assert abs(res.p_s) > 0.1
+    assert res.gamma is None and res.n_s is None
+    series = simulate(cycle_kraus(SYS, seq), mixed_state(), MAX_RATE_CYCLES)
+    with pytest.raises(BelowThresholdError):
+        measured_rate(series, res.p_s, res.t_cycle)
+
+
+@given(st.integers(0, 2 ** 31 - 1))
+def test_rate_from_modes_matches_the_full_series(seed):
+    sys_p, seq_p = random_params(np.random.default_rng(seed))
+    res = evaluate_exact(sys_p, seq_p)
+    pair = cycle_kraus(sys_p, seq_p)
+    p_s, lam, spread = _spectrum(pair)
+    series = simulate(pair, mixed_state(), _series_length(p_s, lam, spread))
+    try:
+        expected = measured_rate(series, p_s, res.t_cycle)
+    except BelowThresholdError:
+        assert res.gamma is None
+    else:
+        assert res.gamma == pytest.approx(expected, rel=1e-10)
+
+
+def test_rate_crossing_on_the_first_cycle_after_a_skipped_block(monkeypatch):
+    # amplitude damping towards nuclear up: P(n) = 1 - lam^(n-1) crosses 1 - 1/e
+    # between cycles 2048 and 2049, i.e. on the first cycle of the third block
+    lam = math.exp(-1 / 2047.5)
+    pair = KrausPair(m_up=np.diag([1.0, math.sqrt(lam)]).astype(complex),
+                     m_down=np.array([[0.0, math.sqrt(1 - lam)], [0.0, 0.0]], dtype=complex))
+    mu, weights = _weighted_modes(pair)
+    p_s, lam_est, spread = _spectrum(pair)
+    assert p_s == pytest.approx(1.0, abs=1e-12) and lam_est == pytest.approx(lam, abs=1e-12)
+    n = _series_length(p_s, lam_est, spread)
+    fractions = simulate(pair, mixed_state(), n).values / p_s
+    assert np.nonzero(fractions >= 1 - math.exp(-1))[0][0] == 2048
+    jumps = []
+    matrix_power = np.linalg.matrix_power
+    monkeypatch.setattr(np.linalg, "matrix_power",
+                        lambda a, k: jumps.append(int(k)) or matrix_power(a, k))
+    n_s = _rate_cycles(pair, mu, weights, p_s, n)
+    # block 1 ends 9e-5 below the threshold: one jump goes from block 0 to its
+    # start, and its last cycle still supplies the interpolation's lower end
+    assert jumps == [1]
+    assert 1 / n_s == pytest.approx(measured_rate(simulate(pair, mixed_state(), n), p_s, 1.0),
+                                    rel=1e-10)
+    assert n_s == pytest.approx(2047.5, abs=1e-3)
+
+
+def test_rate_crossing_at_an_oscillation_peak_inside_a_block():
+    # weak damping towards nuclear up, then a rotation about a tilted axis: the
+    # coherence modes ripple P(n), so the first crossing lies on a crest inside
+    # block 16 while both ends of that block stay below 1 - 1/e
+    damping = 1e-4
+    axis = math.cos(1.2) * SZ + math.sin(1.2) * SX
+    turn = hermitian_expm(axis, 2 * math.pi / 1500)
+    pair = KrausPair(m_up=turn @ np.diag([1.0, math.sqrt(1 - damping)]),
+                     m_down=turn @ np.array([[0.0, math.sqrt(damping)], [0.0, 0.0]]))
+    mu, weights = _weighted_modes(pair)
+    p_s, lam, spread = _spectrum(pair)
+    n = _series_length(p_s, lam, spread)
+    series = simulate(pair, mixed_state(), n)
+    fractions = series.values / p_s
+    crossing = np.nonzero(fractions >= 1 - math.exp(-1))[0][0]
+    assert crossing // 1024 == 16
+    assert max(fractions[16 * 1024], fractions[17 * 1024 - 1]) < 1 - math.exp(-1) - 0.02
+    n_s = _rate_cycles(pair, mu, weights, p_s, n)
+    assert 1 / n_s == pytest.approx(measured_rate(series, p_s, 1.0), rel=1e-10)
 
 
 def test_steady_state_matches_analytic_at_small_coupling():

@@ -41,6 +41,17 @@ def test_kron_sx_sx_corner_entry():
     assert m[3, 0] == pytest.approx(0.25)
 
 
+def test_kron2_is_bitwise_np_kron(rng):
+    signed_zeros = np.array([[0.0, -0.0], [-0.0 - 0.0j, 1j]])
+    pairs = [(signed_zeros, signed_zeros.conj()), (SX, SZ)]
+    for _ in range(2000):
+        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        pairs.append((a, b * 10.0 ** rng.integers(-300, 300)))
+    for a, b in pairs:
+        assert kron2(a, b).tobytes() == np.kron(a, b).tobytes()
+
+
 def test_kron_rejects_wrong_dims():
     with pytest.raises(ValueError):
         kron2(ID4, ID2)

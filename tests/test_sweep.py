@@ -160,8 +160,13 @@ def test_engine_failure_rows_keep_the_message():
     spec = SweepSpec(target="stable_polarization", axes=(Axis("omega", 1.0, 1e300, 2),),
                      base_system=SystemParams(omega=1.0, a_perp=1e300),
                      base_sequence=SequenceParams(n_p=1, tau=1e10), engine="both")
-    exact = [row[6] for row in run_sweep(spec).rows if row[2] == "exact"]
+    rows = run_sweep(spec).rows
+    exact = [row[6] for row in rows if row[2] == "exact"]
     assert exact == ["failed: input is not unitary (defect nan)"] * 2
+    # the closed forms survive omega = 1, but at 1e300 the filter phase overflows
+    analytic_rows = [row[6] for row in rows if row[2] == "analytic"]
+    assert analytic_rows == ["ok", "failed: filter phase omega*tau overflows "
+                                   "(omega=1e+300, tau=10000000000.0)"]
 
 
 def test_sweep_csv_format():
