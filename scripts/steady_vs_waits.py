@@ -22,7 +22,6 @@ def main() -> None:
     parser.add_argument("--waits", type=float, default=0.5,
                         help="t_w = t_c in units of pi/omega")
     parser.add_argument("--points", type=int, default=81)
-    parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args()
 
     out_dir = Path(args.out_dir)
@@ -39,7 +38,7 @@ def main() -> None:
             base_sequence=base,
             engine="both",
         )
-        table = run_sweep(spec, jobs=args.jobs)
+        table = run_sweep(spec)
         path = out_dir / f"steady_np{n_p}.csv"
         table.write(path)
         print(f"wrote {path}")

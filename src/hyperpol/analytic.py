@@ -134,15 +134,11 @@ class PhaseBundle:
     theta: float    # phi/2 + pi/4
 
 
-def single_rep_duration(seq: SequenceParams) -> float:
-    return 2 * seq.t_s + seq.t_w + 4 * seq.n_p * seq.tau + seq.t_c
-
-
 def phases(sys: SystemParams, seq: SequenceParams) -> PhaseBundle:
     w = sys.omega
     phi0 = w * (seq.t_s + seq.n_p * seq.tau)
     phi1 = w * (seq.t_s + seq.t_w + 2 * seq.n_p * seq.tau)
-    phi_big = w * single_rep_duration(seq)
+    phi_big = w * seq.rep_duration()
     phi = (((-1) ** seq.n_p + 1) / 2 * math.pi - phi0) % (2 * math.pi)
     return PhaseBundle(phi0=phi0, phi1=phi1, phi_big=phi_big, phi=phi,
                        theta=phi / 2 + math.pi / 4)
@@ -273,7 +269,7 @@ def summarize(sys: SystemParams, seq: SequenceParams) -> AnalyticSummary:
         alpha=a,
         p_s=stable_polarization(a, p.theta),
         lam=lam,
-        gamma=gamma_analytic(lam, seq.n_r, single_rep_duration(seq)),
+        gamma=gamma_analytic(lam, seq.n_r, seq.rep_duration()),
     )
 
 

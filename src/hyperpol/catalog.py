@@ -58,12 +58,27 @@ class MagicRow:
     t_s: Fraction
     t_w: Fraction
     t_c: Fraction
-    gamma_window: Fraction          # window, units omega/(n_r pi)
-    sideband_fractions: tuple[Fraction, Fraction]  # first +/- offsets as fractions of omega
 
     def total_rep(self) -> Fraction:
-        """Single-repetition duration 2 t_s + t_w + 4 n_p tau + t_c, in pi/omega."""
+        """Single-repetition duration 2 t_s + t_w + 4 n_p tau + t_c, in pi/omega.
+
+        The exact form of `SequenceParams.rep_duration`.
+        """
         return 2 * self.t_s + self.t_w + 4 * self.n_p * self.tau + self.t_c
+
+    @property
+    def gamma_window(self) -> Fraction:
+        """Frequency window, in units omega/(n_r pi)."""
+        # the published window for the PulsePol-family rows is half the
+        # 4/(n_r T) estimate that fits every other row
+        numerator = 2 if self.method == METHOD_II and self.n_p == 1 else 4
+        return Fraction(numerator) / self.total_rep()
+
+    @property
+    def sideband_fractions(self) -> tuple[Fraction, Fraction]:
+        """First +/- sideband offsets as fractions of omega."""
+        sideband = Fraction(4) / self.total_rep()
+        return sideband, -sideband
 
     def to_sequence_params(self, sys: SystemParams, n_r: int) -> SequenceParams:
         """Instantiate at a reference frequency; t_c drops out when n_r = 1."""
@@ -151,25 +166,7 @@ def magic_params(method: str, sign: int, n_p: int,
         t_s = t_w = t_c = Fraction(0)
     else:
         raise ValueError(f"unknown method {method!r}")
-
-    total = 2 * t_s + t_w + 4 * n_p * tau + t_c
-    sideband = Fraction(4) / total
-    window = Fraction(4) / total
-    if method == METHOD_II and n_p == 1:
-        # the published window for the PulsePol-family rows is half the
-        # 4/(n_r T) estimate that fits every other row
-        window = Fraction(2) / total
-    return MagicRow(
-        method=method,
-        sign=sign,
-        n_p=n_p,
-        tau=tau,
-        t_s=t_s,
-        t_w=t_w,
-        t_c=t_c,
-        gamma_window=window,
-        sideband_fractions=(sideband, -sideband),
-    )
+    return MagicRow(method=method, sign=sign, n_p=n_p, tau=tau, t_s=t_s, t_w=t_w, t_c=t_c)
 
 
 def full_table(n_p_values=(1, 2, 3, 4, 5, 6, 7, 8)) -> list[MagicRow]:

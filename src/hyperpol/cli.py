@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands: simulate, steady, magic-table, sweep, find-tau-res,
-robustness.  Exit codes: 0 success, 2 configuration error, 3 no rate in
-single-run modes (below threshold or no resonance).
+robustness.  Exit codes: 0 success, 2 configuration error, 3 find-tau-res
+found no resonance.
 """
 
 from __future__ import annotations
@@ -15,13 +15,7 @@ import sys as _sys
 
 from . import analytic
 from .catalog import finite_pulse_tau, full_table, magic_params
-from .engine import (
-    BelowThresholdError,
-    cycle_kraus,
-    evaluate_exact,
-    mixed_state,
-    simulate,
-)
+from .engine import cycle_kraus, evaluate_exact, mixed_state, simulate
 from .params import config_from_dict, resolve_time, system_from_dict, whole_number
 from .sweep import NoResonanceError, SweepSpec, find_tau_res, robustness_scan, run_sweep
 
@@ -125,7 +119,7 @@ def cmd_sweep(args) -> int:
             spec = dataclasses.replace(spec, engine=args.engine)
     except MALFORMED as err:
         raise ConfigError(f"bad sweep spec: {err}") from err
-    run_sweep(spec, jobs=args.jobs).write(args.out)
+    run_sweep(spec).write(args.out)
     return EXIT_OK
 
 
@@ -197,7 +191,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--engine", choices=("exact", "analytic", "both"))
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int,
+                   help="accepted for compatibility and ignored; every sweep runs serially")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("find-tau-res", help="search the rate-maximizing pulse interval")
@@ -226,7 +221,7 @@ def main(argv=None) -> int:
         # config the engine cannot evaluate (frequency times duration overflows)
         print(f"error: {err}", file=_sys.stderr)
         return EXIT_CONFIG
-    except (BelowThresholdError, NoResonanceError) as err:
+    except NoResonanceError as err:
         print(f"error: {err}", file=_sys.stderr)
         return EXIT_NO_RATE
 

@@ -119,6 +119,10 @@ class SequenceParams:
                             f"tau_pi {self.pulse_model.tau_pi}")
         return problems
 
+    def rep_duration(self) -> float:
+        """One repetition, 2 t_s + t_w + 4 n_p tau + t_c, without the pulse widths."""
+        return 2 * self.t_s + self.t_w + 4 * self.n_p * self.tau + self.t_c
+
     def to_dict(self) -> dict:
         return {
             "n_p": self.n_p,

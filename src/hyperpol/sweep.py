@@ -1,8 +1,8 @@
 """Parameter sweeps, the resonant-interval search, and robustness scans.
 
-Grid points are independent pure evaluations; with jobs > 1 they are
-farmed out to worker processes and reassembled in row-major order, so
-the output is byte-identical regardless of worker count.
+A sweep evaluates its grid points one after another in row-major axis
+order, with the engines of each point in a fixed order, so the same spec
+always writes the same bytes.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ import csv
 import itertools
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -154,13 +153,11 @@ def apply_point(sys: SystemParams, seq: SequenceParams,
     return sys, seq
 
 
-def _evaluate_point(args) -> list[tuple]:
-    spec, values = args
-    names = tuple(a.name for a in spec.axes)
+def _evaluate_point(spec: SweepSpec, names: tuple[str, ...], engines: tuple[str, ...],
+                    values: tuple[float, ...]) -> list[tuple]:
     axis1 = values[0]
     axis2 = values[1] if len(values) > 1 else ""
     rows = []
-    engines = ("exact", "analytic") if spec.engine == "both" else (spec.engine,)
     try:
         sys_p, seq_p = apply_point(spec.base_system, spec.base_sequence, names, values)
     except ValueError as err:
@@ -183,22 +180,17 @@ def _evaluate_point(args) -> list[tuple]:
     return rows
 
 
-def run_sweep(spec: SweepSpec, jobs: int = 1) -> ResultTable:
+def run_sweep(spec: SweepSpec) -> ResultTable:
     """Evaluate the grid in row-major axis order; output order is fixed."""
-    grids = [a.values() for a in spec.axes]
-    points = [tuple(float(v) for v in combo) for combo in itertools.product(*grids)]
-    work = [(spec, values) for values in points]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(_evaluate_point, work, chunksize=8))
-    else:
-        chunks = [_evaluate_point(w) for w in work]
+    names = tuple(a.name for a in spec.axes)
+    engines = ("exact", "analytic") if spec.engine == "both" else (spec.engine,)
     table = ResultTable(
         header=spec.header(),
         columns=("axis1", "axis2", "engine", "P_s", "lambda", "gamma", "status"),
     )
-    for chunk in chunks:
-        table.rows.extend(chunk)
+    for combo in itertools.product(*(a.values() for a in spec.axes)):
+        values = tuple(float(v) for v in combo)
+        table.rows.extend(_evaluate_point(spec, names, engines, values))
     return table
 
 
@@ -217,15 +209,20 @@ def find_tau_res(sys: SystemParams, seq: SequenceParams, tau_pi: float,
     The grid is centered on the resonance-restoring value
     tau - tau_pi/n_p (the ideal tau when tau_pi = 0), ties break toward
     smaller tau, and a golden-section pass refines the best grid point to
-    +-grid_step/10.  Raises ValueError for a negative tau_pi and
-    NoResonanceError on a flat landscape.
+    +-grid_step/10.  Raises ValueError for a negative tau_pi or a
+    non-finite search_halfwidth / grid_step, and NoResonanceError on a
+    flat landscape.
     """
     if grid_step <= 0:
         raise ValueError("grid_step must be positive")
     if search_halfwidth <= 0:
         raise ValueError("search_halfwidth must be positive")
+    ratio = search_halfwidth / grid_step
+    if not math.isfinite(ratio):
+        raise ValueError(f"search_halfwidth / grid_step is not finite: "
+                         f"{search_halfwidth} / {grid_step}")
     center = finite_pulse_tau(seq.tau, tau_pi, seq.n_p)
-    steps = int(round(search_halfwidth / grid_step))
+    steps = int(round(ratio))
     taus = [center + k * grid_step for k in range(-steps, steps + 1)]
     rates = [_rate_for_tau(sys, seq, t, tau_pi) for t in taus]
     usable = [(r, t) for r, t in zip(rates, taus) if r is not None]

@@ -108,8 +108,7 @@ def render_unit(sys: SystemParams, seq: SequenceParams) -> Timeline:
         seq.n_r,
     )
 
-    nominal_rep = 2 * seq.t_s + seq.t_w + 4 * seq.n_p * seq.tau + seq.t_c
-    nominal_T = seq.n_r * nominal_rep
+    nominal_T = seq.n_r * seq.rep_duration()
     if seq.pulse_model.kind == FINITE:
         # pi pulses live inside their cells; only the half-pi edges add time
         pulse_time = seq.n_r * 8 * (seq.pulse_model.tau_pi / 2)

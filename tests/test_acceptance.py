@@ -18,7 +18,6 @@ from hyperpol.analytic import (
     filter_f,
     gamma_opt_approx,
     polarization_series_analytic,
-    single_rep_duration,
     summarize,
 )
 from hyperpol.catalog import finite_pulse_tau, magic_params
@@ -200,7 +199,7 @@ def _rate_profile(row, n_r, omegas, a_perp=0.005):
     seq = row.to_sequence_params(SystemParams(omega=1.0, a_perp=a_perp), n_r=n_r)
     rates = np.array(
         [summarize(SystemParams(omega=w, a_perp=a_perp), seq).gamma for w in omegas])
-    return rates, single_rep_duration(seq)
+    return rates, seq.rep_duration()
 
 
 def _central_half_width(omegas, rates, level):

@@ -36,13 +36,16 @@ def config_path(tmp_path):
 
 
 def test_cli_import_leaves_scipy_integrate_unloaded():
-    # only the quadrature oracle needs it, and it costs more than the rest of the import
+    # only the quadrature oracle needs scipy.integrate, and it costs more than the
+    # rest of the import; sweeps run serially, so no process pool is imported either
     src = str(Path(hyperpol.__file__).resolve().parents[1])
+    unwanted = ("scipy.integrate", "concurrent.futures")
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, hyperpol.cli; print('scipy.integrate' in sys.modules)"],
+        [sys.executable, "-c",
+         f"import sys, hyperpol.cli; print([m for m in {unwanted!r} if m in sys.modules])"],
         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
 
 
 def test_simulate_writes_series(config_path, tmp_path):
@@ -67,6 +70,14 @@ def test_steady_reports_both_engines(config_path, tmp_path, capsys):
     assert main(["steady", "--config", config_path, "--engine", "analytic"]) == 0
     printed = json.loads(capsys.readouterr().out)
     assert "exact" not in printed and "analytic" in printed
+
+
+def test_steady_without_coupling_exits_zero_with_null_rate(tmp_path, capsys):
+    # below threshold is a result, not an error: only find-tau-res exits 3
+    path = tmp_path / "uncoupled.json"
+    path.write_text(json.dumps({**BASE_CONFIG, "system": {"omega": 1.0, "a_perp": 0.0}}))
+    assert main(["steady", "--config", str(path), "--engine", "exact"]) == 0
+    assert json.loads(capsys.readouterr().out)["exact"]["gamma"] is None
 
 
 def test_steady_exit_code_on_missing_config(tmp_path):
@@ -158,7 +169,9 @@ def test_magic_table_rejects_max_np_below_one(tmp_path, capsys, max_np):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_sweep_cli_deterministic(tmp_path, config_path):
+@pytest.mark.parametrize("jobs", ["0", "1", "2", "4"])
+def test_sweep_cli_deterministic(tmp_path, config_path, jobs):
+    # --jobs is accepted and ignored: every value writes the bytes of the run without it
     spec = {
         "target": "stable_polarization",
         "engine": "both",
@@ -171,7 +184,7 @@ def test_sweep_cli_deterministic(tmp_path, config_path):
     out2 = tmp_path / "b.csv"
     assert main(["sweep", "--config", str(spec_path), "--out", str(out1)]) == 0
     assert main(["sweep", "--config", str(spec_path), "--out", str(out2),
-                 "--jobs", "2"]) == 0
+                 "--jobs", jobs]) == 0
     assert out1.read_text() == out2.read_text()
 
 
@@ -245,6 +258,11 @@ def test_find_tau_res_cli_rejects_bad_grid_step(tmp_path, capsys):
     assert main(["find-tau-res", "--config", str(path), "--tau-pi", "0.2 pi/omega",
                  "--grid-step", "0"]) == 2
     assert "grid_step" in capsys.readouterr().err
+    # a step count that overflows to inf is refused, not a traceback
+    assert main(["find-tau-res", "--config", str(path), "--tau-pi", "0.2 pi/omega",
+                 "--halfwidth", "1e300", "--grid-step", "1e-300"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "grid_step" in err
 
 
 def test_find_tau_res_cli_rejects_negative_tau_pi(tmp_path, capsys):

@@ -457,8 +457,7 @@ def test_rate_agreement_with_analytic_at_table_rows():
                 for n_r in (1, 2, 4):
                     seq = magic_params(method, sign, n_p).to_sequence_params(sys_p, n_r=n_r)
                     s = analytic.summarize(sys_p, seq)
-                    g_ana = analytic.gamma_analytic(
-                        s.lam, n_r, analytic.single_rep_duration(seq))
+                    g_ana = analytic.gamma_analytic(s.lam, n_r, seq.rep_duration())
                     res = evaluate_exact(sys_p, seq)
                     assert res.gamma == pytest.approx(g_ana, rel=0.05)
 
