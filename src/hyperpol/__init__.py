@@ -1,6 +1,6 @@
 """Sequential nuclear-spin hyperpolarization: exact simulator and analytics."""
 
-from .params import PulseModel, SequenceParams, SystemParams
+from .params import SequenceParams, SystemParams
 from .timeline import Segment, Timeline, render_unit
 from .engine import (
     KrausPair,
@@ -36,7 +36,6 @@ __all__ = [
     "MagicRow",
     "PhaseBundle",
     "PolarizationSeries",
-    "PulseModel",
     "Segment",
     "SequenceParams",
     "SystemParams",

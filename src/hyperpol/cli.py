@@ -216,9 +216,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError) as err:
+    except (ConfigError, MemoryError, ValueError) as err:
         # past the parsers, a ValueError is a bad command-line value or a valid
-        # config the engine cannot evaluate (frequency times duration overflows)
+        # config the engine cannot evaluate (frequency times duration overflows);
+        # a MemoryError is a count too large to allocate (--cycles, an axis count)
         print(f"error: {err}", file=_sys.stderr)
         return EXIT_CONFIG
     except NoResonanceError as err:

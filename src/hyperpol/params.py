@@ -2,14 +2,19 @@
 
 Times in config files may be given either as plain numbers or as strings
 like "3/2 pi/omega", which are resolved against the system's Larmor
-frequency at load time.
+frequency at load time.  JSON booleans are refused wherever a number is
+read.
+
+The pulse is one number, the pi-pulse duration `SequenceParams.tau_pi`:
+0 means zero-width pulses.  In JSON it stays the object
+{"kind": "ideal"} or {"kind": "finite", "tau_pi": ...}.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 IDEAL = "ideal"
@@ -40,57 +45,19 @@ class SystemParams:
 
 
 @dataclass(frozen=True)
-class PulseModel:
-    """Pulse rendering model: zero-width or rectangular with Rabi drive.
-
-    For the finite model tau_pi is the pi-pulse duration; half-pi pulses
-    last tau_pi/2 and the Rabi frequency is pi/tau_pi.  Construction refuses
-    an unknown kind, a non-finite tau_pi and, for finite pulses, tau_pi <= 0.
-    """
-
-    kind: str = IDEAL
-    tau_pi: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in (IDEAL, FINITE):
-            raise ValueError(f"unknown pulse model kind {self.kind!r}")
-        if not math.isfinite(self.tau_pi):
-            raise ValueError(f"tau_pi not finite: {self.tau_pi}")
-        if self.kind == FINITE and not self.tau_pi > 0:
-            raise ValueError("finite pulse model needs tau_pi > 0")
-
-    @property
-    def rabi(self) -> float:
-        if self.kind != FINITE:
-            raise ValueError("ideal pulses have no Rabi frequency")
-        return math.pi / self.tau_pi
-
-    @classmethod
-    def ideal(cls) -> "PulseModel":
-        return cls(IDEAL, 0.0)
-
-    @classmethod
-    def finite(cls, tau_pi: float) -> "PulseModel":
-        return cls(FINITE, tau_pi)
-
-    def to_dict(self) -> dict:
-        d = {"kind": self.kind}
-        if self.kind == FINITE:
-            d["tau_pi"] = self.tau_pi
-        return d
-
-
-@dataclass(frozen=True)
 class SequenceParams:
     """All timing knobs of one protocol cycle.
 
     n_p pi pulses at interval tau inside each DD block, waits t_s/t_w/t_c
-    between blocks, n_r repetitions per electron initialization.
+    between blocks, n_r repetitions per electron initialization.  tau_pi is
+    the pi-pulse duration of rectangular pulses (half-pi pulses last
+    tau_pi/2, the Rabi frequency is pi/tau_pi); tau_pi = 0 means zero-width
+    pulses.
 
     `violations` is the one rule for a runnable sequence: counts >= 1, finite
-    nonnegative times and, for finite pulses, tau >= tau_pi (each pi pulse
-    fits inside its cell); the pulse model checks tau_pi itself.  Construction
-    does not check, so the closed forms can be evaluated anywhere; rendering,
+    nonnegative times (tau_pi included) and, for finite pulses,
+    tau >= tau_pi (each pi pulse fits inside its cell).  Construction does
+    not check, so the closed forms can be evaluated anywhere; rendering,
     sweep points and the command line refuse a sequence with violations.
     """
 
@@ -100,7 +67,7 @@ class SequenceParams:
     t_w: float = 0.0
     t_c: float = 0.0
     n_r: int = 1
-    pulse_model: PulseModel = field(default_factory=PulseModel.ideal)
+    tau_pi: float = 0.0
 
     def violations(self) -> list[str]:
         problems = []
@@ -108,15 +75,15 @@ class SequenceParams:
             problems.append(f"n_p must be >= 1, got {self.n_p}")
         if self.n_r < 1:
             problems.append(f"n_r must be >= 1, got {self.n_r}")
-        for name in ("tau", "t_s", "t_w", "t_c"):
+        for name in ("tau", "t_s", "t_w", "t_c", "tau_pi"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 problems.append(f"{name} not finite: {value}")
             elif value < 0:
                 problems.append(f"{name} negative: {value}")
-        if self.pulse_model.kind == FINITE and self.tau < self.pulse_model.tau_pi:
+        if self.tau_pi > 0 and self.tau < self.tau_pi:
             problems.append(f"tau {self.tau} shorter than the pi-pulse duration "
-                            f"tau_pi {self.pulse_model.tau_pi}")
+                            f"tau_pi {self.tau_pi}")
         return problems
 
     def rep_duration(self) -> float:
@@ -131,13 +98,21 @@ class SequenceParams:
             "t_w": self.t_w,
             "t_c": self.t_c,
             "n_r": self.n_r,
-            "pulse_model": self.pulse_model.to_dict(),
+            "pulse_model": ({"kind": FINITE, "tau_pi": self.tau_pi} if self.tau_pi
+                            else {"kind": IDEAL}),
         }
+
+
+def _number(name: str, value) -> float:
+    """float(value), refusing a JSON boolean rather than reading it as 0 or 1."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 def whole_number(name: str, value) -> int:
     """An integral count such as n_p; 2.0 is accepted, 1.5 is refused, not truncated."""
-    number = float(value)
+    number = _number(name, value)
     if not math.isfinite(number) or abs(number - round(number)) > 1e-9:
         raise ValueError(f"{name} must be an integer, got {value}")
     return int(round(number))
@@ -154,21 +129,26 @@ def resolve_time(value, omega: float) -> float:
         except (OverflowError, ValueError, ZeroDivisionError) as err:
             raise ValueError(f"cannot parse time {value!r}; expected a number "
                              f"or e.g. '3/2 pi/omega'") from err
-    return float(value)
+    return _number("time", value)
 
 
 def system_from_dict(d: dict) -> SystemParams:
     return SystemParams(
-        omega=float(d["omega"]),
-        a_perp=float(d["a_perp"]),
-        a_z=float(d.get("a_z", 0.0)),
+        omega=_number("omega", d["omega"]),
+        a_perp=_number("a_perp", d["a_perp"]),
+        a_z=_number("a_z", d.get("a_z", 0.0)),
     )
 
 
 def sequence_from_dict(d: dict, omega: float) -> SequenceParams:
+    """The sequence of a config; an ideal pulse model ignores any tau_pi it carries."""
     pm = d.get("pulse_model", {})
     kind = pm.get("kind", IDEAL)
+    if kind not in (IDEAL, FINITE):
+        raise ValueError(f"unknown pulse model kind {kind!r}")
     tau_pi = resolve_time(pm["tau_pi"], omega) if kind == FINITE else 0.0
+    if kind == FINITE and not 0 < tau_pi < math.inf:
+        raise ValueError(f"finite pulse model needs a finite tau_pi > 0, got {tau_pi}")
     return SequenceParams(
         n_p=whole_number("n_p", d["n_p"]),
         tau=resolve_time(d["tau"], omega),
@@ -176,7 +156,7 @@ def sequence_from_dict(d: dict, omega: float) -> SequenceParams:
         t_w=resolve_time(d.get("t_w", 0.0), omega),
         t_c=resolve_time(d.get("t_c", 0.0), omega),
         n_r=whole_number("n_r", d.get("n_r", 1)),
-        pulse_model=PulseModel(kind, tau_pi),
+        tau_pi=tau_pi,
     )
 
 

@@ -18,13 +18,12 @@ import numpy as np
 from . import analytic
 from .catalog import MagicRow, finite_pulse_tau
 from .engine import evaluate_exact
-from .params import (PulseModel, SequenceParams, SystemParams, config_from_dict, resolve_time,
-                     whole_number)
+from .params import SequenceParams, SystemParams, config_from_dict, resolve_time, whole_number
 
 SYSTEM_FIELDS = ("omega", "a_perp", "a_z")
-SEQUENCE_FLOAT_FIELDS = ("tau", "t_s", "t_w", "t_c")
+SEQUENCE_FLOAT_FIELDS = ("tau", "t_s", "t_w", "t_c", "tau_pi")
 SEQUENCE_INT_FIELDS = ("n_p", "n_r")
-AXIS_NAMES = SYSTEM_FIELDS + SEQUENCE_FLOAT_FIELDS + SEQUENCE_INT_FIELDS + ("tau_pi",)
+AXIS_NAMES = SYSTEM_FIELDS + SEQUENCE_FLOAT_FIELDS + SEQUENCE_INT_FIELDS
 
 ENGINES = ("exact", "analytic", "both")
 TARGETS = ("stable_polarization", "rate")
@@ -140,9 +139,6 @@ def apply_point(sys: SystemParams, seq: SequenceParams,
             seq_kwargs[name] = float(value)
         elif name in SEQUENCE_INT_FIELDS:
             seq_kwargs[name] = whole_number(name, value)
-        elif name == "tau_pi":
-            model = PulseModel.finite(float(value)) if value != 0 else PulseModel.ideal()
-            seq_kwargs["pulse_model"] = model
     if sys_kwargs:
         sys = replace(sys, **sys_kwargs)
     if seq_kwargs:

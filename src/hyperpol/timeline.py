@@ -9,14 +9,16 @@ and a closing half-pi(+y); DDY is the same with pi(+y) pulses sandwiched
 by half-pi(+x).  Free intervals inside the DD blocks evolve under the full
 hyperfine Hamiltonian; the waits are hyperfine-free nuclear precession.
 
-Finite pulses are rectangular drives with the system Hamiltonian kept on.
-Each pi pulse is centered inside its tau cell (free halves shrink to
-(tau - tau_pi)/2, so the pulse train's period stays tau regardless of the
-pulse width), while the half-pi edges extend the block by tau_pi/2 each
-and all waits keep their nominal durations.  With this layout the
-resonance-restoring interval tau_ideal - tau_pi/n_p makes every
-inter-block phase equal its ideal-pulse value: the 4 n_p shortened cells
-per repetition give back exactly the 8 half-pi insertions.
+Pulses are rectangular drives at Rabi frequency pi/tau_pi with the
+system Hamiltonian kept on; at tau_pi = 0 they have zero width, and every
+duration below reduces exactly to the ideal layout.  Each pi pulse is
+centered inside its tau cell (free halves shrink to (tau - tau_pi)/2, so
+the pulse train's period stays tau regardless of the pulse width), while
+the half-pi edges extend the block by tau_pi/2 each and all waits keep
+their nominal durations.  With this layout the resonance-restoring
+interval tau_ideal - tau_pi/n_p makes every inter-block phase equal its
+ideal-pulse value: the 4 n_p shortened cells per repetition give back
+exactly the 8 half-pi insertions.
 
 A timeline keeps this nesting as a tree of `Repeat` blocks (the repetition
 n_r times; inside each DD block the [tau/2, pi, tau/2] cell n_p times),
@@ -29,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .params import FINITE, SequenceParams, SystemParams
+from .params import SequenceParams, SystemParams
 
 FREE_HYPERFINE = "free_hyperfine"
 FREE_NUCLEAR = "free_nuclear"
@@ -75,19 +77,12 @@ class Timeline:
 
 
 def _pulse(axis: str, angle: float, seq: SequenceParams) -> Segment:
-    if seq.pulse_model.kind == FINITE:
-        duration = angle / seq.pulse_model.rabi
-    else:
-        duration = 0.0
+    duration = angle / (math.pi / seq.tau_pi) if seq.tau_pi else 0.0
     return Segment(PULSE, duration, axis=axis, angle=angle)
 
 
 def _dd_block(pi_axis: str, half_axis: str, seq: SequenceParams) -> Repeat:
-    if seq.pulse_model.kind == FINITE:
-        half_free = (seq.tau - seq.pulse_model.tau_pi) / 2
-    else:
-        half_free = seq.tau / 2
-    free = Segment(FREE_HYPERFINE, half_free)
+    free = Segment(FREE_HYPERFINE, (seq.tau - seq.tau_pi) / 2)
     half = _pulse(half_axis, HALF_PI, seq)
     cell = Repeat((free, _pulse(pi_axis, PI, seq), free), seq.n_p)
     return Repeat((half, cell, half))
@@ -109,9 +104,6 @@ def render_unit(sys: SystemParams, seq: SequenceParams) -> Timeline:
     )
 
     nominal_T = seq.n_r * seq.rep_duration()
-    if seq.pulse_model.kind == FINITE:
-        # pi pulses live inside their cells; only the half-pi edges add time
-        pulse_time = seq.n_r * 8 * (seq.pulse_model.tau_pi / 2)
-    else:
-        pulse_time = 0.0
+    # pi pulses live inside their cells; only the half-pi edges add time
+    pulse_time = seq.n_r * 8 * (seq.tau_pi / 2)
     return Timeline(structure, nominal_T=nominal_T, actual_T=nominal_T + pulse_time)

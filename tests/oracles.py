@@ -90,8 +90,6 @@ def trotter_propagate(sys: SystemParams, timeline: Timeline, dt_max: float = 1e-
 
 def random_params(rng: np.random.Generator, finite_ok: bool = True) -> tuple[SystemParams, SequenceParams]:
     """Moderate random draw of a full configuration."""
-    from hyperpol.params import PulseModel
-
     sys_p = SystemParams(
         omega=float(rng.uniform(0.5, 2.0)),
         a_perp=float(rng.uniform(0.0, 0.2)),
@@ -100,9 +98,9 @@ def random_params(rng: np.random.Generator, finite_ok: bool = True) -> tuple[Sys
     n_p = int(rng.integers(1, 4))
     tau = float(rng.uniform(0.5, 2.0)) * math.pi
     if finite_ok and rng.random() < 0.5:
-        pulse_model = PulseModel.finite(float(rng.uniform(0.05, 0.25)) * math.pi)
+        tau_pi = float(rng.uniform(0.05, 0.25)) * math.pi
     else:
-        pulse_model = PulseModel.ideal()
+        tau_pi = 0.0
     seq_p = SequenceParams(
         n_p=n_p,
         tau=tau,
@@ -110,6 +108,6 @@ def random_params(rng: np.random.Generator, finite_ok: bool = True) -> tuple[Sys
         t_w=float(rng.uniform(0.0, 2.0)) * math.pi,
         t_c=float(rng.uniform(0.0, 2.0)) * math.pi,
         n_r=int(rng.integers(1, 3)),
-        pulse_model=pulse_model,
+        tau_pi=tau_pi,
     )
     return sys_p, seq_p

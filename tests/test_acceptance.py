@@ -23,7 +23,7 @@ from hyperpol.analytic import (
 from hyperpol.catalog import finite_pulse_tau, magic_params
 from hyperpol.engine import cycle_kraus, evaluate_exact, mixed_state, simulate
 from hyperpol.linalg import operator_distance, unitarity_defect
-from hyperpol.params import PulseModel, SystemParams
+from hyperpol.params import SystemParams
 from hyperpol.sweep import find_tau_res
 from hyperpol.timeline import render_unit
 
@@ -177,7 +177,7 @@ def test_criterion_08_robustness_ordering():
             seq = magic_params(method, sign, n_p).to_sequence_params(sys_p, n_r=n_r)
             if tau_pi > 0:
                 seq = replace(seq, tau=finite_pulse_tau(seq.tau, tau_pi, n_p),
-                              pulse_model=PulseModel.finite(tau_pi))
+                              tau_pi=tau_pi)
             res = evaluate_exact(sys_p, seq)
             out[(method, n_r)] = (abs(res.p_s), res.gamma)
         return out

@@ -112,18 +112,25 @@ def test_exit_code_when_the_engine_overflows(tmp_path, capsys):
 PI_PULSE_LONGER_THAN_TAU = {"pulse_model": {"kind": "finite", "tau_pi": "3 pi/omega"}}
 
 
-@pytest.mark.parametrize("argv,sequence", [
-    (["steady"], PI_PULSE_LONGER_THAN_TAU),
-    (["steady", "--engine", "analytic"], PI_PULSE_LONGER_THAN_TAU),
-    (["simulate", "--cycles", "2"], PI_PULSE_LONGER_THAN_TAU),
-    (["steady"], {"pulse_model": {"kind": "gaussian", "tau_pi": "0.2 pi/omega"}}),
-    (["steady"], {"n_p": 1.5}),
-    (["simulate", "--cycles", "2"], {"n_r": 1.5}),
+@pytest.mark.parametrize("argv,section,change", [
+    (["steady"], "sequence", PI_PULSE_LONGER_THAN_TAU),
+    (["steady", "--engine", "analytic"], "sequence", PI_PULSE_LONGER_THAN_TAU),
+    (["simulate", "--cycles", "2"], "sequence", PI_PULSE_LONGER_THAN_TAU),
+    (["steady"], "sequence", {"pulse_model": {"kind": "gaussian", "tau_pi": "0.2 pi/omega"}}),
+    (["steady"], "sequence", {"n_p": 1.5}),
+    (["simulate", "--cycles", "2"], "sequence", {"n_r": 1.5}),
+    (["steady"], "sequence", {"pulse_model": {"kind": "finite", "tau_pi": 0}}),
+    (["steady"], "sequence", {"pulse_model": {"kind": "finite"}}),
+    # a JSON boolean is not a number, not even 0 or 1
+    (["steady"], "sequence", {"n_p": True}),
+    (["steady"], "sequence", {"tau": True}),
+    (["steady"], "system", {"omega": True}),
 ], ids=["steady-tau-pi", "analytic-tau-pi", "simulate-tau-pi", "unknown-kind",
-        "fractional-n_p", "fractional-n_r"])
-def test_exit_code_on_invalid_sequence_input(tmp_path, capsys, argv, sequence):
+        "fractional-n_p", "fractional-n_r", "finite-zero-tau-pi", "finite-without-tau-pi",
+        "boolean-n_p", "boolean-tau", "boolean-omega"])
+def test_exit_code_on_invalid_sequence_input(tmp_path, capsys, argv, section, change):
     doc = json.loads(json.dumps(BASE_CONFIG))
-    doc["sequence"].update(sequence)
+    doc[section].update(change)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     out = ["--out", str(tmp_path / "out.csv")] if argv[0] == "simulate" else []
@@ -148,6 +155,30 @@ def test_simulate_rejects_zero_cycles(config_path, tmp_path, capsys):
     assert main(["simulate", "--config", config_path, "--cycles", "0",
                  "--out", str(tmp_path / "series.csv")]) == 2
     assert "--cycles" in capsys.readouterr().err
+
+
+# 2^45 doubles are 256 TiB, above a 47-bit user address space: the allocation fails at
+# once whatever the overcommit setting, and nothing near this size is ever requested
+UNALLOCATABLE = 2 ** 45
+
+
+def test_simulate_too_many_cycles_exits_2(config_path, tmp_path, capsys):
+    out = tmp_path / "series.csv"
+    assert main(["simulate", "--config", config_path, "--cycles", str(UNALLOCATABLE),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_sweep_too_many_points_exits_2(tmp_path, capsys):
+    spec = {"axes": [{"name": "t_s", "start": 0, "stop": 1, "count": UNALLOCATABLE}],
+            "base": BASE_CONFIG}
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    out = tmp_path / "o.csv"
+    assert main(["sweep", "--config", str(spec_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_magic_table_outputs(tmp_path):

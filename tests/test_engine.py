@@ -28,7 +28,7 @@ from hyperpol.engine import (
 from hyperpol.engine import (_modes, _rate_cycles, _series_length, _spectrum, _superop,
                              _weighted_modes)
 from hyperpol.linalg import ID2, ID4, SX, SZ, hermitian_expm, operator_distance, unitarity_defect
-from hyperpol.params import PulseModel, SequenceParams, SystemParams
+from hyperpol.params import SequenceParams, SystemParams
 from hyperpol.timeline import FREE_NUCLEAR, Repeat, Segment, Timeline, render_unit
 
 from oracles import random_params, trotter_propagate
@@ -111,7 +111,7 @@ def test_propagate_matches_flat_product_long_trains(method, sign, n_p, n_r, tau_
     seq_p = magic_params(method, sign, n_p).to_sequence_params(LONG_TRAIN_SYS, n_r)
     if tau_pi:
         seq_p = replace(seq_p, tau=finite_pulse_tau(seq_p.tau, tau_pi, n_p),
-                        pulse_model=PulseModel.finite(tau_pi))
+                        tau_pi=tau_pi)
     tl = render_unit(LONG_TRAIN_SYS, seq_p)
     u = propagate(LONG_TRAIN_SYS, tl)
     assert operator_distance(u, flat_product(LONG_TRAIN_SYS, tl)) <= 1e-12
@@ -308,7 +308,7 @@ def test_spectral_fixed_point_and_contraction(seed):
 
 
 README_BASE = SequenceParams(n_p=1, tau=2 * math.pi, t_s=1.5 * math.pi, t_w=1.5 * math.pi,
-                             t_c=1.5 * math.pi, n_r=4, pulse_model=PulseModel.finite(0.2 * math.pi))
+                             t_c=1.5 * math.pi, n_r=4, tau_pi=0.2 * math.pi)
 
 
 @pytest.mark.parametrize("t_s_over_pi", [0.1, 0.35, 0.6, 1.85])

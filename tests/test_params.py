@@ -3,7 +3,6 @@ import math
 import pytest
 
 from hyperpol.params import (
-    PulseModel,
     SequenceParams,
     SystemParams,
     config_from_dict,
@@ -20,17 +19,26 @@ def test_system_params_validation():
         SystemParams(omega=1.0, a_perp=-0.1)
 
 
+def sequence_with_pulse(pulse_model: dict) -> SequenceParams:
+    return sequence_from_dict({"n_p": 1, "tau": 1.0, "pulse_model": pulse_model}, omega=1.0)
+
+
 def test_pulse_model():
-    ideal = PulseModel.ideal()
-    assert ideal.kind == "ideal"
-    finite = PulseModel.finite(0.4 * math.pi)
-    assert finite.rabi == pytest.approx(math.pi / (0.4 * math.pi))
-    with pytest.raises(ValueError):
-        PulseModel.finite(0.0)
-    with pytest.raises(ValueError):
-        PulseModel("square", 1.0)
-    with pytest.raises(ValueError):
-        ideal.rabi
+    # the pulse is one number: tau_pi = 0 means zero-width pulses
+    assert SequenceParams(n_p=1, tau=1.0).tau_pi == 0.0
+    assert SequenceParams(n_p=1, tau=1.0, tau_pi=0.4).violations() == []
+    # the JSON object: an unknown kind is refused, finite needs a finite tau_pi > 0 ...
+    for bad in ({"kind": "square", "tau_pi": 1.0}, {"kind": "finite", "tau_pi": 0},
+                {"kind": "finite", "tau_pi": -1.0}, {"kind": "finite", "tau_pi": math.inf},
+                {"kind": "finite", "tau_pi": math.nan}):
+        with pytest.raises(ValueError, match="kind|tau_pi"):
+            sequence_with_pulse(bad)
+    with pytest.raises(KeyError, match="tau_pi"):
+        sequence_with_pulse({"kind": "finite"})
+    # ... and ideal ignores any tau_pi it carries
+    assert sequence_with_pulse({"kind": "ideal", "tau_pi": 0.5}).tau_pi == 0.0
+    assert sequence_with_pulse({"kind": "finite", "tau_pi": "0.4 pi/omega"}).tau_pi == (
+        pytest.approx(0.4 * math.pi))
 
 
 def test_validate_ok_for_zero_times():
@@ -40,8 +48,8 @@ def test_validate_ok_for_zero_times():
 
 def test_validate_reports_negative_tau():
     seq = SequenceParams(n_p=1, tau=-1.0)
-    problems = seq.violations()
-    assert any("tau negative" in p for p in problems)
+    # zero-width pulses have no duration to compare tau with: one message only
+    assert seq.violations() == ["tau negative: -1.0"]
 
 
 def test_validate_reports_bad_counts():
@@ -51,16 +59,18 @@ def test_validate_reports_bad_counts():
 
 
 def test_validate_requires_positive_tau_pi():
-    # the pulse model owns tau_pi: a nonpositive or non-finite one never reaches a sequence
-    for tau_pi in (0.0, -1.0, math.inf, math.nan):
-        with pytest.raises(ValueError, match="tau_pi"):
-            PulseModel.finite(tau_pi)
+    # tau_pi is checked with the other times: finite and nonnegative, 0 being zero-width
+    assert SequenceParams(n_p=1, tau=1.0, tau_pi=0.0).violations() == []
+    assert SequenceParams(n_p=1, tau=1.0, tau_pi=-1.0).violations() == ["tau_pi negative: -1.0"]
+    for tau_pi in (math.inf, math.nan):
+        problems = SequenceParams(n_p=1, tau=1.0, tau_pi=tau_pi).violations()
+        assert f"tau_pi not finite: {tau_pi}" in problems
 
 
 def test_validate_requires_pi_pulse_inside_its_cell():
-    fits = SequenceParams(n_p=1, tau=1.0, pulse_model=PulseModel.finite(1.0))
+    fits = SequenceParams(n_p=1, tau=1.0, tau_pi=1.0)
     assert fits.violations() == []
-    seq = SequenceParams(n_p=1, tau=1.0, pulse_model=PulseModel.finite(1.5))
+    seq = SequenceParams(n_p=1, tau=1.0, tau_pi=1.5)
     assert any("tau_pi" in p for p in seq.violations())
 
 
@@ -92,18 +102,29 @@ def test_config_round_trip():
     sys_p, seq_p = config_from_dict(doc)
     assert sys_p.a_z == 0.01
     assert seq_p.tau == pytest.approx(4 * math.pi / 3)
-    assert seq_p.pulse_model.tau_pi == pytest.approx(0.2 * math.pi)
+    assert seq_p.tau_pi == pytest.approx(0.2 * math.pi)
     # defaults
     seq2 = sequence_from_dict({"n_p": 1, "tau": 1.0}, omega=1.0)
     assert seq2.n_r == 1 and seq2.t_s == 0.0
-    assert seq2.pulse_model.kind == "ideal"
+    assert seq2.tau_pi == 0.0
 
 
 def test_to_dict_round_trips_through_from_dict():
     sys_p = SystemParams(omega=2.0, a_perp=0.1, a_z=-0.05)
     seq_p = SequenceParams(n_p=3, tau=1.0, t_s=0.5, t_w=0.25, t_c=0.0, n_r=2,
-                           pulse_model=PulseModel.finite(0.1))
+                           tau_pi=0.1)
     doc = {"system": sys_p.to_dict(), "sequence": seq_p.to_dict()}
     sys2, seq2 = config_from_dict(doc)
     assert sys2 == sys_p
     assert seq2 == seq_p
+
+
+@pytest.mark.parametrize("tau_pi,pulse_model", [
+    (0.0, {"kind": "ideal"}),
+    (0.25, {"kind": "finite", "tau_pi": 0.25}),
+])
+def test_pulse_model_json_object_round_trips(tau_pi, pulse_model):
+    seq_p = SequenceParams(n_p=2, tau=1.0, t_s=0.5, n_r=3, tau_pi=tau_pi)
+    doc = seq_p.to_dict()
+    assert doc["pulse_model"] == pulse_model
+    assert sequence_from_dict(doc, omega=1.0) == seq_p

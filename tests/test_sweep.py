@@ -8,7 +8,7 @@ import pytest
 from hyperpol import analytic, sweep
 from hyperpol.catalog import magic_params
 from hyperpol.engine import evaluate_exact
-from hyperpol.params import PulseModel, SequenceParams, SystemParams
+from hyperpol.params import SequenceParams, SystemParams
 from hyperpol.sweep import (
     Axis,
     NoResonanceError,
@@ -123,14 +123,16 @@ def test_sweep_integer_axis_validation():
 
 
 def test_every_engine_fails_at_invalid_grid_points():
-    # t_s = -1 is a negative wait; tau_pi = 2.5 pi exceeds the base tau of 2 pi
-    table = run_sweep(spec_for((Axis("t_s", -1.0, 1.0, 2),
-                                Axis("tau_pi", 0.2 * math.pi, 2.5 * math.pi, 2))))
-    assert len(table.rows) == 2 * 2 * 2
+    # t_s = -1 is a negative wait; tau_pi = -0.2 pi is a negative pulse duration and
+    # tau_pi = 2.6 pi exceeds the base tau of 2 pi; only (t_s, tau_pi) = (1, 1.2 pi) is valid
+    tau_pi_axis = Axis("tau_pi", -0.2 * math.pi, 2.6 * math.pi, 3)
+    table = run_sweep(spec_for((Axis("t_s", -1.0, 1.0, 2), tau_pi_axis)))
+    assert len(table.rows) == 2 * 3 * 2
     by_point = {}
     for row in table.rows:
         by_point.setdefault((row[0], row[1]), {})[row[2]] = row
-    valid = (1.0, 0.2 * math.pi)
+    negative, fits, too_long = (float(v) for v in tau_pi_axis.values())
+    valid = (1.0, fits)
     for point, rows in by_point.items():
         assert set(rows) == {"exact", "analytic"}
         if point == valid:
@@ -138,8 +140,11 @@ def test_every_engine_fails_at_invalid_grid_points():
         for row in rows.values():
             assert row[6].startswith("failed: invalid sequence: ")
             assert row[3:6] == (None, None, None)
+    assert by_point[(1.0, negative)]["exact"][6] == (
+        f"failed: invalid sequence: tau_pi negative: {negative}")
+    assert "shorter than the pi-pulse duration" in by_point[(1.0, too_long)]["exact"][6]
     # the valid point is evaluated as it would be on its own
-    seq = replace(magic_seq(), t_s=1.0, pulse_model=PulseModel.finite(0.2 * math.pi))
+    seq = replace(magic_seq(), t_s=1.0, tau_pi=fits)
     exact = evaluate_exact(SYS, seq)
     summary = analytic.summarize(SYS, seq)
     assert by_point[valid]["exact"][3:] == (exact.p_s, exact.lambda_est, exact.gamma, "ok")
@@ -177,9 +182,9 @@ def test_apply_point_maps_fields():
     assert seq_p.tau == 1.0
     assert seq_p.n_r == 3
     sys_p, seq_p = apply_point(SYS, magic_seq(), ("tau_pi",), (0.1,))
-    assert seq_p.pulse_model.kind == "finite"
+    assert seq_p.tau_pi == 0.1
     sys_p, seq_p = apply_point(SYS, magic_seq(), ("tau_pi",), (0.0,))
-    assert seq_p.pulse_model.kind == "ideal"
+    assert seq_p.tau_pi == 0.0
 
 
 def test_from_dict_resolves_time_strings():

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from hyperpol.params import FINITE, PulseModel, SequenceParams, SystemParams
+from hyperpol.params import SequenceParams, SystemParams
 from hyperpol.timeline import (
     FREE_HYPERFINE,
     FREE_NUCLEAR,
@@ -21,9 +21,8 @@ def total_duration(timeline: Timeline) -> float:
 
 
 def seq(n_p=1, tau=2 * math.pi, t_s=1.5 * math.pi, t_w=1.5 * math.pi,
-        t_c=0.0, n_r=1, pulse_model=None):
-    return SequenceParams(n_p=n_p, tau=tau, t_s=t_s, t_w=t_w, t_c=t_c, n_r=n_r,
-                          pulse_model=pulse_model or PulseModel.ideal())
+        t_c=0.0, n_r=1, tau_pi=0.0):
+    return SequenceParams(n_p=n_p, tau=tau, t_s=t_s, t_w=t_w, t_c=t_c, n_r=n_r, tau_pi=tau_pi)
 
 
 def test_segment_counts_per_repetition():
@@ -83,7 +82,7 @@ def test_empty_timeline_total_duration():
 
 def test_finite_pulse_durations_and_actual_T():
     tau_pi = 0.2 * math.pi
-    s = seq(n_p=2, tau=4 * math.pi / 3, n_r=3, pulse_model=PulseModel.finite(tau_pi))
+    s = seq(n_p=2, tau=4 * math.pi / 3, n_r=3, tau_pi=tau_pi)
     tl = render_unit(SYS, s)
     pis = [p for p in tl.segments if p.kind == PULSE and p.angle == math.pi]
     halves = [p for p in tl.segments if p.kind == PULSE and p.angle == math.pi / 2]
@@ -116,18 +115,16 @@ def test_render_rejects_invalid():
         render_unit(SYS, seq(n_p=0))
     with pytest.raises(ValueError):
         # pi pulse no longer fits inside the interval
-        render_unit(SYS, seq(tau=0.1 * math.pi, pulse_model=PulseModel.finite(0.2 * math.pi)))
+        render_unit(SYS, seq(tau=0.1 * math.pi, tau_pi=0.2 * math.pi))
 
 
 def written_out(s: SequenceParams) -> tuple[Segment, ...]:
     """The cycle of the module docstring, segment by segment in time order."""
-    finite = s.pulse_model.kind == FINITE
-
     def pulse(axis, angle):
-        return Segment(PULSE, angle / s.pulse_model.rabi if finite else 0.0,
+        return Segment(PULSE, angle / (math.pi / s.tau_pi) if s.tau_pi else 0.0,
                        axis=axis, angle=angle)
 
-    free = Segment(FREE_HYPERFINE, (s.tau - s.pulse_model.tau_pi) / 2 if finite else s.tau / 2)
+    free = Segment(FREE_HYPERFINE, (s.tau - s.tau_pi) / 2 if s.tau_pi else s.tau / 2)
 
     def dd(pi_axis, half_axis):
         cells = [free, pulse(pi_axis, math.pi), free] * s.n_p
@@ -144,8 +141,7 @@ def written_out(s: SequenceParams) -> tuple[Segment, ...]:
 @pytest.mark.parametrize("n_r", [1, 3, 8])
 @pytest.mark.parametrize("tau_pi", [0.0, 0.1 * math.pi])
 def test_structure_flattens_to_segments(n_p, n_r, tau_pi):
-    pulse_model = PulseModel.finite(tau_pi) if tau_pi else PulseModel.ideal()
-    s = seq(n_p=n_p, n_r=n_r, tau=math.pi, t_c=0.5 * math.pi, pulse_model=pulse_model)
+    s = seq(n_p=n_p, n_r=n_r, tau=math.pi, t_c=0.5 * math.pi, tau_pi=tau_pi)
     tl = render_unit(SYS, s)
     assert tl.segments == written_out(s)
     assert tl.structure.flatten() == tl.segments
