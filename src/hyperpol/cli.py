@@ -8,6 +8,7 @@ found no resonance.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -41,12 +42,23 @@ def _load_json(path: str) -> dict:
         raise ConfigError(f"{path} is not valid JSON: {err}") from err
 
 
+@contextlib.contextmanager
+def _reading(what: str, doc):
+    """Report a malformed JSON document `doc` as a ConfigError that starts with `what`."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{what}: expected a JSON object")
+    try:
+        yield
+    except KeyError as err:
+        raise ConfigError(f"{what}: missing key {err}") from err
+    except MALFORMED as err:
+        raise ConfigError(f"{what}: {err}") from err
+
+
 def _load_config(path: str):
     doc = _load_json(path)
-    try:
+    with _reading(f"bad configuration in {path}", doc):
         sys_p, seq_p = config_from_dict(doc)
-    except MALFORMED as err:
-        raise ConfigError(f"bad configuration in {path}: {err}") from err
     problems = seq_p.violations()
     if problems:
         raise ConfigError("invalid sequence: " + "; ".join(problems))
@@ -113,12 +125,10 @@ def cmd_magic_table(args) -> int:
 
 def cmd_sweep(args) -> int:
     doc = _load_json(args.config)
-    try:
+    with _reading("bad sweep spec", doc):
         spec = SweepSpec.from_dict(doc)
         if args.engine:
             spec = dataclasses.replace(spec, engine=args.engine)
-    except MALFORMED as err:
-        raise ConfigError(f"bad sweep spec: {err}") from err
     run_sweep(spec).write(args.out)
     return EXIT_OK
 
@@ -140,7 +150,7 @@ def cmd_find_tau_res(args) -> int:
 
 def cmd_robustness(args) -> int:
     doc = _load_json(args.config)
-    try:
+    with _reading("bad robustness config", doc):
         sys_p = system_from_dict(doc["system"])
         rows = []
         for r in doc["rows"]:
@@ -153,8 +163,6 @@ def cmd_robustness(args) -> int:
         tau_pi_values = [resolve_time(t, sys_p.omega) for t in doc["tau_pi_values"]]
         if not all(math.isfinite(t) for t in tau_pi_values):
             raise ValueError(f"tau_pi values must be finite, got {tau_pi_values}")
-    except MALFORMED as err:
-        raise ConfigError(f"bad robustness config: {err}") from err
     table = robustness_scan(rows, tau_pi_values, sys_p)
     table.write(args.out)
     return EXIT_OK

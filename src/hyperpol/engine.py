@@ -3,7 +3,10 @@
 Composes segment propagators into the per-cycle 4x4 unitary block by
 block along the timeline's nesting, raising each repeated block to its
 count by repeated squaring, and extracts the nuclear Kraus pair from its
-first block column.  The channel acts on vec(rho) as a 4x4 transfer
+first block column.  The segment and block propagators are memoized per
+(system, node) in a dict the caller may pass: the sweeps share one across
+their points, so neighbouring points that differ in one wait exponentiate
+only that wait.  The channel acts on vec(rho) as a 4x4 transfer
 matrix: one eigen-decomposition of it gives the steady polarization, the
 contraction factor and the series length the rate needs.  The rate comes
 from the first 1 - 1/e crossing of that series: its modes bound the series
@@ -27,6 +30,7 @@ from .timeline import FREE_HYPERFINE, FREE_NUCLEAR, PULSE, Repeat, Segment, Time
 UNITARITY_TOL = 1e-10
 MAX_RATE_CYCLES = 2 ** 21
 SERIES_BLOCK = 1024
+MEMO_LIMIT = 256
 
 IZ = SZ
 IX = SX
@@ -113,29 +117,40 @@ def segment_propagator(sys: SystemParams, seg: Segment) -> np.ndarray:
     raise ValueError(f"unknown segment kind {seg.kind!r}")
 
 
-def propagate(sys: SystemParams, timeline: Timeline) -> np.ndarray:
+def propagate(sys: SystemParams, timeline: Timeline,
+              cache: dict | None = None) -> np.ndarray:
     """Cycle propagator: the ordered product of segment propagators.
 
     Each block of `timeline.structure` is composed once (later parts on the
     left) and raised to its count by repeated squaring; equal segments and
-    equal blocks are evaluated once.
+    equal blocks are evaluated once.  Their propagators are kept in `cache`,
+    keyed by (sys, node), so a caller that passes one dict to every point of
+    a sweep evaluates each of them once for the whole sweep; without one, the
+    memo lasts for this call.  The dict is cleared whenever it would grow past
+    MEMO_LIMIT entries, and the cached arrays are read-only.  The root block
+    is not stored: no other cycle repeats it.
     """
-    cache: dict[Segment | Repeat, np.ndarray] = {}
+    if cache is None:
+        cache = {}
+
+    def product(block: Repeat) -> np.ndarray:
+        u = ID4.copy()
+        for part in block.body:
+            u = compose(part) @ u
+        return np.linalg.matrix_power(u, block.count)
 
     def compose(node: Segment | Repeat) -> np.ndarray:
-        u = cache.get(node)
+        key = (sys, node)
+        u = cache.get(key)
         if u is None:
-            if isinstance(node, Repeat):
-                u = ID4.copy()
-                for part in node.body:
-                    u = compose(part) @ u
-                u = np.linalg.matrix_power(u, node.count)
-            else:
-                u = segment_propagator(sys, node)
-            cache[node] = u
+            u = product(node) if isinstance(node, Repeat) else segment_propagator(sys, node)
+            u.flags.writeable = False
+            if len(cache) >= MEMO_LIMIT:
+                cache.clear()
+            cache[key] = u
         return u
 
-    return compose(timeline.structure)
+    return product(timeline.structure)
 
 
 def kraus(u: np.ndarray) -> KrausPair:
@@ -337,7 +352,7 @@ class ExactResult:
 
 def evaluate_exact(sys: SystemParams, seq: SequenceParams,
                    use_nominal_duration: bool = False,
-                   with_rate: bool = True) -> ExactResult:
+                   with_rate: bool = True, cache: dict | None = None) -> ExactResult:
     """Steady polarization, contraction factor and rate for one configuration.
 
     The rate normalization uses the pulse-inclusive cycle duration unless
@@ -347,9 +362,11 @@ def evaluate_exact(sys: SystemParams, seq: SequenceParams,
     rest of the series is never evaluated.  gamma is None when the channel
     does not polarize (|P_s| below threshold), when the series does not
     reach 1 - 1/e of P_s within MAX_RATE_CYCLES, or when with_rate is off.
+    `cache` is handed to `propagate`: one dict shared by the points of a
+    sweep lets them reuse each other's segment and block propagators.
     """
     timeline = render_unit(sys, seq)
-    pair = kraus(propagate(sys, timeline))
+    pair = kraus(propagate(sys, timeline, cache))
     mu, weights = _weighted_modes(pair)
     p_s, lam, spread = _spectral_summary(mu, weights)
     t_cycle = timeline.nominal_T if use_nominal_duration else timeline.actual_T

@@ -150,7 +150,7 @@ def apply_point(sys: SystemParams, seq: SequenceParams,
 
 
 def _evaluate_point(spec: SweepSpec, names: tuple[str, ...], engines: tuple[str, ...],
-                    values: tuple[float, ...]) -> list[tuple]:
+                    values: tuple[float, ...], cache: dict) -> list[tuple]:
     axis1 = values[0]
     axis2 = values[1] if len(values) > 1 else ""
     rows = []
@@ -164,7 +164,7 @@ def _evaluate_point(spec: SweepSpec, names: tuple[str, ...], engines: tuple[str,
                 s = analytic.summarize(sys_p, seq_p)
                 rows.append((axis1, axis2, engine, s.p_s, s.lam, s.gamma, "ok"))
                 continue
-            res = evaluate_exact(sys_p, seq_p)
+            res = evaluate_exact(sys_p, seq_p, cache=cache)
         except ValueError as err:
             rows.append((axis1, axis2, engine, None, None, None, f"failed: {err}"))
             continue
@@ -177,23 +177,29 @@ def _evaluate_point(spec: SweepSpec, names: tuple[str, ...], engines: tuple[str,
 
 
 def run_sweep(spec: SweepSpec) -> ResultTable:
-    """Evaluate the grid in row-major axis order; output order is fixed."""
+    """Evaluate the grid in row-major axis order; output order is fixed.
+
+    The points share one propagator memo (see `engine.propagate`), which
+    lives as long as this call.
+    """
     names = tuple(a.name for a in spec.axes)
     engines = ("exact", "analytic") if spec.engine == "both" else (spec.engine,)
     table = ResultTable(
         header=spec.header(),
         columns=("axis1", "axis2", "engine", "P_s", "lambda", "gamma", "status"),
     )
+    cache: dict = {}
     for combo in itertools.product(*(a.values() for a in spec.axes)):
         values = tuple(float(v) for v in combo)
-        table.rows.extend(_evaluate_point(spec, names, engines, values))
+        table.rows.extend(_evaluate_point(spec, names, engines, values, cache))
     return table
 
 
 def _rate_for_tau(sys: SystemParams, seq: SequenceParams, tau: float,
-                  tau_pi: float) -> float | None:
+                  tau_pi: float, cache: dict) -> float | None:
     try:
-        return evaluate_exact(*apply_point(sys, seq, ("tau", "tau_pi"), (tau, tau_pi))).gamma
+        point = apply_point(sys, seq, ("tau", "tau_pi"), (tau, tau_pi))
+        return evaluate_exact(*point, cache=cache).gamma
     except ValueError:
         return None
 
@@ -205,9 +211,9 @@ def find_tau_res(sys: SystemParams, seq: SequenceParams, tau_pi: float,
     The grid is centered on the resonance-restoring value
     tau - tau_pi/n_p (the ideal tau when tau_pi = 0), ties break toward
     smaller tau, and a golden-section pass refines the best grid point to
-    +-grid_step/10.  Raises ValueError for a negative tau_pi or a
-    non-finite search_halfwidth / grid_step, and NoResonanceError on a
-    flat landscape.
+    +-grid_step/10; both share one propagator memo.  Raises ValueError for
+    a negative tau_pi or a non-finite search_halfwidth / grid_step, and
+    NoResonanceError on a flat landscape.
     """
     if grid_step <= 0:
         raise ValueError("grid_step must be positive")
@@ -220,7 +226,8 @@ def find_tau_res(sys: SystemParams, seq: SequenceParams, tau_pi: float,
     center = finite_pulse_tau(seq.tau, tau_pi, seq.n_p)
     steps = int(round(ratio))
     taus = [center + k * grid_step for k in range(-steps, steps + 1)]
-    rates = [_rate_for_tau(sys, seq, t, tau_pi) for t in taus]
+    cache: dict = {}
+    rates = [_rate_for_tau(sys, seq, t, tau_pi, cache) for t in taus]
     usable = [(r, t) for r, t in zip(rates, taus) if r is not None]
     if not usable:
         raise NoResonanceError("no grid point produced a polarization rate")
@@ -229,7 +236,7 @@ def find_tau_res(sys: SystemParams, seq: SequenceParams, tau_pi: float,
 
     # one golden-section pass around the winning grid point
     def negated(t: float) -> float:
-        r = _rate_for_tau(sys, seq, t, tau_pi)
+        r = _rate_for_tau(sys, seq, t, tau_pi, cache)
         return -r if r is not None else math.inf
 
     a, b = best_tau - grid_step, best_tau + grid_step
@@ -255,7 +262,8 @@ def robustness_scan(rows: list[tuple[MagicRow, int]], tau_pi_values,
     Each row keeps its waits; tau is shifted to tau - tau_pi/n_p per
     point.  Points whose sequence breaks `SequenceParams.violations` (the
     pulse no longer fits inside its shortened cell, or n_r < 1) are marked
-    invalid, with ideal and finite pulses alike.
+    invalid, with ideal and finite pulses alike.  All points share one
+    propagator memo.
     """
     table = ResultTable(
         header={
@@ -266,6 +274,7 @@ def robustness_scan(rows: list[tuple[MagicRow, int]], tau_pi_values,
         },
         columns=("method", "sign", "n_p", "n_r", "tau_pi", "abs_P_s", "gamma", "status"),
     )
+    cache: dict = {}
     for row, n_r in rows:
         ideal = row.to_sequence_params(sys, n_r)
         for tau_pi in tau_pi_values:
@@ -278,7 +287,7 @@ def robustness_scan(rows: list[tuple[MagicRow, int]], tau_pi_values,
                 table.rows.append(label + (None, None, "invalid"))
                 continue
             try:
-                res = evaluate_exact(*point)
+                res = evaluate_exact(*point, cache=cache)
             except ValueError as err:
                 table.rows.append(label + (None, None, f"failed: {err}"))
                 continue

@@ -139,6 +139,34 @@ def test_exit_code_on_invalid_sequence_input(tmp_path, capsys, argv, section, ch
     assert not (tmp_path / "out.csv").exists()
 
 
+ROBUSTNESS_CONFIG = {
+    "system": {"omega": 1.0, "a_perp": 0.05},
+    "rows": [{"method": "I", "sign": 1, "n_p": 1}],  # no n_r
+    "tau_pi_values": [0.0],
+}
+SWEEP_SPEC = {"base": BASE_CONFIG, "axes": [{"name": "t_s", "start": 0, "count": 3}]}  # no stop
+
+
+@pytest.mark.parametrize("command,doc,message", [
+    ("steady", {"system": BASE_CONFIG["system"],
+                "sequence": {**BASE_CONFIG["sequence"], "pulse_model": {"kind": "finite"}}},
+     "bad configuration in {path}: missing key 'tau_pi'"),
+    ("steady", [BASE_CONFIG], "bad configuration in {path}: expected a JSON object"),
+    ("sweep", SWEEP_SPEC, "bad sweep spec: missing key 'stop'"),
+    ("sweep", [SWEEP_SPEC], "bad sweep spec: expected a JSON object"),
+    ("robustness", ROBUSTNESS_CONFIG, "bad robustness config: missing key 'n_r'"),
+    ("robustness", [ROBUSTNESS_CONFIG], "bad robustness config: expected a JSON object"),
+], ids=["steady-missing-key", "steady-array", "sweep-missing-key", "sweep-array",
+        "robustness-missing-key", "robustness-array"])
+def test_malformed_document_exit_code_names_the_problem(tmp_path, capsys, command, doc, message):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    out = [] if command == "steady" else ["--out", str(tmp_path / "out.csv")]
+    assert main([command, "--config", str(path)] + out) == 2
+    assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
+    assert not (tmp_path / "out.csv").exists()
+
+
 @pytest.mark.parametrize("engine", ["exact", "analytic"])
 @pytest.mark.parametrize("section,key,value", [("sequence", "tau", math.inf),
                                                ("system", "a_perp", math.nan)])

@@ -10,6 +10,7 @@ from hyperpol import analytic
 from hyperpol.catalog import finite_pulse_tau, magic_params
 from hyperpol.engine import (
     MAX_RATE_CYCLES,
+    MEMO_LIMIT,
     UNITARITY_TOL,
     BelowThresholdError,
     KrausPair,
@@ -116,6 +117,28 @@ def test_propagate_matches_flat_product_long_trains(method, sign, n_p, n_r, tau_
     u = propagate(LONG_TRAIN_SYS, tl)
     assert operator_distance(u, flat_product(LONG_TRAIN_SYS, tl)) <= 1e-12
     assert unitarity_defect(u) <= 1e-11
+
+
+def test_shared_memo_stays_bounded_and_changes_no_matrix(rng):
+    memo = {}
+    sizes = []
+    for _ in range(150):
+        sys_p, seq_p = random_params(rng)
+        tl = render_unit(sys_p, seq_p)
+        assert np.array_equal(propagate(sys_p, tl, memo), propagate(sys_p, tl))
+        sizes.append(len(memo))
+    assert max(sizes) <= MEMO_LIMIT
+    assert any(later < earlier for earlier, later in zip(sizes, sizes[1:]))  # it was cleared
+
+
+def test_memo_matrices_are_read_only():
+    memo = {}
+    seq = magic_params("I", +1, 1).to_sequence_params(SYS, n_r=2)
+    u = propagate(SYS, render_unit(SYS, seq), memo)
+    assert memo and not any(m.flags.writeable for m in memo.values())
+    with pytest.raises(ValueError):
+        next(iter(memo.values()))[0, 0] = 0.0
+    u[0, 0] = 0.0  # the cycle propagator itself is the caller's own
 
 
 def test_kraus_identity():

@@ -1,14 +1,16 @@
 import csv
 import io
+import itertools
 import math
 from dataclasses import replace
 
 import pytest
 
-from hyperpol import analytic, sweep
-from hyperpol.catalog import magic_params
+from hyperpol import analytic, engine, sweep
+from hyperpol.catalog import finite_pulse_tau, magic_params
 from hyperpol.engine import evaluate_exact
 from hyperpol.params import SequenceParams, SystemParams
+from hyperpol.timeline import render_unit
 from hyperpol.sweep import (
     Axis,
     NoResonanceError,
@@ -271,7 +273,7 @@ def test_robustness_scan_marks_invalid_rows_alike_for_every_pulse_width():
 
 
 def test_robustness_scan_failure_rows_keep_the_message(monkeypatch):
-    def fail(sys_p, seq_p):
+    def fail(sys_p, seq_p, cache=None):
         raise ValueError("input is not unitary (defect nan)")
 
     monkeypatch.setattr(sweep, "evaluate_exact", fail)
@@ -286,3 +288,74 @@ def test_robustness_scan_orders_methods():
     table = robustness_scan(rows, [0.4 * math.pi], sys_p)
     ps = {r[0]: r[5] for r in table.rows}
     assert ps["I"] > ps["II"]
+
+
+def without_reuse(monkeypatch):
+    """Make every point of a sweep, scan or search start from an empty propagator memo."""
+    monkeypatch.setattr(sweep, "evaluate_exact",
+                        lambda sys_p, seq_p, cache=None: evaluate_exact(sys_p, seq_p))
+
+
+def count_segment_propagators(monkeypatch) -> list:
+    calls = []
+    original = engine.segment_propagator
+
+    def counted(sys_p, seg):
+        calls.append(seg)
+        return original(sys_p, seg)
+
+    monkeypatch.setattr(engine, "segment_propagator", counted)
+    return calls
+
+
+def reuse_spec():
+    # a system axis and a wait axis; the first t_s is negative, so its points are invalid
+    ideal = magic_seq(n_r=2)
+    base = replace(ideal, tau=finite_pulse_tau(ideal.tau, 0.1 * math.pi, ideal.n_p),
+                   tau_pi=0.1 * math.pi)
+    axes = (Axis("a_perp", 0.02, 0.08, 3), Axis("t_s", -0.25 * math.pi, 1.75 * math.pi, 5))
+    return spec_for(axes, engine="exact", target="rate", base_seq=base)
+
+
+def test_sweep_reuse_changes_no_number():
+    spec = reuse_spec()
+    rows = run_sweep(spec).rows
+    assert sum(row[6].startswith("failed: invalid sequence") for row in rows) == 3
+    for a_perp, t_s, _, p_s, lam, gamma, status in rows:
+        if status.startswith("failed"):
+            continue
+        fresh = evaluate_exact(replace(SYS, a_perp=a_perp), replace(spec.base_sequence, t_s=t_s))
+        assert (p_s, lam, gamma) == (fresh.p_s, fresh.lambda_est, fresh.gamma)
+
+
+def test_scan_and_search_reuse_change_no_number(monkeypatch):
+    def scan_and_search():
+        table = robustness_scan([(magic_params("I", +1, 1), 2), (magic_params("II", -1, 2), 1)],
+                                [0.0, 0.1 * math.pi, 0.2 * math.pi, 3 * math.pi], SYS)
+        seq = magic_params("II", +1, 1).to_sequence_params(SYS, n_r=4)
+        tau_res = find_tau_res(SYS, seq, 0.2 * math.pi, search_halfwidth=0.04 * math.pi,
+                               grid_step=0.01 * math.pi)
+        return table.rows, tau_res
+
+    shared = scan_and_search()
+    without_reuse(monkeypatch)
+    assert scan_and_search() == shared
+
+
+def test_sweep_memo_lasts_one_call(monkeypatch):
+    calls = count_segment_propagators(monkeypatch)
+    spec = reuse_spec()
+    distinct = set()
+    for a_perp, t_s in itertools.product(*(a.values() for a in spec.axes)):
+        if t_s >= 0:
+            sys_p = replace(SYS, a_perp=float(a_perp))
+            timeline = render_unit(sys_p, replace(spec.base_sequence, t_s=float(t_s)))
+            distinct.update((sys_p, seg) for seg in timeline.segments)
+    run_sweep(spec)
+    first = len(calls)
+    assert first == len(distinct)  # each distinct segment once per sweep
+    run_sweep(spec)
+    assert len(calls) - first == first
+    without_reuse(monkeypatch)
+    run_sweep(spec)
+    assert first < len(calls) - 2 * first
