@@ -17,7 +17,7 @@ import sys as _sys
 from . import analytic
 from .catalog import finite_pulse_tau, full_table, magic_params
 from .engine import cycle_kraus, evaluate_exact, mixed_state, simulate
-from .params import config_from_dict, resolve_time, system_from_dict, whole_number
+from .params import config_from_dict, json_object, resolve_time, system_from_dict, whole_number
 from .sweep import NoResonanceError, SweepSpec, find_tau_res, robustness_scan, run_sweep
 
 EXIT_OK = 0
@@ -153,7 +153,8 @@ def cmd_robustness(args) -> int:
     with _reading("bad robustness config", doc):
         sys_p = system_from_dict(doc["system"])
         rows = []
-        for r in doc["rows"]:
+        for i, r in enumerate(doc["rows"]):
+            r = json_object(f"rows[{i}]", r)
             n_r = whole_number("n_r", r["n_r"])
             if n_r < 1:
                 raise ValueError(f"n_r must be >= 1, got {n_r}")

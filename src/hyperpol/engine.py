@@ -9,10 +9,13 @@ their points, so neighbouring points that differ in one wait exponentiate
 only that wait.  The channel acts on vec(rho) as a 4x4 transfer
 matrix: one eigen-decomposition of it gives the steady polarization, the
 contraction factor and the series length the rate needs.  The rate comes
-from the first 1 - 1/e crossing of that series: its modes bound the series
-over each block of SERIES_BLOCK cycles, and only the first block and the
-blocks the bound cannot rule out are evaluated, with exact powers of the
-transfer matrix.  `simulate` still evaluates the whole series.
+from the first 1 - 1/e crossing of that series, read out lazily: the first
+block of SERIES_BLOCK cycles is evaluated one doubling level of read-out
+rows at a time (cycles 1-2, 3-4, 5-8, ...) and the search stops at the
+level that holds the crossing.  Only when the first block has none do the
+modes bound the series over each later block, and the blocks the bound
+cannot rule out are evaluated with exact powers of the transfer matrix.
+`simulate` evaluates the whole series through the same read-out.
 """
 
 from __future__ import annotations
@@ -173,33 +176,60 @@ def _superop(k: KrausPair) -> np.ndarray:
     return kron2(k.m_up, k.m_up.conj()) + kron2(k.m_down, k.m_down.conj())
 
 
-def _series_rows(k: KrausPair, block: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-out rows of T^j for j < block, built by doubling, and the power of T
-    the doubling reached (T^block when block is a power of two)."""
-    rows = np.array([[1, 0, 0, -1]], dtype=complex)  # <2 I_z> read-out of vec(rho)
-    power = _superop(k)
-    while len(rows) < block:
+_READOUT = np.array([[1, 0, 0, -1]], dtype=complex)  # <2 I_z> read-out of vec(rho)
+
+
+def _first_block(k: KrausPair, x: np.ndarray, n: int):
+    """The series' first min(n, SERIES_BLOCK) cycles from state x, one doubling level at a time.
+
+    Yields (start, values, rows, power) per level: values are P at cycles
+    start + 1, ... of the level (cycles 1-2, then 3-4, 5-8, ..., cut at n),
+    rows are the read-out rows r T^j of every j reached so far and power is
+    T^len(rows).  Each level appends the rows so far times the last power,
+    so a level holds the same rows whatever n is, and a consumer that stops
+    early pays for no later level.  Every level has at least two rows: numpy
+    multiplies a single row by its dot kernel, which rounds differently from
+    the matrix-vector kernel of longer products.
+    """
+    rows, power, start = _READOUT, _superop(k), 0
+    while start < min(n, SERIES_BLOCK):
         rows = np.vstack([rows, rows @ power])
         power = power @ power
-    return rows[:block], power
+        yield start, (rows[start:] @ x).real[:n - start], rows, power
+        start = len(rows)
+
+
+def _read(rows: np.ndarray, x: np.ndarray, m: int) -> np.ndarray:
+    """Re(rows @ x) cut at m entries, in products of at most SERIES_BLOCK/2 rows.
+
+    One 1024x4 product goes through BLAS's multithreaded matrix-vector
+    kernel, which took milliseconds with two threads against microseconds
+    with one; a 512x4 product runs on one thread either way.
+    """
+    half = SERIES_BLOCK // 2
+    chunks = [rows[a:a + half] @ x for a in range(0, min(m, len(rows)), half)]
+    return np.concatenate(chunks).real[:m]
 
 
 def simulate(k: KrausPair, rho0: np.ndarray, n: int, params: dict | None = None) -> PolarizationSeries:
     """Polarization for cycles 1..n; cycle 1 is the freshly prepared state.
 
-    Block powers of the transfer matrix T: the read-out rows of T^j for
-    j < SERIES_BLOCK are built by doubling, and the state then jumps by
-    T^SERIES_BLOCK once per block.
+    Block powers of the transfer matrix T: the first block of SERIES_BLOCK
+    cycles is read level by level while _first_block builds its read-out rows
+    r T^j by doubling, and the state then jumps by T^SERIES_BLOCK once per
+    later block, which _read reads with the same rows.  A shorter series is
+    a prefix of a longer one, byte for byte, and _rate_cycles reads its first
+    block through the same _first_block.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    block = min(n, SERIES_BLOCK)
-    rows, power = _series_rows(k, block)
     x = np.asarray(rho0, dtype=complex).reshape(4)
     values = np.empty(n)
-    for start in range(0, n, block):
-        values[start:start + block] = (rows @ x).real[:n - start]
+    for start, level, rows, power in _first_block(k, x, n):
+        values[start:start + len(level)] = level
+    for start in range(SERIES_BLOCK, n, SERIES_BLOCK):
         x = power @ x
+        values[start:start + SERIES_BLOCK] = _read(rows, x, n - start)
     return PolarizationSeries(values=values, params=params or {})
 
 
@@ -257,21 +287,27 @@ def measured_rate(series: PolarizationSeries, p_s: float, t_cycle: float) -> flo
         # nothing to normalize against: the channel does not polarize
         raise BelowThresholdError(0.0)
     fractions = np.asarray(series.values) / p_s
-    above = np.nonzero(fractions >= E_FRACTION)[0]
-    if len(above) == 0:
+    n_s = _first_crossing(fractions)
+    if n_s is None:
         raise BelowThresholdError(float(np.max(fractions, initial=-math.inf)))
-    i = int(above[0])
-    n_s = _elapsed_cycles(i, fractions[i - 1] if i else None, fractions[i])
     return 1.0 / (n_s * t_cycle)
 
 
-def _elapsed_cycles(i: int, lo: float | None, hi: float) -> float:
-    """N_s when entry i (0-based) of the fraction series is the first at or above
-    1 - 1/e; lo and hi are entries i - 1 and i (lo is unused when i = 0)."""
-    if i == 0:
+def _first_crossing(fractions: np.ndarray, start: int = 0, lo: float | None = None) -> float | None:
+    """N_s if the fraction series P/P_s first reaches 1 - 1/e in this chunk, else None.
+
+    fractions are the series' entries start, start + 1, ... (0-based; entry i
+    is cycle i + 1), and lo is entry start - 1 (unused when start is 0).
+    """
+    above = np.nonzero(fractions >= E_FRACTION)[0]
+    if len(above) == 0:
+        return None
+    i = int(above[0])
+    if start + i == 0:
         return 1.0
+    lo = fractions[i - 1] if i else lo
     # entries i-1, i hold cycles i, i+1; the 1-based crossing cycle is i + t
-    crossing = i + (E_FRACTION - lo) / (hi - lo)
+    crossing = start + i + (E_FRACTION - lo) / (fractions[i] - lo)
     return max(crossing - 1.0, 1.0)
 
 
@@ -292,43 +328,48 @@ def _rate_cycles(k: KrausPair, mu: np.ndarray, weights: np.ndarray, p_s: float,
                  n: int) -> float | None:
     """N_s that measured_rate reads from simulate(k, mixed_state(), n), or None.
 
-    The series is cut into simulate's blocks of SERIES_BLOCK cycles.  In
-    cycles 1 + m, m = a..b, of a block, the term Re(w_k mu_k^m)/P_s of the
-    fraction P/P_s is at most r_k = |w_k/P_s| max(|mu_k|^a, |mu_k|^b); and,
-    because its phase turns by |arg mu_k| per cycle, at most the larger of
-    its two block-end values plus 2 (b - a) |arg mu_k| r_k, which makes the
-    real positive modes monotone.  Blocks whose summed bound stays below
-    1 - 1/e by more than the mode sum's rounding (eigenvalues off by up to
-    UNITARITY_TOL, raised to the n-th power) cannot hold the crossing.  The
-    first block and the others are evaluated with simulate's own read-out
-    rows, each reached from the last by a matrix_power jump.
+    The first block of SERIES_BLOCK cycles is read level by level through
+    simulate's own _first_block, and the search stops at the first level
+    that holds the crossing.  Only a series longer than one block goes on
+    past it.  In cycles 1 + m, m = a..b, of a later block, the term
+    Re(w_k mu_k^m)/P_s of the fraction P/P_s is at most
+    r_k = |w_k/P_s| max(|mu_k|^a, |mu_k|^b); and, because its phase turns by
+    |arg mu_k| per cycle, at most the larger of its two block-end values plus
+    2 (b - a) |arg mu_k| r_k, which makes the real positive modes monotone.
+    Blocks whose summed bound stays below 1 - 1/e by more than the mode sum's
+    rounding (eigenvalues off by up to UNITARITY_TOL, raised to the n-th
+    power) cannot hold the crossing.  The others are read like simulate's
+    later blocks, each reached from the last by a matrix_power jump.
     """
-    block = min(n, SERIES_BLOCK)
-    rows, power = _series_rows(k, block)
-    first = np.arange(0, n, block)
-    last = np.minimum(first + block, n) - 1
+    x = mixed_state().reshape(4)
+    lo = None
+    for start, values, rows, power in _first_block(k, x, n):
+        fractions = values / p_s
+        n_s = _first_crossing(fractions, start, lo)
+        if n_s is not None:
+            return n_s
+        lo = fractions[-1]
+    if n <= SERIES_BLOCK:
+        return None
+    first = np.arange(SERIES_BLOCK, n, SERIES_BLOCK)
+    last = np.minimum(first + SERIES_BLOCK, n) - 1
     terms = weights / p_s
     m = np.stack([first, last])[:, :, None]  # (block end, block, mode)
     moduli = np.abs(terms) * np.abs(mu) ** m
     reach = moduli.max(axis=0)
     ends = (moduli * np.cos(np.angle(terms) + m * np.angle(mu))).max(axis=0)
-    turn = 2 * (block - 1) * np.abs(np.angle(mu)) * reach
+    turn = 2 * (SERIES_BLOCK - 1) * np.abs(np.angle(mu)) * reach
     bound = np.minimum(reach, ends + turn).sum(axis=1)
-    bound[0] = math.inf  # the first block is always evaluated
     slack = n * UNITARITY_TOL * float(np.abs(terms).sum())
-    x = mixed_state().reshape(4)
     at = 0  # x is the state at the start of block `at`
-    for b in np.nonzero(bound >= E_FRACTION - slack)[0]:
-        lo = None
-        if b > 0:
-            before = np.linalg.matrix_power(power, b - 1 - at) @ x
-            lo = (rows[-1] @ before).real / p_s
-            x, at = power @ before, b
-        fractions = (rows @ x).real[:n - first[b]] / p_s
-        above = np.nonzero(fractions >= E_FRACTION)[0]
-        if len(above):
-            i = int(above[0])
-            return _elapsed_cycles(int(first[b]) + i, fractions[i - 1] if i else lo, fractions[i])
+    for b in np.nonzero(bound >= E_FRACTION - slack)[0] + 1:
+        before = np.linalg.matrix_power(power, b - 1 - at) @ x
+        lo = (rows[-1] @ before).real / p_s
+        x, at = power @ before, b
+        start = int(b) * SERIES_BLOCK
+        n_s = _first_crossing(_read(rows, x, n - start) / p_s, start, lo)
+        if n_s is not None:
+            return n_s
     return None
 
 

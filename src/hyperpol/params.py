@@ -132,7 +132,15 @@ def resolve_time(value, omega: float) -> float:
     return _number("time", value)
 
 
+def json_object(key: str, value) -> dict:
+    """value, which a config must hold as a JSON object under `key`; else a ValueError naming it."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{key} must be a JSON object, got {value!r:.40}")
+    return value
+
+
 def system_from_dict(d: dict) -> SystemParams:
+    d = json_object("system", d)
     return SystemParams(
         omega=_number("omega", d["omega"]),
         a_perp=_number("a_perp", d["a_perp"]),
@@ -142,7 +150,8 @@ def system_from_dict(d: dict) -> SystemParams:
 
 def sequence_from_dict(d: dict, omega: float) -> SequenceParams:
     """The sequence of a config; an ideal pulse model ignores any tau_pi it carries."""
-    pm = d.get("pulse_model", {})
+    d = json_object("sequence", d)
+    pm = json_object("pulse_model", d.get("pulse_model", {}))
     kind = pm.get("kind", IDEAL)
     if kind not in (IDEAL, FINITE):
         raise ValueError(f"unknown pulse model kind {kind!r}")

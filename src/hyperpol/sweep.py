@@ -18,7 +18,8 @@ import numpy as np
 from . import analytic
 from .catalog import MagicRow, finite_pulse_tau
 from .engine import evaluate_exact
-from .params import SequenceParams, SystemParams, config_from_dict, resolve_time, whole_number
+from .params import (SequenceParams, SystemParams, config_from_dict, json_object, resolve_time,
+                     whole_number)
 
 SYSTEM_FIELDS = ("omega", "a_perp", "a_z")
 SEQUENCE_FLOAT_FIELDS = ("tau", "t_s", "t_w", "t_c", "tau_pi")
@@ -71,7 +72,7 @@ class SweepSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SweepSpec":
-        base_system, base_sequence = config_from_dict(d["base"])
+        base_system, base_sequence = config_from_dict(json_object("base", d["base"]))
         axes = tuple(
             Axis(
                 name=a["name"],
@@ -79,7 +80,7 @@ class SweepSpec:
                 stop=resolve_time(a["stop"], base_system.omega),
                 count=whole_number(f"axis {a['name']} count", a["count"]),
             )
-            for a in d["axes"]
+            for a in [json_object(f"axes[{i}]", a) for i, a in enumerate(d["axes"])]
         )
         return cls(
             target=d.get("target", "stable_polarization"),

@@ -156,8 +156,24 @@ SWEEP_SPEC = {"base": BASE_CONFIG, "axes": [{"name": "t_s", "start": 0, "count":
     ("sweep", [SWEEP_SPEC], "bad sweep spec: expected a JSON object"),
     ("robustness", ROBUSTNESS_CONFIG, "bad robustness config: missing key 'n_r'"),
     ("robustness", [ROBUSTNESS_CONFIG], "bad robustness config: expected a JSON object"),
+    # a nested value that must be a JSON object but is not: the message names its key
+    ("steady", {**BASE_CONFIG, "system": 5},
+     "bad configuration in {path}: system must be a JSON object, got 5"),
+    ("steady", {**BASE_CONFIG, "sequence": [1]},
+     "bad configuration in {path}: sequence must be a JSON object, got [1]"),
+    ("steady", {**BASE_CONFIG, "sequence": {**BASE_CONFIG["sequence"], "pulse_model": "finite"}},
+     "bad configuration in {path}: pulse_model must be a JSON object, got 'finite'"),
+    ("sweep", {**SWEEP_SPEC, "base": 5}, "bad sweep spec: base must be a JSON object, got 5"),
+    ("sweep", {**SWEEP_SPEC, "axes": ["t_s"]},
+     "bad sweep spec: axes[0] must be a JSON object, got 't_s'"),
+    ("robustness", {**ROBUSTNESS_CONFIG, "system": None},
+     "bad robustness config: system must be a JSON object, got None"),
+    ("robustness", {**ROBUSTNESS_CONFIG, "rows": [["I", 1, 1, 8]]},
+     "bad robustness config: rows[0] must be a JSON object, got ['I', 1, 1, 8]"),
 ], ids=["steady-missing-key", "steady-array", "sweep-missing-key", "sweep-array",
-        "robustness-missing-key", "robustness-array"])
+        "robustness-missing-key", "robustness-array", "system-not-object", "sequence-not-object",
+        "pulse-model-not-object", "base-not-object", "axis-not-object",
+        "robustness-system-not-object", "row-not-object"])
 def test_malformed_document_exit_code_names_the_problem(tmp_path, capsys, command, doc, message):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))

@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hyperpol import analytic
+from hyperpol import analytic, engine
 from hyperpol.catalog import finite_pulse_tau, magic_params
 from hyperpol.engine import (
     MAX_RATE_CYCLES,
@@ -413,6 +414,72 @@ def test_rate_crossing_at_an_oscillation_peak_inside_a_block():
     assert max(fractions[16 * 1024], fractions[17 * 1024 - 1]) < 1 - math.exp(-1) - 0.02
     n_s = _rate_cycles(pair, mu, weights, p_s, n)
     assert 1 / n_s == pytest.approx(measured_rate(series, p_s, 1.0), rel=1e-10)
+
+
+def damping_to_cross_at(cycle: int, sign: int = 1) -> KrausPair:
+    """Amplitude damping towards nuclear up (sign 1) or down (-1) whose series
+    P(n) = sign (1 - lam^(n-1)) first reaches 1 - 1/e of P_s = sign at `cycle`."""
+    lam = math.exp(-1 / (cycle - 1.5))
+    stay, flip = np.diag([1.0, math.sqrt(lam)]), np.array([[0.0, math.sqrt(1 - lam)], [0.0, 0.0]])
+    if sign < 0:
+        stay, flip = stay[::-1, ::-1], flip.T
+    return KrausPair(m_up=stay.astype(complex), m_down=flip.astype(complex))
+
+
+# cycle 2 (N_s clamps to 1) and the first cycle of every later doubling level of the first block
+LEVEL_FIRST_CYCLES = [2 ** e + 1 for e in range(10)]
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("cycle,n", [(c, None) for c in LEVEL_FIRST_CYCLES]
+                         + [(290, 300), (400, 300), (700, None)])
+def test_lazy_rate_reads_exactly_what_measured_rate_reads(sign, cycle, n):
+    pair = damping_to_cross_at(cycle, sign)
+    mu, weights = _weighted_modes(pair)
+    p_s, lam, spread = _spectrum(pair)
+    assert p_s == pytest.approx(sign, abs=1e-12)
+    n = n or _series_length(p_s, lam, spread)
+    series = simulate(pair, mixed_state(), n)
+    n_s = _rate_cycles(pair, mu, weights, p_s, n)
+    if cycle > n:  # a one-block series of 300 cycles that never reaches 1 - 1/e
+        assert n_s is None
+        with pytest.raises(BelowThresholdError):
+            measured_rate(series, p_s, 1.0)
+        return
+    assert np.nonzero(series.values / p_s >= 1 - math.exp(-1))[0][0] == cycle - 1
+    assert 1.0 / n_s == measured_rate(series, p_s, 1.0)
+    assert (n_s == 1.0) == (cycle == 2)
+
+
+@pytest.mark.parametrize("cycle", LEVEL_FIRST_CYCLES + [100, 512, 1024])
+def test_lazy_rate_stops_at_the_level_that_holds_the_crossing(monkeypatch, cycle):
+    starts, jumps = [], []
+    first_block = engine._first_block
+
+    def counted(*args):
+        for level in first_block(*args):
+            starts.append(level[0])
+            yield level
+
+    monkeypatch.setattr(engine, "_first_block", counted)
+    monkeypatch.setattr(np.linalg, "matrix_power", lambda a, k: jumps.append(k))
+    pair = damping_to_cross_at(cycle)
+    mu, weights = _weighted_modes(pair)
+    # a series far longer than one block: the later blocks are never bounded or reached
+    assert _rate_cycles(pair, mu, weights, 1.0, 5000) is not None
+    # levels start at entries 0 (cycles 1-2), 2, 4, 8, ...; the crossing is entry cycle - 1
+    assert starts == [0] + [2 ** e for e in range(1, (cycle - 1).bit_length())]
+    assert jumps == []
+
+
+@pytest.mark.parametrize("rho0", [mixed_state(), np.array([[1, 1], [1, 1]]) / 2],
+                         ids=["mixed", "x-polarized"])
+def test_shorter_series_is_a_prefix_of_a_longer_one(rho0):
+    pair = cycle_kraus(SYS, README_BASE)
+    lengths = (1, 2, 3, 300, 1024, 1025, 5000)
+    values = {n: simulate(pair, rho0, n).values for n in lengths}
+    for m, n in itertools.combinations(lengths, 2):
+        assert values[n][:m].tobytes() == values[m].tobytes(), (m, n)
 
 
 def test_steady_state_matches_analytic_at_small_coupling():
