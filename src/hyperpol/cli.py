@@ -17,7 +17,8 @@ import sys as _sys
 from . import analytic
 from .catalog import finite_pulse_tau, full_table, magic_params
 from .engine import cycle_kraus, evaluate_exact, mixed_state, simulate
-from .params import config_from_dict, json_object, resolve_time, system_from_dict, whole_number
+from .params import (config_from_dict, json_array, json_object, resolve_time, system_from_dict,
+                     whole_number)
 from .sweep import NoResonanceError, SweepSpec, find_tau_res, robustness_scan, run_sweep
 
 EXIT_OK = 0
@@ -153,7 +154,7 @@ def cmd_robustness(args) -> int:
     with _reading("bad robustness config", doc):
         sys_p = system_from_dict(doc["system"])
         rows = []
-        for i, r in enumerate(doc["rows"]):
+        for i, r in enumerate(json_array("rows", doc["rows"])):
             r = json_object(f"rows[{i}]", r)
             n_r = whole_number("n_r", r["n_r"])
             if n_r < 1:
@@ -161,7 +162,8 @@ def cmd_robustness(args) -> int:
             row = magic_params(r["method"], whole_number("sign", r["sign"]),
                                whole_number("n_p", r["n_p"]))
             rows.append((row, n_r))
-        tau_pi_values = [resolve_time(t, sys_p.omega) for t in doc["tau_pi_values"]]
+        tau_pi_values = [resolve_time(t, sys_p.omega)
+                         for t in json_array("tau_pi_values", doc["tau_pi_values"])]
         if not all(math.isfinite(t) for t in tau_pi_values):
             raise ValueError(f"tau_pi values must be finite, got {tau_pi_values}")
     table = robustness_scan(rows, tau_pi_values, sys_p)

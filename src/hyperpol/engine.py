@@ -16,11 +16,21 @@ level that holds the crossing.  Only when the first block has none do the
 modes bound the series over each later block, and the blocks the bound
 cannot rule out are evaluated with exact powers of the transfer matrix.
 `simulate` evaluates the whole series through the same read-out.
+
+`evaluate_exact_batch` solves many points at once.  Each point is still
+rendered, propagated and checked for unitarity alone; then up to
+BATCH_SIZE transfer matrices are stacked for one eig and one solve, and
+their first blocks are read level by level across the stack, each point
+leaving it at the level that holds its crossing.  A point with no crossing
+in its first block searches the later blocks alone.  `evaluate_exact` is
+the batch of one, with the same bytes.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +44,7 @@ UNITARITY_TOL = 1e-10
 MAX_RATE_CYCLES = 2 ** 21
 SERIES_BLOCK = 1024
 MEMO_LIMIT = 256
+BATCH_SIZE = 64  # points per stacked mode solve and first-block read-out
 
 IZ = SZ
 IX = SX
@@ -84,6 +95,9 @@ class PolarizationSeries:
 
 def mixed_state() -> np.ndarray:
     return ID2 / 2
+
+
+_MIXED = mixed_state().reshape(4)  # vec(rho) of the mixed start
 
 
 def polarization(rho: np.ndarray) -> float:
@@ -179,24 +193,21 @@ def _superop(k: KrausPair) -> np.ndarray:
 _READOUT = np.array([[1, 0, 0, -1]], dtype=complex)  # <2 I_z> read-out of vec(rho)
 
 
-def _first_block(k: KrausPair, x: np.ndarray, n: int):
-    """The series' first min(n, SERIES_BLOCK) cycles from state x, one doubling level at a time.
+def _level(rows: np.ndarray, power: np.ndarray, x: np.ndarray, start: int):
+    """One doubling level of the first block's read-out, for a stack of points.
 
-    Yields (start, values, rows, power) per level: values are P at cycles
-    start + 1, ... of the level (cycles 1-2, then 3-4, 5-8, ..., cut at n),
-    rows are the read-out rows r T^j of every j reached so far and power is
-    T^len(rows).  Each level appends the rows so far times the last power,
-    so a level holds the same rows whatever n is, and a consumer that stops
-    early pays for no later level.  Every level has at least two rows: numpy
-    multiplies a single row by its dot kernel, which rounds differently from
-    the matrix-vector kernel of longer products.
+    rows (k, m, 4) are the read-out rows r T^j, j < m, of each point's
+    transfer matrix T and power (k, 4, 4) is T^m; the first level starts from
+    the single row r and T.  Returns the rows for j < 2m, T^(2m) and P from
+    state x at the cycles from start + 1 to 2m, where start is the count
+    already read: 0 on the first level, which reads cycles 1-2, m after it.
+    A level holds the same rows whatever the series length, so a consumer
+    that stops early pays for no later level.  Every level has at least two
+    rows: numpy multiplies a single row by its dot kernel, which rounds
+    differently from the matrix-vector kernel of longer products.
     """
-    rows, power, start = _READOUT, _superop(k), 0
-    while start < min(n, SERIES_BLOCK):
-        rows = np.vstack([rows, rows @ power])
-        power = power @ power
-        yield start, (rows[start:] @ x).real[:n - start], rows, power
-        start = len(rows)
+    rows = np.concatenate([rows, rows @ power], axis=1)
+    return rows, power @ power, (rows[:, start:] @ x).real
 
 
 def _read(rows: np.ndarray, x: np.ndarray, m: int) -> np.ndarray:
@@ -215,42 +226,50 @@ def simulate(k: KrausPair, rho0: np.ndarray, n: int, params: dict | None = None)
     """Polarization for cycles 1..n; cycle 1 is the freshly prepared state.
 
     Block powers of the transfer matrix T: the first block of SERIES_BLOCK
-    cycles is read level by level while _first_block builds its read-out rows
-    r T^j by doubling, and the state then jumps by T^SERIES_BLOCK once per
-    later block, which _read reads with the same rows.  A shorter series is
-    a prefix of a longer one, byte for byte, and _rate_cycles reads its first
-    block through the same _first_block.
+    cycles is read level by level through _level, as a stack of one, while
+    its read-out rows r T^j are built by doubling, and the state then jumps
+    by T^SERIES_BLOCK once per later block, which _read reads with the same
+    rows.  A shorter series is a prefix of a longer one, byte for byte, and
+    _rate_cycles reads its first block through the same _level.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     x = np.asarray(rho0, dtype=complex).reshape(4)
     values = np.empty(n)
-    for start, level, rows, power in _first_block(k, x, n):
-        values[start:start + len(level)] = level
+    rows, power, start = _READOUT[None], _superop(k)[None], 0
+    while start < min(n, SERIES_BLOCK):
+        rows, power, level = _level(rows, power, x, start)
+        values[start:rows.shape[1]] = level[0, :n - start]
+        start = rows.shape[1]
+    rows, power = rows[0], power[0]
     for start in range(SERIES_BLOCK, n, SERIES_BLOCK):
         x = power @ x
         values[start:start + SERIES_BLOCK] = _read(rows, x, n - start)
     return PolarizationSeries(values=values, params=params or {})
 
 
-def _modes(k: KrausPair) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigenvalues mu, eigenvectors and mixed-start coefficients of the transfer matrix.
+def _modes(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenvalues mu, eigenvectors and mixed-start coefficients of stacked transfer matrices.
 
-    vec(rho) after n - 1 cycles is sum_k coeffs[k] mu[k]^(n-1) vecs[:, k].
+    t is (k, 4, 4); vec(rho) of point i after n - 1 cycles is
+    sum_m coeffs[i, m] mu[i, m]^(n-1) vecs[i, :, m].  One eig and one solve
+    serve the whole stack; the right-hand side is a 4x1 matrix that solve
+    broadcasts over it.
     """
-    mu, vecs = np.linalg.eig(_superop(k))
-    return mu, vecs, np.linalg.solve(vecs, mixed_state().reshape(4))
+    mu, vecs = np.linalg.eig(t)
+    return mu, vecs, np.linalg.solve(vecs, _MIXED[:, None])[..., 0]
 
 
-def _weighted_modes(k: KrausPair) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues mu_k and weights w_k with P(n) = Re sum_k w_k mu_k^(n-1) from the mixed start."""
-    mu, vecs, coeffs = _modes(k)
-    return mu, (vecs[0] - vecs[3]) * coeffs
+def _weighted_modes(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues mu and weights w, both (k, 4): P(n) = Re sum w mu^(n-1) from the mixed start."""
+    mu, vecs, coeffs = _modes(t)
+    return mu, (vecs[:, 0] - vecs[:, 3]) * coeffs
 
 
 def _spectrum(k: KrausPair) -> tuple[float, float, float]:
-    """(P_s, lambda, sum of |w_k| over the moving modes); see steady_state."""
-    return _spectral_summary(*_weighted_modes(k))
+    """(P_s, lambda, sum of |w_k| over the moving modes) of one channel; see steady_state."""
+    mu, weights = _weighted_modes(_superop(k)[None])
+    return _spectral_summary(mu[0], weights[0])
 
 
 def _spectral_summary(mu: np.ndarray, weights: np.ndarray) -> tuple[float, float, float]:
@@ -324,14 +343,55 @@ def _series_length(p_s: float, lam: float, spread: float) -> int:
     return min(max(n, 256), MAX_RATE_CYCLES)
 
 
-def _rate_cycles(k: KrausPair, mu: np.ndarray, weights: np.ndarray, p_s: float,
-                 n: int) -> float | None:
-    """N_s that measured_rate reads from simulate(k, mixed_state(), n), or None.
+def _rate_cycles(t: np.ndarray, mu: np.ndarray, weights: np.ndarray, p_s: np.ndarray,
+                 n: np.ndarray) -> list[float | None]:
+    """Per stacked point, N_s that measured_rate reads from simulate(k, mixed_state(), n), or None.
 
-    The first block of SERIES_BLOCK cycles is read level by level through
-    simulate's own _first_block, and the search stops at the first level
-    that holds the crossing.  Only a series longer than one block goes on
-    past it.  In cycles 1 + m, m = a..b, of a later block, the term
+    t (k, 4, 4) holds the points' transfer matrices, mu and weights their
+    modes, p_s and n their steady polarizations and series lengths.  The
+    first block of SERIES_BLOCK cycles is read level by level through
+    simulate's own _level, across the stack, and a point leaves the stack at
+    the first level that holds its crossing or that reaches the end of its
+    series.  Only a point whose series is longer than one block and has no
+    crossing in it goes on, alone, to _later_blocks, which starts from the
+    rows and power the stack built.
+    """
+    found: list[float | None] = [None] * len(t)
+    active, p_col, lo = np.arange(len(t)), p_s[:, None], p_s  # lo is unread at start 0
+    rows, power, start = _READOUT[None].repeat(len(t), axis=0), t, 0
+    shortest = n.min()
+    while True:
+        rows, power, values = _level(rows, power, _MIXED, start)
+        fractions = values / p_col
+        above = fractions >= E_FRACTION
+        end = rows.shape[1]
+        if end > shortest:  # entry i of the level is cycle start + i + 1: past a series of n < end
+            above &= np.arange(start, end) < n[:, None]
+        hit = above.any(axis=1)
+        for j in hit.nonzero()[0]:
+            found[active[j]] = _first_crossing(fractions[j], start, lo[j])
+        start = end
+        going = ~hit & (n > start)
+        if start == SERIES_BLOCK:
+            for j in going.nonzero()[0]:
+                found[active[j]] = _later_blocks(mu[active[j]], weights[active[j]], p_s[j],
+                                                 int(n[j]), rows[j], power[j])
+            return found
+        left = going.nonzero()[0]
+        if len(left) == 0:
+            return found
+        if len(left) < len(going):
+            rows, power, active, p_col, p_s, n, fractions = (
+                a[left] for a in (rows, power, active, p_col, p_s, n, fractions))
+        lo = fractions[:, -1]
+
+
+def _later_blocks(mu: np.ndarray, weights: np.ndarray, p_s: float, n: int,
+                  rows: np.ndarray, power: np.ndarray) -> float | None:
+    """N_s of one point whose first block holds no crossing, from the blocks after it.
+
+    rows are the first block's read-out rows r T^j and power is
+    T^SERIES_BLOCK.  In cycles 1 + m, m = a..b, of a later block, the term
     Re(w_k mu_k^m)/P_s of the fraction P/P_s is at most
     r_k = |w_k/P_s| max(|mu_k|^a, |mu_k|^b); and, because its phase turns by
     |arg mu_k| per cycle, at most the larger of its two block-end values plus
@@ -341,16 +401,6 @@ def _rate_cycles(k: KrausPair, mu: np.ndarray, weights: np.ndarray, p_s: float,
     power) cannot hold the crossing.  The others are read like simulate's
     later blocks, each reached from the last by a matrix_power jump.
     """
-    x = mixed_state().reshape(4)
-    lo = None
-    for start, values, rows, power in _first_block(k, x, n):
-        fractions = values / p_s
-        n_s = _first_crossing(fractions, start, lo)
-        if n_s is not None:
-            return n_s
-        lo = fractions[-1]
-    if n <= SERIES_BLOCK:
-        return None
     first = np.arange(SERIES_BLOCK, n, SERIES_BLOCK)
     last = np.minimum(first + SERIES_BLOCK, n) - 1
     terms = weights / p_s
@@ -361,7 +411,7 @@ def _rate_cycles(k: KrausPair, mu: np.ndarray, weights: np.ndarray, p_s: float,
     turn = 2 * (SERIES_BLOCK - 1) * np.abs(np.angle(mu)) * reach
     bound = np.minimum(reach, ends + turn).sum(axis=1)
     slack = n * UNITARITY_TOL * float(np.abs(terms).sum())
-    at = 0  # x is the state at the start of block `at`
+    x, at = _MIXED, 0  # x is the state at the start of block `at`
     for b in np.nonzero(bound >= E_FRACTION - slack)[0] + 1:
         before = np.linalg.matrix_power(power, b - 1 - at) @ x
         lo = (rows[-1] @ before).real / p_s
@@ -405,16 +455,66 @@ def evaluate_exact(sys: SystemParams, seq: SequenceParams,
     reach 1 - 1/e of P_s within MAX_RATE_CYCLES, or when with_rate is off.
     `cache` is handed to `propagate`: one dict shared by the points of a
     sweep lets them reuse each other's segment and block propagators.
+    This is evaluate_exact_batch on a batch of one; its ValueError is raised.
     """
-    timeline = render_unit(sys, seq)
-    pair = kraus(propagate(sys, timeline, cache))
-    mu, weights = _weighted_modes(pair)
-    p_s, lam, spread = _spectral_summary(mu, weights)
-    t_cycle = timeline.nominal_T if use_nominal_duration else timeline.actual_T
-    gamma = None
-    if with_rate and abs(p_s) > 1e-6:
-        cycles = _rate_cycles(pair, mu, weights, p_s, _series_length(p_s, lam, spread))
-        if cycles is not None:
-            gamma = 1.0 / (cycles * t_cycle)
-    n_s = None if gamma is None else 1.0 / (gamma * t_cycle)
-    return ExactResult(p_s=p_s, lambda_est=lam, gamma=gamma, n_s=n_s, t_cycle=t_cycle)
+    (result,) = _evaluate_chunk([(sys, seq)], use_nominal_duration, with_rate, cache)
+    if isinstance(result, ValueError):
+        raise result
+    return result
+
+
+def evaluate_exact_batch(points: Iterable[tuple[SystemParams, SequenceParams]],
+                         use_nominal_duration: bool = False, with_rate: bool = True,
+                         cache: dict | None = None) -> Iterator[ExactResult | ValueError]:
+    """evaluate_exact for each (system, sequence) pair of `points`, yielded in order.
+
+    A point whose evaluation raises ValueError (a sequence that cannot be
+    rendered, a propagator that overflows to a non-unitary matrix) yields
+    that error in its place; the other points are unaffected.  Each point is
+    rendered, propagated through the shared `cache` and checked for
+    unitarity on its own, in order, so the memo evolves as it would under
+    one evaluate_exact call per point.  `points` is read BATCH_SIZE at a
+    time, so memory does not grow with their number: the chunk's transfer
+    matrices share one stacked eig and solve for their modes, and
+    _rate_cycles reads their first blocks across the stack.  The results
+    are those of evaluate_exact, byte for byte.
+    """
+    points = iter(points)
+    while chunk := list(itertools.islice(points, BATCH_SIZE)):
+        yield from _evaluate_chunk(chunk, use_nominal_duration, with_rate, cache)
+
+
+def _evaluate_chunk(points: list, use_nominal_duration: bool, with_rate: bool,
+                    cache: dict | None) -> list[ExactResult | ValueError]:
+    """evaluate_exact_batch on one chunk of at most BATCH_SIZE points, as a list."""
+    results: list = [None] * len(points)
+    solved, transfers, t_cycles = [], [], []
+    for i, (sys, seq) in enumerate(points):
+        try:
+            timeline = render_unit(sys, seq)
+            pair = kraus(propagate(sys, timeline, cache))
+        except ValueError as err:
+            results[i] = err
+            continue
+        solved.append(i)
+        transfers.append(_superop(pair))
+        t_cycles.append(timeline.nominal_T if use_nominal_duration else timeline.actual_T)
+    if not solved:
+        return results
+    t = np.array(transfers)
+    mu, weights = _weighted_modes(t)
+    summaries = [_spectral_summary(m, w) for m, w in zip(mu, weights)]
+    rated = [j for j, (p_s, _, _) in enumerate(summaries) if with_rate and abs(p_s) > 1e-6]
+    cycles: list[float | None] = [None] * len(solved)
+    if rated:
+        if len(rated) < len(solved):
+            t, mu, weights = t[rated], mu[rated], weights[rated]
+        p_s = np.array([summaries[j][0] for j in rated])
+        n = np.array([_series_length(*summaries[j]) for j in rated])
+        for j, c in zip(rated, _rate_cycles(t, mu, weights, p_s, n)):
+            cycles[j] = c
+    for i, (p_s, lam, _), c, t_cycle in zip(solved, summaries, cycles, t_cycles):
+        gamma = None if c is None else 1.0 / (c * t_cycle)
+        n_s = None if gamma is None else 1.0 / (gamma * t_cycle)
+        results[i] = ExactResult(p_s=p_s, lambda_est=lam, gamma=gamma, n_s=n_s, t_cycle=t_cycle)
+    return results

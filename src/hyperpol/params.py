@@ -139,6 +139,13 @@ def json_object(key: str, value) -> dict:
     return value
 
 
+def json_array(key: str, value) -> list:
+    """value, which a config must hold as a JSON array under `key`; else a ValueError naming it."""
+    if not isinstance(value, list):
+        raise ValueError(f"{key} must be a JSON array, got {value!r:.40}")
+    return value
+
+
 def system_from_dict(d: dict) -> SystemParams:
     d = json_object("system", d)
     return SystemParams(

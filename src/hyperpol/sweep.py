@@ -1,8 +1,11 @@
 """Parameter sweeps, the resonant-interval search, and robustness scans.
 
-A sweep evaluates its grid points one after another in row-major axis
-order, with the engines of each point in a fixed order, so the same spec
-always writes the same bytes.
+A sweep writes its grid points in row-major axis order, with the engines
+of each point in a fixed order, so the same spec always writes the same
+bytes.  The exact engine solves a sweep's valid points, and the grid of
+the resonant-interval search, as one batch (`engine.evaluate_exact_batch`),
+whose results are those of evaluating each point alone; robustness scans
+and the golden-section steps of the search evaluate one point at a time.
 """
 
 from __future__ import annotations
@@ -17,9 +20,9 @@ import numpy as np
 
 from . import analytic
 from .catalog import MagicRow, finite_pulse_tau
-from .engine import evaluate_exact
-from .params import (SequenceParams, SystemParams, config_from_dict, json_object, resolve_time,
-                     whole_number)
+from .engine import evaluate_exact, evaluate_exact_batch
+from .params import (SequenceParams, SystemParams, config_from_dict, json_array, json_object,
+                     resolve_time, whole_number)
 
 SYSTEM_FIELDS = ("omega", "a_perp", "a_z")
 SEQUENCE_FLOAT_FIELDS = ("tau", "t_s", "t_w", "t_c", "tau_pi")
@@ -30,6 +33,7 @@ ENGINES = ("exact", "analytic", "both")
 TARGETS = ("stable_polarization", "rate")
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+MAX_TAU_GRID_POINTS = 10_001  # find_tau_res grid limit: about 2 s of batched exact points
 
 
 class NoResonanceError(RuntimeError):
@@ -73,6 +77,7 @@ class SweepSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "SweepSpec":
         base_system, base_sequence = config_from_dict(json_object("base", d["base"]))
+        entries = json_array("axes", d["axes"])
         axes = tuple(
             Axis(
                 name=a["name"],
@@ -80,7 +85,7 @@ class SweepSpec:
                 stop=resolve_time(a["stop"], base_system.omega),
                 count=whole_number(f"axis {a['name']} count", a["count"]),
             )
-            for a in [json_object(f"axes[{i}]", a) for i, a in enumerate(d["axes"])]
+            for a in [json_object(f"axes[{i}]", a) for i, a in enumerate(entries)]
         )
         return cls(
             target=d.get("target", "stable_polarization"),
@@ -150,38 +155,46 @@ def apply_point(sys: SystemParams, seq: SequenceParams,
     return sys, seq
 
 
-def _evaluate_point(spec: SweepSpec, names: tuple[str, ...], engines: tuple[str, ...],
-                    values: tuple[float, ...], cache: dict) -> list[tuple]:
+def _point_rows(spec: SweepSpec, engines: tuple[str, ...], values: tuple[float, ...],
+                point, exact) -> list[tuple]:
+    """The rows of one grid point: `point` is its (system, sequence) or the
+    ValueError apply_point raised, and `exact` yields its exact result."""
     axis1 = values[0]
     axis2 = values[1] if len(values) > 1 else ""
+    if isinstance(point, ValueError):
+        return [(axis1, axis2, e, None, None, None, f"failed: {point}") for e in engines]
     rows = []
-    try:
-        sys_p, seq_p = apply_point(spec.base_system, spec.base_sequence, names, values)
-    except ValueError as err:
-        return [(axis1, axis2, e, None, None, None, f"failed: {err}") for e in engines]
     for engine in engines:
         try:
-            if engine == "analytic":
-                s = analytic.summarize(sys_p, seq_p)
-                rows.append((axis1, axis2, engine, s.p_s, s.lam, s.gamma, "ok"))
-                continue
-            res = evaluate_exact(sys_p, seq_p, cache=cache)
+            res = analytic.summarize(*point) if engine == "analytic" else next(exact)
         except ValueError as err:
-            rows.append((axis1, axis2, engine, None, None, None, f"failed: {err}"))
-            continue
-        gamma = res.gamma
-        status = "ok"
-        if spec.target == "rate" and gamma is None:
-            status = "below-threshold"
-        rows.append((axis1, axis2, engine, res.p_s, res.lambda_est, gamma, status))
+            res = err
+        if isinstance(res, ValueError):
+            rows.append((axis1, axis2, engine, None, None, None, f"failed: {res}"))
+        elif engine == "analytic":
+            rows.append((axis1, axis2, engine, res.p_s, res.lam, res.gamma, "ok"))
+        else:
+            status = "below-threshold" if spec.target == "rate" and res.gamma is None else "ok"
+            rows.append((axis1, axis2, engine, res.p_s, res.lambda_est, res.gamma, status))
     return rows
+
+
+def _grid(spec: SweepSpec, names: tuple[str, ...]):
+    """(values, point) in row-major axis order; point is what apply_point returns or raises."""
+    for combo in itertools.product(*(a.values() for a in spec.axes)):
+        values = tuple(map(float, combo))
+        try:
+            yield values, apply_point(spec.base_system, spec.base_sequence, names, values)
+        except ValueError as err:
+            yield values, err
 
 
 def run_sweep(spec: SweepSpec) -> ResultTable:
     """Evaluate the grid in row-major axis order; output order is fixed.
 
-    The points share one propagator memo (see `engine.propagate`), which
-    lives as long as this call.
+    The exact engine solves the valid points as one batch
+    (`engine.evaluate_exact_batch`), and they share one propagator memo
+    (see `engine.propagate`), which lives as long as this call.
     """
     names = tuple(a.name for a in spec.axes)
     engines = ("exact", "analytic") if spec.engine == "both" else (spec.engine,)
@@ -189,10 +202,16 @@ def run_sweep(spec: SweepSpec) -> ResultTable:
         header=spec.header(),
         columns=("axis1", "axis2", "engine", "P_s", "lambda", "gamma", "status"),
     )
-    cache: dict = {}
-    for combo in itertools.product(*(a.values() for a in spec.axes)):
-        values = tuple(float(v) for v in combo)
-        table.rows.extend(_evaluate_point(spec, names, engines, values, cache))
+
+    grid = _grid(spec, names)
+    exact = iter(())
+    if "exact" in engines:
+        # the batch reads the valid points up to one chunk ahead of the rows; tee holds them
+        ahead, grid = itertools.tee(grid)
+        exact = evaluate_exact_batch((p for _, p in ahead if not isinstance(p, ValueError)),
+                                     cache={})
+    for values, p in grid:
+        table.rows.extend(_point_rows(spec, engines, values, p, exact))
     return table
 
 
@@ -205,6 +224,23 @@ def _rate_for_tau(sys: SystemParams, seq: SequenceParams, tau: float,
         return None
 
 
+def _rates_on_grid(sys: SystemParams, seq: SequenceParams, taus: list[float],
+                   tau_pi: float, cache: dict) -> list[float | None]:
+    """_rate_for_tau at every grid tau, the valid points solved as one batch."""
+    points = []
+    for tau in taus:
+        try:
+            points.append(apply_point(sys, seq, ("tau", "tau_pi"), (tau, tau_pi)))
+        except ValueError:
+            points.append(None)
+    results = evaluate_exact_batch((p for p in points if p is not None), cache=cache)
+    rates = []
+    for point in points:
+        res = None if point is None else next(results)
+        rates.append(None if res is None or isinstance(res, ValueError) else res.gamma)
+    return rates
+
+
 def find_tau_res(sys: SystemParams, seq: SequenceParams, tau_pi: float,
                  search_halfwidth: float, grid_step: float) -> float:
     """Pulse interval maximizing the exact polarization rate.
@@ -212,8 +248,10 @@ def find_tau_res(sys: SystemParams, seq: SequenceParams, tau_pi: float,
     The grid is centered on the resonance-restoring value
     tau - tau_pi/n_p (the ideal tau when tau_pi = 0), ties break toward
     smaller tau, and a golden-section pass refines the best grid point to
-    +-grid_step/10; both share one propagator memo.  Raises ValueError for
-    a negative tau_pi or a non-finite search_halfwidth / grid_step, and
+    +-grid_step/10; both share one propagator memo.  The grid holds at most
+    MAX_TAU_GRID_POINTS points, solved as one batch.
+    Raises ValueError for a negative tau_pi, a non-finite
+    search_halfwidth / grid_step or a grid past that limit, and
     NoResonanceError on a flat landscape.
     """
     if grid_step <= 0:
@@ -226,9 +264,12 @@ def find_tau_res(sys: SystemParams, seq: SequenceParams, tau_pi: float,
                          f"{search_halfwidth} / {grid_step}")
     center = finite_pulse_tau(seq.tau, tau_pi, seq.n_p)
     steps = int(round(ratio))
+    if 2 * steps + 1 > MAX_TAU_GRID_POINTS:
+        raise ValueError(f"the tau grid would hold {2 * steps + 1} points, more than "
+                         f"{MAX_TAU_GRID_POINTS}; widen grid_step or narrow search_halfwidth")
     taus = [center + k * grid_step for k in range(-steps, steps + 1)]
     cache: dict = {}
-    rates = [_rate_for_tau(sys, seq, t, tau_pi, cache) for t in taus]
+    rates = _rates_on_grid(sys, seq, taus, tau_pi, cache)
     usable = [(r, t) for r, t in zip(rates, taus) if r is not None]
     if not usable:
         raise NoResonanceError("no grid point produced a polarization rate")

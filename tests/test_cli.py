@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -145,6 +146,7 @@ ROBUSTNESS_CONFIG = {
     "tau_pi_values": [0.0],
 }
 SWEEP_SPEC = {"base": BASE_CONFIG, "axes": [{"name": "t_s", "start": 0, "count": 3}]}  # no stop
+VALID_ROW = {"method": "I", "sign": 1, "n_p": 1, "n_r": 1}
 
 
 @pytest.mark.parametrize("command,doc,message", [
@@ -170,10 +172,23 @@ SWEEP_SPEC = {"base": BASE_CONFIG, "axes": [{"name": "t_s", "start": 0, "count":
      "bad robustness config: system must be a JSON object, got None"),
     ("robustness", {**ROBUSTNESS_CONFIG, "rows": [["I", 1, 1, 8]]},
      "bad robustness config: rows[0] must be a JSON object, got ['I', 1, 1, 8]"),
+    # a value that must be a JSON array but is not: the message names its key
+    ("sweep", {**SWEEP_SPEC, "axes": 5}, "bad sweep spec: axes must be a JSON array, got 5"),
+    ("sweep", {**SWEEP_SPEC, "axes": "t_s"},
+     "bad sweep spec: axes must be a JSON array, got 't_s'"),
+    ("robustness", {**ROBUSTNESS_CONFIG, "rows": 5},
+     "bad robustness config: rows must be a JSON array, got 5"),
+    ("robustness", {**ROBUSTNESS_CONFIG, "rows": "I"},
+     "bad robustness config: rows must be a JSON array, got 'I'"),
+    ("robustness", {**ROBUSTNESS_CONFIG, "rows": [VALID_ROW], "tau_pi_values": 0.5},
+     "bad robustness config: tau_pi_values must be a JSON array, got 0.5"),
+    ("robustness", {**ROBUSTNESS_CONFIG, "rows": [VALID_ROW], "tau_pi_values": "0.2 pi/omega"},
+     "bad robustness config: tau_pi_values must be a JSON array, got '0.2 pi/omega'"),
 ], ids=["steady-missing-key", "steady-array", "sweep-missing-key", "sweep-array",
         "robustness-missing-key", "robustness-array", "system-not-object", "sequence-not-object",
         "pulse-model-not-object", "base-not-object", "axis-not-object",
-        "robustness-system-not-object", "row-not-object"])
+        "robustness-system-not-object", "row-not-object", "axes-number", "axes-string",
+        "rows-number", "rows-string", "tau-pi-values-number", "tau-pi-values-string"])
 def test_malformed_document_exit_code_names_the_problem(tmp_path, capsys, command, doc, message):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
@@ -338,6 +353,20 @@ def test_find_tau_res_cli_rejects_bad_grid_step(tmp_path, capsys):
                  "--halfwidth", "1e300", "--grid-step", "1e-300"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "grid_step" in err
+
+
+def test_find_tau_res_cli_refuses_a_grid_past_the_limit_at_once(tmp_path, capsys):
+    # a 1e-7 pi/omega step over the default 0.1 pi/omega halfwidth is 2 000 001 points
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(BASE_CONFIG))
+    out = tmp_path / "res.json"
+    start = time.perf_counter()
+    assert main(["find-tau-res", "--config", str(path), "--tau-pi", "0.2 pi/omega",
+                 "--grid-step", "1e-7 pi/omega", "--out", str(out)]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "2000001 points" in err
+    assert not out.exists()
 
 
 def test_find_tau_res_cli_rejects_negative_tau_pi(tmp_path, capsys):

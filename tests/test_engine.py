@@ -309,7 +309,7 @@ def test_steady_state_long_train_magic_row():
 def test_spectral_fixed_point_and_contraction(seed):
     pair = cycle_kraus(*random_params(np.random.default_rng(seed)))
     p_s, lam = steady_state(pair)
-    mu, vecs, coeffs = _modes(pair)
+    mu, vecs, coeffs = (stack[0] for stack in _modes(_superop(pair)[None]))
     steady = np.abs(mu - 1.0) <= UNITARITY_TOL
     fixed = vecs[:, steady] @ coeffs[steady]
     assert np.max(np.abs(_superop(pair) @ fixed - fixed)) <= 1e-12
@@ -370,13 +370,20 @@ def test_rate_from_modes_matches_the_full_series(seed):
         assert res.gamma == pytest.approx(expected, rel=1e-10)
 
 
+def rate_cycles(pair: KrausPair, p_s: float, n: int) -> float | None:
+    """_rate_cycles on a batch of one: N_s of the series of n cycles, or None."""
+    t = _superop(pair)[None]
+    mu, weights = _weighted_modes(t)
+    (n_s,) = _rate_cycles(t, mu, weights, np.array([p_s]), np.array([n]))
+    return n_s
+
+
 def test_rate_crossing_on_the_first_cycle_after_a_skipped_block(monkeypatch):
     # amplitude damping towards nuclear up: P(n) = 1 - lam^(n-1) crosses 1 - 1/e
     # between cycles 2048 and 2049, i.e. on the first cycle of the third block
     lam = math.exp(-1 / 2047.5)
     pair = KrausPair(m_up=np.diag([1.0, math.sqrt(lam)]).astype(complex),
                      m_down=np.array([[0.0, math.sqrt(1 - lam)], [0.0, 0.0]], dtype=complex))
-    mu, weights = _weighted_modes(pair)
     p_s, lam_est, spread = _spectrum(pair)
     assert p_s == pytest.approx(1.0, abs=1e-12) and lam_est == pytest.approx(lam, abs=1e-12)
     n = _series_length(p_s, lam_est, spread)
@@ -386,7 +393,7 @@ def test_rate_crossing_on_the_first_cycle_after_a_skipped_block(monkeypatch):
     matrix_power = np.linalg.matrix_power
     monkeypatch.setattr(np.linalg, "matrix_power",
                         lambda a, k: jumps.append(int(k)) or matrix_power(a, k))
-    n_s = _rate_cycles(pair, mu, weights, p_s, n)
+    n_s = rate_cycles(pair, p_s, n)
     # block 1 ends 9e-5 below the threshold: one jump goes from block 0 to its
     # start, and its last cycle still supplies the interpolation's lower end
     assert jumps == [1]
@@ -404,7 +411,6 @@ def test_rate_crossing_at_an_oscillation_peak_inside_a_block():
     turn = hermitian_expm(axis, 2 * math.pi / 1500)
     pair = KrausPair(m_up=turn @ np.diag([1.0, math.sqrt(1 - damping)]),
                      m_down=turn @ np.array([[0.0, math.sqrt(damping)], [0.0, 0.0]]))
-    mu, weights = _weighted_modes(pair)
     p_s, lam, spread = _spectrum(pair)
     n = _series_length(p_s, lam, spread)
     series = simulate(pair, mixed_state(), n)
@@ -412,7 +418,7 @@ def test_rate_crossing_at_an_oscillation_peak_inside_a_block():
     crossing = np.nonzero(fractions >= 1 - math.exp(-1))[0][0]
     assert crossing // 1024 == 16
     assert max(fractions[16 * 1024], fractions[17 * 1024 - 1]) < 1 - math.exp(-1) - 0.02
-    n_s = _rate_cycles(pair, mu, weights, p_s, n)
+    n_s = rate_cycles(pair, p_s, n)
     assert 1 / n_s == pytest.approx(measured_rate(series, p_s, 1.0), rel=1e-10)
 
 
@@ -435,12 +441,11 @@ LEVEL_FIRST_CYCLES = [2 ** e + 1 for e in range(10)]
                          + [(290, 300), (400, 300), (700, None)])
 def test_lazy_rate_reads_exactly_what_measured_rate_reads(sign, cycle, n):
     pair = damping_to_cross_at(cycle, sign)
-    mu, weights = _weighted_modes(pair)
     p_s, lam, spread = _spectrum(pair)
     assert p_s == pytest.approx(sign, abs=1e-12)
     n = n or _series_length(p_s, lam, spread)
     series = simulate(pair, mixed_state(), n)
-    n_s = _rate_cycles(pair, mu, weights, p_s, n)
+    n_s = rate_cycles(pair, p_s, n)
     if cycle > n:  # a one-block series of 300 cycles that never reaches 1 - 1/e
         assert n_s is None
         with pytest.raises(BelowThresholdError):
@@ -454,19 +459,17 @@ def test_lazy_rate_reads_exactly_what_measured_rate_reads(sign, cycle, n):
 @pytest.mark.parametrize("cycle", LEVEL_FIRST_CYCLES + [100, 512, 1024])
 def test_lazy_rate_stops_at_the_level_that_holds_the_crossing(monkeypatch, cycle):
     starts, jumps = [], []
-    first_block = engine._first_block
+    level = engine._level
 
-    def counted(*args):
-        for level in first_block(*args):
-            starts.append(level[0])
-            yield level
+    def counted(rows, power, x, start):
+        starts.append(start)
+        return level(rows, power, x, start)
 
-    monkeypatch.setattr(engine, "_first_block", counted)
+    monkeypatch.setattr(engine, "_level", counted)
     monkeypatch.setattr(np.linalg, "matrix_power", lambda a, k: jumps.append(k))
     pair = damping_to_cross_at(cycle)
-    mu, weights = _weighted_modes(pair)
     # a series far longer than one block: the later blocks are never bounded or reached
-    assert _rate_cycles(pair, mu, weights, 1.0, 5000) is not None
+    assert rate_cycles(pair, 1.0, 5000) is not None
     # levels start at entries 0 (cycles 1-2), 2, 4, 8, ...; the crossing is entry cycle - 1
     assert starts == [0] + [2 ** e for e in range(1, (cycle - 1).bit_length())]
     assert jumps == []

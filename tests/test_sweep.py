@@ -8,7 +8,7 @@ import pytest
 
 from hyperpol import analytic, engine, sweep
 from hyperpol.catalog import finite_pulse_tau, magic_params
-from hyperpol.engine import evaluate_exact
+from hyperpol.engine import evaluate_exact, evaluate_exact_batch
 from hyperpol.params import SequenceParams, SystemParams
 from hyperpol.timeline import render_unit
 from hyperpol.sweep import (
@@ -294,6 +294,9 @@ def without_reuse(monkeypatch):
     """Make every point of a sweep, scan or search start from an empty propagator memo."""
     monkeypatch.setattr(sweep, "evaluate_exact",
                         lambda sys_p, seq_p, cache=None: evaluate_exact(sys_p, seq_p))
+    # without a memo, the batch hands each point's propagate a fresh one
+    monkeypatch.setattr(sweep, "evaluate_exact_batch",
+                        lambda points, cache=None: evaluate_exact_batch(points))
 
 
 def count_segment_propagators(monkeypatch) -> list:
@@ -359,3 +362,79 @@ def test_sweep_memo_lasts_one_call(monkeypatch):
     without_reuse(monkeypatch)
     run_sweep(spec)
     assert first < len(calls) - 2 * first
+
+
+def short_series_where_one_block_would_cross(monkeypatch):
+    """Cut to 200 cycles every series that _series_length puts inside the first block.
+
+    Such a series (n = 502 at a_perp = 0.25 below) crosses 1 - 1/e near cycle
+    251: cut at 200 it is a series shorter than one block that never crosses.
+    """
+    series_length = engine._series_length
+
+    def cut(p_s, lam, spread):
+        n = series_length(p_s, lam, spread)
+        return 200 if 256 < n < engine.SERIES_BLOCK else n
+
+    monkeypatch.setattr(engine, "_series_length", cut)
+
+
+# the README rate sweep's base at t_s = 0.6 pi, the point whose series never reaches 1 - 1/e
+README_T_S_06 = SequenceParams(n_p=1, tau=2 * math.pi, t_s=0.6 * math.pi, t_w=1.5 * math.pi,
+                               t_c=1.5 * math.pi, n_r=4, tau_pi=0.2 * math.pi)
+
+
+@pytest.mark.parametrize("batch_size", [engine.BATCH_SIZE, 5])
+def test_batched_sweep_matches_each_point_alone(monkeypatch, batch_size):
+    # a_perp runs down from couplings that cross on cycle 2 or on later doubling
+    # levels to 0.25 (the cut series), 0.15 and 0.10 (crossings after the first
+    # block), 0.05 (the README point, no rate) and 0 (P_s = 0), so the slow points
+    # sit behind fast ones in the stack they leave last; n_r = 4 - 2^55 is an invalid
+    # sequence, and n_r = 2^55 squares the cycle propagator into a non-unitary
+    # matrix whose rounding has grown past 1e250 at some couplings
+    short_series_where_one_block_would_cross(monkeypatch)
+    monkeypatch.setattr(engine, "BATCH_SIZE", batch_size)
+    spec = spec_for((Axis("a_perp", 2.0, 0.0, 41), Axis("n_r", 4 - 2.0 ** 55, 4 + 2.0 ** 55, 3)),
+                    engine="exact", target="rate", base_seq=README_T_S_06)
+    table = run_sweep(spec)
+    expected, p_s, n_s = [], {}, {}
+    for a_perp, n_r in itertools.product(*(a.values() for a in spec.axes)):
+        row = (float(a_perp), float(n_r), "exact")
+        try:
+            point = apply_point(SYS, README_T_S_06, ("a_perp", "n_r"), (a_perp, n_r))
+            res = evaluate_exact(*point)
+        except ValueError as err:
+            expected.append(row + (None, None, None, f"failed: {err}"))
+            continue
+        status = "ok" if res.gamma is not None else "below-threshold"
+        expected.append(row + (res.p_s, res.lambda_est, res.gamma, status))
+        # keyed by a_perp in steps of 0.05
+        p_s[round(a_perp / 0.05)], n_s[round(a_perp / 0.05)] = res.p_s, res.n_s
+    assert table.rows == expected
+    want, got = io.StringIO(), io.StringIO()
+    ResultTable(table.header, table.columns, expected).to_csv(want)
+    table.to_csv(got)
+    assert got.getvalue() == want.getvalue()
+
+    # every fate is there
+    statuses = [row[6] for row in table.rows]
+    invalid = "failed: invalid sequence: n_r must be >= 1, got -36028797018963964"
+    assert statuses.count(invalid) == 41
+    assert sum(s.startswith("failed: input is not unitary") for s in statuses) == 41
+    assert any("e+2" in s for s in statuses)  # a defect above 1e200
+    assert len(n_s) == 41
+    assert abs(p_s[0]) <= 1e-6 and n_s[0] is None
+    assert n_s[1] is None and n_s[5] is None  # the README point and the cut series
+    assert n_s[2] > 2 * engine.SERIES_BLOCK and n_s[3] > engine.SERIES_BLOCK
+    assert n_s[14] == pytest.approx(1.0)  # a_perp = 0.7 crosses on cycle 2
+    # crossings on seven doubling levels of the first block, up to cycle 849 of the last
+    levels = {round(v).bit_length() for v in n_s.values() if v is not None and v < 1024}
+    assert levels == {1, 2, 3, 4, 5, 6, 7, 10}
+
+
+def test_find_tau_res_refuses_a_grid_past_the_limit_before_building_it():
+    with pytest.raises(ValueError, match=r"2000001 points, more than 10001"):
+        find_tau_res(SYS, magic_seq(), tau_pi=0.0, search_halfwidth=0.1 * math.pi,
+                     grid_step=1e-7 * math.pi)
+    # the largest grid the limit allows: 2 * 5000 + 1 points
+    assert sweep.MAX_TAU_GRID_POINTS == 10_001
