@@ -3,12 +3,17 @@
 Composes segment propagators into the per-cycle 4x4 unitary block by
 block along the timeline's nesting, raising each repeated block to its
 count by repeated squaring, and extracts the nuclear Kraus pair from its
-first block column.  The segment and block propagators are memoized per
-(system, node) in a dict the caller may pass: the sweeps share one across
-their points, so neighbouring points that differ in one wait exponentiate
-only that wait.  The channel acts on vec(rho) as a 4x4 transfer
-matrix: one eigen-decomposition of it gives the steady polarization, the
-contraction factor and the series length the rate needs.  The rate comes
+first block column.  One walk serves a whole stack of timelines: equal
+(system, node) pairs are evaluated once, the missing segments cost one
+exponential per generator (hyperfine, nuclear, a zero-width pulse's spin
+or a drive at one Rabi frequency), and the missing blocks of one height
+are multiplied as stacks; `propagate` is the walk of one timeline.  The
+segment and block propagators are memoized per (system, node) in a dict
+the caller may pass: the sweeps share one across their points, so
+neighbouring points that differ in one wait exponentiate only that wait.
+The channel acts on vec(rho) as a 4x4 transfer matrix: one
+eigen-decomposition of it gives the steady polarization, the contraction
+factor and the series length the rate needs.  The rate comes
 from the first 1 - 1/e crossing of that series, read out lazily: the first
 block of SERIES_BLOCK cycles is evaluated one doubling level of read-out
 rows at a time (cycles 1-2, 3-4, 5-8, ...) and the search stops at the
@@ -17,26 +22,27 @@ modes bound the series over each later block, and the blocks the bound
 cannot rule out are evaluated with exact powers of the transfer matrix.
 `simulate` evaluates the whole series through the same read-out.
 
-`evaluate_exact_batch` solves many points at once.  Each point is still
-rendered, propagated and checked for unitarity alone; then up to
-BATCH_SIZE transfer matrices are stacked for one eig and one solve, and
-their first blocks are read level by level across the stack, each point
-leaving it at the level that holds its crossing.  A point with no crossing
-in its first block searches the later blocks alone.  `evaluate_exact` is
-the batch of one, with the same bytes.
+`evaluate_exact_batch` solves many points at once.  Up to BATCH_SIZE
+points are rendered, walked as one stack and checked for unitarity
+together; their transfer matrices share one eig and one solve, and their
+first blocks are read level by level across the stack, each point leaving
+it at the level that holds its crossing.  A point with no crossing in its
+first block searches the later blocks alone.  `evaluate_exact` propagates
+its point through `propagate` and shares the rest with the batch, with the
+same bytes.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterable, Iterator
+from collections import defaultdict
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import linalg
-from .linalg import ID2, ID4, SX, SY, SZ, hermitian_expm, kron2
+from .linalg import ID2, ID4, SX, SY, SZ, hermitian_expm, kron2, unitarity_defect
 from .params import SequenceParams, SystemParams
 from .timeline import FREE_HYPERFINE, FREE_NUCLEAR, PULSE, Repeat, Segment, Timeline, render_unit
 
@@ -119,19 +125,35 @@ def nuclear_hamiltonian(sys: SystemParams) -> np.ndarray:
 _SPIN_BY_AXIS = {"+x": SX, "-x": -SX, "+y": SY, "-y": -SY}
 
 
-def segment_propagator(sys: SystemParams, seg: Segment) -> np.ndarray:
-    if seg.kind == FREE_HYPERFINE:
-        return hermitian_expm(hyperfine_hamiltonian(sys), seg.duration)
-    if seg.kind == FREE_NUCLEAR:
-        return hermitian_expm(nuclear_hamiltonian(sys), seg.duration)
+def _generator(sys: SystemParams, seg: Segment) -> tuple:
+    """What the segment's Hamiltonian depends on: segments with equal keys share one."""
     if seg.kind == PULSE:
-        spin = kron2(_SPIN_BY_AXIS[seg.axis], ID2)
         if seg.duration == 0.0:
-            return hermitian_expm(spin, seg.angle)
+            return PULSE, seg.axis
+        return PULSE, seg.axis, sys, seg.angle / seg.duration
+    return seg.kind, sys
+
+
+def segment_propagator(sys: SystemParams, segments: Sequence[Segment]) -> np.ndarray:
+    """Propagators (k, 4, 4) of k segments that share one generator (see _generator).
+
+    One hermitian_expm call exponentiates the generator over all their
+    durations; a zero-width pulse turns its spin by its angle instead.
+    """
+    seg = segments[0]
+    if seg.kind == FREE_HYPERFINE:
+        h = hyperfine_hamiltonian(sys)
+    elif seg.kind == FREE_NUCLEAR:
+        h = nuclear_hamiltonian(sys)
+    elif seg.kind == PULSE:
+        h = kron2(_SPIN_BY_AXIS[seg.axis], ID2)
+        if seg.duration == 0.0:
+            return hermitian_expm(h, [s.angle for s in segments])
         # rectangular drive, system Hamiltonian stays on during the pulse
-        rabi = seg.angle / seg.duration
-        return hermitian_expm(hyperfine_hamiltonian(sys) + rabi * spin, seg.duration)
-    raise ValueError(f"unknown segment kind {seg.kind!r}")
+        h = hyperfine_hamiltonian(sys) + seg.angle / seg.duration * h
+    else:
+        raise ValueError(f"unknown segment kind {seg.kind!r}")
+    return hermitian_expm(h, [s.duration for s in segments])
 
 
 def propagate(sys: SystemParams, timeline: Timeline,
@@ -145,29 +167,75 @@ def propagate(sys: SystemParams, timeline: Timeline,
     a sweep evaluates each of them once for the whole sweep; without one, the
     memo lasts for this call.  The dict is cleared whenever it would grow past
     MEMO_LIMIT entries, and the cached arrays are read-only.  The root block
-    is not stored: no other cycle repeats it.
+    is not stored: no other cycle repeats it.  This is _walk on a stack of one.
+    """
+    return _walk([(sys, timeline.structure)], cache)[0]
+
+
+def _walk(roots: list[tuple[SystemParams, Repeat]], cache: dict | None) -> np.ndarray:
+    """Cycle propagators (k, 4, 4) of k (system, root block) pairs, walked as one stack.
+
+    Every distinct (system, node) of the k trees is evaluated once, or read
+    from `cache` as in propagate.  The missing segments are exponentiated
+    one segment_propagator call per generator.  The missing blocks are
+    composed by height above the leaves: the blocks of one height that have
+    as many parts and the same count multiply their parts as one stack, in
+    product order (later parts on the left), and raise it to the count by
+    one matrix_power.  Each matrix has the bytes of its own 4x4 products.
     """
     if cache is None:
         cache = {}
+    slots: dict = {}  # (sys, node) -> index into `values`
+    values: list = []  # per slot: its propagator, once known
+    height: list[int] = []  # per slot: 0 for a segment or a memo hit, else 1 + max over the parts
+    fresh: list[tuple[tuple, int]] = []  # memo entries to add: (key, slot)
+    groups = defaultdict(list)  # generator -> (slot, sys, segment) of its missing segments
+    levels: list[defaultdict] = []  # levels[h - 1]: (body length, count) -> (slot, parts' slots)
 
-    def product(block: Repeat) -> np.ndarray:
-        u = ID4.copy()
-        for part in block.body:
-            u = compose(part) @ u
-        return np.linalg.matrix_power(u, block.count)
-
-    def compose(node: Segment | Repeat) -> np.ndarray:
+    def visit(sys: SystemParams, node: Segment | Repeat, memo: bool = True) -> int:
         key = (sys, node)
-        u = cache.get(key)
-        if u is None:
-            u = product(node) if isinstance(node, Repeat) else segment_propagator(sys, node)
-            u.flags.writeable = False
-            if len(cache) >= MEMO_LIMIT:
-                cache.clear()
-            cache[key] = u
-        return u
+        slot = slots.setdefault(key, len(values))
+        if slot < len(values):
+            return slot
+        u = cache.get(key) if memo else None
+        values.append(u)
+        height.append(0)
+        if u is not None:
+            return slot
+        if isinstance(node, Segment):
+            groups[_generator(sys, node)].append((slot, sys, node))
+        elif not node.body:
+            values[slot] = ID4  # the identity, whatever the count
+        else:
+            parts = [visit(sys, part) for part in node.body]
+            h = height[slot] = 1 + max(map(height.__getitem__, parts))
+            while len(levels) < h:
+                levels.append(defaultdict(list))
+            levels[h - 1][len(parts), node.count].append((slot, parts))
+        if memo:
+            fresh.append((key, slot))  # after its parts: the later entry outlives a clear
+        return slot
 
-    return product(timeline.structure)
+    tops = [visit(sys, root, memo=False) for sys, root in roots]
+    for group in groups.values():
+        members, systems, segments = zip(*group)
+        for slot, u in zip(members, segment_propagator(systems[0], segments)):
+            values[slot] = u
+    for level in levels:
+        for (_, count), blocks in level.items():
+            members, children = zip(*blocks)
+            u = ID4
+            for column in zip(*children):
+                u = np.array([values[part] for part in column]) @ u
+            for slot, w in zip(members, np.linalg.matrix_power(u, count)):
+                values[slot] = w
+    for key, slot in fresh:
+        u = values[slot].view()
+        u.flags.writeable = False
+        if len(cache) >= MEMO_LIMIT:
+            cache.clear()
+        cache[key] = u
+    return np.array([values[slot] for slot in tops])
 
 
 def kraus(u: np.ndarray) -> KrausPair:
@@ -175,7 +243,7 @@ def kraus(u: np.ndarray) -> KrausPair:
     u = np.asarray(u, dtype=complex)
     if u.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got {u.shape}")
-    defect = linalg.unitarity_defect(u)
+    defect = unitarity_defect(u)
     if not defect <= UNITARITY_TOL:  # NaN fails too
         raise ValueError(f"input is not unitary (defect {defect:.3e})")
     return KrausPair(m_up=u[:2, :2].copy(), m_down=u[2:, :2].copy())
@@ -185,9 +253,17 @@ def cycle_kraus(sys: SystemParams, seq: SequenceParams) -> KrausPair:
     return kraus(propagate(sys, render_unit(sys, seq)))
 
 
+def _channels(m: np.ndarray) -> np.ndarray:
+    """Transfer matrices (k, 4, 4) on row-major vec(rho) of stacked Kraus pairs
+    m (k, 2, 2, 2), m[:, 0] the up and m[:, 1] the down operator:
+    kron2(m_up, m_up.conj()) + kron2(m_down, m_down.conj()) for each."""
+    terms = m[:, :, :, None, :, None] * m.conj()[:, :, None, :, None, :]
+    return (terms[:, 0] + terms[:, 1]).reshape(-1, 4, 4)
+
+
 def _superop(k: KrausPair) -> np.ndarray:
     """Channel as a 4x4 matrix on row-major vec(rho)."""
-    return kron2(k.m_up, k.m_up.conj()) + kron2(k.m_down, k.m_down.conj())
+    return _channels(np.stack([k.m_up, k.m_down])[None])[0]
 
 
 _READOUT = np.array([[1, 0, 0, -1]], dtype=complex)  # <2 I_z> read-out of vec(rho)
@@ -269,15 +345,30 @@ def _weighted_modes(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _spectrum(k: KrausPair) -> tuple[float, float, float]:
     """(P_s, lambda, sum of |w_k| over the moving modes) of one channel; see steady_state."""
     mu, weights = _weighted_modes(_superop(k)[None])
-    return _spectral_summary(mu[0], weights[0])
+    return tuple(column[0] for column in _spectral_summary(mu, weights))
 
 
-def _spectral_summary(mu: np.ndarray, weights: np.ndarray) -> tuple[float, float, float]:
-    """_spectrum from the weighted modes."""
+def _spectral_summary(mu: np.ndarray, weights: np.ndarray) -> tuple[list, list, list]:
+    """_spectrum of each stacked point from its weighted modes (k, 4): lists of floats.
+
+    P_s and the spread keep the bytes of the per-point sums
+    weights[steady].sum().real and np.abs(weights[moving]).sum().  numpy
+    adds fewer than eight floats in order from +0, and a running sum from +0
+    is never -0, so adding +0 in place of the entries left out changes
+    nothing.  Four complex entries it adds as (w0 + w1) + (w2 + w3).
+    """
     steady = np.abs(mu - 1.0) <= UNITARITY_TOL
-    moving = ~steady & (np.abs(weights) > UNITARITY_TOL)
-    lam = float(np.max(np.abs(mu[moving]))) if moving.any() else 1.0
-    return float(weights[steady].sum().real), lam, float(np.abs(weights[moving]).sum())
+    size = np.abs(weights)
+    moving = ~steady & (size > UNITARITY_TOL)
+    lam = np.where(moving, np.abs(mu), -np.inf).max(axis=1)
+    lam = np.where(moving.any(axis=1), lam, 1.0)
+    w = np.where(steady, weights.real, 0.0)
+    p_s = w.sum(axis=1)
+    full = steady.all(axis=1)
+    if full.any():
+        p_s[full] = 0.0 + ((w[full, 0] + w[full, 1]) + (w[full, 2] + w[full, 3]))
+    spread = np.where(moving, size, 0.0).sum(axis=1)
+    return p_s.tolist(), lam.tolist(), spread.tolist()
 
 
 def steady_state(k: KrausPair) -> tuple[float, float]:
@@ -455,9 +546,13 @@ def evaluate_exact(sys: SystemParams, seq: SequenceParams,
     reach 1 - 1/e of P_s within MAX_RATE_CYCLES, or when with_rate is off.
     `cache` is handed to `propagate`: one dict shared by the points of a
     sweep lets them reuse each other's segment and block propagators.
-    This is evaluate_exact_batch on a batch of one; its ValueError is raised.
+    After propagate, this is the tail of evaluate_exact_batch on a stack of
+    one, with the same bytes; its ValueError is raised.
     """
-    (result,) = _evaluate_chunk([(sys, seq)], use_nominal_duration, with_rate, cache)
+    timeline = render_unit(sys, seq)
+    u = propagate(sys, timeline, cache)
+    t_cycle = timeline.nominal_T if use_nominal_duration else timeline.actual_T
+    (result,) = _solve(u[None], [t_cycle], with_rate)
     if isinstance(result, ValueError):
         raise result
     return result
@@ -469,15 +564,16 @@ def evaluate_exact_batch(points: Iterable[tuple[SystemParams, SequenceParams]],
     """evaluate_exact for each (system, sequence) pair of `points`, yielded in order.
 
     A point whose evaluation raises ValueError (a sequence that cannot be
-    rendered, a propagator that overflows to a non-unitary matrix) yields
-    that error in its place; the other points are unaffected.  Each point is
-    rendered, propagated through the shared `cache` and checked for
-    unitarity on its own, in order, so the memo evolves as it would under
-    one evaluate_exact call per point.  `points` is read BATCH_SIZE at a
-    time, so memory does not grow with their number: the chunk's transfer
-    matrices share one stacked eig and solve for their modes, and
-    _rate_cycles reads their first blocks across the stack.  The results
-    are those of evaluate_exact, byte for byte.
+    rendered, a generator whose eigh fails, a propagator that overflows to a
+    non-unitary matrix) yields that error in its place; the other points are
+    unaffected: when the stacked walk raises, each point is walked alone.
+    `points` is read BATCH_SIZE at a time, so memory does not grow with
+    their number.
+    A chunk's points are rendered one by one, then walked as one stack
+    through the shared `cache` (see _walk), and the stacked propagators
+    share one unitarity check, one stacked eig and solve for their modes,
+    and _rate_cycles' read-out of their first blocks.  The results are
+    those of evaluate_exact, byte for byte.
     """
     points = iter(points)
     while chunk := list(itertools.islice(points, BATCH_SIZE)):
@@ -488,33 +584,59 @@ def _evaluate_chunk(points: list, use_nominal_duration: bool, with_rate: bool,
                     cache: dict | None) -> list[ExactResult | ValueError]:
     """evaluate_exact_batch on one chunk of at most BATCH_SIZE points, as a list."""
     results: list = [None] * len(points)
-    solved, transfers, t_cycles = [], [], []
+    roots, t_cycles = {}, {}  # by point index, for the points that render
     for i, (sys, seq) in enumerate(points):
         try:
             timeline = render_unit(sys, seq)
-            pair = kraus(propagate(sys, timeline, cache))
         except ValueError as err:
             results[i] = err
             continue
-        solved.append(i)
-        transfers.append(_superop(pair))
-        t_cycles.append(timeline.nominal_T if use_nominal_duration else timeline.actual_T)
+        roots[i] = (sys, timeline.structure)
+        t_cycles[i] = timeline.nominal_T if use_nominal_duration else timeline.actual_T
+    try:
+        u = dict(zip(roots, _walk(list(roots.values()), cache)))
+    except ValueError:  # a generator eigh cannot factor stops the stack: walk each point alone
+        u = {}
+        for i, root in roots.items():
+            try:
+                (u[i],) = _walk([root], cache)
+            except ValueError as err:
+                results[i] = err
+    if u:
+        solved = _solve(np.array(list(u.values())), [t_cycles[i] for i in u], with_rate)
+        for i, result in zip(u, solved):
+            results[i] = result
+    return results
+
+
+def _solve(u: np.ndarray, t_cycles: list[float], with_rate: bool) -> list[ExactResult | ValueError]:
+    """ExactResult of each stacked cycle propagator u (k, 4, 4), or the ValueError
+    kraus raises on it, from one stacked unitarity check, transfer matrix and
+    mode solve; t_cycles are the points' cycle durations."""
+    defects = unitarity_defect(u)
+    results: list = [None if d <= UNITARITY_TOL else  # NaN fails too
+                     ValueError(f"input is not unitary (defect {d:.3e})") for d in defects]
+    solved = [i for i, r in enumerate(results) if r is None]
     if not solved:
         return results
-    t = np.array(transfers)
+    if len(solved) < len(u):
+        u = u[solved]
+    t = _channels(u[:, :, :2].reshape(-1, 2, 2, 2))  # first block column: the Kraus pairs
     mu, weights = _weighted_modes(t)
-    summaries = [_spectral_summary(m, w) for m, w in zip(mu, weights)]
-    rated = [j for j, (p_s, _, _) in enumerate(summaries) if with_rate and abs(p_s) > 1e-6]
+    p_s, lam, spread = _spectral_summary(mu, weights)
+    rated = [j for j, p in enumerate(p_s) if with_rate and abs(p) > 1e-6]
     cycles: list[float | None] = [None] * len(solved)
     if rated:
         if len(rated) < len(solved):
             t, mu, weights = t[rated], mu[rated], weights[rated]
-        p_s = np.array([summaries[j][0] for j in rated])
-        n = np.array([_series_length(*summaries[j]) for j in rated])
-        for j, c in zip(rated, _rate_cycles(t, mu, weights, p_s, n)):
+        n = np.array([_series_length(p_s[j], lam[j], spread[j]) for j in rated])
+        found = _rate_cycles(t, mu, weights, np.array([p_s[j] for j in rated]), n)
+        for j, c in zip(rated, found):
             cycles[j] = c
-    for i, (p_s, lam, _), c, t_cycle in zip(solved, summaries, cycles, t_cycles):
-        gamma = None if c is None else 1.0 / (c * t_cycle)
+    for j, i in enumerate(solved):
+        t_cycle = t_cycles[i]
+        gamma = None if cycles[j] is None else 1.0 / (cycles[j] * t_cycle)
         n_s = None if gamma is None else 1.0 / (gamma * t_cycle)
-        results[i] = ExactResult(p_s=p_s, lambda_est=lam, gamma=gamma, n_s=n_s, t_cycle=t_cycle)
+        results[i] = ExactResult(p_s=p_s[j], lambda_est=lam[j], gamma=gamma, n_s=n_s,
+                                 t_cycle=t_cycle)
     return results

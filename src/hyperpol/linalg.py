@@ -12,7 +12,12 @@ without any step-size tuning.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
+
+if TYPE_CHECKING:
+    from numpy.typing import ArrayLike
 
 HERMITICITY_TOL = 1e-12
 
@@ -51,10 +56,13 @@ def hermiticity_defect(h: np.ndarray) -> float:
     return float(np.max(np.abs(h - h.conj().T)))
 
 
-def unitarity_defect(u: np.ndarray) -> float:
-    """Max entry magnitude of U^dagger U - 1."""
-    u = _as_square(u)
-    return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
+def unitarity_defect(u: np.ndarray) -> float | np.ndarray:
+    """Max entry magnitude of U^dagger U - 1; for a stack (k, n, n), one per matrix (k,)."""
+    u = np.asarray(u, dtype=complex)
+    if u.ndim not in (2, 3) or u.shape[-1] != u.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {u.shape}")
+    defect = np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(u.shape[-1])).max(axis=(-2, -1))
+    return float(defect) if u.ndim == 2 else defect
 
 
 def operator_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -62,18 +70,26 @@ def operator_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(np.asarray(a) - np.asarray(b))))
 
 
-def hermitian_expm(h: np.ndarray, t: float = 1.0) -> np.ndarray:
+def hermitian_expm(h: np.ndarray, t: ArrayLike = 1.0) -> np.ndarray:
     """Unitary exp(-i H t) for a Hermitian generator H.
 
-    Raises ValueError if H is not Hermitian within HERMITICITY_TOL.
-    Exact identity for t = 0.
+    t may be an array of durations: the result then stacks one propagator
+    per duration (shape t.shape + H.shape) from a single eigh of H, each
+    with the bytes of its own scalar call.  Raises ValueError if H is not
+    Hermitian within HERMITICITY_TOL.  Exact identity where t = 0.
     """
     h = _as_square(h)
     defect = hermiticity_defect(h)
     if defect > HERMITICITY_TOL:
         raise ValueError(f"generator is not Hermitian (defect {defect:.3e})")
-    if t == 0.0:
-        return np.eye(h.shape[0], dtype=complex)
+    t = np.asarray(t, dtype=float)
+    still = t == 0.0
+    zeros = np.count_nonzero(still)
+    if zeros == t.size:
+        return np.broadcast_to(np.eye(h.shape[0], dtype=complex), t.shape + h.shape).copy()
     # eigh of the Hermitian part keeps the factorization exactly unitary
     w, v = np.linalg.eigh((h + h.conj().T) / 2)
-    return (v * np.exp(-1j * w * t)) @ v.conj().T
+    u = (v * np.exp(-1j * w * t[..., None])[..., None, :]) @ v.conj().T
+    if zeros:
+        u[still] = np.eye(h.shape[0])
+    return u

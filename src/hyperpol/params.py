@@ -39,6 +39,11 @@ class SystemParams:
             raise ValueError(f"omega must be positive, got {self.omega}")
         if self.a_perp < 0:
             raise ValueError(f"a_perp must be nonnegative, got {self.a_perp}")
+        # frozen, so the hash is computed once: every propagator memo key holds one
+        object.__setattr__(self, "_hash", hash((self.omega, self.a_perp, self.a_z)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def to_dict(self) -> dict:
         return {"omega": self.omega, "a_perp": self.a_perp, "a_z": self.a_z}

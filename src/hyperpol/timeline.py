@@ -48,6 +48,16 @@ class Segment:
     axis: str | None = None   # pulse only: one of +x, -x, +y, -y
     angle: float | None = None  # pulse only: pi or pi/2
 
+    # frozen, so the hash is computed once: memo lookups hash whole trees
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.kind, self.duration, self.axis, self.angle)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):  # rebuild, so the hash is taken again in the new process
+        return Segment, (self.kind, self.duration, self.axis, self.angle)
+
 
 @dataclass(frozen=True)
 class Repeat:
@@ -55,6 +65,15 @@ class Repeat:
 
     body: tuple[Segment | Repeat, ...]
     count: int = 1
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.body, self.count)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return Repeat, (self.body, self.count)
 
     def flatten(self) -> tuple[Segment, ...]:
         once: list[Segment] = []

@@ -27,8 +27,8 @@ from hyperpol.engine import (
     simulate,
     steady_state,
 )
-from hyperpol.engine import (_modes, _rate_cycles, _series_length, _spectrum, _superop,
-                             _weighted_modes)
+from hyperpol.engine import (_modes, _rate_cycles, _series_length, _spectral_summary, _spectrum,
+                             _superop, _weighted_modes)
 from hyperpol.linalg import ID2, ID4, SX, SZ, hermitian_expm, operator_distance, unitarity_defect
 from hyperpol.params import SequenceParams, SystemParams
 from hyperpol.timeline import FREE_NUCLEAR, Repeat, Segment, Timeline, render_unit
@@ -90,7 +90,7 @@ def flat_product(sys_p, tl):
     u = ID4.copy()
     for seg in tl.segments:
         if seg not in cache:
-            cache[seg] = segment_propagator(sys_p, seg)
+            (cache[seg],) = segment_propagator(sys_p, [seg])
         u = cache[seg] @ u
     return u
 
@@ -329,6 +329,37 @@ def test_spectral_fixed_point_and_contraction(seed):
         n = min(int(math.log(1e-6) / math.log(lam)) + 2, 2 ** 21)
         tail = np.abs(simulate(pair, mixed_state(), n).values[-2:] - p_s)
         assert tail[1] / tail[0] == pytest.approx(lam, abs=1e-6)
+
+
+def test_stacked_spectral_summary_keeps_the_bytes_of_each_point():
+    # per row, the sums _spectral_summary stands for; signed zeros and rows whose
+    # four modes are all steady change how numpy associates them
+    rng = np.random.default_rng(11)
+    zeros = np.array([complex(-0.0, -0.0), complex(0.0, -0.0), complex(-0.0, 0.0), 0j])
+    for _ in range(200):
+        k = int(rng.integers(1, 70))
+        weights = ((rng.normal(size=(k, 4)) + 1j * rng.normal(size=(k, 4)))
+                   * 10.0 ** rng.uniform(-14, 2, size=(k, 4)))
+        blank = rng.random((k, 4)) < 0.25
+        weights[blank] = zeros[rng.integers(4, size=blank.sum())]
+        mu = (rng.normal(size=(k, 4)) + 1j * rng.normal(size=(k, 4))) / 2
+        steady = rng.random((k, 4)) < rng.uniform(0, 1)
+        mu[steady] = 1.0 + (rng.random(steady.sum()) - 0.5) * 1e-10
+        # and rows of -0 weights: all four modes steady, one steady, none
+        mu[0], weights[0] = 1.0, complex(-0.0, -0.0)
+        if k > 2:
+            mu[1], weights[1] = [1.0, 0.5, 0.5j, -0.5], complex(-0.0, -0.0)
+            mu[2], weights[2] = 0.5, -0.0
+        p_s, lam, spread = _spectral_summary(mu, weights)
+        for i in range(k):
+            still = np.abs(mu[i] - 1.0) <= UNITARITY_TOL
+            moving = ~still & (np.abs(weights[i]) > UNITARITY_TOL)
+            expected = (float(weights[i][still].sum().real),
+                        float(np.max(np.abs(mu[i][moving]))) if moving.any() else 1.0,
+                        float(np.abs(weights[i][moving]).sum()))
+            got = (p_s[i], lam[i], spread[i])
+            assert [np.float64(v).tobytes() for v in got] == [
+                np.float64(v).tobytes() for v in expected]
 
 
 README_BASE = SequenceParams(n_p=1, tau=2 * math.pi, t_s=1.5 * math.pi, t_w=1.5 * math.pi,

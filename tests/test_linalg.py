@@ -84,9 +84,47 @@ def test_expm_rejects_non_hermitian():
         hermitian_expm(bad, 1.0)
 
 
+@pytest.mark.parametrize("dim", [2, 4])
+def test_expm_over_a_vector_of_durations_matches_each_call(dim):
+    rng = np.random.default_rng(dim)
+    for _ in range(50):
+        g = random_hermitian(rng, dim) * 10.0 ** rng.uniform(-2, 2)
+        t = rng.normal(size=9) * 10.0 ** rng.uniform(-3, 3, size=9)
+        t[[2, 5]] = 0.0, -0.0
+        stacked = hermitian_expm(g, t)
+        assert stacked.shape == (9, dim, dim)
+        for ti, u in zip(t, stacked):
+            assert u.tobytes() == hermitian_expm(g, float(ti)).tobytes()
+        identity = np.eye(dim, dtype=complex).tobytes()
+        assert stacked[2].tobytes() == stacked[5].tobytes() == identity
+
+
+def test_expm_over_zero_durations_is_a_stack_of_identities():
+    g = random_hermitian(np.random.default_rng(0), 4)
+    assert np.array_equal(hermitian_expm(g, [0.0, -0.0, 0.0]), np.stack([ID4] * 3))
+
+
+def test_expm_over_durations_rejects_non_hermitian():
+    bad = np.array([[0, 1], [0, 0]], dtype=complex)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        hermitian_expm(bad, [0.0, 1.0])
+
+
 def test_unitarity_defect_values():
     assert unitarity_defect(ID4) == 0.0
     assert unitarity_defect(np.diag([1, 1, 1, 2.0])) == pytest.approx(3.0)
+
+
+def test_unitarity_defect_over_a_stack_matches_each_matrix():
+    rng = np.random.default_rng(5)
+    stack = np.array([hermitian_expm(random_hermitian(rng, 4), 0.3) for _ in range(5)]
+                     + [np.diag([1, 1, 1, 2.0]), np.full((4, 4), np.nan)])
+    defects = unitarity_defect(stack)
+    assert defects.shape == (7,)
+    assert [d.tobytes() for d in defects] == [np.float64(unitarity_defect(u)).tobytes()
+                                              for u in stack]
+    with pytest.raises(ValueError, match="square"):
+        unitarity_defect(np.zeros((2, 4, 3)))
 
 
 @given(st.integers(0, 2 ** 31 - 1), st.sampled_from([2, 4]),

@@ -4,6 +4,7 @@ import itertools
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from hyperpol import analytic, engine, sweep
@@ -294,18 +295,20 @@ def without_reuse(monkeypatch):
     """Make every point of a sweep, scan or search start from an empty propagator memo."""
     monkeypatch.setattr(sweep, "evaluate_exact",
                         lambda sys_p, seq_p, cache=None: evaluate_exact(sys_p, seq_p))
-    # without a memo, the batch hands each point's propagate a fresh one
+    # the batch walks a chunk's points as one stack: run each point as a batch of one
     monkeypatch.setattr(sweep, "evaluate_exact_batch",
-                        lambda points, cache=None: evaluate_exact_batch(points))
+                        lambda points, cache=None: itertools.chain.from_iterable(
+                            evaluate_exact_batch([p]) for p in points))
 
 
 def count_segment_propagators(monkeypatch) -> list:
+    """The segments exponentiated, one entry per segment of each grouped call."""
     calls = []
     original = engine.segment_propagator
 
-    def counted(sys_p, seg):
-        calls.append(seg)
-        return original(sys_p, seg)
+    def counted(sys_p, segments):
+        calls.extend(segments)
+        return original(sys_p, segments)
 
     monkeypatch.setattr(engine, "segment_propagator", counted)
     return calls
@@ -430,6 +433,96 @@ def test_batched_sweep_matches_each_point_alone(monkeypatch, batch_size):
     # crossings on seven doubling levels of the first block, up to cycle 849 of the last
     levels = {round(v).bit_length() for v in n_s.values() if v is not None and v < 1024}
     assert levels == {1, 2, 3, 4, 5, 6, 7, 10}
+
+
+def each_point_alone(spec: SweepSpec) -> ResultTable:
+    """The exact rows of the spec's grid, each point evaluated alone, without a memo."""
+    names = tuple(a.name for a in spec.axes)
+    rows = []
+    for combo in itertools.product(*(a.values() for a in spec.axes)):
+        values = tuple(map(float, combo))
+        row = (values[0], values[1], "exact")
+        try:
+            res = evaluate_exact(*apply_point(spec.base_system, spec.base_sequence, names, values))
+        except ValueError as err:
+            rows.append(row + (None, None, None, f"failed: {err}"))
+            continue
+        status = "ok" if res.gamma is not None else "below-threshold"
+        rows.append(row + (res.p_s, res.lambda_est, res.gamma, status))
+    return ResultTable(spec.header(), ("axis1", "axis2", "engine", "P_s", "lambda", "gamma",
+                                       "status"), rows)
+
+
+def tree_nodes(node):
+    yield node
+    for part in getattr(node, "body", ()):
+        yield from tree_nodes(part)
+
+
+ZERO_WAITS = SequenceParams(n_p=2, tau=2 * math.pi, n_r=3)
+# one grid per case, each an exact rate sweep that fits in one chunk
+STACKED_GRIDS = {
+    # cells and cycles of several counts in one stack
+    "n_p x n_r": ((Axis("n_p", 1, 4, 4), Axis("n_r", 1, 8, 8)), README_T_S_06),
+    # zero-duration waits and free halves, zero-width and finite pulses
+    "t_s x tau_pi": ((Axis("t_s", 0.0, math.pi, 3), Axis("tau_pi", 0.0, 2 * math.pi, 3)),
+                     ZERO_WAITS),
+    # every point differs in every node: more distinct nodes than the memo holds
+    "tau x omega": ((Axis("tau", 1.5 * math.pi, 2.5 * math.pi, 8), Axis("omega", 0.8, 1.2, 8)),
+                    README_T_S_06),
+    # omega * t overflows: exp(-i inf) makes a NaN unitarity defect
+    "omega x a_perp": ((Axis("omega", 1.0, 1e300, 3), Axis("a_perp", 0.0, 0.1, 2)),
+                       SequenceParams(n_p=1, tau=1e10)),
+    "a_z x t_w": ((Axis("a_z", -0.05, 0.05, 3), Axis("t_w", 0.0, 2 * math.pi, 5)),
+                  README_T_S_06),
+    "t_c x a_perp": ((Axis("t_c", 0.0, 2 * math.pi, 5), Axis("a_perp", 0.02, 0.1, 3)),
+                     README_T_S_06),
+}
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+@pytest.mark.parametrize("case", STACKED_GRIDS)
+def test_stacked_walk_matches_each_point_alone(case):
+    axes, base = STACKED_GRIDS[case]
+    spec = spec_for(axes, engine="exact", target="rate", base_seq=base)
+    table = run_sweep(spec)
+    expected = each_point_alone(spec)
+    assert table.rows == expected.rows
+    want, got = io.StringIO(), io.StringIO()
+    expected.to_csv(want)
+    table.to_csv(got)
+    assert got.getvalue() == want.getvalue()
+
+    statuses = [row[6] for row in table.rows]
+    assert len(statuses) <= engine.BATCH_SIZE
+    if case == "tau x omega":
+        points = [apply_point(SYS, base, ("tau", "omega"), v)
+                  for v in itertools.product(*(a.values() for a in axes))]
+        below_roots = {(p[0], n) for p in points
+                       for n in itertools.islice(tree_nodes(render_unit(*p).structure), 1, None)}
+        assert len(below_roots) > engine.MEMO_LIMIT
+    if case == "omega x a_perp":
+        assert statuses.count("failed: input is not unitary (defect nan)") == 4
+    if case == "t_s x tau_pi":  # at tau_pi = tau the free halves of the cells last 0 too
+        assert not any(s.startswith("failed") for s in statuses)
+
+
+def test_a_generator_eigh_cannot_factor_fails_only_its_points(monkeypatch):
+    # no physical input is known to make eigh raise, so one omega's generators are made to
+    original = engine.hermitian_expm
+
+    def failing(h, t=1.0):
+        if h[0, 0].real == 0.6:  # omega / 2 of the hyperfine and nuclear Hamiltonians at 1.2
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return original(h, t)
+
+    monkeypatch.setattr(engine, "hermitian_expm", failing)
+    axes = (Axis("omega", 0.8, 1.2, 3), Axis("t_s", 0.0, 2 * math.pi, 5))
+    spec = spec_for(axes, engine="exact", target="rate", base_seq=README_T_S_06)
+    table = run_sweep(spec)
+    assert table.rows == each_point_alone(spec).rows
+    statuses = [row[6] for row in table.rows]
+    assert statuses == ["ok"] * 10 + ["failed: Eigenvalues did not converge"] * 5
 
 
 def test_find_tau_res_refuses_a_grid_past_the_limit_before_building_it():
