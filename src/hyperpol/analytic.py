@@ -1,10 +1,10 @@
 """Closed-form predictions for the sequential polarization protocol.
 
-Contains the DD pulse-shape function and its filter integrals, the timing
-phases, the transfer strength alpha, the approximate per-cycle Kraus pair,
-the steady polarization, the per-cycle contraction factor lambda, the
-polarization rate and its weak-coupling approximation, and the frequency
-window / sideband predictions.
+Contains the DD filter function F, the repetition synchronization factor,
+the timing phases, the transfer strength alpha, the approximate per-cycle
+Kraus pair, the steady polarization, the per-cycle contraction factor
+lambda, the polarization rate and its weak-coupling approximation, and the
+frequency window / sideband predictions.
 
 Two removable singularities are handled explicitly because the optimal
 working points sit exactly on them: the filter F at cos(omega tau/2) = 0
@@ -26,61 +26,8 @@ SINGULAR_EPS = 1e-6
 
 
 # ---------------------------------------------------------------------------
-# DD pulse-shape function and filter integrals
+# DD filter and repetition factor
 # ---------------------------------------------------------------------------
-
-def f_dd(t: float, n_p: int, tau: float) -> int:
-    """Pulse-shape sign (+1/-1) of an n_p-pulse DD block at time t.
-
-    +1 on [0, tau/2), (-1)^k on [(2k-1) tau/2, (2k+1) tau/2) and
-    (-1)^n_p on the trailing half interval.
-    """
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    if t < 0 or t > n_p * tau:
-        raise ValueError(f"t={t} outside [0, {n_p * tau}]")
-    k = min(math.floor(t / tau + 0.5), n_p)
-    return -1 if k % 2 else 1
-
-
-def _piece_edges(n_p: int, tau: float) -> np.ndarray:
-    inner = [(2 * k - 1) * tau / 2 for k in range(1, n_p + 1)]
-    return np.array([0.0, *inner, n_p * tau])
-
-
-def dd_integral_oracle(omega: float, n_p: int, tau: float,
-                       method: str = "quad") -> tuple[float, float]:
-    """Integrals of f_DD(t) cos(omega t) and f_DD(t) sin(omega t) over the block.
-
-    method="quad" sums adaptive quadrature over the constant-sign pieces
-    (the independent oracle); method="closed" evaluates the closed forms
-    built from the filter function.
-    """
-    if omega <= 0:
-        raise ValueError("omega must be positive")
-    if tau == 0:
-        return 0.0, 0.0
-    if method == "closed":
-        f = filter_f(omega, n_p, tau)
-        x = n_p * omega * tau / 2
-        if n_p % 2:
-            return f * math.sin(x), -f * math.cos(x)
-        return f * math.cos(x), f * math.sin(x)
-    if method != "quad":
-        raise ValueError(f"unknown method {method!r}")
-    from scipy.integrate import quad  # imported here: it costs more than the rest of hyperpol
-
-    edges = _piece_edges(n_p, tau)
-    cos_int = 0.0
-    sin_int = 0.0
-    for k, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
-        sign = -1 if min(k, n_p) % 2 else 1
-        c, _ = quad(lambda t: math.cos(omega * t), a, b, limit=200)
-        s, _ = quad(lambda t: math.sin(omega * t), a, b, limit=200)
-        cos_int += sign * c
-        sin_int += sign * s
-    return cos_int, sin_int
-
 
 def filter_f(omega: float, n_p: int, tau: float) -> float:
     """Resonance filter F of an n_p-pulse DD block.
@@ -138,7 +85,10 @@ def phases(sys: SystemParams, seq: SequenceParams) -> PhaseBundle:
     w = sys.omega
     phi0 = w * (seq.t_s + seq.n_p * seq.tau)
     phi1 = w * (seq.t_s + seq.t_w + 2 * seq.n_p * seq.tau)
-    phi_big = w * seq.rep_duration()
+    t_rep = seq.rep_duration()
+    phi_big = w * t_rep
+    if not math.isfinite(phi_big):
+        raise ValueError(f"timing phase omega*T overflows (omega={w!r}, T={t_rep!r})")
     phi = (((-1) ** seq.n_p + 1) / 2 * math.pi - phi0) % (2 * math.pi)
     return PhaseBundle(phi0=phi0, phi1=phi1, phi_big=phi_big, phi=phi,
                        theta=phi / 2 + math.pi / 4)
@@ -258,8 +208,8 @@ class AnalyticSummary:
 
 
 def summarize(sys: SystemParams, seq: SequenceParams) -> AnalyticSummary:
+    f = filter_f(sys.omega, seq.n_p, seq.tau)  # first: its overflow names omega*tau
     p = phases(sys, seq)
-    f = filter_f(sys.omega, seq.n_p, seq.tau)
     d = dirichlet_ratio(seq.n_r, p.phi_big)
     a = 2 * sys.a_perp * d * math.sin(p.phi1 / 2) * f
     lam = lambda_analytic(a, p.theta)

@@ -29,7 +29,8 @@ first blocks are read level by level across the stack, each point leaving
 it at the level that holds its crossing.  A point with no crossing in its
 first block searches the later blocks alone.  `evaluate_exact` propagates
 its point through `propagate` and shares the rest with the batch, with the
-same bytes.
+same bytes.  Sweeps and every step of the resonant-interval search go
+through the batch; only robustness scans still go one point at a time.
 """
 
 from __future__ import annotations
@@ -104,11 +105,6 @@ def mixed_state() -> np.ndarray:
 
 
 _MIXED = mixed_state().reshape(4)  # vec(rho) of the mixed start
-
-
-def polarization(rho: np.ndarray) -> float:
-    """<2 I_z> = rho_uu - rho_dd."""
-    return float(np.real(rho[0, 0] - rho[1, 1]))
 
 
 def hyperfine_hamiltonian(sys: SystemParams) -> np.ndarray:
@@ -559,9 +555,9 @@ def evaluate_exact(sys: SystemParams, seq: SequenceParams,
 
 
 def evaluate_exact_batch(points: Iterable[tuple[SystemParams, SequenceParams]],
-                         use_nominal_duration: bool = False, with_rate: bool = True,
                          cache: dict | None = None) -> Iterator[ExactResult | ValueError]:
-    """evaluate_exact for each (system, sequence) pair of `points`, yielded in order.
+    """evaluate_exact (with its defaults) for each (system, sequence) pair of
+    `points`, yielded in order.
 
     A point whose evaluation raises ValueError (a sequence that cannot be
     rendered, a generator whose eigh fails, a propagator that overflows to a
@@ -577,11 +573,10 @@ def evaluate_exact_batch(points: Iterable[tuple[SystemParams, SequenceParams]],
     """
     points = iter(points)
     while chunk := list(itertools.islice(points, BATCH_SIZE)):
-        yield from _evaluate_chunk(chunk, use_nominal_duration, with_rate, cache)
+        yield from _evaluate_chunk(chunk, cache)
 
 
-def _evaluate_chunk(points: list, use_nominal_duration: bool, with_rate: bool,
-                    cache: dict | None) -> list[ExactResult | ValueError]:
+def _evaluate_chunk(points: list, cache: dict | None) -> list[ExactResult | ValueError]:
     """evaluate_exact_batch on one chunk of at most BATCH_SIZE points, as a list."""
     results: list = [None] * len(points)
     roots, t_cycles = {}, {}  # by point index, for the points that render
@@ -592,7 +587,7 @@ def _evaluate_chunk(points: list, use_nominal_duration: bool, with_rate: bool,
             results[i] = err
             continue
         roots[i] = (sys, timeline.structure)
-        t_cycles[i] = timeline.nominal_T if use_nominal_duration else timeline.actual_T
+        t_cycles[i] = timeline.actual_T
     try:
         u = dict(zip(roots, _walk(list(roots.values()), cache)))
     except ValueError:  # a generator eigh cannot factor stops the stack: walk each point alone
@@ -603,13 +598,14 @@ def _evaluate_chunk(points: list, use_nominal_duration: bool, with_rate: bool,
             except ValueError as err:
                 results[i] = err
     if u:
-        solved = _solve(np.array(list(u.values())), [t_cycles[i] for i in u], with_rate)
+        solved = _solve(np.array(list(u.values())), [t_cycles[i] for i in u])
         for i, result in zip(u, solved):
             results[i] = result
     return results
 
 
-def _solve(u: np.ndarray, t_cycles: list[float], with_rate: bool) -> list[ExactResult | ValueError]:
+def _solve(u: np.ndarray, t_cycles: list[float],
+           with_rate: bool = True) -> list[ExactResult | ValueError]:
     """ExactResult of each stacked cycle propagator u (k, 4, 4), or the ValueError
     kraus raises on it, from one stacked unitarity check, transfer matrix and
     mode solve; t_cycles are the points' cycle durations."""

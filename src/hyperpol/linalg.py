@@ -65,11 +65,6 @@ def unitarity_defect(u: np.ndarray) -> float | np.ndarray:
     return float(defect) if u.ndim == 2 else defect
 
 
-def operator_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Max entry magnitude of A - B (used for oracle comparisons)."""
-    return float(np.max(np.abs(np.asarray(a) - np.asarray(b))))
-
-
 def hermitian_expm(h: np.ndarray, t: ArrayLike = 1.0) -> np.ndarray:
     """Unitary exp(-i H t) for a Hermitian generator H.
 

@@ -60,10 +60,11 @@ class SequenceParams:
     pulses.
 
     `violations` is the one rule for a runnable sequence: counts >= 1, finite
-    nonnegative times (tau_pi included) and, for finite pulses,
-    tau >= tau_pi (each pi pulse fits inside its cell).  Construction does
-    not check, so the closed forms can be evaluated anywhere; rendering,
-    sweep points and the command line refuse a sequence with violations.
+    nonnegative times (tau_pi included), for finite pulses tau >= tau_pi
+    (each pi pulse fits inside its cell), and a finite cycle duration.
+    Construction does not check, so the closed forms can be evaluated
+    anywhere; rendering, sweep points and the command line refuse a
+    sequence with violations.
     """
 
     n_p: int
@@ -89,6 +90,12 @@ class SequenceParams:
         if self.tau_pi > 0 and self.tau < self.tau_pi:
             problems.append(f"tau {self.tau} shorter than the pi-pulse duration "
                             f"tau_pi {self.tau_pi}")
+        if not problems:
+            # finite times can still add up to more than a float holds
+            cycle = self.n_r * self.rep_duration() + self.n_r * 4 * self.tau_pi
+            if not math.isfinite(cycle):
+                problems.append(f"cycle duration n_r (2 t_s + t_w + 4 n_p tau + t_c "
+                                f"+ 4 tau_pi) not finite: {cycle}")
         return problems
 
     def rep_duration(self) -> float:

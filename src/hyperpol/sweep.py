@@ -4,8 +4,9 @@ A sweep writes its grid points in row-major axis order, with the engines
 of each point in a fixed order, so the same spec always writes the same
 bytes.  The exact engine solves a sweep's valid points, and the grid of
 the resonant-interval search, as one batch (`engine.evaluate_exact_batch`),
-whose results are those of evaluating each point alone; robustness scans
-and the golden-section steps of the search evaluate one point at a time.
+whose results are those of evaluating each point alone; each golden-section
+step of the search is a batch of one.  Only robustness scans still go one
+point at a time.
 """
 
 from __future__ import annotations
@@ -215,18 +216,11 @@ def run_sweep(spec: SweepSpec) -> ResultTable:
     return table
 
 
-def _rate_for_tau(sys: SystemParams, seq: SequenceParams, tau: float,
-                  tau_pi: float, cache: dict) -> float | None:
-    try:
-        point = apply_point(sys, seq, ("tau", "tau_pi"), (tau, tau_pi))
-        return evaluate_exact(*point, cache=cache).gamma
-    except ValueError:
-        return None
-
-
 def _rates_on_grid(sys: SystemParams, seq: SequenceParams, taus: list[float],
                    tau_pi: float, cache: dict) -> list[float | None]:
-    """_rate_for_tau at every grid tau, the valid points solved as one batch."""
+    """The exact rate at each tau (with tau_pi), or None where the point is
+    invalid, cannot be evaluated or stays below threshold; the valid points
+    are solved as one batch through the shared memo `cache`."""
     points = []
     for tau in taus:
         try:
@@ -248,7 +242,8 @@ def find_tau_res(sys: SystemParams, seq: SequenceParams, tau_pi: float,
     The grid is centered on the resonance-restoring value
     tau - tau_pi/n_p (the ideal tau when tau_pi = 0), ties break toward
     smaller tau, and a golden-section pass refines the best grid point to
-    +-grid_step/10; both share one propagator memo.  The grid holds at most
+    +-grid_step/10, one batch of one point per step; both share one
+    propagator memo.  The grid holds at most
     MAX_TAU_GRID_POINTS points, solved as one batch.
     Raises ValueError for a negative tau_pi, a non-finite
     search_halfwidth / grid_step or a grid past that limit, and
@@ -278,7 +273,7 @@ def find_tau_res(sys: SystemParams, seq: SequenceParams, tau_pi: float,
 
     # one golden-section pass around the winning grid point
     def negated(t: float) -> float:
-        r = _rate_for_tau(sys, seq, t, tau_pi, cache)
+        (r,) = _rates_on_grid(sys, seq, [t], tau_pi, cache)
         return -r if r is not None else math.inf
 
     a, b = best_tau - grid_step, best_tau + grid_step

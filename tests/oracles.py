@@ -2,7 +2,9 @@
 
 The Trotter oracle rebuilds segment propagators from symmetric (Strang)
 splitting with closed-form Pauli-rotation factors only, so it shares no
-code path with the spectral exponentials under test.
+code path with the spectral exponentials under test.  The DD integral
+oracle integrates the pulse-shape function by adaptive quadrature (scipy,
+a test-only dependency) to check the closed-form filter F.
 """
 
 from __future__ import annotations
@@ -10,11 +12,79 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.integrate import quad
 
+from hyperpol.analytic import filter_f
 from hyperpol.params import SequenceParams, SystemParams
 from hyperpol.timeline import FREE_HYPERFINE, FREE_NUCLEAR, PULSE, Segment, Timeline
 
 ID2 = np.eye(2, dtype=complex)
+
+
+def operator_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Max entry magnitude of A - B (used for oracle comparisons)."""
+    return float(np.max(np.abs(np.asarray(a) - np.asarray(b))))
+
+
+# ---------------------------------------------------------------------------
+# DD pulse-shape function and filter integrals
+# ---------------------------------------------------------------------------
+
+def f_dd(t: float, n_p: int, tau: float) -> int:
+    """Pulse-shape sign (+1/-1) of an n_p-pulse DD block at time t.
+
+    +1 on [0, tau/2), (-1)^k on [(2k-1) tau/2, (2k+1) tau/2) and
+    (-1)^n_p on the trailing half interval.
+    """
+    if tau <= 0:
+        raise ValueError("tau must be positive")
+    if t < 0 or t > n_p * tau:
+        raise ValueError(f"t={t} outside [0, {n_p * tau}]")
+    k = min(math.floor(t / tau + 0.5), n_p)
+    return -1 if k % 2 else 1
+
+
+def _piece_edges(n_p: int, tau: float) -> np.ndarray:
+    inner = [(2 * k - 1) * tau / 2 for k in range(1, n_p + 1)]
+    return np.array([0.0, *inner, n_p * tau])
+
+
+def dd_integral_oracle(omega: float, n_p: int, tau: float,
+                       method: str = "quad") -> tuple[float, float]:
+    """Integrals of f_DD(t) cos(omega t) and f_DD(t) sin(omega t) over the block.
+
+    method="quad" sums adaptive quadrature over the constant-sign pieces
+    (the independent oracle); method="closed" evaluates the closed forms
+    built from the filter function.
+    """
+    if omega <= 0:
+        raise ValueError("omega must be positive")
+    if tau == 0:
+        return 0.0, 0.0
+    if method == "closed":
+        f = filter_f(omega, n_p, tau)
+        x = n_p * omega * tau / 2
+        if n_p % 2:
+            return f * math.sin(x), -f * math.cos(x)
+        return f * math.cos(x), f * math.sin(x)
+    if method != "quad":
+        raise ValueError(f"unknown method {method!r}")
+
+    edges = _piece_edges(n_p, tau)
+    cos_int = 0.0
+    sin_int = 0.0
+    for k, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
+        sign = -1 if min(k, n_p) % 2 else 1
+        c, _ = quad(lambda t: math.cos(omega * t), a, b, limit=200)
+        s, _ = quad(lambda t: math.sin(omega * t), a, b, limit=200)
+        cos_int += sign * c
+        sin_int += sign * s
+    return cos_int, sin_int
+
+
+# ---------------------------------------------------------------------------
+# Strang-splitting propagators
+# ---------------------------------------------------------------------------
 
 _AXIS_VECTORS = {
     "+x": (1.0, 0.0, 0.0),

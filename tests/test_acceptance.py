@@ -13,7 +13,6 @@ import pytest
 
 from hyperpol import analytic
 from hyperpol.analytic import (
-    dd_integral_oracle,
     dirichlet_ratio,
     filter_f,
     gamma_opt_approx,
@@ -22,12 +21,12 @@ from hyperpol.analytic import (
 )
 from hyperpol.catalog import finite_pulse_tau, magic_params
 from hyperpol.engine import cycle_kraus, evaluate_exact, mixed_state, simulate
-from hyperpol.linalg import operator_distance, unitarity_defect
+from hyperpol.linalg import unitarity_defect
 from hyperpol.params import SystemParams
 from hyperpol.sweep import find_tau_res
 from hyperpol.timeline import render_unit
 
-from oracles import random_params, trotter_propagate
+from oracles import dd_integral_oracle, operator_distance, random_params, trotter_propagate
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "table1.json").read_text())
 

@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 from hyperpol.analytic import (
     alpha,
     alpha_max,
-    dd_integral_oracle,
     dirichlet_ratio,
-    f_dd,
     filter_f,
     gamma_analytic,
     gamma_opt_approx,
@@ -24,6 +22,8 @@ from hyperpol.analytic import (
 )
 from hyperpol.catalog import magic_params
 from hyperpol.params import SequenceParams, SystemParams
+
+from oracles import dd_integral_oracle, f_dd
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,47 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
+WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+import hyperpol
+from hyperpol.cli import main
+
+calls = {calls!r}
+codes = [main(argv) for argv in calls]
+print(codes)
+"""
+
+
+def test_every_command_runs_with_scipy_blocked(tmp_path, config_path):
+    # numpy is the only runtime dependency: scipy is for the test oracles
+    sweep_spec = tmp_path / "sweep.json"
+    sweep_spec.write_text(json.dumps({
+        "target": "rate", "engine": "both", "base": BASE_CONFIG,
+        "axes": [{"name": "t_s", "start": 0.0, "stop": "2 pi/omega", "count": 3}]}))
+    robustness = tmp_path / "rob.json"
+    robustness.write_text(json.dumps({
+        "system": {"omega": 1.0, "a_perp": 0.05},
+        "rows": [{"method": "I", "sign": 1, "n_p": 1, "n_r": 1}],
+        "tau_pi_values": ["0 pi/omega", "0.2 pi/omega"]}))
+    calls = [
+        ["simulate", "--config", config_path, "--cycles", "5", "--out", str(tmp_path / "s.csv")],
+        ["steady", "--config", config_path, "--out", str(tmp_path / "steady.json")],
+        ["magic-table", "--max-np", "2", "--out", str(tmp_path / "table")],
+        ["sweep", "--config", str(sweep_spec), "--out", str(tmp_path / "sweep.csv")],
+        ["find-tau-res", "--config", config_path, "--tau-pi", "0.2 pi/omega",
+         "--halfwidth", "0.02 pi/omega", "--grid-step", "0.01 pi/omega",
+         "--out", str(tmp_path / "res.json")],
+        ["robustness", "--config", str(robustness), "--out", str(tmp_path / "rob.csv")],
+    ]
+    src = str(Path(hyperpol.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", WITHOUT_SCIPY.format(calls=calls)],
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == str([0] * 6)
+
+
 def test_simulate_writes_series(config_path, tmp_path):
     out = tmp_path / "series.csv"
     assert main(["simulate", "--config", config_path, "--cycles", "150",
@@ -97,6 +138,17 @@ def test_exit_code_on_invalid_sequence(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     assert main(["steady", "--config", str(path)]) == 2
+
+
+@pytest.mark.parametrize("engine", ["both", "analytic"])
+def test_steady_names_an_infinite_cycle_duration(tmp_path, capsys, engine):
+    # every time is finite, but 4 n_p tau overflows
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({**BASE_CONFIG, "sequence": {"n_p": 1, "tau": 1e308}}))
+    assert main(["steady", "--config", str(path), "--engine", engine]) == 2
+    assert capsys.readouterr().err == (
+        "error: invalid sequence: cycle duration n_r (2 t_s + t_w + 4 n_p tau + t_c "
+        "+ 4 tau_pi) not finite: inf\n")
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")

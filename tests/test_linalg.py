@@ -12,11 +12,10 @@ from hyperpol.linalg import (
     hermitian_expm,
     hermiticity_defect,
     kron2,
-    operator_distance,
     unitarity_defect,
 )
 
-from oracles import trotter_segment
+from oracles import operator_distance, trotter_segment
 from hyperpol.params import SystemParams
 from hyperpol.timeline import FREE_HYPERFINE, Segment
 

@@ -67,6 +67,16 @@ def test_validate_requires_positive_tau_pi():
         assert f"tau_pi not finite: {tau_pi}" in problems
 
 
+def test_validate_refuses_an_infinite_cycle():
+    # every time is finite, but 4 n_p tau, or n_r repetitions of the cycle, overflow
+    message = ("cycle duration n_r (2 t_s + t_w + 4 n_p tau + t_c + 4 tau_pi) "
+               "not finite: inf")
+    assert SequenceParams(n_p=1, tau=1e308).violations() == [message]
+    assert SequenceParams(n_p=1, tau=1e300, n_r=10 ** 10).violations() == [message]
+    # a time that is not finite itself is named once, not again as a duration
+    assert SequenceParams(n_p=1, tau=math.inf).violations() == ["tau not finite: inf"]
+
+
 def test_validate_requires_pi_pulse_inside_its_cell():
     fits = SequenceParams(n_p=1, tau=1.0, tau_pi=1.0)
     assert fits.violations() == []

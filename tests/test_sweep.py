@@ -170,6 +170,31 @@ def test_engine_failure_rows_keep_the_message():
                                    "(omega=1e+300, tau=10000000000.0)"]
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_analytic_row_names_an_overflowing_timing_phase():
+    # omega * tau is finite at 1e300, but omega * T is not
+    spec = SweepSpec(target="rate", axes=(Axis("omega", 1.0, 1e300, 2),), base_system=SYS,
+                     base_sequence=SequenceParams(n_p=1, tau=1.0, t_w=1e10), engine="both")
+    rows = run_sweep(spec).rows
+    analytic_rows = [row[6] for row in rows if row[2] == "analytic"]
+    assert analytic_rows == ["ok", "failed: timing phase omega*T overflows "
+                                   "(omega=1e+300, T=10000000004.0)"]
+    assert [row[6] for row in rows if row[2] == "exact"] == [
+        "ok", "failed: input is not unitary (defect nan)"]
+
+
+@pytest.mark.filterwarnings("error")
+def test_sweep_refuses_a_sequence_whose_cycle_overflows():
+    # tau = 1e308 is finite, 4 n_p tau is not: both engines refuse the point alike
+    spec = spec_for((Axis("tau", 1.0, 1e308, 2),), target="rate",
+                    base_seq=SequenceParams(n_p=1, tau=1.0))
+    rows = run_sweep(spec).rows
+    assert [row[6] for row in rows] == ["ok", "ok"] + [
+        "failed: invalid sequence: cycle duration n_r (2 t_s + t_w + 4 n_p tau + t_c "
+        "+ 4 tau_pi) not finite: inf"] * 2
+    assert all(v is None for row in rows[2:] for v in row[3:6])
+
+
 def test_sweep_csv_format():
     spec = spec_for((Axis("t_s", 0.0, 1.0, 2),), engine="analytic")
     text = csv_text(run_sweep(spec))
