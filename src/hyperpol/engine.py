@@ -135,6 +135,8 @@ def segment_propagator(sys: SystemParams, segments: Sequence[Segment]) -> np.nda
 
     One hermitian_expm call exponentiates the generator over all their
     durations; a zero-width pulse turns its spin by its angle instead.
+    Raises ValueError naming the system and the duration when an eigenvalue
+    times a duration overflows.
     """
     seg = segments[0]
     if seg.kind == FREE_HYPERFINE:
@@ -149,7 +151,14 @@ def segment_propagator(sys: SystemParams, segments: Sequence[Segment]) -> np.nda
         h = hyperfine_hamiltonian(sys) + seg.angle / seg.duration * h
     else:
         raise ValueError(f"unknown segment kind {seg.kind!r}")
-    return hermitian_expm(h, [s.duration for s in segments])
+    durations = [s.duration for s in segments]
+    u = hermitian_expm(h, durations)
+    finite = np.isfinite(u).all(axis=(1, 2))
+    if not finite.all():  # exp(-i inf) is NaN: an eigenvalue times the duration overflowed
+        raise ValueError(f"segment phase H*t overflows (omega={sys.omega!r}, "
+                         f"a_perp={sys.a_perp!r}, a_z={sys.a_z!r}, "
+                         f"t={durations[int(finite.argmin())]!r})")
+    return u
 
 
 def propagate(sys: SystemParams, timeline: Timeline,
@@ -413,7 +422,7 @@ def _first_crossing(fractions: np.ndarray, start: int = 0, lo: float | None = No
         return 1.0
     lo = fractions[i - 1] if i else lo
     # entries i-1, i hold cycles i, i+1; the 1-based crossing cycle is i + t
-    crossing = start + i + (E_FRACTION - lo) / (fractions[i] - lo)
+    crossing = float(start + i + (E_FRACTION - lo) / (fractions[i] - lo))
     return max(crossing - 1.0, 1.0)
 
 
@@ -560,9 +569,10 @@ def evaluate_exact_batch(points: Iterable[tuple[SystemParams, SequenceParams]],
     `points`, yielded in order.
 
     A point whose evaluation raises ValueError (a sequence that cannot be
-    rendered, a generator whose eigh fails, a propagator that overflows to a
-    non-unitary matrix) yields that error in its place; the other points are
-    unaffected: when the stacked walk raises, each point is walked alone.
+    rendered, a generator whose eigh fails, a segment whose phase overflows,
+    a propagator that is not unitary) yields that error in its place; the
+    other points are unaffected: when the stacked walk raises, each point is
+    walked alone.
     `points` is read BATCH_SIZE at a time, so memory does not grow with
     their number.
     A chunk's points are rendered one by one, then walked as one stack
@@ -590,7 +600,7 @@ def _evaluate_chunk(points: list, cache: dict | None) -> list[ExactResult | Valu
         t_cycles[i] = timeline.actual_T
     try:
         u = dict(zip(roots, _walk(list(roots.values()), cache)))
-    except ValueError:  # a generator eigh cannot factor stops the stack: walk each point alone
+    except ValueError:  # a failed eigh or an overflowing phase stops the stack: walk each point alone
         u = {}
         for i, root in roots.items():
             try:

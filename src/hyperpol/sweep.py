@@ -7,15 +7,19 @@ the resonant-interval search, as one batch (`engine.evaluate_exact_batch`),
 whose results are those of evaluating each point alone; each golden-section
 step of the search is a batch of one.  Only robustness scans still go one
 point at a time.
+
+Above the engine, each point costs one constructor call per changed
+parameter set in `apply_point` and one line in `ResultTable.to_csv`,
+which writes the bytes of csv.writer without going through it.
 """
 
 from __future__ import annotations
 
-import csv
 import itertools
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from types import NoneType
 
 import numpy as np
 
@@ -115,28 +119,57 @@ class ResultTable:
     columns: tuple[str, ...]
     rows: list[tuple] = field(default_factory=list)
 
-    @staticmethod
-    def _fmt(v) -> str:
-        if v is None:
-            return "nan"
-        if isinstance(v, float):
-            return format(v, ".17g")
-        return str(v)
-
     def to_csv(self, fh) -> None:
         fh.write("# " + json.dumps(self.header, sort_keys=True) + "\n")
-        # quotes a failure message that contains a comma, so every row keeps its fields
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(self.columns)
-        writer.writerows([self._fmt(v) for v in row] for row in self.rows)
+        fh.writelines(_csv_lines(itertools.chain([self.columns], self.rows)))
 
     def write(self, path) -> None:
         with open(path, "w") as fh:
             self.to_csv(fh)
 
 
+def _csv_field(v) -> str:
+    if v is None:
+        return "nan"
+    if isinstance(v, float):
+        return "%.17g" % v
+    text = str(v)
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _csv_lines(rows):
+    """Each row as the line csv.writer(lineterminator="\n") writes for its fields,
+    where a float field is written as %.17g, None as nan and anything else as str.
+
+    csv (Python 3.11) quotes a field that holds a comma, a quote or a newline,
+    doubling its quotes (a carriage return alone is not quoted), and a row
+    whose one field is empty.  Formatted numbers hold none of these, so a row is
+    formatted with one template per field-type shape, and only a line with
+    an extra comma, a quote, an inner newline or no text at all is built
+    again field by field.
+    """
+    templates: dict = {}
+    for row in rows:
+        row = tuple(row)
+        shape = tuple(map(type, row))
+        template = templates.get(shape)
+        if template is None:  # %.0s takes the None and prints nothing
+            template = templates[shape] = ",".join(
+                "%.17g" if issubclass(t, float) else "nan%.0s" if t is NoneType else "%s"
+                for t in shape) + "\n"
+        line = template % row
+        if (line.count(",") != len(row) - 1 or '"' in line or line.count("\n") != 1
+                or line == "\n"):
+            line = (",".join(map(_csv_field, row)) or ('""' if row else "")) + "\n"
+        yield line
+
+
 def apply_point(sys: SystemParams, seq: SequenceParams,
                 names: tuple[str, ...], values: tuple[float, ...]) -> tuple[SystemParams, SequenceParams]:
+    """The base (sys, seq) with the named fields set to values, or the
+    ValueError that the new parameters or `SequenceParams.violations` raise."""
     sys_kwargs = {}
     seq_kwargs = {}
     for name, value in zip(names, values):
@@ -146,10 +179,11 @@ def apply_point(sys: SystemParams, seq: SequenceParams,
             seq_kwargs[name] = float(value)
         elif name in SEQUENCE_INT_FIELDS:
             seq_kwargs[name] = whole_number(name, value)
+    # the constructors check what dataclasses.replace would, at less cost per point
     if sys_kwargs:
-        sys = replace(sys, **sys_kwargs)
+        sys = SystemParams(**{**sys.to_dict(), **sys_kwargs})
     if seq_kwargs:
-        seq = replace(seq, **seq_kwargs)
+        seq = SequenceParams(**{**vars(seq), **seq_kwargs})
     problems = seq.violations()
     if problems:
         raise ValueError("invalid sequence: " + "; ".join(problems))

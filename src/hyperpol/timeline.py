@@ -24,10 +24,14 @@ A timeline keeps this nesting as a tree of `Repeat` blocks (the repetition
 n_r times; inside each DD block the [tau/2, pi, tau/2] cell n_p times),
 which the engine composes by repeated squaring.  Its `segments` property
 flattens the tree into time order, for the oracles and for inspection.
+The DD blocks come from a bounded cache keyed by (pi axis, half axis, tau,
+tau_pi, n_p), so renders that differ only in their waits share the block
+objects, and the engine's (system, node) lookups match them by identity.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -39,6 +43,7 @@ PULSE = "pulse"
 
 PI = math.pi
 HALF_PI = math.pi / 2
+BLOCK_CACHE_SIZE = 256  # DD blocks kept by _dd_block across renders
 
 
 @dataclass(frozen=True)
@@ -95,15 +100,18 @@ class Timeline:
         return self.structure.flatten()
 
 
-def _pulse(axis: str, angle: float, seq: SequenceParams) -> Segment:
-    duration = angle / (math.pi / seq.tau_pi) if seq.tau_pi else 0.0
+def _pulse(axis: str, angle: float, tau_pi: float) -> Segment:
+    duration = angle / (math.pi / tau_pi) if tau_pi else 0.0
     return Segment(PULSE, duration, axis=axis, angle=angle)
 
 
-def _dd_block(pi_axis: str, half_axis: str, seq: SequenceParams) -> Repeat:
-    free = Segment(FREE_HYPERFINE, (seq.tau - seq.tau_pi) / 2)
-    half = _pulse(half_axis, HALF_PI, seq)
-    cell = Repeat((free, _pulse(pi_axis, PI, seq), free), seq.n_p)
+@functools.lru_cache(maxsize=BLOCK_CACHE_SIZE)
+def _dd_block(pi_axis: str, half_axis: str, tau: float, tau_pi: float, n_p: int) -> Repeat:
+    """One DD block; equal arguments return the same object, whose nodes the
+    engine's (system, node) lookups then match by identity."""
+    free = Segment(FREE_HYPERFINE, (tau - tau_pi) / 2)
+    half = _pulse(half_axis, HALF_PI, tau_pi)
+    cell = Repeat((free, _pulse(pi_axis, PI, tau_pi), free), n_p)
     return Repeat((half, cell, half))
 
 
@@ -113,8 +121,8 @@ def render_unit(sys: SystemParams, seq: SequenceParams) -> Timeline:
     if problems:
         raise ValueError("invalid sequence: " + "; ".join(problems))
 
-    ddx = _dd_block("-x", "+y", seq)
-    ddy = _dd_block("+y", "+x", seq)
+    ddx = _dd_block("-x", "+y", seq.tau, seq.tau_pi, seq.n_p)
+    ddy = _dd_block("+y", "+x", seq.tau, seq.tau_pi, seq.n_p)
     wait_s = Segment(FREE_NUCLEAR, seq.t_s)
     structure = Repeat(
         (ddx, wait_s, ddy, Segment(FREE_NUCLEAR, seq.t_w),

@@ -4,18 +4,23 @@ The Trotter oracle rebuilds segment propagators from symmetric (Strang)
 splitting with closed-form Pauli-rotation factors only, so it shares no
 code path with the spectral exponentials under test.  The DD integral
 oracle integrates the pulse-shape function by adaptive quadrature (scipy,
-a test-only dependency) to check the closed-form filter F.
+a test-only dependency) to check the closed-form filter F.  The sweep
+oracles are the plain forms of two per-point steps of a sweep: the CSV
+rows through the csv module, and grid points through dataclasses.replace.
 """
 
 from __future__ import annotations
 
+import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 from scipy.integrate import quad
 
 from hyperpol.analytic import filter_f
-from hyperpol.params import SequenceParams, SystemParams
+from hyperpol.params import SequenceParams, SystemParams, whole_number
+from hyperpol.sweep import SEQUENCE_FLOAT_FIELDS, SEQUENCE_INT_FIELDS, SYSTEM_FIELDS
 from hyperpol.timeline import FREE_HYPERFINE, FREE_NUCLEAR, PULSE, Segment, Timeline
 
 ID2 = np.eye(2, dtype=complex)
@@ -181,3 +186,42 @@ def random_params(rng: np.random.Generator, finite_ok: bool = True) -> tuple[Sys
         tau_pi=tau_pi,
     )
     return sys_p, seq_p
+
+
+# ---------------------------------------------------------------------------
+# Sweep rows and points
+# ---------------------------------------------------------------------------
+
+def _csv_text(v) -> str:
+    if v is None:
+        return "nan"
+    if isinstance(v, float):
+        return format(v, ".17g")
+    return str(v)
+
+
+def csv_rows(fh, rows) -> None:
+    """The rows of a ResultTable, each field formatted and then written by csv.writer."""
+    csv.writer(fh, lineterminator="\n").writerows([_csv_text(v) for v in row] for row in rows)
+
+
+def apply_point_replace(sys: SystemParams, seq: SequenceParams,
+                        names: tuple[str, ...], values: tuple[float, ...]):
+    """sweep.apply_point through dataclasses.replace followed by SequenceParams.violations."""
+    sys_kwargs = {}
+    seq_kwargs = {}
+    for name, value in zip(names, values):
+        if name in SYSTEM_FIELDS:
+            sys_kwargs[name] = float(value)
+        elif name in SEQUENCE_FLOAT_FIELDS:
+            seq_kwargs[name] = float(value)
+        elif name in SEQUENCE_INT_FIELDS:
+            seq_kwargs[name] = whole_number(name, value)
+    if sys_kwargs:
+        sys = replace(sys, **sys_kwargs)
+    if seq_kwargs:
+        seq = replace(seq, **seq_kwargs)
+    problems = seq.violations()
+    if problems:
+        raise ValueError("invalid sequence: " + "; ".join(problems))
+    return sys, seq

@@ -162,6 +162,19 @@ def test_exit_code_when_the_engine_overflows(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_steady_names_an_overflowing_segment_phase(tmp_path, capsys):
+    # omega * tau is finite, omega * t_w is not
+    doc = {"system": {"omega": 1e300, "a_perp": 0.05},
+           "sequence": {"n_p": 1, "tau": 1.0, "t_w": 1e10}}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    assert main(["steady", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: segment phase H*t overflows "
+        "(omega=1e+300, a_perp=0.05, a_z=0.0, t=10000000000.0)\n")
+
+
 PI_PULSE_LONGER_THAN_TAU = {"pulse_model": {"kind": "finite", "tau_pi": "3 pi/omega"}}
 
 

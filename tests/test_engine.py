@@ -154,6 +154,17 @@ def test_kraus_rejects_non_unitary():
         kraus(ID2)
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_segment_propagator_names_an_overflowing_phase():
+    waits = [Segment(FREE_NUCLEAR, 1.0), Segment(FREE_NUCLEAR, 1e10)]
+    huge = SystemParams(omega=1e300, a_perp=0.05)
+    with pytest.raises(ValueError) as err:
+        segment_propagator(huge, waits)
+    assert str(err.value) == ("segment phase H*t overflows "
+                              "(omega=1e+300, a_perp=0.05, a_z=0.0, t=10000000000.0)")
+    assert np.isfinite(segment_propagator(huge, waits[:1])).all()
+
+
 def test_kraus_cptp_trace(rng):
     for _ in range(10):
         sys_p, seq_p = random_params(rng)
@@ -372,6 +383,23 @@ def test_slow_readme_sweep_points_are_solved(t_s_over_pi):
     assert 0.1 <= abs(res.p_s) <= 1.0
     assert 1.0 - 2e-5 < res.lambda_est < 1.0
     assert res.gamma is None or res.gamma > 0
+
+
+@pytest.mark.parametrize("t_s_over_pi,later", [(0.0, False), (1.85, True)],
+                         ids=["first-block", "later-block"])
+def test_interpolated_rates_are_python_floats(t_s_over_pi, later):
+    seq = replace(README_BASE, t_s=t_s_over_pi * math.pi)
+    pair = cycle_kraus(SYS, seq)
+    p_s, lam, spread = _spectrum(pair)
+    n = _series_length(p_s, lam, spread)
+    n_s = rate_cycles(pair, p_s, n)
+    assert type(n_s) is float and (n_s > engine.SERIES_BLOCK) == later
+    expected = measured_rate(simulate(pair, mixed_state(), n), p_s, 1.0)
+    # simulate steps block by block where _later_blocks jumps: the same crossing, not the same bytes
+    assert 1.0 / n_s == (pytest.approx(expected, rel=1e-10) if later else expected)
+    (batched,) = engine.evaluate_exact_batch([(SYS, seq)])
+    for res in (evaluate_exact(SYS, seq), batched):
+        assert type(res.gamma) is float and type(res.n_s) is float
 
 
 def test_readme_point_beyond_the_cap_has_no_rate():

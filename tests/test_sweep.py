@@ -1,11 +1,14 @@
 import csv
 import io
 import itertools
+import json
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hyperpol import analytic, engine, sweep
 from hyperpol.catalog import finite_pulse_tau, magic_params
@@ -22,6 +25,8 @@ from hyperpol.sweep import (
     robustness_scan,
     run_sweep,
 )
+
+from oracles import apply_point_replace, csv_rows
 
 SYS = SystemParams(omega=1.0, a_perp=0.05)
 
@@ -163,7 +168,8 @@ def test_engine_failure_rows_keep_the_message():
                      base_sequence=SequenceParams(n_p=1, tau=1e10), engine="both")
     rows = run_sweep(spec).rows
     exact = [row[6] for row in rows if row[2] == "exact"]
-    assert exact == ["failed: input is not unitary (defect nan)"] * 2
+    assert exact == [f"failed: segment phase H*t overflows (omega={omega}, a_perp=1e+300, "
+                     f"a_z=0.0, t=5000000000.0)" for omega in ("1.0", "1e+300")]
     # the closed forms survive omega = 1, but at 1e300 the filter phase overflows
     analytic_rows = [row[6] for row in rows if row[2] == "analytic"]
     assert analytic_rows == ["ok", "failed: filter phase omega*tau overflows "
@@ -180,7 +186,8 @@ def test_analytic_row_names_an_overflowing_timing_phase():
     assert analytic_rows == ["ok", "failed: timing phase omega*T overflows "
                                    "(omega=1e+300, T=10000000004.0)"]
     assert [row[6] for row in rows if row[2] == "exact"] == [
-        "ok", "failed: input is not unitary (defect nan)"]
+        "ok", "failed: segment phase H*t overflows "
+              "(omega=1e+300, a_perp=0.05, a_z=0.0, t=10000000000.0)"]
 
 
 @pytest.mark.filterwarnings("error")
@@ -213,6 +220,77 @@ def test_apply_point_maps_fields():
     assert seq_p.tau_pi == 0.1
     sys_p, seq_p = apply_point(SYS, magic_seq(), ("tau_pi",), (0.0,))
     assert seq_p.tau_pi == 0.0
+
+
+SPECIAL_FLOATS = st.sampled_from([-0.0, math.inf, -math.inf, math.nan, 5e-324, 1e308])
+FLOATS = st.one_of(SPECIAL_FLOATS, st.floats())
+TEXT = st.one_of(st.text(st.sampled_from([",", '"', "\r", "\n", " ", "a", "é"]), max_size=6),
+                 st.text(max_size=6))
+FIELDS = st.one_of(FLOATS, FLOATS.map(np.float64), st.none(), st.just(""),
+                   st.integers(-2 ** 70, 2 ** 70), TEXT)
+
+
+def rows_of(width: int, field=FIELDS):
+    return st.lists(st.tuples(*[field] * width), max_size=5)
+
+
+TABLES = st.one_of(
+    # one column
+    st.tuples(st.tuples(TEXT), rows_of(1)),
+    # any width, any field in any column
+    st.integers(2, 8).flatmap(lambda k: st.tuples(st.tuples(*[TEXT] * k), rows_of(k))),
+    # robustness-shaped: method, sign, n_p, n_r, tau_pi, |P_s|, gamma, status
+    st.tuples(st.just(("method", "sign", "n_p", "n_r", "tau_pi", "abs_P_s", "gamma", "status")),
+              st.lists(st.tuples(TEXT, st.sampled_from([1, -1]), st.integers(1, 64),
+                                 st.integers(1, 64), FLOATS, st.none() | FLOATS,
+                                 st.none() | FLOATS, TEXT), max_size=5)),
+)
+
+
+@given(TABLES)
+def test_csv_rows_are_the_bytes_of_csv_writer(table):
+    columns, rows = table
+    header = {"k": [1.5, "a,b"]}
+    got = io.StringIO()
+    ResultTable(header, columns, rows).to_csv(got)
+    want = io.StringIO()
+    want.write("# " + json.dumps(header, sort_keys=True) + "\n")
+    csv_rows(want, [columns, *rows])
+    assert got.getvalue() == want.getvalue()
+
+
+def test_csv_rows_quote_as_csv_writer_does():
+    table = ResultTable({}, ("a",), [("",), ("x,y",), ('say "hi"',), ("a\rb",), ("a\nb",),
+                                     (" lead",), (None,), (-0.0,), (np.float64(0.1),)])
+    assert csv_text(table).split("\n", 1)[1] == "".join([
+        "a\n", '""\n', '"x,y"\n', '"say ""hi"""\n', "a\rb\n", '"a\nb"\n', " lead\n",
+        "nan\n", "-0\n", "0.10000000000000001\n"])
+
+
+def outcome(f, *args):
+    """What f(*args) returns, or the type and message of the ValueError it raises."""
+    try:
+        return f(*args)
+    except ValueError as err:
+        return type(err), str(err)
+
+
+AXIS_VALUES = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, -1.0, 0.5, 2.0, 3.0, 1e308,
+                     2.0 ** 70, -(2.0 ** 70), 10 ** 30, -(10 ** 30), 1.5]),
+    st.floats(), st.integers(-2 ** 80, 2 ** 80))
+
+
+@given(st.lists(st.tuples(st.sampled_from(sweep.AXIS_NAMES), AXIS_VALUES), min_size=1,
+                max_size=3),
+       st.sampled_from([SequenceParams(n_p=1, tau=1.0), SequenceParams(n_p=2, tau=2.0, t_s=0.5,
+                                                                       n_r=3, tau_pi=0.5)]))
+def test_apply_point_matches_replace_then_violations(point, base):
+    names, values = zip(*point)
+    got = outcome(apply_point, SYS, base, names, values)
+    assert got == outcome(apply_point_replace, SYS, base, names, values)
+    if not isinstance(got[0], type):
+        assert [type(p) for p in got] == [SystemParams, SequenceParams]
 
 
 def test_from_dict_resolves_time_strings():
@@ -495,7 +573,7 @@ STACKED_GRIDS = {
     # every point differs in every node: more distinct nodes than the memo holds
     "tau x omega": ((Axis("tau", 1.5 * math.pi, 2.5 * math.pi, 8), Axis("omega", 0.8, 1.2, 8)),
                     README_T_S_06),
-    # omega * t overflows: exp(-i inf) makes a NaN unitarity defect
+    # omega * t overflows: exp(-i inf) is NaN, and only the overflowing points fail
     "omega x a_perp": ((Axis("omega", 1.0, 1e300, 3), Axis("a_perp", 0.0, 0.1, 2)),
                        SequenceParams(n_p=1, tau=1e10)),
     "a_z x t_w": ((Axis("a_z", -0.05, 0.05, 3), Axis("t_w", 0.0, 2 * math.pi, 5)),
@@ -527,7 +605,9 @@ def test_stacked_walk_matches_each_point_alone(case):
                        for n in itertools.islice(tree_nodes(render_unit(*p).structure), 1, None)}
         assert len(below_roots) > engine.MEMO_LIMIT
     if case == "omega x a_perp":
-        assert statuses.count("failed: input is not unitary (defect nan)") == 4
+        assert statuses == ["below-threshold", "ok"] + [
+            f"failed: segment phase H*t overflows (omega={omega}, a_perp={a_perp}, a_z=0.0, "
+            f"t=5000000000.0)" for omega in ("5e+299", "1e+300") for a_perp in ("0.0", "0.1")]
     if case == "t_s x tau_pi":  # at tau_pi = tau the free halves of the cells last 0 too
         assert not any(s.startswith("failed") for s in statuses)
 

@@ -2,14 +2,18 @@ import math
 
 import pytest
 
+from hyperpol.engine import propagate
 from hyperpol.params import SequenceParams, SystemParams
+from hyperpol.sweep import apply_point
 from hyperpol.timeline import (
+    BLOCK_CACHE_SIZE,
     FREE_HYPERFINE,
     FREE_NUCLEAR,
     PULSE,
     Repeat,
     Segment,
     Timeline,
+    _dd_block,
     render_unit,
 )
 
@@ -160,3 +164,43 @@ def test_hand_built_timeline_is_one_block():
     # the flat view is derived from the tree, so the two cannot disagree
     with pytest.raises(AttributeError):
         tl.segments = segments[::-1]
+
+
+def test_points_of_a_wait_sweep_share_their_dd_blocks():
+    points = [apply_point(SYS, seq(), ("t_s",), (t_s,)) for t_s in (0.0, 0.5, 1.0)]
+    trees = [render_unit(*p).structure for p in points]
+    for tree in trees[1:]:
+        for i in (0, 2, 4, 6):  # ddx, ddy, ddx, ddy
+            assert tree.body[i] is trees[0].body[i]
+    assert trees[0].body[0] is trees[0].body[4] and trees[0].body[0] is not trees[0].body[2]
+    assert trees[1].body[1] != trees[0].body[1]  # the waits are the point's own
+
+
+def test_a_render_after_clearing_the_block_cache_is_the_same():
+    s = seq(n_p=3, tau_pi=0.2 * math.pi, t_c=0.5 * math.pi)
+    shared = render_unit(SYS, s)
+    _dd_block.cache_clear()
+    fresh = render_unit(SYS, s)
+    assert fresh.structure.body[0] is not shared.structure.body[0]
+    assert fresh == shared
+    assert propagate(SYS, fresh).tobytes() == propagate(SYS, shared).tobytes()
+
+
+def test_the_block_cache_stays_bounded():
+    _dd_block.cache_clear()
+    for k in range(BLOCK_CACHE_SIZE + 10):
+        render_unit(SYS, seq(tau=1.0 + k))  # two new blocks per render
+    info = _dd_block.cache_info()
+    assert info.currsize == info.maxsize == BLOCK_CACHE_SIZE
+
+
+def test_signed_zero_tau_gives_the_same_propagator():
+    # 0.0 == -0.0, so the two share one cached block, as they share one engine memo entry
+    propagators, signs = set(), []
+    for tau in (0.0, -0.0):
+        _dd_block.cache_clear()
+        tl = render_unit(SYS, seq(tau=tau))
+        signs.append(math.copysign(1.0, tl.structure.body[0].body[1].body[0].duration))
+        propagators.add(propagate(SYS, tl).tobytes())
+    assert signs == [1.0, -1.0]
+    assert len(propagators) == 1
