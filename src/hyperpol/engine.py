@@ -441,7 +441,14 @@ def _series_length(p_s: float, lam: float, spread: float) -> int:
 
 def _rate_cycles(t: np.ndarray, mu: np.ndarray, weights: np.ndarray, p_s: np.ndarray,
                  n: np.ndarray) -> list[float | None]:
-    """Per stacked point, N_s that measured_rate reads from simulate(k, mixed_state(), n), or None.
+    """Per stacked point, the N_s at which simulate(k, mixed_state(), n) first crosses, or None.
+
+    In the first block that is the value measured_rate reads from the
+    series, byte for byte.  Past it, _later_blocks finds the same crossing
+    from states reached by matrix_power jumps, where simulate steps block
+    by block, so the values agree to rounding, not to the byte: at the
+    README base, 1/N_s differs by 8.6e-15 (t_s = 0.1 pi), 4.5e-14 (0.35 pi)
+    and 4.8e-15 (1.85 pi) relative.
 
     t (k, 4, 4) holds the points' transfer matrices, mu and weights their
     modes, p_s and n their steady polarizations and series lengths.  The
@@ -543,12 +550,15 @@ def evaluate_exact(sys: SystemParams, seq: SequenceParams,
     """Steady polarization, contraction factor and rate for one configuration.
 
     The rate normalization uses the pulse-inclusive cycle duration unless
-    use_nominal_duration is set.  gamma is what measured_rate reads from
-    simulate's series of _series_length cycles, found by _rate_cycles from
-    the first block and the blocks whose mode bound reaches 1 - 1/e; the
-    rest of the series is never evaluated.  gamma is None when the channel
-    does not polarize (|P_s| below threshold), when the series does not
-    reach 1 - 1/e of P_s within MAX_RATE_CYCLES, or when with_rate is off.
+    use_nominal_duration is set.  gamma comes from the first 1 - 1/e
+    crossing of simulate's series of _series_length cycles, found by
+    _rate_cycles from the first block and the blocks whose mode bound
+    reaches 1 - 1/e; the rest of the series is never evaluated.  In the
+    first block gamma is what measured_rate reads from that series; past
+    it the two agree to rounding only (see _rate_cycles).  gamma is None
+    when the channel does not polarize (|P_s| below threshold), when the
+    series does not reach 1 - 1/e of P_s within MAX_RATE_CYCLES, or when
+    with_rate is off.
     `cache` is handed to `propagate`: one dict shared by the points of a
     sweep lets them reuse each other's segment and block propagators.
     After propagate, this is the tail of evaluate_exact_batch on a stack of

@@ -2,11 +2,14 @@
 
 A sweep writes its grid points in row-major axis order, with the engines
 of each point in a fixed order, so the same spec always writes the same
-bytes.  The exact engine solves a sweep's valid points, and the grid of
-the resonant-interval search, as one batch (`engine.evaluate_exact_batch`),
-whose results are those of evaluating each point alone; each golden-section
-step of the search is a batch of one.  Only robustness scans still go one
-point at a time.
+bytes.  `run_sweep` returns at once with its rows still to come: they are
+produced as they are read, one chunk of `engine.BATCH_SIZE` grid points
+at a time, so a sweep written to a file holds one chunk, not the table,
+and its memory does not grow with the grid.  The exact engine solves each
+chunk's valid points, and the grid of the resonant-interval search, as
+one batch (`engine.evaluate_exact_batch`), whose results are those of
+evaluating each point alone; each golden-section step of the search is a
+batch of one.  Only robustness scans still go one point at a time.
 
 Above the engine, each point costs one constructor call per changed
 parameter set in `apply_point` and one line in `ResultTable.to_csv`,
@@ -15,9 +18,13 @@ which writes the bytes of csv.writer without going through it.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import math
+import os
+import stat
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from types import NoneType
 
@@ -25,7 +32,7 @@ import numpy as np
 
 from . import analytic
 from .catalog import MagicRow, finite_pulse_tau
-from .engine import evaluate_exact, evaluate_exact_batch
+from .engine import BATCH_SIZE, evaluate_exact, evaluate_exact_batch
 from .params import (SequenceParams, SystemParams, config_from_dict, json_array, json_object,
                      resolve_time, whole_number)
 
@@ -115,17 +122,40 @@ class SweepSpec:
 
 @dataclass
 class ResultTable:
+    """A header, column names and rows, written as one CSV.
+
+    `rows` may be a one-pass iterator, as `run_sweep`'s are: then the
+    rows are read once, by `to_csv` or by the caller, and are gone after.
+    """
     header: dict
     columns: tuple[str, ...]
-    rows: list[tuple] = field(default_factory=list)
+    rows: Iterable[tuple] = field(default_factory=list)
 
     def to_csv(self, fh) -> None:
+        """Write the header line, then each row as it is read."""
         fh.write("# " + json.dumps(self.header, sort_keys=True) + "\n")
         fh.writelines(_csv_lines(itertools.chain([self.columns], self.rows)))
 
     def write(self, path) -> None:
-        with open(path, "w") as fh:
-            self.to_csv(fh)
+        """to_csv into the file at path.
+
+        Whatever is raised once the file is open, a KeyboardInterrupt
+        included, is raised again after the partly written file is
+        removed, if path still names that file and it is a regular one;
+        anything else (os.devnull, a symbolic link) is left as it is.
+        """
+        opened = None
+        try:
+            with open(path, "w") as fh:
+                opened = os.fstat(fh.fileno())
+                self.to_csv(fh)
+        except BaseException:
+            if opened is not None:
+                with contextlib.suppress(OSError):
+                    entry = os.lstat(path)
+                    if stat.S_ISREG(entry.st_mode) and os.path.samestat(entry, opened):
+                        os.remove(path)
+            raise
 
 
 def _csv_field(v) -> str:
@@ -214,40 +244,44 @@ def _point_rows(spec: SweepSpec, engines: tuple[str, ...], values: tuple[float, 
     return rows
 
 
-def _grid(spec: SweepSpec, names: tuple[str, ...]):
-    """(values, point) in row-major axis order; point is what apply_point returns or raises."""
-    for combo in itertools.product(*(a.values() for a in spec.axes)):
-        values = tuple(map(float, combo))
-        try:
-            yield values, apply_point(spec.base_system, spec.base_sequence, names, values)
-        except ValueError as err:
-            yield values, err
+def _sweep_chunks(spec: SweepSpec, grid, names: tuple[str, ...], engines: tuple[str, ...]):
+    """The rows of `grid`, an iterator of axis-value tuples, as one list per
+    chunk of BATCH_SIZE points: the exact engine solves a chunk's valid points
+    as one batch through a propagator memo that lasts as long as the chunks
+    are read, and a chunk's rows are yielded before the next chunk is read."""
+    cache: dict = {}
+    while chunk := list(itertools.islice(grid, BATCH_SIZE)):
+        points = []
+        for values in chunk:
+            try:
+                points.append(apply_point(spec.base_system, spec.base_sequence, names, values))
+            except ValueError as err:
+                points.append(err)
+        exact = iter(())
+        if "exact" in engines:
+            exact = evaluate_exact_batch([p for p in points if not isinstance(p, ValueError)],
+                                         cache=cache)
+        rows = []
+        for values, point in zip(chunk, points):
+            rows.extend(_point_rows(spec, engines, values, point, exact))
+        yield rows
 
 
 def run_sweep(spec: SweepSpec) -> ResultTable:
-    """Evaluate the grid in row-major axis order; output order is fixed.
+    """The sweep's table, whose rows are evaluated as they are read, once,
+    in row-major axis order; output order is fixed.
 
-    The exact engine solves the valid points as one batch
-    (`engine.evaluate_exact_batch`), and they share one propagator memo
-    (see `engine.propagate`), which lives as long as this call.
+    The axis values are built before this returns, so a count too large
+    to allocate raises here, before any file is opened.
     """
     names = tuple(a.name for a in spec.axes)
     engines = ("exact", "analytic") if spec.engine == "both" else (spec.engine,)
-    table = ResultTable(
+    grid = itertools.product(*(a.values().tolist() for a in spec.axes))
+    return ResultTable(
         header=spec.header(),
         columns=("axis1", "axis2", "engine", "P_s", "lambda", "gamma", "status"),
+        rows=itertools.chain.from_iterable(_sweep_chunks(spec, grid, names, engines)),
     )
-
-    grid = _grid(spec, names)
-    exact = iter(())
-    if "exact" in engines:
-        # the batch reads the valid points up to one chunk ahead of the rows; tee holds them
-        ahead, grid = itertools.tee(grid)
-        exact = evaluate_exact_batch((p for _, p in ahead if not isinstance(p, ValueError)),
-                                     cache={})
-    for values, p in grid:
-        table.rows.extend(_point_rows(spec, engines, values, p, exact))
-    return table
 
 
 def _rates_on_grid(sys: SystemParams, seq: SequenceParams, taus: list[float],

@@ -1,11 +1,14 @@
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -13,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hyperpol
+from hyperpol import analytic
 from hyperpol.cli import main
 from hyperpol.params import config_from_dict
 
@@ -303,6 +307,65 @@ def test_sweep_too_many_points_exits_2(tmp_path, capsys):
     assert main(["sweep", "--config", str(spec_path), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+def landscape_spec(tmp_path, count: int) -> str:
+    """The path of an analytic (t_s, t_w) rate grid of count x count points."""
+    spec = {"target": "rate", "engine": "analytic", "base": BASE_CONFIG,
+            "axes": [{"name": name, "start": 0, "stop": "2 pi/omega", "count": count}
+                     for name in ("t_s", "t_w")]}
+    path = tmp_path / f"landscape{count}.json"
+    path.write_text(json.dumps(spec))
+    return str(path)
+
+
+def test_sweep_memory_stays_flat_as_the_grid_grows(tmp_path):
+    # rows go to the file as they are produced: a 201 x 201 sweep peaks where a 51 x 51 one does
+    out = str(tmp_path / "o.csv")
+    specs = {count: landscape_spec(tmp_path, count) for count in (51, 201)}
+    assert main(["sweep", "--config", specs[51], "--out", out]) == 0  # fills free lists once
+
+    def traced_peak(count: int) -> int:
+        tracemalloc.start()
+        try:
+            assert main(["sweep", "--config", specs[count], "--out", out]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = traced_peak(51), traced_peak(201)
+    assert abs(large - small) <= 100_000 and large < 500_000
+
+
+def fail_summarize_at(monkeypatch, point: int, out: str) -> list[bool]:
+    """Make the point-th analytic.summarize call raise MemoryError; the list
+    returned then holds whether out existed at that moment."""
+    summarize, calls, existed = analytic.summarize, itertools.count(1), []
+
+    def failing(*args):
+        if next(calls) == point:
+            existed.append(os.path.exists(out))
+            raise MemoryError("cannot allocate the point's closed forms")
+        return summarize(*args)
+
+    monkeypatch.setattr(analytic, "summarize", failing)
+    return existed
+
+
+def test_sweep_failing_after_the_first_row_leaves_no_file(tmp_path, capsys, monkeypatch):
+    out = str(tmp_path / "o.csv")
+    existed = fail_summarize_at(monkeypatch, 100, out)
+    assert main(["sweep", "--config", landscape_spec(tmp_path, 51), "--out", out]) == 2
+    assert capsys.readouterr().err == "error: cannot allocate the point's closed forms\n"
+    assert existed == [True]  # the rows were going to the file when the point failed
+    assert not os.path.exists(out)
+
+
+def test_sweep_failing_into_devnull_leaves_the_device(tmp_path, capsys, monkeypatch):
+    existed = fail_summarize_at(monkeypatch, 100, os.devnull)
+    assert main(["sweep", "--config", landscape_spec(tmp_path, 51), "--out", os.devnull]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert existed == [True] and stat.S_ISCHR(os.stat(os.devnull).st_mode)
 
 
 def test_magic_table_outputs(tmp_path):

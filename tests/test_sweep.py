@@ -45,6 +45,11 @@ def spec_for(axes, engine="both", target="stable_polarization", base_seq=None):
     )
 
 
+def listed(table: ResultTable) -> ResultTable:
+    """The table with its rows read into a list, so that they can be read more than once."""
+    return replace(table, rows=list(table.rows))
+
+
 def csv_text(table: ResultTable) -> str:
     buf = io.StringIO()
     table.to_csv(buf)
@@ -60,7 +65,7 @@ def test_axis_validation():
 
 def test_degenerate_two_point_axis():
     spec = spec_for((Axis("t_s", 0.0, math.pi, 2),), engine="analytic")
-    table = run_sweep(spec)
+    table = listed(run_sweep(spec))
     assert len(table.rows) == 2
     assert table.rows[0][0] == 0.0
     assert table.rows[1][0] == pytest.approx(math.pi)
@@ -69,7 +74,7 @@ def test_degenerate_two_point_axis():
 def test_row_major_order_and_engine_interleaving():
     spec = spec_for((Axis("t_s", 0.0, 1.0, 2), Axis("t_w", 0.0, 1.0, 3)),
                     engine="both")
-    table = run_sweep(spec)
+    table = listed(run_sweep(spec))
     assert len(table.rows) == 2 * 3 * 2
     # row-major over axes, engines innermost, exact first
     assert [r[2] for r in table.rows[:2]] == ["exact", "analytic"]
@@ -119,7 +124,7 @@ def test_sweep_series_target_rejected():
 
 def test_sweep_integer_axis_validation():
     spec = spec_for((Axis("n_p", 1, 2, 3),), engine="analytic")
-    table = run_sweep(spec)
+    table = listed(run_sweep(spec))
     # midpoint 1.5 is not an integer: that grid point fails, the rest succeed
     statuses = [r[6] for r in table.rows]
     assert statuses[0] == "ok" and statuses[2] == "ok"
@@ -134,7 +139,7 @@ def test_every_engine_fails_at_invalid_grid_points():
     # t_s = -1 is a negative wait; tau_pi = -0.2 pi is a negative pulse duration and
     # tau_pi = 2.6 pi exceeds the base tau of 2 pi; only (t_s, tau_pi) = (1, 1.2 pi) is valid
     tau_pi_axis = Axis("tau_pi", -0.2 * math.pi, 2.6 * math.pi, 3)
-    table = run_sweep(spec_for((Axis("t_s", -1.0, 1.0, 2), tau_pi_axis)))
+    table = listed(run_sweep(spec_for((Axis("t_s", -1.0, 1.0, 2), tau_pi_axis))))
     assert len(table.rows) == 2 * 3 * 2
     by_point = {}
     for row in table.rows:
@@ -166,7 +171,7 @@ def test_engine_failure_rows_keep_the_message():
     spec = SweepSpec(target="stable_polarization", axes=(Axis("omega", 1.0, 1e300, 2),),
                      base_system=SystemParams(omega=1.0, a_perp=1e300),
                      base_sequence=SequenceParams(n_p=1, tau=1e10), engine="both")
-    rows = run_sweep(spec).rows
+    rows = list(run_sweep(spec).rows)
     exact = [row[6] for row in rows if row[2] == "exact"]
     assert exact == [f"failed: segment phase H*t overflows (omega={omega}, a_perp=1e+300, "
                      f"a_z=0.0, t=5000000000.0)" for omega in ("1.0", "1e+300")]
@@ -181,7 +186,7 @@ def test_analytic_row_names_an_overflowing_timing_phase():
     # omega * tau is finite at 1e300, but omega * T is not
     spec = SweepSpec(target="rate", axes=(Axis("omega", 1.0, 1e300, 2),), base_system=SYS,
                      base_sequence=SequenceParams(n_p=1, tau=1.0, t_w=1e10), engine="both")
-    rows = run_sweep(spec).rows
+    rows = list(run_sweep(spec).rows)
     analytic_rows = [row[6] for row in rows if row[2] == "analytic"]
     assert analytic_rows == ["ok", "failed: timing phase omega*T overflows "
                                    "(omega=1e+300, T=10000000004.0)"]
@@ -195,7 +200,7 @@ def test_sweep_refuses_a_sequence_whose_cycle_overflows():
     # tau = 1e308 is finite, 4 n_p tau is not: both engines refuse the point alike
     spec = spec_for((Axis("tau", 1.0, 1e308, 2),), target="rate",
                     base_seq=SequenceParams(n_p=1, tau=1.0))
-    rows = run_sweep(spec).rows
+    rows = list(run_sweep(spec).rows)
     assert [row[6] for row in rows] == ["ok", "ok"] + [
         "failed: invalid sequence: cycle duration n_r (2 t_s + t_w + 4 n_p tau + t_c "
         "+ 4 tau_pi) not finite: inf"] * 2
@@ -209,6 +214,47 @@ def test_sweep_csv_format():
     assert lines[0].startswith("# {")
     assert lines[1] == "axis1,axis2,engine,P_s,lambda,gamma,status"
     assert len(lines) == 2 + 2
+
+
+def test_sweep_rows_reach_the_file_chunk_by_chunk(monkeypatch, tmp_path):
+    # the exact engine gets one chunk of the grid per call, and each chunk's rows
+    # are written before the next chunk is solved
+    out = tmp_path / "sweep.csv"
+    batch, lengths, sizes = sweep.evaluate_exact_batch, [], []
+
+    def recording(points, cache=None):
+        points = list(points)
+        lengths.append(len(points))
+        sizes.append(out.stat().st_size)
+        return batch(points, cache=cache)
+
+    monkeypatch.setattr(sweep, "evaluate_exact_batch", recording)
+    spec = spec_for((Axis("t_s", 0.0, 2 * math.pi, 2 * engine.BATCH_SIZE + 3),), engine="exact")
+    with open(out, "w", buffering=1) as fh:  # line-buffered: a written row is on disk
+        run_sweep(spec).to_csv(fh)
+    lines = out.read_bytes().splitlines(keepends=True)
+    assert len(lines) == 2 + 2 * engine.BATCH_SIZE + 3
+    assert lengths == [engine.BATCH_SIZE, engine.BATCH_SIZE, 3]
+    # before each call: the header, the column names and the rows of the chunks before it
+    assert sizes == [sum(map(len, lines[:2 + k * engine.BATCH_SIZE])) for k in range(3)]
+
+
+def test_an_interrupted_write_removes_only_the_partial_file(tmp_path):
+    def rows():
+        yield (1.0, "a")
+        raise KeyboardInterrupt
+
+    out = tmp_path / "table.csv"
+    with pytest.raises(KeyboardInterrupt):
+        ResultTable({}, ("x", "y"), rows()).write(out)
+    assert list(tmp_path.iterdir()) == []
+    # through a symbolic link the link and its target stay; the target holds what was written
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    target.write_text("old\n")
+    link.symlink_to(target)
+    with pytest.raises(KeyboardInterrupt):
+        ResultTable({}, ("x", "y"), rows()).write(link)
+    assert link.is_symlink() and target.read_text() == '# {}\nx,y\n1,a\n'
 
 
 def test_apply_point_maps_fields():
@@ -428,7 +474,7 @@ def reuse_spec():
 
 def test_sweep_reuse_changes_no_number():
     spec = reuse_spec()
-    rows = run_sweep(spec).rows
+    rows = list(run_sweep(spec).rows)
     assert sum(row[6].startswith("failed: invalid sequence") for row in rows) == 3
     for a_perp, t_s, _, p_s, lam, gamma, status in rows:
         if status.startswith("failed"):
@@ -460,13 +506,13 @@ def test_sweep_memo_lasts_one_call(monkeypatch):
             sys_p = replace(SYS, a_perp=float(a_perp))
             timeline = render_unit(sys_p, replace(spec.base_sequence, t_s=float(t_s)))
             distinct.update((sys_p, seg) for seg in timeline.segments)
-    run_sweep(spec)
+    list(run_sweep(spec).rows)
     first = len(calls)
     assert first == len(distinct)  # each distinct segment once per sweep
-    run_sweep(spec)
+    list(run_sweep(spec).rows)
     assert len(calls) - first == first
     without_reuse(monkeypatch)
-    run_sweep(spec)
+    list(run_sweep(spec).rows)
     assert first < len(calls) - 2 * first
 
 
@@ -502,7 +548,7 @@ def test_batched_sweep_matches_each_point_alone(monkeypatch, batch_size):
     monkeypatch.setattr(engine, "BATCH_SIZE", batch_size)
     spec = spec_for((Axis("a_perp", 2.0, 0.0, 41), Axis("n_r", 4 - 2.0 ** 55, 4 + 2.0 ** 55, 3)),
                     engine="exact", target="rate", base_seq=README_T_S_06)
-    table = run_sweep(spec)
+    table = listed(run_sweep(spec))
     expected, p_s, n_s = [], {}, {}
     for a_perp, n_r in itertools.product(*(a.values() for a in spec.axes)):
         row = (float(a_perp), float(n_r), "exact")
@@ -588,7 +634,7 @@ STACKED_GRIDS = {
 def test_stacked_walk_matches_each_point_alone(case):
     axes, base = STACKED_GRIDS[case]
     spec = spec_for(axes, engine="exact", target="rate", base_seq=base)
-    table = run_sweep(spec)
+    table = listed(run_sweep(spec))
     expected = each_point_alone(spec)
     assert table.rows == expected.rows
     want, got = io.StringIO(), io.StringIO()
@@ -624,7 +670,7 @@ def test_a_generator_eigh_cannot_factor_fails_only_its_points(monkeypatch):
     monkeypatch.setattr(engine, "hermitian_expm", failing)
     axes = (Axis("omega", 0.8, 1.2, 3), Axis("t_s", 0.0, 2 * math.pi, 5))
     spec = spec_for(axes, engine="exact", target="rate", base_seq=README_T_S_06)
-    table = run_sweep(spec)
+    table = listed(run_sweep(spec))
     assert table.rows == each_point_alone(spec).rows
     statuses = [row[6] for row in table.rows]
     assert statuses == ["ok"] * 10 + ["failed: Eigenvalues did not converge"] * 5
