@@ -16,7 +16,7 @@ proximity of the singular point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,8 +72,7 @@ def dirichlet_ratio(n_r: int, phi: float) -> float:
 # Timing phases and transfer strength
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PhaseBundle:
+class PhaseBundle(NamedTuple):
     phi0: float     # omega (t_s + n_p tau), first DDX to first DDY
     phi1: float     # omega (t_s + t_w + 2 n_p tau), first DDX to second DDX
     phi_big: float  # omega T for one repetition, T = 2 t_s + t_w + 4 n_p tau + t_c
@@ -187,8 +186,7 @@ def gamma_opt_approx(alpha_max: float, a_perp: float) -> float:
 # Summary + frequency window
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AnalyticSummary:
+class AnalyticSummary(NamedTuple):
     f_value: float
     dirichlet: float
     alpha: float

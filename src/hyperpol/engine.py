@@ -40,6 +40,7 @@ import math
 from collections import defaultdict
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -526,8 +527,7 @@ def _later_blocks(mu: np.ndarray, weights: np.ndarray, p_s: float, n: int,
     return None
 
 
-@dataclass(frozen=True)
-class ExactResult:
+class ExactResult(NamedTuple):
     p_s: float
     lambda_est: float
     gamma: float | None

@@ -12,8 +12,9 @@ evaluating each point alone; each golden-section step of the search is a
 batch of one.  Only robustness scans still go one point at a time.
 
 Above the engine, each point costs one constructor call per changed
-parameter set in `apply_point` and one line in `ResultTable.to_csv`,
-which writes the bytes of csv.writer without going through it.
+parameter set in `apply_point` and its share of one `%` per chunk in
+`ResultTable.to_csv`, which writes the bytes of csv.writer without going
+through it: a chunk's rows of one field-type shape are formatted at once.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import os
 import stat
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from operator import itemgetter
 from types import NoneType
 
 import numpy as np
@@ -120,21 +122,44 @@ class SweepSpec:
         }
 
 
+class ChunkedRows:
+    """A one-pass iterable of rows that are produced as lists, one per chunk.
+
+    Iterating it yields the rows one by one; `ResultTable.to_csv` takes
+    the lists instead, and formats and writes each before it asks for the
+    next.
+    """
+
+    def __init__(self, chunks: Iterable[list[tuple]]):
+        self.chunks = chunks
+
+    def __iter__(self):
+        return itertools.chain.from_iterable(self.chunks)
+
+
 @dataclass
 class ResultTable:
     """A header, column names and rows, written as one CSV.
 
-    `rows` may be a one-pass iterator, as `run_sweep`'s are: then the
-    rows are read once, by `to_csv` or by the caller, and are gone after.
+    `rows` may be a one-pass iterable, as `run_sweep`'s `ChunkedRows` are:
+    then the rows are read once, by `to_csv` or by the caller, and are gone
+    after.
     """
     header: dict
     columns: tuple[str, ...]
     rows: Iterable[tuple] = field(default_factory=list)
 
     def to_csv(self, fh) -> None:
-        """Write the header line, then each row as it is read."""
+        """Write the header line and the column names, then the rows as they
+        are read: the text of each chunk of `ChunkedRows` in one write (see
+        _csv_text), the rows of any other iterable one line at a time."""
         fh.write("# " + json.dumps(self.header, sort_keys=True) + "\n")
-        fh.writelines(_csv_lines(itertools.chain([self.columns], self.rows)))
+        fh.writelines(_csv_lines([self.columns]))
+        if isinstance(self.rows, ChunkedRows):
+            for chunk in self.rows.chunks:
+                fh.write(_csv_text(chunk))
+        else:
+            fh.writelines(_csv_lines(self.rows))
 
     def write(self, path) -> None:
         """to_csv into the file at path.
@@ -169,6 +194,14 @@ def _csv_field(v) -> str:
     return text
 
 
+def _template(shape: tuple[type, ...]) -> str:
+    """The line template of a row whose fields have these types: a float
+    (np.float64 included) is written as %.17g, None as nan and anything
+    else as str; %.0s takes the None and prints nothing."""
+    return ",".join("%.17g" if issubclass(t, float) else "nan%.0s" if t is NoneType else "%s"
+                    for t in shape) + "\n"
+
+
 def _csv_lines(rows):
     """Each row as the line csv.writer(lineterminator="\n") writes for its fields,
     where a float field is written as %.17g, None as nan and anything else as str.
@@ -178,22 +211,45 @@ def _csv_lines(rows):
     whose one field is empty.  Formatted numbers hold none of these, so a row is
     formatted with one template per field-type shape, and only a line with
     an extra comma, a quote, an inner newline or no text at all is built
-    again field by field.
+    again field by field.  This is the per-row path: `to_csv` writes the
+    rows of any iterable but `ChunkedRows` through it, and `_csv_text`
+    falls back to it for a run whose text needs quoting.
     """
     templates: dict = {}
     for row in rows:
         row = tuple(row)
         shape = tuple(map(type, row))
         template = templates.get(shape)
-        if template is None:  # %.0s takes the None and prints nothing
-            template = templates[shape] = ",".join(
-                "%.17g" if issubclass(t, float) else "nan%.0s" if t is NoneType else "%s"
-                for t in shape) + "\n"
+        if template is None:
+            template = templates[shape] = _template(shape)
         line = template % row
         if (line.count(",") != len(row) - 1 or '"' in line or line.count("\n") != 1
                 or line == "\n"):
             line = (",".join(map(_csv_field, row)) or ('""' if row else "")) + "\n"
         yield line
+
+
+def _csv_text(rows: list[tuple]) -> str:
+    """The lines of _csv_lines(rows), joined.
+
+    Each run of consecutive rows with one template is formatted by a single
+    %: the template repeated once per row, applied to the run's fields in
+    order.  A run whose text shows an extra comma, a quote, an extra newline
+    or an empty line is formatted again row by row through _csv_lines.
+    """
+    shapes = [tuple(map(type, row)) for row in rows]
+    templates = {shape: _template(shape) for shape in set(shapes)}
+    parts = []
+    for template, run in itertools.groupby(zip(map(templates.__getitem__, shapes), rows),
+                                           itemgetter(0)):
+        run = [row for _, row in run]
+        count = len(run)
+        text = template * count % tuple(itertools.chain.from_iterable(run))
+        if (text.count(",") != count * (len(run[0]) - 1) or '"' in text
+                or text.count("\n") != count or text[0] == "\n" or "\n\n" in text):
+            text = "".join(_csv_lines(run))
+        parts.append(text)
+    return "".join(parts)
 
 
 def apply_point(sys: SystemParams, seq: SequenceParams,
@@ -280,7 +336,7 @@ def run_sweep(spec: SweepSpec) -> ResultTable:
     return ResultTable(
         header=spec.header(),
         columns=("axis1", "axis2", "engine", "P_s", "lambda", "gamma", "status"),
-        rows=itertools.chain.from_iterable(_sweep_chunks(spec, grid, names, engines)),
+        rows=ChunkedRows(_sweep_chunks(spec, grid, names, engines)),
     )
 
 

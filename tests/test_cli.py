@@ -309,18 +309,19 @@ def test_sweep_too_many_points_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
-def landscape_spec(tmp_path, count: int) -> str:
-    """The path of an analytic (t_s, t_w) rate grid of count x count points."""
+def landscape_spec(tmp_path, t_s_count: int, t_w_count: int = 51) -> str:
+    """The path of an analytic (t_s, t_w) rate grid of t_s_count x t_w_count points."""
+    counts = {"t_s": t_s_count, "t_w": t_w_count}
     spec = {"target": "rate", "engine": "analytic", "base": BASE_CONFIG,
             "axes": [{"name": name, "start": 0, "stop": "2 pi/omega", "count": count}
-                     for name in ("t_s", "t_w")]}
-    path = tmp_path / f"landscape{count}.json"
+                     for name, count in counts.items()]}
+    path = tmp_path / f"landscape{t_s_count}x{t_w_count}.json"
     path.write_text(json.dumps(spec))
     return str(path)
 
 
 def test_sweep_memory_stays_flat_as_the_grid_grows(tmp_path):
-    # rows go to the file as they are produced: a 201 x 201 sweep peaks where a 51 x 51 one does
+    # rows go to the file as they are produced: a 201 x 51 sweep peaks where a 51 x 51 one does
     out = str(tmp_path / "o.csv")
     specs = {count: landscape_spec(tmp_path, count) for count in (51, 201)}
     assert main(["sweep", "--config", specs[51], "--out", out]) == 0  # fills free lists once

@@ -3,7 +3,9 @@ import io
 import itertools
 import json
 import math
+import random
 from dataclasses import replace
+from types import NoneType
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from hyperpol.params import SequenceParams, SystemParams
 from hyperpol.timeline import render_unit
 from hyperpol.sweep import (
     Axis,
+    ChunkedRows,
     NoResonanceError,
     ResultTable,
     SweepSpec,
@@ -293,16 +296,78 @@ TABLES = st.one_of(
 )
 
 
+def csv_writer_text(header: dict, columns: tuple, rows: list) -> str:
+    """What ResultTable(header, columns, rows).to_csv writes, through csv.writer."""
+    want = io.StringIO()
+    want.write("# " + json.dumps(header, sort_keys=True) + "\n")
+    csv_rows(want, [columns, *rows])
+    return want.getvalue()
+
+
 @given(TABLES)
 def test_csv_rows_are_the_bytes_of_csv_writer(table):
     columns, rows = table
     header = {"k": [1.5, "a,b"]}
     got = io.StringIO()
     ResultTable(header, columns, rows).to_csv(got)
-    want = io.StringIO()
-    want.write("# " + json.dumps(header, sort_keys=True) + "\n")
-    csv_rows(want, [columns, *rows])
-    assert got.getvalue() == want.getvalue()
+    assert got.getvalue() == csv_writer_text(header, columns, rows)
+
+
+LONG_FIELDS = {
+    float: lambda rng: rng.choice([0.1, -0.0, math.inf, math.nan, 5e-324, 1e308,
+                                   rng.uniform(-1.0, 1.0)]),
+    np.float64: lambda rng: np.float64(rng.uniform(-1e3, 1e3)),
+    NoneType: lambda rng: None,
+    int: lambda rng: rng.choice([0, -1, 7, 10 ** 20]),
+    str: lambda rng: rng.choice(["ok", "exact", "", "below-threshold", "é x"]),
+}
+LONG_SHAPES = [
+    (float, float, str, np.float64, np.float64, float, str),  # an exact sweep row
+    (float, str, str, float, float, float, str),  # an analytic row of a one-axis sweep
+    (float, float, str, NoneType, NoneType, NoneType, str),  # a failed sweep row
+    (int, np.float64, NoneType, str, float, str, int),
+]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_chunked_runs_longer_than_a_batch_are_the_bytes_of_csv_writer(seed):
+    rng = random.Random(seed)
+    rows = []
+    for length in [2 * engine.BATCH_SIZE + 1] + [rng.randint(1, 3 * engine.BATCH_SIZE)
+                                                 for _ in range(8)]:
+        shape = rng.choice(LONG_SHAPES)
+        rows += [tuple(LONG_FIELDS[t](rng) for t in shape) for _ in range(length)]
+    cuts = sorted(rng.sample(range(1, len(rows)), 4))
+    chunks = [rows[a:b] for a, b in zip([0, *cuts], [*cuts, len(rows)])]
+    columns = tuple(f"c{i}" for i in range(7))
+    table = ResultTable({"seed": seed}, columns, ChunkedRows(chunks))
+    assert csv_text(table) == csv_writer_text({"seed": seed}, columns, rows)
+
+
+@pytest.mark.parametrize("width", [1, 4])
+@pytest.mark.parametrize("text", ["a,b", 'say "hi"', "x\ny", "a\rb", ""])
+def test_a_row_that_needs_quoting_inside_a_long_run(width, text):
+    n = 3 * engine.BATCH_SIZE
+    rows = [(0.1 * i, np.float64(i), None, f"r{i}")[-width:] for i in range(n)]
+    rows[n // 2] = rows[n // 2][:-1] + (text,)
+    columns = ("a", "b", "c", "d")[-width:]
+    table = ResultTable({}, columns, ChunkedRows([rows[:n // 2 + 3], rows[n // 2 + 3:]]))
+    assert csv_text(table) == csv_writer_text({}, columns, rows)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_a_both_sweep_quotes_its_overflow_rows_as_csv_writer_does():
+    spec = SweepSpec(target="rate", base_system=SYS, engine="both",
+                     axes=(Axis("omega", 1.0, 1e300, 3),
+                           Axis("a_perp", 0.01, 0.05, engine.BATCH_SIZE + 5)),
+                     base_sequence=SequenceParams(n_p=1, tau=1.0, t_w=1e10))
+    rows, table = list(run_sweep(spec).rows), run_sweep(spec)
+    text = csv_text(table)
+    assert text == csv_writer_text(spec.header(), table.columns, rows)
+    assert sum(row[6].startswith("failed: segment phase") for row in rows) == 2 * (
+        engine.BATCH_SIZE + 5)
+    assert ('\n5.0000000000000003e+299,0.01,exact,nan,nan,nan,"failed: segment phase '
+            'H*t overflows (omega=5e+299, a_perp=0.01, a_z=0.0, t=10000000000.0)"\n') in text
 
 
 def test_csv_rows_quote_as_csv_writer_does():
