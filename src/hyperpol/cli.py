@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands: simulate, steady, magic-table, sweep, find-tau-res,
-robustness.  Exit codes: 0 success, 2 configuration error, 3 find-tau-res
-found no resonance.
+robustness.  Exit codes: 0 success, 2 configuration error or an --out
+that cannot be written, 3 find-tau-res found no resonance.
 """
 
 from __future__ import annotations
@@ -66,13 +66,25 @@ def _load_config(path: str):
     return sys_p, seq_p
 
 
-def _write_json(doc: dict, out: str | None) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True)
+@contextlib.contextmanager
+def _writing(path: str):
+    """Report an OSError raised while writing `path` as a ConfigError that names it."""
+    try:
+        yield
+    except OSError as err:
+        raise ConfigError(f"cannot write {path}: {err.strerror or err}") from err
+
+
+def _write_text(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
+        with _writing(out), open(out, "w") as fh:
+            fh.write(text)
     else:
-        print(text)
+        print(text, end="")
+
+
+def _write_json(doc: dict, out: str | None) -> None:
+    _write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", out)
 
 
 def cmd_simulate(args) -> int:
@@ -82,7 +94,8 @@ def cmd_simulate(args) -> int:
     pair = cycle_kraus(sys_p, seq_p)
     series = simulate(pair, mixed_state(), args.cycles,
                       params={"system": sys_p.to_dict(), "sequence": seq_p.to_dict()})
-    series.to_csv(args.out)
+    with _writing(args.out):
+        series.to_csv(args.out)
     return EXIT_OK
 
 
@@ -115,12 +128,7 @@ def cmd_magic_table(args) -> int:
                 d["tau"], d["t_s"], d["t_w"], d["t_c"],
                 d["gamma_window"], d["sideband_fractions"][0],
             ]))
-        text = "\n".join(lines) + "\n"
-        if args.out:
-            with open(args.out + ".csv", "w") as fh:
-                fh.write(text)
-        else:
-            print(text, end="")
+        _write_text("\n".join(lines) + "\n", args.out + ".csv" if args.out else None)
     return EXIT_OK
 
 
@@ -130,7 +138,8 @@ def cmd_sweep(args) -> int:
         spec = SweepSpec.from_dict(doc)
         if args.engine:
             spec = dataclasses.replace(spec, engine=args.engine)
-    run_sweep(spec).write(args.out)
+    with _writing(args.out):
+        run_sweep(spec).write(args.out)
     return EXIT_OK
 
 
@@ -167,7 +176,8 @@ def cmd_robustness(args) -> int:
         if not all(math.isfinite(t) for t in tau_pi_values):
             raise ValueError(f"tau_pi values must be finite, got {tau_pi_values}")
     table = robustness_scan(rows, tau_pi_values, sys_p)
-    table.write(args.out)
+    with _writing(args.out):
+        table.write(args.out)
     return EXIT_OK
 
 

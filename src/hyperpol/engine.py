@@ -1,15 +1,17 @@
 """Exact numerical evolution of the protocol.
 
 Composes segment propagators into the per-cycle 4x4 unitary block by
-block along the timeline's nesting, raising each repeated block to its
-count by repeated squaring, and extracts the nuclear Kraus pair from its
-first block column.  One walk serves a whole stack of timelines: equal
-(system, node) pairs are evaluated once, the missing segments cost one
-exponential per generator (hyperfine, nuclear, a zero-width pulse's spin
-or a drive at one Rabi frequency), and the missing blocks of one height
-are multiplied as stacks; `propagate` is the walk of one timeline.  The
-segment and block propagators are memoized per (system, node) in a dict
-the caller may pass: the sweeps share one across their points, so
+block along the timeline's shape, raising each repeated block to its count
+by repeated squaring, and extracts the nuclear Kraus pair from its first
+block column.  One walk serves a whole stack of timelines: each distinct
+(system, leaf segment) is exponentiated once, one exponential per
+generator (hyperfine, nuclear, a zero-width pulse's spin or a drive at one
+Rabi frequency), and the timelines of one shape compose its blocks as
+stacked products over all their points; a block whose leaf segments all
+the points share is composed once.  `propagate` is the walk of one
+timeline.  The segment
+propagators are memoized per (system, segment) in a dict the caller may
+pass: sweeps, scans and searches share one across their points, so
 neighbouring points that differ in one wait exponentiate only that wait.
 The channel acts on vec(rho) as a 4x4 transfer matrix: one
 eigen-decomposition of it gives the steady polarization, the contraction
@@ -46,7 +48,7 @@ import numpy as np
 
 from .linalg import ID2, ID4, SX, SY, SZ, hermitian_expm, kron2, unitarity_defect
 from .params import SequenceParams, SystemParams
-from .timeline import FREE_HYPERFINE, FREE_NUCLEAR, PULSE, Repeat, Segment, Timeline, render_unit
+from .timeline import FREE_HYPERFINE, FREE_NUCLEAR, PULSE, Segment, Timeline, render_unit
 
 UNITARITY_TOL = 1e-10
 MAX_RATE_CYCLES = 2 ** 21
@@ -166,82 +168,108 @@ def propagate(sys: SystemParams, timeline: Timeline,
               cache: dict | None = None) -> np.ndarray:
     """Cycle propagator: the ordered product of segment propagators.
 
-    Each block of `timeline.structure` is composed once (later parts on the
-    left) and raised to its count by repeated squaring; equal segments and
-    equal blocks are evaluated once.  Their propagators are kept in `cache`,
-    keyed by (sys, node), so a caller that passes one dict to every point of
-    a sweep evaluates each of them once for the whole sweep; without one, the
-    memo lasts for this call.  The dict is cleared whenever it would grow past
-    MEMO_LIMIT entries, and the cached arrays are read-only.  The root block
-    is not stored: no other cycle repeats it.  This is _walk on a stack of one.
+    Each block of the timeline's shape is composed once (later parts on the
+    left) and raised to its count by repeated squaring.  The leaf segments'
+    propagators are kept in `cache`, keyed by (sys, segment), so a caller
+    that passes one dict to every point of a sweep exponentiates each
+    distinct segment once for the whole sweep; without one, the memo lasts
+    for this call.  The dict is cleared whenever it would grow past
+    MEMO_LIMIT entries, and the cached arrays are read-only.  Blocks are not
+    stored.  This is _walk on a stack of one.
     """
-    return _walk([(sys, timeline.structure)], cache)[0]
+    return _walk([(sys, timeline)], cache)[0]
 
 
-def _walk(roots: list[tuple[SystemParams, Repeat]], cache: dict | None) -> np.ndarray:
-    """Cycle propagators (k, 4, 4) of k (system, root block) pairs, walked as one stack.
+def _walk(points: list[tuple[SystemParams, Timeline]], cache: dict | None) -> np.ndarray:
+    """Cycle propagators (k, 4, 4) of k (system, timeline) pairs, walked as one stack.
 
-    Every distinct (system, node) of the k trees is evaluated once, or read
-    from `cache` as in propagate.  The missing segments are exponentiated
-    one segment_propagator call per generator.  The missing blocks are
-    composed by height above the leaves: the blocks of one height that have
-    as many parts and the same count multiply their parts as one stack, in
-    product order (later parts on the left), and raise it to the count by
-    one matrix_power.  Each matrix has the bytes of its own 4x4 products.
+    Every distinct (system, leaf segment) of the stack is read from `cache`
+    or, once, exponentiated: one segment_propagator call per generator
+    covers all its missing segments, and they join the memo as in
+    propagate.  The points are then grouped by shape, and each group
+    composes its shape's blocks from the stacked leaf propagators (see
+    _compose).  Each matrix has the bytes of its own 4x4 products.
     """
     if cache is None:
         cache = {}
-    slots: dict = {}  # (sys, node) -> index into `values`
-    values: list = []  # per slot: its propagator, once known
-    height: list[int] = []  # per slot: 0 for a segment or a memo hit, else 1 + max over the parts
-    fresh: list[tuple[tuple, int]] = []  # memo entries to add: (key, slot)
-    groups = defaultdict(list)  # generator -> (slot, sys, segment) of its missing segments
-    levels: list[defaultdict] = []  # levels[h - 1]: (body length, count) -> (slot, parts' slots)
+    systems: dict = {}  # sys -> {segment: its row in the stack's leaf table}
+    keys: list = []  # (sys, segment) of each row
+    groups = defaultdict(list)  # shape -> (point, leaf rows) of its points
+    for i, (sys, timeline) in enumerate(points):
+        seen = systems.setdefault(sys, {})
+        for seg in timeline.leaves:
+            if seg not in seen:
+                seen[seg] = len(keys)
+                keys.append((sys, seg))
+        groups[timeline.shape].append((i, [seen[seg] for seg in timeline.leaves]))
+    known = [cache.get(key) for key in keys]
+    missing = defaultdict(list)  # generator -> rows of its segments that are not in the memo
+    for row, u in enumerate(known):
+        if u is None:
+            missing[_generator(*keys[row])].append(row)
+    for misses in missing.values():
+        segments = [keys[row][1] for row in misses]
+        for row, u in zip(misses, segment_propagator(keys[misses[0]][0], segments)):
+            u.flags.writeable = False
+            known[row] = u
+            if len(cache) >= MEMO_LIMIT:
+                cache.clear()
+            cache[keys[row]] = u
+    table = np.array(known).reshape(-1, 4, 4)
+    out = np.empty((len(points), 4, 4), dtype=complex)
+    for shape, members in groups.items():
+        at, rows = zip(*members)
+        rows = np.array(rows, dtype=np.intp)
+        out[list(at)] = _compose([shape], rows, table[rows.T])[0]
+    return out
 
-    def visit(sys: SystemParams, node: Segment | Repeat, memo: bool = True) -> int:
-        key = (sys, node)
-        slot = slots.setdefault(key, len(values))
-        if slot < len(values):
-            return slot
-        u = cache.get(key) if memo else None
-        values.append(u)
-        height.append(0)
-        if u is not None:
-            return slot
-        if isinstance(node, Segment):
-            groups[_generator(sys, node)].append((slot, sys, node))
-        elif not node.body:
-            values[slot] = ID4  # the identity, whatever the count
-        else:
-            parts = [visit(sys, part) for part in node.body]
-            h = height[slot] = 1 + max(map(height.__getitem__, parts))
-            while len(levels) < h:
-                levels.append(defaultdict(list))
-            levels[h - 1][len(parts), node.count].append((slot, parts))
-        if memo:
-            fresh.append((key, slot))  # after its parts: the later entry outlives a clear
-        return slot
 
-    tops = [visit(sys, root, memo=False) for sys, root in roots]
-    for group in groups.values():
-        members, systems, segments = zip(*group)
-        for slot, u in zip(members, segment_propagator(systems[0], segments)):
-            values[slot] = u
-    for level in levels:
-        for (_, count), blocks in level.items():
-            members, children = zip(*blocks)
-            u = ID4
-            for column in zip(*children):
-                u = np.array([values[part] for part in column]) @ u
-            for slot, w in zip(members, np.linalg.matrix_power(u, count)):
-                values[slot] = w
-    for key, slot in fresh:
-        u = values[slot].view()
-        u.flags.writeable = False
-        if len(cache) >= MEMO_LIMIT:
-            cache.clear()
-        cache[key] = u
-    return np.array([values[slot] for slot in tops])
+def _compose(blocks: list[tuple], rows: np.ndarray, leaves: np.ndarray) -> list[np.ndarray]:
+    """The propagators of blocks of one shape that have as many parts and the same count.
+
+    leaves (n, k, 4, 4) holds the propagators of the shape's n leaf segments
+    for a stack of k points, and rows (k, n) their rows in the stack's leaf
+    table: equal rows, equal segments.  A block gets (k, 4, 4), or (1, 4, 4)
+    when its leaf rows are the same for every point: it is composed once.
+    The blocks' distinct sub-blocks are composed first, those of one form as
+    one stack; then the blocks' parts multiply as one stack, in product
+    order (later parts on the left, the first onto ID4), and one
+    matrix_power raises the product to the count.  An empty block is the
+    identity.
+    """
+    if not blocks[0][0]:
+        return [ID4[None]] * len(blocks)
+    forms = defaultdict(dict)  # (parts, count) -> the distinct sub-blocks of that form
+    for block in blocks:
+        for part in block[0]:
+            if not isinstance(part, int):
+                forms[len(part[0]), part[1]][part] = None
+    done = {}
+    for subs in forms.values():
+        done.update(zip(subs, _compose(list(subs), rows, leaves)))
+    sizes = [1 if len(rows) > 1 and _same_leaves(block, rows) else len(rows) for block in blocks]
+    u = ID4
+    for column in zip(*(parts for parts, _ in blocks)):
+        factors = [leaves[part, :k] if isinstance(part, int) else done[part]
+                   for part, k in zip(column, sizes)]
+        if len(factors) > 1:  # one stack: a (1, 4, 4) part of a block of k points is repeated
+            factors = [np.concatenate([v if len(v) == k else v.repeat(k, axis=0)
+                                       for v, k in zip(factors, sizes)])]
+        u = factors[0] @ u  # a (1, 4, 4) factor of a lone block broadcasts
+    w = np.linalg.matrix_power(u, blocks[0][1])
+    return [w[a:a + k] for a, k in zip(itertools.accumulate(sizes, initial=0), sizes)]
+
+
+def _same_leaves(block: tuple, rows: np.ndarray) -> bool:
+    """Whether every point of the stack has the same leaf rows in `block`."""
+    used = sorted(set(_leaf_indices(block)))
+    return bool((rows[1:, used] == rows[0, used]).all())
+
+
+def _leaf_indices(block: tuple) -> list[int]:
+    """The leaf indices a shape's block holds, at any depth."""
+    return [i for part in block[0]
+            for i in ((part,) if isinstance(part, int) else _leaf_indices(part))]
 
 
 def kraus(u: np.ndarray) -> KrausPair:
@@ -585,11 +613,12 @@ def evaluate_exact_batch(points: Iterable[tuple[SystemParams, SequenceParams]],
     walked alone.
     `points` is read BATCH_SIZE at a time, so memory does not grow with
     their number.
-    A chunk's points are rendered one by one, then walked as one stack
-    through the shared `cache` (see _walk), and the stacked propagators
-    share one unitarity check, one stacked eig and solve for their modes,
-    and _rate_cycles' read-out of their first blocks.  The results are
-    those of evaluate_exact, byte for byte.
+    A chunk's points are rendered one by one into their shapes and leaf
+    segments, then walked as one stack through the shared `cache` (see
+    _walk): the points of one shape compose its blocks together.  The
+    stacked propagators share one unitarity check, one stacked eig and
+    solve for their modes, and _rate_cycles' read-out of their first
+    blocks.  The results are those of evaluate_exact, byte for byte.
     """
     points = iter(points)
     while chunk := list(itertools.islice(points, BATCH_SIZE)):
@@ -599,22 +628,22 @@ def evaluate_exact_batch(points: Iterable[tuple[SystemParams, SequenceParams]],
 def _evaluate_chunk(points: list, cache: dict | None) -> list[ExactResult | ValueError]:
     """evaluate_exact_batch on one chunk of at most BATCH_SIZE points, as a list."""
     results: list = [None] * len(points)
-    roots, t_cycles = {}, {}  # by point index, for the points that render
+    rendered, t_cycles = {}, {}  # by point index, for the points that render
     for i, (sys, seq) in enumerate(points):
         try:
             timeline = render_unit(sys, seq)
         except ValueError as err:
             results[i] = err
             continue
-        roots[i] = (sys, timeline.structure)
+        rendered[i] = (sys, timeline)
         t_cycles[i] = timeline.actual_T
     try:
-        u = dict(zip(roots, _walk(list(roots.values()), cache)))
+        u = dict(zip(rendered, _walk(list(rendered.values()), cache)))
     except ValueError:  # a failed eigh or an overflowing phase stops the stack: walk each point alone
         u = {}
-        for i, root in roots.items():
+        for i, point in rendered.items():
             try:
-                (u[i],) = _walk([root], cache)
+                (u[i],) = _walk([point], cache)
             except ValueError as err:
                 results[i] = err
     if u:

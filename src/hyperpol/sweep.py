@@ -9,7 +9,11 @@ and its memory does not grow with the grid.  The exact engine solves each
 chunk's valid points, and the grid of the resonant-interval search, as
 one batch (`engine.evaluate_exact_batch`), whose results are those of
 evaluating each point alone; each golden-section step of the search is a
-batch of one.  Only robustness scans still go one point at a time.
+batch of one.  Only robustness scans still go one point at a time.  A
+batch and a single point take the engine's one walk: the points of a
+chunk that share n_p and n_r compose their blocks as one stack, and the
+memo a sweep, scan or search hands to all its points holds the segment
+propagators of the (system, segment) pairs they share.
 
 Above the engine, each point costs one constructor call per changed
 parameter set in `apply_point` and its share of one `%` per chunk in

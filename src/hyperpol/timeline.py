@@ -20,20 +20,24 @@ interval tau_ideal - tau_pi/n_p makes every inter-block phase equal its
 ideal-pulse value: the 4 n_p shortened cells per repetition give back
 exactly the 8 half-pi insertions.
 
-A timeline keeps this nesting as a tree of `Repeat` blocks (the repetition
-n_r times; inside each DD block the [tau/2, pi, tau/2] cell n_p times),
-which the engine composes by repeated squaring.  Its `segments` property
-flattens the tree into time order, for the oracles and for inspection.
-The DD blocks come from a bounded cache keyed by (pi axis, half axis, tau,
-tau_pi, n_p), so renders that differ only in their waits share the block
-objects, and the engine's (system, node) lookups match them by identity.
+A timeline keeps this nesting apart from its durations.  Its shape is the
+tree of repeated blocks (the repetition n_r times; inside each DD block
+the [tau/2, pi, tau/2] cell n_p times), with indices into its leaves in
+place of the segments: every render with the same n_p and n_r has an
+equal shape, and only the eight leaf segments are the point's own.  The
+engine composes the blocks of one shape for a whole stack of timelines
+and raises each to its count by repeated squaring.  The `Repeat` tree
+(`structure`) and the flat segment list in time order (`segments`) are
+views derived from the shape and the leaves on demand, for the oracles
+and for inspection; a timeline built from a hand-made tree takes the
+tree's shape and its segments as leaves.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple, Union
 
 from .params import SequenceParams, SystemParams
 
@@ -43,25 +47,13 @@ PULSE = "pulse"
 
 PI = math.pi
 HALF_PI = math.pi / 2
-BLOCK_CACHE_SIZE = 256  # DD blocks kept by _dd_block across renders
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(NamedTuple):
     kind: str
     duration: float
     axis: str | None = None   # pulse only: one of +x, -x, +y, -y
     angle: float | None = None  # pulse only: pi or pi/2
-
-    # frozen, so the hash is computed once: memo lookups hash whole trees
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.kind, self.duration, self.axis, self.angle)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):  # rebuild, so the hash is taken again in the new process
-        return Segment, (self.kind, self.duration, self.axis, self.angle)
 
 
 @dataclass(frozen=True)
@@ -71,15 +63,6 @@ class Repeat:
     body: tuple[Segment | Repeat, ...]
     count: int = 1
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.body, self.count)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        return Repeat, (self.body, self.count)
-
     def flatten(self) -> tuple[Segment, ...]:
         once: list[Segment] = []
         for part in self.body:
@@ -87,32 +70,60 @@ class Repeat:
         return tuple(once) * self.count
 
 
+# A block of a shape: (parts in time order, count), each part a block or the
+# index of a leaf segment.
+Shape = tuple[tuple[Union[int, "Shape"], ...], int]
+
+
 @dataclass(frozen=True)
 class Timeline:
-    """One cycle as a tree of blocks; `segments` flattens it in time order."""
+    """One cycle: a shape, the leaf segments its indices name, and its durations.
 
-    structure: Repeat
+    Timeline(tree, nominal_T, actual_T) with a `Repeat` tree in place of the
+    shape takes the tree's shape and its segments, in time order, as leaves.
+    """
+
+    shape: Shape
     nominal_T: float
     actual_T: float
+    leaves: tuple[Segment, ...] = ()
+
+    def __post_init__(self):
+        if isinstance(self.shape, Repeat):
+            leaves: list[Segment] = []
+            object.__setattr__(self, "shape", _shape_of(self.shape, leaves))
+            object.__setattr__(self, "leaves", tuple(leaves))
+
+    @property
+    def structure(self) -> Repeat:
+        """The cycle as a tree of `Repeat` blocks."""
+        return _tree(self.shape, self.leaves)
 
     @property
     def segments(self) -> tuple[Segment, ...]:
         return self.structure.flatten()
 
 
-def _pulse(axis: str, angle: float, tau_pi: float) -> Segment:
-    duration = angle / (math.pi / tau_pi) if tau_pi else 0.0
-    return Segment(PULSE, duration, axis=axis, angle=angle)
+def _shape_of(tree: Repeat, leaves: list[Segment]) -> Shape:
+    """The shape of `tree`, whose segments are appended to `leaves` in time order."""
+    parts = []
+    for part in tree.body:
+        if isinstance(part, Repeat):
+            parts.append(_shape_of(part, leaves))
+        else:
+            parts.append(len(leaves))
+            leaves.append(part)
+    return tuple(parts), tree.count
 
 
-@functools.lru_cache(maxsize=BLOCK_CACHE_SIZE)
-def _dd_block(pi_axis: str, half_axis: str, tau: float, tau_pi: float, n_p: int) -> Repeat:
-    """One DD block; equal arguments return the same object, whose nodes the
-    engine's (system, node) lookups then match by identity."""
-    free = Segment(FREE_HYPERFINE, (tau - tau_pi) / 2)
-    half = _pulse(half_axis, HALF_PI, tau_pi)
-    cell = Repeat((free, _pulse(pi_axis, PI, tau_pi), free), n_p)
-    return Repeat((half, cell, half))
+def _tree(shape: Shape, leaves: tuple[Segment, ...]) -> Repeat:
+    parts, count = shape
+    return Repeat(tuple(leaves[p] if isinstance(p, int) else _tree(p, leaves) for p in parts),
+                  count)
+
+
+# the leaves of a rendered cycle, by index in Timeline.leaves
+HALF_X, FREE, PI_X, HALF_Y, PI_Y, WAIT_S, WAIT_W, WAIT_C = range(8)
 
 
 def render_unit(sys: SystemParams, seq: SequenceParams) -> Timeline:
@@ -121,16 +132,19 @@ def render_unit(sys: SystemParams, seq: SequenceParams) -> Timeline:
     if problems:
         raise ValueError("invalid sequence: " + "; ".join(problems))
 
-    ddx = _dd_block("-x", "+y", seq.tau, seq.tau_pi, seq.n_p)
-    ddy = _dd_block("+y", "+x", seq.tau, seq.tau_pi, seq.n_p)
-    wait_s = Segment(FREE_NUCLEAR, seq.t_s)
-    structure = Repeat(
-        (ddx, wait_s, ddy, Segment(FREE_NUCLEAR, seq.t_w),
-         ddx, wait_s, ddy, Segment(FREE_NUCLEAR, seq.t_c)),
-        seq.n_r,
-    )
+    # DDX: half-pi(+y), n_p cells of [tau/2, pi(-x), tau/2], half-pi(+y); DDY likewise
+    ddx = ((HALF_X, ((FREE, PI_X, FREE), seq.n_p), HALF_X), 1)
+    ddy = ((HALF_Y, ((FREE, PI_Y, FREE), seq.n_p), HALF_Y), 1)
+    shape = ((ddx, WAIT_S, ddy, WAIT_W, ddx, WAIT_S, ddy, WAIT_C), seq.n_r)
+    tau_pi = seq.tau_pi
+    rabi = math.pi / tau_pi if tau_pi else math.inf  # a zero-width pulse takes no time
+    half, whole = HALF_PI / rabi, PI / rabi
+    leaves = (Segment(PULSE, half, "+y", HALF_PI), Segment(FREE_HYPERFINE, (seq.tau - tau_pi) / 2),
+              Segment(PULSE, whole, "-x", PI), Segment(PULSE, half, "+x", HALF_PI),
+              Segment(PULSE, whole, "+y", PI), Segment(FREE_NUCLEAR, seq.t_s),
+              Segment(FREE_NUCLEAR, seq.t_w), Segment(FREE_NUCLEAR, seq.t_c))
 
     nominal_T = seq.n_r * seq.rep_duration()
     # pi pulses live inside their cells; only the half-pi edges add time
     pulse_time = seq.n_r * 8 * (seq.tau_pi / 2)
-    return Timeline(structure, nominal_T=nominal_T, actual_T=nominal_T + pulse_time)
+    return Timeline(shape, nominal_T, nominal_T + pulse_time, leaves)

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import io
 import itertools
 import json
@@ -367,6 +368,44 @@ def test_sweep_failing_into_devnull_leaves_the_device(tmp_path, capsys, monkeypa
     assert main(["sweep", "--config", landscape_spec(tmp_path, 51), "--out", os.devnull]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert existed == [True] and stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+
+def writing_command(tmp_path, command: str) -> list[str]:
+    """A small run of each command that writes --out, without the --out."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(BASE_CONFIG))
+    robustness = tmp_path / "robustness.json"
+    robustness.write_text(json.dumps({"system": {"omega": 1.0, "a_perp": 0.05},
+                                      "rows": [{"method": "I", "sign": 1, "n_p": 1, "n_r": 1}],
+                                      "tau_pi_values": [0]}))
+    return {
+        "steady": ["steady", "--config", str(config)],
+        "simulate": ["simulate", "--config", str(config), "--cycles", "3"],
+        "magic-table": ["magic-table", "--max-np", "1"],
+        "sweep": ["sweep", "--config", landscape_spec(tmp_path, 2, 2)],
+        "find-tau-res": ["find-tau-res", "--config", str(config), "--tau-pi", "0",
+                         "--halfwidth", "0.01 pi/omega", "--grid-step", "0.01 pi/omega"],
+        "robustness": ["robustness", "--config", str(robustness)],
+    }[command]
+
+
+@pytest.mark.parametrize("where", ["in a missing directory", "a directory"])
+@pytest.mark.parametrize("command", ["steady", "simulate", "magic-table", "sweep", "find-tau-res",
+                                     "robustness"])
+def test_an_unwritable_out_exits_2_with_one_error_line(tmp_path, capsys, command, where):
+    argv = writing_command(tmp_path, command)
+    # the file the command writes first; magic-table's --out is a basename
+    target = tmp_path / ("missing" if where == "in a missing directory" else "") / "out.json"
+    if where == "a directory":
+        target.mkdir()
+    out = str(target.with_suffix("")) if command == "magic-table" else str(target)
+    before = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*"))
+    assert main(argv + ["--out", out]) == 2
+    err = capsys.readouterr().err
+    reason = os.strerror(errno.ENOENT if where == "in a missing directory" else errno.EISDIR)
+    assert err.splitlines() == [f"error: cannot write {target}: {reason}"]
+    assert "Traceback" not in err
+    assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*")) == before
 
 
 def test_magic_table_outputs(tmp_path):

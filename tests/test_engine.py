@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperpol import analytic, engine
@@ -18,6 +18,7 @@ from hyperpol.engine import (
     PolarizationSeries,
     cycle_kraus,
     evaluate_exact,
+    evaluate_exact_batch,
     kraus,
     measured_rate,
     mixed_state,
@@ -30,7 +31,8 @@ from hyperpol.engine import (_modes, _rate_cycles, _series_length, _spectral_sum
                              _superop, _weighted_modes)
 from hyperpol.linalg import ID2, ID4, SX, SZ, hermitian_expm, unitarity_defect
 from hyperpol.params import SequenceParams, SystemParams
-from hyperpol.timeline import FREE_NUCLEAR, Repeat, Segment, Timeline, render_unit
+from hyperpol.timeline import (FREE_HYPERFINE, FREE_NUCLEAR, PULSE, Repeat, Segment, Timeline,
+                               render_unit)
 
 from oracles import operator_distance, random_params, trotter_propagate
 
@@ -117,6 +119,68 @@ def test_propagate_matches_flat_product_long_trains(method, sign, n_p, n_r, tau_
     u = propagate(LONG_TRAIN_SYS, tl)
     assert operator_distance(u, flat_product(LONG_TRAIN_SYS, tl)) <= 1e-12
     assert unitarity_defect(u) <= 1e-11
+
+
+SEGMENTS = st.one_of(
+    st.builds(Segment, st.sampled_from([FREE_NUCLEAR, FREE_HYPERFINE]),
+              st.sampled_from([0.0, -0.0, 0.25, 1.0, 2.5])),
+    st.builds(Segment, st.just(PULSE), st.sampled_from([0.0, 0.1, 0.2]),
+              st.sampled_from(["+x", "-x", "+y", "-y"]), st.sampled_from([math.pi, math.pi / 2])),
+)
+BLOCKS = st.recursive(SEGMENTS, lambda parts: st.builds(
+    Repeat, st.lists(parts, max_size=3).map(tuple), st.integers(0, 3)), max_leaves=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(SEGMENTS, BLOCKS, st.integers(2, 4), st.integers(1, 3))
+def test_propagate_matches_flat_product_on_hand_built_trees(reused, block, inner, count):
+    # a tree is its own shape: a nested block repeated more than once, empty
+    # blocks and a segment used in two places, around a drawn block
+    tree = Repeat((reused, Repeat((block, reused), inner), Repeat(()), Repeat((), 3), block), count)
+    tl = Timeline(tree, nominal_T=0.0, actual_T=0.0)
+    assert tl.structure == tree
+    assert operator_distance(propagate(SYS, tl), flat_product(SYS, tl)) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(BLOCKS, SEGMENTS, SEGMENTS, st.data())
+def test_a_stack_of_one_shape_is_each_timeline_alone(block, first, second, data):
+    # sibling blocks of one form around a shared block: as the drawn points keep or
+    # change each leaf, blocks and their sub-blocks are shared by the stack or not
+    tree = Repeat((Repeat((block, first), 1), Repeat((block, second), 1)), 2)
+    shape, leaves = Timeline(tree, 0.0, 0.0).shape, Timeline(tree, 0.0, 0.0).leaves
+    stack = [(SYS, Timeline(shape, 0.0, 0.0, tuple(data.draw(st.one_of(st.just(seg), SEGMENTS))
+                                                    for seg in leaves)))
+             for _ in range(data.draw(st.integers(2, 5)))]
+    walked = engine._walk(stack, {})
+    assert [u.tobytes() for u in walked] == [propagate(*point).tobytes() for point in stack]
+
+
+def exact_point(a_perp, n_p, n_r, tau, pulse, t_s, t_w, t_c):
+    """A point of the batch property below; pulse "tau" is a pi pulse as long as its cell."""
+    tau_pi = tau if pulse == "tau" else pulse
+    return (SystemParams(omega=1.0, a_perp=a_perp),
+            SequenceParams(n_p=n_p, tau=tau, t_s=t_s, t_w=t_w, t_c=t_c, n_r=n_r, tau_pi=tau_pi))
+
+
+WAITS = st.sampled_from([0.0, -0.0, 0.5 * math.pi, 1.5 * math.pi])
+EXACT_POINTS = st.builds(exact_point, st.sampled_from([0.0, 0.1, 0.25]), st.integers(1, 3),
+                         st.sampled_from([1, 2, 4]), st.sampled_from([math.pi, 2 * math.pi]),
+                         st.sampled_from([0.0, 0.2 * math.pi, "tau"]), WAITS, WAITS, WAITS)
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.lists(EXACT_POINTS, min_size=engine.BATCH_SIZE + 1, max_size=engine.BATCH_SIZE + 24))
+def test_batch_is_each_point_alone_byte_for_byte(points):
+    # more points than one chunk: chunks, shapes and the memo they carry are crossed
+    def alone(point):
+        try:
+            return evaluate_exact(*point)
+        except ValueError as err:
+            return err
+
+    batch = list(evaluate_exact_batch(points, cache={}))
+    assert list(map(repr, batch)) == [repr(alone(p)) for p in points]
 
 
 def test_shared_memo_stays_bounded_and_changes_no_matrix(rng):

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import itertools
@@ -667,12 +668,6 @@ def each_point_alone(spec: SweepSpec) -> ResultTable:
                                        "status"), rows)
 
 
-def tree_nodes(node):
-    yield node
-    for part in getattr(node, "body", ()):
-        yield from tree_nodes(part)
-
-
 ZERO_WAITS = SequenceParams(n_p=2, tau=2 * math.pi, n_r=3)
 # one grid per case, each an exact rate sweep that fits in one chunk
 STACKED_GRIDS = {
@@ -681,9 +676,9 @@ STACKED_GRIDS = {
     # zero-duration waits and free halves, zero-width and finite pulses
     "t_s x tau_pi": ((Axis("t_s", 0.0, math.pi, 3), Axis("tau_pi", 0.0, 2 * math.pi, 3)),
                      ZERO_WAITS),
-    # every point differs in every node: more distinct nodes than the memo holds
-    "tau x omega": ((Axis("tau", 1.5 * math.pi, 2.5 * math.pi, 8), Axis("omega", 0.8, 1.2, 8)),
-                    README_T_S_06),
+    # every point has a system of its own: more distinct (system, segment) pairs than the memo holds
+    "tau x omega": ((Axis("tau", 1.5 * math.pi, 2.5 * math.pi, 2), Axis("omega", 0.8, 1.2, 32)),
+                    replace(README_T_S_06, t_c=0.5 * math.pi)),
     # omega * t overflows: exp(-i inf) is NaN, and only the overflowing points fail
     "omega x a_perp": ((Axis("omega", 1.0, 1e300, 3), Axis("a_perp", 0.0, 0.1, 2)),
                        SequenceParams(n_p=1, tau=1e10)),
@@ -712,9 +707,8 @@ def test_stacked_walk_matches_each_point_alone(case):
     if case == "tau x omega":
         points = [apply_point(SYS, base, ("tau", "omega"), v)
                   for v in itertools.product(*(a.values() for a in axes))]
-        below_roots = {(p[0], n) for p in points
-                       for n in itertools.islice(tree_nodes(render_unit(*p).structure), 1, None)}
-        assert len(below_roots) > engine.MEMO_LIMIT
+        leaves = {(p[0], seg) for p in points for seg in render_unit(*p).leaves}
+        assert len(leaves) > engine.MEMO_LIMIT
     if case == "omega x a_perp":
         assert statuses == ["below-threshold", "ok"] + [
             f"failed: segment phase H*t overflows (omega={omega}, a_perp={a_perp}, a_z=0.0, "
@@ -747,3 +741,72 @@ def test_find_tau_res_refuses_a_grid_past_the_limit_before_building_it():
                      grid_step=1e-7 * math.pi)
     # the largest grid the limit allows: 2 * 5000 + 1 points
     assert sweep.MAX_TAU_GRID_POINTS == 10_001
+
+
+def exponentiation_log(monkeypatch) -> list:
+    """From now on, in order: ("stack", k) for each stack of k timelines the engine
+    walks, ("generator", key) for each segment_propagator call and ("expm",) for each
+    hermitian_expm call."""
+    log = []
+
+    def logging(name, entry):
+        original = getattr(engine, name)
+
+        def logged(*args):
+            log.append(entry(*args))
+            return original(*args)
+
+        monkeypatch.setattr(engine, name, logged)
+
+    logging("_walk", lambda points, cache: ("stack", len(points)))
+    logging("segment_propagator",
+            lambda sys_p, segments: ("generator", engine._generator(sys_p, segments[0])))
+    logging("hermitian_expm", lambda h, t=1.0: ("expm",))
+    return log
+
+
+def robustness_points(rows, tau_pi_values) -> list:
+    """The (system, sequence) of each valid point of robustness_scan(rows, tau_pi_values, SYS)."""
+    points = []
+    for row, n_r in rows:
+        ideal = row.to_sequence_params(SYS, n_r)
+        for tau_pi in tau_pi_values:
+            with contextlib.suppress(ValueError):
+                points.append(apply_point(SYS, ideal, ("tau", "tau_pi"),
+                                          (finite_pulse_tau(ideal.tau, tau_pi, row.n_p), tau_pi)))
+    return points
+
+
+@pytest.mark.parametrize("case", ["t_s x t_w sweep", "robustness scan"])
+def test_each_distinct_segment_is_exponentiated_once(monkeypatch, case):
+    segments = count_segment_propagators(monkeypatch)
+    log = exponentiation_log(monkeypatch)
+    if case == "t_s x t_w sweep":  # 81 points: a chunk of BATCH_SIZE and one of 17
+        axes = (Axis("t_s", 0.0, 2 * math.pi, 9), Axis("t_w", 0.0, 2 * math.pi, 9))
+        list(run_sweep(spec_for(axes, engine="exact", target="rate",
+                                base_seq=README_T_S_06)).rows)
+        points = [apply_point(SYS, README_T_S_06, ("t_s", "t_w"), v)
+                  for v in itertools.product(*(a.values().tolist() for a in axes))]
+        assert [e[1] for e in log if e[0] == "stack"] == [engine.BATCH_SIZE, 81 - engine.BATCH_SIZE]
+    else:  # one stack per point; 3 pi does not fit in the cells
+        rows = [(magic_params("I", +1, 1), 2), (magic_params("II", -1, 2), 3)]
+        tau_pi_values = [0.0, 0.1 * math.pi, 0.2 * math.pi, 3 * math.pi]
+        robustness_scan(rows, tau_pi_values, SYS)
+        points = robustness_points(rows, tau_pi_values)
+        assert len(points) == 6
+        assert [e[1] for e in log if e[0] == "stack"] == [1] * 6
+    distinct = {seg for p in points for seg in render_unit(*p).segments}
+    assert len(distinct) < engine.MEMO_LIMIT  # nothing is dropped from the memo
+    # each distinct segment once per memo lifetime, which is the whole call
+    assert len(segments) == len(distinct) and set(segments) == distinct
+    # at most one segment_propagator call per generator in each stack
+    stacks = [[]]
+    for entry in log:
+        if entry[0] == "stack":
+            stacks.append([])
+        elif entry[0] == "generator":
+            stacks[-1].append(entry[1])
+    assert stacks[0] == [] and all(len(set(keys)) == len(keys) for keys in stacks)
+    # one hermitian_expm per segment_propagator call
+    calls = [entry[0] for entry in log if entry[0] != "stack"]
+    assert calls and calls == ["generator", "expm"] * (len(calls) // 2)

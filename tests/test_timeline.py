@@ -2,18 +2,19 @@ import math
 
 import pytest
 
-from hyperpol.engine import propagate
+from hyperpol import engine
+from hyperpol.engine import MEMO_LIMIT, propagate
 from hyperpol.params import SequenceParams, SystemParams
 from hyperpol.sweep import apply_point
 from hyperpol.timeline import (
-    BLOCK_CACHE_SIZE,
+    FREE,
     FREE_HYPERFINE,
     FREE_NUCLEAR,
     PULSE,
+    WAIT_S,
     Repeat,
     Segment,
     Timeline,
-    _dd_block,
     render_unit,
 )
 
@@ -166,41 +167,63 @@ def test_hand_built_timeline_is_one_block():
         tl.segments = segments[::-1]
 
 
-def test_points_of_a_wait_sweep_share_their_dd_blocks():
+def exponentiated(monkeypatch) -> list:
+    """The segments the engine exponentiates from now on, one entry per segment."""
+    segments, original = [], engine.segment_propagator
+
+    def counted(sys_p, group):
+        segments.extend(group)
+        return original(sys_p, group)
+
+    monkeypatch.setattr(engine, "segment_propagator", counted)
+    return segments
+
+
+def test_points_of_a_wait_sweep_share_their_dd_blocks(monkeypatch):
+    # renders that differ in one wait share their shape and every other leaf, so
+    # through one memo only the waits are exponentiated after the first point
     points = [apply_point(SYS, seq(), ("t_s",), (t_s,)) for t_s in (0.0, 0.5, 1.0)]
-    trees = [render_unit(*p).structure for p in points]
-    for tree in trees[1:]:
-        for i in (0, 2, 4, 6):  # ddx, ddy, ddx, ddy
-            assert tree.body[i] is trees[0].body[i]
-    assert trees[0].body[0] is trees[0].body[4] and trees[0].body[0] is not trees[0].body[2]
-    assert trees[1].body[1] != trees[0].body[1]  # the waits are the point's own
+    timelines = [render_unit(*p) for p in points]
+    assert all(tl.shape == timelines[0].shape for tl in timelines)
+    assert all(tl.leaves[:WAIT_S] == timelines[0].leaves[:WAIT_S] for tl in timelines)
+    segments, memo = exponentiated(monkeypatch), {}
+    propagate(SYS, timelines[0], memo)
+    first = len(segments)
+    for tl in timelines[1:]:
+        propagate(SYS, tl, memo)
+    assert segments[first:] == [Segment(FREE_NUCLEAR, 0.5), Segment(FREE_NUCLEAR, 1.0)]
 
 
 def test_a_render_after_clearing_the_block_cache_is_the_same():
+    # a fresh memo gives the bytes of a warm one, and a render is its own value
     s = seq(n_p=3, tau_pi=0.2 * math.pi, t_c=0.5 * math.pi)
-    shared = render_unit(SYS, s)
-    _dd_block.cache_clear()
-    fresh = render_unit(SYS, s)
-    assert fresh.structure.body[0] is not shared.structure.body[0]
-    assert fresh == shared
-    assert propagate(SYS, fresh).tobytes() == propagate(SYS, shared).tobytes()
+    memo = {}
+    warm = propagate(SYS, render_unit(SYS, s), memo)
+    again = render_unit(SYS, s)
+    assert again == render_unit(SYS, s)
+    assert propagate(SYS, again, memo).tobytes() == warm.tobytes()
+    assert propagate(SYS, again, {}).tobytes() == warm.tobytes()
 
 
 def test_the_block_cache_stays_bounded():
-    _dd_block.cache_clear()
-    for k in range(BLOCK_CACHE_SIZE + 10):
-        render_unit(SYS, seq(tau=1.0 + k))  # two new blocks per render
-    info = _dd_block.cache_info()
-    assert info.currsize == info.maxsize == BLOCK_CACHE_SIZE
+    # the memo holds (system, segment) pairs only, and never more than MEMO_LIMIT
+    memo, sizes = {}, []
+    for k in range(MEMO_LIMIT + 10):
+        propagate(SYS, render_unit(SYS, seq(tau=1.0 + k)), memo)  # one new free segment each
+        sizes.append(len(memo))
+        assert all(isinstance(key[1], Segment) for key in memo)
+    assert max(sizes) <= MEMO_LIMIT
+    assert any(later < earlier for earlier, later in zip(sizes, sizes[1:]))  # it was cleared
 
 
 def test_signed_zero_tau_gives_the_same_propagator():
-    # 0.0 == -0.0, so the two share one cached block, as they share one engine memo entry
-    propagators, signs = set(), []
+    # 0.0 == -0.0, so the two free segments share one memo entry and one propagator
+    propagators, signs, memo = set(), [], {}
     for tau in (0.0, -0.0):
-        _dd_block.cache_clear()
         tl = render_unit(SYS, seq(tau=tau))
-        signs.append(math.copysign(1.0, tl.structure.body[0].body[1].body[0].duration))
+        signs.append(math.copysign(1.0, tl.leaves[FREE].duration))
+        propagators.add(propagate(SYS, tl, memo).tobytes())
         propagators.add(propagate(SYS, tl).tobytes())
     assert signs == [1.0, -1.0]
     assert len(propagators) == 1
+    assert sum(seg.kind == FREE_HYPERFINE for _, seg in memo) == 1
