@@ -15,21 +15,24 @@ pass: sweeps, scans and searches share one across their points, so
 neighbouring points that differ in one wait exponentiate only that wait.
 The channel acts on vec(rho) as a 4x4 transfer matrix: one
 eigen-decomposition of it gives the steady polarization, the contraction
-factor and the series length the rate needs.  The rate comes
-from the first 1 - 1/e crossing of that series, read out lazily: the first
-block of SERIES_BLOCK cycles is evaluated one doubling level of read-out
-rows at a time (cycles 1-2, 3-4, 5-8, ...) and the search stops at the
-level that holds the crossing.  Only when the first block has none do the
-modes bound the series over each later block, and the blocks the bound
-cannot rule out are evaluated with exact powers of the transfer matrix.
+factor and the modes that bound the series.  The rate comes from the
+first 1 - 1/e crossing of that series, with no cap on its length, read out
+lazily: the first block of SERIES_BLOCK cycles is evaluated one doubling
+level of read-out rows at a time (cycles 1-2, 3-4, 5-8, ...) and the
+search stops at the level that holds the crossing.  Only when the first
+block has none do the modes bound the series over ranges of later blocks,
+cutting each range they cannot rule out into SPLIT parts, and the single
+blocks the bound cannot rule out are evaluated with exact powers of the
+transfer matrix.
 `simulate` evaluates the whole series through the same read-out.
 
 `evaluate_exact_batch` solves many points at once.  Up to BATCH_SIZE
 points are rendered, walked as one stack and checked for unitarity
 together; their transfer matrices share one eig and one solve, and their
 first blocks are read level by level across the stack, each point leaving
-it at the level that holds its crossing.  A point with no crossing in its
-first block searches the later blocks alone.  `evaluate_exact` propagates
+it at the level that holds its crossing.  The points with no crossing in
+their first block search the later blocks together, each leaving at its
+own crossing.  `evaluate_exact` propagates
 its point through `propagate` and shares the rest with the batch, with the
 same bytes.  Sweeps and every step of the resonant-interval search go
 through the batch; only robustness scans still go one point at a time.
@@ -51,10 +54,10 @@ from .params import SequenceParams, SystemParams
 from .timeline import FREE_HYPERFINE, FREE_NUCLEAR, PULSE, Segment, Timeline, render_unit
 
 UNITARITY_TOL = 1e-10
-MAX_RATE_CYCLES = 2 ** 21
 SERIES_BLOCK = 1024
 MEMO_LIMIT = 256
 BATCH_SIZE = 64  # points per stacked mode solve and first-block read-out
+SPLIT = 16  # parts per range of later blocks in the rate search
 
 IZ = SZ
 IX = SX
@@ -133,17 +136,20 @@ def _generator(sys: SystemParams, seg: Segment) -> tuple:
     return seg.kind, sys
 
 
-def segment_propagator(sys: SystemParams, segments: Sequence[Segment]) -> np.ndarray:
+def segment_propagator(sys: SystemParams, segments: Sequence[Segment],
+                       hyperfine: dict | None = None) -> np.ndarray:
     """Propagators (k, 4, 4) of k segments that share one generator (see _generator).
 
     One hermitian_expm call exponentiates the generator over all their
     durations; a zero-width pulse turns its spin by its angle instead.
     Raises ValueError naming the system and the duration when an eigenvalue
-    times a duration overflows.
+    times a duration overflows.  `hyperfine`, when given, keeps each
+    system's hyperfine_hamiltonian for the next call: a walk builds it once
+    for the free evolution and every drive of a system.
     """
     seg = segments[0]
     if seg.kind == FREE_HYPERFINE:
-        h = hyperfine_hamiltonian(sys)
+        h = _hyperfine(sys, hyperfine)
     elif seg.kind == FREE_NUCLEAR:
         h = nuclear_hamiltonian(sys)
     elif seg.kind == PULSE:
@@ -151,7 +157,7 @@ def segment_propagator(sys: SystemParams, segments: Sequence[Segment]) -> np.nda
         if seg.duration == 0.0:
             return hermitian_expm(h, [s.angle for s in segments])
         # rectangular drive, system Hamiltonian stays on during the pulse
-        h = hyperfine_hamiltonian(sys) + seg.angle / seg.duration * h
+        h = _hyperfine(sys, hyperfine) + seg.angle / seg.duration * h
     else:
         raise ValueError(f"unknown segment kind {seg.kind!r}")
     durations = [s.duration for s in segments]
@@ -162,6 +168,16 @@ def segment_propagator(sys: SystemParams, segments: Sequence[Segment]) -> np.nda
                          f"a_perp={sys.a_perp!r}, a_z={sys.a_z!r}, "
                          f"t={durations[int(finite.argmin())]!r})")
     return u
+
+
+def _hyperfine(sys: SystemParams, memo: dict | None) -> np.ndarray:
+    """hyperfine_hamiltonian(sys), kept in `memo` by system when there is one."""
+    if memo is None:
+        return hyperfine_hamiltonian(sys)
+    h = memo.get(sys)
+    if h is None:
+        h = memo[sys] = hyperfine_hamiltonian(sys)
+    return h
 
 
 def propagate(sys: SystemParams, timeline: Timeline,
@@ -207,9 +223,10 @@ def _walk(points: list[tuple[SystemParams, Timeline]], cache: dict | None) -> np
     for row, u in enumerate(known):
         if u is None:
             missing[_generator(*keys[row])].append(row)
+    hyperfine = {}  # sys -> its hyperfine Hamiltonian, built once per walk
     for misses in missing.values():
         segments = [keys[row][1] for row in misses]
-        for row, u in zip(misses, segment_propagator(keys[misses[0]][0], segments)):
+        for row, u in zip(misses, segment_propagator(keys[misses[0]][0], segments, hyperfine)):
             u.flags.writeable = False
             known[row] = u
             if len(cache) >= MEMO_LIMIT:
@@ -323,13 +340,16 @@ def _level(rows: np.ndarray, power: np.ndarray, x: np.ndarray, start: int):
 def _read(rows: np.ndarray, x: np.ndarray, m: int) -> np.ndarray:
     """Re(rows @ x) cut at m entries, in products of at most SERIES_BLOCK/2 rows.
 
-    One 1024x4 product goes through BLAS's multithreaded matrix-vector
-    kernel, which took milliseconds with two threads against microseconds
-    with one; a 512x4 product runs on one thread either way.
+    rows (n, 4) and x (4,), or stacks of them: rows (k, n, 4) and x (k, 4),
+    each point's entries with the bytes of its own product.  One 1024x4
+    product goes through BLAS's multithreaded matrix-vector kernel, which
+    took milliseconds with two threads against microseconds with one; a
+    512x4 product runs on one thread either way.
     """
     half = SERIES_BLOCK // 2
-    chunks = [rows[a:a + half] @ x for a in range(0, min(m, len(rows)), half)]
-    return np.concatenate(chunks).real[:m]
+    chunks = [np.matvec(rows[..., a:a + half, :], x)
+              for a in range(0, min(m, rows.shape[-2]), half)]
+    return np.concatenate(chunks, axis=-1).real[..., :m]
 
 
 def simulate(k: KrausPair, rho0: np.ndarray, n: int, params: dict | None = None) -> PolarizationSeries:
@@ -370,30 +390,29 @@ def _modes(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return mu, vecs, np.linalg.solve(vecs, _MIXED[:, None])[..., 0]
 
 
-def _weighted_modes(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues mu and weights w, both (k, 4): P(n) = Re sum w mu^(n-1) from the mixed start."""
+def _weighted_modes(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenvalues mu and weights w, both (k, 4), and the drift (k,) of stacked transfer matrices.
+
+    From the mixed start P(n) = Re sum w mu^(n-1).  The drift is the eig
+    residual max|TV - V diag(mu)| times sum |coeffs|: T^(n-1) applied to the
+    mixed start strays from the mode sum by about (n - 1) drift, because
+    each cycle adds the residual of every mode it carries.
+    """
     mu, vecs, coeffs = _modes(t)
-    return mu, (vecs[:, 0] - vecs[:, 3]) * coeffs
+    residual = np.abs(t @ vecs - vecs * mu[:, None, :]).max(axis=(1, 2))
+    return mu, (vecs[:, 0] - vecs[:, 3]) * coeffs, residual * np.abs(coeffs).sum(axis=1)
 
 
-def _spectrum(k: KrausPair) -> tuple[float, float, float]:
-    """(P_s, lambda, sum of |w_k| over the moving modes) of one channel; see steady_state."""
-    mu, weights = _weighted_modes(_superop(k)[None])
-    return tuple(column[0] for column in _spectral_summary(mu, weights))
+def _spectral_summary(mu: np.ndarray, weights: np.ndarray) -> tuple[list, list]:
+    """(P_s, lambda) of each stacked point from its weighted modes (k, 4): lists of floats.
 
-
-def _spectral_summary(mu: np.ndarray, weights: np.ndarray) -> tuple[list, list, list]:
-    """_spectrum of each stacked point from its weighted modes (k, 4): lists of floats.
-
-    P_s and the spread keep the bytes of the per-point sums
-    weights[steady].sum().real and np.abs(weights[moving]).sum().  numpy
-    adds fewer than eight floats in order from +0, and a running sum from +0
-    is never -0, so adding +0 in place of the entries left out changes
-    nothing.  Four complex entries it adds as (w0 + w1) + (w2 + w3).
+    P_s keeps the bytes of the per-point sum weights[steady].sum().real.
+    numpy adds fewer than eight floats in order from +0, and a running sum
+    from +0 is never -0, so adding +0 in place of the entries left out
+    changes nothing.  Four complex entries it adds as (w0 + w1) + (w2 + w3).
     """
     steady = np.abs(mu - 1.0) <= UNITARITY_TOL
-    size = np.abs(weights)
-    moving = ~steady & (size > UNITARITY_TOL)
+    moving = ~steady & (np.abs(weights) > UNITARITY_TOL)
     lam = np.where(moving, np.abs(mu), -np.inf).max(axis=1)
     lam = np.where(moving.any(axis=1), lam, 1.0)
     w = np.where(steady, weights.real, 0.0)
@@ -401,8 +420,7 @@ def _spectral_summary(mu: np.ndarray, weights: np.ndarray) -> tuple[list, list, 
     full = steady.all(axis=1)
     if full.any():
         p_s[full] = 0.0 + ((w[full, 0] + w[full, 1]) + (w[full, 2] + w[full, 3]))
-    spread = np.where(moving, size, 0.0).sum(axis=1)
-    return p_s.tolist(), lam.tolist(), spread.tolist()
+    return p_s.tolist(), lam.tolist()
 
 
 def steady_state(k: KrausPair) -> tuple[float, float]:
@@ -414,7 +432,8 @@ def steady_state(k: KrausPair) -> tuple[float, float]:
     modes whose weight exceeds UNITARITY_TOL, the factor by which P_s - P(n)
     shrinks per cycle for large n; it is 1.0 when no mode moves.
     """
-    p_s, lam, _ = _spectrum(k)
+    mu, weights, _ = _weighted_modes(_superop(k)[None])
+    (p_s,), (lam,) = _spectral_summary(mu, weights)
     return p_s, lam
 
 
@@ -455,104 +474,259 @@ def _first_crossing(fractions: np.ndarray, start: int = 0, lo: float | None = No
     return max(crossing - 1.0, 1.0)
 
 
-def _series_length(p_s: float, lam: float, spread: float) -> int:
-    """Cycles of the rate series: the smallest n with spread * lam^(n-1) <= |P_s|/e,
-    which bounds |P(n) - P_s|, clamped to [256, MAX_RATE_CYCLES]."""
-    target = abs(p_s) / math.e
-    if spread <= target or lam <= 0.0:
-        n = 1
-    elif lam >= 1.0:
-        n = MAX_RATE_CYCLES
-    else:
-        n = 1 + math.ceil(math.log(target / spread) / math.log(lam))
-    return min(max(n, 256), MAX_RATE_CYCLES)
-
-
 def _rate_cycles(t: np.ndarray, mu: np.ndarray, weights: np.ndarray, p_s: np.ndarray,
-                 n: np.ndarray) -> list[float | None]:
-    """Per stacked point, the N_s at which simulate(k, mixed_state(), n) first crosses, or None.
+                 drift: np.ndarray) -> list[float | None]:
+    """Per stacked point, the N_s at which simulate's series from the mixed state first crosses.
 
-    In the first block that is the value measured_rate reads from the
-    series, byte for byte.  Past it, _later_blocks finds the same crossing
-    from states reached by matrix_power jumps, where simulate steps block
-    by block, so the values agree to rounding, not to the byte: at the
-    README base, 1/N_s differs by 8.6e-15 (t_s = 0.1 pi), 4.5e-14 (0.35 pi)
-    and 4.8e-15 (1.85 pi) relative.
+    In the first block that is the value measured_rate reads from a series
+    long enough to hold the crossing, byte for byte.  Past it, _later_blocks
+    finds the same crossing from states reached by one matrix_power jump
+    each, where simulate steps block by block, so the values agree to
+    rounding, not to the byte: at the README base, 1/N_s differs by 8.7e-15
+    (t_s = 0.1 pi), 4.5e-14 (0.35 pi), 7.8e-14 (0.6 pi, past 2^21 cycles)
+    and 4.9e-15 (1.85 pi) relative.  There is no cap on the cycle count;
+    None means the mode sum never reaches 1 - 1/e (see _later_blocks).
 
-    t (k, 4, 4) holds the points' transfer matrices, mu and weights their
-    modes, p_s and n their steady polarizations and series lengths.  The
-    first block of SERIES_BLOCK cycles is read level by level through
+    t (k, 4, 4) holds the points' transfer matrices, mu, weights and drift
+    their modes (see _weighted_modes) and p_s their steady polarizations.
+    The first block of SERIES_BLOCK cycles is read level by level through
     simulate's own _level, across the stack, and a point leaves the stack at
-    the first level that holds its crossing or that reaches the end of its
-    series.  Only a point whose series is longer than one block and has no
-    crossing in it goes on, alone, to _later_blocks, which starts from the
+    the first level that holds its crossing.  The points that have none in
+    the first block go on together to _later_blocks, which starts from the
     rows and power the stack built.
     """
     found: list[float | None] = [None] * len(t)
     active, p_col, lo = np.arange(len(t)), p_s[:, None], p_s  # lo is unread at start 0
     rows, power, start = _READOUT[None].repeat(len(t), axis=0), t, 0
-    shortest = n.min()
     while True:
         rows, power, values = _level(rows, power, _MIXED, start)
         fractions = values / p_col
-        above = fractions >= E_FRACTION
-        end = rows.shape[1]
-        if end > shortest:  # entry i of the level is cycle start + i + 1: past a series of n < end
-            above &= np.arange(start, end) < n[:, None]
-        hit = above.any(axis=1)
+        hit = (fractions >= E_FRACTION).any(axis=1)
         for j in hit.nonzero()[0]:
             found[active[j]] = _first_crossing(fractions[j], start, lo[j])
-        start = end
-        going = ~hit & (n > start)
-        if start == SERIES_BLOCK:
-            for j in going.nonzero()[0]:
-                found[active[j]] = _later_blocks(mu[active[j]], weights[active[j]], p_s[j],
-                                                 int(n[j]), rows[j], power[j])
-            return found
-        left = going.nonzero()[0]
+        start = rows.shape[1]
+        left = (~hit).nonzero()[0]
         if len(left) == 0:
             return found
-        if len(left) < len(going):
-            rows, power, active, p_col, p_s, n, fractions = (
-                a[left] for a in (rows, power, active, p_col, p_s, n, fractions))
+        if len(left) < len(hit):
+            rows, power, active, p_s, fractions = (
+                a[left] for a in (rows, power, active, p_s, fractions))
+            p_col = p_s[:, None]
+        if start == SERIES_BLOCK:
+            later = _later_blocks(rows, power, mu[active], weights[active], p_s, drift[active])
+            for i, n_s in zip(active, later):
+                found[i] = n_s
+            return found
         lo = fractions[:, -1]
 
 
-def _later_blocks(mu: np.ndarray, weights: np.ndarray, p_s: float, n: int,
-                  rows: np.ndarray, power: np.ndarray) -> float | None:
-    """N_s of one point whose first block holds no crossing, from the blocks after it.
+def _later_blocks(rows: np.ndarray, power: np.ndarray, mu: np.ndarray, weights: np.ndarray,
+                  p_s: np.ndarray, drift: np.ndarray) -> list[float | None]:
+    """N_s of stacked points whose first block holds no crossing, from the blocks after it.
 
-    rows are the first block's read-out rows r T^j and power is
-    T^SERIES_BLOCK.  In cycles 1 + m, m = a..b, of a later block, the term
-    Re(w_k mu_k^m)/P_s of the fraction P/P_s is at most
-    r_k = |w_k/P_s| max(|mu_k|^a, |mu_k|^b); and, because its phase turns by
-    |arg mu_k| per cycle, at most the larger of its two block-end values plus
-    2 (b - a) |arg mu_k| r_k, which makes the real positive modes monotone.
-    Blocks whose summed bound stays below 1 - 1/e by more than the mode sum's
-    rounding (eigenvalues off by up to UNITARITY_TOL, raised to the n-th
-    power) cannot hold the crossing.  The others are read like simulate's
-    later blocks, each reached from the last by a matrix_power jump.
+    rows (k, SERIES_BLOCK, 4) are the first block's read-out rows r T^j and
+    power (k, 4, 4) is T^SERIES_BLOCK; block b holds the cycles
+    b SERIES_BLOCK + 1 ... (b + 1) SERIES_BLOCK.  Each point searches the
+    blocks from 1 on, leftmost first, with no end, from the open range
+    [1, inf); _parts cuts each range it reaches into parts.  _range_bound
+    rules parts out; the search goes on in the leftmost part it cannot, and
+    the parts to its right wait their turn.
+
+    The bound holds for the mode sum; the series read by matrix products
+    strays from it by about m drift / |P_s| in cycle 1 + m (see
+    _weighted_modes; at most 0.81 times that on 381 README and random
+    points), so a part is ruled out only when its bound stays below 1 - 1/e
+    by twice that.  A single block the bound cannot rule out is read: its
+    state is one jump from the mixed start, matrix_power(T^SERIES_BLOCK,
+    b - 1) (see _powers), then one step of T^SERIES_BLOCK, and its rows are
+    read like simulate's later blocks, so N_s does not depend on which
+    blocks the search read before.  Should the block already open above
+    1 - 1/e, after an entry above it too, the bound missed the crossing by
+    rounding and the block before is read instead.
+    Once a read block of a point holds no crossing, the point cuts ranges
+    of at most SPLIT^2 blocks into single blocks and reads up to SPLIT kept
+    ones at once; the earliest crossing among them counts.
+
+    A point leaves at its crossing, or as None when, at the start of an
+    open range past the first, _tail_bound shows that no later cycle can
+    reach 1 - 1/e: the mode sum never reaches it.  That test has no slack,
+    which grows without end.  The bounds of all the points searching are
+    evaluated as one stack; each point searches until it sits on blocks to
+    read, and then those blocks are read as one stack.  Far out, |mu| > 1
+    overflows the bounds: an infinite or NaN bound rules nothing out.
     """
-    first = np.arange(SERIES_BLOCK, n, SERIES_BLOCK)
-    last = np.minimum(first + SERIES_BLOCK, n) - 1
-    terms = weights / p_s
-    m = np.stack([first, last])[:, :, None]  # (block end, block, mode)
-    moduli = np.abs(terms) * np.abs(mu) ** m
-    reach = moduli.max(axis=0)
-    ends = (moduli * np.cos(np.angle(terms) + m * np.angle(mu))).max(axis=0)
-    turn = 2 * (SERIES_BLOCK - 1) * np.abs(np.angle(mu)) * reach
-    bound = np.minimum(reach, ends + turn).sum(axis=1)
-    slack = n * UNITARITY_TOL * float(np.abs(terms).sum())
-    x, at = _MIXED, 0  # x is the state at the start of block `at`
-    for b in np.nonzero(bound >= E_FRACTION - slack)[0] + 1:
-        before = np.linalg.matrix_power(power, b - 1 - at) @ x
-        lo = (rows[-1] @ before).real / p_s
-        x, at = power @ before, b
-        start = int(b) * SERIES_BLOCK
-        n_s = _first_crossing(_read(rows, x, n - start) / p_s, start, lo)
-        if n_s is not None:
-            return n_s
-    return None
+    terms = weights / p_s[:, None]
+    modes = np.stack([np.abs(terms), np.abs(mu), np.angle(terms), np.angle(mu),
+                      2 * np.abs(np.angle(mu))], axis=1)[:, :, None]  # (point, what, 1, mode)
+    slack = 2 * drift / np.abs(p_s)
+    found: list[float | None] = [None] * len(rows)
+    span = [(1.0, math.inf) for _ in found]  # each point's current range of blocks [lo, hi)
+    later = [[] for _ in found]  # the ranges to its right, nearest last
+    missed = [False] * len(found)  # whether a block read of the point held no crossing
+    searching, reading = list(range(len(found))), []  # reading: (point, its blocks to read)
+    with np.errstate(over="ignore", invalid="ignore"):
+        while searching or reading:
+            while searching:
+                at, searching = searching, []
+                opened = [i for i in at if span[i][1] == math.inf and span[i][0] > 1]
+                if opened:  # past the first range: does any later cycle reach 1 - 1/e?
+                    starts = np.array([span[i][0] for i in opened])[:, None, None]
+                    reach = _tail_bound(*modes[opened, :4].swapaxes(0, 1), starts * SERIES_BLOCK)
+                    never = {i for i, r in zip(opened, reach[:, 0].tolist()) if r < E_FRACTION}
+                    if never:  # the mode sum never does: the point leaves with None
+                        at = [i for i in at if i not in never]
+                        if not at:
+                            continue
+                lo, hi = np.array([span[i] for i in at]).T[:, :, None]
+                edges = _parts(lo, hi, np.array([missed[i] for i in at])[:, None])
+                a, z = edges[:, :-1] * SERIES_BLOCK, edges[:, 1:] * SERIES_BLOCK - 1
+                bound = _range_bound(*modes[at].swapaxes(0, 1), a, z)  # cycles 1 + a .. 1 + z
+                kept = ~(bound + slack[at, None] * z < E_FRACTION) & (z >= a)
+                p, k = kept.argmax(axis=1), np.arange(len(at))
+                for j, i, any_kept, first, stop, end in zip(
+                        k, at, kept.any(axis=1).tolist(), edges[k, p].tolist(),
+                        edges[k, p + 1].tolist(), edges[:, -1].tolist()):
+                    if any_kept and stop - first == 1:
+                        blocks = [int(first)]
+                        if missed[i]:  # after a miss, read the kept single blocks up to
+                            # the first wider kept part, at most SPLIT, at once
+                            blocks = []
+                            for x, y, keep in zip(edges[j, :-1].tolist(), edges[j, 1:].tolist(),
+                                                  kept[j].tolist()):
+                                if keep and (y - x != 1 or len(blocks) == SPLIT):
+                                    break
+                                if keep:
+                                    blocks.append(int(x))
+                        if blocks[-1] + 1 < span[i][1]:
+                            later[i].append((blocks[-1] + 1.0, span[i][1]))
+                        reading.append((i, blocks))
+                    elif any_kept:
+                        if stop < span[i][1]:
+                            later[i].append((stop, span[i][1]))
+                        span[i] = (first, stop)
+                        searching.append(i)
+                    elif span[i][1] < math.inf:
+                        span[i] = later[i].pop()
+                        searching.append(i)
+                    else:  # every doubling part is ruled out: the open range goes on past them
+                        span[i] = (end, math.inf)
+                        searching.append(i)
+            if not reading:
+                break
+            at, reading = reading, []
+            point = [i for i, blocks in at for _ in blocks]
+            rows_at, power_at, p_at = rows[point], power[point], p_s[point]
+            before = _powers(power_at, [b - 1 for _, blocks in at for b in blocks]) @ _MIXED
+            last = iter(np.matvec(rows_at[:, -1:], before)[:, 0].real / p_at)
+            values = iter(_read(rows_at, np.matvec(power_at, before), SERIES_BLOCK) / p_at[:, None])
+            for i, blocks in at:
+                n_s = back = None
+                for b, lo, fractions in zip(blocks, last, values):
+                    if n_s is not None or back is not None:
+                        continue  # the point's earliest block has settled it
+                    if lo >= E_FRACTION and fractions[0] >= E_FRACTION:
+                        back = b - 1
+                    else:
+                        n_s = _first_crossing(fractions, b * SERIES_BLOCK, lo)
+                if back is not None:
+                    reading.append((i, [back]))
+                elif n_s is not None:
+                    found[i] = n_s
+                else:
+                    missed[i] = True
+                    span[i] = later[i].pop()
+                    searching.append(i)
+    return found
+
+
+def _parts(lo: np.ndarray, hi: np.ndarray, fine: np.ndarray) -> np.ndarray:
+    """Edges (k, n + 1) of the parts of k ranges of blocks [lo, hi), lo, hi and fine (k, 1).
+
+    A range is cut into SPLIT equal parts with whole-block edges, and an open
+    one (hi = inf) into SPLIT doubling parts [lo, 2 lo), [2 lo, 4 lo), ...
+    Where fine is set, a range of at most SPLIT^2 blocks is cut into single
+    blocks.  A row with fewer parts repeats its last edge: a part with equal
+    edges is empty.
+    """
+    opened = hi == math.inf
+    if opened.all():
+        return lo * _DOUBLING
+    width = hi - lo  # inf where open: those rows are not used
+    singles = fine & (width <= SPLIT ** 2)
+    if not singles.any():
+        equal = lo + np.floor(width * _EQUAL)
+        return np.where(opened, lo * _DOUBLING, equal) if opened.any() else equal
+    cut = np.arange(int(width[singles].max()) + 1)
+    cut = cut if len(cut) > SPLIT else np.arange(SPLIT + 1)
+    step = np.where(singles, cut, np.floor(width * np.minimum(cut, SPLIT) / SPLIT))
+    return np.where(opened, lo * 2.0 ** np.minimum(cut, SPLIT), lo + np.minimum(step, width))
+
+
+_DOUBLING = 2.0 ** np.arange(SPLIT + 1)
+_EQUAL = np.arange(SPLIT + 1) / SPLIT
+
+
+def _range_bound(size: np.ndarray, rho: np.ndarray, phase: np.ndarray, turn: np.ndarray,
+                 spin: np.ndarray, a: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Upper bounds (k, p) of the mode sum Re sum t_k mu_k^n over n = a..z, per stacked point.
+
+    The mode terms t_k = w_k/P_s and mu_k of k points are given by size
+    |t_k|, rho |mu_k|, phase arg t_k, turn arg mu_k and spin 2 |arg mu_k|,
+    each (k, 1, 4), and a and z (k, p) are the ends of p ranges per point.
+    A term is at most r_k = |t_k| max(|mu_k|^a, |mu_k|^z); and, because its
+    phase turns by |arg mu_k| per cycle, at most the larger of its two end
+    values plus 2 (z - a) |arg mu_k| r_k, which makes the real positive modes
+    monotone.
+    """
+    a, z = a[..., None], z[..., None]  # (point, range, mode)
+    first, last = size * rho ** a, size * rho ** z
+    reach = np.maximum(first, last)
+    ends = np.maximum(first * np.cos(phase + a * turn), last * np.cos(phase + z * turn))
+    return np.minimum(reach, ends + (z - a) * spin * reach).sum(axis=2)
+
+
+def _tail_bound(size: np.ndarray, rho: np.ndarray, phase: np.ndarray, turn: np.ndarray,
+                a: np.ndarray) -> np.ndarray:
+    """Upper bounds (k, 1) of the mode sum over every n >= a, per stacked point.
+
+    The modes are given as for _range_bound, without spin, and a is (k, 1, 1).  A term that
+    turns is at most |t_k| |mu_k|^a while |mu_k| <= 1, and unbounded past 1.
+    One that does not turn is |t_k| cos(arg t_k) |mu_k|^n, monotone in n: at
+    most the larger of its value at a and its limit, 0 for |mu_k| < 1,
+    itself for |mu_k| = 1 and an infinity of its sign past 1.
+    """
+    reach = size * rho ** a
+    value = reach * np.cos(phase)
+    limit = np.where(rho < 1, 0.0, np.where(rho == 1, value, np.copysign(np.inf, value)))
+    limit[value == 0] = 0.0
+    bound = np.where(turn == 0, np.maximum(value, limit),
+                     np.where((rho <= 1) | (size == 0), reach, np.inf))
+    return bound.sum(axis=-1)
+
+
+def _powers(a: np.ndarray, n: list[int]) -> np.ndarray:
+    """np.linalg.matrix_power(a[i], n[i]) of each stacked matrix a (k, 4, 4), with its bytes.
+
+    matrix_power returns the identity for 0, a for 1, a @ a for 2 and
+    (a @ a) @ a for 3; from 4 on it squares z = a, a @ a, ... and multiplies
+    the z of each set bit of n, lowest first, into the result.  The stack
+    shares the squarings, and each product is taken for the whole stack and
+    kept where a point needs it.
+    """
+    n = np.array(n)
+    bits = (n[:, None] >> np.arange(int(n.max()).bit_length()) & 1 == 1) & (n >= 4)[:, None]
+    first = bits & (np.cumsum(bits, axis=1) == 1)  # the lowest set bit starts the result
+    take, first = bits[..., None, None], first[..., None, None]
+    out = np.where((n == 0)[:, None, None], ID4, a)  # and a, where bit 0 starts the result
+    z = a
+    for level, used in enumerate(bits.any(axis=0).tolist()[1:], start=1):
+        z = z @ z
+        if level == 1:
+            out = np.where((n == 2)[:, None, None], z, out)
+            out = np.where((n == 3)[:, None, None], z @ a, out)
+        if used:
+            out = np.where(take[:, level], np.where(first[:, level], z, out @ z), out)
+    return out
 
 
 class ExactResult(NamedTuple):
@@ -579,14 +753,14 @@ def evaluate_exact(sys: SystemParams, seq: SequenceParams,
 
     The rate normalization uses the pulse-inclusive cycle duration unless
     use_nominal_duration is set.  gamma comes from the first 1 - 1/e
-    crossing of simulate's series of _series_length cycles, found by
-    _rate_cycles from the first block and the blocks whose mode bound
+    crossing of simulate's series, however many cycles it takes, found by
+    _rate_cycles from the first block and the later blocks whose mode bound
     reaches 1 - 1/e; the rest of the series is never evaluated.  In the
-    first block gamma is what measured_rate reads from that series; past
-    it the two agree to rounding only (see _rate_cycles).  gamma is None
-    when the channel does not polarize (|P_s| below threshold), when the
-    series does not reach 1 - 1/e of P_s within MAX_RATE_CYCLES, or when
-    with_rate is off.
+    first block gamma is what measured_rate reads from a series that holds
+    the crossing; past it the two agree to rounding only (see _rate_cycles).
+    gamma is None when the channel does not polarize (|P_s| below
+    threshold), when the mode sum never reaches 1 - 1/e of P_s (see
+    _later_blocks), or when with_rate is off.
     `cache` is handed to `propagate`: one dict shared by the points of a
     sweep lets them reuse each other's segment and block propagators.
     After propagate, this is the tail of evaluate_exact_batch on a stack of
@@ -667,15 +841,14 @@ def _solve(u: np.ndarray, t_cycles: list[float],
     if len(solved) < len(u):
         u = u[solved]
     t = _channels(u[:, :, :2].reshape(-1, 2, 2, 2))  # first block column: the Kraus pairs
-    mu, weights = _weighted_modes(t)
-    p_s, lam, spread = _spectral_summary(mu, weights)
+    mu, weights, drift = _weighted_modes(t)
+    p_s, lam = _spectral_summary(mu, weights)
     rated = [j for j, p in enumerate(p_s) if with_rate and abs(p) > 1e-6]
     cycles: list[float | None] = [None] * len(solved)
     if rated:
         if len(rated) < len(solved):
-            t, mu, weights = t[rated], mu[rated], weights[rated]
-        n = np.array([_series_length(p_s[j], lam[j], spread[j]) for j in rated])
-        found = _rate_cycles(t, mu, weights, np.array([p_s[j] for j in rated]), n)
+            t, mu, weights, drift = t[rated], mu[rated], weights[rated], drift[rated]
+        found = _rate_cycles(t, mu, weights, np.array([p_s[j] for j in rated]), drift)
         for j, c in zip(rated, found):
             cycles[j] = c
     for j, i in enumerate(solved):

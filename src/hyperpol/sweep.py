@@ -273,7 +273,9 @@ def apply_point(sys: SystemParams, seq: SequenceParams,
     if sys_kwargs:
         sys = SystemParams(**{**sys.to_dict(), **sys_kwargs})
     if seq_kwargs:
-        seq = SequenceParams(**{**vars(seq), **seq_kwargs})
+        fields = {**vars(seq), **seq_kwargs}
+        del fields["_violations"]  # the base's checked result, not a field
+        seq = SequenceParams(**fields)
     problems = seq.violations()
     if problems:
         raise ValueError("invalid sequence: " + "; ".join(problems))

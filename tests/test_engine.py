@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from hyperpol import analytic, engine
 from hyperpol.catalog import finite_pulse_tau, magic_params
 from hyperpol.engine import (
-    MAX_RATE_CYCLES,
     MEMO_LIMIT,
     UNITARITY_TOL,
     BelowThresholdError,
@@ -27,8 +26,8 @@ from hyperpol.engine import (
     simulate,
     steady_state,
 )
-from hyperpol.engine import (_modes, _rate_cycles, _series_length, _spectral_summary, _spectrum,
-                             _superop, _weighted_modes)
+from hyperpol.engine import (E_FRACTION, _modes, _rate_cycles, _spectral_summary, _superop,
+                             _weighted_modes)
 from hyperpol.linalg import ID2, ID4, SX, SZ, hermitian_expm, unitarity_defect
 from hyperpol.params import SequenceParams, SystemParams
 from hyperpol.timeline import (FREE_HYPERFINE, FREE_NUCLEAR, PULSE, Repeat, Segment, Timeline,
@@ -218,6 +217,21 @@ def test_kraus_rejects_non_unitary():
         kraus(ID2)
 
 
+def test_a_walk_builds_the_hyperfine_hamiltonian_once_per_system(monkeypatch):
+    # finite pulses: the free evolution and the drive of each axis all add the
+    # hyperfine Hamiltonian, built once per system for the whole walk
+    systems = [SystemParams(omega=1.0, a_perp=a) for a in (0.001, 0.002)]
+    seq = replace(magic_params("I", +1, 8).to_sequence_params(systems[0], 4), tau_pi=0.05 * math.pi)
+    points = [(s, render_unit(s, seq)) for s in systems]
+    built = []
+    original = engine.hyperfine_hamiltonian
+    monkeypatch.setattr(engine, "hyperfine_hamiltonian", lambda s: built.append(s) or original(s))
+    walked = engine._walk(points, None)
+    assert built == systems
+    for u, (s, tl) in zip(walked, points):
+        assert operator_distance(u, flat_product(s, tl)) <= 1e-12
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
 def test_segment_propagator_names_an_overflowing_phase():
     waits = [Segment(FREE_NUCLEAR, 1.0), Segment(FREE_NUCLEAR, 1e10)]
@@ -379,6 +393,15 @@ def test_steady_state_long_train_magic_row():
     assert 0.0 <= lam < 1.0
 
 
+def _spectrum(pair: KrausPair) -> tuple[float, float, float]:
+    """(P_s, lambda, spread) of one channel: spread is the sum of |w_k| over the moving modes,
+    which bounds |P(n) - P_s| at lambda^(n-1) times it."""
+    mu, weights, _ = _weighted_modes(_superop(pair)[None])
+    (p_s,), (lam,) = _spectral_summary(mu, weights)
+    moving = (np.abs(mu[0] - 1.0) > UNITARITY_TOL) & (np.abs(weights[0]) > UNITARITY_TOL)
+    return p_s, lam, float(np.abs(weights[0][moving]).sum())
+
+
 @given(st.integers(0, 2 ** 31 - 1))
 def test_spectral_fixed_point_and_contraction(seed):
     pair = cycle_kraus(*random_params(np.random.default_rng(seed)))
@@ -424,14 +447,13 @@ def test_stacked_spectral_summary_keeps_the_bytes_of_each_point():
         if k > 2:
             mu[1], weights[1] = [1.0, 0.5, 0.5j, -0.5], complex(-0.0, -0.0)
             mu[2], weights[2] = 0.5, -0.0
-        p_s, lam, spread = _spectral_summary(mu, weights)
+        p_s, lam = _spectral_summary(mu, weights)
         for i in range(k):
             still = np.abs(mu[i] - 1.0) <= UNITARITY_TOL
             moving = ~still & (np.abs(weights[i]) > UNITARITY_TOL)
             expected = (float(weights[i][still].sum().real),
-                        float(np.max(np.abs(mu[i][moving]))) if moving.any() else 1.0,
-                        float(np.abs(weights[i][moving]).sum()))
-            got = (p_s[i], lam[i], spread[i])
+                        float(np.max(np.abs(mu[i][moving]))) if moving.any() else 1.0)
+            got = (p_s[i], lam[i])
             assert [np.float64(v).tobytes() for v in got] == [
                 np.float64(v).tobytes() for v in expected]
 
@@ -456,11 +478,10 @@ def test_slow_readme_sweep_points_are_solved(t_s_over_pi):
 def test_interpolated_rates_are_python_floats(t_s_over_pi, later):
     seq = replace(README_BASE, t_s=t_s_over_pi * math.pi)
     pair = cycle_kraus(SYS, seq)
-    p_s, lam, spread = _spectrum(pair)
-    n = _series_length(p_s, lam, spread)
-    n_s = rate_cycles(pair, p_s, n)
+    p_s, _ = steady_state(pair)
+    n_s = rate_cycles(pair, p_s)
     assert type(n_s) is float and (n_s > engine.SERIES_BLOCK) == later
-    expected = measured_rate(simulate(pair, mixed_state(), n), p_s, 1.0)
+    expected = measured_rate(simulate(pair, mixed_state(), series_through(n_s)), p_s, 1.0)
     # simulate steps block by block where _later_blocks jumps: the same crossing, not the same
     # bytes (relative differences 8.6e-15 at 0.1 pi, 4.5e-14 at 0.35 pi, 4.8e-15 at 1.85 pi)
     assert 1.0 / n_s == (pytest.approx(expected, rel=1e-12) if later else expected)
@@ -469,38 +490,62 @@ def test_interpolated_rates_are_python_floats(t_s_over_pi, later):
         assert type(res.gamma) is float and type(res.n_s) is float
 
 
-def test_readme_point_beyond_the_cap_has_no_rate():
-    # t_s = 0.6 pi: the full 2^21-cycle series never reaches 1 - 1/e of P_s
+def series_through(n_s: float) -> int:
+    """A series length that holds the crossing at N_s, between cycles N_s + 1 and N_s + 2."""
+    return math.ceil(n_s) + 2
+
+
+def test_readme_point_beyond_the_old_cap_has_a_rate():
+    # t_s = 0.6 pi crosses 1 - 1/e of P_s after 2^21 cycles, where the series was once cut off
     seq = replace(README_BASE, t_s=0.6 * math.pi)
     res = evaluate_exact(SYS, seq)
     assert abs(res.p_s) > 0.1
-    assert res.gamma is None and res.n_s is None
-    series = simulate(cycle_kraus(SYS, seq), mixed_state(), MAX_RATE_CYCLES)
-    with pytest.raises(BelowThresholdError):
-        measured_rate(series, res.p_s, res.t_cycle)
+    assert 2 ** 21 < res.n_s < 2 ** 22
+    series = simulate(cycle_kraus(SYS, seq), mixed_state(), series_through(res.n_s))
+    assert res.gamma == pytest.approx(measured_rate(series, res.p_s, res.t_cycle), rel=1e-10)
 
 
 @given(st.integers(0, 2 ** 31 - 1))
+@settings(deadline=None)
 def test_rate_from_modes_matches_the_full_series(seed):
     sys_p, seq_p = random_params(np.random.default_rng(seed))
     res = evaluate_exact(sys_p, seq_p)
     pair = cycle_kraus(sys_p, seq_p)
-    p_s, lam, spread = _spectrum(pair)
-    series = simulate(pair, mixed_state(), _series_length(p_s, lam, spread))
-    try:
-        expected = measured_rate(series, p_s, res.t_cycle)
-    except BelowThresholdError:
-        assert res.gamma is None
-    else:
-        assert res.gamma == pytest.approx(expected, rel=1e-10)
+    p_s, _ = steady_state(pair)
+    if res.gamma is None:  # every draw that polarizes reaches 1 - 1/e
+        assert abs(p_s) <= 1e-6
+        with pytest.raises(BelowThresholdError):
+            measured_rate(simulate(pair, mixed_state(), 300), p_s, res.t_cycle)
+    elif res.n_s < 2 ** 21:
+        series = simulate(pair, mixed_state(), series_through(res.n_s))
+        assert res.gamma == pytest.approx(measured_rate(series, p_s, res.t_cycle), rel=1e-10)
+    else:  # too long a series to write out: the mode sum brackets the crossing instead,
+        # to the rounding by which the series strays from it (see engine._later_blocks)
+        mu, weights, drift = _weighted_modes(_superop(pair)[None])
+        stray = 2 * (res.n_s + 1) * drift[0] / abs(p_s)
+        before, after = (float((weights[0] * mu[0] ** (c - 1)).sum().real / p_s)
+                         for c in (math.floor(res.n_s) + 1, math.floor(res.n_s) + 2))
+        assert before <= E_FRACTION + stray and after >= E_FRACTION - stray
 
 
-def rate_cycles(pair: KrausPair, p_s: float, n: int) -> float | None:
-    """_rate_cycles on a batch of one: N_s of the series of n cycles, or None."""
-    t = _superop(pair)[None]
-    mu, weights = _weighted_modes(t)
-    (n_s,) = _rate_cycles(t, mu, weights, np.array([p_s]), np.array([n]))
-    return n_s
+def rate_cycles(pair: KrausPair, p_s: float) -> float | None:
+    """_rate_cycles on a batch of one: N_s of the whole series, or None."""
+    return rate_cycles_of(_superop(pair)[None], p_s)[0]
+
+
+def rate_cycles_of(t: np.ndarray, p_s) -> list[float | None]:
+    """_rate_cycles on the stacked transfer matrices t (k, 4, 4) with steady polarizations p_s."""
+    mu, weights, drift = _weighted_modes(t)
+    return _rate_cycles(t, mu, weights, np.broadcast_to(np.asarray(p_s, dtype=float), len(t)),
+                        drift)
+
+
+def recorded_jumps(monkeypatch) -> list[int]:
+    """From now on, the exponent of every matrix_power jump of the later-block search."""
+    jumps = []
+    powers = engine._powers
+    monkeypatch.setattr(engine, "_powers", lambda a, n: jumps.extend(n) or powers(a, n))
+    return jumps
 
 
 def test_rate_crossing_on_the_first_cycle_after_a_skipped_block(monkeypatch):
@@ -509,21 +554,17 @@ def test_rate_crossing_on_the_first_cycle_after_a_skipped_block(monkeypatch):
     lam = math.exp(-1 / 2047.5)
     pair = KrausPair(m_up=np.diag([1.0, math.sqrt(lam)]).astype(complex),
                      m_down=np.array([[0.0, math.sqrt(1 - lam)], [0.0, 0.0]], dtype=complex))
-    p_s, lam_est, spread = _spectrum(pair)
+    p_s, lam_est = steady_state(pair)
     assert p_s == pytest.approx(1.0, abs=1e-12) and lam_est == pytest.approx(lam, abs=1e-12)
-    n = _series_length(p_s, lam_est, spread)
-    fractions = simulate(pair, mixed_state(), n).values / p_s
+    series = simulate(pair, mixed_state(), 4096)
+    fractions = series.values / p_s
     assert np.nonzero(fractions >= 1 - math.exp(-1))[0][0] == 2048
-    jumps = []
-    matrix_power = np.linalg.matrix_power
-    monkeypatch.setattr(np.linalg, "matrix_power",
-                        lambda a, k: jumps.append(int(k)) or matrix_power(a, k))
-    n_s = rate_cycles(pair, p_s, n)
+    jumps = recorded_jumps(monkeypatch)
+    n_s = rate_cycles(pair, p_s)
     # block 1 ends 9e-5 below the threshold: one jump goes from block 0 to its
     # start, and its last cycle still supplies the interpolation's lower end
     assert jumps == [1]
-    assert 1 / n_s == pytest.approx(measured_rate(simulate(pair, mixed_state(), n), p_s, 1.0),
-                                    rel=1e-10)
+    assert 1 / n_s == pytest.approx(measured_rate(series, p_s, 1.0), rel=1e-10)
     assert n_s == pytest.approx(2047.5, abs=1e-3)
 
 
@@ -531,19 +572,14 @@ def test_rate_crossing_at_an_oscillation_peak_inside_a_block():
     # weak damping towards nuclear up, then a rotation about a tilted axis: the
     # coherence modes ripple P(n), so the first crossing lies on a crest inside
     # block 16 while both ends of that block stay below 1 - 1/e
-    damping = 1e-4
-    axis = math.cos(1.2) * SZ + math.sin(1.2) * SX
-    turn = hermitian_expm(axis, 2 * math.pi / 1500)
-    pair = KrausPair(m_up=turn @ np.diag([1.0, math.sqrt(1 - damping)]),
-                     m_down=turn @ np.array([[0.0, math.sqrt(damping)], [0.0, 0.0]]))
-    p_s, lam, spread = _spectrum(pair)
-    n = _series_length(p_s, lam, spread)
-    series = simulate(pair, mixed_state(), n)
+    pair = oscillating_pair()
+    p_s, _ = steady_state(pair)
+    series = simulate(pair, mixed_state(), 17 * 1024)
     fractions = series.values / p_s
     crossing = np.nonzero(fractions >= 1 - math.exp(-1))[0][0]
     assert crossing // 1024 == 16
     assert max(fractions[16 * 1024], fractions[17 * 1024 - 1]) < 1 - math.exp(-1) - 0.02
-    n_s = rate_cycles(pair, p_s, n)
+    n_s = rate_cycles(pair, p_s)
     assert 1 / n_s == pytest.approx(measured_rate(series, p_s, 1.0), rel=1e-10)
 
 
@@ -565,17 +601,16 @@ LEVEL_FIRST_CYCLES = [2 ** e + 1 for e in range(10)]
 @pytest.mark.parametrize("cycle,n", [(c, None) for c in LEVEL_FIRST_CYCLES]
                          + [(290, 300), (400, 300), (700, None)])
 def test_lazy_rate_reads_exactly_what_measured_rate_reads(sign, cycle, n):
+    # n cuts the series that measured_rate reads; None ends it at the crossing
     pair = damping_to_cross_at(cycle, sign)
-    p_s, lam, spread = _spectrum(pair)
+    p_s, _ = steady_state(pair)
     assert p_s == pytest.approx(sign, abs=1e-12)
-    n = n or _series_length(p_s, lam, spread)
-    series = simulate(pair, mixed_state(), n)
-    n_s = rate_cycles(pair, p_s, n)
-    if cycle > n:  # a one-block series of 300 cycles that never reaches 1 - 1/e
-        assert n_s is None
+    n_s = rate_cycles(pair, p_s)
+    series = simulate(pair, mixed_state(), n or cycle)
+    if cycle > len(series):  # a 300-cycle series stops before the crossing at cycle 400
         with pytest.raises(BelowThresholdError):
             measured_rate(series, p_s, 1.0)
-        return
+        series = simulate(pair, mixed_state(), cycle)
     assert np.nonzero(series.values / p_s >= 1 - math.exp(-1))[0][0] == cycle - 1
     assert 1.0 / n_s == measured_rate(series, p_s, 1.0)
     assert (n_s == 1.0) == (cycle == 2)
@@ -583,7 +618,7 @@ def test_lazy_rate_reads_exactly_what_measured_rate_reads(sign, cycle, n):
 
 @pytest.mark.parametrize("cycle", LEVEL_FIRST_CYCLES + [100, 512, 1024])
 def test_lazy_rate_stops_at_the_level_that_holds_the_crossing(monkeypatch, cycle):
-    starts, jumps = [], []
+    starts = []
     level = engine._level
 
     def counted(rows, power, x, start):
@@ -591,13 +626,155 @@ def test_lazy_rate_stops_at_the_level_that_holds_the_crossing(monkeypatch, cycle
         return level(rows, power, x, start)
 
     monkeypatch.setattr(engine, "_level", counted)
-    monkeypatch.setattr(np.linalg, "matrix_power", lambda a, k: jumps.append(k))
+    jumps = recorded_jumps(monkeypatch)
     pair = damping_to_cross_at(cycle)
-    # a series far longer than one block: the later blocks are never bounded or reached
-    assert rate_cycles(pair, 1.0, 5000) is not None
+    # the later blocks are never bounded or reached
+    assert rate_cycles(pair, 1.0) is not None
     # levels start at entries 0 (cycles 1-2), 2, 4, 8, ...; the crossing is entry cycle - 1
     assert starts == [0] + [2 ** e for e in range(1, (cycle - 1).bit_length())]
     assert jumps == []
+
+
+def test_stacked_jumps_have_the_bytes_of_matrix_power():
+    # every exponent path of matrix_power: the identity, a, a @ a, (a @ a) @ a and the
+    # binary product, with stacks whose largest exponent sets how far they square
+    rng = np.random.default_rng(5)
+    a = np.array([_superop(cycle_kraus(*random_params(rng))) for _ in range(12)])
+    for n in ([0], [1], [2], [3], [2, 3], [0, 1, 4], [5, 2, 0], [8, 1023, 1024, 1025],
+              [2 ** 20 + 7, 33, 12345, 4]):
+        got = engine._powers(a[:len(n)], n)
+        assert all(got[i].tobytes() == np.linalg.matrix_power(a[i], e).tobytes()
+                   for i, e in enumerate(n))
+
+
+def closed_form_cycles(pair: KrausPair) -> float:
+    """N_s of damping_to_cross_at's series P(n) = 1 - lam^(n-1), for the lam the channel holds.
+
+    lam is the transfer matrix's own entry, which rounding moves off the
+    lam the channel was built from; the crossing is interpolated between the
+    two cycles around it, as measured_rate does.
+    """
+    log_lam = math.log1p(-(1.0 - _superop(pair)[3, 3].real))
+    crossing = math.floor(-1.0 / log_lam) + 1  # the last cycle before it, counted from 1
+
+    def fraction(c):
+        return -math.expm1((c - 1) * log_lam)
+
+    lo, hi = fraction(crossing), fraction(crossing + 1)
+    return crossing + (E_FRACTION - lo) / (hi - lo) - 1.0
+
+
+def test_rate_crossing_far_past_the_old_cap():
+    # 2^25 + 3 cycles: 16 times past the old 2^21-cycle series, 32 767 blocks in
+    pair = damping_to_cross_at(2 ** 25 + 3)
+    p_s, lam = steady_state(pair)
+    assert p_s == pytest.approx(1.0, abs=1e-12) and lam < 1.0
+    n_s = rate_cycles(pair, p_s)
+    assert n_s == pytest.approx(closed_form_cycles(pair), rel=1e-12)
+    assert n_s == pytest.approx(2 ** 25 + 1.5, abs=1e-3)
+
+
+def test_rate_crossing_near_2_to_the_40():
+    # its slow mode lies within UNITARITY_TOL of 1, so the engine counts it as
+    # steady and P_s reads 0; handed P_s = 1, the search still finds the crossing
+    pair = damping_to_cross_at(2 ** 40)
+    assert abs(steady_state(pair)[0]) <= 1e-6
+    n_s = rate_cycles(pair, 1.0)
+    # the 2^30-block series rounds its exponent by about 1e-9 relative
+    assert n_s == pytest.approx(closed_form_cycles(pair), rel=1e-8)
+
+
+def test_rate_one_cycle_after_the_old_series_length():
+    # the old series of this draw ended at 880 634 cycles, one cycle before the
+    # series reaches 1 - 1/e; it used to read no rate
+    sys_p, seq_p = random_params(np.random.default_rng(1741))
+    res = evaluate_exact(sys_p, seq_p)
+    series = simulate(cycle_kraus(sys_p, seq_p), mixed_state(), series_through(res.n_s))
+    assert np.nonzero(series.values / res.p_s >= E_FRACTION)[0][0] == 880_634
+    assert res.gamma == pytest.approx(measured_rate(series, res.p_s, res.t_cycle), rel=1e-10)
+
+
+def transfer_matrix(mu: list, weights: list) -> np.ndarray:
+    """A 4x4 transfer matrix with eigenvalues mu whose series from the mixed start is
+    P(n) = Re sum weights mu^(n-1): every eigenvector reads 1, and the mixed
+    start is sum weights v.  The weights must sum to 0, as P(1) is."""
+    vecs = np.array([[1.0, 0.3, 0.2, 0.4], [0.0, 0.5, 0.0, 0.1], [0.0, 0.0, 0.5, 0.3],
+                     [0.0, -0.7, -0.8, -0.6]])
+    vecs[:, 0] = (engine._MIXED.real - vecs[:, 1:] @ weights[1:]) / weights[0]
+    return vecs @ np.diag(mu) @ np.linalg.inv(vecs)
+
+
+def series_of(t: np.ndarray, n: int) -> PolarizationSeries:
+    """P(1), ..., P(n) of the transfer matrix t from the mixed start, one cycle at a time."""
+    x, values = engine._MIXED.copy(), np.empty(n)
+    for i in range(n):
+        values[i] = (x[0] - x[3]).real
+        x = t @ x
+    return PolarizationSeries(values)
+
+
+def test_a_moving_mode_of_modulus_one_crosses_on_a_crest():
+    # mu = -1 is not steady (|mu - 1| = 2), and its term 0.1 (-1)^n never decays:
+    # P(n) = 1 - 1.1 (1 - 1e-5)^n + 0.1 (-1)^n first reaches 1 - 1/e on an even n
+    t = transfer_matrix([1.0, 1 - 1e-5, -1.0, 0.5], [1.0, -1.1, 0.1, 0.0])
+    mu, weights, _ = _weighted_modes(t[None])
+    (p_s,), (lam,) = _spectral_summary(mu, weights)
+    assert p_s == pytest.approx(1.0, abs=1e-8) and lam == pytest.approx(1.0, abs=1e-12)
+    (n_s,) = rate_cycles_of(t[None], p_s)
+    assert engine.SERIES_BLOCK < n_s < 2 ** 17
+    series = series_of(t, series_through(n_s))
+    assert 1 / n_s == pytest.approx(measured_rate(series, p_s, 1.0), rel=1e-10)
+
+
+def test_a_mode_sum_that_never_reaches_the_threshold_reads_no_rate():
+    # a steady mode just inside UNITARITY_TOL of 1 (P_s = 1) fades over 2e10 cycles while
+    # the moving one rises: P(n) = (1 - 5e-11)^n - (1 - 3e-10)^n peaks at 0.58, below 1 - 1/e
+    t = transfer_matrix([1.0 - 5e-11, 1.0 - 3e-10, 0.5, 0.25], [1.0, -1.0, 0.0, 0.0])
+    mu, weights, _ = _weighted_modes(t[None])
+    (p_s,), _ = _spectral_summary(mu, weights)
+    assert p_s == pytest.approx(1.0, abs=1e-5)  # the two slow modes lie 2.5e-10 apart
+    assert rate_cycles_of(t[None], p_s) == [None]
+
+
+def oscillating_pair() -> KrausPair:
+    """Weak damping towards nuclear up, then a turn about a tilted axis: a rippled series."""
+    damping = 1e-4
+    axis = math.cos(1.2) * SZ + math.sin(1.2) * SX
+    turn = hermitian_expm(axis, 2 * math.pi / 1500)
+    return KrausPair(m_up=turn @ np.diag([1.0, math.sqrt(1 - damping)]),
+                     m_down=turn @ np.array([[0.0, math.sqrt(damping)], [0.0, 0.0]]))
+
+
+def later_block_pool() -> list[tuple[np.ndarray, float]]:
+    """(transfer matrix, P_s) of points that leave the first block at many depths, and some
+    that do not: crossings on cycles 100 to 2^25 + 3, on a crest, past 2^21 cycles at the
+    README base, after a moving mode of modulus 1, and never."""
+    pairs = [damping_to_cross_at(c, sign) for c in (100, 1030, 2049, 5000, 70_001, 3_000_000,
+                                                     2 ** 25 + 3) for sign in (1, -1)]
+    pairs += [oscillating_pair()]
+    pairs += [cycle_kraus(SYS, replace(README_BASE, t_s=f * math.pi))
+              for f in (0.1, 0.35, 0.6, 1.85)]
+    pool = [(_superop(pair), steady_state(pair)[0]) for pair in pairs]
+    pool += [(transfer_matrix([1.0, 1 - 1e-5, -1.0, 0.5], [1.0, -1.1, 0.1, 0.0]), 1.0),
+             (transfer_matrix([1.0 - 5e-11, 1.0 - 3e-10, 0.5, 0.25], [1.0, -1.0, 0.0, 0.0]), 1.0)]
+    return pool
+
+
+LATER_BLOCK_POOL = later_block_pool()
+
+
+@given(st.lists(st.integers(0, len(LATER_BLOCK_POOL) - 1), min_size=1, max_size=12))
+@settings(deadline=None)
+def test_stacked_later_search_matches_each_point_alone(picks):
+    # the points of a stack leave the later-block search at different depths, each
+    # with the bytes it gets alone
+    t = np.array([LATER_BLOCK_POOL[i][0] for i in picks])
+    p_s = [LATER_BLOCK_POOL[i][1] for i in picks]
+    together = rate_cycles_of(t, p_s)
+    alone = [rate_cycles_of(t[j:j + 1], p)[0] for j, p in enumerate(p_s)]
+    assert [None if n is None else n.hex() for n in together] == [
+        None if n is None else n.hex() for n in alone]
+    assert all(type(n) is float for n in together if n is not None)
 
 
 @pytest.mark.parametrize("rho0", [mixed_state(), np.array([[1, 1], [1, 1]]) / 2],

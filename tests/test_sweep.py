@@ -516,14 +516,27 @@ def without_reuse(monkeypatch):
                             evaluate_exact_batch([p]) for p in points))
 
 
+def test_each_exact_point_checks_its_sequence_once():
+    # apply_point checks the new sequence and keeps the result on it; rendering reads it back
+    base = README_T_S_06
+    assert base.violations() == []  # the base now carries its checked result too
+    sys_p, seq = apply_point(SYS, base, ("t_s", "n_r"), (0.5, 3.0))
+    assert (seq.t_s, seq.n_r) == (0.5, 3) and seq == replace(base, t_s=0.5, n_r=3)
+    object.__setattr__(seq, "_violations", ["checked once"])
+    with pytest.raises(ValueError, match="invalid sequence: checked once"):
+        render_unit(sys_p, seq)
+    with pytest.raises(ValueError, match="invalid sequence: n_r must be >= 1, got 0"):
+        apply_point(SYS, base, ("n_r",), (0.0,))
+
+
 def count_segment_propagators(monkeypatch) -> list:
     """The segments exponentiated, one entry per segment of each grouped call."""
     calls = []
     original = engine.segment_propagator
 
-    def counted(sys_p, segments):
+    def counted(sys_p, segments, *hyperfine):
         calls.extend(segments)
-        return original(sys_p, segments)
+        return original(sys_p, segments, *hyperfine)
 
     monkeypatch.setattr(engine, "segment_propagator", counted)
     return calls
@@ -582,22 +595,7 @@ def test_sweep_memo_lasts_one_call(monkeypatch):
     assert first < len(calls) - 2 * first
 
 
-def short_series_where_one_block_would_cross(monkeypatch):
-    """Cut to 200 cycles every series that _series_length puts inside the first block.
-
-    Such a series (n = 502 at a_perp = 0.25 below) crosses 1 - 1/e near cycle
-    251: cut at 200 it is a series shorter than one block that never crosses.
-    """
-    series_length = engine._series_length
-
-    def cut(p_s, lam, spread):
-        n = series_length(p_s, lam, spread)
-        return 200 if 256 < n < engine.SERIES_BLOCK else n
-
-    monkeypatch.setattr(engine, "_series_length", cut)
-
-
-# the README rate sweep's base at t_s = 0.6 pi, the point whose series never reaches 1 - 1/e
+# the README rate sweep's base at t_s = 0.6 pi, the point that crosses 1 - 1/e after 2^21 cycles
 README_T_S_06 = SequenceParams(n_p=1, tau=2 * math.pi, t_s=0.6 * math.pi, t_w=1.5 * math.pi,
                                t_c=1.5 * math.pi, n_r=4, tau_pi=0.2 * math.pi)
 
@@ -605,12 +603,11 @@ README_T_S_06 = SequenceParams(n_p=1, tau=2 * math.pi, t_s=0.6 * math.pi, t_w=1.
 @pytest.mark.parametrize("batch_size", [engine.BATCH_SIZE, 5])
 def test_batched_sweep_matches_each_point_alone(monkeypatch, batch_size):
     # a_perp runs down from couplings that cross on cycle 2 or on later doubling
-    # levels to 0.25 (the cut series), 0.15 and 0.10 (crossings after the first
-    # block), 0.05 (the README point, no rate) and 0 (P_s = 0), so the slow points
-    # sit behind fast ones in the stack they leave last; n_r = 4 - 2^55 is an invalid
-    # sequence, and n_r = 2^55 squares the cycle propagator into a non-unitary
-    # matrix whose rounding has grown past 1e250 at some couplings
-    short_series_where_one_block_would_cross(monkeypatch)
+    # levels to 0.15 and 0.10 (crossings after the first block), 0.05 (the README
+    # point, past 2^21 cycles) and 0 (P_s = 0), so the slow points sit behind fast
+    # ones in the stack they leave last; n_r = 4 - 2^55 is an invalid sequence, and
+    # n_r = 2^55 squares the cycle propagator into a non-unitary matrix whose
+    # rounding has grown past 1e250 at some couplings
     monkeypatch.setattr(engine, "BATCH_SIZE", batch_size)
     spec = spec_for((Axis("a_perp", 2.0, 0.0, 41), Axis("n_r", 4 - 2.0 ** 55, 4 + 2.0 ** 55, 3)),
                     engine="exact", target="rate", base_seq=README_T_S_06)
@@ -642,12 +639,14 @@ def test_batched_sweep_matches_each_point_alone(monkeypatch, batch_size):
     assert any("e+2" in s for s in statuses)  # a defect above 1e200
     assert len(n_s) == 41
     assert abs(p_s[0]) <= 1e-6 and n_s[0] is None
-    assert n_s[1] is None and n_s[5] is None  # the README point and the cut series
+    assert all(n_s[k] is not None for k in n_s if k)
+    assert n_s[1] > 2 ** 21  # the README point, past the old series cap
     assert n_s[2] > 2 * engine.SERIES_BLOCK and n_s[3] > engine.SERIES_BLOCK
     assert n_s[14] == pytest.approx(1.0)  # a_perp = 0.7 crosses on cycle 2
-    # crossings on seven doubling levels of the first block, up to cycle 849 of the last
+    # crossings on eight doubling levels of the first block, up to cycle 849 of the last
+    # (a_perp = 0.25 crosses near cycle 251, on level 8)
     levels = {round(v).bit_length() for v in n_s.values() if v is not None and v < 1024}
-    assert levels == {1, 2, 3, 4, 5, 6, 7, 10}
+    assert levels == {1, 2, 3, 4, 5, 6, 7, 8, 10}
 
 
 def each_point_alone(spec: SweepSpec) -> ResultTable:
@@ -760,7 +759,7 @@ def exponentiation_log(monkeypatch) -> list:
 
     logging("_walk", lambda points, cache: ("stack", len(points)))
     logging("segment_propagator",
-            lambda sys_p, segments: ("generator", engine._generator(sys_p, segments[0])))
+            lambda sys_p, segments, *memo: ("generator", engine._generator(sys_p, segments[0])))
     logging("hermitian_expm", lambda h, t=1.0: ("expm",))
     return log
 
