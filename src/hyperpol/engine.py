@@ -137,15 +137,15 @@ def _generator(sys: SystemParams, seg: Segment) -> tuple:
 
 
 def segment_propagator(sys: SystemParams, segments: Sequence[Segment],
-                       hyperfine: dict | None = None) -> np.ndarray:
+                       hyperfine: dict) -> np.ndarray:
     """Propagators (k, 4, 4) of k segments that share one generator (see _generator).
 
     One hermitian_expm call exponentiates the generator over all their
     durations; a zero-width pulse turns its spin by its angle instead.
     Raises ValueError naming the system and the duration when an eigenvalue
-    times a duration overflows.  `hyperfine`, when given, keeps each
-    system's hyperfine_hamiltonian for the next call: a walk builds it once
-    for the free evolution and every drive of a system.
+    times a duration overflows.  `hyperfine` keeps each system's
+    hyperfine_hamiltonian for the next call, so a walk that passes one dict
+    builds it once for the free evolution and every drive of a system.
     """
     seg = segments[0]
     if seg.kind == FREE_HYPERFINE:
@@ -170,10 +170,8 @@ def segment_propagator(sys: SystemParams, segments: Sequence[Segment],
     return u
 
 
-def _hyperfine(sys: SystemParams, memo: dict | None) -> np.ndarray:
-    """hyperfine_hamiltonian(sys), kept in `memo` by system when there is one."""
-    if memo is None:
-        return hyperfine_hamiltonian(sys)
+def _hyperfine(sys: SystemParams, memo: dict) -> np.ndarray:
+    """hyperfine_hamiltonian(sys), built once and kept in `memo` by system."""
     h = memo.get(sys)
     if h is None:
         h = memo[sys] = hyperfine_hamiltonian(sys)
@@ -347,7 +345,7 @@ def _read(rows: np.ndarray, x: np.ndarray, m: int) -> np.ndarray:
     512x4 product runs on one thread either way.
     """
     half = SERIES_BLOCK // 2
-    chunks = [np.matvec(rows[..., a:a + half, :], x)
+    chunks = [(rows[..., a:a + half, :] @ x[..., None])[..., 0]
               for a in range(0, min(m, rows.shape[-2]), half)]
     return np.concatenate(chunks, axis=-1).real[..., :m]
 
@@ -538,20 +536,18 @@ def _later_blocks(rows: np.ndarray, power: np.ndarray, mu: np.ndarray, weights: 
     points), so a part is ruled out only when its bound stays below 1 - 1/e
     by twice that.  A single block the bound cannot rule out is read: its
     state is one jump from the mixed start, matrix_power(T^SERIES_BLOCK,
-    b - 1) (see _powers), then one step of T^SERIES_BLOCK, and its rows are
-    read like simulate's later blocks, so N_s does not depend on which
-    blocks the search read before.  Should the block already open above
-    1 - 1/e, after an entry above it too, the bound missed the crossing by
-    rounding and the block before is read instead.
-    Once a read block of a point holds no crossing, the point cuts ranges
-    of at most SPLIT^2 blocks into single blocks and reads up to SPLIT kept
-    ones at once; the earliest crossing among them counts.
+    b - 1), then one step of T^SERIES_BLOCK, and its rows are read like
+    simulate's later blocks, so N_s does not depend on which blocks the
+    search read before.  Should the block already open above 1 - 1/e, after
+    an entry above it too, the bound missed the crossing by rounding and
+    the block before is read instead.  A read block without a crossing
+    sends the point on to the range waiting to its right.
 
     A point leaves at its crossing, or as None when, at the start of an
     open range past the first, _tail_bound shows that no later cycle can
     reach 1 - 1/e: the mode sum never reaches it.  That test has no slack,
     which grows without end.  The bounds of all the points searching are
-    evaluated as one stack; each point searches until it sits on blocks to
+    evaluated as one stack; each point searches until it sits on a block to
     read, and then those blocks are read as one stack.  Far out, |mu| > 1
     overflows the bounds: an infinite or NaN bound rules nothing out.
     """
@@ -562,8 +558,7 @@ def _later_blocks(rows: np.ndarray, power: np.ndarray, mu: np.ndarray, weights: 
     found: list[float | None] = [None] * len(rows)
     span = [(1.0, math.inf) for _ in found]  # each point's current range of blocks [lo, hi)
     later = [[] for _ in found]  # the ranges to its right, nearest last
-    missed = [False] * len(found)  # whether a block read of the point held no crossing
-    searching, reading = list(range(len(found))), []  # reading: (point, its blocks to read)
+    searching, reading = list(range(len(found))), []  # reading: (point, its block to read)
     with np.errstate(over="ignore", invalid="ignore"):
         while searching or reading:
             while searching:
@@ -578,33 +573,22 @@ def _later_blocks(rows: np.ndarray, power: np.ndarray, mu: np.ndarray, weights: 
                         if not at:
                             continue
                 lo, hi = np.array([span[i] for i in at]).T[:, :, None]
-                edges = _parts(lo, hi, np.array([missed[i] for i in at])[:, None])
+                edges = _parts(lo, hi)
                 a, z = edges[:, :-1] * SERIES_BLOCK, edges[:, 1:] * SERIES_BLOCK - 1
                 bound = _range_bound(*modes[at].swapaxes(0, 1), a, z)  # cycles 1 + a .. 1 + z
                 kept = ~(bound + slack[at, None] * z < E_FRACTION) & (z >= a)
                 p, k = kept.argmax(axis=1), np.arange(len(at))
-                for j, i, any_kept, first, stop, end in zip(
-                        k, at, kept.any(axis=1).tolist(), edges[k, p].tolist(),
+                for i, any_kept, first, stop, end in zip(
+                        at, kept.any(axis=1).tolist(), edges[k, p].tolist(),
                         edges[k, p + 1].tolist(), edges[:, -1].tolist()):
-                    if any_kept and stop - first == 1:
-                        blocks = [int(first)]
-                        if missed[i]:  # after a miss, read the kept single blocks up to
-                            # the first wider kept part, at most SPLIT, at once
-                            blocks = []
-                            for x, y, keep in zip(edges[j, :-1].tolist(), edges[j, 1:].tolist(),
-                                                  kept[j].tolist()):
-                                if keep and (y - x != 1 or len(blocks) == SPLIT):
-                                    break
-                                if keep:
-                                    blocks.append(int(x))
-                        if blocks[-1] + 1 < span[i][1]:
-                            later[i].append((blocks[-1] + 1.0, span[i][1]))
-                        reading.append((i, blocks))
-                    elif any_kept:
+                    if any_kept:  # go on in the leftmost kept part; the rest of the range waits
                         if stop < span[i][1]:
                             later[i].append((stop, span[i][1]))
-                        span[i] = (first, stop)
-                        searching.append(i)
+                        if stop - first == 1:
+                            reading.append((i, int(first)))
+                        else:
+                            span[i] = (first, stop)
+                            searching.append(i)
                     elif span[i][1] < math.inf:
                         span[i] = later[i].pop()
                         searching.append(i)
@@ -614,52 +598,37 @@ def _later_blocks(rows: np.ndarray, power: np.ndarray, mu: np.ndarray, weights: 
             if not reading:
                 break
             at, reading = reading, []
-            point = [i for i, blocks in at for _ in blocks]
+            point = [i for i, _ in at]
             rows_at, power_at, p_at = rows[point], power[point], p_s[point]
-            before = _powers(power_at, [b - 1 for _, blocks in at for b in blocks]) @ _MIXED
-            last = iter(np.matvec(rows_at[:, -1:], before)[:, 0].real / p_at)
-            values = iter(_read(rows_at, np.matvec(power_at, before), SERIES_BLOCK) / p_at[:, None])
-            for i, blocks in at:
-                n_s = back = None
-                for b, lo, fractions in zip(blocks, last, values):
-                    if n_s is not None or back is not None:
-                        continue  # the point's earliest block has settled it
-                    if lo >= E_FRACTION and fractions[0] >= E_FRACTION:
-                        back = b - 1
-                    else:
-                        n_s = _first_crossing(fractions, b * SERIES_BLOCK, lo)
-                if back is not None:
-                    reading.append((i, [back]))
-                elif n_s is not None:
-                    found[i] = n_s
-                else:
-                    missed[i] = True
+            before = np.array([np.linalg.matrix_power(power[i], b - 1) for i, b in at]) @ _MIXED
+            last = (rows_at[:, -1:] @ before[..., None])[:, 0, 0].real / p_at
+            values = _read(rows_at, (power_at @ before[..., None])[..., 0],
+                           SERIES_BLOCK) / p_at[:, None]
+            for (i, b), lo, fractions in zip(at, last, values):
+                if b > 1 and lo >= E_FRACTION and fractions[0] >= E_FRACTION:
+                    reading.append((i, b - 1))  # the bound missed the crossing by rounding
+                    continue
+                n_s = _first_crossing(fractions, b * SERIES_BLOCK, lo)
+                if n_s is None:
                     span[i] = later[i].pop()
                     searching.append(i)
+                else:
+                    found[i] = n_s
     return found
 
 
-def _parts(lo: np.ndarray, hi: np.ndarray, fine: np.ndarray) -> np.ndarray:
-    """Edges (k, n + 1) of the parts of k ranges of blocks [lo, hi), lo, hi and fine (k, 1).
+def _parts(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Edges (k, SPLIT + 1) of the parts of k ranges of blocks [lo, hi), lo and hi (k, 1).
 
     A range is cut into SPLIT equal parts with whole-block edges, and an open
     one (hi = inf) into SPLIT doubling parts [lo, 2 lo), [2 lo, 4 lo), ...
-    Where fine is set, a range of at most SPLIT^2 blocks is cut into single
-    blocks.  A row with fewer parts repeats its last edge: a part with equal
-    edges is empty.
+    A part with equal edges is empty.
     """
     opened = hi == math.inf
     if opened.all():
         return lo * _DOUBLING
-    width = hi - lo  # inf where open: those rows are not used
-    singles = fine & (width <= SPLIT ** 2)
-    if not singles.any():
-        equal = lo + np.floor(width * _EQUAL)
-        return np.where(opened, lo * _DOUBLING, equal) if opened.any() else equal
-    cut = np.arange(int(width[singles].max()) + 1)
-    cut = cut if len(cut) > SPLIT else np.arange(SPLIT + 1)
-    step = np.where(singles, cut, np.floor(width * np.minimum(cut, SPLIT) / SPLIT))
-    return np.where(opened, lo * 2.0 ** np.minimum(cut, SPLIT), lo + np.minimum(step, width))
+    equal = lo + np.floor((hi - lo) * _EQUAL)  # NaN where open: those rows are not used
+    return np.where(opened, lo * _DOUBLING, equal) if opened.any() else equal
 
 
 _DOUBLING = 2.0 ** np.arange(SPLIT + 1)
@@ -702,31 +671,6 @@ def _tail_bound(size: np.ndarray, rho: np.ndarray, phase: np.ndarray, turn: np.n
     bound = np.where(turn == 0, np.maximum(value, limit),
                      np.where((rho <= 1) | (size == 0), reach, np.inf))
     return bound.sum(axis=-1)
-
-
-def _powers(a: np.ndarray, n: list[int]) -> np.ndarray:
-    """np.linalg.matrix_power(a[i], n[i]) of each stacked matrix a (k, 4, 4), with its bytes.
-
-    matrix_power returns the identity for 0, a for 1, a @ a for 2 and
-    (a @ a) @ a for 3; from 4 on it squares z = a, a @ a, ... and multiplies
-    the z of each set bit of n, lowest first, into the result.  The stack
-    shares the squarings, and each product is taken for the whole stack and
-    kept where a point needs it.
-    """
-    n = np.array(n)
-    bits = (n[:, None] >> np.arange(int(n.max()).bit_length()) & 1 == 1) & (n >= 4)[:, None]
-    first = bits & (np.cumsum(bits, axis=1) == 1)  # the lowest set bit starts the result
-    take, first = bits[..., None, None], first[..., None, None]
-    out = np.where((n == 0)[:, None, None], ID4, a)  # and a, where bit 0 starts the result
-    z = a
-    for level, used in enumerate(bits.any(axis=0).tolist()[1:], start=1):
-        z = z @ z
-        if level == 1:
-            out = np.where((n == 2)[:, None, None], z, out)
-            out = np.where((n == 3)[:, None, None], z @ a, out)
-        if used:
-            out = np.where(take[:, level], np.where(first[:, level], z, out @ z), out)
-    return out
 
 
 class ExactResult(NamedTuple):

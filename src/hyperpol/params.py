@@ -62,12 +62,14 @@ class SequenceParams:
     `violations` is the one rule for a runnable sequence: counts >= 1, finite
     nonnegative times (tau_pi included), for finite pulses tau >= tau_pi
     (each pi pulse fits inside its cell), and a finite cycle duration.
-    Construction does not refuse a sequence, so the closed forms can be
-    evaluated anywhere; rendering, sweep points and the command line refuse
-    a sequence with violations.  The instance is frozen, so construction
-    checks it once and keeps the result in `_violations`, outside its
-    fields (see `sweep.apply_point`).
+    Construction does not check, so the closed forms can be evaluated
+    anywhere; rendering, sweep points and the command line refuse a
+    sequence with violations.  The instance is frozen, so `violations`
+    checks it once, on the first call, and keeps the list in a slot: it is
+    not a field and not in vars(seq).
     """
+
+    __slots__ = ("_violations", "__dict__", "__weakref__")
 
     n_p: int
     tau: float
@@ -80,9 +82,9 @@ class SequenceParams:
     def violations(self) -> list[str]:
         """The rules the sequence breaks, one message each; empty when it is runnable.
         The list is the instance's own: read it, do not change it."""
-        return self._violations
-
-    def __post_init__(self):  # frozen, so checked once
+        problems = getattr(self, "_violations", None)
+        if problems is not None:
+            return problems
         problems = []
         if self.n_p < 1:
             problems.append(f"n_p must be >= 1, got {self.n_p}")
@@ -104,6 +106,10 @@ class SequenceParams:
                 problems.append(f"cycle duration n_r (2 t_s + t_w + 4 n_p tau + t_c "
                                 f"+ 4 tau_pi) not finite: {cycle}")
         object.__setattr__(self, "_violations", problems)
+        return problems
+
+    def __getstate__(self) -> dict:  # the fields: a copy checks itself again
+        return vars(self)
 
     def rep_duration(self) -> float:
         """One repetition, 2 t_s + t_w + 4 n_p tau + t_c, without the pulse widths."""

@@ -273,9 +273,7 @@ def apply_point(sys: SystemParams, seq: SequenceParams,
     if sys_kwargs:
         sys = SystemParams(**{**sys.to_dict(), **sys_kwargs})
     if seq_kwargs:
-        fields = {**vars(seq), **seq_kwargs}
-        del fields["_violations"]  # the base's checked result, not a field
-        seq = SequenceParams(**fields)
+        seq = SequenceParams(**{**vars(seq), **seq_kwargs})
     problems = seq.violations()
     if problems:
         raise ValueError("invalid sequence: " + "; ".join(problems))

@@ -86,11 +86,11 @@ def test_propagate_output_unitary(rng):
 
 def flat_product(sys_p, tl):
     """Reference cycle propagator: the ordered loop over the flat segments."""
-    cache = {}
+    cache, hyperfine = {}, {}
     u = ID4.copy()
     for seg in tl.segments:
         if seg not in cache:
-            (cache[seg],) = segment_propagator(sys_p, [seg])
+            (cache[seg],) = segment_propagator(sys_p, [seg], hyperfine)
         u = cache[seg] @ u
     return u
 
@@ -237,10 +237,10 @@ def test_segment_propagator_names_an_overflowing_phase():
     waits = [Segment(FREE_NUCLEAR, 1.0), Segment(FREE_NUCLEAR, 1e10)]
     huge = SystemParams(omega=1e300, a_perp=0.05)
     with pytest.raises(ValueError) as err:
-        segment_propagator(huge, waits)
+        segment_propagator(huge, waits, {})
     assert str(err.value) == ("segment phase H*t overflows "
                               "(omega=1e+300, a_perp=0.05, a_z=0.0, t=10000000000.0)")
-    assert np.isfinite(segment_propagator(huge, waits[:1])).all()
+    assert np.isfinite(segment_propagator(huge, waits[:1], {})).all()
 
 
 def test_kraus_cptp_trace(rng):
@@ -543,8 +543,8 @@ def rate_cycles_of(t: np.ndarray, p_s) -> list[float | None]:
 def recorded_jumps(monkeypatch) -> list[int]:
     """From now on, the exponent of every matrix_power jump of the later-block search."""
     jumps = []
-    powers = engine._powers
-    monkeypatch.setattr(engine, "_powers", lambda a, n: jumps.extend(n) or powers(a, n))
+    power = np.linalg.matrix_power  # the search's only caller of it: _rate_cycles walks nothing
+    monkeypatch.setattr(np.linalg, "matrix_power", lambda a, n: jumps.append(n) or power(a, n))
     return jumps
 
 
@@ -633,18 +633,6 @@ def test_lazy_rate_stops_at_the_level_that_holds_the_crossing(monkeypatch, cycle
     # levels start at entries 0 (cycles 1-2), 2, 4, 8, ...; the crossing is entry cycle - 1
     assert starts == [0] + [2 ** e for e in range(1, (cycle - 1).bit_length())]
     assert jumps == []
-
-
-def test_stacked_jumps_have_the_bytes_of_matrix_power():
-    # every exponent path of matrix_power: the identity, a, a @ a, (a @ a) @ a and the
-    # binary product, with stacks whose largest exponent sets how far they square
-    rng = np.random.default_rng(5)
-    a = np.array([_superop(cycle_kraus(*random_params(rng))) for _ in range(12)])
-    for n in ([0], [1], [2], [3], [2, 3], [0, 1, 4], [5, 2, 0], [8, 1023, 1024, 1025],
-              [2 ** 20 + 7, 33, 12345, 4]):
-        got = engine._powers(a[:len(n)], n)
-        assert all(got[i].tobytes() == np.linalg.matrix_power(a[i], e).tobytes()
-                   for i, e in enumerate(n))
 
 
 def closed_form_cycles(pair: KrausPair) -> float:

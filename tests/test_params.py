@@ -1,4 +1,7 @@
+import copy
 import math
+import pickle
+from dataclasses import replace
 
 import pytest
 
@@ -82,6 +85,20 @@ def test_validate_requires_pi_pulse_inside_its_cell():
     assert fits.violations() == []
     seq = SequenceParams(n_p=1, tau=1.0, tau_pi=1.5)
     assert any("tau_pi" in p for p in seq.violations())
+
+
+def test_a_checked_sequence_keeps_its_fields_copies_and_pickles():
+    # the check is kept on the instance, but not among its fields or in vars()
+    bad = SequenceParams(n_p=0, tau=1.0)
+    fields = {"n_p": 0, "tau": 1.0, "t_s": 0.0, "t_w": 0.0, "t_c": 0.0, "n_r": 1, "tau_pi": 0.0}
+    assert vars(bad) == fields
+    assert bad.violations() == ["n_p must be >= 1, got 0"] and bad.violations() is bad.violations()
+    assert vars(bad) == fields and SequenceParams(**vars(bad)) == bad
+    assert repr(bad) == repr(SequenceParams(**fields)) and hash(bad) == hash(SequenceParams(**fields))
+    for twin in (copy.deepcopy(bad), pickle.loads(pickle.dumps(bad)), replace(bad, tau=2.0)):
+        assert vars(twin) == {**fields, "tau": twin.tau}
+        assert twin.violations() == ["n_p must be >= 1, got 0"]
+    assert replace(bad, n_p=1).violations() == []
 
 
 def test_resolve_time_accepts_numbers_and_strings():

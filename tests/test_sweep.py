@@ -5,7 +5,7 @@ import itertools
 import json
 import math
 import random
-from dataclasses import replace
+from dataclasses import asdict, replace
 from types import NoneType
 
 import numpy as np
@@ -519,7 +519,8 @@ def without_reuse(monkeypatch):
 def test_each_exact_point_checks_its_sequence_once():
     # apply_point checks the new sequence and keeps the result on it; rendering reads it back
     base = README_T_S_06
-    assert base.violations() == []  # the base now carries its checked result too
+    assert base.violations() == []  # the base now carries its checked result too,
+    assert vars(base) == asdict(base)  # outside the fields that apply_point copies
     sys_p, seq = apply_point(SYS, base, ("t_s", "n_r"), (0.5, 3.0))
     assert (seq.t_s, seq.n_r) == (0.5, 3) and seq == replace(base, t_s=0.5, n_r=3)
     object.__setattr__(seq, "_violations", ["checked once"])
@@ -534,9 +535,9 @@ def count_segment_propagators(monkeypatch) -> list:
     calls = []
     original = engine.segment_propagator
 
-    def counted(sys_p, segments, *hyperfine):
+    def counted(sys_p, segments, hyperfine):
         calls.extend(segments)
-        return original(sys_p, segments, *hyperfine)
+        return original(sys_p, segments, hyperfine)
 
     monkeypatch.setattr(engine, "segment_propagator", counted)
     return calls
@@ -759,7 +760,7 @@ def exponentiation_log(monkeypatch) -> list:
 
     logging("_walk", lambda points, cache: ("stack", len(points)))
     logging("segment_propagator",
-            lambda sys_p, segments, *memo: ("generator", engine._generator(sys_p, segments[0])))
+            lambda sys_p, segments, hyperfine: ("generator", engine._generator(sys_p, segments[0])))
     logging("hermitian_expm", lambda h, t=1.0: ("expm",))
     return log
 

@@ -171,9 +171,9 @@ def exponentiated(monkeypatch) -> list:
     """The segments the engine exponentiates from now on, one entry per segment."""
     segments, original = [], engine.segment_propagator
 
-    def counted(sys_p, group, *hyperfine):
+    def counted(sys_p, group, hyperfine):
         segments.extend(group)
-        return original(sys_p, group, *hyperfine)
+        return original(sys_p, group, hyperfine)
 
     monkeypatch.setattr(engine, "segment_propagator", counted)
     return segments
