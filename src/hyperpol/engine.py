@@ -13,6 +13,12 @@ timeline.  The segment
 propagators are memoized per (system, segment) in a dict the caller may
 pass: sweeps, scans and searches share one across their points, so
 neighbouring points that differ in one wait exponentiate only that wait.
+Two tables outlive a walk, both bounded and both pure functions of their
+keys: each shape's schedule, the order in which its distinct blocks are
+composed (up to SCHEDULE_LIMIT shapes, least recently used dropped), and
+in linalg.hermitian_expm each generator's eigendecomposition, keyed by
+its bytes (up to linalg.SPECTRA_LIMIT, cleared when full), so a new
+duration of a generator seen before costs no eigh.
 The channel acts on vec(rho) as a 4x4 transfer matrix: one
 eigen-decomposition of it gives the steady polarization, the contraction
 factor and the modes that bound the series.  The rate comes from the
@@ -40,6 +46,7 @@ through the batch; only robustness scans still go one point at a time.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import defaultdict
@@ -51,11 +58,12 @@ import numpy as np
 
 from .linalg import ID2, ID4, SX, SY, SZ, hermitian_expm, kron2, unitarity_defect
 from .params import SequenceParams, SystemParams
-from .timeline import FREE_HYPERFINE, FREE_NUCLEAR, PULSE, Segment, Timeline, render_unit
+from .timeline import FREE_HYPERFINE, FREE_NUCLEAR, PULSE, Segment, Shape, Timeline, render_unit
 
 UNITARITY_TOL = 1e-10
 SERIES_BLOCK = 1024
 MEMO_LIMIT = 256
+SCHEDULE_LIMIT = 256  # protocol shapes whose schedules _schedule keeps
 BATCH_SIZE = 64  # points per stacked mode solve and first-block read-out
 SPLIT = 16  # parts per range of later blocks in the rate search
 
@@ -200,9 +208,9 @@ def _walk(points: list[tuple[SystemParams, Timeline]], cache: dict | None) -> np
     Every distinct (system, leaf segment) of the stack is read from `cache`
     or, once, exponentiated: one segment_propagator call per generator
     covers all its missing segments, and they join the memo as in
-    propagate.  The points are then grouped by shape, and each group
-    composes its shape's blocks from the stacked leaf propagators (see
-    _compose).  Each matrix has the bytes of its own 4x4 products.
+    propagate.  The points are then grouped by shape, and each group runs
+    its shape's schedule (see _schedule and _run) on the stacked leaf
+    propagators.  Each matrix has the bytes of its own 4x4 products.
     """
     if cache is None:
         cache = {}
@@ -232,59 +240,86 @@ def _walk(points: list[tuple[SystemParams, Timeline]], cache: dict | None) -> np
             cache[keys[row]] = u
     table = np.array(known).reshape(-1, 4, 4)
     out = np.empty((len(points), 4, 4), dtype=complex)
-    for shape, members in groups.items():
-        at, rows = zip(*members)
-        rows = np.array(rows, dtype=np.intp)
-        out[list(at)] = _compose([shape], rows, table[rows.T])[0]
+    # a product that overflows is NaN, which the unitarity check reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        for shape, members in groups.items():
+            at, rows = zip(*members)
+            out[list(at)] = _run(_schedule(shape), np.array(rows, dtype=np.intp), table)
     return out
 
 
-def _compose(blocks: list[tuple], rows: np.ndarray, leaves: np.ndarray) -> list[np.ndarray]:
-    """The propagators of blocks of one shape that have as many parts and the same count.
+@functools.lru_cache(maxsize=SCHEDULE_LIMIT)
+def _schedule(shape: Shape) -> tuple[int, tuple]:
+    """How _run composes the blocks of a shape: (n, steps).
 
-    leaves (n, k, 4, 4) holds the propagators of the shape's n leaf segments
-    for a stack of k points, and rows (k, n) their rows in the stack's leaf
-    table: equal rows, equal segments.  A block gets (k, 4, 4), or (1, 4, 4)
-    when its leaf rows are the same for every point: it is composed once.
-    The blocks' distinct sub-blocks are composed first, those of one form as
-    one stack; then the blocks' parts multiply as one stack, in product
-    order (later parts on the left, the first onto ID4), and one
-    matrix_power raises the product to the count.  An empty block is the
-    identity.
+    Slots 0 .. n - 1 hold the propagators of the shape's leaves, n one more
+    than its largest leaf index.  Each step (count, blocks) composes blocks
+    of one form, as many parts and the same count, each given as the slots
+    of its parts in time order; their results take the next slots in turn.
+    Each distinct block has one step, after those of its sub-blocks, so the
+    root's result takes the last slot.  The sub-blocks of one step's blocks
+    are grouped by form into steps of their own.
     """
-    if not blocks[0][0]:
-        return [ID4[None]] * len(blocks)
-    forms = defaultdict(dict)  # (parts, count) -> the distinct sub-blocks of that form
-    for block in blocks:
-        for part in block[0]:
-            if not isinstance(part, int):
-                forms[len(part[0]), part[1]][part] = None
-    done = {}
-    for subs in forms.values():
-        done.update(zip(subs, _compose(list(subs), rows, leaves)))
-    sizes = [1 if len(rows) > 1 and _same_leaves(block, rows) else len(rows) for block in blocks]
-    u = ID4
-    for column in zip(*(parts for parts, _ in blocks)):
-        factors = [leaves[part, :k] if isinstance(part, int) else done[part]
-                   for part, k in zip(column, sizes)]
-        if len(factors) > 1:  # one stack: a (1, 4, 4) part of a block of k points is repeated
-            factors = [np.concatenate([v if len(v) == k else v.repeat(k, axis=0)
-                                       for v, k in zip(factors, sizes)])]
-        u = factors[0] @ u  # a (1, 4, 4) factor of a lone block broadcasts
-    w = np.linalg.matrix_power(u, blocks[0][1])
-    return [w[a:a + k] for a, k in zip(itertools.accumulate(sizes, initial=0), sizes)]
+    order: dict = {}  # distinct block -> its place among the steps' results
+    steps: list = []  # (count, blocks)
+    n = 0
+
+    def plan(blocks: list) -> None:
+        nonlocal n
+        forms = defaultdict(dict)  # (parts, count) -> the distinct sub-blocks of that form
+        for parts, _ in blocks:
+            for part in parts:
+                if isinstance(part, int):
+                    n = max(n, part + 1)
+                else:
+                    forms[len(part[0]), part[1]][part] = None
+        for subs in forms.values():
+            subs = [block for block in subs if block not in order]
+            if subs:
+                plan(subs)
+        steps.append((blocks[0][1], blocks))
+        for block in blocks:
+            order[block] = len(order)
+
+    plan([shape])
+    return n, tuple((count, tuple(tuple(p if isinstance(p, int) else n + order[p] for p in parts)
+                                  for parts, _ in blocks))
+                    for count, blocks in steps)
 
 
-def _same_leaves(block: tuple, rows: np.ndarray) -> bool:
-    """Whether every point of the stack has the same leaf rows in `block`."""
-    used = sorted(set(_leaf_indices(block)))
-    return bool((rows[1:, used] == rows[0, used]).all())
+def _run(schedule: tuple[int, tuple], rows: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Cycle propagators of a stack of k points of one shape, by its schedule.
 
-
-def _leaf_indices(block: tuple) -> list[int]:
-    """The leaf indices a shape's block holds, at any depth."""
-    return [i for part in block[0]
-            for i in ((part,) if isinstance(part, int) else _leaf_indices(part))]
+    rows (k, m) hold each point's m leaves as rows of the stack's leaf
+    table (r, 4, 4): equal rows, equal segments.  A leaf that every point shares fills its slot
+    with (1, 4, 4), any other with (k, 4, 4), and a block composes as
+    (1, 4, 4) when all its parts do.  A step multiplies its blocks' parts
+    as one stack, in product order (later parts on the left, the first onto
+    ID4), and one matrix_power raises the products to the count; a (1, 4, 4)
+    part of a (k, 4, 4) block broadcasts, or is repeated when the step holds
+    more blocks.  An empty block is the identity.  Returns (k, 4, 4), or
+    (1, 4, 4) when the points share every leaf.
+    """
+    n, steps = schedule
+    rows = rows[:, :n]
+    first = table[rows[0], None]  # (n, 1, 4, 4): the first point's leaves
+    shared = (rows == rows[0]).all(axis=0).tolist()
+    slots = [first[j] if same else table[rows[:, j]] for j, same in enumerate(shared)]
+    for count, blocks in steps:
+        if not blocks[0]:
+            slots += [ID4[None]] * len(blocks)
+            continue
+        sizes = [max(len(slots[s]) for s in block) for block in blocks]
+        u = ID4
+        for column in zip(*blocks):
+            factor = slots[column[0]]
+            if len(column) > 1:
+                factor = np.concatenate([v if len(v) == k else v.repeat(k, axis=0)
+                                         for v, k in zip((slots[s] for s in column), sizes)])
+            u = factor @ u
+        w = np.linalg.matrix_power(u, count)
+        slots += [w[a:a + k] for a, k in zip(itertools.accumulate(sizes, initial=0), sizes)]
+    return slots[-1]
 
 
 def kraus(u: np.ndarray) -> KrausPair:

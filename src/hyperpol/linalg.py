@@ -20,6 +20,8 @@ if TYPE_CHECKING:
     from numpy.typing import ArrayLike
 
 HERMITICITY_TOL = 1e-12
+SPECTRA_LIMIT = 256  # generators whose eigendecompositions hermitian_expm keeps
+_SPECTRA: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
 
 ID2 = np.eye(2, dtype=complex)
 ID4 = np.eye(4, dtype=complex)
@@ -72,19 +74,42 @@ def hermitian_expm(h: np.ndarray, t: ArrayLike = 1.0) -> np.ndarray:
     per duration (shape t.shape + H.shape) from a single eigh of H, each
     with the bytes of its own scalar call.  Raises ValueError if H is not
     Hermitian within HERMITICITY_TOL.  Exact identity where t = 0.
+
+    The eigendecomposition of each generator is kept in a table keyed by
+    H's bytes, so a generator seen before (the same system's hyperfine
+    Hamiltonian at a new duration, say) is neither checked nor diagonalized
+    again: equal bytes in give the eigh they gave before.  The table holds
+    read-only arrays and is cleared whenever it would grow past
+    SPECTRA_LIMIT entries.
     """
     h = _as_square(h)
-    defect = hermiticity_defect(h)
-    if defect > HERMITICITY_TOL:
-        raise ValueError(f"generator is not Hermitian (defect {defect:.3e})")
+    key = h.tobytes()
+    spectrum = _SPECTRA.get(key)
+    if spectrum is None:
+        defect = hermiticity_defect(h)
+        if defect > HERMITICITY_TOL:
+            raise ValueError(f"generator is not Hermitian (defect {defect:.3e})")
     t = np.asarray(t, dtype=float)
     still = t == 0.0
     zeros = np.count_nonzero(still)
     if zeros == t.size:
         return np.broadcast_to(np.eye(h.shape[0], dtype=complex), t.shape + h.shape).copy()
-    # eigh of the Hermitian part keeps the factorization exactly unitary
-    w, v = np.linalg.eigh((h + h.conj().T) / 2)
+    if spectrum is None:
+        spectrum = _spectrum(key, h)
+    w, v = spectrum
     u = (v * np.exp(-1j * w * t[..., None])[..., None, :]) @ v.conj().T
     if zeros:
         u[still] = np.eye(h.shape[0])
     return u
+
+
+def _spectrum(key: bytes, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """eigh of the Hermitian part of h, stored read-only in _SPECTRA under key."""
+    # eigh of the Hermitian part keeps the factorization exactly unitary
+    spectrum = np.linalg.eigh((h + h.conj().T) / 2)
+    for a in spectrum:
+        a.flags.writeable = False
+    if len(_SPECTRA) >= SPECTRA_LIMIT:
+        _SPECTRA.clear()
+    _SPECTRA[key] = spectrum
+    return spectrum

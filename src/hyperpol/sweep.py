@@ -91,6 +91,9 @@ class SweepSpec:
             raise ValueError(f"unknown engine {self.engine!r}")
         if not 1 <= len(self.axes) <= 2:
             raise ValueError("a sweep takes one or two axes")
+        if len(self.axes) == 2 and self.axes[0].name == self.axes[1].name:
+            # apply_point would let the second value win while axis1 printed the first
+            raise ValueError(f"axis {self.axes[0].name} appears twice")
 
     @classmethod
     def from_dict(cls, d: dict) -> "SweepSpec":

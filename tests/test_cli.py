@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import pytest
@@ -178,6 +179,19 @@ def test_steady_names_an_overflowing_segment_phase(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: segment phase H*t overflows "
         "(omega=1e+300, a_perp=0.05, a_z=0.0, t=10000000000.0)\n")
+
+
+def test_steady_on_an_overflowing_product_prints_one_error_line(tmp_path, capsys):
+    # n_p = 1e20 squares the cell's propagator into inf and NaN; the unitarity
+    # check reports it, and no numpy RuntimeWarning reaches stderr
+    doc = json.loads(json.dumps(BASE_CONFIG))
+    doc["sequence"].update(n_p=1e20, pulse_model={"kind": "finite", "tau_pi": "0.2 pi/omega"})
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["steady", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == "error: input is not unitary (defect nan)\n"
 
 
 PI_PULSE_LONGER_THAN_TAU = {"pulse_model": {"kind": "finite", "tau_pi": "3 pi/omega"}}
@@ -456,6 +470,15 @@ def test_sweep_cli_rejects_bad_axis(tmp_path):
     spec_path.write_text(json.dumps(spec))
     assert main(["sweep", "--config", str(spec_path), "--out",
                  str(tmp_path / "o.csv")]) == 2
+
+
+def test_sweep_cli_refuses_an_axis_named_twice(tmp_path, capsys):
+    axis = {"name": "t_s", "start": 0, "stop": "2 pi/omega", "count": 2}
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"axes": [axis, axis], "base": BASE_CONFIG}))
+    assert main(["sweep", "--config", str(spec_path), "--out", str(tmp_path / "o.csv")]) == 2
+    assert capsys.readouterr().err == "error: bad sweep spec: axis t_s appears twice\n"
+    assert not (tmp_path / "o.csv").exists()
 
 
 @pytest.mark.parametrize("count", [2.7, "3.5", float("nan")])

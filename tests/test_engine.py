@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperpol import analytic, engine
+from hyperpol import analytic, engine, linalg
 from hyperpol.catalog import finite_pulse_tau, magic_params
 from hyperpol.engine import (
     MEMO_LIMIT,
@@ -153,6 +153,60 @@ def test_a_stack_of_one_shape_is_each_timeline_alone(block, first, second, data)
              for _ in range(data.draw(st.integers(2, 5)))]
     walked = engine._walk(stack, {})
     assert [u.tobytes() for u in walked] == [propagate(*point).tobytes() for point in stack]
+
+
+@settings(max_examples=40, deadline=None)
+@given(BLOCKS, SEGMENTS, st.integers(0, 3), st.data())
+def test_stacks_that_share_a_schedule_match_the_flat_product(block, seg, count, data):
+    # a block of form (2 parts, count) nested in another of that form, twice, and
+    # empty blocks of two counts; the stack's points keep or change each leaf
+    inner = Repeat((seg, block), count)
+    tree = Repeat((Repeat(()), Repeat((inner, seg), count), inner, Repeat((), 2), block), 2)
+    template = Timeline(tree, 0.0, 0.0)
+    stack = [(SYS, Timeline(template.shape, 0.0, 0.0,
+                            tuple(data.draw(st.one_of(st.just(leaf), SEGMENTS))
+                                  for leaf in template.leaves)))
+             for _ in range(data.draw(st.integers(1, 4)))]
+    engine._schedule.cache_clear()
+    walked = engine._walk(stack, {})
+    assert engine._schedule.cache_info().misses == 1  # one shape, one schedule
+    for u, point in zip(walked, stack):
+        assert operator_distance(u, flat_product(*point)) <= 1e-12
+        assert u.tobytes() == propagate(*point).tobytes()
+
+
+def long_train_points() -> list:
+    """(system, timeline) of the long_train benchmark rows at tau_pi 0 and 0.05 pi."""
+    points = []
+    for method, sign, n_p, n_r in [("I", +1, 8, 64), ("I", -1, 16, 32), ("II", +1, 32, 16),
+                                   ("II", -1, 64, 8)]:
+        ideal = magic_params(method, sign, n_p).to_sequence_params(LONG_TRAIN_SYS, n_r)
+        for tau_pi in (0.0, 0.05 * math.pi):
+            seq_p = replace(ideal, tau=finite_pulse_tau(ideal.tau, tau_pi, n_p), tau_pi=tau_pi)
+            points.append((LONG_TRAIN_SYS, render_unit(LONG_TRAIN_SYS, seq_p)))
+    return points
+
+
+def test_a_walk_of_generators_seen_before_has_the_bytes_of_a_cold_walk(rng, monkeypatch):
+    points = long_train_points() + [
+        (sys_p, render_unit(sys_p, seq_p)) for sys_p, seq_p in (random_params(rng) for _ in range(30))]
+
+    def cold(point):  # no spectrum, no schedule, no memo
+        monkeypatch.setattr(linalg, "_SPECTRA", {})
+        engine._schedule.cache_clear()
+        return engine._walk([point], {})[0].tobytes()
+
+    expected = [cold(point) for point in points]
+    monkeypatch.setattr(linalg, "_SPECTRA", {})
+    stacked = engine._walk(points, {})
+    assert len(linalg._SPECTRA) < linalg.SPECTRA_LIMIT  # nothing was dropped from the table
+    diagonalized = []
+    spectrum = linalg._spectrum
+    monkeypatch.setattr(linalg, "_spectrum", lambda key, h: diagonalized.append(key) or spectrum(key, h))
+    # each point alone with a fresh memo, every generator already diagonalized
+    assert [engine._walk([point], {})[0].tobytes() for point in points] == expected
+    assert diagonalized == []
+    assert [u.tobytes() for u in stacked] == expected
 
 
 def exact_point(a_perp, n_p, n_r, tau, pulse, t_s, t_w, t_c):

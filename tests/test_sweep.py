@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hyperpol import analytic, engine, sweep
+from hyperpol import analytic, engine, linalg, sweep
 from hyperpol.catalog import finite_pulse_tau, magic_params
 from hyperpol.engine import evaluate_exact, evaluate_exact_batch
 from hyperpol.params import SequenceParams, SystemParams
@@ -124,6 +124,13 @@ def test_steady_polarization_crosses_zero_at_quarter_angles():
 def test_sweep_series_target_rejected():
     with pytest.raises(ValueError):
         spec_for((Axis("t_s", 0.0, 1.0, 2),), target="series")
+
+
+def test_sweep_spec_refuses_an_axis_named_twice():
+    # apply_point would let the second t_s win while axis1 printed the first
+    with pytest.raises(ValueError, match=r"^axis t_s appears twice$"):
+        spec_for((Axis("t_s", 0.0, 1.0, 2), Axis("t_s", 2.0, 3.0, 2)))
+    spec_for((Axis("t_s", 0.0, 1.0, 2), Axis("t_w", 0.0, 1.0, 2)))  # two names are fine
 
 
 def test_sweep_integer_axis_validation():
@@ -810,3 +817,50 @@ def test_each_distinct_segment_is_exponentiated_once(monkeypatch, case):
     # one hermitian_expm per segment_propagator call
     calls = [entry[0] for entry in log if entry[0] != "stack"]
     assert calls and calls == ["generator", "expm"] * (len(calls) // 2)
+
+
+# the robustness-scan case of test_each_distinct_segment_is_exponentiated_once: six
+# valid points of two shapes, each walked as a stack of one
+SCAN_ROWS = [(magic_params("I", +1, 1), 2), (magic_params("II", -1, 2), 3)]
+SCAN_TAU_PI = [0.0, 0.1 * math.pi, 0.2 * math.pi, 3 * math.pi]
+
+
+def test_each_distinct_generator_is_diagonalized_once_per_process(monkeypatch):
+    monkeypatch.setattr(linalg, "_SPECTRA", {})
+    diagonalized, exponentiated = [], []
+    spectrum, expm = linalg._spectrum, engine.hermitian_expm
+
+    def logged_spectrum(key, h):
+        diagonalized.append(key)
+        return spectrum(key, h)
+
+    def logged_expm(h, t=1.0):
+        if np.any(np.asarray(t) != 0.0):  # all-zero durations need no eigh
+            exponentiated.append(np.asarray(h, dtype=complex).tobytes())
+        return expm(h, t)
+
+    monkeypatch.setattr(linalg, "_spectrum", logged_spectrum)
+    monkeypatch.setattr(engine, "hermitian_expm", logged_expm)
+    first = csv_text(robustness_scan(SCAN_ROWS, SCAN_TAU_PI, SYS))
+    assert sorted(diagonalized) == sorted(set(exponentiated))
+    # the hyperfine Hamiltonian is exponentiated again at each point's free half
+    assert len(exponentiated) > len(diagonalized)
+    assert not any(a.flags.writeable for pair in linalg._SPECTRA.values() for a in pair)
+    seen = len(diagonalized)
+    # a new scan has a new memo: it exponentiates every segment again, diagonalizes nothing
+    assert csv_text(robustness_scan(SCAN_ROWS, SCAN_TAU_PI, SYS)) == first
+    assert len(diagonalized) == seen
+
+
+def test_a_schedule_is_compiled_once_per_shape():
+    engine._schedule.cache_clear()
+    robustness_scan(SCAN_ROWS, SCAN_TAU_PI, SYS)
+    info = engine._schedule.cache_info()
+    assert (info.misses, info.hits) == (2, 4)
+    # n_p = 1, n_r = 2: the two cells, the two DD blocks (each used twice), the repetition
+    shape = render_unit(*robustness_points(SCAN_ROWS, SCAN_TAU_PI)[0]).shape
+    n, steps = engine._schedule(shape)
+    assert n == 8
+    assert [(count, [len(block) for block in blocks]) for count, blocks in steps] == [
+        (1, [3, 3]), (1, [3, 3]), (2, [8])]
+    assert steps[-1][1][0] == (10, 5, 11, 6, 10, 5, 11, 7)  # ddx, t_s, ddy, t_w, ... t_c
