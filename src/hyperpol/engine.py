@@ -6,9 +6,9 @@ by repeated squaring, and extracts the nuclear Kraus pair from its first
 block column.  One walk serves a whole stack of timelines: each distinct
 (system, leaf segment) is exponentiated once, one exponential per
 generator (hyperfine, nuclear, a zero-width pulse's spin or a drive at one
-Rabi frequency), and the timelines of one shape compose its blocks as
-stacked products over all their points; a block whose leaf segments all
-the points share is composed once.  `propagate` is the walk of one
+Rabi frequency), and the timelines of one shape compose each of its blocks
+as one stacked product over all their points; a block whose leaf segments
+all the points share is composed once.  `propagate` is the walk of one
 timeline.  The segment
 propagators are memoized per (system, segment) in a dict the caller may
 pass: sweeps, scans and searches share one across their points, so
@@ -42,6 +42,14 @@ own crossing.  `evaluate_exact` propagates
 its point through `propagate` and shares the rest with the batch, with the
 same bytes.  Sweeps and every step of the resonant-interval search go
 through the batch; only robustness scans still go one point at a time.
+
+A point alone is a stack of one through the same code, and at that size
+each numpy call costs about its fixed overhead, so the walk and the solve
+keep their calls few: the drive and Zeeman operators are constants, each
+generator's eigenvectors are kept with their adjoint, a leaf that every
+point shares is a view of its memo entry, each block is one stacked
+product and one matrix_power, and the eig residual behind the
+later-block search is computed only for the points that reach it.
 """
 
 from __future__ import annotations
@@ -121,18 +129,21 @@ def mixed_state() -> np.ndarray:
 _MIXED = mixed_state().reshape(4)  # vec(rho) of the mixed start
 
 
+_NUCLEAR_Z = kron2(ID2, IZ)  # I_z in the 4x4 product space
+_DRIVE_BY_AXIS = {axis: kron2(spin, ID2)  # the electron spin each pulse axis turns
+                  for axis, spin in (("+x", SX), ("-x", -SX), ("+y", SY), ("-y", -SY))}
+
+
 def hyperfine_hamiltonian(sys: SystemParams) -> np.ndarray:
     """omega I_z + S_z (a_perp I_x + a_z I_z) in the 4x4 product space."""
     nuclear = sys.a_perp * IX + sys.a_z * IZ
-    return sys.omega * kron2(ID2, IZ) + kron2(SZ, nuclear)
+    # kron2(SZ, nuclear): the same broadcast product, without kron2's shape checks
+    return sys.omega * _NUCLEAR_Z + (SZ[:, None, :, None] * nuclear[None, :, None, :]).reshape(4, 4)
 
 
 def nuclear_hamiltonian(sys: SystemParams) -> np.ndarray:
     """omega I_z only (hyperfine-free waits)."""
-    return sys.omega * kron2(ID2, IZ)
-
-
-_SPIN_BY_AXIS = {"+x": SX, "-x": -SX, "+y": SY, "-y": -SY}
+    return sys.omega * _NUCLEAR_Z
 
 
 def _generator(sys: SystemParams, seg: Segment) -> tuple:
@@ -161,7 +172,7 @@ def segment_propagator(sys: SystemParams, segments: Sequence[Segment],
     elif seg.kind == FREE_NUCLEAR:
         h = nuclear_hamiltonian(sys)
     elif seg.kind == PULSE:
-        h = kron2(_SPIN_BY_AXIS[seg.axis], ID2)
+        h = _DRIVE_BY_AXIS[seg.axis]
         if seg.duration == 0.0:
             return hermitian_expm(h, [s.angle for s in segments])
         # rectangular drive, system Hamiltonian stays on during the pulse
@@ -170,8 +181,8 @@ def segment_propagator(sys: SystemParams, segments: Sequence[Segment],
         raise ValueError(f"unknown segment kind {seg.kind!r}")
     durations = [s.duration for s in segments]
     u = hermitian_expm(h, durations)
-    finite = np.isfinite(u).all(axis=(1, 2))
-    if not finite.all():  # exp(-i inf) is NaN: an eigenvalue times the duration overflowed
+    if not np.isfinite(u).all():  # exp(-i inf) is NaN: an eigenvalue times the duration overflowed
+        finite = np.isfinite(u).all(axis=(1, 2))
         raise ValueError(f"segment phase H*t overflows (omega={sys.omega!r}, "
                          f"a_perp={sys.a_perp!r}, a_z={sys.a_z!r}, "
                          f"t={durations[int(finite.argmin())]!r})")
@@ -209,21 +220,23 @@ def _walk(points: list[tuple[SystemParams, Timeline]], cache: dict | None) -> np
     or, once, exponentiated: one segment_propagator call per generator
     covers all its missing segments, and they join the memo as in
     propagate.  The points are then grouped by shape, and each group runs
-    its shape's schedule (see _schedule and _run) on the stacked leaf
-    propagators.  Each matrix has the bytes of its own 4x4 products.
+    its shape's schedule (see _schedule and _run) on the leaf propagators.
+    Each matrix has the bytes of its own 4x4 products.
     """
     if cache is None:
         cache = {}
-    systems: dict = {}  # sys -> {segment: its row in the stack's leaf table}
+    systems: dict = {}  # sys -> {segment: its row in keys and known}
     keys: list = []  # (sys, segment) of each row
     groups = defaultdict(list)  # shape -> (point, leaf rows) of its points
     for i, (sys, timeline) in enumerate(points):
         seen = systems.setdefault(sys, {})
-        for seg in timeline.leaves:
-            if seg not in seen:
-                seen[seg] = len(keys)
+        rows = []
+        for seg in timeline.leaves:  # one hash per leaf: a new segment takes the next row
+            row = seen.setdefault(seg, len(keys))
+            if row == len(keys):
                 keys.append((sys, seg))
-        groups[timeline.shape].append((i, [seen[seg] for seg in timeline.leaves]))
+            rows.append(row)
+        groups[timeline.shape].append((i, rows))
     known = [cache.get(key) for key in keys]
     missing = defaultdict(list)  # generator -> rows of its segments that are not in the memo
     for row, u in enumerate(known):
@@ -238,13 +251,12 @@ def _walk(points: list[tuple[SystemParams, Timeline]], cache: dict | None) -> np
             if len(cache) >= MEMO_LIMIT:
                 cache.clear()
             cache[keys[row]] = u
-    table = np.array(known).reshape(-1, 4, 4)
     out = np.empty((len(points), 4, 4), dtype=complex)
     # a product that overflows is NaN, which the unitarity check reports
     with np.errstate(over="ignore", invalid="ignore"):
         for shape, members in groups.items():
             at, rows = zip(*members)
-            out[list(at)] = _run(_schedule(shape), np.array(rows, dtype=np.intp), table)
+            out[list(at)] = _run(_schedule(shape), rows, known)
     return out
 
 
@@ -253,72 +265,56 @@ def _schedule(shape: Shape) -> tuple[int, tuple]:
     """How _run composes the blocks of a shape: (n, steps).
 
     Slots 0 .. n - 1 hold the propagators of the shape's leaves, n one more
-    than its largest leaf index.  Each step (count, blocks) composes blocks
-    of one form, as many parts and the same count, each given as the slots
-    of its parts in time order; their results take the next slots in turn.
-    Each distinct block has one step, after those of its sub-blocks, so the
-    root's result takes the last slot.  The sub-blocks of one step's blocks
-    are grouped by form into steps of their own.
+    than its largest leaf index.  Each step (count, parts) composes one
+    distinct block, given as the slots of its parts in time order, after
+    the steps of its sub-blocks; its result takes the next slot, so the
+    root's takes the last.
     """
-    order: dict = {}  # distinct block -> its place among the steps' results
-    steps: list = []  # (count, blocks)
+    order: dict = {}  # distinct block -> its step, in the order they are composed
     n = 0
 
-    def plan(blocks: list) -> None:
+    def plan(block: Shape) -> None:
         nonlocal n
-        forms = defaultdict(dict)  # (parts, count) -> the distinct sub-blocks of that form
-        for parts, _ in blocks:
-            for part in parts:
-                if isinstance(part, int):
-                    n = max(n, part + 1)
-                else:
-                    forms[len(part[0]), part[1]][part] = None
-        for subs in forms.values():
-            subs = [block for block in subs if block not in order]
-            if subs:
-                plan(subs)
-        steps.append((blocks[0][1], blocks))
-        for block in blocks:
-            order[block] = len(order)
+        for part in block[0]:
+            if isinstance(part, int):
+                n = max(n, part + 1)
+            elif part not in order:
+                plan(part)
+        order[block] = len(order)
 
-    plan([shape])
-    return n, tuple((count, tuple(tuple(p if isinstance(p, int) else n + order[p] for p in parts)
-                                  for parts, _ in blocks))
-                    for count, blocks in steps)
+    plan(shape)
+    return n, tuple((count, tuple(p if isinstance(p, int) else n + order[p] for p in parts))
+                    for parts, count in order)
 
 
-def _run(schedule: tuple[int, tuple], rows: np.ndarray, table: np.ndarray) -> np.ndarray:
+def _run(schedule: tuple[int, tuple], rows: Sequence[list[int]],
+         known: list[np.ndarray]) -> np.ndarray:
     """Cycle propagators of a stack of k points of one shape, by its schedule.
 
-    rows (k, m) hold each point's m leaves as rows of the stack's leaf
-    table (r, 4, 4): equal rows, equal segments.  A leaf that every point shares fills its slot
-    with (1, 4, 4), any other with (k, 4, 4), and a block composes as
-    (1, 4, 4) when all its parts do.  A step multiplies its blocks' parts
-    as one stack, in product order (later parts on the left, the first onto
-    ID4), and one matrix_power raises the products to the count; a (1, 4, 4)
-    part of a (k, 4, 4) block broadcasts, or is repeated when the step holds
-    more blocks.  An empty block is the identity.  Returns (k, 4, 4), or
-    (1, 4, 4) when the points share every leaf.
+    rows hold each of the k points' leaves as indices into known, the
+    stack's distinct leaf propagators (4, 4): equal indices, equal segments.
+    A leaf that every point shares fills its slot with (1, 4, 4), a view
+    of its propagator, any other with (k, 4, 4), and a block composes as
+    (1, 4, 4) when all its parts do, its (1, 4, 4) parts broadcasting
+    otherwise.  A step multiplies its block's parts in product order (later
+    parts on the left, the first onto ID4) and matrix_power raises the
+    product to the count.  An empty block is the identity.  Returns
+    (k, 4, 4), or (1, 4, 4) when the points share every leaf.
     """
     n, steps = schedule
-    rows = rows[:, :n]
-    first = table[rows[0], None]  # (n, 1, 4, 4): the first point's leaves
-    shared = (rows == rows[0]).all(axis=0).tolist()
-    slots = [first[j] if same else table[rows[:, j]] for j, same in enumerate(shared)]
-    for count, blocks in steps:
-        if not blocks[0]:
-            slots += [ID4[None]] * len(blocks)
-            continue
-        sizes = [max(len(slots[s]) for s in block) for block in blocks]
-        u = ID4
-        for column in zip(*blocks):
-            factor = slots[column[0]]
-            if len(column) > 1:
-                factor = np.concatenate([v if len(v) == k else v.repeat(k, axis=0)
-                                         for v, k in zip((slots[s] for s in column), sizes)])
-            u = factor @ u
-        w = np.linalg.matrix_power(u, count)
-        slots += [w[a:a + k] for a, k in zip(itertools.accumulate(sizes, initial=0), sizes)]
+    slots, table = [], None
+    for column in itertools.islice(zip(*rows), n):
+        if column.count(column[0]) == len(column):
+            slots.append(known[column[0]][None])
+        else:
+            if table is None:
+                table = np.array(known)
+            slots.append(table[list(column)])
+    for count, parts in steps:
+        u = ID4[None]
+        for s in parts:
+            u = slots[s] @ u
+        slots.append(np.linalg.matrix_power(u, count) if parts else u)
     return slots[-1]
 
 
@@ -358,16 +354,18 @@ def _level(rows: np.ndarray, power: np.ndarray, x: np.ndarray, start: int):
 
     rows (k, m, 4) are the read-out rows r T^j, j < m, of each point's
     transfer matrix T and power (k, 4, 4) is T^m; the first level starts from
-    the single row r and T.  Returns the rows for j < 2m, T^(2m) and P from
-    state x at the cycles from start + 1 to 2m, where start is the count
-    already read: 0 on the first level, which reads cycles 1-2, m after it.
-    A level holds the same rows whatever the series length, so a consumer
-    that stops early pays for no later level.  Every level has at least two
-    rows: numpy multiplies a single row by its dot kernel, which rounds
-    differently from the matrix-vector kernel of longer products.
+    the single row r and T.  Returns the rows for j < 2m and P from state x
+    at the cycles from start + 1 to 2m, where start is the count already
+    read: 0 on the first level, which reads cycles 1-2, m after it.  The
+    next level takes power @ power, T^(2m), which a consumer squares only
+    for the points that go on.  A level holds the same rows whatever the
+    series length, so a consumer that stops early pays for no later level.
+    Every level has at least two rows: numpy multiplies a single row by its
+    dot kernel, which rounds differently from the matrix-vector kernel of
+    longer products.
     """
     rows = np.concatenate([rows, rows @ power], axis=1)
-    return rows, power @ power, (rows[:, start:] @ x).real
+    return rows, (rows[:, start:] @ x).real
 
 
 def _read(rows: np.ndarray, x: np.ndarray, m: int) -> np.ndarray:
@@ -401,10 +399,12 @@ def simulate(k: KrausPair, rho0: np.ndarray, n: int, params: dict | None = None)
     values = np.empty(n)
     rows, power, start = _READOUT[None], _superop(k)[None], 0
     while start < min(n, SERIES_BLOCK):
-        rows, power, level = _level(rows, power, x, start)
+        if start:
+            power = power @ power
+        rows, level = _level(rows, power, x, start)
         values[start:rows.shape[1]] = level[0, :n - start]
         start = rows.shape[1]
-    rows, power = rows[0], power[0]
+    rows, power = rows[0], (power @ power)[0]  # T^SERIES_BLOCK when later blocks follow
     for start in range(SERIES_BLOCK, n, SERIES_BLOCK):
         x = power @ x
         values[start:start + SERIES_BLOCK] = _read(rows, x, n - start)
@@ -426,18 +426,31 @@ def _modes(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _weighted_modes(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Eigenvalues mu and weights w, both (k, 4), and the drift (k,) of stacked transfer matrices.
 
-    From the mixed start P(n) = Re sum w mu^(n-1).  The drift is the eig
-    residual max|TV - V diag(mu)| times sum |coeffs|: T^(n-1) applied to the
-    mixed start strays from the mode sum by about (n - 1) drift, because
-    each cycle adds the residual of every mode it carries.
+    From the mixed start P(n) = Re sum w mu^(n-1); see _drift for the drift.
     """
     mu, vecs, coeffs = _modes(t)
+    return mu, _weights(vecs, coeffs), _drift(t, mu, vecs, coeffs)
+
+
+def _weights(vecs: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Weights w (k, 4) of the modes _modes gives: from the mixed start P(n) = Re sum w mu^(n-1)."""
+    return (vecs[:, 0] - vecs[:, 3]) * coeffs
+
+
+def _drift(t: np.ndarray, mu: np.ndarray, vecs: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Drift (k,) of stacked transfer matrices t (k, 4, 4) from their modes (see _modes).
+
+    The eig residual max|TV - V diag(mu)| times sum |coeffs|: T^(n-1)
+    applied to the mixed start strays from the mode sum by about
+    (n - 1) drift, because each cycle adds the residual of every mode it
+    carries.
+    """
     residual = np.abs(t @ vecs - vecs * mu[:, None, :]).max(axis=(1, 2))
-    return mu, (vecs[:, 0] - vecs[:, 3]) * coeffs, residual * np.abs(coeffs).sum(axis=1)
+    return residual * np.abs(coeffs).sum(axis=1)
 
 
-def _spectral_summary(mu: np.ndarray, weights: np.ndarray) -> tuple[list, list]:
-    """(P_s, lambda) of each stacked point from its weighted modes (k, 4): lists of floats.
+def _spectral_summary(mu: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(P_s, lambda) of each stacked point from its weighted modes (k, 4): two (k,) arrays.
 
     P_s keeps the bytes of the per-point sum weights[steady].sum().real.
     numpy adds fewer than eight floats in order from +0, and a running sum
@@ -446,14 +459,14 @@ def _spectral_summary(mu: np.ndarray, weights: np.ndarray) -> tuple[list, list]:
     """
     steady = np.abs(mu - 1.0) <= UNITARITY_TOL
     moving = ~steady & (np.abs(weights) > UNITARITY_TOL)
-    lam = np.where(moving, np.abs(mu), -np.inf).max(axis=1)
-    lam = np.where(moving.any(axis=1), lam, 1.0)
+    # a point with no moving mode keeps the initial -1, which abs turns into 1.0
+    lam = np.abs(np.max(np.abs(mu), axis=1, where=moving, initial=-1.0))
     w = np.where(steady, weights.real, 0.0)
     p_s = w.sum(axis=1)
     full = steady.all(axis=1)
     if full.any():
         p_s[full] = 0.0 + ((w[full, 0] + w[full, 1]) + (w[full, 2] + w[full, 3]))
-    return p_s.tolist(), lam.tolist()
+    return p_s, lam
 
 
 def steady_state(k: KrausPair) -> tuple[float, float]:
@@ -466,7 +479,7 @@ def steady_state(k: KrausPair) -> tuple[float, float]:
     shrinks per cycle for large n; it is 1.0 when no mode moves.
     """
     mu, weights, _ = _weighted_modes(_superop(k)[None])
-    (p_s,), (lam,) = _spectral_summary(mu, weights)
+    (p_s,), (lam,) = (a.tolist() for a in _spectral_summary(mu, weights))
     return p_s, lam
 
 
@@ -507,8 +520,8 @@ def _first_crossing(fractions: np.ndarray, start: int = 0, lo: float | None = No
     return max(crossing - 1.0, 1.0)
 
 
-def _rate_cycles(t: np.ndarray, mu: np.ndarray, weights: np.ndarray, p_s: np.ndarray,
-                 drift: np.ndarray) -> list[float | None]:
+def _rate_cycles(t: np.ndarray, mu: np.ndarray, vecs: np.ndarray, coeffs: np.ndarray,
+                 p_s: np.ndarray) -> list[float | None]:
     """Per stacked point, the N_s at which simulate's series from the mixed state first crosses.
 
     In the first block that is the value measured_rate reads from a series
@@ -520,22 +533,24 @@ def _rate_cycles(t: np.ndarray, mu: np.ndarray, weights: np.ndarray, p_s: np.nda
     and 4.9e-15 (1.85 pi) relative.  There is no cap on the cycle count;
     None means the mode sum never reaches 1 - 1/e (see _later_blocks).
 
-    t (k, 4, 4) holds the points' transfer matrices, mu, weights and drift
-    their modes (see _weighted_modes) and p_s their steady polarizations.
-    The first block of SERIES_BLOCK cycles is read level by level through
-    simulate's own _level, across the stack, and a point leaves the stack at
-    the first level that holds its crossing.  The points that have none in
-    the first block go on together to _later_blocks, which starts from the
-    rows and power the stack built.
+    t (k, 4, 4) holds the points' transfer matrices, mu, vecs and coeffs
+    their modes (see _modes) and p_s their steady polarizations.  The first
+    block of SERIES_BLOCK cycles is read level by level through simulate's
+    own _level, across the stack, and a point leaves the stack at the first
+    level that holds its crossing.  The points that have none in the first
+    block go on together to _later_blocks, which starts from the rows and
+    power the stack built and from their weights and drift (see _drift),
+    computed for those points alone: a point that crosses early never pays
+    for its drift.
     """
     found: list[float | None] = [None] * len(t)
     active, p_col, lo = np.arange(len(t)), p_s[:, None], p_s  # lo is unread at start 0
     rows, power, start = _READOUT[None].repeat(len(t), axis=0), t, 0
     while True:
-        rows, power, values = _level(rows, power, _MIXED, start)
+        rows, values = _level(rows, power, _MIXED, start)
         fractions = values / p_col
         hit = (fractions >= E_FRACTION).any(axis=1)
-        for j in hit.nonzero()[0]:
+        for j in hit.nonzero()[0].tolist():
             found[active[j]] = _first_crossing(fractions[j], start, lo[j])
         start = rows.shape[1]
         left = (~hit).nonzero()[0]
@@ -545,8 +560,11 @@ def _rate_cycles(t: np.ndarray, mu: np.ndarray, weights: np.ndarray, p_s: np.nda
             rows, power, active, p_s, fractions = (
                 a[left] for a in (rows, power, active, p_s, fractions))
             p_col = p_s[:, None]
+        power = power @ power
         if start == SERIES_BLOCK:
-            later = _later_blocks(rows, power, mu[active], weights[active], p_s, drift[active])
+            mu, vecs, coeffs = (a[active] for a in (mu, vecs, coeffs))
+            later = _later_blocks(rows, power, mu, _weights(vecs, coeffs), p_s,
+                                  _drift(t[active], mu, vecs, coeffs))
             for i, n_s in zip(active, later):
                 found[i] = n_s
             return found
@@ -567,7 +585,7 @@ def _later_blocks(rows: np.ndarray, power: np.ndarray, mu: np.ndarray, weights: 
 
     The bound holds for the mode sum; the series read by matrix products
     strays from it by about m drift / |P_s| in cycle 1 + m (see
-    _weighted_modes; at most 0.81 times that on 381 README and random
+    _drift; at most 0.81 times that on 381 README and random
     points), so a part is ruled out only when its bound stays below 1 - 1/e
     by twice that.  A single block the bound cannot rule out is read: its
     state is one jump from the mixed start, matrix_power(T^SERIES_BLOCK,
@@ -748,7 +766,7 @@ def evaluate_exact(sys: SystemParams, seq: SequenceParams,
     timeline = render_unit(sys, seq)
     u = propagate(sys, timeline, cache)
     t_cycle = timeline.nominal_T if use_nominal_duration else timeline.actual_T
-    (result,) = _solve(u[None], [t_cycle], with_rate)
+    (result,) = _solve(u[None], [seq], [t_cycle], with_rate)
     if isinstance(result, ValueError):
         raise result
     return result
@@ -781,59 +799,60 @@ def evaluate_exact_batch(points: Iterable[tuple[SystemParams, SequenceParams]],
 def _evaluate_chunk(points: list, cache: dict | None) -> list[ExactResult | ValueError]:
     """evaluate_exact_batch on one chunk of at most BATCH_SIZE points, as a list."""
     results: list = [None] * len(points)
-    rendered, t_cycles = {}, {}  # by point index, for the points that render
+    rendered = {}  # by point index, for the points that render
     for i, (sys, seq) in enumerate(points):
         try:
-            timeline = render_unit(sys, seq)
+            rendered[i] = (sys, render_unit(sys, seq))
         except ValueError as err:
             results[i] = err
-            continue
-        rendered[i] = (sys, timeline)
-        t_cycles[i] = timeline.actual_T
     try:
-        u = dict(zip(rendered, _walk(list(rendered.values()), cache)))
+        at, u = list(rendered), _walk(list(rendered.values()), cache)
     except ValueError:  # a failed eigh or an overflowing phase stops the stack: walk each point alone
-        u = {}
+        walked = {}
         for i, point in rendered.items():
             try:
-                (u[i],) = _walk([point], cache)
+                (walked[i],) = _walk([point], cache)
             except ValueError as err:
                 results[i] = err
-    if u:
-        solved = _solve(np.array(list(u.values())), [t_cycles[i] for i in u])
-        for i, result in zip(u, solved):
+        at, u = list(walked), np.array(list(walked.values()))
+    if at:
+        solved = _solve(u, [points[i][1] for i in at], [rendered[i][1].actual_T for i in at])
+        for i, result in zip(at, solved):
             results[i] = result
     return results
 
 
-def _solve(u: np.ndarray, t_cycles: list[float],
+def _solve(u: np.ndarray, sequences: list[SequenceParams], t_cycles: list[float],
            with_rate: bool = True) -> list[ExactResult | ValueError]:
-    """ExactResult of each stacked cycle propagator u (k, 4, 4), or the ValueError
-    kraus raises on it, from one stacked unitarity check, transfer matrix and
-    mode solve; t_cycles are the points' cycle durations."""
-    defects = unitarity_defect(u)
-    results: list = [None if d <= UNITARITY_TOL else  # NaN fails too
-                     ValueError(f"input is not unitary (defect {d:.3e})") for d in defects]
+    """ExactResult of each stacked cycle propagator u (k, 4, 4), from one stacked
+    unitarity check, transfer matrix and mode solve; sequences and t_cycles are
+    the points' own and their cycle durations.  A propagator that is not
+    unitary gets a ValueError naming its defect and its sequence's n_p and
+    n_r: a block power that overflows reads defect nan."""
+    results: list = [
+        None if d <= UNITARITY_TOL else  # NaN fails too
+        ValueError(f"cycle propagator is not unitary (defect {d:.3e}, n_p={seq.n_p!r}, "
+                   f"n_r={seq.n_r!r})")
+        for d, seq in zip(unitarity_defect(u).tolist(), sequences)]
     solved = [i for i, r in enumerate(results) if r is None]
     if not solved:
         return results
     if len(solved) < len(u):
         u = u[solved]
     t = _channels(u[:, :, :2].reshape(-1, 2, 2, 2))  # first block column: the Kraus pairs
-    mu, weights, drift = _weighted_modes(t)
-    p_s, lam = _spectral_summary(mu, weights)
-    rated = [j for j, p in enumerate(p_s) if with_rate and abs(p) > 1e-6]
+    mu, vecs, coeffs = _modes(t)
+    p_s, lam = _spectral_summary(mu, _weights(vecs, coeffs))
+    rated = np.flatnonzero(np.abs(p_s) > 1e-6) if with_rate else []
     cycles: list[float | None] = [None] * len(solved)
-    if rated:
+    if len(rated):
+        modes = t, mu, vecs, coeffs, p_s
         if len(rated) < len(solved):
-            t, mu, weights, drift = t[rated], mu[rated], weights[rated], drift[rated]
-        found = _rate_cycles(t, mu, weights, np.array([p_s[j] for j in rated]), drift)
-        for j, c in zip(rated, found):
+            modes = [a[rated] for a in modes]
+        for j, c in zip(rated.tolist(), _rate_cycles(*modes)):
             cycles[j] = c
-    for j, i in enumerate(solved):
+    for i, p, lam_i, c in zip(solved, p_s.tolist(), lam.tolist(), cycles):
         t_cycle = t_cycles[i]
-        gamma = None if cycles[j] is None else 1.0 / (cycles[j] * t_cycle)
+        gamma = None if c is None else 1.0 / (c * t_cycle)
         n_s = None if gamma is None else 1.0 / (gamma * t_cycle)
-        results[i] = ExactResult(p_s=p_s[j], lambda_est=lam[j], gamma=gamma, n_s=n_s,
-                                 t_cycle=t_cycle)
+        results[i] = ExactResult(p_s=p, lambda_est=lam_i, gamma=gamma, n_s=n_s, t_cycle=t_cycle)
     return results

@@ -21,7 +21,7 @@ if TYPE_CHECKING:
 
 HERMITICITY_TOL = 1e-12
 SPECTRA_LIMIT = 256  # generators whose eigendecompositions hermitian_expm keeps
-_SPECTRA: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
+_SPECTRA: dict[bytes, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
 ID2 = np.eye(2, dtype=complex)
 ID4 = np.eye(4, dtype=complex)
@@ -63,7 +63,8 @@ def unitarity_defect(u: np.ndarray) -> float | np.ndarray:
     u = np.asarray(u, dtype=complex)
     if u.ndim not in (2, 3) or u.shape[-1] != u.shape[-2]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {u.shape}")
-    defect = np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(u.shape[-1])).max(axis=(-2, -1))
+    eye = ID4 if u.shape[-1] == 4 else np.eye(u.shape[-1])
+    defect = np.abs(u.conj().swapaxes(-1, -2) @ u - eye).max(axis=(-2, -1))
     return float(defect) if u.ndim == 2 else defect
 
 
@@ -79,8 +80,9 @@ def hermitian_expm(h: np.ndarray, t: ArrayLike = 1.0) -> np.ndarray:
     H's bytes, so a generator seen before (the same system's hyperfine
     Hamiltonian at a new duration, say) is neither checked nor diagonalized
     again: equal bytes in give the eigh they gave before.  The table holds
-    read-only arrays and is cleared whenever it would grow past
-    SPECTRA_LIMIT entries.
+    read-only arrays, the phase rates -1j w and the adjoint of v beside v,
+    as each call would compute them, and is cleared whenever it would grow
+    past SPECTRA_LIMIT entries.
     """
     h = _as_square(h)
     key = h.tobytes()
@@ -96,17 +98,19 @@ def hermitian_expm(h: np.ndarray, t: ArrayLike = 1.0) -> np.ndarray:
         return np.broadcast_to(np.eye(h.shape[0], dtype=complex), t.shape + h.shape).copy()
     if spectrum is None:
         spectrum = _spectrum(key, h)
-    w, v = spectrum
-    u = (v * np.exp(-1j * w * t[..., None])[..., None, :]) @ v.conj().T
+    phases, v, v_dagger = spectrum
+    u = (v * np.exp(phases * t[..., None])[..., None, :]) @ v_dagger
     if zeros:
         u[still] = np.eye(h.shape[0])
     return u
 
 
-def _spectrum(key: bytes, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """eigh of the Hermitian part of h, stored read-only in _SPECTRA under key."""
+def _spectrum(key: bytes, h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(-1j w, v, v^dagger) of the eigh (w, v) of the Hermitian part of h,
+    stored read-only in _SPECTRA under key."""
     # eigh of the Hermitian part keeps the factorization exactly unitary
-    spectrum = np.linalg.eigh((h + h.conj().T) / 2)
+    w, v = np.linalg.eigh((h + h.conj().T) / 2)
+    spectrum = (-1j * w, v, v.conj().T)
     for a in spectrum:
         a.flags.writeable = False
     if len(_SPECTRA) >= SPECTRA_LIMIT:

@@ -191,7 +191,8 @@ def test_steady_on_an_overflowing_product_prints_one_error_line(tmp_path, capsys
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["steady", "--config", str(path)]) == 2
-    assert capsys.readouterr().err == "error: input is not unitary (defect nan)\n"
+    assert capsys.readouterr().err == ("error: cycle propagator is not unitary "
+                                       "(defect nan, n_p=100000000000000000000, n_r=1)\n")
 
 
 PI_PULSE_LONGER_THAN_TAU = {"pulse_model": {"kind": "finite", "tau_pi": "3 pi/omega"}}

@@ -236,6 +236,22 @@ def test_batch_is_each_point_alone_byte_for_byte(points):
     assert list(map(repr, batch)) == [repr(alone(p)) for p in points]
 
 
+def test_each_long_train_point_alone_is_its_batch_byte_for_byte():
+    # the 44 long_train points: 4 magic rows with n_p n_r = 512, 11 pulse widths each, so
+    # the batch composes blocks up to count 64 for 11 points of each shape at once
+    points = []
+    for method, sign, n_p, n_r in [("I", +1, 8, 64), ("I", -1, 16, 32), ("II", +1, 32, 16),
+                                   ("II", -1, 64, 8)]:
+        ideal = magic_params(method, sign, n_p).to_sequence_params(LONG_TRAIN_SYS, n_r)
+        for k in range(11):
+            tau_pi = k / 100 * math.pi
+            points.append((LONG_TRAIN_SYS, replace(
+                ideal, tau=finite_pulse_tau(ideal.tau, tau_pi, n_p), tau_pi=tau_pi)))
+    batch = list(evaluate_exact_batch(points))
+    assert len(batch) == 44 and all(r.gamma is not None for r in batch)
+    assert list(map(repr, batch)) == [repr(evaluate_exact(*p)) for p in points]
+
+
 def test_shared_memo_stays_bounded_and_changes_no_matrix(rng):
     memo = {}
     sizes = []
@@ -589,9 +605,9 @@ def rate_cycles(pair: KrausPair, p_s: float) -> float | None:
 
 def rate_cycles_of(t: np.ndarray, p_s) -> list[float | None]:
     """_rate_cycles on the stacked transfer matrices t (k, 4, 4) with steady polarizations p_s."""
-    mu, weights, drift = _weighted_modes(t)
-    return _rate_cycles(t, mu, weights, np.broadcast_to(np.asarray(p_s, dtype=float), len(t)),
-                        drift)
+    mu, vecs, coeffs = _modes(t)
+    return _rate_cycles(t, mu, vecs, coeffs,
+                        np.broadcast_to(np.asarray(p_s, dtype=float), len(t)))
 
 
 def recorded_jumps(monkeypatch) -> list[int]:

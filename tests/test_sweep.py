@@ -643,7 +643,8 @@ def test_batched_sweep_matches_each_point_alone(monkeypatch, batch_size):
     statuses = [row[6] for row in table.rows]
     invalid = "failed: invalid sequence: n_r must be >= 1, got -36028797018963964"
     assert statuses.count(invalid) == 41
-    assert sum(s.startswith("failed: input is not unitary") for s in statuses) == 41
+    assert sum(s.startswith("failed: cycle propagator is not unitary (defect ")
+               and s.endswith(", n_p=1, n_r=36028797018963968)") for s in statuses) == 41
     assert any("e+2" in s for s in statuses)  # a defect above 1e200
     assert len(n_s) == 41
     assert abs(p_s[0]) <= 1e-6 and n_s[0] is None
@@ -861,6 +862,6 @@ def test_a_schedule_is_compiled_once_per_shape():
     shape = render_unit(*robustness_points(SCAN_ROWS, SCAN_TAU_PI)[0]).shape
     n, steps = engine._schedule(shape)
     assert n == 8
-    assert [(count, [len(block) for block in blocks]) for count, blocks in steps] == [
-        (1, [3, 3]), (1, [3, 3]), (2, [8])]
-    assert steps[-1][1][0] == (10, 5, 11, 6, 10, 5, 11, 7)  # ddx, t_s, ddy, t_w, ... t_c
+    # each distinct block once, after its parts: cell, DD block, cell, DD block, repetition
+    assert steps == ((1, (1, 2, 1)), (1, (0, 8, 0)), (1, (1, 4, 1)), (1, (3, 10, 3)),
+                     (2, (9, 5, 11, 6, 9, 5, 11, 7)))  # ddx, t_s, ddy, t_w, ... t_c
