@@ -19,17 +19,20 @@ composed (up to SCHEDULE_LIMIT shapes, least recently used dropped), and
 in linalg.hermitian_expm each generator's eigendecomposition, keyed by
 its bytes (up to linalg.SPECTRA_LIMIT, cleared when full), so a new
 duration of a generator seen before costs no eigh.
-The channel acts on vec(rho) as a 4x4 transfer matrix: one
+The channel acts on vec(rho) as a complex 4x4 transfer matrix T: one
 eigen-decomposition of it gives the steady polarization, the contraction
-factor and the modes that bound the series.  The rate comes from the
-first 1 - 1/e crossing of that series, with no cap on its length, read out
+factor and the modes that bound the series.  The series itself is read
+through the channel's real Bloch map R = Re(B T B^-1), the 4x4 real matrix
+that moves the nuclear state's populations and transverse Bloch
+components (p_up, x, y, p_down) one cycle on: its real products cost a
+quarter to a fifth of the complex ones.  The rate comes from the first
+1 - 1/e crossing of that series, with no cap on its length, read out
 lazily: the first block of SERIES_BLOCK cycles is evaluated one doubling
 level of read-out rows at a time (cycles 1-2, 3-4, 5-8, ...) and the
 search stops at the level that holds the crossing.  Only when the first
-block has none do the modes bound the series over ranges of later blocks,
+block has none do T's modes bound the series over ranges of later blocks,
 cutting each range they cannot rule out into SPLIT parts, and the single
-blocks the bound cannot rule out are evaluated with exact powers of the
-transfer matrix.
+blocks the bound cannot rule out are evaluated with exact powers of R.
 `simulate` evaluates the whole series through the same read-out.
 
 `evaluate_exact_batch` solves many points at once.  Up to BATCH_SIZE
@@ -297,8 +300,8 @@ def _run(schedule: tuple[int, tuple], rows: Sequence[list[int]],
     of its propagator, any other with (k, 4, 4), and a block composes as
     (1, 4, 4) when all its parts do, its (1, 4, 4) parts broadcasting
     otherwise.  A step multiplies its block's parts in product order (later
-    parts on the left, the first onto ID4) and matrix_power raises the
-    product to the count.  An empty block is the identity.  Returns
+    parts on the left, starting from the first itself) and matrix_power
+    raises the product to the count.  An empty block is the identity.  Returns
     (k, 4, 4), or (1, 4, 4) when the points share every leaf.
     """
     n, steps = schedule
@@ -311,8 +314,8 @@ def _run(schedule: tuple[int, tuple], rows: Sequence[list[int]],
                 table = np.array(known)
             slots.append(table[list(column)])
     for count, parts in steps:
-        u = ID4[None]
-        for s in parts:
+        u = slots[parts[0]] if parts else ID4[None]
+        for s in parts[1:]:
             u = slots[s] @ u
         slots.append(np.linalg.matrix_power(u, count) if parts else u)
     return slots[-1]
@@ -346,30 +349,57 @@ def _superop(k: KrausPair) -> np.ndarray:
     return _channels(np.stack([k.m_up, k.m_down])[None])[0]
 
 
-_READOUT = np.array([[1, 0, 0, -1]], dtype=complex)  # <2 I_z> read-out of vec(rho)
+# B: row-major vec(rho) -> its real coordinates (p_up, x, y, p_down), the two populations and
+# the transverse Bloch components x = tr(rho sx), y = tr(rho sy); _BLOCH_INV is its inverse
+_BLOCH = np.array([[1, 0, 0, 0], [0, 1, 1, 0], [0, 1j, -1j, 0], [0, 0, 0, 1]])
+_BLOCH_INV = np.array([[1, 0, 0, 0], [0, 0.5, -0.5j, 0], [0, 0.5, 0.5j, 0], [0, 0, 0, 1]])
+_READOUT = np.array([[1.0, 0.0, 0.0, -1.0]])  # <2 I_z> = p_up - p_down, the read-out row
+_MIXED_BLOCH = np.array([0.5, 0.0, 0.0, 0.5])  # the mixed start (p_up, x, y, p_down)
+
+
+def _bloch_maps(t: np.ndarray) -> np.ndarray:
+    """Real Bloch maps R (k, 4, 4) of stacked transfer matrices t (k, 4, 4).
+
+    R = Re(B T B^-1) acts on (p_up, x, y, p_down), the nuclear Bloch vector
+    with z = p_up - p_down kept as its two populations.  Each T must keep rho
+    Hermitian, as every channel built from Kraus operators does: then
+    B T B^-1 is real and Re drops only rounding.  A T that does not (an
+    imaginary part above UNITARITY_TOL) raises ValueError, since its series
+    would not be the one T's modes bound.  The population entries are T's
+    own, and reading p_up - p_down keeps the cancellation between the two
+    populations' rounding that a z row alone loses: over 1e6 to 1e8 cycles
+    of amplitude damping, N_s read through z alone erred several times more.
+    """
+    r = _BLOCH @ t @ _BLOCH_INV
+    imag = np.abs(r.imag).max(initial=0.0)
+    if imag > UNITARITY_TOL:  # NaN passes, as it does through the real parts
+        raise ValueError(f"transfer matrix does not keep rho Hermitian "
+                         f"(imaginary part {imag:.3e} in its Bloch map)")
+    return r.real
 
 
 def _level(rows: np.ndarray, power: np.ndarray, x: np.ndarray, start: int):
     """One doubling level of the first block's read-out, for a stack of points.
 
-    rows (k, m, 4) are the read-out rows r T^j, j < m, of each point's
-    transfer matrix T and power (k, 4, 4) is T^m; the first level starts from
-    the single row r and T.  Returns the rows for j < 2m and P from state x
-    at the cycles from start + 1 to 2m, where start is the count already
-    read: 0 on the first level, which reads cycles 1-2, m after it.  The
-    next level takes power @ power, T^(2m), which a consumer squares only
-    for the points that go on.  A level holds the same rows whatever the
-    series length, so a consumer that stops early pays for no later level.
+    rows (k, m, 4) are the real read-out rows r R^j, j < m, of each point's
+    Bloch map R (see _bloch_maps) and power (k, 4, 4) is R^m; the first
+    level starts from the single row r = _READOUT and R.  Returns the rows
+    for j < 2m and P from the Bloch state x at the cycles from start + 1 to
+    2m, where start is the count already read: 0 on the first level, which
+    reads cycles 1-2, m after it.  The next level takes power @ power,
+    R^(2m), which a consumer squares only for the points that go on.  A
+    level holds the same rows whatever the series length, so a consumer
+    that stops early pays for no later level.
     Every level has at least two rows: numpy multiplies a single row by its
     dot kernel, which rounds differently from the matrix-vector kernel of
     longer products.
     """
     rows = np.concatenate([rows, rows @ power], axis=1)
-    return rows, (rows[:, start:] @ x).real
+    return rows, rows[:, start:] @ x
 
 
 def _read(rows: np.ndarray, x: np.ndarray, m: int) -> np.ndarray:
-    """Re(rows @ x) cut at m entries, in products of at most SERIES_BLOCK/2 rows.
+    """rows @ x cut at m entries, in products of at most SERIES_BLOCK/2 rows.
 
     rows (n, 4) and x (4,), or stacks of them: rows (k, n, 4) and x (k, 4),
     each point's entries with the bytes of its own product.  One 1024x4
@@ -380,31 +410,33 @@ def _read(rows: np.ndarray, x: np.ndarray, m: int) -> np.ndarray:
     half = SERIES_BLOCK // 2
     chunks = [(rows[..., a:a + half, :] @ x[..., None])[..., 0]
               for a in range(0, min(m, rows.shape[-2]), half)]
-    return np.concatenate(chunks, axis=-1).real[..., :m]
+    return np.concatenate(chunks, axis=-1)[..., :m]
 
 
 def simulate(k: KrausPair, rho0: np.ndarray, n: int, params: dict | None = None) -> PolarizationSeries:
     """Polarization for cycles 1..n; cycle 1 is the freshly prepared state.
 
-    Block powers of the transfer matrix T: the first block of SERIES_BLOCK
-    cycles is read level by level through _level, as a stack of one, while
-    its read-out rows r T^j are built by doubling, and the state then jumps
-    by T^SERIES_BLOCK once per later block, which _read reads with the same
-    rows.  A shorter series is a prefix of a longer one, byte for byte, and
-    _rate_cycles reads its first block through the same _level.
+    Block powers of the real Bloch map R (see _bloch_maps) on the Bloch
+    state of rho0, the real part of B vec(rho0): the first block of
+    SERIES_BLOCK cycles is read level by level through _level, as a stack
+    of one, while its read-out rows r R^j are built by doubling, and the
+    state then jumps by R^SERIES_BLOCK once per later block, which _read
+    reads with the same rows.  A shorter series is a prefix of a longer
+    one, byte for byte, and _rate_cycles reads its first block through the
+    same _level.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    x = np.asarray(rho0, dtype=complex).reshape(4)
+    x = (_BLOCH @ np.asarray(rho0, dtype=complex).reshape(4)).real
     values = np.empty(n)
-    rows, power, start = _READOUT[None], _superop(k)[None], 0
+    rows, power, start = _READOUT[None], _bloch_maps(_superop(k)[None]), 0
     while start < min(n, SERIES_BLOCK):
         if start:
             power = power @ power
         rows, level = _level(rows, power, x, start)
         values[start:rows.shape[1]] = level[0, :n - start]
         start = rows.shape[1]
-    rows, power = rows[0], (power @ power)[0]  # T^SERIES_BLOCK when later blocks follow
+    rows, power = rows[0], (power @ power)[0]  # R^SERIES_BLOCK when later blocks follow
     for start in range(SERIES_BLOCK, n, SERIES_BLOCK):
         x = power @ x
         values[start:start + SERIES_BLOCK] = _read(rows, x, n - start)
@@ -423,29 +455,22 @@ def _modes(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return mu, vecs, np.linalg.solve(vecs, _MIXED[:, None])[..., 0]
 
 
-def _weighted_modes(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigenvalues mu and weights w, both (k, 4), and the drift (k,) of stacked transfer matrices.
-
-    From the mixed start P(n) = Re sum w mu^(n-1); see _drift for the drift.
-    """
-    mu, vecs, coeffs = _modes(t)
-    return mu, _weights(vecs, coeffs), _drift(t, mu, vecs, coeffs)
-
-
 def _weights(vecs: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """Weights w (k, 4) of the modes _modes gives: from the mixed start P(n) = Re sum w mu^(n-1)."""
     return (vecs[:, 0] - vecs[:, 3]) * coeffs
 
 
-def _drift(t: np.ndarray, mu: np.ndarray, vecs: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """Drift (k,) of stacked transfer matrices t (k, 4, 4) from their modes (see _modes).
+def _drift(r: np.ndarray, mu: np.ndarray, vecs: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Drift (k,) of stacked Bloch maps r (k, 4, 4) from their transfer matrices' modes.
 
-    The eig residual max|TV - V diag(mu)| times sum |coeffs|: T^(n-1)
-    applied to the mixed start strays from the mode sum by about
-    (n - 1) drift, because each cycle adds the residual of every mode it
-    carries.
+    R = B T B^-1 has the eigenvalues mu of T, with eigenvectors BV, and the
+    mixed start's coefficients stay the same.  The residual
+    max|R BV - BV diag(mu)| times sum |coeffs|: R^(n-1) applied to the mixed
+    start strays from the mode sum by about (n - 1) drift, because each
+    cycle adds the residual of every mode it carries.
     """
-    residual = np.abs(t @ vecs - vecs * mu[:, None, :]).max(axis=(1, 2))
+    vecs = _BLOCH @ vecs
+    residual = np.abs(r @ vecs - vecs * mu[:, None, :]).max(axis=(1, 2))
     return residual * np.abs(coeffs).sum(axis=1)
 
 
@@ -478,8 +503,8 @@ def steady_state(k: KrausPair) -> tuple[float, float]:
     modes whose weight exceeds UNITARITY_TOL, the factor by which P_s - P(n)
     shrinks per cycle for large n; it is 1.0 when no mode moves.
     """
-    mu, weights, _ = _weighted_modes(_superop(k)[None])
-    (p_s,), (lam,) = (a.tolist() for a in _spectral_summary(mu, weights))
+    mu, vecs, coeffs = _modes(_superop(k)[None])
+    (p_s,), (lam,) = (a.tolist() for a in _spectral_summary(mu, _weights(vecs, coeffs)))
     return p_s, lam
 
 
@@ -528,26 +553,31 @@ def _rate_cycles(t: np.ndarray, mu: np.ndarray, vecs: np.ndarray, coeffs: np.nda
     long enough to hold the crossing, byte for byte.  Past it, _later_blocks
     finds the same crossing from states reached by one matrix_power jump
     each, where simulate steps block by block, so the values agree to
-    rounding, not to the byte: at the README base, 1/N_s differs by 8.7e-15
-    (t_s = 0.1 pi), 4.5e-14 (0.35 pi), 7.8e-14 (0.6 pi, past 2^21 cycles)
-    and 4.9e-15 (1.85 pi) relative.  There is no cap on the cycle count;
+    rounding, not to the byte: at the README base, 1/N_s differs by 1.7e-13
+    (t_s = 0.1 pi), 1.2e-14 (0.35 pi), 2.2e-13 (0.6 pi, past 2^21 cycles)
+    and 9.4e-15 (1.85 pi) relative.  There is no cap on the cycle count;
     None means the mode sum never reaches 1 - 1/e (see _later_blocks).
 
     t (k, 4, 4) holds the points' transfer matrices, mu, vecs and coeffs
-    their modes (see _modes) and p_s their steady polarizations.  The first
-    block of SERIES_BLOCK cycles is read level by level through simulate's
-    own _level, across the stack, and a point leaves the stack at the first
-    level that holds its crossing.  The points that have none in the first
-    block go on together to _later_blocks, which starts from the rows and
-    power the stack built and from their weights and drift (see _drift),
-    computed for those points alone: a point that crosses early never pays
-    for its drift.
+    their modes (see _modes) and p_s their steady polarizations.  The series
+    is read through their real Bloch maps (see _bloch_maps), derived once
+    for the stack, so each t must keep rho Hermitian, as a channel's does:
+    otherwise the series read and the mode bound would part, and
+    _bloch_maps raises ValueError rather than let the search run on.  The
+    first block of SERIES_BLOCK cycles is read level by level through
+    simulate's own _level, across the stack, and a point leaves the stack
+    at the first level that holds its crossing.  The points
+    that have none in the first block go on together to _later_blocks,
+    which starts from the rows and power the stack built and from their
+    weights and drift (see _drift), computed for those points alone: a
+    point that crosses early never pays for its drift.
     """
     found: list[float | None] = [None] * len(t)
     active, p_col, lo = np.arange(len(t)), p_s[:, None], p_s  # lo is unread at start 0
-    rows, power, start = _READOUT[None].repeat(len(t), axis=0), t, 0
+    r = _bloch_maps(t)
+    rows, power, start = _READOUT[None].repeat(len(t), axis=0), r, 0
     while True:
-        rows, values = _level(rows, power, _MIXED, start)
+        rows, values = _level(rows, power, _MIXED_BLOCH, start)
         fractions = values / p_col
         hit = (fractions >= E_FRACTION).any(axis=1)
         for j in hit.nonzero()[0].tolist():
@@ -564,7 +594,7 @@ def _rate_cycles(t: np.ndarray, mu: np.ndarray, vecs: np.ndarray, coeffs: np.nda
         if start == SERIES_BLOCK:
             mu, vecs, coeffs = (a[active] for a in (mu, vecs, coeffs))
             later = _later_blocks(rows, power, mu, _weights(vecs, coeffs), p_s,
-                                  _drift(t[active], mu, vecs, coeffs))
+                                  _drift(r[active], mu, vecs, coeffs))
             for i, n_s in zip(active, later):
                 found[i] = n_s
             return found
@@ -575,9 +605,10 @@ def _later_blocks(rows: np.ndarray, power: np.ndarray, mu: np.ndarray, weights: 
                   p_s: np.ndarray, drift: np.ndarray) -> list[float | None]:
     """N_s of stacked points whose first block holds no crossing, from the blocks after it.
 
-    rows (k, SERIES_BLOCK, 4) are the first block's read-out rows r T^j and
-    power (k, 4, 4) is T^SERIES_BLOCK; block b holds the cycles
-    b SERIES_BLOCK + 1 ... (b + 1) SERIES_BLOCK.  Each point searches the
+    rows (k, SERIES_BLOCK, 4) are the first block's read-out rows r R^j of
+    the points' Bloch maps R and power (k, 4, 4) is R^SERIES_BLOCK; the
+    bound reads the modes of their transfer matrices.  Block b holds the
+    cycles b SERIES_BLOCK + 1 ... (b + 1) SERIES_BLOCK.  Each point searches the
     blocks from 1 on, leftmost first, with no end, from the open range
     [1, inf); _parts cuts each range it reaches into parts.  _range_bound
     rules parts out; the search goes on in the leftmost part it cannot, and
@@ -585,13 +616,15 @@ def _later_blocks(rows: np.ndarray, power: np.ndarray, mu: np.ndarray, weights: 
 
     The bound holds for the mode sum; the series read by matrix products
     strays from it by about m drift / |P_s| in cycle 1 + m (see
-    _drift; at most 0.81 times that on 381 README and random
+    _drift; at most 0.96 times that on 381 README and random
     points), so a part is ruled out only when its bound stays below 1 - 1/e
-    by twice that.  A single block the bound cannot rule out is read: its
-    state is one jump from the mixed start, matrix_power(T^SERIES_BLOCK,
-    b - 1), then one step of T^SERIES_BLOCK, and its rows are read like
-    simulate's later blocks, so N_s does not depend on which blocks the
-    search read before.  Should the block already open above 1 - 1/e, after
+    by twice that.  Where eig is exact (an amplitude damping channel) the
+    drift is 0 while the powers still round, and only the re-read of the
+    block before, below, catches a crossing the bound missed.  A single
+    block the bound cannot rule out is read: its state is one jump from the
+    mixed start, matrix_power(R^SERIES_BLOCK, b - 1), then one step of
+    R^SERIES_BLOCK, and its rows are read like simulate's later blocks, so
+    N_s does not depend on which blocks the search read before.  Should the block already open above 1 - 1/e, after
     an entry above it too, the bound missed the crossing by rounding and
     the block before is read instead.  A read block without a crossing
     sends the point on to the range waiting to its right.
@@ -653,8 +686,9 @@ def _later_blocks(rows: np.ndarray, power: np.ndarray, mu: np.ndarray, weights: 
             at, reading = reading, []
             point = [i for i, _ in at]
             rows_at, power_at, p_at = rows[point], power[point], p_s[point]
-            before = np.array([np.linalg.matrix_power(power[i], b - 1) for i, b in at]) @ _MIXED
-            last = (rows_at[:, -1:] @ before[..., None])[:, 0, 0].real / p_at
+            jumps = np.array([np.linalg.matrix_power(power[i], b - 1) for i, b in at])
+            before = jumps @ _MIXED_BLOCH
+            last = (rows_at[:, -1:] @ before[..., None])[:, 0, 0] / p_at
             values = _read(rows_at, (power_at @ before[..., None])[..., 0],
                            SERIES_BLOCK) / p_at[:, None]
             for (i, b), lo, fractions in zip(at, last, values):

@@ -2,7 +2,10 @@
 
 The Trotter oracle rebuilds segment propagators from symmetric (Strang)
 splitting with closed-form Pauli-rotation factors only, so it shares no
-code path with the spectral exponentials under test.  The DD integral
+code path with the spectral exponentials under test.  The series oracle
+steps vec(rho) through the channel's complex 4x4 transfer matrix one cycle
+at a time, where the engine reads the series through block powers of its
+real Bloch map.  The DD integral
 oracle integrates the pulse-shape function by adaptive quadrature (scipy,
 a test-only dependency) to check the closed-form filter F.  The sweep
 oracles are the plain forms of two per-point steps of a sweep: the CSV
@@ -186,6 +189,25 @@ def random_params(rng: np.random.Generator, finite_ok: bool = True) -> tuple[Sys
         tau_pi=tau_pi,
     )
     return sys_p, seq_p
+
+
+# ---------------------------------------------------------------------------
+# Polarization series, one cycle at a time
+# ---------------------------------------------------------------------------
+
+def stepped_series(m_up: np.ndarray, m_down: np.ndarray, rho0: np.ndarray, n: int) -> np.ndarray:
+    """<2 I_z> at cycles 1..n of the channel rho -> sum M rho M^dagger over the Kraus pair.
+
+    Row-major vec(rho) is stepped by the complex transfer matrix
+    kron(M, conj M) summed over the pair, one cycle at a time; cycle 1 is rho0.
+    """
+    t = np.kron(m_up, m_up.conj()) + np.kron(m_down, m_down.conj())
+    x = np.asarray(rho0, dtype=complex).reshape(4)
+    values = np.empty(n)
+    for i in range(n):
+        values[i] = (x[0] - x[3]).real
+        x = t @ x
+    return values
 
 
 # ---------------------------------------------------------------------------

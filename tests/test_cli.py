@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hyperpol
-from hyperpol import analytic
+from hyperpol import analytic, cli
 from hyperpol.cli import main
 from hyperpol.params import config_from_dict
 
@@ -459,6 +459,47 @@ def test_sweep_cli_deterministic(tmp_path, config_path, jobs):
     assert main(["sweep", "--config", str(spec_path), "--out", str(out2),
                  "--jobs", jobs]) == 0
     assert out1.read_text() == out2.read_text()
+
+
+def exit_codes(calls: list) -> list:
+    """main's exit code for each argv in turn, or the code of the SystemExit argparse raises."""
+    codes = []
+    for argv in calls:
+        try:
+            codes.append(main(argv))
+        except SystemExit as stop:
+            codes.append(stop.code)
+    return codes
+
+
+def test_one_parser_serves_every_call_of_a_process(tmp_path, config_path, monkeypatch, capsys):
+    # main builds its parser on the first call and keeps it; a call that argparse
+    # rejects leaves it as it was for the next
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "target": "rate", "engine": "both", "base": BASE_CONFIG,
+        "axes": [{"name": "t_s", "start": 0.0, "stop": "2 pi/omega", "count": 3}]}))
+
+    def calls(where: Path) -> list:
+        where.mkdir()
+        return [["sweep", "--config", str(spec), "--out", str(where / "sweep.csv")],
+                ["steady", "--config", config_path, "--engine", "quantum"],
+                ["steady", "--config", config_path, "--out", str(where / "steady.json")]]
+
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    cli._parser.cache_clear()
+    shared = exit_codes(calls(tmp_path / "shared"))
+    assert len(builds) == 1
+    fresh = []
+    for argv in calls(tmp_path / "fresh"):
+        cli._parser.cache_clear()
+        fresh += exit_codes([argv])
+    assert shared == fresh == [0, 2, 0]
+    for name in ("sweep.csv", "steady.json"):
+        assert (tmp_path / "shared" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+    assert "invalid choice: 'quantum'" in capsys.readouterr().err
 
 
 def test_sweep_cli_rejects_bad_axis(tmp_path):

@@ -26,14 +26,13 @@ from hyperpol.engine import (
     simulate,
     steady_state,
 )
-from hyperpol.engine import (E_FRACTION, _modes, _rate_cycles, _spectral_summary, _superop,
-                             _weighted_modes)
+from hyperpol.engine import E_FRACTION, _modes, _rate_cycles, _spectral_summary, _superop
 from hyperpol.linalg import ID2, ID4, SX, SZ, hermitian_expm, unitarity_defect
 from hyperpol.params import SequenceParams, SystemParams
 from hyperpol.timeline import (FREE_HYPERFINE, FREE_NUCLEAR, PULSE, Repeat, Segment, Timeline,
                                render_unit)
 
-from oracles import operator_distance, random_params, trotter_propagate
+from oracles import operator_distance, random_params, stepped_series, trotter_propagate
 
 SYS = SystemParams(omega=1.0, a_perp=0.05)
 
@@ -207,6 +206,63 @@ def test_a_walk_of_generators_seen_before_has_the_bytes_of_a_cold_walk(rng, monk
     assert [engine._walk([point], {})[0].tobytes() for point in points] == expected
     assert diagonalized == []
     assert [u.tobytes() for u in stacked] == expected
+
+
+def identity_started(sys_p, timeline, memo: dict) -> np.ndarray:
+    """The cycle propagator by the timeline's schedule from the leaf propagators in memo,
+    each block's product started from ID4 (first part @ ID4), one point at a time."""
+    n, steps = engine._schedule(timeline.shape)
+    slots = [memo[sys_p, seg][None] for seg in timeline.leaves[:n]]
+    for count, parts in steps:
+        u = ID4[None]
+        for s in parts:
+            u = slots[s] @ u
+        slots.append(np.linalg.matrix_power(u, count) if parts else u)
+    return slots[-1][0]
+
+
+def signed_zero_points(rng) -> list:
+    """(system, timeline) pairs whose propagators hold exact zeros: zero-width pulses, waits
+    of 0.0 and -0.0 and no coupling, beside the long_train rows and random draws."""
+    points = long_train_points()
+    for a_perp, tau_pi, wait in itertools.product((0.0, 0.05), (0.0, 0.2 * math.pi),
+                                                  (0.0, -0.0, 1.5 * math.pi)):
+        sys_p = SystemParams(omega=1.0, a_perp=a_perp)
+        for n_p, n_r in ((1, 1), (2, 4), (3, 2)):
+            seq_p = replace(README_BASE, n_p=n_p, n_r=n_r, tau_pi=tau_pi, t_s=wait, t_c=wait)
+            points.append((sys_p, render_unit(sys_p, seq_p)))
+    points += [(sys_p, render_unit(sys_p, seq_p))
+               for sys_p, seq_p in (random_params(rng) for _ in range(30))]
+    return points
+
+
+def test_walks_keep_the_bytes_of_identity_started_blocks(rng):
+    # stacked and single walks, signed zeros included: a block that starts from its
+    # first part gives the bytes of first part @ ID4
+    points = signed_zero_points(rng)
+    zeros = 0
+    for at in range(0, len(points), 16):  # 16 points hold fewer than MEMO_LIMIT leaves
+        stack, memo = points[at:at + 16], {}
+        stacked = engine._walk(stack, memo)
+        assert len(memo) == len({(sys_p, seg) for sys_p, tl in stack for seg in tl.leaves})
+        expected = [identity_started(*point, memo).tobytes() for point in stack]
+        assert [u.tobytes() for u in stacked] == expected
+        assert [engine._walk([point], memo)[0].tobytes() for point in stack] == expected
+        zeros += np.count_nonzero(stacked.view(float) == 0)
+    assert zeros > 0  # tobytes tells +0 from -0
+
+
+@pytest.mark.parametrize("n_p,n_r", [(10 ** 20, 1), (10 ** 20, 4), (1, 10 ** 22),
+                                     (10 ** 12, 10 ** 12)])
+def test_an_overflowing_block_part_names_its_defect(n_p, n_r):
+    # ideal pulses round the block powers down to zero, finite ones overflow them
+    points = [(SYS, replace(README_BASE, n_p=n_p, n_r=n_r, tau_pi=tau_pi))
+              for tau_pi in (0.0, 0.2 * math.pi)]
+    errors = list(evaluate_exact_batch(points)) + [
+        next(evaluate_exact_batch([point])) for point in points]
+    assert [str(err) for err in errors] == 2 * [
+        f"cycle propagator is not unitary (defect {defect}, n_p={n_p}, n_r={n_r})"
+        for defect in ("1.000e+00", "nan")]
 
 
 def exact_point(a_perp, n_p, n_r, tau, pulse, t_s, t_w, t_c):
@@ -463,6 +519,15 @@ def test_steady_state_long_train_magic_row():
     assert 0.0 <= lam < 1.0
 
 
+def _weighted_modes(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenvalues mu and weights w, both (k, 4), and the drift (k,) of stacked transfer
+    matrices t: from the mixed start P(n) = Re sum w mu^(n-1), and the series read
+    through the Bloch maps strays from that by about (n - 1) drift (see engine._drift)."""
+    mu, vecs, coeffs = _modes(t)
+    return mu, engine._weights(vecs, coeffs), engine._drift(engine._bloch_maps(t), mu, vecs,
+                                                            coeffs)
+
+
 def _spectrum(pair: KrausPair) -> tuple[float, float, float]:
     """(P_s, lambda, spread) of one channel: spread is the sum of |w_k| over the moving modes,
     which bounds |P(n) - P_s| at lambda^(n-1) times it."""
@@ -532,6 +597,19 @@ README_BASE = SequenceParams(n_p=1, tau=2 * math.pi, t_s=1.5 * math.pi, t_w=1.5 
                              t_c=1.5 * math.pi, n_r=4, tau_pi=0.2 * math.pi)
 
 
+@pytest.mark.parametrize("rho0", [mixed_state(), np.array([[1, 1], [1, 1]]) / 2],
+                         ids=["mixed", "x-polarized"])
+def test_simulate_follows_the_stepped_vec_rho_series(rho0):
+    # block powers of the real Bloch map against the complex transfer matrix stepped
+    # cycle by cycle, at every 8th point of the README sweep and on random draws
+    pairs = [cycle_kraus(SYS, replace(README_BASE, t_s=f * math.pi)) for f in np.linspace(0, 2, 11)]
+    pairs += [cycle_kraus(*random_params(np.random.default_rng(seed))) for seed in range(20)]
+    n = np.arange(1, 4097)
+    for pair in pairs:
+        stepped = stepped_series(pair.m_up, pair.m_down, rho0, 4096)
+        assert np.all(np.abs(simulate(pair, rho0, 4096).values - stepped) <= 4 * n * 2.2e-16)
+
+
 @pytest.mark.parametrize("t_s_over_pi", [0.1, 0.35, 0.6, 1.85])
 def test_slow_readme_sweep_points_are_solved(t_s_over_pi):
     # the slowest mode lies within 2e-5 of 1: 1e5 to 2e6 cycles to the 1 - 1/e crossing
@@ -553,7 +631,7 @@ def test_interpolated_rates_are_python_floats(t_s_over_pi, later):
     assert type(n_s) is float and (n_s > engine.SERIES_BLOCK) == later
     expected = measured_rate(simulate(pair, mixed_state(), series_through(n_s)), p_s, 1.0)
     # simulate steps block by block where _later_blocks jumps: the same crossing, not the same
-    # bytes (relative differences 8.6e-15 at 0.1 pi, 4.5e-14 at 0.35 pi, 4.8e-15 at 1.85 pi)
+    # bytes (relative differences 1.7e-13 at 0.1 pi, 1.2e-14 at 0.35 pi, 9.4e-15 at 1.85 pi)
     assert 1.0 / n_s == (pytest.approx(expected, rel=1e-12) if later else expected)
     (batched,) = engine.evaluate_exact_batch([(SYS, seq)])
     for res in (evaluate_exact(SYS, seq), batched):
@@ -708,9 +786,11 @@ def test_lazy_rate_stops_at_the_level_that_holds_the_crossing(monkeypatch, cycle
 def closed_form_cycles(pair: KrausPair) -> float:
     """N_s of damping_to_cross_at's series P(n) = 1 - lam^(n-1), for the lam the channel holds.
 
-    lam is the transfer matrix's own entry, which rounding moves off the
-    lam the channel was built from; the crossing is interpolated between the
-    two cycles around it, as measured_rate does.
+    lam is the transfer matrix's own p_down -> p_down entry, which rounding moves off
+    the lam the channel was built from.  The real Bloch map the series is read
+    through holds the same entry, byte for byte: B and B^-1 leave that row and
+    column of T as they are.  The crossing is interpolated between the two
+    cycles around it, as measured_rate does.
     """
     log_lam = math.log1p(-(1.0 - _superop(pair)[3, 3].real))
     crossing = math.floor(-1.0 / log_lam) + 1  # the last cycle before it, counted from 1
@@ -755,11 +835,25 @@ def test_rate_one_cycle_after_the_old_series_length():
 def transfer_matrix(mu: list, weights: list) -> np.ndarray:
     """A 4x4 transfer matrix with eigenvalues mu whose series from the mixed start is
     P(n) = Re sum weights mu^(n-1): every eigenvector reads 1, and the mixed
-    start is sum weights v.  The weights must sum to 0, as P(1) is."""
+    start is sum weights v.  The weights must sum to 0, as P(1) is.  Each
+    eigenvector is vec of a Hermitian matrix, so for real mu the matrix keeps
+    rho Hermitian, as a channel's does, and its real Bloch map carries it."""
+    vecs = np.array([[1.0, 0.3, 0.2, 0.4], [0.0, 0.5, 0.5j, 0.1 + 0.3j],
+                     [0.0, 0.5, -0.5j, 0.1 - 0.3j], [0.0, -0.7, -0.8, -0.6]])
+    vecs[:, 0] = (engine._MIXED - vecs[:, 1:] @ weights[1:]) / weights[0]
+    return vecs @ np.diag(mu) @ np.linalg.inv(vecs)
+
+
+def test_a_transfer_matrix_that_does_not_keep_rho_hermitian_is_refused():
+    # its real Bloch map would read a series that T's modes do not bound, and the
+    # later-block search would read block after block; it fails at once instead
     vecs = np.array([[1.0, 0.3, 0.2, 0.4], [0.0, 0.5, 0.0, 0.1], [0.0, 0.0, 0.5, 0.3],
                      [0.0, -0.7, -0.8, -0.6]])
-    vecs[:, 0] = (engine._MIXED.real - vecs[:, 1:] @ weights[1:]) / weights[0]
-    return vecs @ np.diag(mu) @ np.linalg.inv(vecs)
+    vecs[:, 0] = (engine._MIXED.real - vecs[:, 1:] @ [-1.1, 0.1, 0.0]) / 1.0
+    t = vecs @ np.diag([1.0, 1 - 1e-5, -1.0, 0.5]) @ np.linalg.inv(vecs)
+    assert engine._bloch_maps(_superop(cycle_kraus(SYS, README_BASE))[None]).dtype == float
+    with pytest.raises(ValueError, match="does not keep rho Hermitian"):
+        rate_cycles_of(t[None], 1.0)
 
 
 def series_of(t: np.ndarray, n: int) -> PolarizationSeries:
@@ -833,6 +927,22 @@ def test_stacked_later_search_matches_each_point_alone(picks):
     assert [None if n is None else n.hex() for n in together] == [
         None if n is None else n.hex() for n in alone]
     assert all(type(n) is float for n in together if n is not None)
+
+
+@pytest.mark.parametrize("at", range(len(LATER_BLOCK_POOL)))
+def test_the_bloch_series_strays_from_the_mode_sum_by_at_most_its_drift(at):
+    # the slack of the later-block search: the series read through powers of the
+    # real Bloch map R stays within m drift of the mode sum at cycle 1 + m.  On the
+    # damping channels eig is exact and the drift is 0, while the powers still round
+    # (by 1.3e-11 at 2^25 + 3 cycles): there the series stays within m eps, and the
+    # search leans on reading the block before (see engine._later_blocks)
+    t, _ = LATER_BLOCK_POOL[at]
+    mu, vecs, coeffs = _modes(t[None])
+    r = engine._bloch_maps(t[None])
+    (drift,), weights = engine._drift(r, mu, vecs, coeffs), engine._weights(vecs, coeffs)[0]
+    for m in (1, 2, 1024, 1025, 2 ** 15 + 7, 2 ** 20, 2 ** 25 + 3):
+        read = engine._READOUT[0] @ np.linalg.matrix_power(r[0], m) @ engine._MIXED_BLOCH
+        assert abs(read - (weights * mu[0] ** m).sum().real) <= m * (drift or 2.2e-16), m
 
 
 @pytest.mark.parametrize("rho0", [mixed_state(), np.array([[1, 1], [1, 1]]) / 2],

@@ -24,7 +24,7 @@ RECORDS = {
     "evaluate_exact": (ExactResult, lambda: evaluate_exact(SYS, SEQ),
                        ("p_s", "lambda_est", "gamma", "n_s", "t_cycle"),
                        {"p_s": 0.7777156596578155, "lambda": 0.9881224738389041,
-                        "gamma": 0.00012848726469821343, "n_s": 41.84738618388355,
+                        "gamma": 0.00012848726469821473, "n_s": 41.847386183883124,
                         "t_cycle": 185.98228509251575}),
 }
 
