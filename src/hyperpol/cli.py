@@ -20,7 +20,8 @@ from .catalog import finite_pulse_tau, full_table, magic_params
 from .engine import cycle_kraus, evaluate_exact, mixed_state, simulate
 from .params import (config_from_dict, json_array, json_object, resolve_time, system_from_dict,
                      whole_number)
-from .sweep import NoResonanceError, SweepSpec, find_tau_res, robustness_scan, run_sweep
+from .sweep import (NoResonanceError, ResultTable, SweepSpec, find_tau_res, robustness_scan,
+                    run_sweep)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -95,8 +96,10 @@ def cmd_simulate(args) -> int:
     pair = cycle_kraus(sys_p, seq_p)
     series = simulate(pair, mixed_state(), args.cycles,
                       params={"system": sys_p.to_dict(), "sequence": seq_p.to_dict()})
+    table = ResultTable(series.params, ("cycle", "polarization"),
+                        zip(range(1, len(series) + 1), series.values.tolist()))
     with _writing(args.out):
-        series.to_csv(args.out)
+        table.write(args.out)
     return EXIT_OK
 
 

@@ -1,24 +1,23 @@
 """Exact numerical evolution of the protocol.
 
-Composes segment propagators into the per-cycle 4x4 unitary block by
-block along the timeline's shape, raising each repeated block to its count
-by repeated squaring, and extracts the nuclear Kraus pair from its first
-block column.  One walk serves a whole stack of timelines: each distinct
-(system, leaf segment) is exponentiated once, one exponential per
-generator (hyperfine, nuclear, a zero-width pulse's spin or a drive at one
-Rabi frequency), and the timelines of one shape compose each of its blocks
-as one stacked product over all their points; a block whose leaf segments
-all the points share is composed once.  `propagate` is the walk of one
-timeline.  The segment
+Composes the per-cycle 4x4 unitary from the propagators of the
+timeline's eight leaf segments in the protocol's one form: the DD cell,
+raised to n_p by repeated squaring, then the two DD blocks, then the
+repetition of DDX, t_s, DDY, t_w, DDX, t_s, DDY, t_c, raised to n_r; the
+nuclear Kraus pair is its first block column.  One walk serves a whole
+stack of timelines: each distinct (system, leaf segment) is exponentiated
+once, one exponential per generator (hyperfine, nuclear, a zero-width
+pulse's spin or a drive at one Rabi frequency), and the timelines of one
+n_p and n_r compose each block as one stacked product over all their
+points; a block whose leaf segments all the points share is composed
+once.  `propagate` is the walk of one timeline.  The segment
 propagators are memoized per (system, segment) in a dict the caller may
 pass: sweeps, scans and searches share one across their points, so
 neighbouring points that differ in one wait exponentiate only that wait.
-Two tables outlive a walk, both bounded and both pure functions of their
-keys: each shape's schedule, the order in which its distinct blocks are
-composed (up to SCHEDULE_LIMIT shapes, least recently used dropped), and
-in linalg.hermitian_expm each generator's eigendecomposition, keyed by
-its bytes (up to linalg.SPECTRA_LIMIT, cleared when full), so a new
-duration of a generator seen before costs no eigh.
+One table outlives a walk, bounded and a pure function of its keys: in
+linalg.hermitian_expm each generator's eigendecomposition, keyed by its
+bytes (up to linalg.SPECTRA_LIMIT, cleared when full), so a new duration
+of a generator seen before costs no eigh.
 The channel acts on vec(rho) as a complex 4x4 transfer matrix T: one
 eigen-decomposition of it gives the steady polarization, the contraction
 factor and the modes that bound the series.  The series itself is read
@@ -51,13 +50,13 @@ each numpy call costs about its fixed overhead, so the walk and the solve
 keep their calls few: the drive and Zeeman operators are constants, each
 generator's eigenvectors are kept with their adjoint, a leaf that every
 point shares is a view of its memo entry, each block is one stacked
-product and one matrix_power, and the eig residual behind the
-later-block search is computed only for the points that reach it.
+product (the cell and the repetition then one matrix_power), and the eig
+residual behind the later-block search is computed only for the points
+that reach it.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from collections import defaultdict
@@ -67,19 +66,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import ID2, ID4, SX, SY, SZ, hermitian_expm, kron2, unitarity_defect
+from .linalg import ID2, SX, SY, SZ, hermitian_expm, kron2, unitarity_defect
 from .params import SequenceParams, SystemParams
-from .timeline import FREE_HYPERFINE, FREE_NUCLEAR, PULSE, Segment, Shape, Timeline, render_unit
+from .timeline import FREE_HYPERFINE, FREE_NUCLEAR, PULSE, Segment, Timeline, render_unit
 
 UNITARITY_TOL = 1e-10
 SERIES_BLOCK = 1024
 MEMO_LIMIT = 256
-SCHEDULE_LIMIT = 256  # protocol shapes whose schedules _schedule keeps
 BATCH_SIZE = 64  # points per stacked mode solve and first-block read-out
 SPLIT = 16  # parts per range of later blocks in the rate search
-
-IZ = SZ
-IX = SX
 
 E_FRACTION = 1.0 - math.exp(-1.0)
 
@@ -115,15 +110,6 @@ class PolarizationSeries:
     def __len__(self) -> int:
         return len(self.values)
 
-    def to_csv(self, path) -> None:
-        import json
-
-        with open(path, "w") as fh:
-            fh.write("# " + json.dumps(self.params, sort_keys=True) + "\n")
-            fh.write("cycle,polarization\n")
-            for i, v in enumerate(self.values, start=1):
-                fh.write(f"{i},{v:.17g}\n")
-
 
 def mixed_state() -> np.ndarray:
     return ID2 / 2
@@ -132,14 +118,14 @@ def mixed_state() -> np.ndarray:
 _MIXED = mixed_state().reshape(4)  # vec(rho) of the mixed start
 
 
-_NUCLEAR_Z = kron2(ID2, IZ)  # I_z in the 4x4 product space
+_NUCLEAR_Z = kron2(ID2, SZ)  # I_z in the 4x4 product space
 _DRIVE_BY_AXIS = {axis: kron2(spin, ID2)  # the electron spin each pulse axis turns
                   for axis, spin in (("+x", SX), ("-x", -SX), ("+y", SY), ("-y", -SY))}
 
 
 def hyperfine_hamiltonian(sys: SystemParams) -> np.ndarray:
     """omega I_z + S_z (a_perp I_x + a_z I_z) in the 4x4 product space."""
-    nuclear = sys.a_perp * IX + sys.a_z * IZ
+    nuclear = sys.a_perp * SX + sys.a_z * SZ
     # kron2(SZ, nuclear): the same broadcast product, without kron2's shape checks
     return sys.omega * _NUCLEAR_Z + (SZ[:, None, :, None] * nuclear[None, :, None, :]).reshape(4, 4)
 
@@ -204,12 +190,12 @@ def propagate(sys: SystemParams, timeline: Timeline,
               cache: dict | None = None) -> np.ndarray:
     """Cycle propagator: the ordered product of segment propagators.
 
-    Each block of the timeline's shape is composed once (later parts on the
-    left) and raised to its count by repeated squaring.  The leaf segments'
-    propagators are kept in `cache`, keyed by (sys, segment), so a caller
-    that passes one dict to every point of a sweep exponentiates each
-    distinct segment once for the whole sweep; without one, the memo lasts
-    for this call.  The dict is cleared whenever it would grow past
+    Each block of the cycle is composed once (later parts on the left), and
+    the cell and the repetition are raised to their counts by repeated
+    squaring.  The leaf segments' propagators are kept in `cache`, keyed by
+    (sys, segment), so a caller that passes one dict to every point of a
+    sweep exponentiates each distinct segment once for the whole sweep;
+    without one, the memo lasts for this call.  The dict is cleared whenever it would grow past
     MEMO_LIMIT entries, and the cached arrays are read-only.  Blocks are not
     stored.  This is _walk on a stack of one.
     """
@@ -222,15 +208,15 @@ def _walk(points: list[tuple[SystemParams, Timeline]], cache: dict | None) -> np
     Every distinct (system, leaf segment) of the stack is read from `cache`
     or, once, exponentiated: one segment_propagator call per generator
     covers all its missing segments, and they join the memo as in
-    propagate.  The points are then grouped by shape, and each group runs
-    its shape's schedule (see _schedule and _run) on the leaf propagators.
-    Each matrix has the bytes of its own 4x4 products.
+    propagate.  The points are then grouped by (n_p, n_r), and each group
+    composes its cycles as one stack (see _cycle).  Each matrix has the
+    bytes of its own 4x4 products.
     """
     if cache is None:
         cache = {}
     systems: dict = {}  # sys -> {segment: its row in keys and known}
     keys: list = []  # (sys, segment) of each row
-    groups = defaultdict(list)  # shape -> (point, leaf rows) of its points
+    groups = defaultdict(list)  # (n_p, n_r) -> (point, leaf rows) of its points
     for i, (sys, timeline) in enumerate(points):
         seen = systems.setdefault(sys, {})
         rows = []
@@ -239,7 +225,7 @@ def _walk(points: list[tuple[SystemParams, Timeline]], cache: dict | None) -> np
             if row == len(keys):
                 keys.append((sys, seg))
             rows.append(row)
-        groups[timeline.shape].append((i, rows))
+        groups[timeline.n_p, timeline.n_r].append((i, rows))
     known = [cache.get(key) for key in keys]
     missing = defaultdict(list)  # generator -> rows of its segments that are not in the memo
     for row, u in enumerate(known):
@@ -257,68 +243,41 @@ def _walk(points: list[tuple[SystemParams, Timeline]], cache: dict | None) -> np
     out = np.empty((len(points), 4, 4), dtype=complex)
     # a product that overflows is NaN, which the unitarity check reports
     with np.errstate(over="ignore", invalid="ignore"):
-        for shape, members in groups.items():
+        for (n_p, n_r), members in groups.items():
             at, rows = zip(*members)
-            out[list(at)] = _run(_schedule(shape), rows, known)
+            out[list(at)] = _cycle(n_p, n_r, rows, known)
     return out
 
 
-@functools.lru_cache(maxsize=SCHEDULE_LIMIT)
-def _schedule(shape: Shape) -> tuple[int, tuple]:
-    """How _run composes the blocks of a shape: (n, steps).
+def _cycle(n_p: int, n_r: int, rows: Sequence[list[int]],
+           known: list[np.ndarray]) -> np.ndarray:
+    """Cycle propagators of a stack of k points that share n_p and n_r.
 
-    Slots 0 .. n - 1 hold the propagators of the shape's leaves, n one more
-    than its largest leaf index.  Each step (count, parts) composes one
-    distinct block, given as the slots of its parts in time order, after
-    the steps of its sub-blocks; its result takes the next slot, so the
-    root's takes the last.
+    rows hold each of the k points' eight leaves (see timeline.HALF_X ...)
+    as indices into known, the stack's distinct leaf propagators (4, 4):
+    equal indices, equal segments.  A leaf that every point shares is
+    (1, 4, 4), a view of its propagator, any other (k, 4, 4), and a block
+    composes as (1, 4, 4) when all its parts do, its (1, 4, 4) parts
+    broadcasting otherwise.  Each block multiplies its parts in product
+    order, later parts on the left, starting from the first itself, and
+    matrix_power raises the cell to n_p and the repetition to n_r.
+    Returns (k, 4, 4), or (1, 4, 4) when the points share every leaf.
     """
-    order: dict = {}  # distinct block -> its step, in the order they are composed
-    n = 0
-
-    def plan(block: Shape) -> None:
-        nonlocal n
-        for part in block[0]:
-            if isinstance(part, int):
-                n = max(n, part + 1)
-            elif part not in order:
-                plan(part)
-        order[block] = len(order)
-
-    plan(shape)
-    return n, tuple((count, tuple(p if isinstance(p, int) else n + order[p] for p in parts))
-                    for parts, count in order)
-
-
-def _run(schedule: tuple[int, tuple], rows: Sequence[list[int]],
-         known: list[np.ndarray]) -> np.ndarray:
-    """Cycle propagators of a stack of k points of one shape, by its schedule.
-
-    rows hold each of the k points' leaves as indices into known, the
-    stack's distinct leaf propagators (4, 4): equal indices, equal segments.
-    A leaf that every point shares fills its slot with (1, 4, 4), a view
-    of its propagator, any other with (k, 4, 4), and a block composes as
-    (1, 4, 4) when all its parts do, its (1, 4, 4) parts broadcasting
-    otherwise.  A step multiplies its block's parts in product order (later
-    parts on the left, starting from the first itself) and matrix_power
-    raises the product to the count.  An empty block is the identity.  Returns
-    (k, 4, 4), or (1, 4, 4) when the points share every leaf.
-    """
-    n, steps = schedule
-    slots, table = [], None
-    for column in itertools.islice(zip(*rows), n):
+    leaves, table = [], None
+    for column in zip(*rows):
         if column.count(column[0]) == len(column):
-            slots.append(known[column[0]][None])
+            leaves.append(known[column[0]][None])
         else:
             if table is None:
                 table = np.array(known)
-            slots.append(table[list(column)])
-    for count, parts in steps:
-        u = slots[parts[0]] if parts else ID4[None]
-        for s in parts[1:]:
-            u = slots[s] @ u
-        slots.append(np.linalg.matrix_power(u, count) if parts else u)
-    return slots[-1]
+            leaves.append(table[list(column)])
+    half_x, free, pi_x, half_y, pi_y, wait_s, wait_w, wait_c = leaves
+    ddx = half_x @ (np.linalg.matrix_power(free @ (pi_x @ free), n_p) @ half_x)
+    ddy = half_y @ (np.linalg.matrix_power(free @ (pi_y @ free), n_p) @ half_y)
+    u = ddx
+    for part in (wait_s, ddy, wait_w, ddx, wait_s, ddy, wait_c):
+        u = part @ u
+    return np.linalg.matrix_power(u, n_r)
 
 
 def kraus(u: np.ndarray) -> KrausPair:
@@ -448,11 +407,13 @@ def _modes(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     t is (k, 4, 4); vec(rho) of point i after n - 1 cycles is
     sum_m coeffs[i, m] mu[i, m]^(n-1) vecs[i, :, m].  One eig and one solve
-    serve the whole stack; the right-hand side is a 4x1 matrix that solve
-    broadcasts over it.
+    serve the whole stack; the right-hand side is a stack of one 4x1
+    matrix that solve broadcasts over it.  It must not be (4, 1): before
+    numpy 2.0, solve reads a b with b.ndim == a.ndim - 1 as a stack of
+    vectors, and a (4, 1) b against (k, 4, 4) raises.
     """
     mu, vecs = np.linalg.eig(t)
-    return mu, vecs, np.linalg.solve(vecs, _MIXED[:, None])[..., 0]
+    return mu, vecs, np.linalg.solve(vecs, _MIXED[None, :, None])[..., 0]
 
 
 def _weights(vecs: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -793,7 +754,7 @@ def evaluate_exact(sys: SystemParams, seq: SequenceParams,
     threshold), when the mode sum never reaches 1 - 1/e of P_s (see
     _later_blocks), or when with_rate is off.
     `cache` is handed to `propagate`: one dict shared by the points of a
-    sweep lets them reuse each other's segment and block propagators.
+    sweep lets them reuse each other's segment propagators.
     After propagate, this is the tail of evaluate_exact_batch on a stack of
     one, with the same bytes; its ValueError is raised.
     """
@@ -818,10 +779,10 @@ def evaluate_exact_batch(points: Iterable[tuple[SystemParams, SequenceParams]],
     walked alone.
     `points` is read BATCH_SIZE at a time, so memory does not grow with
     their number.
-    A chunk's points are rendered one by one into their shapes and leaf
+    A chunk's points are rendered one by one into their counts and leaf
     segments, then walked as one stack through the shared `cache` (see
-    _walk): the points of one shape compose its blocks together.  The
-    stacked propagators share one unitarity check, one stacked eig and
+    _walk): the points of one n_p and n_r compose their blocks together.
+    The stacked propagators share one unitarity check, one stacked eig and
     solve for their modes, and _rate_cycles' read-out of their first
     blocks.  The results are those of evaluate_exact, byte for byte.
     """

@@ -20,24 +20,21 @@ interval tau_ideal - tau_pi/n_p makes every inter-block phase equal its
 ideal-pulse value: the 4 n_p shortened cells per repetition give back
 exactly the 8 half-pi insertions.
 
-A timeline keeps this nesting apart from its durations.  Its shape is the
-tree of repeated blocks (the repetition n_r times; inside each DD block
-the [tau/2, pi, tau/2] cell n_p times), with indices into its leaves in
-place of the segments: every render with the same n_p and n_r has an
-equal shape, and only the eight leaf segments are the point's own.  The
-engine composes the blocks of one shape for a whole stack of timelines
-and raises each to its count by repeated squaring.  The `Repeat` tree
-(`structure`) and the flat segment list in time order (`segments`) are
-views derived from the shape and the leaves on demand, for the oracles
-and for inspection; a timeline built from a hand-made tree takes the
-tree's shape and its segments as leaves.
+A timeline is this one form and nothing else: n_p, n_r and the eight
+leaf segments (the half-pi and pi pulses of each DD block, the free half
+cell and the three waits), indexed by the constants below.  Every render
+with the same n_p and n_r differs only in its leaves.  The engine
+composes the cycle from the leaves' propagators and raises the cell and
+the repetition to their counts by repeated squaring; `segments`, the
+flat list in time order, is derived from the counts and the leaves on
+demand, for the oracles and for inspection.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Union
+from typing import NamedTuple
 
 from .params import SequenceParams, SystemParams
 
@@ -56,74 +53,27 @@ class Segment(NamedTuple):
     angle: float | None = None  # pulse only: pi or pi/2
 
 
-@dataclass(frozen=True)
-class Repeat:
-    """The parts of `body` in time order, run `count` times in a row."""
-
-    body: tuple[Segment | Repeat, ...]
-    count: int = 1
-
-    def flatten(self) -> tuple[Segment, ...]:
-        once: list[Segment] = []
-        for part in self.body:
-            once.extend(part.flatten() if isinstance(part, Repeat) else (part,))
-        return tuple(once) * self.count
-
-
-# A block of a shape: (parts in time order, count), each part a block or the
-# index of a leaf segment.
-Shape = tuple[tuple[Union[int, "Shape"], ...], int]
+# the leaves of a rendered cycle, by index in Timeline.leaves
+HALF_X, FREE, PI_X, HALF_Y, PI_Y, WAIT_S, WAIT_W, WAIT_C = range(8)
 
 
 @dataclass(frozen=True)
 class Timeline:
-    """One cycle: a shape, the leaf segments its indices name, and its durations.
+    """One cycle: its counts, its durations and its eight leaf segments (see HALF_X ...)."""
 
-    Timeline(tree, nominal_T, actual_T) with a `Repeat` tree in place of the
-    shape takes the tree's shape and its segments, in time order, as leaves.
-    """
-
-    shape: Shape
+    n_p: int
+    n_r: int
     nominal_T: float
     actual_T: float
-    leaves: tuple[Segment, ...] = ()
-
-    def __post_init__(self):
-        if isinstance(self.shape, Repeat):
-            leaves: list[Segment] = []
-            object.__setattr__(self, "shape", _shape_of(self.shape, leaves))
-            object.__setattr__(self, "leaves", tuple(leaves))
-
-    @property
-    def structure(self) -> Repeat:
-        """The cycle as a tree of `Repeat` blocks."""
-        return _tree(self.shape, self.leaves)
+    leaves: tuple[Segment, ...]
 
     @property
     def segments(self) -> tuple[Segment, ...]:
-        return self.structure.flatten()
-
-
-def _shape_of(tree: Repeat, leaves: list[Segment]) -> Shape:
-    """The shape of `tree`, whose segments are appended to `leaves` in time order."""
-    parts = []
-    for part in tree.body:
-        if isinstance(part, Repeat):
-            parts.append(_shape_of(part, leaves))
-        else:
-            parts.append(len(leaves))
-            leaves.append(part)
-    return tuple(parts), tree.count
-
-
-def _tree(shape: Shape, leaves: tuple[Segment, ...]) -> Repeat:
-    parts, count = shape
-    return Repeat(tuple(leaves[p] if isinstance(p, int) else _tree(p, leaves) for p in parts),
-                  count)
-
-
-# the leaves of a rendered cycle, by index in Timeline.leaves
-HALF_X, FREE, PI_X, HALF_Y, PI_Y, WAIT_S, WAIT_W, WAIT_C = range(8)
+        """The cycle's segments in time order."""
+        half_x, free, pi_x, half_y, pi_y, wait_s, wait_w, wait_c = self.leaves
+        ddx = (half_x, *(free, pi_x, free) * self.n_p, half_x)
+        ddy = (half_y, *(free, pi_y, free) * self.n_p, half_y)
+        return (*ddx, wait_s, *ddy, wait_w, *ddx, wait_s, *ddy, wait_c) * self.n_r
 
 
 def render_unit(sys: SystemParams, seq: SequenceParams) -> Timeline:
@@ -132,10 +82,6 @@ def render_unit(sys: SystemParams, seq: SequenceParams) -> Timeline:
     if problems:
         raise ValueError("invalid sequence: " + "; ".join(problems))
 
-    # DDX: half-pi(+y), n_p cells of [tau/2, pi(-x), tau/2], half-pi(+y); DDY likewise
-    ddx = ((HALF_X, ((FREE, PI_X, FREE), seq.n_p), HALF_X), 1)
-    ddy = ((HALF_Y, ((FREE, PI_Y, FREE), seq.n_p), HALF_Y), 1)
-    shape = ((ddx, WAIT_S, ddy, WAIT_W, ddx, WAIT_S, ddy, WAIT_C), seq.n_r)
     tau_pi = seq.tau_pi
     rabi = math.pi / tau_pi if tau_pi else math.inf  # a zero-width pulse takes no time
     half, whole = HALF_PI / rabi, PI / rabi
@@ -147,4 +93,4 @@ def render_unit(sys: SystemParams, seq: SequenceParams) -> Timeline:
     nominal_T = seq.n_r * seq.rep_duration()
     # pi pulses live inside their cells; only the half-pi edges add time
     pulse_time = seq.n_r * 8 * (seq.tau_pi / 2)
-    return Timeline(shape, nominal_T, nominal_T + pulse_time, leaves)
+    return Timeline(seq.n_p, seq.n_r, nominal_T, nominal_T + pulse_time, leaves)

@@ -18,8 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hyperpol
-from hyperpol import analytic, cli
+from hyperpol import analytic, cli, sweep
 from hyperpol.cli import main
+from hyperpol.engine import cycle_kraus, mixed_state, simulate
 from hyperpol.params import config_from_dict
 
 BASE_CONFIG = {
@@ -105,6 +106,36 @@ def test_simulate_writes_series(config_path, tmp_path):
     assert len(lines) == 152
     final = float(lines[-1].split(",")[1])
     assert final > 0.95
+
+
+def test_series_csv_round_trip(config_path, tmp_path):
+    out = tmp_path / "series.csv"
+    assert main(["simulate", "--config", config_path, "--cycles", "3", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    sys_p, seq_p = config_from_dict(BASE_CONFIG)
+    assert lines[0] == "# " + json.dumps({"sequence": seq_p.to_dict(), "system": sys_p.to_dict()},
+                                         sort_keys=True)
+    assert lines[1] == "cycle,polarization"
+    assert lines[2] == "1,0"  # the mixed start
+    series = simulate(cycle_kraus(sys_p, seq_p), mixed_state(), 3)
+    assert [float(line.split(",")[1]) for line in lines[2:]] == series.values.tolist()
+
+
+def test_a_failed_series_write_leaves_no_file(config_path, tmp_path, capsys, monkeypatch):
+    out = tmp_path / "series.csv"
+    lines, calls, existed = sweep._csv_lines, itertools.count(), []
+
+    def failing(rows):  # the column line goes through, the rows fail
+        if next(calls):
+            existed.append(out.exists())
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return lines(rows)
+
+    monkeypatch.setattr(sweep, "_csv_lines", failing)
+    assert main(["simulate", "--config", config_path, "--cycles", "5", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: cannot write {out}: No space left on device\n"
+    assert existed == [True]  # the series was going to the file when the write failed
+    assert not out.exists()
 
 
 def test_steady_reports_both_engines(config_path, tmp_path, capsys):

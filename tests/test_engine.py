@@ -29,7 +29,7 @@ from hyperpol.engine import (
 from hyperpol.engine import E_FRACTION, _modes, _rate_cycles, _spectral_summary, _superop
 from hyperpol.linalg import ID2, ID4, SX, SZ, hermitian_expm, unitarity_defect
 from hyperpol.params import SequenceParams, SystemParams
-from hyperpol.timeline import (FREE_HYPERFINE, FREE_NUCLEAR, PULSE, Repeat, Segment, Timeline,
+from hyperpol.timeline import (FREE_HYPERFINE, FREE_NUCLEAR, PULSE, WAIT_C, Segment, Timeline,
                                render_unit)
 
 from oracles import operator_distance, random_params, stepped_series, trotter_propagate
@@ -37,17 +37,24 @@ from oracles import operator_distance, random_params, stepped_series, trotter_pr
 SYS = SystemParams(omega=1.0, a_perp=0.05)
 
 
+ZERO_WAIT = Segment(FREE_NUCLEAR, 0.0)
+
+
 def empty_timeline():
-    return Timeline(Repeat(()), nominal_T=0.0, actual_T=0.0)
+    """A cycle of no repetitions: no segments at all."""
+    return Timeline(n_p=1, n_r=0, nominal_T=0.0, actual_T=0.0, leaves=(ZERO_WAIT,) * 8)
 
 
 def test_propagate_empty_timeline():
+    assert empty_timeline().segments == ()
     assert operator_distance(propagate(SYS, empty_timeline()), ID4) == 0.0
 
 
 def test_propagate_single_nuclear_wait():
     t = 0.73
-    tl = Timeline(Repeat((Segment(FREE_NUCLEAR, t),)), nominal_T=t, actual_T=t)
+    # every leaf but the closing wait lasts no time
+    tl = Timeline(n_p=1, n_r=1, nominal_T=t, actual_T=t,
+                  leaves=(ZERO_WAIT,) * WAIT_C + (Segment(FREE_NUCLEAR, t),))
     u = propagate(SYS, tl)
     expected = np.kron(ID2, np.diag([np.exp(-1j * t / 2), np.exp(1j * t / 2)]))
     assert operator_distance(u, expected) < 1e-14
@@ -125,53 +132,48 @@ SEGMENTS = st.one_of(
     st.builds(Segment, st.just(PULSE), st.sampled_from([0.0, 0.1, 0.2]),
               st.sampled_from(["+x", "-x", "+y", "-y"]), st.sampled_from([math.pi, math.pi / 2])),
 )
-BLOCKS = st.recursive(SEGMENTS, lambda parts: st.builds(
-    Repeat, st.lists(parts, max_size=3).map(tuple), st.integers(0, 3)), max_leaves=6)
+COUNTS = st.tuples(st.integers(0, 4), st.integers(0, 3))  # (n_p, n_r); 0 runs a block no time
+LEAVES = st.lists(SEGMENTS, min_size=8, max_size=8).map(tuple)
 
 
-@settings(max_examples=60, deadline=None)
-@given(SEGMENTS, BLOCKS, st.integers(2, 4), st.integers(1, 3))
-def test_propagate_matches_flat_product_on_hand_built_trees(reused, block, inner, count):
-    # a tree is its own shape: a nested block repeated more than once, empty
-    # blocks and a segment used in two places, around a drawn block
-    tree = Repeat((reused, Repeat((block, reused), inner), Repeat(()), Repeat((), 3), block), count)
-    tl = Timeline(tree, nominal_T=0.0, actual_T=0.0)
-    assert tl.structure == tree
-    assert operator_distance(propagate(SYS, tl), flat_product(SYS, tl)) <= 1e-12
-
-
-@settings(max_examples=60, deadline=None)
-@given(BLOCKS, SEGMENTS, SEGMENTS, st.data())
-def test_a_stack_of_one_shape_is_each_timeline_alone(block, first, second, data):
-    # sibling blocks of one form around a shared block: as the drawn points keep or
-    # change each leaf, blocks and their sub-blocks are shared by the stack or not
-    tree = Repeat((Repeat((block, first), 1), Repeat((block, second), 1)), 2)
-    shape, leaves = Timeline(tree, 0.0, 0.0).shape, Timeline(tree, 0.0, 0.0).leaves
-    stack = [(SYS, Timeline(shape, 0.0, 0.0, tuple(data.draw(st.one_of(st.just(seg), SEGMENTS))
+def drawn_stack(data, counts, leaves) -> list:
+    """2 to 5 (system, timeline) pairs of these counts, each leaf kept or drawn anew."""
+    return [(SYS, Timeline(*counts, 0.0, 0.0, tuple(data.draw(st.one_of(st.just(seg), SEGMENTS))
                                                     for seg in leaves)))
-             for _ in range(data.draw(st.integers(2, 5)))]
+            for _ in range(data.draw(st.integers(2, 5)))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(COUNTS, COUNTS, LEAVES, st.data())
+def test_propagate_matches_flat_product_on_drawn_cycles(counts, other, leaves, data):
+    # a stack of two groups of counts whose points keep or change each leaf: so the
+    # stack shares some blocks and not others, and zero-width pulses and waits of
+    # +0 and -0 put exact zeros of both signs into the products
+    stack = drawn_stack(data, counts, leaves) + drawn_stack(data, other, leaves)
+    stack = [stack[i] for i in data.draw(st.permutations(range(len(stack))))]
+    with pytest.MonkeyPatch.context() as patch:  # no spectrum and no memo at first
+        patch.setattr(linalg, "_SPECTRA", {})
+        memo = {}
+        cold = engine._walk(stack, memo)
+        seen = engine._walk(stack, {})  # every generator diagonalized before
+    warm = engine._walk(stack, memo)  # every leaf in the memo
+    expected = [identity_started(*point, memo).tobytes() for point in stack]
+    assert [u.tobytes() for u in cold] == expected
+    assert [u.tobytes() for u in seen] == expected
+    assert [u.tobytes() for u in warm] == expected
+    for u, point in zip(cold, stack):
+        assert operator_distance(u, flat_product(*point)) <= 1e-12
+        assert propagate(*point).tobytes() == u.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(COUNTS, LEAVES, st.data())
+def test_a_stack_of_one_shape_is_each_timeline_alone(counts, leaves, data):
+    # points of one n_p and n_r: as they keep or change each leaf, the cell, the DD
+    # blocks and the repetition are shared by the stack or not
+    stack = drawn_stack(data, counts, leaves)
     walked = engine._walk(stack, {})
     assert [u.tobytes() for u in walked] == [propagate(*point).tobytes() for point in stack]
-
-
-@settings(max_examples=40, deadline=None)
-@given(BLOCKS, SEGMENTS, st.integers(0, 3), st.data())
-def test_stacks_that_share_a_schedule_match_the_flat_product(block, seg, count, data):
-    # a block of form (2 parts, count) nested in another of that form, twice, and
-    # empty blocks of two counts; the stack's points keep or change each leaf
-    inner = Repeat((seg, block), count)
-    tree = Repeat((Repeat(()), Repeat((inner, seg), count), inner, Repeat((), 2), block), 2)
-    template = Timeline(tree, 0.0, 0.0)
-    stack = [(SYS, Timeline(template.shape, 0.0, 0.0,
-                            tuple(data.draw(st.one_of(st.just(leaf), SEGMENTS))
-                                  for leaf in template.leaves)))
-             for _ in range(data.draw(st.integers(1, 4)))]
-    engine._schedule.cache_clear()
-    walked = engine._walk(stack, {})
-    assert engine._schedule.cache_info().misses == 1  # one shape, one schedule
-    for u, point in zip(walked, stack):
-        assert operator_distance(u, flat_product(*point)) <= 1e-12
-        assert u.tobytes() == propagate(*point).tobytes()
 
 
 def long_train_points() -> list:
@@ -190,9 +192,8 @@ def test_a_walk_of_generators_seen_before_has_the_bytes_of_a_cold_walk(rng, monk
     points = long_train_points() + [
         (sys_p, render_unit(sys_p, seq_p)) for sys_p, seq_p in (random_params(rng) for _ in range(30))]
 
-    def cold(point):  # no spectrum, no schedule, no memo
+    def cold(point):  # no spectrum, no memo
         monkeypatch.setattr(linalg, "_SPECTRA", {})
-        engine._schedule.cache_clear()
         return engine._walk([point], {})[0].tobytes()
 
     expected = [cold(point) for point in points]
@@ -209,16 +210,23 @@ def test_a_walk_of_generators_seen_before_has_the_bytes_of_a_cold_walk(rng, monk
 
 
 def identity_started(sys_p, timeline, memo: dict) -> np.ndarray:
-    """The cycle propagator by the timeline's schedule from the leaf propagators in memo,
-    each block's product started from ID4 (first part @ ID4), one point at a time."""
-    n, steps = engine._schedule(timeline.shape)
-    slots = [memo[sys_p, seg][None] for seg in timeline.leaves[:n]]
-    for count, parts in steps:
+    """The cycle propagator in the timeline's fixed form from the leaf propagators in
+    memo, each block's product started from ID4 (first part @ ID4), one point at a time."""
+    half_x, free, pi_x, half_y, pi_y, wait_s, wait_w, wait_c = (
+        memo[sys_p, seg][None] for seg in timeline.leaves)
+
+    def block(*parts):  # parts in time order
         u = ID4[None]
-        for s in parts:
-            u = slots[s] @ u
-        slots.append(np.linalg.matrix_power(u, count) if parts else u)
-    return slots[-1][0]
+        for part in parts:
+            u = part @ u
+        return u
+
+    def dd(half, pi):
+        return block(half, np.linalg.matrix_power(block(free, pi, free), timeline.n_p), half)
+
+    ddx, ddy = dd(half_x, pi_x), dd(half_y, pi_y)
+    cycle = block(ddx, wait_s, ddy, wait_w, ddx, wait_s, ddy, wait_c)
+    return np.linalg.matrix_power(cycle, timeline.n_r)[0]
 
 
 def signed_zero_points(rng) -> list:
@@ -281,7 +289,7 @@ EXACT_POINTS = st.builds(exact_point, st.sampled_from([0.0, 0.1, 0.25]), st.inte
 @settings(max_examples=8, deadline=None)
 @given(st.lists(EXACT_POINTS, min_size=engine.BATCH_SIZE + 1, max_size=engine.BATCH_SIZE + 24))
 def test_batch_is_each_point_alone_byte_for_byte(points):
-    # more points than one chunk: chunks, shapes and the memo they carry are crossed
+    # more points than one chunk: chunks, counts (n_p, n_r) and the memo they carry are crossed
     def alone(point):
         try:
             return evaluate_exact(*point)
@@ -294,7 +302,7 @@ def test_batch_is_each_point_alone_byte_for_byte(points):
 
 def test_each_long_train_point_alone_is_its_batch_byte_for_byte():
     # the 44 long_train points: 4 magic rows with n_p n_r = 512, 11 pulse widths each, so
-    # the batch composes blocks up to count 64 for 11 points of each shape at once
+    # the batch composes blocks up to count 64 for 11 points of each (n_p, n_r) at once
     points = []
     for method, sign, n_p, n_r in [("I", +1, 8, 64), ("I", -1, 16, 32), ("II", +1, 32, 16),
                                    ("II", -1, 64, 8)]:
@@ -1025,12 +1033,18 @@ def test_rate_agreement_with_analytic_at_table_rows():
                     assert res.gamma == pytest.approx(g_ana, rel=0.05)
 
 
-def test_series_csv_round_trip(tmp_path):
-    series = PolarizationSeries(np.array([0.0, 0.5, 0.75]), params={"n_p": 1})
-    path = tmp_path / "series.csv"
-    series.to_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("# ")
-    assert lines[1] == "cycle,polarization"
-    assert lines[2] == "1,0"
-    assert [float(l.split(",")[1]) for l in lines[2:]] == [0.0, 0.5, 0.75]
+def test_exact_solves_give_solve_a_stack_of_right_hand_sides(monkeypatch):
+    # numpy before 2.0 reads a b with b.ndim == a.ndim - 1 as a stack of vectors, so
+    # a (4, 1) right-hand side against (k, 4, 4) would be k vectors of length 1
+    solve, ndims = np.linalg.solve, []
+
+    def recorded(a, b):
+        ndims.append((np.ndim(a), np.ndim(b)))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", recorded)
+    evaluate_exact(SYS, README_BASE)
+    list(evaluate_exact_batch([(SYS, README_BASE), (SYS, replace(README_BASE, t_s=0.0))]))
+    steady_state(cycle_kraus(SYS, README_BASE))
+    assert len(ndims) == 3
+    assert all(b == 1 or b != a - 1 for a, b in ndims), ndims

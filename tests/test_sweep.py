@@ -821,7 +821,7 @@ def test_each_distinct_segment_is_exponentiated_once(monkeypatch, case):
 
 
 # the robustness-scan case of test_each_distinct_segment_is_exponentiated_once: six
-# valid points of two shapes, each walked as a stack of one
+# valid points of two (n_p, n_r), each walked as a stack of one
 SCAN_ROWS = [(magic_params("I", +1, 1), 2), (magic_params("II", -1, 2), 3)]
 SCAN_TAU_PI = [0.0, 0.1 * math.pi, 0.2 * math.pi, 3 * math.pi]
 
@@ -852,16 +852,3 @@ def test_each_distinct_generator_is_diagonalized_once_per_process(monkeypatch):
     assert csv_text(robustness_scan(SCAN_ROWS, SCAN_TAU_PI, SYS)) == first
     assert len(diagonalized) == seen
 
-
-def test_a_schedule_is_compiled_once_per_shape():
-    engine._schedule.cache_clear()
-    robustness_scan(SCAN_ROWS, SCAN_TAU_PI, SYS)
-    info = engine._schedule.cache_info()
-    assert (info.misses, info.hits) == (2, 4)
-    # n_p = 1, n_r = 2: the two cells, the two DD blocks (each used twice), the repetition
-    shape = render_unit(*robustness_points(SCAN_ROWS, SCAN_TAU_PI)[0]).shape
-    n, steps = engine._schedule(shape)
-    assert n == 8
-    # each distinct block once, after its parts: cell, DD block, cell, DD block, repetition
-    assert steps == ((1, (1, 2, 1)), (1, (0, 8, 0)), (1, (1, 4, 1)), (1, (3, 10, 3)),
-                     (2, (9, 5, 11, 6, 9, 5, 11, 7)))  # ddx, t_s, ddy, t_w, ... t_c

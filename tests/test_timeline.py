@@ -12,7 +12,6 @@ from hyperpol.timeline import (
     FREE_NUCLEAR,
     PULSE,
     WAIT_S,
-    Repeat,
     Segment,
     Timeline,
     render_unit,
@@ -82,7 +81,9 @@ def test_nominal_duration_without_compensation_wait():
 
 
 def test_empty_timeline_total_duration():
-    assert total_duration(Timeline(Repeat(()), nominal_T=0.0, actual_T=0.0)) == 0.0
+    # no repetitions: no segments, whatever the leaves last
+    leaves = render_unit(SYS, seq()).leaves
+    assert total_duration(Timeline(n_p=1, n_r=0, nominal_T=0.0, actual_T=0.0, leaves=leaves)) == 0.0
 
 
 def test_finite_pulse_durations_and_actual_T():
@@ -148,23 +149,23 @@ def written_out(s: SequenceParams) -> tuple[Segment, ...]:
 def test_structure_flattens_to_segments(n_p, n_r, tau_pi):
     s = seq(n_p=n_p, n_r=n_r, tau=math.pi, t_c=0.5 * math.pi, tau_pi=tau_pi)
     tl = render_unit(SYS, s)
+    # the cycle is its counts and its eight leaves, each of them used
+    assert (tl.n_p, tl.n_r) == (n_p, n_r)
+    assert len(tl.leaves) == 8 and set(tl.leaves) == set(written_out(s))
     assert tl.segments == written_out(s)
-    assert tl.structure.flatten() == tl.segments
-    # the cycle is the repetition n_r times; each DD block holds its cell n_p times
-    assert tl.structure.count == n_r
-    blocks = [part for part in tl.structure.body if isinstance(part, Repeat)]
-    assert len(blocks) == 4
-    assert all(block.body[1].count == n_p for block in blocks)
 
 
-def test_hand_built_timeline_is_one_block():
-    segments = (Segment(FREE_NUCLEAR, 0.5), Segment(FREE_HYPERFINE, 0.25))
-    tl = Timeline(Repeat(segments), nominal_T=0.75, actual_T=0.75)
-    assert tl.structure.count == 1
-    assert tl.segments == segments
-    # the flat view is derived from the tree, so the two cannot disagree
+def test_a_hand_built_timeline_derives_its_segments():
+    # the leaves need not be a render's: any eight segments fill the one form
+    leaves = tuple(Segment(FREE_NUCLEAR, float(k)) for k in range(8))
+    tl = Timeline(n_p=2, n_r=1, nominal_T=0.0, actual_T=0.0, leaves=leaves)
+    half_x, free, pi_x, half_y, pi_y, wait_s, wait_w, wait_c = leaves
+    ddx = (half_x, free, pi_x, free, free, pi_x, free, half_x)
+    ddy = (half_y, free, pi_y, free, free, pi_y, free, half_y)
+    assert tl.segments == ddx + (wait_s,) + ddy + (wait_w,) + ddx + (wait_s,) + ddy + (wait_c,)
+    # the flat view is derived from the counts and the leaves, so they cannot disagree
     with pytest.raises(AttributeError):
-        tl.segments = segments[::-1]
+        tl.segments = leaves
 
 
 def exponentiated(monkeypatch) -> list:
@@ -180,11 +181,11 @@ def exponentiated(monkeypatch) -> list:
 
 
 def test_points_of_a_wait_sweep_share_their_dd_blocks(monkeypatch):
-    # renders that differ in one wait share their shape and every other leaf, so
+    # renders that differ in one wait share their counts and every other leaf, so
     # through one memo only the waits are exponentiated after the first point
     points = [apply_point(SYS, seq(), ("t_s",), (t_s,)) for t_s in (0.0, 0.5, 1.0)]
     timelines = [render_unit(*p) for p in points]
-    assert all(tl.shape == timelines[0].shape for tl in timelines)
+    assert all((tl.n_p, tl.n_r) == (timelines[0].n_p, timelines[0].n_r) for tl in timelines)
     assert all(tl.leaves[:WAIT_S] == timelines[0].leaves[:WAIT_S] for tl in timelines)
     segments, memo = exponentiated(monkeypatch), {}
     propagate(SYS, timelines[0], memo)
