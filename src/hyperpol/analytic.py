@@ -206,19 +206,70 @@ class AnalyticSummary(NamedTuple):
 
 
 def summarize(sys: SystemParams, seq: SequenceParams) -> AnalyticSummary:
-    f = filter_f(sys.omega, seq.n_p, seq.tau)  # first: its overflow names omega*tau
-    p = phases(sys, seq)
-    d = dirichlet_ratio(seq.n_r, p.phi_big)
-    a = 2 * sys.a_perp * d * math.sin(p.phi1 / 2) * f
-    lam = lambda_analytic(a, p.theta)
-    return AnalyticSummary(
-        f_value=f,
-        dirichlet=d,
-        alpha=a,
-        p_s=stable_polarization(a, p.theta),
-        lam=lam,
-        gamma=gamma_analytic(lam, seq.n_r, seq.rep_duration()),
-    )
+    """F, the Dirichlet factor, alpha, P_s, lambda and gamma of one point.
+
+    The body is filter_f, phases, dirichlet_ratio, lambda_analytic,
+    stable_polarization and gamma_analytic written out as one straight
+    line of arithmetic, operation for operation, so every field has the
+    bytes of that composition at a fraction of its calls (a sweep runs this
+    once per point).  The overflow checks come in the same order: omega*tau,
+    omega*T, then alpha, which the composition would meet as a math domain
+    error in lambda_analytic.
+    """
+    omega, n_p, n_r, tau = sys.omega, seq.n_p, seq.n_r, seq.tau
+    # filter_f
+    if omega <= 0:
+        raise ValueError("omega must be positive")
+    if tau < 0:
+        raise ValueError("tau must be nonnegative")
+    u = omega * tau
+    if not math.isfinite(u):
+        raise ValueError(f"filter phase omega*tau overflows (omega={omega!r}, tau={tau!r})")
+    sin2 = math.sin(u / 4) ** 2
+    cos_half = math.cos(u / 2)
+    if abs(cos_half) < SINGULAR_EPS:
+        if n_p % 2:
+            f = 4 * n_p * sin2 * math.sin(n_p * u / 2) / (omega * math.sin(u / 2))
+        else:
+            f = 4 * n_p * sin2 * math.cos(n_p * u / 2) / (omega * math.sin(u / 2))
+    elif n_p % 2:
+        f = 4 * math.cos(n_p * u / 2) * sin2 / (omega * cos_half)
+    else:
+        f = -4 * math.sin(n_p * u / 2) * sin2 / (omega * cos_half)
+    # phases: phi0, phi1, omega*T and theta
+    t_s = seq.t_s
+    phi0 = omega * (t_s + n_p * tau)
+    phi1 = omega * (t_s + seq.t_w + 2 * n_p * tau)
+    t_rep = 2 * t_s + seq.t_w + 4 * n_p * tau + seq.t_c
+    phi_big = omega * t_rep
+    if not math.isfinite(phi_big):
+        raise ValueError(f"timing phase omega*T overflows (omega={omega!r}, T={t_rep!r})")
+    theta = (((-1) ** n_p + 1) / 2 * math.pi - phi0) % (2 * math.pi) / 2 + math.pi / 4
+    # dirichlet_ratio
+    half = phi_big / 2
+    s = math.sin(half)
+    if abs(s) < SINGULAR_EPS:
+        k = round(half / math.pi)
+        d = n_r * math.cos(n_r * k * math.pi) / math.cos(k * math.pi)
+    else:
+        d = math.sin(n_r * half) / s
+    a = 2 * sys.a_perp * d * math.sin(phi1 / 2) * f
+    if not math.isfinite(a):
+        raise ValueError(f"transfer strength alpha overflows (a_perp={sys.a_perp!r}, "
+                         f"dirichlet={d!r}, f_value={f!r})")
+    # lambda_analytic and stable_polarization share a sin(theta) and a cos(theta)
+    x = a * math.sin(theta)
+    y = a * math.cos(theta)
+    lam = abs(math.cos(x) + math.cos(y)) / 2
+    up = math.sin(x / 2) ** 2
+    down = math.sin(y / 2) ** 2
+    p_s = 0.0 if up + down == 0.0 else (up - down) / (up + down)
+    # gamma_analytic; a finite alpha keeps lambda in [0, 1]
+    if lam == 1.0:
+        gamma = 0.0
+    else:
+        gamma = (1.0 if lam == 0.0 else min(-math.log(lam), 1.0)) / (n_r * t_rep)
+    return AnalyticSummary(f, d, a, p_s, lam, gamma)
 
 
 def window_and_sidebands(row, n_r: int, omega: float = 1.0) -> tuple[float, list[float]]:

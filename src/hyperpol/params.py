@@ -85,6 +85,16 @@ class SequenceParams:
         problems = getattr(self, "_violations", None)
         if problems is not None:
             return problems
+        # the runnable case in comparisons alone, which NaN fails: tau_pi <= tau
+        # is the pulse-fit rule once both are nonnegative, and the cycle
+        # duration is finite only where every time is
+        n_r, tau_pi = self.n_r, self.tau_pi
+        if (self.n_p >= 1 and n_r >= 1 and 0 <= tau_pi <= self.tau
+                and 0 <= self.t_s and 0 <= self.t_w and 0 <= self.t_c
+                and n_r * self.rep_duration() + n_r * 4 * tau_pi < math.inf):
+            problems = []
+            object.__setattr__(self, "_violations", problems)
+            return problems
         problems = []
         if self.n_p < 1:
             problems.append(f"n_p must be >= 1, got {self.n_p}")

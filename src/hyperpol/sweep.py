@@ -15,10 +15,15 @@ chunk that share n_p and n_r compose their blocks as one stack, and the
 memo a sweep, scan or search hands to all its points holds the segment
 propagators of the (system, segment) pairs they share.
 
-Above the engine, each point costs one constructor call per changed
-parameter set in `apply_point` and its share of one `%` per chunk in
-`ResultTable.to_csv`, which writes the bytes of csv.writer without going
-through it: a chunk's rows of one field-type shape are formatted at once.
+Above the engine, each point costs one `apply_point` call, which copies
+the base sequence's fields in (only a changed system goes through its
+constructor) and checks the copy with a few comparisons; for an analytic
+row, one `analytic.summarize` call, a straight line of `math` arithmetic;
+and its share of one `%` per chunk in `ResultTable.to_csv`, which writes
+the bytes of csv.writer without going through it: a chunk's rows of one
+field-type shape are formatted at once.  On the 201x201 (t_s, t_w)
+analytic map these take about 2.6, 2.7 and 3.4 us of a 9.3 us point
+(2 vCPUs, Python 3.11.7).
 """
 
 from __future__ import annotations
@@ -71,6 +76,14 @@ class Axis:
                              f"choose from {', '.join(AXIS_NAMES)}")
         if self.count < 2:
             raise ValueError(f"axis {self.name} needs count >= 2, got {self.count}")
+        # np.linspace steps by (stop - start) / (count - 1): an infinite or NaN
+        # span writes NaN and infinite axis values, not the grid asked for
+        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
+            raise ValueError(f"axis {self.name} needs a finite start and stop, "
+                             f"got {self.start} and {self.stop}")
+        if not math.isfinite(self.stop - self.start):
+            raise ValueError(f"axis {self.name} spans more than a float holds: "
+                             f"stop - start = {self.stop - self.start}")
 
     def values(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.count)
@@ -272,52 +285,38 @@ def apply_point(sys: SystemParams, seq: SequenceParams,
             seq_kwargs[name] = float(value)
         elif name in SEQUENCE_INT_FIELDS:
             seq_kwargs[name] = whole_number(name, value)
-    # the constructors check what dataclasses.replace would, at less cost per point
+    # the constructor checks what dataclasses.replace would, at less cost per point
     if sys_kwargs:
         sys = SystemParams(**{**sys.to_dict(), **sys_kwargs})
     if seq_kwargs:
-        seq = SequenceParams(**{**vars(seq), **seq_kwargs})
+        # SequenceParams checks nothing when it is built, so its fields are
+        # copied in: the frozen __init__ would set each one again through
+        # object.__setattr__
+        fields = {**vars(seq), **seq_kwargs}
+        seq = object.__new__(SequenceParams)
+        vars(seq).update(fields)
     problems = seq.violations()
     if problems:
         raise ValueError("invalid sequence: " + "; ".join(problems))
     return sys, seq
 
 
-def _point_rows(spec: SweepSpec, engines: tuple[str, ...], values: tuple[float, ...],
-                point, exact) -> list[tuple]:
-    """The rows of one grid point: `point` is its (system, sequence) or the
-    ValueError apply_point raised, and `exact` yields its exact result."""
-    axis1 = values[0]
-    axis2 = values[1] if len(values) > 1 else ""
-    if isinstance(point, ValueError):
-        return [(axis1, axis2, e, None, None, None, f"failed: {point}") for e in engines]
-    rows = []
-    for engine in engines:
-        try:
-            res = analytic.summarize(*point) if engine == "analytic" else next(exact)
-        except ValueError as err:
-            res = err
-        if isinstance(res, ValueError):
-            rows.append((axis1, axis2, engine, None, None, None, f"failed: {res}"))
-        elif engine == "analytic":
-            rows.append((axis1, axis2, engine, res.p_s, res.lam, res.gamma, "ok"))
-        else:
-            status = "below-threshold" if spec.target == "rate" and res.gamma is None else "ok"
-            rows.append((axis1, axis2, engine, res.p_s, res.lambda_est, res.gamma, status))
-    return rows
-
-
 def _sweep_chunks(spec: SweepSpec, grid, names: tuple[str, ...], engines: tuple[str, ...]):
     """The rows of `grid`, an iterator of axis-value tuples, as one list per
     chunk of BATCH_SIZE points: the exact engine solves a chunk's valid points
     as one batch through a propagator memo that lasts as long as the chunks
-    are read, and a chunk's rows are yielded before the next chunk is read."""
+    are read, and a chunk's rows are yielded before the next chunk is read.
+    Each point is built by one apply_point call, and its analytic row by one
+    analytic.summarize call."""
     cache: dict = {}
+    base_sys, base_seq = spec.base_system, spec.base_sequence
+    unrated = "below-threshold" if spec.target == "rate" else "ok"
+    pad = ("",) if len(names) == 1 else ()  # axis2 of a one-axis sweep
     while chunk := list(itertools.islice(grid, BATCH_SIZE)):
         points = []
         for values in chunk:
             try:
-                points.append(apply_point(spec.base_system, spec.base_sequence, names, values))
+                points.append(apply_point(base_sys, base_seq, names, values))
             except ValueError as err:
                 points.append(err)
         exact = iter(())
@@ -326,7 +325,23 @@ def _sweep_chunks(spec: SweepSpec, grid, names: tuple[str, ...], engines: tuple[
                                          cache=cache)
         rows = []
         for values, point in zip(chunk, points):
-            rows.extend(_point_rows(spec, engines, values, point, exact))
+            axis1, axis2 = values + pad
+            if isinstance(point, ValueError):
+                rows.extend((axis1, axis2, e, None, None, None, f"failed: {point}")
+                            for e in engines)
+                continue
+            for engine in engines:
+                try:
+                    res = analytic.summarize(*point) if engine == "analytic" else next(exact)
+                except ValueError as err:
+                    res = err
+                if isinstance(res, ValueError):
+                    rows.append((axis1, axis2, engine, None, None, None, f"failed: {res}"))
+                elif engine == "analytic":
+                    rows.append((axis1, axis2, engine, res.p_s, res.lam, res.gamma, "ok"))
+                else:
+                    rows.append((axis1, axis2, engine, res.p_s, res.lambda_est, res.gamma,
+                                 "ok" if res.gamma is not None else unrated))
         yield rows
 
 

@@ -10,6 +10,10 @@ oracle integrates the pulse-shape function by adaptive quadrature (scipy,
 a test-only dependency) to check the closed-form filter F.  The sweep
 oracles are the plain forms of two per-point steps of a sweep: the CSV
 rows through the csv module, and grid points through dataclasses.replace.
+The closed-form and validity oracles are the plain forms of the two
+per-point checks that the package writes out for speed: the analytic
+summary as a composition of the public closed forms, and the sequence
+rules checked one by one, every time.
 """
 
 from __future__ import annotations
@@ -21,7 +25,8 @@ from dataclasses import replace
 import numpy as np
 from scipy.integrate import quad
 
-from hyperpol.analytic import filter_f
+from hyperpol.analytic import (AnalyticSummary, dirichlet_ratio, filter_f, gamma_analytic,
+                               lambda_analytic, phases, stable_polarization)
 from hyperpol.params import SequenceParams, SystemParams, whole_number
 from hyperpol.sweep import SEQUENCE_FLOAT_FIELDS, SEQUENCE_INT_FIELDS, SYSTEM_FIELDS
 from hyperpol.timeline import FREE_HYPERFINE, FREE_NUCLEAR, PULSE, Segment, Timeline
@@ -247,3 +252,53 @@ def apply_point_replace(sys: SystemParams, seq: SequenceParams,
     if problems:
         raise ValueError("invalid sequence: " + "; ".join(problems))
     return sys, seq
+
+
+# ---------------------------------------------------------------------------
+# Closed-form summary and sequence rules
+# ---------------------------------------------------------------------------
+
+def summarize_composed(sys: SystemParams, seq: SequenceParams) -> AnalyticSummary:
+    """analytic.summarize as the composition of the public closed forms; alpha
+    is refused where it overflows, which lambda_analytic would meet as a math
+    domain error."""
+    f = filter_f(sys.omega, seq.n_p, seq.tau)
+    p = phases(sys, seq)
+    d = dirichlet_ratio(seq.n_r, p.phi_big)
+    a = 2 * sys.a_perp * d * math.sin(p.phi1 / 2) * f
+    if not math.isfinite(a):
+        raise ValueError(f"transfer strength alpha overflows (a_perp={sys.a_perp!r}, "
+                         f"dirichlet={d!r}, f_value={f!r})")
+    lam = lambda_analytic(a, p.theta)
+    return AnalyticSummary(
+        f_value=f,
+        dirichlet=d,
+        alpha=a,
+        p_s=stable_polarization(a, p.theta),
+        lam=lam,
+        gamma=gamma_analytic(lam, seq.n_r, seq.rep_duration()),
+    )
+
+
+def violations_by_rule(seq: SequenceParams) -> list[str]:
+    """SequenceParams.violations checked rule by rule, with nothing kept."""
+    problems = []
+    if seq.n_p < 1:
+        problems.append(f"n_p must be >= 1, got {seq.n_p}")
+    if seq.n_r < 1:
+        problems.append(f"n_r must be >= 1, got {seq.n_r}")
+    for name in ("tau", "t_s", "t_w", "t_c", "tau_pi"):
+        value = getattr(seq, name)
+        if not math.isfinite(value):
+            problems.append(f"{name} not finite: {value}")
+        elif value < 0:
+            problems.append(f"{name} negative: {value}")
+    if seq.tau_pi > 0 and seq.tau < seq.tau_pi:
+        problems.append(f"tau {seq.tau} shorter than the pi-pulse duration "
+                        f"tau_pi {seq.tau_pi}")
+    if not problems:
+        cycle = seq.n_r * seq.rep_duration() + seq.n_r * 4 * seq.tau_pi
+        if not math.isfinite(cycle):
+            problems.append(f"cycle duration n_r (2 t_s + t_w + 4 n_p tau + t_c "
+                            f"+ 4 tau_pi) not finite: {cycle}")
+    return problems

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperpol.analytic import (
+    SINGULAR_EPS,
     alpha,
     alpha_max,
     dirichlet_ratio,
@@ -23,7 +24,7 @@ from hyperpol.analytic import (
 from hyperpol.catalog import magic_params
 from hyperpol.params import SequenceParams, SystemParams
 
-from oracles import dd_integral_oracle, f_dd
+from oracles import dd_integral_oracle, f_dd, summarize_composed
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +306,82 @@ def test_summary_outputs_bounded(seed):
     assert 0.0 <= s.lam <= 1.0
     assert abs(s.p_s) <= 1.0
     assert s.gamma >= 0.0
+
+
+def summary_bytes(f, sys_p, seq):
+    """The hex of every field f(sys_p, seq) returns, or the type and text of what it raises."""
+    try:
+        return [float.hex(v) for v in f(sys_p, seq)]
+    except (ArithmeticError, ValueError) as err:
+        return type(err), str(err)
+
+
+def assert_summary_is_the_composition(sys_p, seq):
+    assert summary_bytes(summarize, sys_p, seq) == summary_bytes(summarize_composed, sys_p, seq)
+
+
+WIDE_TIMES = st.one_of(
+    st.sampled_from([0.0, -0.0, math.pi, 2 * math.pi, 3 * math.pi, 1e308, math.inf, -1.0]),
+    st.floats(0.0, 1e6), st.floats())
+
+
+@settings(max_examples=400)
+@given(st.floats(1e-3, 1e3), st.one_of(st.floats(0.0, 2.0), st.sampled_from([0.0, 1e308])),
+       st.integers(0, 100), WIDE_TIMES, WIDE_TIMES, WIDE_TIMES, WIDE_TIMES,
+       st.integers(0, 100))
+def test_summarize_is_the_composition_of_the_closed_forms(omega, a_perp, n_p, tau, t_s, t_w,
+                                                          t_c, n_r):
+    assert_summary_is_the_composition(SystemParams(omega=omega, a_perp=a_perp),
+                                      SequenceParams(n_p=n_p, tau=tau, t_s=t_s, t_w=t_w,
+                                                     t_c=t_c, n_r=n_r))
+
+
+@pytest.mark.parametrize("n_p", [1, 2, 3, 4])
+@pytest.mark.parametrize("offset", [0.0, 1e-9, -4e-7])
+def test_summarize_is_the_composition_where_cos_half_vanishes(n_p, offset):
+    # omega tau = pi (1 + offset): F takes its singular limit, odd and even n_p
+    sys_p = SystemParams(omega=2.0, a_perp=0.05)
+    seq = SequenceParams(n_p=n_p, tau=math.pi / 2 * (1 + offset), t_s=0.7, t_w=1.9, n_r=3)
+    assert abs(math.cos(sys_p.omega * seq.tau / 2)) < SINGULAR_EPS
+    assert_summary_is_the_composition(sys_p, seq)
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+@pytest.mark.parametrize("n_r", [1, 2, 4])
+def test_summarize_is_the_composition_at_phi_2k_pi(k, n_r):
+    # T = 4 n_p tau = 2 k pi: the Dirichlet factor takes its limit
+    seq = SequenceParams(n_p=1, tau=k * math.pi / 2, n_r=n_r)
+    sys_p = SystemParams(omega=1.0, a_perp=0.05)
+    assert abs(math.sin(phases(sys_p, seq).phi_big / 2)) < SINGULAR_EPS
+    assert_summary_is_the_composition(sys_p, seq)
+
+
+def test_summarize_is_the_composition_without_coupling():
+    seq = magic_params("I", +1, 2).to_sequence_params(SystemParams(1.0, 0.05), n_r=2)
+    summary = summarize(SystemParams(omega=1.0, a_perp=0.0), seq)
+    assert (summary.alpha, summary.p_s, summary.lam, summary.gamma) == (0.0, 0.0, 1.0, 0.0)
+    assert_summary_is_the_composition(SystemParams(omega=1.0, a_perp=0.0), seq)
+
+
+@pytest.mark.parametrize("omega,a_perp,fields,message", [
+    # omega*tau, omega*T and alpha all overflow: omega*tau is named
+    (1e300, 1e308, {"tau": 1e10, "t_w": 1e300},
+     "filter phase omega*tau overflows (omega=1e+300, tau=10000000000.0)"),
+    # omega*T and alpha: omega*T is named
+    (1.0, 1e308, {"tau": 1.0, "t_w": 1e308, "t_c": 1e308},
+     "timing phase omega*T overflows (omega=1.0, T=inf)"),
+    # alpha alone
+    (1.0, 1e308, {"tau": 2 * math.pi, "t_s": 1.5 * math.pi, "t_w": 1.5 * math.pi},
+     "transfer strength alpha overflows (a_perp=1e+308, dirichlet=1.0, f_value=4.0)"),
+    # 2 a_perp is inf and F is 0: alpha is NaN
+    (1.0, 1e308, {"tau": 0.0, "t_s": 1.0},
+     "transfer strength alpha overflows (a_perp=1e+308, dirichlet=1.0, f_value=0.0)"),
+])
+def test_summarize_names_the_first_overflow(omega, a_perp, fields, message):
+    sys_p = SystemParams(omega=omega, a_perp=a_perp)
+    seq = SequenceParams(n_p=1, **fields)
+    assert summary_bytes(summarize, sys_p, seq) == (ValueError, message)
+    assert_summary_is_the_composition(sys_p, seq)
 
 
 def test_window_and_sidebands():

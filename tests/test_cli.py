@@ -554,6 +554,49 @@ def test_sweep_cli_refuses_an_axis_named_twice(tmp_path, capsys):
     assert not (tmp_path / "o.csv").exists()
 
 
+@pytest.mark.parametrize("start,stop,message", [
+    # stop - start overflows: linspace wrote nan, -inf, -1e+308
+    (1e308, -1e308, "axis tau spans more than a float holds: stop - start = -inf"),
+    (math.nan, 1, "axis tau needs a finite start and stop, got nan and 1.0"),
+    (1, math.inf, "axis tau needs a finite start and stop, got 1.0 and inf"),
+])
+def test_sweep_cli_refuses_an_axis_without_a_finite_span(tmp_path, capsys, start, stop, message):
+    axis = {"name": "tau", "start": start, "stop": stop, "count": 3}
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"engine": "analytic", "axes": [axis], "base": BASE_CONFIG}))
+    out = tmp_path / "o.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy RuntimeWarning on the way
+        assert main(["sweep", "--config", str(spec_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: bad sweep spec: {message}\n"
+    assert not out.exists()
+
+
+ALPHA_OVERFLOW = ("transfer strength alpha overflows "
+                  "(a_perp=1e+308, dirichlet=1.0, f_value=4.0)")
+
+
+@pytest.mark.parametrize("engine", ["exact", "analytic"])
+def test_steady_names_an_overflowing_alpha(tmp_path, capsys, engine):
+    # 2 a_perp is already inf: the analytic summary that rides along names alpha,
+    # where lambda_analytic would have read cos(inf) as "math domain error"
+    path = tmp_path / "strong.json"
+    path.write_text(json.dumps({**BASE_CONFIG, "system": {"omega": 1.0, "a_perp": 1e308}}))
+    assert main(["steady", "--config", str(path), "--engine", engine]) == 2
+    assert capsys.readouterr().err == f"error: {ALPHA_OVERFLOW}\n"
+
+
+def test_sweep_row_names_an_overflowing_alpha(tmp_path):
+    axis = {"name": "a_perp", "start": 0.05, "stop": 1e308, "count": 2}
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"engine": "analytic", "axes": [axis], "base": BASE_CONFIG}))
+    out = tmp_path / "o.csv"
+    assert main(["sweep", "--config", str(spec_path), "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[2].endswith(",ok")
+    assert lines[3] == f'1e+308,,analytic,nan,nan,nan,"failed: {ALPHA_OVERFLOW}"'
+
+
 @pytest.mark.parametrize("count", [2.7, "3.5", float("nan")])
 def test_sweep_cli_rejects_fractional_count(tmp_path, capsys, count):
     spec = {

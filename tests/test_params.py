@@ -4,6 +4,8 @@ import pickle
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperpol.params import (
     SequenceParams,
@@ -12,6 +14,8 @@ from hyperpol.params import (
     resolve_time,
     sequence_from_dict,
 )
+
+from oracles import violations_by_rule
 
 
 def test_system_params_validation():
@@ -155,3 +159,34 @@ def test_pulse_model_json_object_round_trips(tau_pi, pulse_model):
     doc = seq_p.to_dict()
     assert doc["pulse_model"] == pulse_model
     assert sequence_from_dict(doc, omega=1.0) == seq_p
+
+
+TIMES = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, -1.0, 0.5, 1.0, 2.0, 1e308]),
+    st.floats())
+COUNTS = st.one_of(st.sampled_from([0, 1, 10 ** 10, -1]), st.integers(-3, 64))
+
+
+@settings(max_examples=400)
+@given(COUNTS, TIMES, TIMES, TIMES, TIMES, COUNTS, TIMES)
+def test_violations_match_the_rules_one_by_one(n_p, tau, t_s, t_w, t_c, n_r, tau_pi):
+    seq = SequenceParams(n_p=n_p, tau=tau, t_s=t_s, t_w=t_w, t_c=t_c, n_r=n_r, tau_pi=tau_pi)
+    expected = violations_by_rule(seq)
+    assert seq.violations() == expected
+    assert seq.violations() == expected  # the kept list, read back
+
+
+@pytest.mark.parametrize("fields", [
+    {"tau": 1.0, "tau_pi": 1.5},  # the pulse does not fit its cell
+    {"tau": 1.5, "tau_pi": 1.5},
+    {"tau": -0.0, "tau_pi": -0.0, "t_s": -0.0},
+    {"tau": 1e308, "n_r": 10 ** 10},
+    {"tau": 1e300, "n_p": 10 ** 10},
+    {"tau": math.nan, "tau_pi": 0.5},
+    {"tau": 1.0, "tau_pi": math.nan},
+    {"tau": math.inf, "t_w": -1.0, "n_p": 0, "n_r": 0},
+    {"tau": 1.0, "t_c": 1e308, "t_w": 1e308},
+])
+def test_violations_match_the_rules_on_edges(fields):
+    seq = SequenceParams(**{"n_p": 1, **fields})
+    assert seq.violations() == violations_by_rule(seq)
