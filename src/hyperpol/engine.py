@@ -17,30 +17,38 @@ neighbouring points that differ in one wait exponentiate only that wait.
 One table outlives a walk, bounded and a pure function of its keys: in
 linalg.hermitian_expm each generator's eigendecomposition, keyed by its
 bytes (up to linalg.SPECTRA_LIMIT, cleared when full), so a new duration
-of a generator seen before costs no eigh.
-The channel acts on vec(rho) as a complex 4x4 transfer matrix T: one
-eigen-decomposition of it gives the steady polarization, the contraction
-factor and the modes that bound the series.  The series itself is read
-through the channel's real Bloch map R = Re(B T B^-1), the 4x4 real matrix
-that moves the nuclear state's populations and transverse Bloch
-components (p_up, x, y, p_down) one cycle on: its real products cost a
-quarter to a fifth of the complex ones.  The rate comes from the first
-1 - 1/e crossing of that series, with no cap on its length, read out
-lazily: the first block of SERIES_BLOCK cycles is evaluated one doubling
-level of read-out rows at a time (cycles 1-2, 3-4, 5-8, ...) and the
-search stops at the level that holds the crossing.  Only when the first
-block has none do T's modes bound the series over ranges of later blocks,
-cutting each range they cannot rule out into SPLIT parts, and the single
-blocks the bound cannot rule out are evaluated with exact powers of R.
-`simulate` evaluates the whole series through the same read-out.
+of a generator seen before costs no eigh.  A walk refuses a segment whose
+phase |eigenvalue x duration| reaches PHASE_LIMIT, where the propagator is
+finite but holds no digit of the phase modulo 2 pi.
+The channel acts on vec(rho) as a complex 4x4 transfer matrix T, and on
+the nuclear Bloch vector as the real affine map r -> M r + c (Nielsen and
+Chuang, Quantum Computation and Quantum Information, 8.3.2), read from the
+Pauli form of its real Bloch map R = Re(B T B^-1), the 4x4 real matrix that
+moves the nuclear state's populations and transverse Bloch components
+(p_up, x, y, p_down) one cycle on.  One real 3x3 eig of M and one solve
+give the steady polarization P_s, the z of the fixed point (I - M)^-1 c,
+and the contraction factor.  The series itself is read through R, whose
+real products cost a quarter to a fifth of the complex ones.  The rate
+comes from the first 1 - 1/e crossing of that series, with no cap on its
+length, read out lazily: the first block of SERIES_BLOCK cycles is
+evaluated one doubling level of read-out rows at a time (cycles 1-2, 3-4,
+5-8, ...), the crossings of a whole level are found as array operations,
+and the search stops at the level that holds the crossing.  Only when the
+first block has none do R's own modes bound the series over ranges of
+later blocks, cutting each range they cannot rule out into SPLIT parts,
+and the single blocks the bound cannot rule out are evaluated with exact
+powers of R.  `simulate` evaluates the whole series
+through the same read-out.
 
-`evaluate_exact_batch` solves many points at once.  Up to BATCH_SIZE
+`evaluate_exact_batch` solves many points at once.  Up to BATCH_SIZE (256)
 points are rendered, walked as one stack and checked for unitarity
-together; their transfer matrices share one eig and one solve, and their
-first blocks are read level by level across the stack, each point leaving
-it at the level that holds its crossing.  The points with no crossing in
-their first block search the later blocks together, each leaving at its
-own crossing.  `evaluate_exact` propagates
+together; their Bloch maps share one eig and one solve, and their first
+blocks are read level by level across the stack, each point leaving it at
+the level that holds its crossing.  The points with no crossing in their
+first block search the later blocks together, each leaving at its own
+crossing.  A stack's largest arrays are the first block's read-out rows,
+SERIES_BLOCK x 4 floats (32 KB) per point still in it: 8 MB for a stack of
+256 points that all cross late.  `evaluate_exact` propagates
 its point through `propagate` and shares the rest with the batch, with the
 same bytes.  Sweeps and every step of the resonant-interval search go
 through the batch; only robustness scans still go one point at a time.
@@ -50,9 +58,10 @@ each numpy call costs about its fixed overhead, so the walk and the solve
 keep their calls few: the drive and Zeeman operators are constants, each
 generator's eigenvectors are kept with their adjoint, a leaf that every
 point shares is a view of its memo entry, each block is one stacked
-product (the cell and the repetition then one matrix_power), and the eig
-residual behind the later-block search is computed only for the points
-that reach it.
+product (the cell and the repetition then one matrix_power), R and its
+Pauli form come from one product with a constant matrix, and the mode
+terms and eig residual behind the later-block search are computed only
+for the points that reach it.
 """
 
 from __future__ import annotations
@@ -73,8 +82,9 @@ from .timeline import FREE_HYPERFINE, FREE_NUCLEAR, PULSE, Segment, Timeline, re
 UNITARITY_TOL = 1e-10
 SERIES_BLOCK = 1024
 MEMO_LIMIT = 256
-BATCH_SIZE = 64  # points per stacked mode solve and first-block read-out
+BATCH_SIZE = 256  # points per stacked mode solve and first-block read-out
 SPLIT = 16  # parts per range of later blocks in the rate search
+PHASE_LIMIT = 2.0 ** 52  # a segment phase this large holds no digits modulo 2 pi
 
 E_FRACTION = 1.0 - math.exp(-1.0)
 
@@ -113,9 +123,6 @@ class PolarizationSeries:
 
 def mixed_state() -> np.ndarray:
     return ID2 / 2
-
-
-_MIXED = mixed_state().reshape(4)  # vec(rho) of the mixed start
 
 
 _NUCLEAR_Z = kron2(ID2, SZ)  # I_z in the 4x4 product space
@@ -186,6 +193,29 @@ def _hyperfine(sys: SystemParams, memo: dict) -> np.ndarray:
     return h
 
 
+def _refuse_lost_phases(sys: SystemParams, segments: Sequence[Segment]) -> None:
+    """Raise ValueError, naming the system and the duration, where the largest
+    phase |eigenvalue x duration| of segments that share one generator reaches
+    PHASE_LIMIT: there the float spacing is 1 rad or more, so exp(-i H t)
+    holds no digits of the phase modulo 2 pi, though it is finite.  A nuclear
+    wait's eigenvalues are +-omega/2 and the hyperfine Hamiltonian's, one
+    block per electron spin s = +-1/2, are +-|(s a_perp, omega + s a_z)|/2;
+    a drive adds at most its half angle (pi/2 rad), below the float spacing
+    there.
+    """
+    seg = segments[0]
+    if seg.kind == FREE_NUCLEAR:
+        radius = abs(sys.omega) / 2
+    elif seg.kind == PULSE and seg.duration == 0.0:
+        return  # a turn by its angle
+    else:
+        radius = math.hypot(sys.a_perp / 2, abs(sys.omega) + abs(sys.a_z) / 2) / 2
+    longest = max([s.duration for s in segments])
+    if radius * longest >= PHASE_LIMIT:
+        raise ValueError(f"segment phase H*t holds no digits modulo 2 pi (omega={sys.omega!r}, "
+                         f"a_perp={sys.a_perp!r}, a_z={sys.a_z!r}, t={longest!r})")
+
+
 def propagate(sys: SystemParams, timeline: Timeline,
               cache: dict | None = None) -> np.ndarray:
     """Cycle propagator: the ordered product of segment propagators.
@@ -208,7 +238,9 @@ def _walk(points: list[tuple[SystemParams, Timeline]], cache: dict | None) -> np
     Every distinct (system, leaf segment) of the stack is read from `cache`
     or, once, exponentiated: one segment_propagator call per generator
     covers all its missing segments, and they join the memo as in
-    propagate.  The points are then grouped by (n_p, n_r), and each group
+    propagate once no segment's phase overflows or holds no digits modulo
+    2 pi (see _refuse_lost_phases): a refused walk keeps nothing.  The
+    points are then grouped by (n_p, n_r), and each group
     composes its cycles as one stack (see _cycle).  Each matrix has the
     bytes of its own 4x4 products.
     """
@@ -232,9 +264,15 @@ def _walk(points: list[tuple[SystemParams, Timeline]], cache: dict | None) -> np
         if u is None:
             missing[_generator(*keys[row])].append(row)
     hyperfine = {}  # sys -> its hyperfine Hamiltonian, built once per walk
+    stacks = []
     for misses in missing.values():
         segments = [keys[row][1] for row in misses]
-        for row, u in zip(misses, segment_propagator(keys[misses[0]][0], segments, hyperfine)):
+        stacks.append((misses, segments,
+                       segment_propagator(keys[misses[0]][0], segments, hyperfine)))
+    for misses, segments, _ in stacks:  # once no phase overflows, and before any is kept
+        _refuse_lost_phases(keys[misses[0]][0], segments)
+    for misses, _, stack in stacks:
+        for row, u in zip(misses, stack):
             u.flags.writeable = False
             known[row] = u
             if len(cache) >= MEMO_LIMIT:
@@ -314,27 +352,39 @@ _BLOCH = np.array([[1, 0, 0, 0], [0, 1, 1, 0], [0, 1j, -1j, 0], [0, 0, 0, 1]])
 _BLOCH_INV = np.array([[1, 0, 0, 0], [0, 0.5, -0.5j, 0], [0, 0.5, 0.5j, 0], [0, 0, 0, 1]])
 _READOUT = np.array([[1.0, 0.0, 0.0, -1.0]])  # <2 I_z> = p_up - p_down, the read-out row
 _MIXED_BLOCH = np.array([0.5, 0.0, 0.0, 0.5])  # the mixed start (p_up, x, y, p_down)
+# P: (p_up, x, y, p_down) -> the Pauli coordinates (tr rho, x, y, z), z = p_up - p_down;
+# _PAULI_INV is its inverse.  A channel's R in Pauli form is [[1, 0], [c, M]]
+_PAULI = np.array([[1.0, 0.0, 0.0, 1.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0],
+                   [1.0, 0.0, 0.0, -1.0]])
+_PAULI_INV = np.array([[0.5, 0.0, 0.0, 0.5], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0],
+                       [0.5, 0.0, 0.0, -0.5]])
+# row-major vec(T) -> (vec R, vec Q): vec(A T C) = vec(T) (A kron C^T)^T
+_TO_REAL = np.concatenate([np.kron(_BLOCH, _BLOCH_INV.T),
+                           np.kron(_PAULI @ _BLOCH, (_BLOCH_INV @ _PAULI_INV).T)]).T.copy()
 
 
-def _bloch_maps(t: np.ndarray) -> np.ndarray:
-    """Real Bloch maps R (k, 4, 4) of stacked transfer matrices t (k, 4, 4).
+def _bloch_maps(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real Bloch maps R and their Pauli forms Q, both (k, 4, 4), of stacked transfer matrices t.
 
     R = Re(B T B^-1) acts on (p_up, x, y, p_down), the nuclear Bloch vector
-    with z = p_up - p_down kept as its two populations.  Each T must keep rho
-    Hermitian, as every channel built from Kraus operators does: then
-    B T B^-1 is real and Re drops only rounding.  A T that does not (an
-    imaginary part above UNITARITY_TOL) raises ValueError, since its series
-    would not be the one T's modes bound.  The population entries are T's
-    own, and reading p_up - p_down keeps the cancellation between the two
-    populations' rounding that a z row alone loses: over 1e6 to 1e8 cycles
-    of amplitude damping, N_s read through z alone erred several times more.
+    with z = p_up - p_down kept as its two populations, and Q = P R P^-1 on
+    (tr rho, x, y, z).  Both come from one product of vec(T) with a constant
+    16 x 32 matrix.  Each T must keep rho Hermitian, as every channel built
+    from Kraus operators does: then B T B^-1 is real and Re drops only
+    rounding.  A T that does not (an imaginary part above UNITARITY_TOL)
+    raises ValueError, since its series would not be the one T's modes give.
+    The population entries of R are T's own, and reading p_up - p_down keeps
+    the cancellation between the two populations' rounding that a z row
+    alone loses: over 1e6 to 1e8 cycles of amplitude damping, N_s read
+    through z alone erred several times more.
     """
-    r = _BLOCH @ t @ _BLOCH_INV
-    imag = np.abs(r.imag).max(initial=0.0)
+    rq = t.reshape(-1, 1, 16) @ _TO_REAL
+    imag = np.maximum.reduce(np.abs(rq.imag), axis=None, initial=0.0)
     if imag > UNITARITY_TOL:  # NaN passes, as it does through the real parts
         raise ValueError(f"transfer matrix does not keep rho Hermitian "
                          f"(imaginary part {imag:.3e} in its Bloch map)")
-    return r.real
+    rq = rq.real.reshape(-1, 2, 4, 4)
+    return rq[:, 0], rq[:, 1]
 
 
 def _level(rows: np.ndarray, power: np.ndarray, x: np.ndarray, start: int):
@@ -388,7 +438,7 @@ def simulate(k: KrausPair, rho0: np.ndarray, n: int, params: dict | None = None)
         raise ValueError("n must be >= 1")
     x = (_BLOCH @ np.asarray(rho0, dtype=complex).reshape(4)).real
     values = np.empty(n)
-    rows, power, start = _READOUT[None], _bloch_maps(_superop(k)[None]), 0
+    rows, power, start = _READOUT[None], _bloch_maps(_superop(k)[None])[0], 0
     while start < min(n, SERIES_BLOCK):
         if start:
             power = power @ power
@@ -402,70 +452,84 @@ def simulate(k: KrausPair, rho0: np.ndarray, n: int, params: dict | None = None)
     return PolarizationSeries(values=values, params=params or {})
 
 
-def _modes(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigenvalues mu, eigenvectors and mixed-start coefficients of stacked transfer matrices.
+def _modes(q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Modes mu (k, 3), eigenvectors V (k, 3, 3) and a = V^-1 c (k, 3) of stacked Pauli forms q.
 
-    t is (k, 4, 4); vec(rho) of point i after n - 1 cycles is
-    sum_m coeffs[i, m] mu[i, m]^(n-1) vecs[i, :, m].  One eig and one solve
-    serve the whole stack; the right-hand side is a stack of one 4x1
-    matrix that solve broadcasts over it.  It must not be (4, 1): before
-    numpy 2.0, solve reads a b with b.ndim == a.ndim - 1 as a stack of
-    vectors, and a (4, 1) b against (k, 4, 4) raises.
+    One cycle moves the nuclear Bloch vector (x, y, z) by the real affine map
+    r -> M r + c, read from R's Pauli form Q = P R P^-1 (see _bloch_maps) as
+    M = Q[1:, 1:] and c = Q[1:, 0].  One eig of the real (k, 3, 3) stack of M
+    and one solve serve the whole stack.  eig returns complex modes unless every mode of
+    the stack is real; they are made complex either way, so that a point's
+    bytes do not depend on the points stacked with it.  The right-hand side
+    is a stack of 3x1 matrices: before numpy 2.0, solve reads a b with
+    b.ndim == a.ndim - 1 as a stack of vectors.
     """
-    mu, vecs = np.linalg.eig(t)
-    return mu, vecs, np.linalg.solve(vecs, _MIXED[None, :, None])[..., 0]
+    mu, vecs = np.linalg.eig(q[:, 1:, 1:])
+    if mu.dtype.kind != "c":
+        mu, vecs = mu.astype(complex), vecs.astype(complex)
+    return mu, vecs, np.linalg.solve(vecs, q[:, 1:, :1])[..., 0]
 
 
-def _weights(vecs: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """Weights w (k, 4) of the modes _modes gives: from the mixed start P(n) = Re sum w mu^(n-1)."""
-    return (vecs[:, 0] - vecs[:, 3]) * coeffs
+def _spectral_summary(mu: np.ndarray, vecs: np.ndarray,
+                      a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(P_s, lambda) of each stacked point from its modes (see _modes): two (k,) arrays.
 
-
-def _drift(r: np.ndarray, mu: np.ndarray, vecs: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """Drift (k,) of stacked Bloch maps r (k, 4, 4) from their transfer matrices' modes.
-
-    R = B T B^-1 has the eigenvalues mu of T, with eigenvectors BV, and the
-    mixed start's coefficients stay the same.  The residual
-    max|R BV - BV diag(mu)| times sum |coeffs|: R^(n-1) applied to the mixed
-    start strays from the mode sum by about (n - 1) drift, because each
-    cycle adds the residual of every mode it carries.
+    From the mixed start (r = 0), the Bloch vector after n - 1 cycles is
+    sum_k V_k a_k (1 - mu_k^(n-1)) / (1 - mu_k), so P(n) = P_s + Re sum_k
+    w_k mu_k^(n-1) with w_k = -V[z, k] a_k / (1 - mu_k) and P_s = -Re sum_k w_k,
+    the z of the fixed point (I - M)^-1 c.  A mode within UNITARITY_TOL of 1
+    is steady and adds nothing: an identity channel keeps P_s = 0.  lambda
+    is the largest |mu_k| among the other modes whose weight exceeds
+    UNITARITY_TOL, the factor by which P_s - P(n) shrinks per cycle for
+    large n; it is 1.0 when no mode moves.  numpy adds fewer than eight
+    floats in order from +0, so P_s is never -0.
     """
-    vecs = _BLOCH @ vecs
-    residual = np.abs(r @ vecs - vecs * mu[:, None, :]).max(axis=(1, 2))
-    return residual * np.abs(coeffs).sum(axis=1)
-
-
-def _spectral_summary(mu: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(P_s, lambda) of each stacked point from its weighted modes (k, 4): two (k,) arrays.
-
-    P_s keeps the bytes of the per-point sum weights[steady].sum().real.
-    numpy adds fewer than eight floats in order from +0, and a running sum
-    from +0 is never -0, so adding +0 in place of the entries left out
-    changes nothing.  Four complex entries it adds as (w0 + w1) + (w2 + w3).
-    """
-    steady = np.abs(mu - 1.0) <= UNITARITY_TOL
-    moving = ~steady & (np.abs(weights) > UNITARITY_TOL)
+    gap = 1.0 - mu
+    gap[np.abs(gap) <= UNITARITY_TOL] = np.inf  # a steady mode's share is 0
+    share = vecs[:, 2] * (a / gap)  # -w
+    p_s = np.add.reduce(share.real, axis=1)
     # a point with no moving mode keeps the initial -1, which abs turns into 1.0
-    lam = np.abs(np.max(np.abs(mu), axis=1, where=moving, initial=-1.0))
-    w = np.where(steady, weights.real, 0.0)
-    p_s = w.sum(axis=1)
-    full = steady.all(axis=1)
-    if full.any():
-        p_s[full] = 0.0 + ((w[full, 0] + w[full, 1]) + (w[full, 2] + w[full, 3]))
+    lam = np.abs(np.maximum.reduce(np.abs(mu), axis=1, where=np.abs(share) > UNITARITY_TOL,
+                                   initial=-1.0))
     return p_s, lam
+
+
+def _series_modes(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The four terms of the series that stacked Bloch maps r (k, 4, 4) read, and its drift.
+
+    Returns the modes mu and weights w (k, 4) of R's own eig, from the mixed
+    start P(n) = Re sum w mu^(n-1), and the drift (k,).  These are R's, not
+    M's: a Kraus pair's CPTP defect (about 1e-14) leaves R a trace defect
+    that the affine map r -> M r + c leaves out, and over the 1/gap cycles
+    of a slow point the series R reads strays from M's mode sum by about
+    defect / gap.  Bounded by M's modes instead, the later-block search
+    read 10 635 blocks on the 201 x 201 README map against 382, and 11 395
+    against 128 at a_perp = 1e3.  The drift is R's residual against its
+    modes times sum |coefficients| of the mixed start: R^(n-1) applied to
+    the mixed start strays from the mode sum by about (n - 1) drift,
+    because each cycle adds the residual of every mode it carries.  eig
+    returns complex modes unless every mode of the stack is real; they are
+    made complex either way.
+    """
+    mu, vecs = np.linalg.eig(r)
+    if mu.dtype.kind != "c":
+        mu, vecs = mu.astype(complex), vecs.astype(complex)
+    coeffs = np.linalg.solve(vecs, _MIXED_BLOCH[None, :, None])[..., 0]
+    residual = np.abs(r @ vecs - vecs * mu[:, None, :]).max(axis=(1, 2))
+    return mu, (vecs[:, 0] - vecs[:, 3]) * coeffs, residual * np.abs(coeffs).sum(axis=1)
 
 
 def steady_state(k: KrausPair) -> tuple[float, float]:
     """Steady polarization and contraction factor of the channel: (P_s, lambda).
 
-    From the mixed start, P(n) = Re sum_k w_k mu_k^(n-1) over the eigenvalues
-    mu_k of the transfer matrix.  P_s is the weight on the mu = 1 eigenspace
-    (|mu - 1| <= UNITARITY_TOL).  lambda is the largest |mu_k| among the other
-    modes whose weight exceeds UNITARITY_TOL, the factor by which P_s - P(n)
-    shrinks per cycle for large n; it is 1.0 when no mode moves.
+    P_s is the z of the fixed point of the channel's affine Bloch map
+    r -> M r + c, summed over the modes of M that are not steady (see
+    _spectral_summary); lambda is the largest |mu_k| among the moving modes
+    whose weight exceeds UNITARITY_TOL, 1.0 when no mode moves.  This is
+    _solve's solve on a stack of one.
     """
-    mu, vecs, coeffs = _modes(_superop(k)[None])
-    (p_s,), (lam,) = (a.tolist() for a in _spectral_summary(mu, _weights(vecs, coeffs)))
+    _, q = _bloch_maps(_superop(k)[None])
+    (p_s,), (lam,) = (a.tolist() for a in _spectral_summary(*_modes(q)))
     return p_s, lam
 
 
@@ -488,26 +552,42 @@ def measured_rate(series: PolarizationSeries, p_s: float, t_cycle: float) -> flo
     return 1.0 / (n_s * t_cycle)
 
 
-def _first_crossing(fractions: np.ndarray, start: int = 0, lo: float | None = None) -> float | None:
-    """N_s if the fraction series P/P_s first reaches 1 - 1/e in this chunk, else None.
-
-    fractions are the series' entries start, start + 1, ... (0-based; entry i
-    is cycle i + 1), and lo is entry start - 1 (unused when start is 0).
-    """
+def _first_crossing(fractions: np.ndarray) -> float | None:
+    """N_s if the fraction series P/P_s (entry i is cycle i + 1) reaches 1 - 1/e, else None."""
     above = np.nonzero(fractions >= E_FRACTION)[0]
     if len(above) == 0:
         return None
     i = int(above[0])
-    if start + i == 0:
+    if i == 0:
         return 1.0
-    lo = fractions[i - 1] if i else lo
+    lo = fractions[i - 1]
     # entries i-1, i hold cycles i, i+1; the 1-based crossing cycle is i + t
-    crossing = float(start + i + (E_FRACTION - lo) / (fractions[i] - lo))
+    crossing = float(i + (E_FRACTION - lo) / (fractions[i] - lo))
     return max(crossing - 1.0, 1.0)
 
 
-def _rate_cycles(t: np.ndarray, mu: np.ndarray, vecs: np.ndarray, coeffs: np.ndarray,
-                 p_s: np.ndarray) -> list[float | None]:
+def _crossings(fractions: np.ndarray, above: np.ndarray, lo: np.ndarray, start) -> np.ndarray:
+    """N_s (k,) of k rows of fractions P/P_s that each reach 1 - 1/e.
+
+    above is fractions >= E_FRACTION; each row holds the series' entries
+    start, start + 1, ... (0-based, entry i is cycle i + 1), and lo (k,) holds
+    the entries just before them.  start is an int or (k,) ints.  The
+    crossing is interpolated between the first entry at or above 1 - 1/e and
+    the one before it, as measured_rate does, in float64 arrays whose
+    elementwise IEEE operations give the bytes of its scalar ones:
+    max(crossing - 1, 1).  Where start is 0, lo must be 0: a crossing on
+    cycle 1 then interpolates to at most 1 and clamps to N_s = 1.0, the
+    value measured_rate gives it.
+    """
+    i = above.argmax(axis=1)
+    at = i + np.arange(0, fractions.size, fractions.shape[1])  # into fractions.ravel()
+    flat = fractions.ravel()
+    before = np.where(i > 0, flat[at - 1], lo)
+    crossing = (start + i) + (E_FRACTION - before) / (flat[at] - before)
+    return np.maximum(crossing - 1.0, 1.0)
+
+
+def _rate_cycles(r: np.ndarray, p_s: np.ndarray) -> list[float | None]:
     """Per stacked point, the N_s at which simulate's series from the mixed state first crosses.
 
     In the first block that is the value measured_rate reads from a series
@@ -519,44 +599,44 @@ def _rate_cycles(t: np.ndarray, mu: np.ndarray, vecs: np.ndarray, coeffs: np.nda
     and 9.4e-15 (1.85 pi) relative.  There is no cap on the cycle count;
     None means the mode sum never reaches 1 - 1/e (see _later_blocks).
 
-    t (k, 4, 4) holds the points' transfer matrices, mu, vecs and coeffs
-    their modes (see _modes) and p_s their steady polarizations.  The series
-    is read through their real Bloch maps (see _bloch_maps), derived once
-    for the stack, so each t must keep rho Hermitian, as a channel's does:
-    otherwise the series read and the mode bound would part, and
-    _bloch_maps raises ValueError rather than let the search run on.  The
-    first block of SERIES_BLOCK cycles is read level by level through
-    simulate's own _level, across the stack, and a point leaves the stack
-    at the first level that holds its crossing.  The points
-    that have none in the first block go on together to _later_blocks,
-    which starts from the rows and power the stack built and from their
-    weights and drift (see _drift), computed for those points alone: a
-    point that crosses early never pays for its drift.
+    r (k, 4, 4) holds the points' real Bloch maps (see _bloch_maps) and p_s
+    their steady polarizations.
+    The first block of SERIES_BLOCK cycles is read level by level through
+    simulate's own _level, across the stack; each level's crossings are
+    found at once (see _crossings), and a point leaves the stack at the
+    first level that holds its crossing.  The points that have none in the
+    first block go on together to _later_blocks, which starts from the rows
+    and power the stack built and from their mode terms and drift (see
+    _series_modes), computed for those points alone: a point that crosses
+    early never pays for them.
     """
-    found: list[float | None] = [None] * len(t)
-    active, p_col, lo = np.arange(len(t)), p_s[:, None], p_s  # lo is unread at start 0
-    r = _bloch_maps(t)
-    rows, power, start = _READOUT[None].repeat(len(t), axis=0), r, 0
+    found: list[float | None] = [None] * len(r)
+    active, lo = np.arange(len(r)), np.zeros(len(r))  # 0 before cycle 1 (see _crossings)
+    rows, power, start = _READOUT[None].repeat(len(r), axis=0), r, 0
     while True:
         rows, values = _level(rows, power, _MIXED_BLOCH, start)
-        fractions = values / p_col
-        hit = (fractions >= E_FRACTION).any(axis=1)
-        for j in hit.nonzero()[0].tolist():
-            found[active[j]] = _first_crossing(fractions[j], start, lo[j])
-        start = rows.shape[1]
+        fractions = values / p_s[:, None]
+        above = fractions >= E_FRACTION
+        hit = np.logical_or.reduce(above, axis=1)
         left = (~hit).nonzero()[0]
-        if len(left) == 0:
-            return found
         if len(left) < len(hit):
+            crossed = (fractions, above, lo, active)
+            if len(left):
+                j = hit.nonzero()[0]
+                crossed = [x[j] for x in crossed]
+            for i, n_s in zip(crossed[3].tolist(), _crossings(*crossed[:3], start).tolist()):
+                found[i] = n_s
+            if len(left) == 0:
+                return found
             rows, power, active, p_s, fractions = (
-                a[left] for a in (rows, power, active, p_s, fractions))
-            p_col = p_s[:, None]
+                x[left] for x in (rows, power, active, p_s, fractions))
+        start = rows.shape[1]
         power = power @ power
         if start == SERIES_BLOCK:
-            mu, vecs, coeffs = (a[active] for a in (mu, vecs, coeffs))
-            later = _later_blocks(rows, power, mu, _weights(vecs, coeffs), p_s,
-                                  _drift(r[active], mu, vecs, coeffs))
-            for i, n_s in zip(active, later):
+            del values, fractions, above  # the search holds the rows; free the rest of the level
+            mu, weights, drift = _series_modes(r[active])
+            later = _later_blocks(rows, power, mu, weights, p_s, drift)
+            for i, n_s in zip(active.tolist(), later):
                 found[i] = n_s
             return found
         lo = fractions[:, -1]
@@ -567,8 +647,8 @@ def _later_blocks(rows: np.ndarray, power: np.ndarray, mu: np.ndarray, weights: 
     """N_s of stacked points whose first block holds no crossing, from the blocks after it.
 
     rows (k, SERIES_BLOCK, 4) are the first block's read-out rows r R^j of
-    the points' Bloch maps R and power (k, 4, 4) is R^SERIES_BLOCK; the
-    bound reads the modes of their transfer matrices.  Block b holds the
+    the points' Bloch maps R and power (k, 4, 4) is R^SERIES_BLOCK; mu and
+    weights (k, 4) are the terms of their series (see _series_modes).  Block b holds the
     cycles b SERIES_BLOCK + 1 ... (b + 1) SERIES_BLOCK.  Each point searches the
     blocks from 1 on, leftmost first, with no end, from the open range
     [1, inf); _parts cuts each range it reaches into parts.  _range_bound
@@ -577,11 +657,11 @@ def _later_blocks(rows: np.ndarray, power: np.ndarray, mu: np.ndarray, weights: 
 
     The bound holds for the mode sum; the series read by matrix products
     strays from it by about m drift / |P_s| in cycle 1 + m (see
-    _drift; at most 0.96 times that on 381 README and random
-    points), so a part is ruled out only when its bound stays below 1 - 1/e
-    by twice that.  Where eig is exact (an amplitude damping channel) the
-    drift is 0 while the powers still round, and only the re-read of the
-    block before, below, catches a crossing the bound missed.  A single
+    _series_modes), so a part is ruled out only when its bound stays below
+    1 - 1/e by twice that.  Where eig is exact (an amplitude damping
+    channel) the drift is rounding alone while the powers still round more,
+    and only the re-read of the block before, below, catches a crossing the
+    bound missed.  A single
     block the bound cannot rule out is read: its state is one jump from the
     mixed start, matrix_power(R^SERIES_BLOCK, b - 1), then one step of
     R^SERIES_BLOCK, and its rows are read like simulate's later blocks, so
@@ -595,8 +675,9 @@ def _later_blocks(rows: np.ndarray, power: np.ndarray, mu: np.ndarray, weights: 
     reach 1 - 1/e: the mode sum never reaches it.  That test has no slack,
     which grows without end.  The bounds of all the points searching are
     evaluated as one stack; each point searches until it sits on a block to
-    read, and then those blocks are read as one stack.  Far out, |mu| > 1
-    overflows the bounds: an infinite or NaN bound rules nothing out.
+    read, and then those blocks are read as one stack, their crossings
+    found at once (see _crossings).  Far out, |mu| > 1 overflows the bounds:
+    an infinite or NaN bound rules nothing out.
     """
     terms = weights / p_s[:, None]
     modes = np.stack([np.abs(terms), np.abs(mu), np.angle(terms), np.angle(mu),
@@ -644,24 +725,34 @@ def _later_blocks(rows: np.ndarray, power: np.ndarray, mu: np.ndarray, weights: 
                         searching.append(i)
             if not reading:
                 break
-            at, reading = reading, []
+            at, reading = sorted(reading), []
             point = [i for i, _ in at]
-            rows_at, power_at, p_at = rows[point], power[point], p_s[point]
+            starts = np.array([b * SERIES_BLOCK for _, b in at])
+            # the rows of every point in order are the rows themselves, not a copy of them
+            rows_at = rows if point == list(range(len(rows))) else rows[point]
+            power_at, p_at = power[point], p_s[point]
             jumps = np.array([np.linalg.matrix_power(power[i], b - 1) for i, b in at])
             before = jumps @ _MIXED_BLOCH
             last = (rows_at[:, -1:] @ before[..., None])[:, 0, 0] / p_at
             values = _read(rows_at, (power_at @ before[..., None])[..., 0],
                            SERIES_BLOCK) / p_at[:, None]
-            for (i, b), lo, fractions in zip(at, last, values):
-                if b > 1 and lo >= E_FRACTION and fractions[0] >= E_FRACTION:
-                    reading.append((i, b - 1))  # the bound missed the crossing by rounding
-                    continue
-                n_s = _first_crossing(fractions, b * SERIES_BLOCK, lo)
-                if n_s is None:
+            above = values >= E_FRACTION
+            # a block that opens above 1 - 1/e after an entry above it too: the bound
+            # missed the crossing by rounding, and the block before is read instead
+            back = (starts > SERIES_BLOCK) & (last >= E_FRACTION) & above[:, 0]
+            hit = above.any(axis=1) & ~back
+            crossed = values, above, last, starts
+            if not hit.all():
+                crossed = [x[hit] for x in crossed]
+            crossed = iter(_crossings(*crossed).tolist())
+            for (i, b), is_back, is_hit in zip(at, back.tolist(), hit.tolist()):
+                if is_back:
+                    reading.append((i, b - 1))
+                elif is_hit:
+                    found[i] = next(crossed)
+                else:
                     span[i] = later[i].pop()
                     searching.append(i)
-                else:
-                    found[i] = n_s
     return found
 
 
@@ -773,8 +864,9 @@ def evaluate_exact_batch(points: Iterable[tuple[SystemParams, SequenceParams]],
     `points`, yielded in order.
 
     A point whose evaluation raises ValueError (a sequence that cannot be
-    rendered, a generator whose eigh fails, a segment whose phase overflows,
-    a propagator that is not unitary) yields that error in its place; the
+    rendered, a generator whose eigh fails, a segment whose phase overflows
+    or holds no digits modulo 2 pi, a propagator that is not unitary)
+    yields that error in its place; the
     other points are unaffected: when the stacked walk raises, each point is
     walked alone.
     `points` is read BATCH_SIZE at a time, so memory does not grow with
@@ -782,9 +874,10 @@ def evaluate_exact_batch(points: Iterable[tuple[SystemParams, SequenceParams]],
     A chunk's points are rendered one by one into their counts and leaf
     segments, then walked as one stack through the shared `cache` (see
     _walk): the points of one n_p and n_r compose their blocks together.
-    The stacked propagators share one unitarity check, one stacked eig and
-    solve for their modes, and _rate_cycles' read-out of their first
-    blocks.  The results are those of evaluate_exact, byte for byte.
+    The stacked propagators share one unitarity check, one stacked real eig
+    and solve for their modes (see _modes), and _rate_cycles' read-out of
+    their first blocks.  The results are those of evaluate_exact, byte for
+    byte, whatever the stack holds.
     """
     points = iter(points)
     while chunk := list(itertools.islice(points, BATCH_SIZE)):
@@ -820,7 +913,7 @@ def _evaluate_chunk(points: list, cache: dict | None) -> list[ExactResult | Valu
 def _solve(u: np.ndarray, sequences: list[SequenceParams], t_cycles: list[float],
            with_rate: bool = True) -> list[ExactResult | ValueError]:
     """ExactResult of each stacked cycle propagator u (k, 4, 4), from one stacked
-    unitarity check, transfer matrix and mode solve; sequences and t_cycles are
+    unitarity check, Bloch map and mode solve (see _modes); sequences and t_cycles are
     the points' own and their cycle durations.  A propagator that is not
     unitary gets a ValueError naming its defect and its sequence's n_p and
     n_r: a block power that overflows reads defect nan."""
@@ -834,15 +927,15 @@ def _solve(u: np.ndarray, sequences: list[SequenceParams], t_cycles: list[float]
         return results
     if len(solved) < len(u):
         u = u[solved]
-    t = _channels(u[:, :, :2].reshape(-1, 2, 2, 2))  # first block column: the Kraus pairs
-    mu, vecs, coeffs = _modes(t)
-    p_s, lam = _spectral_summary(mu, _weights(vecs, coeffs))
-    rated = np.flatnonzero(np.abs(p_s) > 1e-6) if with_rate else []
+    r, q = _bloch_maps(_channels(u[:, :, :2].reshape(-1, 2, 2, 2)))  # Kraus pairs: 1st block column
+    mu, vecs, a = _modes(q)
+    p_s, lam = _spectral_summary(mu, vecs, a)
+    rated = (np.abs(p_s) > 1e-6).nonzero()[0] if with_rate else []
     cycles: list[float | None] = [None] * len(solved)
     if len(rated):
-        modes = t, mu, vecs, coeffs, p_s
+        modes = r, p_s
         if len(rated) < len(solved):
-            modes = [a[rated] for a in modes]
+            modes = [x[rated] for x in modes]
         for j, c in zip(rated.tolist(), _rate_cycles(*modes)):
             cycles[j] = c
     for i, p, lam_i, c in zip(solved, p_s.tolist(), lam.tolist(), cycles):

@@ -64,7 +64,7 @@ def unitarity_defect(u: np.ndarray) -> float | np.ndarray:
     if u.ndim not in (2, 3) or u.shape[-1] != u.shape[-2]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {u.shape}")
     eye = ID4 if u.shape[-1] == 4 else np.eye(u.shape[-1])
-    defect = np.abs(u.conj().swapaxes(-1, -2) @ u - eye).max(axis=(-2, -1))
+    defect = np.maximum.reduce(np.abs(u.conj().swapaxes(-1, -2) @ u - eye), axis=(-2, -1))
     return float(defect) if u.ndim == 2 else defect
 
 

@@ -3,14 +3,19 @@
 A sweep writes its grid points in row-major axis order, with the engines
 of each point in a fixed order, so the same spec always writes the same
 bytes.  `run_sweep` returns at once with its rows still to come: they are
-produced as they are read, one chunk of `engine.BATCH_SIZE` grid points
-at a time, so a sweep written to a file holds one chunk, not the table,
-and its memory does not grow with the grid.  The exact engine solves each
-chunk's valid points, and the grid of the resonant-interval search, as
-one batch (`engine.evaluate_exact_batch`), whose results are those of
-evaluating each point alone; each golden-section step of the search is a
-batch of one.  Only robustness scans still go one point at a time.  A
-batch and a single point take the engine's one walk: the points of a
+produced as they are read, one chunk of grid points at a time, so a sweep
+written to a file holds one chunk, not the table, and its memory does not
+grow with the grid.  A chunk is `engine.BATCH_SIZE` (256) points when the
+exact engine runs and ANALYTIC_CHUNK (64) when it does not: the analytic
+rows gain nothing from a larger chunk, and a 201x201 analytic sweep ran
+about 3% faster in chunks of 64 than of 256.  The exact engine
+solves each chunk's valid points, and the grid of the resonant-interval
+search, as one batch (`engine.evaluate_exact_batch`): one stacked walk,
+one real eig of the chunk's affine Bloch maps and one read-out of their
+series, with the results of evaluating each point alone.  The README's
+81-point sweep is one chunk, and a 201x201 grid 158.  Each golden-section
+step of the search is a batch of one.  Only robustness scans still go one
+point at a time.  A batch and a single point take the engine's one walk: the points of a
 chunk that share n_p and n_r compose their blocks as one stack, and the
 memo a sweep, scan or search hands to all its points holds the segment
 propagators of the (system, segment) pairs they share.
@@ -55,6 +60,7 @@ AXIS_NAMES = SYSTEM_FIELDS + SEQUENCE_FLOAT_FIELDS + SEQUENCE_INT_FIELDS
 ENGINES = ("exact", "analytic", "both")
 TARGETS = ("stable_polarization", "rate")
 
+ANALYTIC_CHUNK = 64  # grid points per chunk of a sweep without the exact engine
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 MAX_TAU_GRID_POINTS = 10_001  # find_tau_res grid limit: about 2 s of batched exact points
 
@@ -303,7 +309,8 @@ def apply_point(sys: SystemParams, seq: SequenceParams,
 
 def _sweep_chunks(spec: SweepSpec, grid, names: tuple[str, ...], engines: tuple[str, ...]):
     """The rows of `grid`, an iterator of axis-value tuples, as one list per
-    chunk of BATCH_SIZE points: the exact engine solves a chunk's valid points
+    chunk of BATCH_SIZE points, or ANALYTIC_CHUNK points when the exact
+    engine does not run: the exact engine solves a chunk's valid points
     as one batch through a propagator memo that lasts as long as the chunks
     are read, and a chunk's rows are yielded before the next chunk is read.
     Each point is built by one apply_point call, and its analytic row by one
@@ -312,7 +319,8 @@ def _sweep_chunks(spec: SweepSpec, grid, names: tuple[str, ...], engines: tuple[
     base_sys, base_seq = spec.base_system, spec.base_sequence
     unrated = "below-threshold" if spec.target == "rate" else "ok"
     pad = ("",) if len(names) == 1 else ()  # axis2 of a one-axis sweep
-    while chunk := list(itertools.islice(grid, BATCH_SIZE)):
+    size = BATCH_SIZE if "exact" in engines else ANALYTIC_CHUNK
+    while chunk := list(itertools.islice(grid, size)):
         points = []
         for values in chunk:
             try:

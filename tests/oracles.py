@@ -5,7 +5,12 @@ splitting with closed-form Pauli-rotation factors only, so it shares no
 code path with the spectral exponentials under test.  The series oracle
 steps vec(rho) through the channel's complex 4x4 transfer matrix one cycle
 at a time, where the engine reads the series through block powers of its
-real Bloch map.  The DD integral
+real Bloch map; the transfer-matrix oracle takes the steady polarization
+and the contraction factor from one complex eig of that 4x4 matrix, where
+the engine solves the real 3x3 affine Bloch map, and the fixed-point
+oracle solves that affine map once more in exact rationals from its float
+entries, so that what remains of the engine's error is its own rounding,
+not a second solve's.  The DD integral
 oracle integrates the pulse-shape function by adaptive quadrature (scipy,
 a test-only dependency) to check the closed-form filter F.  The sweep
 oracles are the plain forms of two per-point steps of a sweep: the CSV
@@ -21,6 +26,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 from scipy.integrate import quad
@@ -213,6 +219,60 @@ def stepped_series(m_up: np.ndarray, m_down: np.ndarray, rho0: np.ndarray, n: in
         values[i] = (x[0] - x[3]).real
         x = t @ x
     return values
+
+
+# ---------------------------------------------------------------------------
+# Steady state from the modes of the complex transfer matrix
+# ---------------------------------------------------------------------------
+
+STEADY_TOL = 1e-10  # a mode this close to 1 is steady
+MIXED_VEC = (ID2 / 2).reshape(4)  # row-major vec(rho) of the mixed start
+
+
+def transfer_modes(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenvalues mu, eigenvectors and mixed-start coefficients of stacked transfer matrices.
+
+    t is (k, 4, 4), each acting on row-major vec(rho); vec(rho) of point i after
+    n - 1 cycles is sum_m coeffs[i, m] mu[i, m]^(n-1) vecs[i, :, m].
+    """
+    mu, vecs = np.linalg.eig(t)
+    return mu, vecs, np.linalg.solve(vecs, MIXED_VEC[None, :, None])[..., 0]
+
+
+def transfer_weights(vecs: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Weights w (k, 4) of transfer_modes' modes: from the mixed start P(n) = Re sum w mu^(n-1)."""
+    return (vecs[:, 0] - vecs[:, 3]) * coeffs
+
+
+def transfer_summary(mu: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(P_s, lambda) of each stacked point from its weighted modes (k, m): two (k,) arrays.
+
+    P_s is the weight on the modes within STEADY_TOL of 1; lambda is the
+    largest |mu| among the other modes whose weight exceeds STEADY_TOL, and
+    1.0 when no mode moves.
+    """
+    steady = np.abs(mu - 1.0) <= STEADY_TOL
+    moving = ~steady & (np.abs(weights) > STEADY_TOL)
+    lam = np.array([float(np.max(np.abs(m[s]))) if s.any() else 1.0 for m, s in zip(mu, moving)])
+    return np.array([float(w[s].sum().real) for w, s in zip(weights, steady)]), lam
+
+
+def exact_fixed_z(q: np.ndarray) -> float:
+    """z of the fixed point (I - M)^-1 c of the affine Bloch map in the Pauli form q (4, 4),
+    M = q[1:, 1:] and c = q[1:, 0] (see engine._bloch_maps), solved by Gaussian
+    elimination in exact rationals from q's float entries and rounded once."""
+    rows = [[Fraction(int(i == j)) - Fraction(q[1 + i, 1 + j]) for j in range(3)]
+            + [Fraction(q[1 + i, 0])] for i in range(3)]
+    for k in range(3):
+        pivot = next(i for i in range(k, 3) if rows[i][k] != 0)
+        rows[k], rows[pivot] = rows[pivot], rows[k]
+        for i in range(k + 1, 3):
+            f = rows[i][k] / rows[k][k]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[k])]
+    x = [Fraction(0)] * 3
+    for i in (2, 1, 0):
+        x[i] = (rows[i][3] - sum(rows[i][j] * x[j] for j in range(i + 1, 3))) / rows[i][i]
+    return float(x[2])
 
 
 # ---------------------------------------------------------------------------

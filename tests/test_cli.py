@@ -576,14 +576,19 @@ ALPHA_OVERFLOW = ("transfer strength alpha overflows "
                   "(a_perp=1e+308, dirichlet=1.0, f_value=4.0)")
 
 
-@pytest.mark.parametrize("engine", ["exact", "analytic"])
-def test_steady_names_an_overflowing_alpha(tmp_path, capsys, engine):
+@pytest.mark.parametrize("engine,message", [
+    # the hyperfine phases a_perp t are finite but hold no digits modulo 2 pi
+    ("exact", "segment phase H*t holds no digits modulo 2 pi "
+              "(omega=1.0, a_perp=1e+308, a_z=0.0, t=3.141592653589793)"),
+    ("analytic", ALPHA_OVERFLOW)], ids=["exact", "analytic"])
+def test_steady_names_an_overflowing_alpha(tmp_path, capsys, engine, message):
     # 2 a_perp is already inf: the analytic summary that rides along names alpha,
-    # where lambda_analytic would have read cos(inf) as "math domain error"
+    # where lambda_analytic would have read cos(inf) as "math domain error"; the
+    # exact engine, which runs first, refuses the segment phases before it
     path = tmp_path / "strong.json"
     path.write_text(json.dumps({**BASE_CONFIG, "system": {"omega": 1.0, "a_perp": 1e308}}))
     assert main(["steady", "--config", str(path), "--engine", engine]) == 2
-    assert capsys.readouterr().err == f"error: {ALPHA_OVERFLOW}\n"
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_sweep_row_names_an_overflowing_alpha(tmp_path):

@@ -23,8 +23,8 @@ RECORDS = {
                    "lambda": 0.48540023884935557, "gamma": 0.004108365981621212}),
     "evaluate_exact": (ExactResult, lambda: evaluate_exact(SYS, SEQ),
                        ("p_s", "lambda_est", "gamma", "n_s", "t_cycle"),
-                       {"p_s": 0.7777156596578155, "lambda": 0.9881224738389041,
-                        "gamma": 0.00012848726469821473, "n_s": 41.847386183883124,
+                       {"p_s": 0.777715659656723, "lambda": 0.9881224738389036,
+                        "gamma": 0.00012848726469852232, "n_s": 41.847386183782945,
                         "t_cycle": 185.98228509251575}),
 }
 

@@ -176,6 +176,14 @@ def test_every_engine_fails_at_invalid_grid_points():
     assert all(len(row) == 7 for row in csv.reader(csv_text(table).splitlines()[1:]))
 
 
+def test_a_segment_phase_without_digits_fails_its_row():
+    spec = spec_for((Axis("a_perp", 0.05, 1e16, 2),), engine="exact")
+    ok, lost = [row[6] for row in run_sweep(spec).rows]
+    assert ok == "ok"
+    assert lost == ("failed: segment phase H*t holds no digits modulo 2 pi "
+                    "(omega=1.0, a_perp=1e+16, a_z=0.0, t=3.141592653589793)")
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
 def test_engine_failure_rows_keep_the_message():
     # valid inputs whose segment phases overflow: the exact engine cannot evaluate them
@@ -789,13 +797,15 @@ def robustness_points(rows, tau_pi_values) -> list:
 def test_each_distinct_segment_is_exponentiated_once(monkeypatch, case):
     segments = count_segment_propagators(monkeypatch)
     log = exponentiation_log(monkeypatch)
-    if case == "t_s x t_w sweep":  # 81 points: a chunk of BATCH_SIZE and one of 17
-        axes = (Axis("t_s", 0.0, 2 * math.pi, 9), Axis("t_w", 0.0, 2 * math.pi, 9))
+    if case == "t_s x t_w sweep":  # BATCH_SIZE + 17 points: a chunk of BATCH_SIZE and one of 17
+        t_w = (engine.BATCH_SIZE + 17) // 13
+        assert 13 * t_w == engine.BATCH_SIZE + 17
+        axes = (Axis("t_s", 0.0, 2 * math.pi, 13), Axis("t_w", 0.0, 2 * math.pi, t_w))
         list(run_sweep(spec_for(axes, engine="exact", target="rate",
                                 base_seq=README_T_S_06)).rows)
         points = [apply_point(SYS, README_T_S_06, ("t_s", "t_w"), v)
                   for v in itertools.product(*(a.values().tolist() for a in axes))]
-        assert [e[1] for e in log if e[0] == "stack"] == [engine.BATCH_SIZE, 81 - engine.BATCH_SIZE]
+        assert [e[1] for e in log if e[0] == "stack"] == [engine.BATCH_SIZE, 17]
     else:  # one stack per point; 3 pi does not fit in the cells
         rows = [(magic_params("I", +1, 1), 2), (magic_params("II", -1, 2), 3)]
         tau_pi_values = [0.0, 0.1 * math.pi, 0.2 * math.pi, 3 * math.pi]
