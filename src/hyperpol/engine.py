@@ -4,7 +4,8 @@ Composes the per-cycle 4x4 unitary from the propagators of the
 timeline's eight leaf segments in the protocol's one form: the DD cell,
 raised to n_p by repeated squaring, then the two DD blocks, then the
 repetition of DDX, t_s, DDY, t_w, DDX, t_s, DDY, t_c, raised to n_r; the
-nuclear Kraus pair is its first block column.  One walk serves a whole
+nuclear Kraus pair is its first block column, projected back to an
+isometry by one Newton-Schulz step (see _isometries).  One walk serves a whole
 stack of timelines: each distinct (system, leaf segment) is exponentiated
 once, one exponential per generator (hyperfine, nuclear, a zero-width
 pulse's spin or a drive at one Rabi frequency), and the timelines of one
@@ -17,9 +18,9 @@ neighbouring points that differ in one wait exponentiate only that wait.
 One table outlives a walk, bounded and a pure function of its keys: in
 linalg.hermitian_expm each generator's eigendecomposition, keyed by its
 bytes (up to linalg.SPECTRA_LIMIT, cleared when full), so a new duration
-of a generator seen before costs no eigh.  A walk refuses a segment whose
-phase |eigenvalue x duration| reaches PHASE_LIMIT, where the propagator is
-finite but holds no digit of the phase modulo 2 pi.
+of a generator seen before costs no eigh.  segment_propagator refuses a
+segment whose phase |eigenvalue x duration| reaches PHASE_LIMIT, where the
+propagator is finite but holds no digit of the phase modulo 2 pi.
 The channel acts on vec(rho) as a complex 4x4 transfer matrix T, and on
 the nuclear Bloch vector as the real affine map r -> M r + c (Nielsen and
 Chuang, Quantum Computation and Quantum Information, 8.3.2), read from the
@@ -34,11 +35,12 @@ length, read out lazily: the first block of SERIES_BLOCK cycles is
 evaluated one doubling level of read-out rows at a time (cycles 1-2, 3-4,
 5-8, ...), the crossings of a whole level are found as array operations,
 and the search stops at the level that holds the crossing.  Only when the
-first block has none do R's own modes bound the series over ranges of
-later blocks, cutting each range they cannot rule out into SPLIT parts,
-and the single blocks the bound cannot rule out are evaluated with exact
-powers of R.  `simulate` evaluates the whole series
-through the same read-out.
+first block has none is the rate read from M's closed-form mode sum
+P(n) = P_s + Re sum_k w_k mu_k^(n-1) instead, whose cost does not grow
+with n: exact bounds of it rule out ranges of later blocks, cutting each
+range they cannot rule out into SPLIT parts, and the single blocks they
+cannot rule out are evaluated whole.  `simulate` evaluates the whole
+series through R, with the first block's read-out.
 
 `evaluate_exact_batch` solves many points at once.  Up to BATCH_SIZE (256)
 points are rendered, walked as one stack and checked for unitarity
@@ -48,7 +50,8 @@ the level that holds its crossing.  The points with no crossing in their
 first block search the later blocks together, each leaving at its own
 crossing.  A stack's largest arrays are the first block's read-out rows,
 SERIES_BLOCK x 4 floats (32 KB) per point still in it: 8 MB for a stack of
-256 points that all cross late.  `evaluate_exact` propagates
+256 points that all cross late, freed before the later blocks, whose reads
+take twice that for a stack of 256 blocks.  `evaluate_exact` propagates
 its point through `propagate` and shares the rest with the batch, with the
 same bytes.  Sweeps and every step of the resonant-interval search go
 through the batch; only robustness scans still go one point at a time.
@@ -58,10 +61,9 @@ each numpy call costs about its fixed overhead, so the walk and the solve
 keep their calls few: the drive and Zeeman operators are constants, each
 generator's eigenvectors are kept with their adjoint, a leaf that every
 point shares is a view of its memo entry, each block is one stacked
-product (the cell and the repetition then one matrix_power), R and its
-Pauli form come from one product with a constant matrix, and the mode
-terms and eig residual behind the later-block search are computed only
-for the points that reach it.
+product (the cell and the repetition then one matrix_power), one Gram
+product U^dagger U serves the unitarity check and the projection, and R
+and its Pauli form come from one product with a constant matrix.
 """
 
 from __future__ import annotations
@@ -75,7 +77,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import ID2, SX, SY, SZ, hermitian_expm, kron2, unitarity_defect
+from .linalg import ID2, ID4, SX, SY, SZ, hermitian_expm, kron2
 from .params import SequenceParams, SystemParams
 from .timeline import FREE_HYPERFINE, FREE_NUCLEAR, PULSE, Segment, Timeline, render_unit
 
@@ -158,7 +160,8 @@ def segment_propagator(sys: SystemParams, segments: Sequence[Segment],
     One hermitian_expm call exponentiates the generator over all their
     durations; a zero-width pulse turns its spin by its angle instead.
     Raises ValueError naming the system and the duration when an eigenvalue
-    times a duration overflows.  `hyperfine` keeps each system's
+    times a duration overflows, or when the phase is finite but holds no
+    digits modulo 2 pi (see _refuse_lost_phases).  `hyperfine` keeps each system's
     hyperfine_hamiltonian for the next call, so a walk that passes one dict
     builds it once for the free evolution and every drive of a system.
     """
@@ -182,6 +185,7 @@ def segment_propagator(sys: SystemParams, segments: Sequence[Segment],
         raise ValueError(f"segment phase H*t overflows (omega={sys.omega!r}, "
                          f"a_perp={sys.a_perp!r}, a_z={sys.a_z!r}, "
                          f"t={durations[int(finite.argmin())]!r})")
+    _refuse_lost_phases(sys, segments)
     return u
 
 
@@ -193,27 +197,29 @@ def _hyperfine(sys: SystemParams, memo: dict) -> np.ndarray:
     return h
 
 
+class _LostPhaseError(ValueError):
+    """A segment phase that is finite but holds no digits modulo 2 pi (see _refuse_lost_phases)."""
+
+
 def _refuse_lost_phases(sys: SystemParams, segments: Sequence[Segment]) -> None:
-    """Raise ValueError, naming the system and the duration, where the largest
+    """Raise _LostPhaseError, naming the system and the duration, where the largest
     phase |eigenvalue x duration| of segments that share one generator reaches
     PHASE_LIMIT: there the float spacing is 1 rad or more, so exp(-i H t)
     holds no digits of the phase modulo 2 pi, though it is finite.  A nuclear
     wait's eigenvalues are +-omega/2 and the hyperfine Hamiltonian's, one
     block per electron spin s = +-1/2, are +-|(s a_perp, omega + s a_z)|/2;
     a drive adds at most its half angle (pi/2 rad), below the float spacing
-    there.
+    there.  A zero-width pulse, a turn by its angle, has no such phase.
     """
-    seg = segments[0]
-    if seg.kind == FREE_NUCLEAR:
+    if segments[0].kind == FREE_NUCLEAR:
         radius = abs(sys.omega) / 2
-    elif seg.kind == PULSE and seg.duration == 0.0:
-        return  # a turn by its angle
     else:
         radius = math.hypot(sys.a_perp / 2, abs(sys.omega) + abs(sys.a_z) / 2) / 2
     longest = max([s.duration for s in segments])
     if radius * longest >= PHASE_LIMIT:
-        raise ValueError(f"segment phase H*t holds no digits modulo 2 pi (omega={sys.omega!r}, "
-                         f"a_perp={sys.a_perp!r}, a_z={sys.a_z!r}, t={longest!r})")
+        raise _LostPhaseError(f"segment phase H*t holds no digits modulo 2 pi "
+                              f"(omega={sys.omega!r}, a_perp={sys.a_perp!r}, a_z={sys.a_z!r}, "
+                              f"t={longest!r})")
 
 
 def propagate(sys: SystemParams, timeline: Timeline,
@@ -238,8 +244,9 @@ def _walk(points: list[tuple[SystemParams, Timeline]], cache: dict | None) -> np
     Every distinct (system, leaf segment) of the stack is read from `cache`
     or, once, exponentiated: one segment_propagator call per generator
     covers all its missing segments, and they join the memo as in
-    propagate once no segment's phase overflows or holds no digits modulo
-    2 pi (see _refuse_lost_phases): a refused walk keeps nothing.  The
+    propagate once every call has returned: a walk that segment_propagator
+    refuses keeps nothing, and it names a phase that overflows, or a
+    generator whose eigh fails, before one whose phase holds no digits.  The
     points are then grouped by (n_p, n_r), and each group
     composes its cycles as one stack (see _cycle).  Each matrix has the
     bytes of its own 4x4 products.
@@ -264,14 +271,16 @@ def _walk(points: list[tuple[SystemParams, Timeline]], cache: dict | None) -> np
         if u is None:
             missing[_generator(*keys[row])].append(row)
     hyperfine = {}  # sys -> its hyperfine Hamiltonian, built once per walk
-    stacks = []
+    stacks, lost = [], None
     for misses in missing.values():
-        segments = [keys[row][1] for row in misses]
-        stacks.append((misses, segments,
-                       segment_propagator(keys[misses[0]][0], segments, hyperfine)))
-    for misses, segments, _ in stacks:  # once no phase overflows, and before any is kept
-        _refuse_lost_phases(keys[misses[0]][0], segments)
-    for misses, _, stack in stacks:
+        try:
+            stacks.append((misses, segment_propagator(
+                keys[misses[0]][0], [keys[row][1] for row in misses], hyperfine)))
+        except _LostPhaseError as err:  # a later overflow or failed eigh is named first
+            lost = lost or err
+    if lost is not None:
+        raise lost
+    for misses, stack in stacks:  # kept only once every generator's segments are solved
         for row, u in zip(misses, stack):
             u.flags.writeable = False
             known[row] = u
@@ -319,14 +328,31 @@ def _cycle(n_p: int, n_r: int, rows: Sequence[list[int]],
 
 
 def kraus(u: np.ndarray) -> KrausPair:
-    """Kraus pair (<up|U|up>, <down|U|up>) of the electron-reset channel."""
+    """Kraus pair (<up|U|up>, <down|U|up>) of the electron-reset channel, from the
+    projected isometry of U (see _isometries), as the batch takes it."""
     u = np.asarray(u, dtype=complex)
     if u.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got {u.shape}")
-    defect = unitarity_defect(u)
+    (defect,), (k,) = _isometries(u[None])
     if not defect <= UNITARITY_TOL:  # NaN fails too
         raise ValueError(f"input is not unitary (defect {defect:.3e})")
-    return KrausPair(m_up=u[:2, :2].copy(), m_down=u[2:, :2].copy())
+    return KrausPair(m_up=k[:2], m_down=k[2:])
+
+
+def _isometries(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unitarity defects (k,) and projected Kraus isometries (k, 4, 2) of stacked propagators u.
+
+    The defect is the largest |entry| of G - 1, G = U^dagger U.  The isometry
+    K = U[:, :2], the Kraus pair, takes one Newton-Schulz step K (3 I - K^dagger K) / 2,
+    K^dagger K = G[:2, :2] (Higham, Functions of Matrices, SIAM 2008, ch. 8),
+    which squares its defect: unprojected, the channel leaks the defect of
+    a composed cycle (about 3e-14) per cycle, and P_s is off by that over
+    the gap instead of a few eps over it.
+    """
+    g = u.conj().swapaxes(1, 2) @ u
+    defect = np.maximum.reduce(np.abs(g - ID4), axis=(1, 2))
+    with np.errstate(over="ignore", invalid="ignore"):  # on a U the check refuses
+        return defect, u[:, :, :2] @ ((3 * ID2 - g[:, :2, :2]) / 2)
 
 
 def cycle_kraus(sys: SystemParams, seq: SequenceParams) -> KrausPair:
@@ -372,7 +398,8 @@ def _bloch_maps(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     16 x 32 matrix.  Each T must keep rho Hermitian, as every channel built
     from Kraus operators does: then B T B^-1 is real and Re drops only
     rounding.  A T that does not (an imaginary part above UNITARITY_TOL)
-    raises ValueError, since its series would not be the one T's modes give.
+    raises ValueError, since its series would not be the one the modes of
+    its affine map give.
     The population entries of R are T's own, and reading p_up - p_down keeps
     the cancellation between the two populations' rounding that a z row
     alone loses: over 1e6 to 1e8 cycles of amplitude damping, N_s read
@@ -410,16 +437,14 @@ def _level(rows: np.ndarray, power: np.ndarray, x: np.ndarray, start: int):
 def _read(rows: np.ndarray, x: np.ndarray, m: int) -> np.ndarray:
     """rows @ x cut at m entries, in products of at most SERIES_BLOCK/2 rows.
 
-    rows (n, 4) and x (4,), or stacks of them: rows (k, n, 4) and x (k, 4),
-    each point's entries with the bytes of its own product.  One 1024x4
-    product goes through BLAS's multithreaded matrix-vector kernel, which
-    took milliseconds with two threads against microseconds with one; a
-    512x4 product runs on one thread either way.
+    rows is (n, 4) and x (4,).  One 1024x4 product goes through BLAS's
+    multithreaded matrix-vector kernel, which took milliseconds with two
+    threads against microseconds with one; a 512x4 product runs on one
+    thread either way.
     """
     half = SERIES_BLOCK // 2
-    chunks = [(rows[..., a:a + half, :] @ x[..., None])[..., 0]
-              for a in range(0, min(m, rows.shape[-2]), half)]
-    return np.concatenate(chunks, axis=-1)[..., :m]
+    chunks = [(rows[a:a + half] @ x[:, None])[:, 0] for a in range(0, min(m, len(rows)), half)]
+    return np.concatenate(chunks)[:m]
 
 
 def simulate(k: KrausPair, rho0: np.ndarray, n: int, params: dict | None = None) -> PolarizationSeries:
@@ -471,8 +496,8 @@ def _modes(q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _spectral_summary(mu: np.ndarray, vecs: np.ndarray,
-                      a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(P_s, lambda) of each stacked point from its modes (see _modes): two (k,) arrays.
+                      a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(P_s, lambda) (k,) and the weights w (k, 3) of each stacked point's modes (see _modes).
 
     From the mixed start (r = 0), the Bloch vector after n - 1 cycles is
     sum_k V_k a_k (1 - mu_k^(n-1)) / (1 - mu_k), so P(n) = P_s + Re sum_k
@@ -491,32 +516,7 @@ def _spectral_summary(mu: np.ndarray, vecs: np.ndarray,
     # a point with no moving mode keeps the initial -1, which abs turns into 1.0
     lam = np.abs(np.maximum.reduce(np.abs(mu), axis=1, where=np.abs(share) > UNITARITY_TOL,
                                    initial=-1.0))
-    return p_s, lam
-
-
-def _series_modes(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The four terms of the series that stacked Bloch maps r (k, 4, 4) read, and its drift.
-
-    Returns the modes mu and weights w (k, 4) of R's own eig, from the mixed
-    start P(n) = Re sum w mu^(n-1), and the drift (k,).  These are R's, not
-    M's: a Kraus pair's CPTP defect (about 1e-14) leaves R a trace defect
-    that the affine map r -> M r + c leaves out, and over the 1/gap cycles
-    of a slow point the series R reads strays from M's mode sum by about
-    defect / gap.  Bounded by M's modes instead, the later-block search
-    read 10 635 blocks on the 201 x 201 README map against 382, and 11 395
-    against 128 at a_perp = 1e3.  The drift is R's residual against its
-    modes times sum |coefficients| of the mixed start: R^(n-1) applied to
-    the mixed start strays from the mode sum by about (n - 1) drift,
-    because each cycle adds the residual of every mode it carries.  eig
-    returns complex modes unless every mode of the stack is real; they are
-    made complex either way.
-    """
-    mu, vecs = np.linalg.eig(r)
-    if mu.dtype.kind != "c":
-        mu, vecs = mu.astype(complex), vecs.astype(complex)
-    coeffs = np.linalg.solve(vecs, _MIXED_BLOCH[None, :, None])[..., 0]
-    residual = np.abs(r @ vecs - vecs * mu[:, None, :]).max(axis=(1, 2))
-    return mu, (vecs[:, 0] - vecs[:, 3]) * coeffs, residual * np.abs(coeffs).sum(axis=1)
+    return p_s, lam, -share
 
 
 def steady_state(k: KrausPair) -> tuple[float, float]:
@@ -529,7 +529,7 @@ def steady_state(k: KrausPair) -> tuple[float, float]:
     _solve's solve on a stack of one.
     """
     _, q = _bloch_maps(_superop(k)[None])
-    (p_s,), (lam,) = (a.tolist() for a in _spectral_summary(*_modes(q)))
+    (p_s,), (lam,) = (a.tolist() for a in _spectral_summary(*_modes(q))[:2])
     return p_s, lam
 
 
@@ -587,28 +587,22 @@ def _crossings(fractions: np.ndarray, above: np.ndarray, lo: np.ndarray, start) 
     return np.maximum(crossing - 1.0, 1.0)
 
 
-def _rate_cycles(r: np.ndarray, p_s: np.ndarray) -> list[float | None]:
-    """Per stacked point, the N_s at which simulate's series from the mixed state first crosses.
+def _rate_cycles(r: np.ndarray, p_s: np.ndarray, mu: np.ndarray,
+                 weights: np.ndarray) -> list[float | None]:
+    """Per stacked point, the N_s at which its series from the mixed state first crosses.
 
-    In the first block that is the value measured_rate reads from a series
-    long enough to hold the crossing, byte for byte.  Past it, _later_blocks
-    finds the same crossing from states reached by one matrix_power jump
-    each, where simulate steps block by block, so the values agree to
-    rounding, not to the byte: at the README base, 1/N_s differs by 1.7e-13
-    (t_s = 0.1 pi), 1.2e-14 (0.35 pi), 2.2e-13 (0.6 pi, past 2^21 cycles)
-    and 9.4e-15 (1.85 pi) relative.  There is no cap on the cycle count;
-    None means the mode sum never reaches 1 - 1/e (see _later_blocks).
-
-    r (k, 4, 4) holds the points' real Bloch maps (see _bloch_maps) and p_s
-    their steady polarizations.
-    The first block of SERIES_BLOCK cycles is read level by level through
+    r (k, 4, 4) holds the points' real Bloch maps (see _bloch_maps), p_s
+    their steady polarizations, and mu and weights (k, m) the modes and
+    weights of their mode sums P(n) = P_s + Re sum_k w_k mu_k^(n-1) (see
+    _spectral_summary).  In the first block of SERIES_BLOCK cycles, N_s is
+    the value measured_rate reads from simulate's series long enough to hold
+    the crossing, byte for byte: that block is read level by level through
     simulate's own _level, across the stack; each level's crossings are
     found at once (see _crossings), and a point leaves the stack at the
     first level that holds its crossing.  The points that have none in the
-    first block go on together to _later_blocks, which starts from the rows
-    and power the stack built and from their mode terms and drift (see
-    _series_modes), computed for those points alone: a point that crosses
-    early never pays for them.
+    first block go on together to _later_blocks, which searches and reads
+    their mode sums instead.  There is no cap on the cycle count; None
+    means the mode sum never reaches 1 - 1/e (see _later_blocks).
     """
     found: list[float | None] = [None] * len(r)
     active, lo = np.arange(len(r)), np.zeros(len(r))  # 0 before cycle 1 (see _crossings)
@@ -631,63 +625,49 @@ def _rate_cycles(r: np.ndarray, p_s: np.ndarray) -> list[float | None]:
             rows, power, active, p_s, fractions = (
                 x[left] for x in (rows, power, active, p_s, fractions))
         start = rows.shape[1]
-        power = power @ power
         if start == SERIES_BLOCK:
-            del values, fractions, above  # the search holds the rows; free the rest of the level
-            mu, weights, drift = _series_modes(r[active])
-            later = _later_blocks(rows, power, mu, weights, p_s, drift)
-            for i, n_s in zip(active.tolist(), later):
+            del rows, values, fractions, above  # free the first block before the search
+            for i, n_s in zip(active.tolist(), _later_blocks(mu[active], weights[active], p_s)):
                 found[i] = n_s
             return found
+        power = power @ power
         lo = fractions[:, -1]
 
 
-def _later_blocks(rows: np.ndarray, power: np.ndarray, mu: np.ndarray, weights: np.ndarray,
-                  p_s: np.ndarray, drift: np.ndarray) -> list[float | None]:
-    """N_s of stacked points whose first block holds no crossing, from the blocks after it.
+def _later_blocks(mu: np.ndarray, weights: np.ndarray, p_s: np.ndarray) -> list[float | None]:
+    """N_s of stacked points whose first block holds no crossing, from their mode sums.
 
-    rows (k, SERIES_BLOCK, 4) are the first block's read-out rows r R^j of
-    the points' Bloch maps R and power (k, 4, 4) is R^SERIES_BLOCK; mu and
-    weights (k, 4) are the terms of their series (see _series_modes).  Block b holds the
-    cycles b SERIES_BLOCK + 1 ... (b + 1) SERIES_BLOCK.  Each point searches the
-    blocks from 1 on, leftmost first, with no end, from the open range
-    [1, inf); _parts cuts each range it reaches into parts.  _range_bound
-    rules parts out; the search goes on in the leftmost part it cannot, and
-    the parts to its right wait their turn.
-
-    The bound holds for the mode sum; the series read by matrix products
-    strays from it by about m drift / |P_s| in cycle 1 + m (see
-    _series_modes), so a part is ruled out only when its bound stays below
-    1 - 1/e by twice that.  Where eig is exact (an amplitude damping
-    channel) the drift is rounding alone while the powers still round more,
-    and only the re-read of the block before, below, catches a crossing the
-    bound missed.  A single
-    block the bound cannot rule out is read: its state is one jump from the
-    mixed start, matrix_power(R^SERIES_BLOCK, b - 1), then one step of
-    R^SERIES_BLOCK, and its rows are read like simulate's later blocks, so
-    N_s does not depend on which blocks the search read before.  Should the block already open above 1 - 1/e, after
-    an entry above it too, the bound missed the crossing by rounding and
-    the block before is read instead.  A read block without a crossing
-    sends the point on to the range waiting to its right.
+    mu and weights (k, m) are the modes and weights of the points' mode sums
+    (see _rate_cycles), whose fractions P(n)/P_s = 1 + Re sum_k (w_k/P_s)
+    mu_k^(n-1) are searched and read, the steady 1 a term of its own of mode 1.
+    Block b holds the cycles b SERIES_BLOCK + 1 ... (b + 1) SERIES_BLOCK.
+    Each point searches the blocks from 1 on, leftmost first, with no end,
+    from the open range [1, inf); _parts cuts each range it reaches into
+    parts.  _range_bound rules parts out; the search goes on in the
+    leftmost part it cannot, and the parts to its right wait their turn.
+    The bounds are bounds of the function read, so nothing left of a read
+    block reaches 1 - 1/e.  A single block the bound cannot rule out is read
+    (see _mode_sum), with the cycle before it as the lower end of a crossing
+    on its first cycle; a read block without a crossing sends the point on
+    to the range waiting to its right.
 
     A point leaves at its crossing, or as None when, at the start of an
     open range past the first, _tail_bound shows that no later cycle can
-    reach 1 - 1/e: the mode sum never reaches it.  That test has no slack,
-    which grows without end.  The bounds of all the points searching are
-    evaluated as one stack; each point searches until it sits on a block to
-    read, and then those blocks are read as one stack, their crossings
-    found at once (see _crossings).  Far out, |mu| > 1 overflows the bounds:
-    an infinite or NaN bound rules nothing out.
+    reach 1 - 1/e.  The bounds of all the points searching are evaluated
+    as one stack; each point searches until it sits on a block to read, and
+    then those blocks are read as one stack, their crossings found at once
+    (see _crossings).  Far out, |mu| > 1 overflows the bounds: an infinite
+    or NaN bound rules nothing out.
     """
-    terms = weights / p_s[:, None]
-    modes = np.stack([np.abs(terms), np.abs(mu), np.angle(terms), np.angle(mu),
-                      2 * np.abs(np.angle(mu))], axis=1)[:, :, None]  # (point, what, 1, mode)
-    slack = 2 * drift / np.abs(p_s)
-    found: list[float | None] = [None] * len(rows)
+    ones = np.ones_like(mu[:, :1])
+    terms, mu = np.hstack([ones, weights / p_s[:, None]]), np.hstack([ones, mu])
+    found: list[float | None] = [None] * len(mu)
     span = [(1.0, math.inf) for _ in found]  # each point's current range of blocks [lo, hi)
     later = [[] for _ in found]  # the ranges to its right, nearest last
     searching, reading = list(range(len(found))), []  # reading: (point, its block to read)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # log 0 is -inf
+        modes = np.stack([np.abs(terms), np.log(np.abs(mu)), np.angle(terms), np.angle(mu),
+                          2 * np.abs(np.angle(mu))], axis=1)[..., None]  # (point, what, mode, 1)
         while searching or reading:
             while searching:
                 at, searching = searching, []
@@ -704,7 +684,7 @@ def _later_blocks(rows: np.ndarray, power: np.ndarray, mu: np.ndarray, weights: 
                 edges = _parts(lo, hi)
                 a, z = edges[:, :-1] * SERIES_BLOCK, edges[:, 1:] * SERIES_BLOCK - 1
                 bound = _range_bound(*modes[at].swapaxes(0, 1), a, z)  # cycles 1 + a .. 1 + z
-                kept = ~(bound + slack[at, None] * z < E_FRACTION) & (z >= a)
+                kept = ~(bound < E_FRACTION) & (z >= a)
                 p, k = kept.argmax(axis=1), np.arange(len(at))
                 for i, any_kept, first, stop, end in zip(
                         at, kept.any(axis=1).tolist(), edges[k, p].tolist(),
@@ -726,29 +706,18 @@ def _later_blocks(rows: np.ndarray, power: np.ndarray, mu: np.ndarray, weights: 
             if not reading:
                 break
             at, reading = sorted(reading), []
-            point = [i for i, _ in at]
             starts = np.array([b * SERIES_BLOCK for _, b in at])
-            # the rows of every point in order are the rows themselves, not a copy of them
-            rows_at = rows if point == list(range(len(rows))) else rows[point]
-            power_at, p_at = power[point], p_s[point]
-            jumps = np.array([np.linalg.matrix_power(power[i], b - 1) for i, b in at])
-            before = jumps @ _MIXED_BLOCH
-            last = (rows_at[:, -1:] @ before[..., None])[:, 0, 0] / p_at
-            values = _read(rows_at, (power_at @ before[..., None])[..., 0],
-                           SERIES_BLOCK) / p_at[:, None]
-            above = values >= E_FRACTION
-            # a block that opens above 1 - 1/e after an entry above it too: the bound
-            # missed the crossing by rounding, and the block before is read instead
-            back = (starts > SERIES_BLOCK) & (last >= E_FRACTION) & above[:, 0]
-            hit = above.any(axis=1) & ~back
-            crossed = values, above, last, starts
+            # the cycles b SERIES_BLOCK ... (b + 1) SERIES_BLOCK: the one before the block, then it
+            values = _mode_sum(*modes[[i for i, _ in at], :4].swapaxes(0, 1),
+                               starts[:, None] + np.arange(-1.0, SERIES_BLOCK))
+            above = values[:, 1:] >= E_FRACTION
+            hit = above.any(axis=1)
+            crossed = values[:, 1:], above, values[:, 0], starts
             if not hit.all():
                 crossed = [x[hit] for x in crossed]
             crossed = iter(_crossings(*crossed).tolist())
-            for (i, b), is_back, is_hit in zip(at, back.tolist(), hit.tolist()):
-                if is_back:
-                    reading.append((i, b - 1))
-                elif is_hit:
+            for (i, _), is_hit in zip(at, hit.tolist()):
+                if is_hit:
                     found[i] = next(crossed)
                 else:
                     span[i] = later[i].pop()
@@ -774,26 +743,40 @@ _DOUBLING = 2.0 ** np.arange(SPLIT + 1)
 _EQUAL = np.arange(SPLIT + 1) / SPLIT
 
 
-def _range_bound(size: np.ndarray, rho: np.ndarray, phase: np.ndarray, turn: np.ndarray,
+def _range_bound(size: np.ndarray, log_rho: np.ndarray, phase: np.ndarray, turn: np.ndarray,
                  spin: np.ndarray, a: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Upper bounds (k, p) of the mode sum Re sum t_k mu_k^n over n = a..z, per stacked point.
 
     The mode terms t_k = w_k/P_s and mu_k of k points are given by size
-    |t_k|, rho |mu_k|, phase arg t_k, turn arg mu_k and spin 2 |arg mu_k|,
-    each (k, 1, 4), and a and z (k, p) are the ends of p ranges per point.
-    A term is at most r_k = |t_k| max(|mu_k|^a, |mu_k|^z); and, because its
-    phase turns by |arg mu_k| per cycle, at most the larger of its two end
-    values plus 2 (z - a) |arg mu_k| r_k, which makes the real positive modes
-    monotone.
+    |t_k|, log_rho log |mu_k|, phase arg t_k, turn arg mu_k and spin
+    2 |arg mu_k|, each (k, m, 1), and a and z (k, p) are the ends of p ranges
+    per point.  A term is at most r_k = |t_k| max(|mu_k|^a, |mu_k|^z); and,
+    because its phase turns by |arg mu_k| per cycle, at most the larger of
+    its two end values plus 2 (z - a) |arg mu_k| r_k, which makes the real
+    positive modes monotone.
     """
-    a, z = a[..., None], z[..., None]  # (point, range, mode)
-    first, last = size * rho ** a, size * rho ** z
+    a, z = a[:, None], z[:, None]  # (point, mode, range)
+    first, last = size * np.exp(a * log_rho), size * np.exp(z * log_rho)
     reach = np.maximum(first, last)
     ends = np.maximum(first * np.cos(phase + a * turn), last * np.cos(phase + z * turn))
-    return np.minimum(reach, ends + (z - a) * spin * reach).sum(axis=2)
+    return np.minimum(reach, ends + (z - a) * spin * reach).sum(axis=1)
 
 
-def _tail_bound(size: np.ndarray, rho: np.ndarray, phase: np.ndarray, turn: np.ndarray,
+def _mode_sum(size: np.ndarray, log_rho: np.ndarray, phase: np.ndarray, turn: np.ndarray,
+              n: np.ndarray) -> np.ndarray:
+    """The mode sum Re sum t_k mu_k^n (k, c) at c exponents n (k, c) per stacked point, the
+    modes given as for _range_bound, without spin: the bytes of _range_bound's end values."""
+    n = n[:, None]  # (point, mode, exponent); in place below, as the search's largest arrays
+    terms, scale = n * turn, n * log_rho
+    terms += phase
+    np.cos(terms, out=terms)
+    np.exp(scale, out=scale)
+    scale *= size
+    terms *= scale
+    return terms.sum(axis=1)
+
+
+def _tail_bound(size: np.ndarray, log_rho: np.ndarray, phase: np.ndarray, turn: np.ndarray,
                 a: np.ndarray) -> np.ndarray:
     """Upper bounds (k, 1) of the mode sum over every n >= a, per stacked point.
 
@@ -803,13 +786,13 @@ def _tail_bound(size: np.ndarray, rho: np.ndarray, phase: np.ndarray, turn: np.n
     most the larger of its value at a and its limit, 0 for |mu_k| < 1,
     itself for |mu_k| = 1 and an infinity of its sign past 1.
     """
-    reach = size * rho ** a
+    reach = size * np.exp(a * log_rho)
     value = reach * np.cos(phase)
-    limit = np.where(rho < 1, 0.0, np.where(rho == 1, value, np.copysign(np.inf, value)))
+    limit = np.where(log_rho < 0, 0.0, np.where(log_rho == 0, value, np.copysign(np.inf, value)))
     limit[value == 0] = 0.0
     bound = np.where(turn == 0, np.maximum(value, limit),
-                     np.where((rho <= 1) | (size == 0), reach, np.inf))
-    return bound.sum(axis=-1)
+                     np.where((log_rho <= 0) | (size == 0), reach, np.inf))
+    return bound.sum(axis=1)
 
 
 class ExactResult(NamedTuple):
@@ -836,11 +819,11 @@ def evaluate_exact(sys: SystemParams, seq: SequenceParams,
 
     The rate normalization uses the pulse-inclusive cycle duration unless
     use_nominal_duration is set.  gamma comes from the first 1 - 1/e
-    crossing of simulate's series, however many cycles it takes, found by
-    _rate_cycles from the first block and the later blocks whose mode bound
-    reaches 1 - 1/e; the rest of the series is never evaluated.  In the
-    first block gamma is what measured_rate reads from a series that holds
-    the crossing; past it the two agree to rounding only (see _rate_cycles).
+    crossing of the series, however many cycles it takes, found by
+    _rate_cycles: in the first block it is what measured_rate reads from
+    simulate's series of cycle_kraus's channel, byte for byte, and past it
+    the crossing of M's closed-form mode sum, which agrees with that series
+    to rounding (see _later_blocks); the rest is never evaluated.
     gamma is None when the channel does not polarize (|P_s| below
     threshold), when the mode sum never reaches 1 - 1/e of P_s (see
     _later_blocks), or when with_rate is off.
@@ -913,27 +896,29 @@ def _evaluate_chunk(points: list, cache: dict | None) -> list[ExactResult | Valu
 def _solve(u: np.ndarray, sequences: list[SequenceParams], t_cycles: list[float],
            with_rate: bool = True) -> list[ExactResult | ValueError]:
     """ExactResult of each stacked cycle propagator u (k, 4, 4), from one stacked
-    unitarity check, Bloch map and mode solve (see _modes); sequences and t_cycles are
-    the points' own and their cycle durations.  A propagator that is not
-    unitary gets a ValueError naming its defect and its sequence's n_p and
-    n_r: a block power that overflows reads defect nan."""
+    unitarity check and projection (see _isometries), Bloch map and mode solve
+    (see _modes); sequences and t_cycles are the points' own and their cycle
+    durations.  A propagator that is not unitary gets a ValueError naming its
+    unprojected defect and its sequence's n_p and n_r: a block power that
+    overflows reads defect nan."""
+    defects, k = _isometries(u)
     results: list = [
         None if d <= UNITARITY_TOL else  # NaN fails too
         ValueError(f"cycle propagator is not unitary (defect {d:.3e}, n_p={seq.n_p!r}, "
                    f"n_r={seq.n_r!r})")
-        for d, seq in zip(unitarity_defect(u).tolist(), sequences)]
+        for d, seq in zip(defects.tolist(), sequences)]
     solved = [i for i, r in enumerate(results) if r is None]
     if not solved:
         return results
     if len(solved) < len(u):
-        u = u[solved]
-    r, q = _bloch_maps(_channels(u[:, :, :2].reshape(-1, 2, 2, 2)))  # Kraus pairs: 1st block column
+        k = k[solved]
+    r, q = _bloch_maps(_channels(k.reshape(-1, 2, 2, 2)))
     mu, vecs, a = _modes(q)
-    p_s, lam = _spectral_summary(mu, vecs, a)
+    p_s, lam, weights = _spectral_summary(mu, vecs, a)
     rated = (np.abs(p_s) > 1e-6).nonzero()[0] if with_rate else []
     cycles: list[float | None] = [None] * len(solved)
     if len(rated):
-        modes = r, p_s
+        modes = r, p_s, mu, weights
         if len(rated) < len(solved):
             modes = [x[rated] for x in modes]
         for j, c in zip(rated.tolist(), _rate_cycles(*modes)):

@@ -10,7 +10,12 @@ and the contraction factor from one complex eig of that 4x4 matrix, where
 the engine solves the real 3x3 affine Bloch map, and the fixed-point
 oracle solves that affine map once more in exact rationals from its float
 entries, so that what remains of the engine's error is its own rounding,
-not a second solve's.  The DD integral
+not a second solve's.  The fixed-point cycle oracle composes the cycle
+propagator at 2^-200 from the exact Hamiltonians of the float inputs,
+with no numpy arithmetic, and reads its fixed point and its 1 - 1/e
+crossing from that, so that it shows the engine's whole error: the
+rounding of composing the cycle, which the fixed point amplifies by
+1/gap, included.  The DD integral
 oracle integrates the pulse-shape function by adaptive quadrature (scipy,
 a test-only dependency) to check the closed-form filter F.  The sweep
 oracles are the plain forms of two per-point steps of a sweep: the CSV
@@ -257,12 +262,12 @@ def transfer_summary(mu: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, n
     return np.array([float(w[s].sum().real) for w, s in zip(weights, steady)]), lam
 
 
-def exact_fixed_z(q: np.ndarray) -> float:
+def exact_fixed_z(q) -> Fraction:
     """z of the fixed point (I - M)^-1 c of the affine Bloch map in the Pauli form q (4, 4),
     M = q[1:, 1:] and c = q[1:, 0] (see engine._bloch_maps), solved by Gaussian
-    elimination in exact rationals from q's float entries and rounded once."""
-    rows = [[Fraction(int(i == j)) - Fraction(q[1 + i, 1 + j]) for j in range(3)]
-            + [Fraction(q[1 + i, 0])] for i in range(3)]
+    elimination in exact rationals from q's entries, floats or Fractions, as rows."""
+    rows = [[Fraction(int(i == j)) - Fraction(q[1 + i][1 + j]) for j in range(3)]
+            + [Fraction(q[1 + i][0])] for i in range(3)]
     for k in range(3):
         pivot = next(i for i in range(k, 3) if rows[i][k] != 0)
         rows[k], rows[pivot] = rows[pivot], rows[k]
@@ -272,7 +277,163 @@ def exact_fixed_z(q: np.ndarray) -> float:
     x = [Fraction(0)] * 3
     for i in (2, 1, 0):
         x[i] = (rows[i][3] - sum(rows[i][j] * x[j] for j in range(i + 1, 3))) / rows[i][i]
-    return float(x[2])
+    return x[2]
+
+
+# ---------------------------------------------------------------------------
+# The cycle in fixed point at 2^-200
+# ---------------------------------------------------------------------------
+
+BITS = 200  # a fixed-point number is a Python int v standing for v / 2^BITS
+ONE = 1 << BITS
+
+
+def _fixed(x) -> int:
+    """A float or Fraction, rounded to the nearest multiple of 2^-BITS."""
+    return round(Fraction(x) * ONE)
+
+
+def _product(a: list, b: list) -> list:
+    """Product of two real fixed-point matrices (lists of rows), each entry rounded once."""
+    return [[sum(x * y for x, y in zip(row, col)) >> BITS for col in zip(*b)] for row in a]
+
+
+def _complex_product(a: tuple, b: tuple) -> tuple:
+    """Product of two complex fixed-point matrices, each a (real part, imaginary part) pair."""
+    (ar, ai), (br, bi) = a, b
+    return ([[x - y for x, y in zip(p, q)] for p, q in zip(_product(ar, br), _product(ai, bi))],
+            [[x + y for x, y in zip(p, q)] for p, q in zip(_product(ar, bi), _product(ai, br))])
+
+
+def _complex_sum(a: tuple, b: tuple) -> tuple:
+    """Sum of two complex fixed-point matrices."""
+    return tuple([[x + y for x, y in zip(p, q)] for p, q in zip(ap, bp)] for ap, bp in zip(a, b))
+
+
+def _identity(n: int) -> list:
+    return [[ONE if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def _fixed_expm(h: list, t: float) -> tuple:
+    """exp(-i H t) in fixed point for a Hermitian H given as rows of (real, imaginary) Fraction
+    pairs, by scaling and squaring a Taylor series: A = -i H t / 2^s with |A| <= 1/2 in
+    the row-sum norm, its series summed until a term rounds to 0, then squared s times."""
+    a = [[(Fraction(t) * im, -Fraction(t) * re) for re, im in row] for row in h]  # -i H t
+    norm = max(sum(abs(re) + abs(im) for re, im in row) for row in a)
+    s = max(0, math.ceil(math.log2(norm)) + 1) if norm else 0
+    x = ([[_fixed(re / 2 ** s) for re, _ in row] for row in a],
+         [[_fixed(im / 2 ** s) for _, im in row] for row in a])
+    n = len(h)
+    total = term = (_identity(n), [[0] * n for _ in range(n)])
+    k = 0
+    while any(v for part in term for row in part for v in row):
+        k += 1
+        term = tuple([[v // k for v in row] for row in part] for part in _complex_product(term, x))
+        total = _complex_sum(total, term)
+    for _ in range(s):
+        total = _complex_product(total, total)
+    return total
+
+
+def _generator(sys: SystemParams, seg: Segment) -> list:
+    """The segment's Hamiltonian in exact rationals from the float parameters, as rows of
+    (real, imaginary) Fraction pairs: omega I_z, plus S_z (a_perp I_x + a_z I_z) but in a
+    nuclear wait, plus a pulse's drive at its Rabi frequency angle/duration.  A zero-width
+    pulse is its drive alone, at rate 1, acting for its angle."""
+    omega, a_perp, a_z = (Fraction(v) for v in (sys.omega, sys.a_perp, sys.a_z))
+    zero_width = seg.kind == PULSE and seg.duration == 0.0
+    re = [[Fraction(0)] * 4 for _ in range(4)]
+    im = [[Fraction(0)] * 4 for _ in range(4)]
+    if not zero_width:
+        for at, s in ((0, Fraction(1, 2)), (2, Fraction(-1, 2))):  # one block per electron spin
+            c = 0 if seg.kind == FREE_NUCLEAR else s
+            re[at][at], re[at + 1][at + 1] = omega / 2 + c * a_z / 2, -omega / 2 - c * a_z / 2
+            re[at][at + 1] = re[at + 1][at] = c * a_perp / 2
+    if seg.kind == PULSE:  # the drive (+-S_x or +-S_y) (x) 1
+        rate = 1 if zero_width else Fraction(seg.angle) / Fraction(seg.duration)
+        half = (-1 if seg.axis[0] == "-" else 1) * rate / 2
+        for i in range(2):
+            if seg.axis[1] == "x":
+                re[i][i + 2] += half
+                re[i + 2][i] += half
+            else:
+                im[i][i + 2] -= half
+                im[i + 2][i] += half
+    return [list(zip(rr, mr)) for rr, mr in zip(re, im)]
+
+
+def fixed_cycle_propagator(sys: SystemParams, timeline: Timeline) -> tuple:
+    """The cycle propagator U in fixed point at 2^-BITS, (real, imaginary) rows: each distinct
+    segment's exp(-i H t) of its exact Hamiltonian (see _generator), composed over the flat
+    segment list in time order."""
+    cache: dict = {}
+    u = (_identity(4), [[0] * 4 for _ in range(4)])
+    for seg in timeline.segments:
+        if seg not in cache:
+            zero_width = seg.kind == PULSE and seg.duration == 0.0
+            cache[seg] = _fixed_expm(_generator(sys, seg),
+                                     seg.angle if zero_width else seg.duration)
+        u = _complex_product(cache[seg], u)
+    return u
+
+
+_PAULI = [([[1, 0], [0, 1]], [[0, 0], [0, 0]]), ([[0, 1], [1, 0]], [[0, 0], [0, 0]]),
+          ([[0, 0], [0, 0]], [[0, -1], [1, 0]]), ([[1, 0], [0, -1]], [[0, 0], [0, 0]])]
+
+
+def fixed_affine_map(u: tuple) -> list:
+    """The channel's Bloch map in Pauli coordinates (tr rho, x, y, z), 4x4 real fixed point:
+    q[i][j] = tr(sigma_i Phi(sigma_j)) / 2 for the Kraus pair of U's first block column, so
+    that r -> M r + c with M = q[1:][1:] and c = q[1:][0]; exact_fixed_z solves its fixed
+    point from its entries as Fractions."""
+    ur, ui = u
+    pairs = [([row[:2] for row in ur[a:a + 2]], [row[:2] for row in ui[a:a + 2]]) for a in (0, 2)]
+    sigma = [tuple([[v * ONE for v in row] for row in part] for part in p) for p in _PAULI]
+    q = [[0] * 4 for _ in range(4)]
+    adjoints = [([list(col) for col in zip(*mr)], [[-v for v in col] for col in zip(*mi)])
+                for mr, mi in pairs]
+    for j, sj in enumerate(sigma):
+        up, down = (_complex_product(_complex_product(m, sj), m_dagger)
+                    for m, m_dagger in zip(pairs, adjoints))
+        image = _complex_sum(up, down)
+        for i, si in enumerate(sigma):
+            real, _ = _complex_product(si, image)
+            q[i][j] = (real[0][0] + real[1][1]) // 2
+    return q
+
+
+E_FRACTION_EXACT = 1 - sum(Fraction((-1) ** k, math.factorial(k)) for k in range(60))
+
+
+def fixed_rate_cycles(q: list, p_s: Fraction, near: float) -> Fraction:
+    """N_s of the series P(n) = z of q^(n-1) applied to the mixed start, read as measured_rate
+    reads it: the crossing of 1 - 1/e of p_s interpolated between the two cycles around it.
+    The crossing is sought near the cycle count `near` (a float N_s): a bracket around it
+    is widened until the fraction P/p_s lies below 1 - 1/e at its left end and not below at
+    its right end, then halved down to one cycle.  Each P(n) takes the powers q^(2^k) that
+    n - 1 needs, squared once for all."""
+    powers = [q]
+
+    def fraction(n: int) -> Fraction:
+        v, m, k = [ONE, 0, 0, 0], n - 1, 0
+        while m:
+            while len(powers) <= k:
+                powers.append(_product(powers[-1], powers[-1]))
+            if m & 1:
+                v = [sum(x * y for x, y in zip(row, v)) >> BITS for row in powers[k]]
+            m, k = m >> 1, k + 1
+        return Fraction(v[3], ONE) / p_s
+
+    guess, width = max(math.floor(near) + 2, 2), 1
+    lo, hi = max(guess - width, 1), guess + width
+    while not (fraction(lo) < E_FRACTION_EXACT <= fraction(hi)):
+        width *= 2
+        lo, hi = max(guess - width, 1), guess + width
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if fraction(mid) >= E_FRACTION_EXACT else (mid, hi)
+    below, above = fraction(hi - 1), fraction(hi)
+    return max(hi - 2 + (E_FRACTION_EXACT - below) / (above - below), Fraction(1))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import itertools
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -32,8 +33,9 @@ from hyperpol.params import SequenceParams, SystemParams
 from hyperpol.timeline import (FREE_HYPERFINE, FREE_NUCLEAR, PULSE, WAIT_C, Segment, Timeline,
                                render_unit)
 
-from oracles import (MIXED_VEC, exact_fixed_z, operator_distance, random_params,
-                     stepped_series, trotter_propagate)
+from oracles import (MIXED_VEC, ONE, exact_fixed_z, fixed_affine_map, fixed_cycle_propagator,
+                     fixed_rate_cycles, operator_distance, random_params, stepped_series,
+                     trotter_propagate)
 # the complex transfer-matrix oracle, under the short names the tests below use
 from oracles import transfer_modes as _modes
 from oracles import transfer_summary as _spectral_summary
@@ -380,7 +382,11 @@ def test_segment_propagator_names_an_overflowing_phase():
         segment_propagator(huge, waits, {})
     assert str(err.value) == ("segment phase H*t overflows "
                               "(omega=1e+300, a_perp=0.05, a_z=0.0, t=10000000000.0)")
-    assert np.isfinite(segment_propagator(huge, waits[:1], {})).all()
+    # the first wait's phase, 5e299 rad, is finite but holds no digits modulo 2 pi
+    with pytest.raises(ValueError) as err:
+        segment_propagator(huge, waits[:1], {})
+    assert str(err.value) == ("segment phase H*t holds no digits modulo 2 pi "
+                              "(omega=1e+300, a_perp=0.05, a_z=0.0, t=1.0)")
 
 
 LOST_PHASES = [(1e16, 2.827433388230814), (1e200, 0.6283185307179586)]
@@ -581,12 +587,27 @@ def test_steady_state_long_train_magic_row():
     assert 0.0 <= lam < 1.0
 
 
-def _weighted_modes(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The engine's series terms mu and w, both (k, 4), and drift (k,) of stacked transfer
-    matrices t: from the mixed start P(n) = Re sum w mu^(n-1), and the series read
-    through the Bloch maps strays from that by about (n - 1) drift (see
-    engine._series_modes)."""
-    return engine._series_modes(engine._bloch_maps(t)[0])
+def series_terms(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The modes mu and weights w, both (k, 3), of the affine Bloch maps of stacked transfer
+    matrices t: from the mixed start P(n) = P_s + Re sum w mu^(n-1), a steady mode's w 0
+    (see engine._spectral_summary)."""
+    mu, vecs, a = engine._modes(engine._bloch_maps(t)[1])
+    return mu, engine._spectral_summary(mu, vecs, a)[2]
+
+
+def affine_p_s(t: np.ndarray) -> float:
+    """The engine's P_s of the transfer matrix t (4, 4), from the modes of its affine Bloch map."""
+    return engine._spectral_summary(*engine._modes(engine._bloch_maps(t[None])[1]))[0][0]
+
+
+def mode_sum_fractions(mu: np.ndarray, weights: np.ndarray, p_s: float, cycles) -> list[float]:
+    """P(n)/P_s = 1 + Re sum (w/P_s) mu^(n-1) of one point's modes and weights (m,) at each
+    cycle n, with the steady 1 as a term of mode 1 ahead of the others, term by term in the
+    polar form the later-block search reads: |t| e^((n-1) log|mu|) cos(arg t + (n-1) arg mu)."""
+    t, mu = np.r_[1.0, weights / p_s][:, None], np.r_[1.0, mu][:, None]
+    n = np.asarray(cycles, dtype=float) - 1
+    terms = np.abs(t) * np.exp(n * np.log(np.abs(mu))) * np.cos(np.angle(t) + n * np.angle(mu))
+    return terms.sum(axis=0).tolist()
 
 
 def _affine_modes(pair: KrausPair) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -650,9 +671,7 @@ def test_spectral_fixed_point_and_contraction(seed):
     pytest.param(2236, marks=pytest.mark.xfail(strict=True, reason=(
         "lambda leaves out a coherence pair slower than it, of weight 9e-11, below "
         "UNITARITY_TOL (ROADMAP item 7): the ratio misses lambda by 1.2e-6"))),
-    pytest.param(5008, marks=pytest.mark.xfail(strict=True, reason=(
-        "lambda leaves out a coherence pair slower than it, of weight 8e-11, below "
-        "UNITARITY_TOL (ROADMAP item 7): the ratio misses lambda by 1.1e-6"))),
+    5008,  # meets lambda once the Kraus isometry is projected
     pytest.param(1361140, marks=pytest.mark.xfail(strict=True, reason=(
         "a faster pair of weight 0.005 has not faded where lambda^n reaches 1e-6: "
         "the ratio misses lambda by 6e-6"))),
@@ -691,11 +710,11 @@ def test_stacked_spectral_summary_keeps_the_bytes_of_each_point():
             mu[1], a[1] = [1.0, 0.5j, -0.5], complex(-0.0, -0.0)
             mu[2], a[2] = 0.5, -0.0
             mu[3], a[3], vecs[3] = [0.5, 0.25, -0.5], complex(-0.0, -0.0), np.eye(3) + 1.0
-        p_s, lam = engine._spectral_summary(mu, vecs, a)
+        p_s, lam, weights = engine._spectral_summary(mu, vecs, a)
         assert not np.signbit(p_s[p_s == 0]).any()  # never -0
         for i in range(k):
             alone = engine._spectral_summary(mu[i:i + 1], vecs[i:i + 1], a[i:i + 1])
-            assert [p_s[i].tobytes(), lam[i].tobytes()] == [v[0].tobytes() for v in alone]
+            assert [x[i].tobytes() for x in (p_s, lam, weights)] == [v[0].tobytes() for v in alone]
             # per row, the sums _spectral_summary stands for
             moving = np.abs(mu[i] - 1.0) > UNITARITY_TOL
             share = np.where(moving, vecs[i, 2] * (a[i] / np.where(moving, 1.0 - mu[i], 1.0)), 0)
@@ -747,6 +766,35 @@ def test_p_s_is_the_exact_fixed_point_where_the_transfer_matrix_oracle_misses(pa
     (oracle_p_s,), _ = _spectral_summary(mu, transfer_weights(vecs, coeffs))
     assert abs(p_s - exact) * gap <= 2.2e-16
     assert abs(p_s - exact) < abs(oracle_p_s - exact)
+
+
+# points 201 i + j of the 201 x 201 (t_s, t_w) map at the README base, t_s = i pi / 100 and
+# t_w = j pi / 100, with the relative N_s error the engine had before it projected the Kraus
+# isometry and read later blocks from M's mode sum, measured against the same oracle
+ORACLE_POINTS = {10760: 4.67e-8, 12011: 2.75e-8, 17960: 3.23e-8, 29324: 5.92e-9, 21960: 7.32e-6,
+                 32308: 3.54e-9, 5000: 6.74e-12, 40000: 5.44e-14, 30244: 3.58e-14}
+P_S_ORACLE_C = 32  # |P_s - oracle| <= c eps / gap; 19 is needed at 30244 (gap 0.22)
+
+
+@pytest.mark.parametrize("index", ORACLE_POINTS)
+def test_p_s_and_n_s_meet_the_fixed_point_oracle(index):
+    # the cycle in fixed point at 2^-200 (tests/oracles.py), from the exact Hamiltonians of
+    # the float inputs: slow points (gaps 3e-10 to 2e-6, N_s up to 3.3e9 cycles), a small
+    # |P_s| (32308), fast ones and the worst-conditioned eigenvectors of M on the map (30244)
+    i, j = divmod(index, 201)
+    seq = replace(README_BASE, t_s=i * math.pi / 100, t_w=j * math.pi / 100)
+    timeline = render_unit(SYS, seq)
+    u = fixed_cycle_propagator(SYS, timeline)
+    u_float = (np.array(u[0], dtype=object) + 1j * np.array(u[1], dtype=object)) / ONE
+    assert operator_distance(u_float.astype(complex), propagate(SYS, timeline)) <= 1e-12
+    q = fixed_affine_map(u)
+    p_s = exact_fixed_z([[Fraction(v, ONE) for v in row] for row in q])
+    gap = float(np.abs(1.0 - np.linalg.eigvals(
+        np.array([row[1:] for row in q[1:]], dtype=object).astype(float) / ONE)).min())
+    res = evaluate_exact(SYS, seq)
+    assert float(abs(Fraction(res.p_s) - p_s)) <= P_S_ORACLE_C * 2.220446049250313e-16 / gap
+    n_s = fixed_rate_cycles(q, p_s, res.n_s)
+    assert float(abs(Fraction(res.n_s) - n_s) / n_s) <= ORACLE_POINTS[index]
 
 
 @pytest.mark.parametrize("rho0", [mixed_state(), np.array([[1, 1], [1, 1]]) / 2],
@@ -819,13 +867,12 @@ def test_rate_from_modes_matches_the_full_series(seed):
     elif res.n_s < 2 ** 21:
         series = simulate(pair, mixed_state(), series_through(res.n_s))
         assert res.gamma == pytest.approx(measured_rate(series, p_s, res.t_cycle), rel=1e-10)
-    else:  # too long a series to write out: the mode sum brackets the crossing instead,
-        # to the rounding by which the series strays from it (see engine._later_blocks)
-        mu, weights, drift = _weighted_modes(_superop(pair)[None])
-        stray = 2 * (res.n_s + 1) * drift[0] / abs(p_s)
-        before, after = (float((weights[0] * mu[0] ** (c - 1)).sum().real / p_s)
-                         for c in (math.floor(res.n_s) + 1, math.floor(res.n_s) + 2))
-        assert before <= E_FRACTION + stray and after >= E_FRACTION - stray
+    else:  # too long a series to write out: M's mode sum, which the later blocks read,
+        # brackets the crossing instead
+        (mu,), (weights,) = series_terms(_superop(pair)[None])
+        before, after = mode_sum_fractions(mu, weights, p_s, [math.floor(res.n_s) + 1,
+                                                              math.floor(res.n_s) + 2])
+        assert before <= E_FRACTION <= after
 
 
 def rate_cycles(pair: KrausPair, p_s: float) -> float | None:
@@ -833,18 +880,27 @@ def rate_cycles(pair: KrausPair, p_s: float) -> float | None:
     return rate_cycles_of(_superop(pair)[None], p_s)[0]
 
 
-def rate_cycles_of(t: np.ndarray, p_s) -> list[float | None]:
-    """_rate_cycles on the stacked transfer matrices t (k, 4, 4) with steady polarizations p_s."""
-    return engine._rate_cycles(engine._bloch_maps(t)[0],
-                               np.broadcast_to(np.asarray(p_s, dtype=float), len(t)))
+def rate_cycles_of(t: np.ndarray, p_s, terms=None) -> list[float | None]:
+    """_rate_cycles on the stacked transfer matrices t (k, 4, 4) with steady polarizations p_s:
+    the first block read through their Bloch maps, the later blocks through the mode sums
+    P(n) = P_s + Re sum w mu^(n-1) of the terms (mu, w), each (k, m), by default those of
+    their affine Bloch maps (see series_terms)."""
+    p_s = np.broadcast_to(np.asarray(p_s, dtype=float), len(t))
+    return engine._rate_cycles(engine._bloch_maps(t)[0], p_s, *(terms or series_terms(t)))
 
 
-def recorded_jumps(monkeypatch) -> list[int]:
-    """From now on, the exponent of every matrix_power jump of the later-block search."""
-    jumps = []
-    power = np.linalg.matrix_power  # the search's only caller of it: _rate_cycles walks nothing
-    monkeypatch.setattr(np.linalg, "matrix_power", lambda a, n: jumps.append(n) or power(a, n))
-    return jumps
+def recorded_reads(monkeypatch) -> list[int]:
+    """From now on, the first cycle of every block the later-block search reads."""
+    reads = []
+    mode_sum = engine._mode_sum
+
+    def recorded(*modes_and_n):
+        n = modes_and_n[-1]  # exponents n - 1 of each block's cycles, the one before it first
+        reads.extend((n[:, 1] + 1).astype(int).tolist())
+        return mode_sum(*modes_and_n)
+
+    monkeypatch.setattr(engine, "_mode_sum", recorded)
+    return reads
 
 
 def test_rate_crossing_on_the_first_cycle_after_a_skipped_block(monkeypatch):
@@ -858,13 +914,31 @@ def test_rate_crossing_on_the_first_cycle_after_a_skipped_block(monkeypatch):
     series = simulate(pair, mixed_state(), 4096)
     fractions = series.values / p_s
     assert np.nonzero(fractions >= 1 - math.exp(-1))[0][0] == 2048
-    jumps = recorded_jumps(monkeypatch)
+    reads = recorded_reads(monkeypatch)
     n_s = rate_cycles(pair, p_s)
-    # block 1 ends 9e-5 below the threshold: one jump goes from block 0 to its
-    # start, and its last cycle still supplies the interpolation's lower end
-    assert jumps == [1]
+    # block 1 ends 9e-5 below the threshold: the bound rules it out, block 2 is the one
+    # read, and the cycle before it, the last of block 1, is the interpolation's lower end
+    assert reads == [2049]
     assert 1 / n_s == pytest.approx(measured_rate(series, p_s, 1.0), rel=1e-10)
     assert n_s == pytest.approx(2047.5, abs=1e-3)
+
+
+def test_the_mode_sum_puts_the_crossing_on_the_first_cycle_after_the_first_block(monkeypatch):
+    # P(n) = 1 - lam^(n-1) first reaches 1 - 1/e on cycle 1025: the first block holds no
+    # crossing, block 1 is the one read, and the crossing is interpolated between the mode
+    # sum at cycles 1024 and 1025, as measured_rate does between the series' entries
+    pair = damping_to_cross_at(1025)
+    p_s, _ = steady_state(pair)
+    series = simulate(pair, mixed_state(), 1025)
+    assert np.nonzero(series.values / p_s >= E_FRACTION)[0][0] == 1024
+    (mu,), (weights,) = series_terms(_superop(pair)[None])
+    lo, hi = mode_sum_fractions(mu, weights, p_s, [1024, 1025])
+    assert lo < E_FRACTION <= hi
+    reads = recorded_reads(monkeypatch)
+    n_s = rate_cycles(pair, p_s)
+    assert reads == [1025]
+    assert n_s == 1024 + (E_FRACTION - lo) / (hi - lo) - 1.0
+    assert 1 / n_s == pytest.approx(measured_rate(series, p_s, 1.0), rel=1e-13)
 
 
 def test_rate_crossing_at_an_oscillation_peak_inside_a_block():
@@ -925,13 +999,13 @@ def test_lazy_rate_stops_at_the_level_that_holds_the_crossing(monkeypatch, cycle
         return level(rows, power, x, start)
 
     monkeypatch.setattr(engine, "_level", counted)
-    jumps = recorded_jumps(monkeypatch)
+    reads = recorded_reads(monkeypatch)
     pair = damping_to_cross_at(cycle)
     # the later blocks are never bounded or reached
     assert rate_cycles(pair, 1.0) is not None
     # levels start at entries 0 (cycles 1-2), 2, 4, 8, ...; the crossing is entry cycle - 1
     assert starts == [0] + [2 ** e for e in range(1, (cycle - 1).bit_length())]
-    assert jumps == []
+    assert reads == []
 
 
 def closed_form_cycles(pair: KrausPair) -> float:
@@ -964,12 +1038,13 @@ def test_rate_crossing_far_past_the_old_cap():
 
 
 def test_rate_crossing_near_2_to_the_40():
-    # its slow mode lies within UNITARITY_TOL of 1, so the engine counts it as
-    # steady and P_s reads 0; handed P_s = 1, the search still finds the crossing
+    # its slow mode lies within UNITARITY_TOL of 1, so the engine counts it as steady: P_s
+    # reads 0 and the mode has no weight.  Handed P_s = 1 and the term of P(n) = 1 - lam^(n-1),
+    # lam the channel's own p_down -> p_down entry, the search still finds the crossing
     pair = damping_to_cross_at(2 ** 40)
     assert abs(steady_state(pair)[0]) <= 1e-6
-    n_s = rate_cycles(pair, 1.0)
-    # the 2^30-block series rounds its exponent by about 1e-9 relative
+    lam = _superop(pair)[3, 3].real
+    n_s, = rate_cycles_of(_superop(pair)[None], 1.0, (np.array([[lam]]), np.array([[-1.0]])))
     assert n_s == pytest.approx(closed_form_cycles(pair), rel=1e-8)
 
 
@@ -1025,8 +1100,8 @@ def test_a_moving_mode_of_modulus_one_crosses_on_a_crest():
     # mu = -1 is not steady (|mu - 1| = 2), and its term 0.1 (-1)^n never decays:
     # P(n) = 1 - 1.1 (1 - 1e-5)^n + 0.1 (-1)^n first reaches 1 - 1/e on an even n
     t = transfer_matrix([1.0, 1 - 1e-5, -1.0, 0.5], [1.0, -1.1, 0.1, 0.0])
-    mu, weights, _ = _weighted_modes(t[None])
-    (p_s,), (lam,) = _spectral_summary(mu, weights)
+    mu, vecs, coeffs = _modes(t[None])
+    (p_s,), (lam,) = _spectral_summary(mu, transfer_weights(vecs, coeffs))
     assert p_s == pytest.approx(1.0, abs=1e-8) and lam == pytest.approx(1.0, abs=1e-12)
     (n_s,) = rate_cycles_of(t[None], p_s)
     assert engine.SERIES_BLOCK < n_s < 2 ** 17
@@ -1035,13 +1110,21 @@ def test_a_moving_mode_of_modulus_one_crosses_on_a_crest():
 
 
 def test_a_mode_sum_that_never_reaches_the_threshold_reads_no_rate():
-    # a steady mode just inside UNITARITY_TOL of 1 (P_s = 1) fades over 2e10 cycles while
-    # the moving one rises: P(n) = (1 - 5e-11)^n - (1 - 3e-10)^n peaks at 0.58, below 1 - 1/e
-    t = transfer_matrix([1.0, 1.0 - 5e-11, 1.0 - 3e-10, 0.5], [0.0, 1.0, -1.0, 0.0])
-    mu, weights, _ = _weighted_modes(t[None])
-    (p_s,), _ = _spectral_summary(mu, weights)
-    assert p_s == pytest.approx(1.0, abs=1e-5)  # the two slow modes lie 2.5e-10 apart
-    assert rate_cycles_of(t[None], p_s) == [None]
+    # handed P_s = 1 and the terms of P(n) = (1 - 5e-11)^(n-1) - (1 - 3e-10)^(n-1), which
+    # peaks at 0.58, below 1 - 1/e, the search leaves with None.  The engine itself counts
+    # a mode within UNITARITY_TOL of 1 as steady, with no term: from this channel's own
+    # affine map it reads P_s = 1 and P(n) = 1 - (1 - 3e-10)^(n-1), which crosses
+    t = transfer_matrix(*NEVER)
+    assert rate_cycles_of(t[None], 1.0, tuple(np.array([x]) for x in NEVER_TERMS)) == [None]
+    p_s = affine_p_s(t)
+    assert p_s == pytest.approx(1.0, abs=1e-5)
+    assert rate_cycles_of(t[None], p_s) == [pytest.approx(1 / 3e-10, rel=1e-3)]
+
+
+# a mode sum that never reaches 1 - 1/e: the transfer_matrix terms of its channel, and the
+# modes and weights of P(n) = 1 + Re sum w mu^(n-1) = (1 - 5e-11)^(n-1) - (1 - 3e-10)^(n-1)
+NEVER = [1.0, 1.0 - 5e-11, 1.0 - 3e-10, 0.5], [0.0, 1.0, -1.0, 0.0]
+NEVER_TERMS = [1.0, 1.0 - 5e-11, 1.0 - 3e-10], [-1.0, 1.0, -1.0]
 
 
 def oscillating_pair() -> KrausPair:
@@ -1053,19 +1136,23 @@ def oscillating_pair() -> KrausPair:
                      m_down=turn @ np.array([[0.0, math.sqrt(damping)], [0.0, 0.0]]))
 
 
-def later_block_pool() -> list[tuple[np.ndarray, float]]:
-    """(transfer matrix, P_s) of points that leave the first block at many depths, and some
-    that do not: crossings on cycles 100 to 2^25 + 3, on a crest, past 2^21 cycles at the
-    README base, after a moving mode of modulus 1, and never."""
+def later_block_pool() -> list[tuple[np.ndarray, float, tuple[np.ndarray, np.ndarray]]]:
+    """(transfer matrix, P_s, mode sum terms) of points that leave the first block at many
+    depths, and some that do not: crossings on cycles 100 to 2^25 + 3, on a crest, past 2^21
+    cycles at the README base, after a moving mode of modulus 1, and never.  The terms (mu,
+    w), each (3,), are those of the affine Bloch map (see series_terms) but for the last,
+    which are handed (see NEVER_TERMS)."""
     pairs = [damping_to_cross_at(c, sign) for c in (100, 1030, 2049, 5000, 70_001, 3_000_000,
                                                      2 ** 25 + 3) for sign in (1, -1)]
     pairs += [oscillating_pair()]
     pairs += [cycle_kraus(SYS, replace(README_BASE, t_s=f * math.pi))
               for f in (0.1, 0.35, 0.6, 1.85)]
     pool = [(_superop(pair), steady_state(pair)[0]) for pair in pairs]
-    pool += [(transfer_matrix([1.0, 1 - 1e-5, -1.0, 0.5], [1.0, -1.1, 0.1, 0.0]), 1.0),
-             (transfer_matrix([1.0, 1.0 - 5e-11, 1.0 - 3e-10, 0.5], [0.0, 1.0, -1.0, 0.0]), 1.0)]
-    return pool
+    crest = transfer_matrix([1.0, 1 - 1e-5, -1.0, 0.5], [1.0, -1.1, 0.1, 0.0])
+    pool += [(crest, affine_p_s(crest))]
+    pool = [(t, p_s, tuple(x[0] for x in series_terms(t[None]))) for t, p_s in pool]
+    return pool + [(transfer_matrix(*NEVER), 1.0,
+                    tuple(np.array(x, dtype=complex) for x in NEVER_TERMS))]
 
 
 LATER_BLOCK_POOL = later_block_pool()
@@ -1076,10 +1163,11 @@ LATER_BLOCK_POOL = later_block_pool()
 def test_stacked_later_search_matches_each_point_alone(picks):
     # the points of a stack leave the later-block search at different depths, each
     # with the bytes it gets alone
-    t = np.array([LATER_BLOCK_POOL[i][0] for i in picks])
-    p_s = [LATER_BLOCK_POOL[i][1] for i in picks]
-    together = rate_cycles_of(t, p_s)
-    alone = [rate_cycles_of(t[j:j + 1], p)[0] for j, p in enumerate(p_s)]
+    t, p_s, mu, weights = (np.array(x) for x in zip(*(
+        (LATER_BLOCK_POOL[i][0], LATER_BLOCK_POOL[i][1], *LATER_BLOCK_POOL[i][2]) for i in picks)))
+    together = rate_cycles_of(t, p_s, (mu, weights))
+    alone = [rate_cycles_of(t[j:j + 1], p_s[j], (mu[j:j + 1], weights[j:j + 1]))[0]
+             for j in range(len(t))]
     assert [None if n is None else n.hex() for n in together] == [
         None if n is None else n.hex() for n in alone]
     assert all(type(n) is float for n in together if n is not None)
@@ -1140,17 +1228,16 @@ def test_a_full_stack_of_late_crossings_stays_within_three_times_its_rows():
 
 @pytest.mark.parametrize("at", range(len(LATER_BLOCK_POOL)))
 def test_the_bloch_series_strays_from_the_mode_sum_by_at_most_its_drift(at):
-    # the slack of the later-block search: the series read through powers of the
-    # real Bloch map R stays within m drift of the mode sum at cycle 1 + m.  On the
-    # damping channels eig is exact and the drift is 0, while the powers still round
-    # (by 1.3e-11 at 2^25 + 3 cycles): there the series stays within m eps, and the
-    # search leans on reading the block before (see engine._later_blocks)
-    t, _ = LATER_BLOCK_POOL[at]
+    # what lets the later blocks read the mode sum of M's modes where the first block and
+    # simulate read powers of the real Bloch map R: at cycle 1 + m the two part by at most
+    # a drift of 4 m eps (1.8 m eps at most in the pool).  The pool's channels are projected
+    # Kraus pairs, exact damping pairs and transfer matrices built from their terms; each
+    # mode sum holds the steady term (1, P_s) with the engine's own P_s, or is handed whole
+    t, p_s, (mu, weights) = LATER_BLOCK_POOL[at]
     r, _ = engine._bloch_maps(t[None])
-    mu, (weights,), (drift,) = engine._series_modes(r)
     for m in (1, 2, 1024, 1025, 2 ** 15 + 7, 2 ** 20, 2 ** 25 + 3):
         read = engine._READOUT[0] @ np.linalg.matrix_power(r[0], m) @ engine._MIXED_BLOCH
-        assert abs(read - (weights * mu[0] ** m).sum().real) <= m * (drift or 2.2e-16), m
+        assert abs(read - (p_s + (weights * mu ** m).sum().real)) <= 4 * m * 2.2e-16, m
 
 
 @pytest.mark.parametrize("rho0", [mixed_state(), np.array([[1, 1], [1, 1]]) / 2],
