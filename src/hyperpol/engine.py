@@ -28,33 +28,29 @@ Pauli form of its real Bloch map R = Re(B T B^-1), the 4x4 real matrix that
 moves the nuclear state's populations and transverse Bloch components
 (p_up, x, y, p_down) one cycle on.  One real 3x3 eig of M and one solve
 give the steady polarization P_s, the z of the fixed point (I - M)^-1 c,
-and the contraction factor.  The series itself is read through R, whose
-real products cost a quarter to a fifth of the complex ones.  The rate
-comes from the first 1 - 1/e crossing of that series, with no cap on its
-length, read out lazily: the first block of SERIES_BLOCK cycles is
-evaluated one doubling level of read-out rows at a time (cycles 1-2, 3-4,
-5-8, ...), the crossings of a whole level are found as array operations,
-and the search stops at the level that holds the crossing.  Only when the
-first block has none is the rate read from M's closed-form mode sum
-P(n) = P_s + Re sum_k w_k mu_k^(n-1) instead, whose cost does not grow
-with n: exact bounds of it rule out ranges of later blocks, cutting each
-range they cannot rule out into SPLIT parts, and the single blocks they
-cannot rule out are evaluated whole.  `simulate` evaluates the whole
-series through R, with the first block's read-out.
+and the contraction factor.  The rate comes from the first 1 - 1/e
+crossing of the series, with no cap on its length, read from M's
+closed-form mode sum P(n) = P_s + Re sum_k w_k mu_k^(n-1), whose cost does
+not grow with n: block 0, the first RATE_BLOCK cycles, is evaluated whole
+with integer powers of the modes, and where it holds no crossing, exact
+bounds of the sum rule out ranges of later blocks, cutting each range they
+cannot rule out into SPLIT parts, and the single blocks they cannot rule
+out are evaluated whole.  `simulate` writes the series itself through R,
+whose real products cost a quarter to a fifth of the complex ones: its
+first block of SERIES_BLOCK cycles one doubling level of read-out rows at
+a time (cycles 1-2, 3-4, 5-8, ...), then a block at a time.
 
 `evaluate_exact_batch` solves many points at once.  Up to BATCH_SIZE (256)
 points are rendered, walked as one stack and checked for unitarity
-together; their Bloch maps share one eig and one solve, and their first
-blocks are read level by level across the stack, each point leaving it at
-the level that holds its crossing.  The points with no crossing in their
-first block search the later blocks together, each leaving at its own
-crossing.  A stack's largest arrays are the first block's read-out rows,
-SERIES_BLOCK x 4 floats (32 KB) per point still in it: 8 MB for a stack of
-256 points that all cross late, freed before the later blocks, whose reads
-take twice that for a stack of 256 blocks.  `evaluate_exact` propagates
-its point through `propagate` and shares the rest with the batch, with the
-same bytes.  Sweeps and every step of the resonant-interval search go
-through the batch; only robustness scans still go one point at a time.
+together; their Bloch maps share one eig and one solve, and their blocks 0
+one evaluation.  The points with no crossing in block 0 search the later
+blocks together, each leaving at its own crossing.  A stack's largest
+arrays are block 0's powers of the modes and their terms, each
+3 x (RATE_BLOCK - 1) complex (3 KB) per point: 774 KB for a stack of 256
+points.  `evaluate_exact` propagates its point through `propagate` and
+shares the rest with the batch, with the same bytes.  Sweeps and every
+step of the resonant-interval search go through the batch; only
+robustness scans still go one point at a time.
 
 A point alone is a stack of one through the same code, and at that size
 each numpy call costs about its fixed overhead, so the walk and the solve
@@ -83,8 +79,9 @@ from .timeline import FREE_HYPERFINE, FREE_NUCLEAR, PULSE, Segment, Timeline, re
 
 UNITARITY_TOL = 1e-10
 SERIES_BLOCK = 1024
+RATE_BLOCK = 64  # cycles per block of the rate read-out (see _rate_cycles)
 MEMO_LIMIT = 256
-BATCH_SIZE = 256  # points per stacked mode solve and first-block read-out
+BATCH_SIZE = 256  # points per stacked mode solve and rate read-out
 SPLIT = 16  # parts per range of later blocks in the rate search
 PHASE_LIMIT = 2.0 ** 52  # a segment phase this large holds no digits modulo 2 pi
 
@@ -377,7 +374,6 @@ def _superop(k: KrausPair) -> np.ndarray:
 _BLOCH = np.array([[1, 0, 0, 0], [0, 1, 1, 0], [0, 1j, -1j, 0], [0, 0, 0, 1]])
 _BLOCH_INV = np.array([[1, 0, 0, 0], [0, 0.5, -0.5j, 0], [0, 0.5, 0.5j, 0], [0, 0, 0, 1]])
 _READOUT = np.array([[1.0, 0.0, 0.0, -1.0]])  # <2 I_z> = p_up - p_down, the read-out row
-_MIXED_BLOCH = np.array([0.5, 0.0, 0.0, 0.5])  # the mixed start (p_up, x, y, p_down)
 # P: (p_up, x, y, p_down) -> the Pauli coordinates (tr rho, x, y, z), z = p_up - p_down;
 # _PAULI_INV is its inverse.  A channel's R in Pauli form is [[1, 0], [c, M]]
 _PAULI = np.array([[1.0, 0.0, 0.0, 1.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0],
@@ -415,7 +411,7 @@ def _bloch_maps(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _level(rows: np.ndarray, power: np.ndarray, x: np.ndarray, start: int):
-    """One doubling level of the first block's read-out, for a stack of points.
+    """One doubling level of simulate's first block, for a stack of points.
 
     rows (k, m, 4) are the real read-out rows r R^j, j < m, of each point's
     Bloch map R (see _bloch_maps) and power (k, 4, 4) is R^m; the first
@@ -423,9 +419,8 @@ def _level(rows: np.ndarray, power: np.ndarray, x: np.ndarray, start: int):
     for j < 2m and P from the Bloch state x at the cycles from start + 1 to
     2m, where start is the count already read: 0 on the first level, which
     reads cycles 1-2, m after it.  The next level takes power @ power,
-    R^(2m), which a consumer squares only for the points that go on.  A
-    level holds the same rows whatever the series length, so a consumer
-    that stops early pays for no later level.
+    R^(2m).  A level holds the same rows whatever the series length, so a
+    shorter series is a prefix of a longer one.
     Every level has at least two rows: numpy multiplies a single row by its
     dot kernel, which rounds differently from the matrix-vector kernel of
     longer products.
@@ -456,8 +451,8 @@ def simulate(k: KrausPair, rho0: np.ndarray, n: int, params: dict | None = None)
     of one, while its read-out rows r R^j are built by doubling, and the
     state then jumps by R^SERIES_BLOCK once per later block, which _read
     reads with the same rows.  A shorter series is a prefix of a longer
-    one, byte for byte, and _rate_cycles reads its first block through the
-    same _level.
+    one, byte for byte.  The rate is not read from this series but from M's
+    mode sum (see _rate_cycles), which agrees with it to rounding.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -570,9 +565,9 @@ def _crossings(fractions: np.ndarray, above: np.ndarray, lo: np.ndarray, start) 
     """N_s (k,) of k rows of fractions P/P_s that each reach 1 - 1/e.
 
     above is fractions >= E_FRACTION; each row holds the series' entries
-    start, start + 1, ... (0-based, entry i is cycle i + 1), and lo (k,) holds
-    the entries just before them.  start is an int or (k,) ints.  The
-    crossing is interpolated between the first entry at or above 1 - 1/e and
+    start, start + 1, ... (0-based, entry i is cycle i + 1), and lo holds the
+    entries just before them.  lo is a float or (k,) floats, start an int or
+    (k,) ints.  The crossing is interpolated between the first entry at or above 1 - 1/e and
     the one before it, as measured_rate does, in float64 arrays whose
     elementwise IEEE operations give the bytes of its scalar ones:
     max(crossing - 1, 1).  Where start is 0, lo must be 0: a crossing on
@@ -587,60 +582,41 @@ def _crossings(fractions: np.ndarray, above: np.ndarray, lo: np.ndarray, start) 
     return np.maximum(crossing - 1.0, 1.0)
 
 
-def _rate_cycles(r: np.ndarray, p_s: np.ndarray, mu: np.ndarray,
-                 weights: np.ndarray) -> list[float | None]:
+def _rate_cycles(p_s: np.ndarray, mu: np.ndarray, weights: np.ndarray) -> list[float | None]:
     """Per stacked point, the N_s at which its series from the mixed state first crosses.
 
-    r (k, 4, 4) holds the points' real Bloch maps (see _bloch_maps), p_s
-    their steady polarizations, and mu and weights (k, m) the modes and
-    weights of their mode sums P(n) = P_s + Re sum_k w_k mu_k^(n-1) (see
-    _spectral_summary).  In the first block of SERIES_BLOCK cycles, N_s is
-    the value measured_rate reads from simulate's series long enough to hold
-    the crossing, byte for byte: that block is read level by level through
-    simulate's own _level, across the stack; each level's crossings are
-    found at once (see _crossings), and a point leaves the stack at the
-    first level that holds its crossing.  The points that have none in the
-    first block go on together to _later_blocks, which searches and reads
-    their mode sums instead.  There is no cap on the cycle count; None
-    means the mode sum never reaches 1 - 1/e (see _later_blocks).
+    p_s (k,) holds the points' steady polarizations, and mu and weights (k, m)
+    the modes and weights of their mode sums P(n) = P_s + Re sum_k w_k mu_k^(n-1)
+    (see _spectral_summary), whose fractions P(n)/P_s = 1 + Re sum_k t_k
+    mu_k^(n-1), t_k = w_k/P_s, are read.  Block b holds the cycles
+    b RATE_BLOCK + 1 ... (b + 1) RATE_BLOCK.  Block 0 is evaluated whole for
+    the whole stack, with integer powers of the modes, from cycle 2 on against
+    the 0 of cycle 1, the mixed start, and its crossings are found at once (see
+    _crossings), interpolated as measured_rate interpolates the series.  The
+    points with no crossing there search the later blocks together (see
+    _later_blocks).  There is no cap on the cycle count; None means the mode
+    sum never reaches 1 - 1/e.
     """
-    found: list[float | None] = [None] * len(r)
-    active, lo = np.arange(len(r)), np.zeros(len(r))  # 0 before cycle 1 (see _crossings)
-    rows, power, start = _READOUT[None].repeat(len(r), axis=0), r, 0
-    while True:
-        rows, values = _level(rows, power, _MIXED_BLOCH, start)
-        fractions = values / p_s[:, None]
-        above = fractions >= E_FRACTION
-        hit = np.logical_or.reduce(above, axis=1)
-        left = (~hit).nonzero()[0]
-        if len(left) < len(hit):
-            crossed = (fractions, above, lo, active)
-            if len(left):
-                j = hit.nonzero()[0]
-                crossed = [x[j] for x in crossed]
-            for i, n_s in zip(crossed[3].tolist(), _crossings(*crossed[:3], start).tolist()):
-                found[i] = n_s
-            if len(left) == 0:
-                return found
-            rows, power, active, p_s, fractions = (
-                x[left] for x in (rows, power, active, p_s, fractions))
-        start = rows.shape[1]
-        if start == SERIES_BLOCK:
-            del rows, values, fractions, above  # free the first block before the search
-            for i, n_s in zip(active.tolist(), _later_blocks(mu[active], weights[active], p_s)):
-                found[i] = n_s
-            return found
-        power = power @ power
-        lo = fractions[:, -1]
+    terms = weights / p_s[:, None]
+    values = 1.0 + np.add.reduce(terms[:, :, None] * mu[:, :, None] ** _BLOCK_0, axis=1).real
+    above = values >= E_FRACTION
+    hit = np.logical_or.reduce(above, axis=1)
+    if hit.all():
+        return _crossings(values, above, 0.0, 1).tolist()
+    crossed = iter(_crossings(values[hit], above[hit], 0.0, 1).tolist())
+    later = iter(_later_blocks(terms[~hit], mu[~hit]))
+    return [next(crossed) if is_hit else next(later) for is_hit in hit.tolist()]
 
 
-def _later_blocks(mu: np.ndarray, weights: np.ndarray, p_s: np.ndarray) -> list[float | None]:
-    """N_s of stacked points whose first block holds no crossing, from their mode sums.
+_BLOCK_0 = np.arange(1.0, RATE_BLOCK)  # the exponents n - 1 of cycles 2 ... RATE_BLOCK
 
-    mu and weights (k, m) are the modes and weights of the points' mode sums
-    (see _rate_cycles), whose fractions P(n)/P_s = 1 + Re sum_k (w_k/P_s)
-    mu_k^(n-1) are searched and read, the steady 1 a term of its own of mode 1.
-    Block b holds the cycles b SERIES_BLOCK + 1 ... (b + 1) SERIES_BLOCK.
+
+def _later_blocks(terms: np.ndarray, mu: np.ndarray) -> list[float | None]:
+    """N_s of stacked points whose block 0 holds no crossing, from their mode sums.
+
+    terms and mu (k, m) are the terms t_k = w_k/P_s and modes of the points'
+    fractions P(n)/P_s = 1 + Re sum_k t_k mu_k^(n-1) (see _rate_cycles), which
+    are searched and read with the steady 1 as a term of its own of mode 1.
     Each point searches the blocks from 1 on, leftmost first, with no end,
     from the open range [1, inf); _parts cuts each range it reaches into
     parts.  _range_bound rules parts out; the search goes on in the
@@ -660,7 +636,7 @@ def _later_blocks(mu: np.ndarray, weights: np.ndarray, p_s: np.ndarray) -> list[
     or NaN bound rules nothing out.
     """
     ones = np.ones_like(mu[:, :1])
-    terms, mu = np.hstack([ones, weights / p_s[:, None]]), np.hstack([ones, mu])
+    terms, mu = np.hstack([ones, terms]), np.hstack([ones, mu])
     found: list[float | None] = [None] * len(mu)
     span = [(1.0, math.inf) for _ in found]  # each point's current range of blocks [lo, hi)
     later = [[] for _ in found]  # the ranges to its right, nearest last
@@ -674,7 +650,7 @@ def _later_blocks(mu: np.ndarray, weights: np.ndarray, p_s: np.ndarray) -> list[
                 opened = [i for i in at if span[i][1] == math.inf and span[i][0] > 1]
                 if opened:  # past the first range: does any later cycle reach 1 - 1/e?
                     starts = np.array([span[i][0] for i in opened])[:, None, None]
-                    reach = _tail_bound(*modes[opened, :4].swapaxes(0, 1), starts * SERIES_BLOCK)
+                    reach = _tail_bound(*modes[opened, :4].swapaxes(0, 1), starts * RATE_BLOCK)
                     never = {i for i, r in zip(opened, reach[:, 0].tolist()) if r < E_FRACTION}
                     if never:  # the mode sum never does: the point leaves with None
                         at = [i for i in at if i not in never]
@@ -682,7 +658,7 @@ def _later_blocks(mu: np.ndarray, weights: np.ndarray, p_s: np.ndarray) -> list[
                             continue
                 lo, hi = np.array([span[i] for i in at]).T[:, :, None]
                 edges = _parts(lo, hi)
-                a, z = edges[:, :-1] * SERIES_BLOCK, edges[:, 1:] * SERIES_BLOCK - 1
+                a, z = edges[:, :-1] * RATE_BLOCK, edges[:, 1:] * RATE_BLOCK - 1
                 bound = _range_bound(*modes[at].swapaxes(0, 1), a, z)  # cycles 1 + a .. 1 + z
                 kept = ~(bound < E_FRACTION) & (z >= a)
                 p, k = kept.argmax(axis=1), np.arange(len(at))
@@ -706,10 +682,10 @@ def _later_blocks(mu: np.ndarray, weights: np.ndarray, p_s: np.ndarray) -> list[
             if not reading:
                 break
             at, reading = sorted(reading), []
-            starts = np.array([b * SERIES_BLOCK for _, b in at])
-            # the cycles b SERIES_BLOCK ... (b + 1) SERIES_BLOCK: the one before the block, then it
+            starts = np.array([b * RATE_BLOCK for _, b in at])
+            # the cycles b RATE_BLOCK ... (b + 1) RATE_BLOCK: the one before the block, then it
             values = _mode_sum(*modes[[i for i, _ in at], :4].swapaxes(0, 1),
-                               starts[:, None] + np.arange(-1.0, SERIES_BLOCK))
+                               starts[:, None] + np.arange(-1.0, RATE_BLOCK))
             above = values[:, 1:] >= E_FRACTION
             hit = above.any(axis=1)
             crossed = values[:, 1:], above, values[:, 0], starts
@@ -819,11 +795,10 @@ def evaluate_exact(sys: SystemParams, seq: SequenceParams,
 
     The rate normalization uses the pulse-inclusive cycle duration unless
     use_nominal_duration is set.  gamma comes from the first 1 - 1/e
-    crossing of the series, however many cycles it takes, found by
-    _rate_cycles: in the first block it is what measured_rate reads from
-    simulate's series of cycle_kraus's channel, byte for byte, and past it
-    the crossing of M's closed-form mode sum, which agrees with that series
-    to rounding (see _later_blocks); the rest is never evaluated.
+    crossing of the series, however many cycles it takes, read by
+    _rate_cycles from M's closed-form mode sum, interpolated as measured_rate
+    interpolates simulate's series of cycle_kraus's channel, with which it
+    agrees to rounding; the blocks past the crossing are never evaluated.
     gamma is None when the channel does not polarize (|P_s| below
     threshold), when the mode sum never reaches 1 - 1/e of P_s (see
     _later_blocks), or when with_rate is off.
@@ -858,8 +833,8 @@ def evaluate_exact_batch(points: Iterable[tuple[SystemParams, SequenceParams]],
     segments, then walked as one stack through the shared `cache` (see
     _walk): the points of one n_p and n_r compose their blocks together.
     The stacked propagators share one unitarity check, one stacked real eig
-    and solve for their modes (see _modes), and _rate_cycles' read-out of
-    their first blocks.  The results are those of evaluate_exact, byte for
+    and solve for their modes (see _modes), and _rate_cycles' evaluation of
+    their blocks 0.  The results are those of evaluate_exact, byte for
     byte, whatever the stack holds.
     """
     points = iter(points)
@@ -912,13 +887,13 @@ def _solve(u: np.ndarray, sequences: list[SequenceParams], t_cycles: list[float]
         return results
     if len(solved) < len(u):
         k = k[solved]
-    r, q = _bloch_maps(_channels(k.reshape(-1, 2, 2, 2)))
+    _, q = _bloch_maps(_channels(k.reshape(-1, 2, 2, 2)))
     mu, vecs, a = _modes(q)
     p_s, lam, weights = _spectral_summary(mu, vecs, a)
     rated = (np.abs(p_s) > 1e-6).nonzero()[0] if with_rate else []
     cycles: list[float | None] = [None] * len(solved)
     if len(rated):
-        modes = r, p_s, mu, weights
+        modes = p_s, mu, weights
         if len(rated) < len(solved):
             modes = [x[rated] for x in modes]
         for j, c in zip(rated.tolist(), _rate_cycles(*modes)):

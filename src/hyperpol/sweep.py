@@ -11,9 +11,9 @@ rows gain nothing from a larger chunk, and a 201x201 analytic sweep ran
 about 3% faster in chunks of 64 than of 256.  The exact engine
 solves each chunk's valid points, and the grid of the resonant-interval
 search, as one batch (`engine.evaluate_exact_batch`): one stacked walk,
-one real eig of the chunk's affine Bloch maps and one read-out of their
-series, with the results of evaluating each point alone.  The README's
-81-point sweep is one chunk, and a 201x201 grid 158.  Each golden-section
+one real eig of the chunk's affine Bloch maps and one evaluation of the
+first 64 cycles of their mode sums, with the results of evaluating each
+point alone.  The README's 81-point sweep is one chunk, and a 201x201 grid 158.  Each golden-section
 step of the search is a batch of one.  Only robustness scans still go one
 point at a time.  A batch and a single point take the engine's one walk: the points of a
 chunk that share n_p and n_r compose their blocks as one stack, and the

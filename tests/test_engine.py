@@ -769,18 +769,24 @@ def test_p_s_is_the_exact_fixed_point_where_the_transfer_matrix_oracle_misses(pa
 
 
 # points 201 i + j of the 201 x 201 (t_s, t_w) map at the README base, t_s = i pi / 100 and
-# t_w = j pi / 100, with the relative N_s error the engine had before it projected the Kraus
-# isometry and read later blocks from M's mode sum, measured against the same oracle
-ORACLE_POINTS = {10760: 4.67e-8, 12011: 2.75e-8, 17960: 3.23e-8, 29324: 5.92e-9, 21960: 7.32e-6,
-                 32308: 3.54e-9, 5000: 6.74e-12, 40000: 5.44e-14, 30244: 3.58e-14}
-P_S_ORACLE_C = 32  # |P_s - oracle| <= c eps / gap; 19 is needed at 30244 (gap 0.22)
+# t_w = j pi / 100, each with its bound on the relative N_s error, twice what the engine reads
+# against the oracle (room for another numpy's eig), and the constant term c2 of its P_s
+# bound |P_s - oracle| <= (P_S_ORACLE_C / gap + c2) eps: 0 but at 17885, whose gap of 0.42
+# leaves an error floor of about 3e-14 that 1/gap does not reach (c2 = 60 needed there)
+ORACLE_POINTS = {10760: (9.8e-10, 0), 12011: (1.08e-9, 0), 17960: (1.44e-10, 0),
+                 29324: (1.28e-10, 0), 21960: (7.4e-7, 0), 32308: (1.08e-12, 0),
+                 5000: (8.0e-14, 0), 40000: (4.4e-14, 0), 30244: (6.4e-14, 0),
+                 17885: (1.6e-14, 120)}
+P_S_ORACLE_C = 32  # 19 is needed at 30244 (gap 0.22)
 
 
 @pytest.mark.parametrize("index", ORACLE_POINTS)
 def test_p_s_and_n_s_meet_the_fixed_point_oracle(index):
     # the cycle in fixed point at 2^-200 (tests/oracles.py), from the exact Hamiltonians of
     # the float inputs: slow points (gaps 3e-10 to 2e-6, N_s up to 3.3e9 cycles), a small
-    # |P_s| (32308), fast ones and the worst-conditioned eigenvectors of M on the map (30244)
+    # |P_s| (32308), fast ones, the worst-conditioned eigenvectors of M on the map (30244) and
+    # the largest |P_s - oracle| gap / eps of a 335-point map sample (17885)
+    n_s_bound, c2 = ORACLE_POINTS[index]
     i, j = divmod(index, 201)
     seq = replace(README_BASE, t_s=i * math.pi / 100, t_w=j * math.pi / 100)
     timeline = render_unit(SYS, seq)
@@ -792,9 +798,9 @@ def test_p_s_and_n_s_meet_the_fixed_point_oracle(index):
     gap = float(np.abs(1.0 - np.linalg.eigvals(
         np.array([row[1:] for row in q[1:]], dtype=object).astype(float) / ONE)).min())
     res = evaluate_exact(SYS, seq)
-    assert float(abs(Fraction(res.p_s) - p_s)) <= P_S_ORACLE_C * 2.220446049250313e-16 / gap
+    assert float(abs(Fraction(res.p_s) - p_s)) <= (P_S_ORACLE_C / gap + c2) * 2.220446049250313e-16
     n_s = fixed_rate_cycles(q, p_s, res.n_s)
-    assert float(abs(Fraction(res.n_s) - n_s) / n_s) <= ORACLE_POINTS[index]
+    assert float(abs(Fraction(res.n_s) - n_s) / n_s) <= n_s_bound
 
 
 @pytest.mark.parametrize("rho0", [mixed_state(), np.array([[1, 1], [1, 1]]) / 2],
@@ -819,20 +825,25 @@ def test_slow_readme_sweep_points_are_solved(t_s_over_pi):
     assert res.gamma is None or res.gamma > 0
 
 
-@pytest.mark.parametrize("t_s_over_pi,later", [(0.0, False), (1.85, True), (0.1, True),
-                                               (0.35, True)],
-                         ids=["first-block", "later-block", "later-block-0.1pi",
-                              "later-block-0.35pi"])
-def test_interpolated_rates_are_python_floats(t_s_over_pi, later):
+@pytest.mark.parametrize("t_s_over_pi,later,oracle_bound", [
+    (0.0, False, 3e-14), (1.85, True, 1.2e-12), (0.1, True, 3.5e-10), (0.35, True, 3.1e-10)],
+    ids=["first-block", "later-block", "later-block-0.1pi", "later-block-0.35pi"])
+def test_interpolated_rates_are_python_floats(t_s_over_pi, later, oracle_bound):
     seq = replace(README_BASE, t_s=t_s_over_pi * math.pi)
     pair = cycle_kraus(SYS, seq)
     p_s, _ = steady_state(pair)
     n_s = rate_cycles(pair, p_s)
+    # later: past simulate's first block of SERIES_BLOCK cycles, which it reads by doubling
     assert type(n_s) is float and (n_s > engine.SERIES_BLOCK) == later
     expected = measured_rate(simulate(pair, mixed_state(), series_through(n_s)), p_s, 1.0)
-    # simulate steps block by block where _later_blocks jumps: the same crossing, not the same
-    # bytes (relative differences 1.7e-13 at 0.1 pi, 1.2e-14 at 0.35 pi, 9.4e-15 at 1.85 pi)
-    assert 1.0 / n_s == (pytest.approx(expected, rel=1e-12) if later else expected)
+    # simulate reads powers of the Bloch map where the rate reads M's mode sum: the same
+    # crossing, not the same bytes (relative differences 1.7e-13 at 0.1 pi, 1.2e-14 at
+    # 0.35 pi, 9.4e-15 at 1.85 pi, 2.4e-14 at 0)
+    assert 1.0 / n_s == pytest.approx(expected, rel=1e-12)
+    # against the fixed-point oracle: 1.5e-14, 6.1e-13, 1.8e-10 and 1.5e-10 are read
+    q = fixed_affine_map(fixed_cycle_propagator(SYS, render_unit(SYS, seq)))
+    exact = fixed_rate_cycles(q, exact_fixed_z([[Fraction(v, ONE) for v in row] for row in q]), n_s)
+    assert float(abs(Fraction(n_s) - exact) / exact) <= oracle_bound
     (batched,) = engine.evaluate_exact_batch([(SYS, seq)])
     for res in (evaluate_exact(SYS, seq), batched):
         assert type(res.gamma) is float and type(res.n_s) is float
@@ -882,30 +893,37 @@ def rate_cycles(pair: KrausPair, p_s: float) -> float | None:
 
 def rate_cycles_of(t: np.ndarray, p_s, terms=None) -> list[float | None]:
     """_rate_cycles on the stacked transfer matrices t (k, 4, 4) with steady polarizations p_s:
-    the first block read through their Bloch maps, the later blocks through the mode sums
-    P(n) = P_s + Re sum w mu^(n-1) of the terms (mu, w), each (k, m), by default those of
-    their affine Bloch maps (see series_terms)."""
+    every block read through the mode sums P(n) = P_s + Re sum w mu^(n-1) of the terms
+    (mu, w), each (k, m), by default those of their affine Bloch maps (see series_terms)."""
     p_s = np.broadcast_to(np.asarray(p_s, dtype=float), len(t))
-    return engine._rate_cycles(engine._bloch_maps(t)[0], p_s, *(terms or series_terms(t)))
+    return engine._rate_cycles(p_s, *(terms or series_terms(t)))
 
 
 def recorded_reads(monkeypatch) -> list[int]:
-    """From now on, the first cycle of every block the later-block search reads."""
+    """From now on, the block of every read of the rate: 0 when a stack's block 0 is read,
+    once for the whole stack, and b for each later block b (cycles b RATE_BLOCK + 1 ...
+    (b + 1) RATE_BLOCK) the later-block search reads."""
     reads = []
-    mode_sum = engine._mode_sum
+    mode_sum, crossings = engine._mode_sum, engine._crossings
 
-    def recorded(*modes_and_n):
+    def read_later(*modes_and_n):
         n = modes_and_n[-1]  # exponents n - 1 of each block's cycles, the one before it first
-        reads.extend((n[:, 1] + 1).astype(int).tolist())
+        reads.extend((n[:, -1] // engine.RATE_BLOCK).astype(int).tolist())
         return mode_sum(*modes_and_n)
 
-    monkeypatch.setattr(engine, "_mode_sum", recorded)
+    def read(fractions, above, lo, start):
+        if np.ndim(start) == 0:  # block 0, read from cycle 2 on; later blocks pass their starts
+            reads.append(0)
+        return crossings(fractions, above, lo, start)
+
+    monkeypatch.setattr(engine, "_mode_sum", read_later)
+    monkeypatch.setattr(engine, "_crossings", read)
     return reads
 
 
 def test_rate_crossing_on_the_first_cycle_after_a_skipped_block(monkeypatch):
     # amplitude damping towards nuclear up: P(n) = 1 - lam^(n-1) crosses 1 - 1/e
-    # between cycles 2048 and 2049, i.e. on the first cycle of the third block
+    # between cycles 2048 and 2049, i.e. on the first cycle of block 2048 / RATE_BLOCK
     lam = math.exp(-1 / 2047.5)
     pair = KrausPair(m_up=np.diag([1.0, math.sqrt(lam)]).astype(complex),
                      m_down=np.array([[0.0, math.sqrt(1 - lam)], [0.0, 0.0]], dtype=complex))
@@ -916,28 +934,31 @@ def test_rate_crossing_on_the_first_cycle_after_a_skipped_block(monkeypatch):
     assert np.nonzero(fractions >= 1 - math.exp(-1))[0][0] == 2048
     reads = recorded_reads(monkeypatch)
     n_s = rate_cycles(pair, p_s)
-    # block 1 ends 9e-5 below the threshold: the bound rules it out, block 2 is the one
-    # read, and the cycle before it, the last of block 1, is the interpolation's lower end
-    assert reads == [2049]
+    # the block before ends 9e-5 below the threshold: the bound rules it and every block
+    # before it out, the block of cycle 2049 is the one read after block 0, and the cycle
+    # before it, the last of the block before, is the interpolation's lower end
+    assert reads == [0, 2048 // engine.RATE_BLOCK]
     assert 1 / n_s == pytest.approx(measured_rate(series, p_s, 1.0), rel=1e-10)
     assert n_s == pytest.approx(2047.5, abs=1e-3)
 
 
 def test_the_mode_sum_puts_the_crossing_on_the_first_cycle_after_the_first_block(monkeypatch):
-    # P(n) = 1 - lam^(n-1) first reaches 1 - 1/e on cycle 1025: the first block holds no
+    # P(n) = 1 - lam^(n-1) first reaches 1 - 1/e on cycle RATE_BLOCK + 1: block 0 holds no
     # crossing, block 1 is the one read, and the crossing is interpolated between the mode
-    # sum at cycles 1024 and 1025, as measured_rate does between the series' entries
-    pair = damping_to_cross_at(1025)
+    # sum at cycles RATE_BLOCK and RATE_BLOCK + 1, as measured_rate does between the
+    # series' entries
+    last = engine.RATE_BLOCK
+    pair = damping_to_cross_at(last + 1)
     p_s, _ = steady_state(pair)
-    series = simulate(pair, mixed_state(), 1025)
-    assert np.nonzero(series.values / p_s >= E_FRACTION)[0][0] == 1024
+    series = simulate(pair, mixed_state(), last + 1)
+    assert np.nonzero(series.values / p_s >= E_FRACTION)[0][0] == last
     (mu,), (weights,) = series_terms(_superop(pair)[None])
-    lo, hi = mode_sum_fractions(mu, weights, p_s, [1024, 1025])
+    lo, hi = mode_sum_fractions(mu, weights, p_s, [last, last + 1])
     assert lo < E_FRACTION <= hi
     reads = recorded_reads(monkeypatch)
     n_s = rate_cycles(pair, p_s)
-    assert reads == [1025]
-    assert n_s == 1024 + (E_FRACTION - lo) / (hi - lo) - 1.0
+    assert reads == [0, 1]
+    assert n_s == last + (E_FRACTION - lo) / (hi - lo) - 1.0
     assert 1 / n_s == pytest.approx(measured_rate(series, p_s, 1.0), rel=1e-13)
 
 
@@ -956,6 +977,24 @@ def test_rate_crossing_at_an_oscillation_peak_inside_a_block():
     assert 1 / n_s == pytest.approx(measured_rate(series, p_s, 1.0), rel=1e-10)
 
 
+def test_no_rate_read_out_reads_powers_of_the_bloch_map(monkeypatch):
+    # _level and _read serve simulate alone: with both refusing, the README sweep and a point
+    # that crosses after 2^21 cycles solve through the batch to the bytes they read otherwise
+    points = [(SYS, replace(README_BASE, t_s=f * math.pi)) for f in np.linspace(0, 2, 81)]
+    points.append((SYS, replace(README_BASE, t_s=0.6 * math.pi)))
+    expected = list(evaluate_exact_batch(points))
+    assert expected[-1].n_s > 2 ** 21
+
+    def refused(*args):
+        raise AssertionError("the rate read powers of the Bloch map")
+
+    monkeypatch.setattr(engine, "_level", refused)
+    monkeypatch.setattr(engine, "_read", refused)
+    assert list(evaluate_exact_batch(points)) == expected
+    with pytest.raises(AssertionError, match="powers of the Bloch map"):
+        simulate(cycle_kraus(*points[0]), mixed_state(), 2)
+
+
 def damping_to_cross_at(cycle: int, sign: int = 1) -> KrausPair:
     """Amplitude damping towards nuclear up (sign 1) or down (-1) whose series
     P(n) = sign (1 - lam^(n-1)) first reaches 1 - 1/e of P_s = sign at `cycle`."""
@@ -966,15 +1005,39 @@ def damping_to_cross_at(cycle: int, sign: int = 1) -> KrausPair:
     return KrausPair(m_up=stay.astype(complex), m_down=flip.astype(complex))
 
 
-# cycle 2 (N_s clamps to 1) and the first cycle of every later doubling level of the first block
-LEVEL_FIRST_CYCLES = [2 ** e + 1 for e in range(10)]
+def damping_cycles(pair: KrausPair) -> Fraction:
+    """N_s of damping_to_cross_at's series in exact rationals, interpolated as measured_rate
+    does: P(n)/P_s = 1 - lam'^(n-1), lam' = s^2 for the pair's own float s = sqrt(lam)."""
+    lam = Fraction(float(min(abs(pair.m_up[0, 0]), abs(pair.m_up[1, 1])))) ** 2
+    threshold = Fraction(E_FRACTION)
+
+    def fraction(n):
+        return 1 - lam ** (n - 1)
+
+    n = max(2, math.ceil(1 - 1 / math.log(float(lam))))  # a guess at the first cycle above
+    while n > 2 and fraction(n - 1) >= threshold:
+        n -= 1
+    while fraction(n) < threshold:
+        n += 1
+    lo, hi = fraction(n - 1), fraction(n)
+    return max(n - 2 + (threshold - lo) / (hi - lo), Fraction(1))
+
+
+DAMPING_REL = 2e-13  # N_s against damping_cycles: 8.8e-14 is read, on cycles 2 ... 1024
+
+
+# cycle 2 (N_s clamps to 1), cycles inside block 0 up to 33, and from 65 on the first cycle of
+# a later block, read against the last cycle of the block before
+BLOCK_FIRST_CYCLES = [2 ** e + 1 for e in range(10)]
 
 
 @pytest.mark.parametrize("sign", [1, -1])
-@pytest.mark.parametrize("cycle,n", [(c, None) for c in LEVEL_FIRST_CYCLES]
+@pytest.mark.parametrize("cycle,n", [(c, None) for c in BLOCK_FIRST_CYCLES]
                          + [(290, 300), (400, 300), (700, None)])
 def test_lazy_rate_reads_exactly_what_measured_rate_reads(sign, cycle, n):
-    # n cuts the series that measured_rate reads; None ends it at the crossing
+    # the mode sum's N_s against the exact series of the pair, and against what
+    # measured_rate reads from simulate's powers of the Bloch map; n cuts the series that
+    # measured_rate reads, None ends it at the crossing
     pair = damping_to_cross_at(cycle, sign)
     p_s, _ = steady_state(pair)
     assert p_s == pytest.approx(sign, abs=1e-12)
@@ -985,27 +1048,21 @@ def test_lazy_rate_reads_exactly_what_measured_rate_reads(sign, cycle, n):
             measured_rate(series, p_s, 1.0)
         series = simulate(pair, mixed_state(), cycle)
     assert np.nonzero(series.values / p_s >= 1 - math.exp(-1))[0][0] == cycle - 1
-    assert 1.0 / n_s == measured_rate(series, p_s, 1.0)
+    assert n_s == pytest.approx(float(damping_cycles(pair)), rel=DAMPING_REL)
+    assert 1.0 / n_s == pytest.approx(measured_rate(series, p_s, 1.0), rel=1e-10)
     assert (n_s == 1.0) == (cycle == 2)
 
 
-@pytest.mark.parametrize("cycle", LEVEL_FIRST_CYCLES + [100, 512, 1024])
+@pytest.mark.parametrize("cycle", BLOCK_FIRST_CYCLES + [100, 512, 1024, engine.RATE_BLOCK])
 def test_lazy_rate_stops_at_the_level_that_holds_the_crossing(monkeypatch, cycle):
-    starts = []
-    level = engine._level
-
-    def counted(rows, power, x, start):
-        starts.append(start)
-        return level(rows, power, x, start)
-
-    monkeypatch.setattr(engine, "_level", counted)
+    # block 0 is read once for a whole stack, and a crossing in it (cycles 2 ... RATE_BLOCK)
+    # reads no later block; a later crossing reads only the block that holds it, since the
+    # bounds of a monotone series rule out every block before it
     reads = recorded_reads(monkeypatch)
-    pair = damping_to_cross_at(cycle)
-    # the later blocks are never bounded or reached
-    assert rate_cycles(pair, 1.0) is not None
-    # levels start at entries 0 (cycles 1-2), 2, 4, 8, ...; the crossing is entry cycle - 1
-    assert starts == [0] + [2 ** e for e in range(1, (cycle - 1).bit_length())]
-    assert reads == []
+    t = np.array([_superop(damping_to_cross_at(c)) for c in (cycle, 2)])
+    assert None not in rate_cycles_of(t, 1.0)
+    block = (cycle - 1) // engine.RATE_BLOCK
+    assert reads == [0] + ([block] if block else [])
 
 
 def closed_form_cycles(pair: KrausPair) -> float:
@@ -1137,9 +1194,9 @@ def oscillating_pair() -> KrausPair:
 
 
 def later_block_pool() -> list[tuple[np.ndarray, float, tuple[np.ndarray, np.ndarray]]]:
-    """(transfer matrix, P_s, mode sum terms) of points that leave the first block at many
-    depths, and some that do not: crossings on cycles 100 to 2^25 + 3, on a crest, past 2^21
-    cycles at the README base, after a moving mode of modulus 1, and never.  The terms (mu,
+    """(transfer matrix, P_s, mode sum terms) of points that cross at many depths past
+    block 0: on cycles 100 to 2^25 + 3, on a crest, past 2^21 cycles at the README base,
+    after a moving mode of modulus 1, and never.  The terms (mu,
     w), each (3,), are those of the affine Bloch map (see series_terms) but for the last,
     which are handed (see NEVER_TERMS)."""
     pairs = [damping_to_cross_at(c, sign) for c in (100, 1030, 2049, 5000, 70_001, 3_000_000,
@@ -1173,18 +1230,20 @@ def test_stacked_later_search_matches_each_point_alone(picks):
     assert all(type(n) is float for n in together if n is not None)
 
 
-# the clamp (cycle 2), the first entry of every doubling level (2^e + 1, read against the
-# last entry of the level before), the last cycle of the first block, and any between
-FIRST_BLOCK_CYCLES = st.one_of(st.sampled_from(LEVEL_FIRST_CYCLES + [engine.SERIES_BLOCK]),
-                               st.integers(2, engine.SERIES_BLOCK))
+# the clamp (cycle 2), the first cycles of later blocks (2^e + 1 from 65 on, read against the
+# last cycle of the block before), the last cycles of block 0 and of simulate's first block,
+# and any between
+FIRST_BLOCK_CYCLES = st.one_of(
+    st.sampled_from(BLOCK_FIRST_CYCLES + [engine.RATE_BLOCK, engine.SERIES_BLOCK]),
+    st.integers(2, engine.SERIES_BLOCK))
 
 
 @given(st.lists(st.tuples(FIRST_BLOCK_CYCLES, st.sampled_from([1, -1])), min_size=1, max_size=12))
 @settings(deadline=None)
 def test_stacked_first_block_read_out_matches_each_point_alone(picks):
-    # the points of a stack leave the first block at different levels, each with the
-    # bytes it gets alone and with the rate measured_rate reads from a series that ends
-    # at its crossing
+    # the points of a stack leave at block 0 or at different later blocks, each with the
+    # bytes it gets alone, the N_s of its exact series and the rate measured_rate reads
+    # from a series that ends at its crossing
     pairs = [damping_to_cross_at(cycle, sign) for cycle, sign in picks]
     t = np.array([_superop(pair) for pair in pairs])
     p_s = [steady_state(pair)[0] for pair in pairs]
@@ -1193,7 +1252,9 @@ def test_stacked_first_block_read_out_matches_each_point_alone(picks):
     assert [n.hex() for n in together] == [n.hex() for n in alone]
     for n_s, pair, p, (cycle, _) in zip(together, pairs, p_s, picks):
         assert type(n_s) is float
-        assert 1.0 / n_s == measured_rate(simulate(pair, mixed_state(), cycle), p, 1.0)
+        assert n_s == pytest.approx(float(damping_cycles(pair)), rel=DAMPING_REL)
+        assert 1.0 / n_s == pytest.approx(
+            measured_rate(simulate(pair, mixed_state(), cycle), p, 1.0), rel=1e-10)
 
 
 @pytest.mark.parametrize("row", [[0.7, 0.9], [E_FRACTION, 0.2], [0.1, 0.7], [0.0, E_FRACTION]])
@@ -1209,8 +1270,9 @@ def test_a_whole_level_read_gives_the_crossing_measured_rate_reads(row):
 
 
 def test_a_full_stack_of_late_crossings_stays_within_three_times_its_rows():
-    # BATCH_SIZE points that all cross after the first block: the read-out rows of the first
-    # block, SERIES_BLOCK x 4 floats per point, are the largest arrays a stack holds
+    # BATCH_SIZE points that all cross after block 0: block 0's powers mu^(n-1) and their
+    # terms, each 3 x (RATE_BLOCK - 1) complex per point, are the largest arrays a stack
+    # holds, and the peak stays within 4 times one of them (3.2 to 3.3 times is read)
     import tracemalloc
 
     points = [(SYS, replace(README_BASE, t_s=(1.85 + 0.002 * j / engine.BATCH_SIZE) * math.pi))
@@ -1222,21 +1284,24 @@ def test_a_full_stack_of_late_crossings_stays_within_three_times_its_rows():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert all(res.n_s > engine.SERIES_BLOCK for res in results)
-    assert peak < 3 * engine.BATCH_SIZE * engine.SERIES_BLOCK * 32
+    assert all(res.n_s > engine.RATE_BLOCK for res in results)
+    assert peak < 4 * engine.BATCH_SIZE * 3 * (engine.RATE_BLOCK - 1) * 16
+
+
+MIXED_BLOCH = np.array([0.5, 0.0, 0.0, 0.5])  # the mixed start (p_up, x, y, p_down)
 
 
 @pytest.mark.parametrize("at", range(len(LATER_BLOCK_POOL)))
 def test_the_bloch_series_strays_from_the_mode_sum_by_at_most_its_drift(at):
-    # what lets the later blocks read the mode sum of M's modes where the first block and
-    # simulate read powers of the real Bloch map R: at cycle 1 + m the two part by at most
+    # what lets the rate read the mode sum of M's modes where simulate reads powers of the
+    # real Bloch map R: at cycle 1 + m the two part by at most
     # a drift of 4 m eps (1.8 m eps at most in the pool).  The pool's channels are projected
     # Kraus pairs, exact damping pairs and transfer matrices built from their terms; each
     # mode sum holds the steady term (1, P_s) with the engine's own P_s, or is handed whole
     t, p_s, (mu, weights) = LATER_BLOCK_POOL[at]
     r, _ = engine._bloch_maps(t[None])
     for m in (1, 2, 1024, 1025, 2 ** 15 + 7, 2 ** 20, 2 ** 25 + 3):
-        read = engine._READOUT[0] @ np.linalg.matrix_power(r[0], m) @ engine._MIXED_BLOCH
+        read = engine._READOUT[0] @ np.linalg.matrix_power(r[0], m) @ MIXED_BLOCH
         assert abs(read - (p_s + (weights * mu ** m).sum().real)) <= 4 * m * 2.2e-16, m
 
 

@@ -618,8 +618,8 @@ README_T_S_06 = SequenceParams(n_p=1, tau=2 * math.pi, t_s=0.6 * math.pi, t_w=1.
 
 @pytest.mark.parametrize("batch_size", [engine.BATCH_SIZE, 5])
 def test_batched_sweep_matches_each_point_alone(monkeypatch, batch_size):
-    # a_perp runs down from couplings that cross on cycle 2 or on later doubling
-    # levels to 0.15 and 0.10 (crossings after the first block), 0.05 (the README
+    # a_perp runs down from couplings that cross on cycle 2 or later in the first 1024
+    # cycles to 0.15 and 0.10 (crossings after them), 0.05 (the README
     # point, past 2^21 cycles) and 0 (P_s = 0), so the slow points sit behind fast
     # ones in the stack they leave last; n_r = 4 - 2^55 is an invalid sequence, and
     # n_r = 2^55 squares the cycle propagator into a non-unitary matrix whose
@@ -660,8 +660,8 @@ def test_batched_sweep_matches_each_point_alone(monkeypatch, batch_size):
     assert n_s[1] > 2 ** 21  # the README point, past the old series cap
     assert n_s[2] > 2 * engine.SERIES_BLOCK and n_s[3] > engine.SERIES_BLOCK
     assert n_s[14] == pytest.approx(1.0)  # a_perp = 0.7 crosses on cycle 2
-    # crossings on eight doubling levels of the first block, up to cycle 849 of the last
-    # (a_perp = 0.25 crosses near cycle 251, on level 8)
+    # crossings on cycles of nine bit lengths up to 1024, in block 0 and in later blocks, up
+    # to cycle 849 (a_perp = 0.25 crosses near cycle 251, of bit length 8)
     levels = {round(v).bit_length() for v in n_s.values() if v is not None and v < 1024}
     assert levels == {1, 2, 3, 4, 5, 6, 7, 8, 10}
 
