@@ -1,26 +1,31 @@
 """Exact numerical evolution of the protocol.
 
-Composes the per-cycle 4x4 unitary from the propagators of the
-timeline's eight leaf segments in the protocol's one form: the DD cell,
-raised to n_p by repeated squaring, then the two DD blocks, then the
+Composes the per-cycle 4x4 unitary in the protocol's one form: the DD
+cell, raised to n_p by repeated squaring, then the two DD blocks, then the
 repetition of DDX, t_s, DDY, t_w, DDX, t_s, DDY, t_c, raised to n_r; the
 nuclear Kraus pair is its first block column, projected back to an
-isometry by one Newton-Schulz step (see _isometries).  One walk serves a whole
-stack of timelines: each distinct (system, leaf segment) is exponentiated
-once, one exponential per generator (hyperfine, nuclear, a zero-width
-pulse's spin or a drive at one Rabi frequency), and the timelines of one
-n_p and n_r compose each block as one stacked product over all their
-points; a block whose leaf segments all the points share is composed
-once.  `propagate` is the walk of one timeline.  The segment
-propagators are memoized per (system, segment) in a dict the caller may
-pass: sweeps, scans and searches share one across their points, so
-neighbouring points that differ in one wait exponentiate only that wait.
-One table outlives a walk, bounded and a pure function of its keys: in
-linalg.hermitian_expm each generator's eigendecomposition, keyed by its
-bytes (up to linalg.SPECTRA_LIMIT, cleared when full), so a new duration
-of a generator seen before costs no eigh.  segment_propagator refuses a
-segment whose phase |eigenvalue x duration| reaches PHASE_LIMIT, where the
-propagator is finite but holds no digit of the phase modulo 2 pi.
+isometry by one Newton-Schulz step (see _isometries).  The five DD leaves
+(timeline.HALF_X ... PI_Y) are exponentiated; a wait evolves under
+omega I_z alone, so its propagator is the diagonal diag(e^(-+i omega t/2)),
+computed from its duration with the bytes hermitian_expm would give it
+(see _wait_phases) and applied as a diagonal 4x4 product.  One walk serves
+a whole stack of groups, each a run of points that differ only in their
+waits: each distinct (system, DD leaf) is exponentiated once, one
+exponential per generator (hyperfine, a zero-width pulse's spin or a drive
+at one Rabi frequency), each group composes its DD blocks once, and the
+groups of one n_p and n_r compose as one stacked product; a DD block that
+all of them share is composed once.  `propagate` is the walk of one
+timeline, a group of one point.  The DD leaves' propagators are memoized
+per (system, segment) in a dict the caller may pass: sweeps, scans and
+searches share one across their points, so points that differ only in
+their waits exponentiate nothing after the first.  The waits never enter
+the memo.  One table outlives a walk, bounded and a pure function of its
+keys: in linalg.hermitian_expm each generator's eigendecomposition, keyed
+by its bytes (up to linalg.SPECTRA_LIMIT, cleared when full), so a new
+duration of a generator seen before costs no eigh.  segment_propagator
+refuses a segment whose phase |eigenvalue x duration| reaches PHASE_LIMIT,
+where the propagator is finite but holds no digit of the phase modulo
+2 pi, and a walk refuses such a wait with the same message.
 The channel acts on vec(rho) as a complex 4x4 transfer matrix T, and on
 the nuclear Bloch vector as the real affine map r -> M r + c (Nielsen and
 Chuang, Quantum Computation and Quantum Information, 8.3.2), read from the
@@ -41,16 +46,18 @@ first block of SERIES_BLOCK cycles one doubling level of read-out rows at
 a time (cycles 1-2, 3-4, 5-8, ...), then a block at a time.
 
 `evaluate_exact_batch` solves many points at once.  Up to BATCH_SIZE (256)
-points are rendered, walked as one stack and checked for unitarity
-together; their Bloch maps share one eig and one solve, and their blocks 0
-one evaluation.  The points with no crossing in block 0 search the later
-blocks together, each leaving at its own crossing.  A stack's largest
-arrays are block 0's powers of the modes and their terms, each
-3 x (RATE_BLOCK - 1) complex (3 KB) per point: 774 KB for a stack of 256
-points.  `evaluate_exact` propagates its point through `propagate` and
-shares the rest with the batch, with the same bytes.  Sweeps and every
-step of the resonant-interval search go through the batch; only
-robustness scans still go one point at a time.
+points are checked, grouped by everything but their waits (system, tau,
+tau_pi, n_p, n_r), and walked as one stack: each group renders its DD
+leaves once, and each point reads only its three wait durations.  The
+stack is checked for unitarity together; the points' Bloch maps share one
+eig and one solve, and their blocks 0 one evaluation.  The points with no
+crossing in block 0 search the later blocks together, each leaving at its
+own crossing.  A stack's largest arrays are block 0's powers of the modes
+and their terms, each 3 x (RATE_BLOCK - 1) complex (3 KB) per point: 774 KB
+for a stack of 256 points.  `evaluate_exact` propagates its point through
+`propagate` and shares the rest with the batch, with the same bytes.
+Sweeps and every step of the resonant-interval search go through the
+batch; only robustness scans still go one point at a time.
 
 A point alone is a stack of one through the same code, and at that size
 each numpy call costs about its fixed overhead, so the walk and the solve
@@ -75,12 +82,13 @@ import numpy as np
 
 from .linalg import ID2, ID4, SX, SY, SZ, hermitian_expm, kron2
 from .params import SequenceParams, SystemParams
-from .timeline import FREE_HYPERFINE, FREE_NUCLEAR, PULSE, Segment, Timeline, render_unit
+from .timeline import (FREE_HYPERFINE, FREE_NUCLEAR, PULSE, WAIT_S, Segment, Timeline,
+                       check_sequence, cycle_durations, dd_leaves, render_unit)
 
 UNITARITY_TOL = 1e-10
 SERIES_BLOCK = 1024
 RATE_BLOCK = 64  # cycles per block of the rate read-out (see _rate_cycles)
-MEMO_LIMIT = 256
+MEMO_LIMIT = 256  # (system, DD leaf) propagators a memo holds; waits are never kept
 BATCH_SIZE = 256  # points per stacked mode solve and rate read-out
 SPLIT = 16  # parts per range of later blocks in the rate search
 PHASE_LIMIT = 2.0 ** 52  # a segment phase this large holds no digits modulo 2 pi
@@ -178,12 +186,15 @@ def segment_propagator(sys: SystemParams, segments: Sequence[Segment],
     durations = [s.duration for s in segments]
     u = hermitian_expm(h, durations)
     if not np.isfinite(u).all():  # exp(-i inf) is NaN: an eigenvalue times the duration overflowed
-        finite = np.isfinite(u).all(axis=(1, 2))
-        raise ValueError(f"segment phase H*t overflows (omega={sys.omega!r}, "
-                         f"a_perp={sys.a_perp!r}, a_z={sys.a_z!r}, "
-                         f"t={durations[int(finite.argmin())]!r})")
+        raise _overflow(sys, durations[int(np.isfinite(u).all(axis=(1, 2)).argmin())])
     _refuse_lost_phases(sys, segments)
     return u
+
+
+def _overflow(sys: SystemParams, t: float) -> ValueError:
+    """The error of a segment of duration t whose phase H*t overflows."""
+    return ValueError(f"segment phase H*t overflows (omega={sys.omega!r}, "
+                      f"a_perp={sys.a_perp!r}, a_z={sys.a_z!r}, t={t!r})")
 
 
 def _hyperfine(sys: SystemParams, memo: dict) -> np.ndarray:
@@ -219,32 +230,61 @@ def _refuse_lost_phases(sys: SystemParams, segments: Sequence[Segment]) -> None:
                               f"t={longest!r})")
 
 
+class _Group(NamedTuple):
+    """Points that differ only in their waits: one system, n_p, n_r and five DD leaves."""
+
+    sys: SystemParams
+    n_p: int
+    n_r: int
+    leaves: tuple[Segment, ...]  # the DD leaves HALF_X ... PI_Y
+    waits: list[tuple[float, float, float]]  # (t_s, t_w, t_c) of each point
+
+
 def propagate(sys: SystemParams, timeline: Timeline,
               cache: dict | None = None) -> np.ndarray:
     """Cycle propagator: the ordered product of segment propagators.
 
     Each block of the cycle is composed once (later parts on the left), and
     the cell and the repetition are raised to their counts by repeated
-    squaring.  The leaf segments' propagators are kept in `cache`, keyed by
+    squaring.  The DD leaves' propagators are kept in `cache`, keyed by
     (sys, segment), so a caller that passes one dict to every point of a
-    sweep exponentiates each distinct segment once for the whole sweep;
-    without one, the memo lasts for this call.  The dict is cleared whenever it would grow past
-    MEMO_LIMIT entries, and the cached arrays are read-only.  Blocks are not
-    stored.  This is _walk on a stack of one.
+    sweep exponentiates each distinct DD leaf once for the whole sweep;
+    without one, the memo lasts for this call.  The waits, the timeline's
+    FREE_NUCLEAR leaves, are diagonal phases computed from their durations
+    and never enter the memo; a wait leaf of another kind raises ValueError
+    (see _timeline_group).  The dict is cleared whenever it would grow
+    past MEMO_LIMIT entries, and the cached arrays are read-only.  Blocks
+    are not stored.  This is _walk on a group of one point.
     """
-    return _walk([(sys, timeline)], cache)[0]
+    return _walk([_timeline_group(sys, timeline)], cache)[0]
 
 
-def _walk(points: list[tuple[SystemParams, Timeline]], cache: dict | None) -> np.ndarray:
-    """Cycle propagators (k, 4, 4) of k (system, timeline) pairs, walked as one stack.
+def _timeline_group(sys: SystemParams, timeline: Timeline) -> _Group:
+    """The timeline as a group of one point, its waits the durations of its wait leaves.
 
-    Every distinct (system, leaf segment) of the stack is read from `cache`
-    or, once, exponentiated: one segment_propagator call per generator
-    covers all its missing segments, and they join the memo as in
-    propagate once every call has returned: a walk that segment_propagator
-    refuses keeps nothing, and it names a phase that overflows, or a
-    generator whose eigh fails, before one whose phase holds no digits.  The
-    points are then grouped by (n_p, n_r), and each group
+    Raises ValueError naming the first wait leaf that is not a FREE_NUCLEAR
+    segment: the walk evolves every wait under omega I_z alone."""
+    waits = timeline.leaves[WAIT_S:]
+    for name, leaf in zip(("t_s", "t_w", "t_c"), waits):
+        if leaf.kind != FREE_NUCLEAR:
+            raise ValueError(f"wait {name} must be a {FREE_NUCLEAR} segment, got {leaf.kind!r}")
+    return _Group(sys, timeline.n_p, timeline.n_r, timeline.leaves[:WAIT_S],
+                  [tuple([leaf.duration for leaf in waits])])
+
+
+def _walk(groups: list[_Group], cache: dict | None) -> np.ndarray:
+    """Cycle propagators (k, 4, 4) of the k points of the groups, walked as one stack,
+    in the order of the groups and of their points.
+
+    Every distinct (system, DD leaf) of the stack is read from `cache` or,
+    once, exponentiated: one segment_propagator call per generator covers
+    all its missing leaves, and they join the memo as in propagate once
+    every call has returned.  The waits bypass the memo: each point's three
+    are diagonal phases (see _wait_phases).  A walk that refuses a segment
+    keeps nothing, and it names a DD leaf's phase that overflows, or a
+    generator whose eigh fails, before a wait's phase that overflows, and
+    either before a phase that holds no digits, a DD leaf's before a
+    wait's.  The groups are then gathered by (n_p, n_r), and each gathering
     composes its cycles as one stack (see _cycle).  Each matrix has the
     bytes of its own 4x4 products.
     """
@@ -252,16 +292,16 @@ def _walk(points: list[tuple[SystemParams, Timeline]], cache: dict | None) -> np
         cache = {}
     systems: dict = {}  # sys -> {segment: its row in keys and known}
     keys: list = []  # (sys, segment) of each row
-    groups = defaultdict(list)  # (n_p, n_r) -> (point, leaf rows) of its points
-    for i, (sys, timeline) in enumerate(points):
+    counts = defaultdict(list)  # (n_p, n_r) -> (group, leaf rows) of its groups
+    for g, (sys, n_p, n_r, leaves, _) in enumerate(groups):
         seen = systems.setdefault(sys, {})
         rows = []
-        for seg in timeline.leaves:  # one hash per leaf: a new segment takes the next row
+        for seg in leaves:  # one hash per leaf: a new segment takes the next row
             row = seen.setdefault(seg, len(keys))
             if row == len(keys):
                 keys.append((sys, seg))
             rows.append(row)
-        groups[timeline.n_p, timeline.n_r].append((i, rows))
+        counts[n_p, n_r].append((g, rows))
     known = [cache.get(key) for key in keys]
     missing = defaultdict(list)  # generator -> rows of its segments that are not in the memo
     for row, u in enumerate(known):
@@ -275,6 +315,12 @@ def _walk(points: list[tuple[SystemParams, Timeline]], cache: dict | None) -> np
                 keys[misses[0]][0], [keys[row][1] for row in misses], hyperfine)))
         except _LostPhaseError as err:  # a later overflow or failed eigh is named first
             lost = lost or err
+    phases = _wait_phases(groups)
+    if not phases.imag.max() < PHASE_LIMIT:  # the largest wait phase, omega t / 2, or NaN
+        try:
+            _refuse_waits(groups, phases)
+        except _LostPhaseError as err:
+            lost = lost or err
     if lost is not None:
         raise lost
     for misses, stack in stacks:  # kept only once every generator's segments are solved
@@ -284,28 +330,81 @@ def _walk(points: list[tuple[SystemParams, Timeline]], cache: dict | None) -> np
             if len(cache) >= MEMO_LIMIT:
                 cache.clear()
             cache[keys[row]] = u
-    out = np.empty((len(points), 4, 4), dtype=complex)
+    waits = _wait_propagators(phases)
+    sizes = [len(group.waits) for group in groups]
+    starts = list(itertools.accumulate(sizes, initial=0))  # each group's first point
+    out = np.empty(waits.shape[1:], dtype=complex)
     # a product that overflows is NaN, which the unitarity check reports
     with np.errstate(over="ignore", invalid="ignore"):
-        for (n_p, n_r), members in groups.items():
-            at, rows = zip(*members)
-            out[list(at)] = _cycle(n_p, n_r, rows, known)
+        for (n_p, n_r), members in counts.items():
+            at = [i for g, _ in members for i in range(starts[g], starts[g + 1])]
+            out[at] = _cycle(n_p, n_r, [rows for _, rows in members],
+                             [sizes[g] for g, _ in members], known, waits[:, at])
     return out
 
 
-def _cycle(n_p: int, n_r: int, rows: Sequence[list[int]],
-           known: list[np.ndarray]) -> np.ndarray:
-    """Cycle propagators of a stack of k points that share n_p and n_r.
+def _wait_phases(groups: list[_Group]) -> np.ndarray:
+    """The phases (3, k, 2) of the k points' waits t_s, t_w and t_c: -i w t for the
+    eigenvalues w = +omega/2 and -omega/2 of nuclear_hamiltonian, the nuclear spin
+    up and down.
 
-    rows hold each of the k points' eight leaves (see timeline.HALF_X ...)
-    as indices into known, the stack's distinct leaf propagators (4, 4):
-    equal indices, equal segments.  A leaf that every point shares is
-    (1, 4, 4), a view of its propagator, any other (k, 4, 4), and a block
-    composes as (1, 4, 4) when all its parts do, its (1, 4, 4) parts
-    broadcasting otherwise.  Each block multiplies its parts in product
+    Their exponentials are the diagonal of hermitian_expm(nuclear_hamiltonian(sys), t),
+    byte for byte: hermitian_expm multiplies -1j by eigh's eigenvalues and the
+    result by t, and omega/2 times -1j (+-1) gives the rates -1j w with the
+    same bytes, since every product with a zero part is exact; exp(+-0 + 0i)
+    is 1 + 0i, so a zero wait is the exact identity.  eigh returns +-omega/2
+    exactly for omega between about 1e-157 and 1e157; beyond, where LAPACK
+    rescales the matrix, these phases are the exact ones and hermitian_expm's
+    differ in their last digits.
+    """
+    half, durations = [], []
+    for group in groups:
+        half += [group.sys.omega / 2] * len(group.waits)
+        durations += group.waits
+    rates = np.array(half)[:, None] * _MINUS_I_SIGNS
+    return rates * np.array(durations, dtype=float).T[:, :, None]
+
+
+_MINUS_I_SIGNS = -1j * np.array([1.0, -1.0])  # -1j w / (omega/2), nuclear spin up and down
+_NUCLEAR_SPIN = np.array([0, 1, 0, 1])  # of each basis state |electron, nucleus>
+
+
+def _wait_propagators(phases: np.ndarray) -> np.ndarray:
+    """The diagonal propagators (3, k, 4, 4) of waits whose phases (3, k, 2) _wait_phases gives."""
+    waits = np.zeros(phases.shape[:2] + (16,), dtype=complex)
+    waits[..., ::5] = np.exp(phases)[..., _NUCLEAR_SPIN]  # the diagonal
+    return waits.reshape(phases.shape[:2] + (4, 4))
+
+
+def _refuse_waits(groups: list[_Group], phases: np.ndarray) -> None:
+    """Raise for the first point whose waits segment_propagator would refuse (see
+    _wait_phases): a ValueError naming its first wait whose phase overflows, else
+    a _LostPhaseError naming its longest wait."""
+    points = [(group.sys, waits) for group in groups for waits in group.waits]
+    overflows = ~np.isfinite(phases.imag).all(axis=2)  # (wait, point): inf, or NaN as t = nan gives
+    if overflows.any():
+        k = int(overflows.any(axis=0).argmax())
+        sys, waits = points[k]
+        raise _overflow(sys, waits[int(overflows[:, k].argmax())])
+    for sys, waits in points:
+        _refuse_lost_phases(sys, [Segment(FREE_NUCLEAR, t) for t in waits])
+
+
+def _cycle(n_p: int, n_r: int, rows: list[list[int]], sizes: list[int],
+           known: list[np.ndarray], waits: np.ndarray) -> np.ndarray:
+    """Cycle propagators (k, 4, 4) of the k points of groups that share n_p and n_r.
+
+    rows hold each group's five DD leaves (see timeline.HALF_X ...) as
+    indices into known, the stack's distinct leaf propagators (4, 4): equal
+    indices, equal segments; sizes hold each group's number of points, and
+    waits (3, k, 4, 4) the points' wait propagators, diagonal (see
+    _wait_phases).  A leaf that every group shares is (1, 4, 4), a view of
+    its propagator, any other one row per group, and the DD blocks compose
+    as (1, 4, 4) when all their parts do, their (1, 4, 4) parts
+    broadcasting otherwise; blocks of one row per group are repeated for
+    each group's points.  Each block multiplies its parts in product
     order, later parts on the left, starting from the first itself, and
     matrix_power raises the cell to n_p and the repetition to n_r.
-    Returns (k, 4, 4), or (1, 4, 4) when the points share every leaf.
     """
     leaves, table = [], None
     for column in zip(*rows):
@@ -315,9 +414,13 @@ def _cycle(n_p: int, n_r: int, rows: Sequence[list[int]],
             if table is None:
                 table = np.array(known)
             leaves.append(table[list(column)])
-    half_x, free, pi_x, half_y, pi_y, wait_s, wait_w, wait_c = leaves
+    half_x, free, pi_x, half_y, pi_y = leaves
     ddx = half_x @ (np.linalg.matrix_power(free @ (pi_x @ free), n_p) @ half_x)
     ddy = half_y @ (np.linalg.matrix_power(free @ (pi_y @ free), n_p) @ half_y)
+    wait_s, wait_w, wait_c = waits
+    # a block of one row per group is repeated for its points where some group holds several
+    ddx, ddy = (np.repeat(dd, sizes, axis=0) if 1 < len(dd) < len(wait_s) else dd
+                for dd in (ddx, ddy))
     u = ddx
     for part in (wait_s, ddy, wait_w, ddx, wait_s, ddy, wait_c):
         u = part @ u
@@ -843,29 +946,43 @@ def evaluate_exact_batch(points: Iterable[tuple[SystemParams, SequenceParams]],
 
 
 def _evaluate_chunk(points: list, cache: dict | None) -> list[ExactResult | ValueError]:
-    """evaluate_exact_batch on one chunk of at most BATCH_SIZE points, as a list."""
+    """evaluate_exact_batch on one chunk of at most BATCH_SIZE points, as a list.
+
+    The valid points are grouped by everything but their waits, (system, tau,
+    tau_pi, n_p, n_r), and each group renders its five DD leaves once."""
     results: list = [None] * len(points)
-    rendered = {}  # by point index, for the points that render
+    members: dict = {}  # (sys, tau, tau_pi, n_p, n_r) -> the indices of its valid points
     for i, (sys, seq) in enumerate(points):
         try:
-            rendered[i] = (sys, render_unit(sys, seq))
+            check_sequence(seq)
         except ValueError as err:
             results[i] = err
+        else:
+            members.setdefault((sys, seq.tau, seq.tau_pi, seq.n_p, seq.n_r), []).append(i)
+    at = list(itertools.chain.from_iterable(members.values()))
     try:
-        at, u = list(rendered), _walk(list(rendered.values()), cache)
-    except ValueError:  # a failed eigh or an overflowing phase stops the stack: walk each point alone
+        u = _walk([_group(points, group) for group in members.values()], cache) if at else None
+    except ValueError:  # a failed eigh or a refused phase stops the stack: walk each point alone
         walked = {}
-        for i, point in rendered.items():
+        for i in sorted(at):
             try:
-                (walked[i],) = _walk([point], cache)
+                (walked[i],) = _walk([_group(points, [i])], cache)
             except ValueError as err:
                 results[i] = err
         at, u = list(walked), np.array(list(walked.values()))
     if at:
-        solved = _solve(u, [points[i][1] for i in at], [rendered[i][1].actual_T for i in at])
+        sequences = [points[i][1] for i in at]
+        solved = _solve(u, sequences, [cycle_durations(seq)[1] for seq in sequences])
         for i, result in zip(at, solved):
             results[i] = result
     return results
+
+
+def _group(points: list, at: list[int]) -> _Group:
+    """The group of the points at these indices, which share all but their waits."""
+    sys, seq = points[at[0]]
+    return _Group(sys, seq.n_p, seq.n_r, dd_leaves(seq),
+                  [(s.t_s, s.t_w, s.t_c) for s in (points[i][1] for i in at)])
 
 
 def _solve(u: np.ndarray, sequences: list[SequenceParams], t_cycles: list[float],

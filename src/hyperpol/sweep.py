@@ -16,9 +16,12 @@ first 64 cycles of their mode sums, with the results of evaluating each
 point alone.  The README's 81-point sweep is one chunk, and a 201x201 grid 158.  Each golden-section
 step of the search is a batch of one.  Only robustness scans still go one
 point at a time.  A batch and a single point take the engine's one walk: the points of a
-chunk that share n_p and n_r compose their blocks as one stack, and the
-memo a sweep, scan or search hands to all its points holds the segment
-propagators of the (system, segment) pairs they share.
+chunk that differ only in their waits form one group, which renders and
+walks its DD blocks once, the groups that share n_p and n_r compose their
+cycles as one stack, and each wait is two phases computed from its
+duration.  The memo a sweep, scan or search hands to all its points holds
+the propagators of the (system, DD leaf) pairs they share, so a wait sweep
+exponentiates nothing after its first chunk.
 
 Above the engine, each point costs one `apply_point` call, which copies
 the base sequence's fields in (only a changed system goes through its

@@ -22,12 +22,15 @@ exactly the 8 half-pi insertions.
 
 A timeline is this one form and nothing else: n_p, n_r and the eight
 leaf segments (the half-pi and pi pulses of each DD block, the free half
-cell and the three waits), indexed by the constants below.  Every render
-with the same n_p and n_r differs only in its leaves.  The engine
-composes the cycle from the leaves' propagators and raises the cell and
-the repetition to their counts by repeated squaring; `segments`, the
-flat list in time order, is derived from the counts and the leaves on
-demand, for the oracles and for inspection.
+cell and the three waits, always FREE_NUCLEAR segments: engine.propagate
+refuses a timeline whose waits are not), indexed by the constants below.
+Every render with the same n_p and n_r differs only in its leaves, and
+the five DD leaves depend on tau and tau_pi alone (`dd_leaves`).  The
+engine composes the cycle from the DD leaves' propagators and the waits'
+diagonal phases and raises the cell and the repetition to their counts
+by repeated squaring; `segments`, the flat list in time order, is
+derived from the counts and the leaves on demand, for the oracles and
+for inspection.
 """
 
 from __future__ import annotations
@@ -76,21 +79,36 @@ class Timeline:
         return (*ddx, wait_s, *ddy, wait_w, *ddx, wait_s, *ddy, wait_c) * self.n_r
 
 
-def render_unit(sys: SystemParams, seq: SequenceParams) -> Timeline:
-    """Timeline for one initialization cycle (n_r protocol repetitions)."""
+def check_sequence(seq: SequenceParams) -> None:
+    """Raise ValueError("invalid sequence: ...") listing the rules seq breaks (see
+    SequenceParams.violations); return when it is runnable."""
     problems = seq.violations()
     if problems:
         raise ValueError("invalid sequence: " + "; ".join(problems))
 
+
+def dd_leaves(seq: SequenceParams) -> tuple[Segment, ...]:
+    """The five DD leaves HALF_X ... PI_Y of a runnable sequence: they depend on tau
+    and tau_pi alone."""
     tau_pi = seq.tau_pi
     rabi = math.pi / tau_pi if tau_pi else math.inf  # a zero-width pulse takes no time
     half, whole = HALF_PI / rabi, PI / rabi
-    leaves = (Segment(PULSE, half, "+y", HALF_PI), Segment(FREE_HYPERFINE, (seq.tau - tau_pi) / 2),
-              Segment(PULSE, whole, "-x", PI), Segment(PULSE, half, "+x", HALF_PI),
-              Segment(PULSE, whole, "+y", PI), Segment(FREE_NUCLEAR, seq.t_s),
-              Segment(FREE_NUCLEAR, seq.t_w), Segment(FREE_NUCLEAR, seq.t_c))
+    return (Segment(PULSE, half, "+y", HALF_PI), Segment(FREE_HYPERFINE, (seq.tau - tau_pi) / 2),
+            Segment(PULSE, whole, "-x", PI), Segment(PULSE, half, "+x", HALF_PI),
+            Segment(PULSE, whole, "+y", PI))
 
+
+def cycle_durations(seq: SequenceParams) -> tuple[float, float]:
+    """(nominal_T, actual_T) of a runnable sequence's cycle, without and with the pulse widths."""
     nominal_T = seq.n_r * seq.rep_duration()
     # pi pulses live inside their cells; only the half-pi edges add time
     pulse_time = seq.n_r * 8 * (seq.tau_pi / 2)
-    return Timeline(seq.n_p, seq.n_r, nominal_T, nominal_T + pulse_time, leaves)
+    return nominal_T, nominal_T + pulse_time
+
+
+def render_unit(sys: SystemParams, seq: SequenceParams) -> Timeline:
+    """Timeline for one initialization cycle (n_r protocol repetitions)."""
+    check_sequence(seq)
+    leaves = (*dd_leaves(seq), Segment(FREE_NUCLEAR, seq.t_s), Segment(FREE_NUCLEAR, seq.t_w),
+              Segment(FREE_NUCLEAR, seq.t_c))
+    return Timeline(seq.n_p, seq.n_r, *cycle_durations(seq), leaves)

@@ -30,8 +30,8 @@ from hyperpol.engine import (
 from hyperpol.engine import E_FRACTION, _superop
 from hyperpol.linalg import ID2, ID4, SX, SZ, hermitian_expm, unitarity_defect
 from hyperpol.params import SequenceParams, SystemParams
-from hyperpol.timeline import (FREE_HYPERFINE, FREE_NUCLEAR, PULSE, WAIT_C, Segment, Timeline,
-                               render_unit)
+from hyperpol.timeline import (FREE_HYPERFINE, FREE_NUCLEAR, PULSE, WAIT_C, WAIT_S, Segment,
+                               Timeline, render_unit)
 
 from oracles import (MIXED_VEC, ONE, exact_fixed_z, fixed_affine_map, fixed_cycle_propagator,
                      fixed_rate_cycles, operator_distance, random_params, stepped_series,
@@ -139,15 +139,33 @@ SEGMENTS = st.one_of(
     st.builds(Segment, st.just(PULSE), st.sampled_from([0.0, 0.1, 0.2]),
               st.sampled_from(["+x", "-x", "+y", "-y"]), st.sampled_from([math.pi, math.pi / 2])),
 )
+# every duration SEGMENTS draws, as nuclear precession: propagate refuses a wait of another kind
+WAIT_SEGMENTS = st.builds(Segment, st.just(FREE_NUCLEAR),
+                          st.sampled_from([0.0, -0.0, 0.1, 0.2, 0.25, 1.0, 2.5]))
 COUNTS = st.tuples(st.integers(0, 4), st.integers(0, 3))  # (n_p, n_r); 0 runs a block no time
-LEAVES = st.lists(SEGMENTS, min_size=8, max_size=8).map(tuple)
+# the five DD leaves of any kind, and the three waits
+LEAVES = st.tuples(*[SEGMENTS] * WAIT_S, *[WAIT_SEGMENTS] * 3)
 
 
 def drawn_stack(data, counts, leaves) -> list:
     """2 to 5 (system, timeline) pairs of these counts, each leaf kept or drawn anew."""
-    return [(SYS, Timeline(*counts, 0.0, 0.0, tuple(data.draw(st.one_of(st.just(seg), SEGMENTS))
-                                                    for seg in leaves)))
+    return [(SYS, Timeline(*counts, 0.0, 0.0, tuple(
+        data.draw(st.one_of(st.just(seg), SEGMENTS if i < WAIT_S else WAIT_SEGMENTS))
+        for i, seg in enumerate(leaves))))
             for _ in range(data.draw(st.integers(2, 5)))]
+
+
+def walk(stack: list, memo: dict | None) -> np.ndarray:
+    """engine._walk on (system, timeline) pairs, in order: neighbours that share their
+    system, counts and DD leaves are one group, which differs only in its points' waits."""
+    groups = []
+    for point in stack:
+        group = engine._timeline_group(*point)
+        if groups and groups[-1][:4] == group[:4]:
+            groups[-1].waits.extend(group.waits)
+        else:
+            groups.append(group)
+    return engine._walk(groups, memo)
 
 
 @settings(max_examples=60, deadline=None)
@@ -161,9 +179,9 @@ def test_propagate_matches_flat_product_on_drawn_cycles(counts, other, leaves, d
     with pytest.MonkeyPatch.context() as patch:  # no spectrum and no memo at first
         patch.setattr(linalg, "_SPECTRA", {})
         memo = {}
-        cold = engine._walk(stack, memo)
-        seen = engine._walk(stack, {})  # every generator diagonalized before
-    warm = engine._walk(stack, memo)  # every leaf in the memo
+        cold = walk(stack, memo)
+        seen = walk(stack, {})  # every generator diagonalized before
+    warm = walk(stack, memo)  # every DD leaf in the memo
     expected = [identity_started(*point, memo).tobytes() for point in stack]
     assert [u.tobytes() for u in cold] == expected
     assert [u.tobytes() for u in seen] == expected
@@ -179,8 +197,43 @@ def test_a_stack_of_one_shape_is_each_timeline_alone(counts, leaves, data):
     # points of one n_p and n_r: as they keep or change each leaf, the cell, the DD
     # blocks and the repetition are shared by the stack or not
     stack = drawn_stack(data, counts, leaves)
-    walked = engine._walk(stack, {})
+    walked = walk(stack, {})
     assert [u.tobytes() for u in walked] == [propagate(*point).tobytes() for point in stack]
+
+
+def test_a_dd_block_of_one_row_per_group_is_repeated_for_its_points():
+    # two groups of one n_p and n_r that differ only in pi_y: DDX is shared by the
+    # stack, DDY is one row per group and is repeated for the first group's two points
+    leaves = render_unit(SYS, README_BASE).leaves
+    other = leaves[:4] + (Segment(PULSE, 0.1, "+y", math.pi),) + leaves[5:]
+    stack = [(SYS, Timeline(1, 2, 0.0, 0.0, leaves)),
+             (SYS, Timeline(1, 2, 0.0, 0.0, leaves[:WAIT_C] + (Segment(FREE_NUCLEAR, 0.5),))),
+             (SYS, Timeline(1, 2, 0.0, 0.0, other))]
+    walked = walk(stack, {})
+    assert [u.tobytes() for u in walked] == [propagate(*point).tobytes() for point in stack]
+
+
+@pytest.mark.parametrize("slot", ["t_s", "t_w", "t_c"])
+@pytest.mark.parametrize("kind", [FREE_HYPERFINE, PULSE])
+def test_propagate_refuses_a_wait_that_is_not_nuclear_precession(slot, kind):
+    # the walk evolves each wait under omega I_z alone, so a hand-built timeline whose
+    # wait leaf is of another kind is refused, not evolved as a nuclear wait
+    leaves = list(render_unit(SYS, README_BASE).leaves)
+    leaves[WAIT_S + ["t_s", "t_w", "t_c"].index(slot)] = Segment(kind, 0.2, "+x", math.pi)
+    with pytest.raises(ValueError) as err:
+        propagate(SYS, Timeline(1, 1, 0.0, 0.0, tuple(leaves)))
+    assert str(err.value) == f"wait {slot} must be a free_nuclear segment, got {kind!r}"
+
+
+@pytest.mark.filterwarnings("ignore:invalid:RuntimeWarning")
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_a_wait_of_no_finite_duration_is_refused_as_an_overflow(t):
+    # the text segment_propagator gives a nuclear segment whose propagator is not finite
+    leaves = render_unit(SYS, README_BASE).leaves[:WAIT_C] + (Segment(FREE_NUCLEAR, t),)
+    with pytest.raises(ValueError) as err:
+        propagate(SYS, Timeline(1, 1, 0.0, 0.0, leaves))
+    assert str(err.value) == ("segment phase H*t overflows "
+                              f"(omega=1.0, a_perp=0.05, a_z=0.0, t={t!r})")
 
 
 def long_train_points() -> list:
@@ -201,26 +254,28 @@ def test_a_walk_of_generators_seen_before_has_the_bytes_of_a_cold_walk(rng, monk
 
     def cold(point):  # no spectrum, no memo
         monkeypatch.setattr(linalg, "_SPECTRA", {})
-        return engine._walk([point], {})[0].tobytes()
+        return walk([point], {})[0].tobytes()
 
     expected = [cold(point) for point in points]
     monkeypatch.setattr(linalg, "_SPECTRA", {})
-    stacked = engine._walk(points, {})
+    stacked = walk(points, {})
     assert len(linalg._SPECTRA) < linalg.SPECTRA_LIMIT  # nothing was dropped from the table
     diagonalized = []
     spectrum = linalg._spectrum
     monkeypatch.setattr(linalg, "_spectrum", lambda key, h: diagonalized.append(key) or spectrum(key, h))
     # each point alone with a fresh memo, every generator already diagonalized
-    assert [engine._walk([point], {})[0].tobytes() for point in points] == expected
+    assert [walk([point], {})[0].tobytes() for point in points] == expected
     assert diagonalized == []
     assert [u.tobytes() for u in stacked] == expected
 
 
 def identity_started(sys_p, timeline, memo: dict) -> np.ndarray:
-    """The cycle propagator in the timeline's fixed form from the leaf propagators in
-    memo, each block's product started from ID4 (first part @ ID4), one point at a time."""
-    half_x, free, pi_x, half_y, pi_y, wait_s, wait_w, wait_c = (
-        memo[sys_p, seg][None] for seg in timeline.leaves)
+    """The cycle propagator in the timeline's fixed form from the DD leaves' propagators
+    in memo and the waits' hermitian_expm of the nuclear Hamiltonian, each block's
+    product started from ID4 (first part @ ID4), one point at a time."""
+    half_x, free, pi_x, half_y, pi_y = (memo[sys_p, seg][None] for seg in timeline.leaves[:WAIT_S])
+    wait_s, wait_w, wait_c = (hermitian_expm(engine.nuclear_hamiltonian(sys_p), [seg.duration])
+                              for seg in timeline.leaves[WAIT_S:])
 
     def block(*parts):  # parts in time order
         u = ID4[None]
@@ -258,11 +313,11 @@ def test_walks_keep_the_bytes_of_identity_started_blocks(rng):
     zeros = 0
     for at in range(0, len(points), 16):  # 16 points hold fewer than MEMO_LIMIT leaves
         stack, memo = points[at:at + 16], {}
-        stacked = engine._walk(stack, memo)
-        assert len(memo) == len({(sys_p, seg) for sys_p, tl in stack for seg in tl.leaves})
+        stacked = walk(stack, memo)
+        assert len(memo) == len({(sys_p, seg) for sys_p, tl in stack for seg in tl.leaves[:WAIT_S]})
         expected = [identity_started(*point, memo).tobytes() for point in stack]
         assert [u.tobytes() for u in stacked] == expected
-        assert [engine._walk([point], memo)[0].tobytes() for point in stack] == expected
+        assert [walk([point], memo)[0].tobytes() for point in stack] == expected
         zeros += np.count_nonzero(stacked.view(float) == 0)
     assert zeros > 0  # tobytes tells +0 from -0
 
@@ -306,6 +361,14 @@ def test_batch_is_each_point_alone_byte_for_byte(points):
 
     batch = list(evaluate_exact_batch(points, cache={}))
     assert list(map(repr, batch)) == [repr(alone(p)) for p in points]
+
+
+def test_a_batch_without_a_valid_point_yields_each_error():
+    # nothing to walk: each point yields its own invalid-sequence error, as alone
+    points = [(SYS, SequenceParams(n_p=0, tau=1.0)), (SYS, replace(README_BASE, t_s=-1.0))]
+    errors = list(evaluate_exact_batch(points))
+    assert [str(e) for e in errors] == ["invalid sequence: n_p must be >= 1, got 0",
+                                        "invalid sequence: t_s negative: -1.0"]
 
 
 def test_each_long_train_point_alone_is_its_batch_byte_for_byte():
@@ -368,7 +431,7 @@ def test_a_walk_builds_the_hyperfine_hamiltonian_once_per_system(monkeypatch):
     built = []
     original = engine.hyperfine_hamiltonian
     monkeypatch.setattr(engine, "hyperfine_hamiltonian", lambda s: built.append(s) or original(s))
-    walked = engine._walk(points, None)
+    walked = walk(points, None)
     assert built == systems
     for u, (s, tl) in zip(walked, points):
         assert operator_distance(u, flat_product(s, tl)) <= 1e-12
@@ -416,6 +479,80 @@ def test_a_segment_phase_with_digits_left_is_solved_beside_refused_ones():
     lost16, solved, lost200 = evaluate_exact_batch(points)
     assert [str(lost16), str(lost200)] == [lost_phase_message(*lost) for lost in LOST_PHASES]
     assert abs(solved.p_s) > 0.9 and solved.gamma > 0
+
+
+def test_each_wait_factor_is_the_bytes_of_hermitian_expm():
+    # the waits never reach hermitian_expm: their diagonal phases give its bytes, a
+    # zero wait (of either sign) the exact identity
+    durations = [0.0, -0.0, 1e-300, 1e-12, 0.25, 1.0, 0.5 * math.pi, 1.5 * math.pi, 2 * math.pi,
+                 3, 10 ** 3, 1e12]  # ints too, as a sequence built in code may hold them
+    systems = [SystemParams(omega=omega, a_perp=0.05) for omega in (1e-6, 0.5, 1.0, 1.2, 2.0, 3e4)]
+    triples = [tuple(durations[i:i + 3]) for i in range(0, len(durations), 3)]
+    groups = [engine._Group(s, 1, 1, (), triples) for s in systems]
+    waits = engine._wait_propagators(engine._wait_phases(groups))
+    assert waits.shape == (3, len(systems) * len(triples), 4, 4)
+    k = 0
+    for s in systems:
+        for triple in triples:
+            for j, t in enumerate(triple):
+                assert waits[j, k].tobytes() == hermitian_expm(engine.nuclear_hamiltonian(s),
+                                                              t).tobytes()
+            k += 1
+    assert waits[0, 0].tobytes() == waits[1, 0].tobytes() == ID4.tobytes()
+
+
+def wait_refusals() -> list:
+    """(system, sequence, the error evaluate_exact names) of points that refuse a wait,
+    with or without a DD leaf that refuses too."""
+    huge = SystemParams(omega=1e300, a_perp=0.05)
+    ideal = replace(README_BASE, tau=1.0, tau_pi=0.0)
+    overflow = "segment phase H*t overflows (omega=1e+300, a_perp=0.05, a_z=0.0, t={})"
+    return [
+        # omega t_w overflows; the free halves' and t_s's phases only hold no digits
+        (huge, replace(ideal, t_w=1e10), overflow.format("10000000000.0")),
+        # omega t_c / 2 = 2^52: finite, but it holds no digits modulo 2 pi
+        (SYS, replace(README_BASE, t_c=2.0 ** 53), lost_phase_message(0.05, 2.0 ** 53)),
+        # a DD leaf's overflow (the free half of tau = 1e10) is named before a wait's
+        (huge, replace(ideal, tau=1e10, t_w=1e11), overflow.format("5000000000.0")),
+        # a DD leaf's lost phase is named before a wait's
+        (SystemParams(omega=1.0, a_perp=1e16), replace(README_BASE, t_c=2.0 ** 53),
+         lost_phase_message(*LOST_PHASES[0])),
+    ]
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_a_refused_wait_keeps_its_error_alone_and_in_a_stack():
+    for sys_p, seq_p, message in wait_refusals():
+        with pytest.raises(ValueError) as err:
+            evaluate_exact(sys_p, seq_p)
+        assert str(err.value) == message
+        # in a stack, beside a point of its group with valid waits and one of another group
+        points = [(sys_p, replace(seq_p, t_w=0.5, t_c=0.5)), (sys_p, seq_p), (SYS, README_BASE)]
+        batch = list(evaluate_exact_batch(points))
+        assert str(batch[1]) == message
+        for i in (0, 2):
+            try:
+                alone = evaluate_exact(*points[i])
+            except ValueError as error:
+                alone = error
+            assert repr(batch[i]) == repr(alone)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_a_failed_eigh_is_named_before_a_refused_wait(monkeypatch):
+    original = engine.hermitian_expm
+
+    def failing(h, t=1.0):
+        if np.abs(h).max() > 1e299:  # the hyperfine Hamiltonian at omega = 1e300
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return original(h, t)
+
+    monkeypatch.setattr(engine, "hermitian_expm", failing)
+    for sys_p, seq_p, _ in wait_refusals()[:1]:
+        with pytest.raises(ValueError, match="^Eigenvalues did not converge$"):
+            evaluate_exact(sys_p, seq_p)
+        (error,) = evaluate_exact_batch([(sys_p, seq_p)])
+        assert str(error) == "Eigenvalues did not converge"
 
 
 def test_the_lost_phase_check_bounds_each_generator_by_its_spectral_radius(rng):

@@ -17,7 +17,7 @@ from hyperpol import analytic, engine, linalg, sweep
 from hyperpol.catalog import finite_pulse_tau, magic_params
 from hyperpol.engine import evaluate_exact, evaluate_exact_batch
 from hyperpol.params import SequenceParams, SystemParams
-from hyperpol.timeline import render_unit
+from hyperpol.timeline import FREE_NUCLEAR, WAIT_S, dd_leaves, render_unit
 from hyperpol.sweep import (
     Axis,
     ChunkedRows,
@@ -600,10 +600,11 @@ def test_sweep_memo_lasts_one_call(monkeypatch):
         if t_s >= 0:
             sys_p = replace(SYS, a_perp=float(a_perp))
             timeline = render_unit(sys_p, replace(spec.base_sequence, t_s=float(t_s)))
-            distinct.update((sys_p, seg) for seg in timeline.segments)
+            distinct.update((sys_p, seg) for seg in timeline.leaves[:WAIT_S])
     list(run_sweep(spec).rows)
     first = len(calls)
-    assert first == len(distinct)  # each distinct segment once per sweep
+    assert first == len(distinct)  # each distinct DD leaf once per sweep
+    assert not any(seg.kind == FREE_NUCLEAR for seg in calls)  # waits are phases
     list(run_sweep(spec).rows)
     assert len(calls) - first == first
     without_reuse(monkeypatch)
@@ -702,6 +703,11 @@ STACKED_GRIDS = {
                   README_T_S_06),
     "t_c x a_perp": ((Axis("t_c", 0.0, 2 * math.pi, 5), Axis("a_perp", 0.02, 0.1, 3)),
                      README_T_S_06),
+    # groups of points that differ only in their waits, interleaved in grid order: of one
+    # n_p and n_r, and of several
+    "t_s x tau": ((Axis("t_s", 0.0, 2 * math.pi, 5), Axis("tau", 1.5 * math.pi, 2.5 * math.pi, 3)),
+                  README_T_S_06),
+    "t_s x n_r": ((Axis("t_s", 0.0, 2 * math.pi, 5), Axis("n_r", 1, 3, 3)), README_T_S_06),
 }
 
 
@@ -731,6 +737,19 @@ def test_stacked_walk_matches_each_point_alone(case):
             f"t=5000000000.0)" for omega in ("5e+299", "1e+300") for a_perp in ("0.0", "0.1")]
     if case == "t_s x tau_pi":  # at tau_pi = tau the free halves of the cells last 0 too
         assert not any(s.startswith("failed") for s in statuses)
+
+
+def test_a_wait_only_chunk_exponentiates_each_dd_generator_once(monkeypatch):
+    # 256 points of one group: one stack, one segment_propagator call per generator of
+    # the five DD leaves, and none for the waits
+    log = exponentiation_log(monkeypatch)
+    axes = (Axis("t_s", 0.0, 2 * math.pi, 16), Axis("t_w", 0.0, 2 * math.pi, 16))
+    table = listed(run_sweep(spec_for(axes, engine="exact", target="rate", base_seq=README_T_S_06)))
+    assert len(table.rows) == engine.BATCH_SIZE
+    assert [e[1] for e in log if e[0] == "stack"] == [engine.BATCH_SIZE]
+    generators = [e[1] for e in log if e[0] == "generator"]
+    assert len(generators) == len(set(generators))
+    assert set(generators) == {engine._generator(SYS, seg) for seg in dd_leaves(README_T_S_06)}
 
 
 def test_a_generator_eigh_cannot_factor_fails_only_its_points(monkeypatch):
@@ -774,7 +793,7 @@ def exponentiation_log(monkeypatch) -> list:
 
         monkeypatch.setattr(engine, name, logged)
 
-    logging("_walk", lambda points, cache: ("stack", len(points)))
+    logging("_walk", lambda groups, cache: ("stack", sum(len(g.waits) for g in groups)))
     logging("segment_propagator",
             lambda sys_p, segments, hyperfine: ("generator", engine._generator(sys_p, segments[0])))
     logging("hermitian_expm", lambda h, t=1.0: ("expm",))
@@ -813,9 +832,10 @@ def test_each_distinct_segment_is_exponentiated_once(monkeypatch, case):
         points = robustness_points(rows, tau_pi_values)
         assert len(points) == 6
         assert [e[1] for e in log if e[0] == "stack"] == [1] * 6
-    distinct = {seg for p in points for seg in render_unit(*p).segments}
+    distinct = {seg for p in points for seg in render_unit(*p).leaves[:WAIT_S]}
     assert len(distinct) < engine.MEMO_LIMIT  # nothing is dropped from the memo
-    # each distinct segment once per memo lifetime, which is the whole call
+    # each distinct DD leaf once per memo lifetime, which is the whole call; the
+    # waits are phases, never exponentiated
     assert len(segments) == len(distinct) and set(segments) == distinct
     # at most one segment_propagator call per generator in each stack
     stacks = [[]]

@@ -181,8 +181,9 @@ def exponentiated(monkeypatch) -> list:
 
 
 def test_points_of_a_wait_sweep_share_their_dd_blocks(monkeypatch):
-    # renders that differ in one wait share their counts and every other leaf, so
-    # through one memo only the waits are exponentiated after the first point
+    # renders that differ in one wait share their counts and every other leaf, and the
+    # waits are phases that are never exponentiated: through one memo nothing is
+    # exponentiated after the first point
     points = [apply_point(SYS, seq(), ("t_s",), (t_s,)) for t_s in (0.0, 0.5, 1.0)]
     timelines = [render_unit(*p) for p in points]
     assert all((tl.n_p, tl.n_r) == (timelines[0].n_p, timelines[0].n_r) for tl in timelines)
@@ -192,7 +193,8 @@ def test_points_of_a_wait_sweep_share_their_dd_blocks(monkeypatch):
     first = len(segments)
     for tl in timelines[1:]:
         propagate(SYS, tl, memo)
-    assert segments[first:] == [Segment(FREE_NUCLEAR, 0.5), Segment(FREE_NUCLEAR, 1.0)]
+    assert first == WAIT_S and set(segments) == set(timelines[0].leaves[:WAIT_S])
+    assert segments[first:] == []  # nothing after the first point
 
 
 def test_a_render_after_clearing_the_block_cache_is_the_same():
