@@ -22,6 +22,7 @@ from .params import (config_from_dict, json_array, json_object, resolve_time, sy
                      whole_number)
 from .sweep import (NoResonanceError, ResultTable, SweepSpec, find_tau_res, robustness_scan,
                     run_sweep)
+from .timeline import check_sequence
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -62,9 +63,7 @@ def _load_config(path: str):
     doc = _load_json(path)
     with _reading(f"bad configuration in {path}", doc):
         sys_p, seq_p = config_from_dict(doc)
-    problems = seq_p.violations()
-    if problems:
-        raise ConfigError("invalid sequence: " + "; ".join(problems))
+    check_sequence(seq_p)
     return sys_p, seq_p
 
 
@@ -94,9 +93,9 @@ def cmd_simulate(args) -> int:
         raise ConfigError(f"--cycles must be >= 1, got {args.cycles}")
     sys_p, seq_p = _load_config(args.config)
     pair = cycle_kraus(sys_p, seq_p)
-    series = simulate(pair, mixed_state(), args.cycles,
-                      params={"system": sys_p.to_dict(), "sequence": seq_p.to_dict()})
-    table = ResultTable(series.params, ("cycle", "polarization"),
+    series = simulate(pair, mixed_state(), args.cycles)
+    table = ResultTable({"system": sys_p.to_dict(), "sequence": seq_p.to_dict()},
+                        ("cycle", "polarization"),
                         zip(range(1, len(series) + 1), series.values.tolist()))
     with _writing(args.out):
         table.write(args.out)

@@ -15,17 +15,18 @@ exponential per generator (hyperfine, a zero-width pulse's spin or a drive
 at one Rabi frequency), each group composes its DD blocks once, and the
 groups of one n_p and n_r compose as one stacked product; a DD block that
 all of them share is composed once.  `propagate` is the walk of one
-timeline, a group of one point.  The DD leaves' propagators are memoized
-per (system, segment) in a dict the caller may pass: sweeps, scans and
-searches share one across their points, so points that differ only in
-their waits exponentiate nothing after the first.  The waits never enter
-the memo.  One table outlives a walk, bounded and a pure function of its
-keys: in linalg.hermitian_expm each generator's eigendecomposition, keyed
-by its bytes (up to linalg.SPECTRA_LIMIT, cleared when full), so a new
-duration of a generator seen before costs no eigh.  segment_propagator
-refuses a segment whose phase |eigenvalue x duration| reaches PHASE_LIMIT,
-where the propagator is finite but holds no digit of the phase modulo
-2 pi, and a walk refuses such a wait with the same message.
+timeline, its five DD leaves and its three wait durations, as a group of
+one point.  The DD leaves' propagators are memoized per (system, segment)
+in a dict the caller may pass: sweeps, scans and searches share one across
+their points, so points that differ only in their waits exponentiate
+nothing after the first.  The waits never enter the memo.  One table
+outlives a walk, bounded and a pure function of its keys: in
+linalg.hermitian_expm each generator's eigendecomposition, keyed by its
+bytes (up to linalg.SPECTRA_LIMIT, cleared when full), so a new duration of
+a generator seen before costs no eigh.  segment_propagator refuses a
+segment whose phase |eigenvalue x duration| reaches PHASE_LIMIT, where the
+propagator is finite but holds no digit of the phase modulo 2 pi, and a
+walk refuses a wait whose phase |omega t/2| does with the same message.
 The channel acts on vec(rho) as a complex 4x4 transfer matrix T, and on
 the nuclear Bloch vector as the real affine map r -> M r + c (Nielsen and
 Chuang, Quantum Computation and Quantum Information, 8.3.2), read from the
@@ -75,15 +76,15 @@ import itertools
 import math
 from collections import defaultdict
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .linalg import ID2, ID4, SX, SY, SZ, hermitian_expm, kron2
 from .params import SequenceParams, SystemParams
-from .timeline import (FREE_HYPERFINE, FREE_NUCLEAR, PULSE, WAIT_S, Segment, Timeline,
-                       check_sequence, cycle_durations, dd_leaves, render_unit)
+from .timeline import (FREE_HYPERFINE, PULSE, Segment, Timeline, check_sequence, cycle_durations,
+                       dd_leaves, render_unit)
 
 UNITARITY_TOL = 1e-10
 SERIES_BLOCK = 1024
@@ -122,7 +123,6 @@ class PolarizationSeries:
     """Polarization <2 I_z> per initialization cycle; values[i] is cycle i+1."""
 
     values: np.ndarray
-    params: dict = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -173,8 +173,6 @@ def segment_propagator(sys: SystemParams, segments: Sequence[Segment],
     seg = segments[0]
     if seg.kind == FREE_HYPERFINE:
         h = _hyperfine(sys, hyperfine)
-    elif seg.kind == FREE_NUCLEAR:
-        h = nuclear_hamiltonian(sys)
     elif seg.kind == PULSE:
         h = _DRIVE_BY_AXIS[seg.axis]
         if seg.duration == 0.0:
@@ -213,21 +211,22 @@ def _refuse_lost_phases(sys: SystemParams, segments: Sequence[Segment]) -> None:
     """Raise _LostPhaseError, naming the system and the duration, where the largest
     phase |eigenvalue x duration| of segments that share one generator reaches
     PHASE_LIMIT: there the float spacing is 1 rad or more, so exp(-i H t)
-    holds no digits of the phase modulo 2 pi, though it is finite.  A nuclear
-    wait's eigenvalues are +-omega/2 and the hyperfine Hamiltonian's, one
-    block per electron spin s = +-1/2, are +-|(s a_perp, omega + s a_z)|/2;
-    a drive adds at most its half angle (pi/2 rad), below the float spacing
-    there.  A zero-width pulse, a turn by its angle, has no such phase.
+    holds no digits of the phase modulo 2 pi, though it is finite.  The
+    hyperfine Hamiltonian's eigenvalues, one block per electron spin
+    s = +-1/2, are +-|(s a_perp, omega + s a_z)|/2; a drive adds at most its
+    half angle (pi/2 rad), below the float spacing there.  A zero-width
+    pulse, a turn by its angle, has no such phase.
     """
-    if segments[0].kind == FREE_NUCLEAR:
-        radius = abs(sys.omega) / 2
-    else:
-        radius = math.hypot(sys.a_perp / 2, abs(sys.omega) + abs(sys.a_z) / 2) / 2
+    radius = math.hypot(sys.a_perp / 2, abs(sys.omega) + abs(sys.a_z) / 2) / 2
     longest = max([s.duration for s in segments])
     if radius * longest >= PHASE_LIMIT:
-        raise _LostPhaseError(f"segment phase H*t holds no digits modulo 2 pi "
-                              f"(omega={sys.omega!r}, a_perp={sys.a_perp!r}, a_z={sys.a_z!r}, "
-                              f"t={longest!r})")
+        raise _lost_phase(sys, longest)
+
+
+def _lost_phase(sys: SystemParams, t: float) -> _LostPhaseError:
+    """The error of a segment of duration t whose phase H*t holds no digits modulo 2 pi."""
+    return _LostPhaseError(f"segment phase H*t holds no digits modulo 2 pi (omega={sys.omega!r}, "
+                           f"a_perp={sys.a_perp!r}, a_z={sys.a_z!r}, t={t!r})")
 
 
 class _Group(NamedTuple):
@@ -250,26 +249,13 @@ def propagate(sys: SystemParams, timeline: Timeline,
     (sys, segment), so a caller that passes one dict to every point of a
     sweep exponentiates each distinct DD leaf once for the whole sweep;
     without one, the memo lasts for this call.  The waits, the timeline's
-    FREE_NUCLEAR leaves, are diagonal phases computed from their durations
-    and never enter the memo; a wait leaf of another kind raises ValueError
-    (see _timeline_group).  The dict is cleared whenever it would grow
-    past MEMO_LIMIT entries, and the cached arrays are read-only.  Blocks
-    are not stored.  This is _walk on a group of one point.
+    three durations, are diagonal phases and never enter the memo.  The
+    dict is cleared whenever it would grow past MEMO_LIMIT entries, and the
+    cached arrays are read-only.  Blocks are not stored.  This is _walk on
+    a group of one point.
     """
-    return _walk([_timeline_group(sys, timeline)], cache)[0]
-
-
-def _timeline_group(sys: SystemParams, timeline: Timeline) -> _Group:
-    """The timeline as a group of one point, its waits the durations of its wait leaves.
-
-    Raises ValueError naming the first wait leaf that is not a FREE_NUCLEAR
-    segment: the walk evolves every wait under omega I_z alone."""
-    waits = timeline.leaves[WAIT_S:]
-    for name, leaf in zip(("t_s", "t_w", "t_c"), waits):
-        if leaf.kind != FREE_NUCLEAR:
-            raise ValueError(f"wait {name} must be a {FREE_NUCLEAR} segment, got {leaf.kind!r}")
-    return _Group(sys, timeline.n_p, timeline.n_r, timeline.leaves[:WAIT_S],
-                  [tuple([leaf.duration for leaf in waits])])
+    return _walk([_Group(sys, timeline.n_p, timeline.n_r, timeline.leaves, [timeline.waits])],
+                 cache)[0]
 
 
 def _walk(groups: list[_Group], cache: dict | None) -> np.ndarray:
@@ -280,13 +266,13 @@ def _walk(groups: list[_Group], cache: dict | None) -> np.ndarray:
     once, exponentiated: one segment_propagator call per generator covers
     all its missing leaves, and they join the memo as in propagate once
     every call has returned.  The waits bypass the memo: each point's three
-    are diagonal phases (see _wait_phases).  A walk that refuses a segment
-    keeps nothing, and it names a DD leaf's phase that overflows, or a
-    generator whose eigh fails, before a wait's phase that overflows, and
-    either before a phase that holds no digits, a DD leaf's before a
-    wait's.  The groups are then gathered by (n_p, n_r), and each gathering
-    composes its cycles as one stack (see _cycle).  Each matrix has the
-    bytes of its own 4x4 products.
+    durations are diagonal phases (see _wait_phases).  A walk that refuses a
+    leaf or a wait keeps nothing, and it names a DD leaf's phase that
+    overflows, or a generator whose eigh fails, before a wait's phase that
+    overflows, and either before a phase that holds no digits, a DD leaf's
+    before a wait's.  The groups are then gathered by (n_p, n_r), and each
+    gathering composes its cycles as one stack (see _cycle).  Each matrix
+    has the bytes of its own 4x4 products.
     """
     if cache is None:
         cache = {}
@@ -377,17 +363,21 @@ def _wait_propagators(phases: np.ndarray) -> np.ndarray:
 
 
 def _refuse_waits(groups: list[_Group], phases: np.ndarray) -> None:
-    """Raise for the first point whose waits segment_propagator would refuse (see
-    _wait_phases): a ValueError naming its first wait whose phase overflows, else
-    a _LostPhaseError naming its longest wait."""
+    """Raise for the first point whose waits' phases (see _wait_phases) are refused: a
+    ValueError naming its first wait whose phase overflows, else a _LostPhaseError
+    naming its longest wait, where a phase |omega t / 2| reaches PHASE_LIMIT (see
+    _refuse_lost_phases)."""
     points = [(group.sys, waits) for group in groups for waits in group.waits]
-    overflows = ~np.isfinite(phases.imag).all(axis=2)  # (wait, point): inf, or NaN as t = nan gives
+    reach = np.abs(phases.imag)  # (wait, point, spin): |omega t / 2|
+    overflows = ~np.isfinite(reach).all(axis=2)  # (wait, point): inf, or NaN as t = nan gives
     if overflows.any():
         k = int(overflows.any(axis=0).argmax())
         sys, waits = points[k]
         raise _overflow(sys, waits[int(overflows[:, k].argmax())])
-    for sys, waits in points:
-        _refuse_lost_phases(sys, [Segment(FREE_NUCLEAR, t) for t in waits])
+    lost = (reach >= PHASE_LIMIT).any(axis=(0, 2))
+    if lost.any():
+        sys, waits = points[int(lost.argmax())]
+        raise _lost_phase(sys, max(waits, key=abs))
 
 
 def _cycle(n_p: int, n_r: int, rows: list[list[int]], sizes: list[int],
@@ -545,7 +535,7 @@ def _read(rows: np.ndarray, x: np.ndarray, m: int) -> np.ndarray:
     return np.concatenate(chunks)[:m]
 
 
-def simulate(k: KrausPair, rho0: np.ndarray, n: int, params: dict | None = None) -> PolarizationSeries:
+def simulate(k: KrausPair, rho0: np.ndarray, n: int) -> PolarizationSeries:
     """Polarization for cycles 1..n; cycle 1 is the freshly prepared state.
 
     Block powers of the real Bloch map R (see _bloch_maps) on the Bloch
@@ -572,7 +562,7 @@ def simulate(k: KrausPair, rho0: np.ndarray, n: int, params: dict | None = None)
     for start in range(SERIES_BLOCK, n, SERIES_BLOCK):
         x = power @ x
         values[start:start + SERIES_BLOCK] = _read(rows, x, n - start)
-    return PolarizationSeries(values=values, params=params or {})
+    return PolarizationSeries(values=values)
 
 
 def _modes(q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -638,30 +628,18 @@ def measured_rate(series: PolarizationSeries, p_s: float, t_cycle: float) -> flo
     n_r repetitions, pulse widths included).  The crossing cycle is found
     by linear interpolation; N_s counts the evolutions elapsed up to it
     (cycle 1 carries the freshly mixed state, so crossing at cycle N means
-    N - 1 cycles of wall time), clamped at >= 1.
+    N - 1 cycles of wall time), clamped at >= 1.  This is _crossings on a
+    stack of one series.
     """
     if abs(p_s) <= 1e-6:
         # nothing to normalize against: the channel does not polarize
         raise BelowThresholdError(0.0)
     fractions = np.asarray(series.values) / p_s
-    n_s = _first_crossing(fractions)
-    if n_s is None:
+    above = fractions >= E_FRACTION
+    if not above.any():
         raise BelowThresholdError(float(np.max(fractions, initial=-math.inf)))
+    (n_s,) = _crossings(fractions[None], above[None], 0.0, 0).tolist()
     return 1.0 / (n_s * t_cycle)
-
-
-def _first_crossing(fractions: np.ndarray) -> float | None:
-    """N_s if the fraction series P/P_s (entry i is cycle i + 1) reaches 1 - 1/e, else None."""
-    above = np.nonzero(fractions >= E_FRACTION)[0]
-    if len(above) == 0:
-        return None
-    i = int(above[0])
-    if i == 0:
-        return 1.0
-    lo = fractions[i - 1]
-    # entries i-1, i hold cycles i, i+1; the 1-based crossing cycle is i + t
-    crossing = float(i + (E_FRACTION - lo) / (fractions[i] - lo))
-    return max(crossing - 1.0, 1.0)
 
 
 def _crossings(fractions: np.ndarray, above: np.ndarray, lo: np.ndarray, start) -> np.ndarray:
@@ -670,12 +648,11 @@ def _crossings(fractions: np.ndarray, above: np.ndarray, lo: np.ndarray, start) 
     above is fractions >= E_FRACTION; each row holds the series' entries
     start, start + 1, ... (0-based, entry i is cycle i + 1), and lo holds the
     entries just before them.  lo is a float or (k,) floats, start an int or
-    (k,) ints.  The crossing is interpolated between the first entry at or above 1 - 1/e and
-    the one before it, as measured_rate does, in float64 arrays whose
-    elementwise IEEE operations give the bytes of its scalar ones:
-    max(crossing - 1, 1).  Where start is 0, lo must be 0: a crossing on
-    cycle 1 then interpolates to at most 1 and clamps to N_s = 1.0, the
-    value measured_rate gives it.
+    (k,) ints.  The crossing is interpolated between the first entry at or
+    above 1 - 1/e and the one before it: max(crossing - 1, 1), the 1-based
+    crossing cycle less the fresh cycle 1.  Where start is 0, lo must be 0:
+    a crossing on cycle 1 then interpolates to at most 1 and clamps to
+    N_s = 1.0.
     """
     i = above.argmax(axis=1)
     at = i + np.arange(0, fractions.size, fractions.shape[1])  # into fractions.ravel()

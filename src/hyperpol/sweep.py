@@ -54,6 +54,7 @@ from .catalog import MagicRow, finite_pulse_tau
 from .engine import BATCH_SIZE, evaluate_exact, evaluate_exact_batch
 from .params import (SequenceParams, SystemParams, config_from_dict, json_array, json_object,
                      resolve_time, whole_number)
+from .timeline import check_sequence
 
 SYSTEM_FIELDS = ("omega", "a_perp", "a_z")
 SEQUENCE_FLOAT_FIELDS = ("tau", "t_s", "t_w", "t_c", "tau_pi")
@@ -304,9 +305,7 @@ def apply_point(sys: SystemParams, seq: SequenceParams,
         fields = {**vars(seq), **seq_kwargs}
         seq = object.__new__(SequenceParams)
         vars(seq).update(fields)
-    problems = seq.violations()
-    if problems:
-        raise ValueError("invalid sequence: " + "; ".join(problems))
+    check_sequence(seq)
     return sys, seq
 
 

@@ -20,17 +20,17 @@ interval tau_ideal - tau_pi/n_p makes every inter-block phase equal its
 ideal-pulse value: the 4 n_p shortened cells per repetition give back
 exactly the 8 half-pi insertions.
 
-A timeline is this one form and nothing else: n_p, n_r and the eight
-leaf segments (the half-pi and pi pulses of each DD block, the free half
-cell and the three waits, always FREE_NUCLEAR segments: engine.propagate
-refuses a timeline whose waits are not), indexed by the constants below.
-Every render with the same n_p and n_r differs only in its leaves, and
-the five DD leaves depend on tau and tau_pi alone (`dd_leaves`).  The
-engine composes the cycle from the DD leaves' propagators and the waits'
-diagonal phases and raises the cell and the repetition to their counts
-by repeated squaring; `segments`, the flat list in time order, is
-derived from the counts and the leaves on demand, for the oracles and
-for inspection.
+A timeline is this one form and nothing else: n_p, n_r, the five DD leaf
+segments (the half-pi and pi pulses of each block and the free half cell),
+indexed by the constants below, and the three waits as durations
+(t_s, t_w, t_c).  Every render with the same n_p and n_r differs only in
+its leaves and waits, and the DD leaves depend on tau and tau_pi alone
+(`dd_leaves`).  The engine composes the cycle from the DD leaves'
+propagators and the waits' diagonal phases and raises the cell and the
+repetition to their counts by repeated squaring; `segments`, the flat list
+in time order with each wait a FREE_NUCLEAR segment, is derived from the
+counts, the leaves and the waits on demand, for the oracles and for
+inspection.
 """
 
 from __future__ import annotations
@@ -56,24 +56,27 @@ class Segment(NamedTuple):
     angle: float | None = None  # pulse only: pi or pi/2
 
 
-# the leaves of a rendered cycle, by index in Timeline.leaves
-HALF_X, FREE, PI_X, HALF_Y, PI_Y, WAIT_S, WAIT_W, WAIT_C = range(8)
+# the DD leaves of a rendered cycle, by index in Timeline.leaves
+HALF_X, FREE, PI_X, HALF_Y, PI_Y = range(5)
 
 
 @dataclass(frozen=True)
 class Timeline:
-    """One cycle: its counts, its durations and its eight leaf segments (see HALF_X ...)."""
+    """One cycle: its counts, its durations, its five DD leaf segments (see HALF_X ...)
+    and its waits (t_s, t_w, t_c)."""
 
     n_p: int
     n_r: int
     nominal_T: float
     actual_T: float
     leaves: tuple[Segment, ...]
+    waits: tuple[float, float, float]
 
     @property
     def segments(self) -> tuple[Segment, ...]:
-        """The cycle's segments in time order."""
-        half_x, free, pi_x, half_y, pi_y, wait_s, wait_w, wait_c = self.leaves
+        """The cycle's segments in time order, each wait a FREE_NUCLEAR segment."""
+        half_x, free, pi_x, half_y, pi_y = self.leaves
+        wait_s, wait_w, wait_c = (Segment(FREE_NUCLEAR, t) for t in self.waits)
         ddx = (half_x, *(free, pi_x, free) * self.n_p, half_x)
         ddy = (half_y, *(free, pi_y, free) * self.n_p, half_y)
         return (*ddx, wait_s, *ddy, wait_w, *ddx, wait_s, *ddy, wait_c) * self.n_r
@@ -109,6 +112,5 @@ def cycle_durations(seq: SequenceParams) -> tuple[float, float]:
 def render_unit(sys: SystemParams, seq: SequenceParams) -> Timeline:
     """Timeline for one initialization cycle (n_r protocol repetitions)."""
     check_sequence(seq)
-    leaves = (*dd_leaves(seq), Segment(FREE_NUCLEAR, seq.t_s), Segment(FREE_NUCLEAR, seq.t_w),
-              Segment(FREE_NUCLEAR, seq.t_c))
-    return Timeline(seq.n_p, seq.n_r, *cycle_durations(seq), leaves)
+    return Timeline(seq.n_p, seq.n_r, *cycle_durations(seq), dd_leaves(seq),
+                    (seq.t_s, seq.t_w, seq.t_c))

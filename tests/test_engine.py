@@ -30,8 +30,7 @@ from hyperpol.engine import (
 from hyperpol.engine import E_FRACTION, _superop
 from hyperpol.linalg import ID2, ID4, SX, SZ, hermitian_expm, unitarity_defect
 from hyperpol.params import SequenceParams, SystemParams
-from hyperpol.timeline import (FREE_HYPERFINE, FREE_NUCLEAR, PULSE, WAIT_C, WAIT_S, Segment,
-                               Timeline, render_unit)
+from hyperpol.timeline import FREE_HYPERFINE, FREE_NUCLEAR, PULSE, Segment, Timeline, render_unit
 
 from oracles import (MIXED_VEC, ONE, exact_fixed_z, fixed_affine_map, fixed_cycle_propagator,
                      fixed_rate_cycles, operator_distance, random_params, stepped_series,
@@ -44,12 +43,13 @@ from oracles import transfer_weights
 SYS = SystemParams(omega=1.0, a_perp=0.05)
 
 
-ZERO_WAIT = Segment(FREE_NUCLEAR, 0.0)
+ZERO_LEAVES = (Segment(FREE_HYPERFINE, 0.0),) * 5  # five DD leaves that last no time
 
 
 def empty_timeline():
     """A cycle of no repetitions: no segments at all."""
-    return Timeline(n_p=1, n_r=0, nominal_T=0.0, actual_T=0.0, leaves=(ZERO_WAIT,) * 8)
+    return Timeline(n_p=1, n_r=0, nominal_T=0.0, actual_T=0.0, leaves=ZERO_LEAVES,
+                    waits=(0.0, 0.0, 0.0))
 
 
 def test_propagate_empty_timeline():
@@ -59,9 +59,8 @@ def test_propagate_empty_timeline():
 
 def test_propagate_single_nuclear_wait():
     t = 0.73
-    # every leaf but the closing wait lasts no time
-    tl = Timeline(n_p=1, n_r=1, nominal_T=t, actual_T=t,
-                  leaves=(ZERO_WAIT,) * WAIT_C + (Segment(FREE_NUCLEAR, t),))
+    # every leaf and every wait but the closing one lasts no time
+    tl = Timeline(n_p=1, n_r=1, nominal_T=t, actual_T=t, leaves=ZERO_LEAVES, waits=(0.0, 0.0, t))
     u = propagate(SYS, tl)
     expected = np.kron(ID2, np.diag([np.exp(-1j * t / 2), np.exp(1j * t / 2)]))
     assert operator_distance(u, expected) < 1e-14
@@ -98,12 +97,16 @@ def test_propagate_output_unitary(rng):
 
 
 def flat_product(sys_p, tl):
-    """Reference cycle propagator: the ordered loop over the flat segments."""
+    """Reference cycle propagator: the ordered loop over the flat segments, a wait the
+    hermitian_expm of the nuclear Hamiltonian over its duration."""
     cache, hyperfine = {}, {}
     u = ID4.copy()
     for seg in tl.segments:
         if seg not in cache:
-            (cache[seg],) = segment_propagator(sys_p, [seg], hyperfine)
+            if seg.kind == FREE_NUCLEAR:
+                cache[seg] = hermitian_expm(engine.nuclear_hamiltonian(sys_p), seg.duration)
+            else:
+                (cache[seg],) = segment_propagator(sys_p, [seg], hyperfine)
         u = cache[seg] @ u
     return u
 
@@ -134,24 +137,23 @@ def test_propagate_matches_flat_product_long_trains(method, sign, n_p, n_r, tau_
 
 
 SEGMENTS = st.one_of(
-    st.builds(Segment, st.sampled_from([FREE_NUCLEAR, FREE_HYPERFINE]),
-              st.sampled_from([0.0, -0.0, 0.25, 1.0, 2.5])),
+    st.builds(Segment, st.just(FREE_HYPERFINE), st.sampled_from([0.0, -0.0, 0.25, 1.0, 2.5])),
     st.builds(Segment, st.just(PULSE), st.sampled_from([0.0, 0.1, 0.2]),
               st.sampled_from(["+x", "-x", "+y", "-y"]), st.sampled_from([math.pi, math.pi / 2])),
 )
-# every duration SEGMENTS draws, as nuclear precession: propagate refuses a wait of another kind
-WAIT_SEGMENTS = st.builds(Segment, st.just(FREE_NUCLEAR),
-                          st.sampled_from([0.0, -0.0, 0.1, 0.2, 0.25, 1.0, 2.5]))
+WAITS = st.sampled_from([0.0, -0.0, 0.1, 0.2, 0.25, 1.0, 2.5])
 COUNTS = st.tuples(st.integers(0, 4), st.integers(0, 3))  # (n_p, n_r); 0 runs a block no time
-# the five DD leaves of any kind, and the three waits
-LEAVES = st.tuples(*[SEGMENTS] * WAIT_S, *[WAIT_SEGMENTS] * 3)
+LEAVES = st.tuples(*[SEGMENTS] * 5)  # the five DD leaves
+WAIT_TRIPLES = st.tuples(*[WAITS] * 3)  # (t_s, t_w, t_c)
 
 
-def drawn_stack(data, counts, leaves) -> list:
-    """2 to 5 (system, timeline) pairs of these counts, each leaf kept or drawn anew."""
-    return [(SYS, Timeline(*counts, 0.0, 0.0, tuple(
-        data.draw(st.one_of(st.just(seg), SEGMENTS if i < WAIT_S else WAIT_SEGMENTS))
-        for i, seg in enumerate(leaves))))
+def drawn_stack(data, counts, leaves, waits) -> list:
+    """2 to 5 (system, timeline) pairs of these counts, each leaf and wait kept or drawn anew."""
+    def kept_or_drawn(value, strategy):
+        return data.draw(st.one_of(st.just(value), strategy))
+
+    return [(SYS, Timeline(*counts, 0.0, 0.0, tuple(kept_or_drawn(seg, SEGMENTS) for seg in leaves),
+                           tuple(kept_or_drawn(t, WAITS) for t in waits)))
             for _ in range(data.draw(st.integers(2, 5)))]
 
 
@@ -159,22 +161,21 @@ def walk(stack: list, memo: dict | None) -> np.ndarray:
     """engine._walk on (system, timeline) pairs, in order: neighbours that share their
     system, counts and DD leaves are one group, which differs only in its points' waits."""
     groups = []
-    for point in stack:
-        group = engine._timeline_group(*point)
-        if groups and groups[-1][:4] == group[:4]:
-            groups[-1].waits.extend(group.waits)
+    for sys_p, tl in stack:
+        if groups and groups[-1][:4] == (sys_p, tl.n_p, tl.n_r, tl.leaves):
+            groups[-1].waits.append(tl.waits)
         else:
-            groups.append(group)
+            groups.append(engine._Group(sys_p, tl.n_p, tl.n_r, tl.leaves, [tl.waits]))
     return engine._walk(groups, memo)
 
 
 @settings(max_examples=60, deadline=None)
-@given(COUNTS, COUNTS, LEAVES, st.data())
-def test_propagate_matches_flat_product_on_drawn_cycles(counts, other, leaves, data):
+@given(COUNTS, COUNTS, LEAVES, WAIT_TRIPLES, st.data())
+def test_propagate_matches_flat_product_on_drawn_cycles(counts, other, leaves, waits, data):
     # a stack of two groups of counts whose points keep or change each leaf: so the
     # stack shares some blocks and not others, and zero-width pulses and waits of
     # +0 and -0 put exact zeros of both signs into the products
-    stack = drawn_stack(data, counts, leaves) + drawn_stack(data, other, leaves)
+    stack = drawn_stack(data, counts, leaves, waits) + drawn_stack(data, other, leaves, waits)
     stack = [stack[i] for i in data.draw(st.permutations(range(len(stack))))]
     with pytest.MonkeyPatch.context() as patch:  # no spectrum and no memo at first
         patch.setattr(linalg, "_SPECTRA", {})
@@ -192,11 +193,11 @@ def test_propagate_matches_flat_product_on_drawn_cycles(counts, other, leaves, d
 
 
 @settings(max_examples=60, deadline=None)
-@given(COUNTS, LEAVES, st.data())
-def test_a_stack_of_one_shape_is_each_timeline_alone(counts, leaves, data):
+@given(COUNTS, LEAVES, WAIT_TRIPLES, st.data())
+def test_a_stack_of_one_shape_is_each_timeline_alone(counts, leaves, waits, data):
     # points of one n_p and n_r: as they keep or change each leaf, the cell, the DD
     # blocks and the repetition are shared by the stack or not
-    stack = drawn_stack(data, counts, leaves)
+    stack = drawn_stack(data, counts, leaves, waits)
     walked = walk(stack, {})
     assert [u.tobytes() for u in walked] == [propagate(*point).tobytes() for point in stack]
 
@@ -204,36 +205,33 @@ def test_a_stack_of_one_shape_is_each_timeline_alone(counts, leaves, data):
 def test_a_dd_block_of_one_row_per_group_is_repeated_for_its_points():
     # two groups of one n_p and n_r that differ only in pi_y: DDX is shared by the
     # stack, DDY is one row per group and is repeated for the first group's two points
-    leaves = render_unit(SYS, README_BASE).leaves
-    other = leaves[:4] + (Segment(PULSE, 0.1, "+y", math.pi),) + leaves[5:]
-    stack = [(SYS, Timeline(1, 2, 0.0, 0.0, leaves)),
-             (SYS, Timeline(1, 2, 0.0, 0.0, leaves[:WAIT_C] + (Segment(FREE_NUCLEAR, 0.5),))),
-             (SYS, Timeline(1, 2, 0.0, 0.0, other))]
+    tl = render_unit(SYS, README_BASE)
+    other = tl.leaves[:4] + (Segment(PULSE, 0.1, "+y", math.pi),)
+    stack = [(SYS, Timeline(1, 2, 0.0, 0.0, tl.leaves, tl.waits)),
+             (SYS, Timeline(1, 2, 0.0, 0.0, tl.leaves, tl.waits[:2] + (0.5,))),
+             (SYS, Timeline(1, 2, 0.0, 0.0, other, tl.waits))]
     walked = walk(stack, {})
     assert [u.tobytes() for u in walked] == [propagate(*point).tobytes() for point in stack]
-
-
-@pytest.mark.parametrize("slot", ["t_s", "t_w", "t_c"])
-@pytest.mark.parametrize("kind", [FREE_HYPERFINE, PULSE])
-def test_propagate_refuses_a_wait_that_is_not_nuclear_precession(slot, kind):
-    # the walk evolves each wait under omega I_z alone, so a hand-built timeline whose
-    # wait leaf is of another kind is refused, not evolved as a nuclear wait
-    leaves = list(render_unit(SYS, README_BASE).leaves)
-    leaves[WAIT_S + ["t_s", "t_w", "t_c"].index(slot)] = Segment(kind, 0.2, "+x", math.pi)
-    with pytest.raises(ValueError) as err:
-        propagate(SYS, Timeline(1, 1, 0.0, 0.0, tuple(leaves)))
-    assert str(err.value) == f"wait {slot} must be a free_nuclear segment, got {kind!r}"
 
 
 @pytest.mark.filterwarnings("ignore:invalid:RuntimeWarning")
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
 def test_a_wait_of_no_finite_duration_is_refused_as_an_overflow(t):
-    # the text segment_propagator gives a nuclear segment whose propagator is not finite
-    leaves = render_unit(SYS, README_BASE).leaves[:WAIT_C] + (Segment(FREE_NUCLEAR, t),)
+    # the text segment_propagator gives a segment whose propagator is not finite
+    tl = render_unit(SYS, README_BASE)
     with pytest.raises(ValueError) as err:
-        propagate(SYS, Timeline(1, 1, 0.0, 0.0, leaves))
+        propagate(SYS, Timeline(1, 1, 0.0, 0.0, tl.leaves, tl.waits[:2] + (t,)))
     assert str(err.value) == ("segment phase H*t overflows "
                               f"(omega=1.0, a_perp=0.05, a_z=0.0, t={t!r})")
+
+
+def test_a_wait_whose_phase_holds_no_digits_is_refused_by_its_magnitude():
+    # a hand-built wait may be negative: its phase |omega t / 2| is what holds no digits
+    tl = render_unit(SYS, README_BASE)
+    for t in (2.0 ** 60, -2.0 ** 60):
+        with pytest.raises(ValueError) as err:
+            propagate(SYS, Timeline(1, 1, 0.0, 0.0, tl.leaves, tl.waits[:2] + (t,)))
+        assert str(err.value) == lost_phase_message(0.05, t)
 
 
 def long_train_points() -> list:
@@ -273,9 +271,9 @@ def identity_started(sys_p, timeline, memo: dict) -> np.ndarray:
     """The cycle propagator in the timeline's fixed form from the DD leaves' propagators
     in memo and the waits' hermitian_expm of the nuclear Hamiltonian, each block's
     product started from ID4 (first part @ ID4), one point at a time."""
-    half_x, free, pi_x, half_y, pi_y = (memo[sys_p, seg][None] for seg in timeline.leaves[:WAIT_S])
-    wait_s, wait_w, wait_c = (hermitian_expm(engine.nuclear_hamiltonian(sys_p), [seg.duration])
-                              for seg in timeline.leaves[WAIT_S:])
+    half_x, free, pi_x, half_y, pi_y = (memo[sys_p, seg][None] for seg in timeline.leaves)
+    wait_s, wait_w, wait_c = (hermitian_expm(engine.nuclear_hamiltonian(sys_p), [t])
+                              for t in timeline.waits)
 
     def block(*parts):  # parts in time order
         u = ID4[None]
@@ -314,7 +312,7 @@ def test_walks_keep_the_bytes_of_identity_started_blocks(rng):
     for at in range(0, len(points), 16):  # 16 points hold fewer than MEMO_LIMIT leaves
         stack, memo = points[at:at + 16], {}
         stacked = walk(stack, memo)
-        assert len(memo) == len({(sys_p, seg) for sys_p, tl in stack for seg in tl.leaves[:WAIT_S]})
+        assert len(memo) == len({(sys_p, seg) for sys_p, tl in stack for seg in tl.leaves})
         expected = [identity_started(*point, memo).tobytes() for point in stack]
         assert [u.tobytes() for u in stacked] == expected
         assert [walk([point], memo)[0].tobytes() for point in stack] == expected
@@ -439,15 +437,15 @@ def test_a_walk_builds_the_hyperfine_hamiltonian_once_per_system(monkeypatch):
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
 def test_segment_propagator_names_an_overflowing_phase():
-    waits = [Segment(FREE_NUCLEAR, 1.0), Segment(FREE_NUCLEAR, 1e10)]
+    frees = [Segment(FREE_HYPERFINE, 1.0), Segment(FREE_HYPERFINE, 1e10)]
     huge = SystemParams(omega=1e300, a_perp=0.05)
     with pytest.raises(ValueError) as err:
-        segment_propagator(huge, waits, {})
+        segment_propagator(huge, frees, {})
     assert str(err.value) == ("segment phase H*t overflows "
                               "(omega=1e+300, a_perp=0.05, a_z=0.0, t=10000000000.0)")
-    # the first wait's phase, 5e299 rad, is finite but holds no digits modulo 2 pi
+    # the first segment's phase, about 5e299 rad, is finite but holds no digits modulo 2 pi
     with pytest.raises(ValueError) as err:
-        segment_propagator(huge, waits[:1], {})
+        segment_propagator(huge, frees[:1], {})
     assert str(err.value) == ("segment phase H*t holds no digits modulo 2 pi "
                               "(omega=1e+300, a_perp=0.05, a_z=0.0, t=1.0)")
 
@@ -556,15 +554,25 @@ def test_a_failed_eigh_is_named_before_a_refused_wait(monkeypatch):
 
 
 def test_the_lost_phase_check_bounds_each_generator_by_its_spectral_radius(rng):
-    # the check's closed-form radius of the nuclear and the hyperfine Hamiltonian (and of a
-    # drive, whose rate is negligible there) against eigvalsh: a segment just below
-    # PHASE_LIMIT / radius passes, one just above is refused
+    # the check's closed-form radius of the hyperfine Hamiltonian (and of a drive, whose
+    # rate is negligible there) against eigvalsh: a segment just below PHASE_LIMIT / radius
+    # passes, one just above is refused; and a wait's phase is omega t / 2, so a wait just
+    # below PHASE_LIMIT / (omega / 2) is evolved and one just above is refused
     for _ in range(50):
         omega, a_perp = 10.0 ** rng.uniform(-3, 3, size=2)
         sys = SystemParams(omega=omega, a_perp=a_perp, a_z=rng.choice([-1, 1]) * a_perp
                            * 10.0 ** rng.uniform(-2, 2))
-        for kind, h in [(FREE_NUCLEAR, engine.nuclear_hamiltonian(sys)),
-                        (FREE_HYPERFINE, engine.hyperfine_hamiltonian(sys)), (PULSE, None)]:
+        below, above = (replace(README_BASE, t_c=engine.PHASE_LIMIT * (1.0 + f) / (omega / 2))
+                        for f in (-1e-12, 1e-12))
+        propagate(sys, render_unit(sys, below))
+        with pytest.raises(ValueError) as err:
+            propagate(sys, render_unit(sys, above))
+        message = (f"segment phase H*t holds no digits modulo 2 pi (omega={sys.omega!r}, "
+                   f"a_perp={sys.a_perp!r}, a_z={sys.a_z!r}, t={above.t_c!r})")
+        assert str(err.value) == message
+        solved, refused = evaluate_exact_batch([(sys, below), (sys, above)])
+        assert isinstance(solved, engine.ExactResult) and str(refused) == message
+        for kind, h in [(FREE_HYPERFINE, engine.hyperfine_hamiltonian(sys)), (PULSE, None)]:
             limit = engine.PHASE_LIMIT / np.abs(np.linalg.eigvalsh(
                 engine.hyperfine_hamiltonian(sys) if h is None else h)).max()
             at = [Segment(kind, limit * (1.0 + f), "+x" if h is None else None,

@@ -17,7 +17,7 @@ from hyperpol import analytic, engine, linalg, sweep
 from hyperpol.catalog import finite_pulse_tau, magic_params
 from hyperpol.engine import evaluate_exact, evaluate_exact_batch
 from hyperpol.params import SequenceParams, SystemParams
-from hyperpol.timeline import FREE_NUCLEAR, WAIT_S, dd_leaves, render_unit
+from hyperpol.timeline import FREE_NUCLEAR, dd_leaves, render_unit
 from hyperpol.sweep import (
     Axis,
     ChunkedRows,
@@ -600,7 +600,7 @@ def test_sweep_memo_lasts_one_call(monkeypatch):
         if t_s >= 0:
             sys_p = replace(SYS, a_perp=float(a_perp))
             timeline = render_unit(sys_p, replace(spec.base_sequence, t_s=float(t_s)))
-            distinct.update((sys_p, seg) for seg in timeline.leaves[:WAIT_S])
+            distinct.update((sys_p, seg) for seg in timeline.leaves)
     list(run_sweep(spec).rows)
     first = len(calls)
     assert first == len(distinct)  # each distinct DD leaf once per sweep
@@ -693,8 +693,9 @@ STACKED_GRIDS = {
     # zero-duration waits and free halves, zero-width and finite pulses
     "t_s x tau_pi": ((Axis("t_s", 0.0, math.pi, 3), Axis("tau_pi", 0.0, 2 * math.pi, 3)),
                      ZERO_WAITS),
-    # every point has a system of its own: more distinct (system, segment) pairs than the memo holds
-    "tau x omega": ((Axis("tau", 1.5 * math.pi, 2.5 * math.pi, 2), Axis("omega", 0.8, 1.2, 32)),
+    # every point has a system of its own: more distinct (system, DD leaf) pairs than the memo
+    # holds, six per system
+    "tau x omega": ((Axis("tau", 1.5 * math.pi, 2.5 * math.pi, 2), Axis("omega", 0.8, 1.2, 48)),
                     replace(README_T_S_06, t_c=0.5 * math.pi)),
     # omega * t overflows: exp(-i inf) is NaN, and only the overflowing points fail
     "omega x a_perp": ((Axis("omega", 1.0, 1e300, 3), Axis("a_perp", 0.0, 0.1, 2)),
@@ -832,7 +833,7 @@ def test_each_distinct_segment_is_exponentiated_once(monkeypatch, case):
         points = robustness_points(rows, tau_pi_values)
         assert len(points) == 6
         assert [e[1] for e in log if e[0] == "stack"] == [1] * 6
-    distinct = {seg for p in points for seg in render_unit(*p).leaves[:WAIT_S]}
+    distinct = {seg for p in points for seg in render_unit(*p).leaves}
     assert len(distinct) < engine.MEMO_LIMIT  # nothing is dropped from the memo
     # each distinct DD leaf once per memo lifetime, which is the whole call; the
     # waits are phases, never exponentiated

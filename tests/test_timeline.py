@@ -11,7 +11,6 @@ from hyperpol.timeline import (
     FREE_HYPERFINE,
     FREE_NUCLEAR,
     PULSE,
-    WAIT_S,
     Segment,
     Timeline,
     render_unit,
@@ -81,9 +80,10 @@ def test_nominal_duration_without_compensation_wait():
 
 
 def test_empty_timeline_total_duration():
-    # no repetitions: no segments, whatever the leaves last
-    leaves = render_unit(SYS, seq()).leaves
-    assert total_duration(Timeline(n_p=1, n_r=0, nominal_T=0.0, actual_T=0.0, leaves=leaves)) == 0.0
+    # no repetitions: no segments, whatever the leaves and the waits last
+    tl = render_unit(SYS, seq())
+    assert total_duration(Timeline(n_p=1, n_r=0, nominal_T=0.0, actual_T=0.0, leaves=tl.leaves,
+                                   waits=tl.waits)) == 0.0
 
 
 def test_finite_pulse_durations_and_actual_T():
@@ -149,17 +149,21 @@ def written_out(s: SequenceParams) -> tuple[Segment, ...]:
 def test_structure_flattens_to_segments(n_p, n_r, tau_pi):
     s = seq(n_p=n_p, n_r=n_r, tau=math.pi, t_c=0.5 * math.pi, tau_pi=tau_pi)
     tl = render_unit(SYS, s)
-    # the cycle is its counts and its eight leaves, each of them used
+    # the cycle is its counts, its five DD leaves and its three waits, each of them used
     assert (tl.n_p, tl.n_r) == (n_p, n_r)
-    assert len(tl.leaves) == 8 and set(tl.leaves) == set(written_out(s))
+    assert tl.waits == (s.t_s, s.t_w, s.t_c)
+    assert len(tl.leaves) == 5 and FREE_NUCLEAR not in {seg.kind for seg in tl.leaves}
+    assert set(tl.leaves) | {Segment(FREE_NUCLEAR, t) for t in tl.waits} == set(written_out(s))
     assert tl.segments == written_out(s)
 
 
 def test_a_hand_built_timeline_derives_its_segments():
-    # the leaves need not be a render's: any eight segments fill the one form
-    leaves = tuple(Segment(FREE_NUCLEAR, float(k)) for k in range(8))
-    tl = Timeline(n_p=2, n_r=1, nominal_T=0.0, actual_T=0.0, leaves=leaves)
-    half_x, free, pi_x, half_y, pi_y, wait_s, wait_w, wait_c = leaves
+    # the leaves need not be a render's: any five segments and three durations fill the one
+    # form, and each wait is a nuclear segment of its duration
+    leaves = tuple(Segment(FREE_HYPERFINE, float(k)) for k in range(5))
+    tl = Timeline(n_p=2, n_r=1, nominal_T=0.0, actual_T=0.0, leaves=leaves, waits=(5.0, 6.0, 7.0))
+    half_x, free, pi_x, half_y, pi_y = leaves
+    wait_s, wait_w, wait_c = (Segment(FREE_NUCLEAR, t) for t in (5.0, 6.0, 7.0))
     ddx = (half_x, free, pi_x, free, free, pi_x, free, half_x)
     ddy = (half_y, free, pi_y, free, free, pi_y, free, half_y)
     assert tl.segments == ddx + (wait_s,) + ddy + (wait_w,) + ddx + (wait_s,) + ddy + (wait_c,)
@@ -187,13 +191,13 @@ def test_points_of_a_wait_sweep_share_their_dd_blocks(monkeypatch):
     points = [apply_point(SYS, seq(), ("t_s",), (t_s,)) for t_s in (0.0, 0.5, 1.0)]
     timelines = [render_unit(*p) for p in points]
     assert all((tl.n_p, tl.n_r) == (timelines[0].n_p, timelines[0].n_r) for tl in timelines)
-    assert all(tl.leaves[:WAIT_S] == timelines[0].leaves[:WAIT_S] for tl in timelines)
+    assert all(tl.leaves == timelines[0].leaves for tl in timelines)
     segments, memo = exponentiated(monkeypatch), {}
     propagate(SYS, timelines[0], memo)
     first = len(segments)
     for tl in timelines[1:]:
         propagate(SYS, tl, memo)
-    assert first == WAIT_S and set(segments) == set(timelines[0].leaves[:WAIT_S])
+    assert first == len(timelines[0].leaves) and set(segments) == set(timelines[0].leaves)
     assert segments[first:] == []  # nothing after the first point
 
 
