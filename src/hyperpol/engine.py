@@ -37,11 +37,14 @@ give the steady polarization P_s, the z of the fixed point (I - M)^-1 c,
 and the contraction factor.  The rate comes from the first 1 - 1/e
 crossing of the series, with no cap on its length, read from M's
 closed-form mode sum P(n) = P_s + Re sum_k w_k mu_k^(n-1), whose cost does
-not grow with n: block 0, the first RATE_BLOCK cycles, is evaluated whole
-with integer powers of the modes, and where it holds no crossing, exact
-bounds of the sum rule out ranges of later blocks, cutting each range they
-cannot rule out into SPLIT parts, and the single blocks they cannot rule
-out are evaluated whole.  `simulate` writes the series itself through R,
+not grow with n.  A table of the integer powers mu_k^j, j = 0 ... RATE_BLOCK,
+is computed once, and block 0, the first RATE_BLOCK cycles, is evaluated
+whole from it.  Where block 0 holds no crossing, exact bounds of the sum
+rule out ranges of later blocks, cutting each range they cannot rule out
+into SPLIT parts whose bounds take each mode once at each edge that
+neighbouring parts share; a single block they cannot rule out is read as
+one product of the table with one anchor t_k mu_k^n per mode, with no
+exp or cos per cycle.  `simulate` writes the series itself through R,
 whose real products cost a quarter to a fifth of the complex ones: its
 first block of SERIES_BLOCK cycles one doubling level of read-out rows at
 a time (cycles 1-2, 3-4, 5-8, ...), then a block at a time.
@@ -53,11 +56,14 @@ leaves once, and each point reads only its three wait durations.  The
 stack is checked for unitarity together; the points' Bloch maps share one
 eig and one solve, and their blocks 0 one evaluation.  The points with no
 crossing in block 0 search the later blocks together, each leaving at its
-own crossing.  A stack's largest arrays are block 0's powers of the modes
-and their terms, each 3 x (RATE_BLOCK - 1) complex (3 KB) per point: 774 KB
-for a stack of 256 points.  `evaluate_exact` propagates its point through
-`propagate` and shares the rest with the batch, with the same bytes.
-Sweeps and every step of the resonant-interval search go through the
+own crossing.  A stack's largest arrays are the table of the modes' powers,
+3 x (RATE_BLOCK + 1) complex (3.1 KB) per point, 799 KB for a stack of 256
+points, which the points that search the later blocks keep, and block 0's
+terms, 3 x (RATE_BLOCK - 1) complex per point (774 KB), freed before the
+search; a read's products are formed one mode at a time.  A full stack of
+later crossings peaks near 3 times 774 KB.  `evaluate_exact` propagates its
+point through `propagate` and shares the rest with the batch, with the
+same bytes.  Sweeps and every step of the resonant-interval search go through the
 batch; only robustness scans still go one point at a time.
 
 A point alone is a stack of one through the same code, and at that size
@@ -142,11 +148,6 @@ def hyperfine_hamiltonian(sys: SystemParams) -> np.ndarray:
     nuclear = sys.a_perp * SX + sys.a_z * SZ
     # kron2(SZ, nuclear): the same broadcast product, without kron2's shape checks
     return sys.omega * _NUCLEAR_Z + (SZ[:, None, :, None] * nuclear[None, :, None, :]).reshape(4, 4)
-
-
-def nuclear_hamiltonian(sys: SystemParams) -> np.ndarray:
-    """omega I_z only (hyperfine-free waits)."""
-    return sys.omega * _NUCLEAR_Z
 
 
 def _generator(sys: SystemParams, seg: Segment) -> tuple:
@@ -331,13 +332,14 @@ def _walk(groups: list[_Group], cache: dict | None) -> np.ndarray:
 
 def _wait_phases(groups: list[_Group]) -> np.ndarray:
     """The phases (3, k, 2) of the k points' waits t_s, t_w and t_c: -i w t for the
-    eigenvalues w = +omega/2 and -omega/2 of nuclear_hamiltonian, the nuclear spin
-    up and down.
+    eigenvalues w = +omega/2 and -omega/2 of a wait's Hamiltonian omega I_z, the
+    nuclear spin up and down.
 
-    Their exponentials are the diagonal of hermitian_expm(nuclear_hamiltonian(sys), t),
-    byte for byte: hermitian_expm multiplies -1j by eigh's eigenvalues and the
-    result by t, and omega/2 times -1j (+-1) gives the rates -1j w with the
-    same bytes, since every product with a zero part is exact; exp(+-0 + 0i)
+    Their exponentials are the diagonal of hermitian_expm(omega I_z, t), omega I_z
+    built as tests/oracles.py::nuclear_hamiltonian builds it, byte for byte:
+    hermitian_expm multiplies -1j by eigh's eigenvalues and the result by t,
+    and omega/2 times -1j (+-1) gives the rates -1j w with the same bytes,
+    since every product with a zero part is exact; exp(+-0 + 0i)
     is 1 + 0i, so a zero wait is the exact identity.  eigh returns +-omega/2
     exactly for omega between about 1e-157 and 1e157; beyond, where LAPACK
     rescales the matrix, these phases are the exact ones and hermitian_expm's
@@ -669,43 +671,48 @@ def _rate_cycles(p_s: np.ndarray, mu: np.ndarray, weights: np.ndarray) -> list[f
     the modes and weights of their mode sums P(n) = P_s + Re sum_k w_k mu_k^(n-1)
     (see _spectral_summary), whose fractions P(n)/P_s = 1 + Re sum_k t_k
     mu_k^(n-1), t_k = w_k/P_s, are read.  Block b holds the cycles
-    b RATE_BLOCK + 1 ... (b + 1) RATE_BLOCK.  Block 0 is evaluated whole for
-    the whole stack, with integer powers of the modes, from cycle 2 on against
-    the 0 of cycle 1, the mixed start, and its crossings are found at once (see
+    b RATE_BLOCK + 1 ... (b + 1) RATE_BLOCK.  The table of integer powers mu^j,
+    j = 0 ... RATE_BLOCK, is computed once for the whole stack, and block 0 is
+    evaluated whole from it, from cycle 2 on against the 0 of
+    cycle 1, the mixed start, and its crossings are found at once (see
     _crossings), interpolated as measured_rate interpolates the series.  The
-    points with no crossing there search the later blocks together (see
-    _later_blocks).  There is no cap on the cycle count; None means the mode
-    sum never reaches 1 - 1/e.
+    points with no crossing there keep their part of the table and search
+    the later blocks together (see _later_blocks).  There is no cap on the
+    cycle count; None means the mode sum never reaches 1 - 1/e.
     """
-    terms = weights / p_s[:, None]
-    values = 1.0 + np.add.reduce(terms[:, :, None] * mu[:, :, None] ** _BLOCK_0, axis=1).real
+    terms = (weights / p_s[:, None]).T  # (mode, point), as every array of the read-out
+    powers = mu.T[:, :, None] ** _POWERS
+    values = 1.0 + np.add.reduce(terms[:, :, None] * powers[:, :, 1:RATE_BLOCK], axis=0).real
     above = values >= E_FRACTION
     hit = np.logical_or.reduce(above, axis=1)
     if hit.all():
         return _crossings(values, above, 0.0, 1).tolist()
     crossed = iter(_crossings(values[hit], above[hit], 0.0, 1).tolist())
-    later = iter(_later_blocks(terms[~hit], mu[~hit]))
+    rows = (~hit).nonzero()[0]
+    del values, above
+    later = iter(_later_blocks(terms[:, rows], mu.T[:, rows], powers, rows))
     return [next(crossed) if is_hit else next(later) for is_hit in hit.tolist()]
 
 
-_BLOCK_0 = np.arange(1.0, RATE_BLOCK)  # the exponents n - 1 of cycles 2 ... RATE_BLOCK
+_POWERS = np.arange(RATE_BLOCK + 1.0)  # the exponents j of the table mu^j
 
 
-def _later_blocks(terms: np.ndarray, mu: np.ndarray) -> list[float | None]:
+def _later_blocks(terms: np.ndarray, mu: np.ndarray, powers: np.ndarray,
+                  rows: np.ndarray) -> list[float | None]:
     """N_s of stacked points whose block 0 holds no crossing, from their mode sums.
 
-    terms and mu (k, m) are the terms t_k = w_k/P_s and modes of the points'
-    fractions P(n)/P_s = 1 + Re sum_k t_k mu_k^(n-1) (see _rate_cycles), which
-    are searched and read with the steady 1 as a term of its own of mode 1.
+    terms and mu (m, k) are the terms t_k = w_k/P_s and modes of the k points'
+    fractions P(n)/P_s = 1 + Re sum_k t_k mu_k^(n-1) (see _rate_cycles), and
+    rows their rows in the table powers (m, K, RATE_BLOCK + 1) of mu_k^j.
     Each point searches the blocks from 1 on, leftmost first, with no end,
     from the open range [1, inf); _parts cuts each range it reaches into
-    parts.  _range_bound rules parts out; the search goes on in the
-    leftmost part it cannot, and the parts to its right wait their turn.
-    The bounds are bounds of the function read, so nothing left of a read
-    block reaches 1 - 1/e.  A single block the bound cannot rule out is read
-    (see _mode_sum), with the cycle before it as the lower end of a crossing
-    on its first cycle; a read block without a crossing sends the point on
-    to the range waiting to its right.
+    parts.  _range_bound rules parts out; the search goes on in the leftmost
+    part it cannot, and the parts to its right wait their turn.  The bounds
+    are bounds of the function read, so nothing left of a read block reaches
+    1 - 1/e.  A single block the bound cannot rule out is read (see
+    _block_fractions), with the cycle before it as the lower end of a
+    crossing on its first cycle; a read block without a crossing sends the
+    point on to the range waiting to its right.
 
     A point leaves at its crossing, or as None when, at the start of an
     open range past the first, _tail_bound shows that no later cycle can
@@ -715,70 +722,75 @@ def _later_blocks(terms: np.ndarray, mu: np.ndarray) -> list[float | None]:
     (see _crossings).  Far out, |mu| > 1 overflows the bounds: an infinite
     or NaN bound rules nothing out.
     """
-    ones = np.ones_like(mu[:, :1])
-    terms, mu = np.hstack([ones, terms]), np.hstack([ones, mu])
-    found: list[float | None] = [None] * len(mu)
-    span = [(1.0, math.inf) for _ in found]  # each point's current range of blocks [lo, hi)
+    found: list[float | None] = [None] * terms.shape[1]
+    lo, hi = [1.0] * len(found), [math.inf] * len(found)  # each point's range of blocks [lo, hi)
     later = [[] for _ in found]  # the ranges to its right, nearest last
     searching, reading = list(range(len(found))), []  # reading: (point, its block to read)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # log 0 is -inf
-        modes = np.stack([np.abs(terms), np.log(np.abs(mu)), np.angle(terms), np.angle(mu),
-                          2 * np.abs(np.angle(mu))], axis=1)[..., None]  # (point, what, mode, 1)
+    modes = _search_modes(terms, mu)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while searching or reading:
             while searching:
                 at, searching = searching, []
-                opened = [i for i in at if span[i][1] == math.inf and span[i][0] > 1]
+                opened = [i for i in at if hi[i] == math.inf and lo[i] > 1]
                 if opened:  # past the first range: does any later cycle reach 1 - 1/e?
-                    starts = np.array([span[i][0] for i in opened])[:, None, None]
-                    reach = _tail_bound(*modes[opened, :4].swapaxes(0, 1), starts * RATE_BLOCK)
-                    never = {i for i, r in zip(opened, reach[:, 0].tolist()) if r < E_FRACTION}
+                    reach = _tail_bound(*modes[:4, :, opened],
+                                        np.array([lo[i] for i in opened])[:, None] * RATE_BLOCK)
+                    never = {i for i, r in zip(opened, reach.tolist()) if r < E_FRACTION}
                     if never:  # the mode sum never does: the point leaves with None
                         at = [i for i in at if i not in never]
                         if not at:
                             continue
-                lo, hi = np.array([span[i] for i in at]).T[:, :, None]
-                edges = _parts(lo, hi)
-                a, z = edges[:, :-1] * RATE_BLOCK, edges[:, 1:] * RATE_BLOCK - 1
-                bound = _range_bound(*modes[at].swapaxes(0, 1), a, z)  # cycles 1 + a .. 1 + z
-                kept = ~(bound < E_FRACTION) & (z >= a)
-                p, k = kept.argmax(axis=1), np.arange(len(at))
-                for i, any_kept, first, stop, end in zip(
-                        at, kept.any(axis=1).tolist(), edges[k, p].tolist(),
-                        edges[k, p + 1].tolist(), edges[:, -1].tolist()):
-                    if any_kept:  # go on in the leftmost kept part; the rest of the range waits
-                        if stop < span[i][1]:
-                            later[i].append((stop, span[i][1]))
+                edges = _parts(np.array([lo[i] for i in at])[:, None],
+                               np.array([hi[i] for i in at])[:, None])
+                bound = _range_bound(*modes[:, :, at], edges * RATE_BLOCK - 1)
+                ruled = bound < E_FRACTION
+                ruled |= edges[:, 1:] == edges[:, :-1]  # an empty part holds nothing to read
+                for i, parts, ends in zip(at, ruled.tolist(), edges.tolist()):
+                    if False in parts:  # go on in the leftmost part kept; the rest of the range waits
+                        p = parts.index(False)
+                        first, stop = ends[p], ends[p + 1]
+                        if stop < hi[i]:
+                            later[i].append((stop, hi[i]))
                         if stop - first == 1:
-                            reading.append((i, int(first)))
-                        else:
-                            span[i] = (first, stop)
-                            searching.append(i)
-                    elif span[i][1] < math.inf:
-                        span[i] = later[i].pop()
-                        searching.append(i)
+                            reading.append((i, first))
+                            continue
+                        lo[i], hi[i] = first, stop
+                    elif hi[i] < math.inf:
+                        lo[i], hi[i] = later[i].pop()
                     else:  # every doubling part is ruled out: the open range goes on past them
-                        span[i] = (end, math.inf)
-                        searching.append(i)
+                        lo[i] = ends[-1]
+                    searching.append(i)
             if not reading:
                 break
-            at, reading = sorted(reading), []
-            starts = np.array([b * RATE_BLOCK for _, b in at])
+            reading.sort()
+            at = [i for i, _ in reading]
+            starts = np.array([b for _, b in reading]) * RATE_BLOCK
+            reading = []
             # the cycles b RATE_BLOCK ... (b + 1) RATE_BLOCK: the one before the block, then it
-            values = _mode_sum(*modes[[i for i, _ in at], :4].swapaxes(0, 1),
-                               starts[:, None] + np.arange(-1.0, RATE_BLOCK))
+            values = _block_fractions(*modes[:4, :, at], powers, rows[at], starts[:, None] - 1.0)
             above = values[:, 1:] >= E_FRACTION
-            hit = above.any(axis=1)
+            hit = np.logical_or.reduce(above, axis=1)
             crossed = values[:, 1:], above, values[:, 0], starts
             if not hit.all():
                 crossed = [x[hit] for x in crossed]
             crossed = iter(_crossings(*crossed).tolist())
-            for (i, _), is_hit in zip(at, hit.tolist()):
+            for i, is_hit in zip(at, hit.tolist()):
                 if is_hit:
                     found[i] = next(crossed)
                 else:
-                    span[i] = later[i].pop()
+                    lo[i], hi[i] = later[i].pop()
                     searching.append(i)
     return found
+
+
+def _search_modes(terms: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """What _range_bound reads of k points' terms t_k and modes mu_k (m, k), and
+    _block_fractions and _tail_bound of its first four rows: the rows (5, m, k, 1) |t_k|,
+    log |mu_k|, arg t_k, arg mu_k and 2 |arg mu_k|."""
+    turn = np.angle(mu)
+    with np.errstate(divide="ignore"):  # log 0 is -inf
+        return np.array([np.abs(terms), np.log(np.abs(mu)), np.angle(terms), turn,
+                         2 * np.abs(turn)])[..., None]
 
 
 def _parts(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -800,44 +812,69 @@ _EQUAL = np.arange(SPLIT + 1) / SPLIT
 
 
 def _range_bound(size: np.ndarray, log_rho: np.ndarray, phase: np.ndarray, turn: np.ndarray,
-                 spin: np.ndarray, a: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Upper bounds (k, p) of the mode sum Re sum t_k mu_k^n over n = a..z, per stacked point.
+                 spin: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Upper bounds (k, p) of the fractions 1 + Re sum t_k mu_k^n over the closed ranges of
+    exponents n_i ... n_(i+1), i < p, per stacked point.
 
     The mode terms t_k = w_k/P_s and mu_k of k points are given by size
     |t_k|, log_rho log |mu_k|, phase arg t_k, turn arg mu_k and spin
-    2 |arg mu_k|, each (k, m, 1), and a and z (k, p) are the ends of p ranges
-    per point.  A term is at most r_k = |t_k| max(|mu_k|^a, |mu_k|^z); and,
+    2 |arg mu_k|, each (m, k, 1), and n (k, p + 1) holds the ranges' edges,
+    which neighbours share: each mode is evaluated once at each edge.  A term
+    is at most r_k = |t_k| max(|mu_k|^a, |mu_k|^z) over a range a ... z; and,
     because its phase turns by |arg mu_k| per cycle, at most the larger of
     its two end values plus 2 (z - a) |arg mu_k| r_k, which makes the real
-    positive modes monotone.
+    positive modes monotone.  Where |mu_k|^n falls below e^-400, the edge
+    takes e^-400 in its place, which keeps exp off its slow subnormal path;
+    a negative end value may then sit up to |t_k| e^-400 (2e-174 |t_k|) below
+    the term's, which for |t_k| < 1e157 is under the rounding of the 1 the sum
+    starts from.
     """
-    a, z = a[:, None], z[:, None]  # (point, mode, range)
-    first, last = size * np.exp(a * log_rho), size * np.exp(z * log_rho)
-    reach = np.maximum(first, last)
-    ends = np.maximum(first * np.cos(phase + a * turn), last * np.cos(phase + z * turn))
-    return np.minimum(reach, ends + (z - a) * spin * reach).sum(axis=1)
+    reach = n * log_rho  # (mode, point, edge), in place below
+    np.maximum(reach, -400.0, out=reach)
+    np.exp(reach, out=reach)
+    reach *= size
+    value = n * turn
+    value += phase
+    np.cos(value, out=value)
+    value *= reach
+    top = np.maximum(reach[..., :-1], reach[..., 1:])
+    ends = np.maximum(value[..., :-1], value[..., 1:])
+    ends += (n[:, 1:] - n[:, :-1]) * spin * top
+    np.minimum(top, ends, out=ends)
+    return np.add.reduce(ends, axis=0, initial=1.0)
 
 
-def _mode_sum(size: np.ndarray, log_rho: np.ndarray, phase: np.ndarray, turn: np.ndarray,
-              n: np.ndarray) -> np.ndarray:
-    """The mode sum Re sum t_k mu_k^n (k, c) at c exponents n (k, c) per stacked point, the
-    modes given as for _range_bound, without spin: the bytes of _range_bound's end values."""
-    n = n[:, None]  # (point, mode, exponent); in place below, as the search's largest arrays
-    terms, scale = n * turn, n * log_rho
-    terms += phase
-    np.cos(terms, out=terms)
+def _block_fractions(size: np.ndarray, log_rho: np.ndarray, phase: np.ndarray,
+                     turn: np.ndarray, powers: np.ndarray, rows: np.ndarray,
+                     n: np.ndarray) -> np.ndarray:
+    """The fractions 1 + Re sum_k A_k mu_k^j (k, RATE_BLOCK + 1), j = 0 ... RATE_BLOCK, of
+    k stacked points from their anchors A_k = t_k mu_k^n, n (k, 1), and their rows of the
+    table powers, the modes given as for _range_bound without spin: one
+    block's cycles, and the cycle before it, as one product with the table."""
+    scale = n * log_rho
     np.exp(scale, out=scale)
     scale *= size
-    terms *= scale
-    return terms.sum(axis=1)
+    angle = n * turn
+    angle += phase
+    anchors = scale * np.cos(angle) + 1j * (scale * np.sin(angle))
+    sums = None
+    for a, p in zip(anchors, powers):  # mode by mode, each product in its own copy of the rows
+        term = p[rows].astype(complex, copy=False)
+        term *= a
+        if sums is None:
+            sums = term
+        else:
+            sums += term
+    return 1.0 + sums.real
 
 
 def _tail_bound(size: np.ndarray, log_rho: np.ndarray, phase: np.ndarray, turn: np.ndarray,
                 a: np.ndarray) -> np.ndarray:
-    """Upper bounds (k, 1) of the mode sum over every n >= a, per stacked point.
+    """Upper bounds (k,) of the fractions 1 + Re sum t_k mu_k^n over every n >= a, per stacked
+    point.
 
-    The modes are given as for _range_bound, without spin, and a is (k, 1, 1).  A term that
-    turns is at most |t_k| |mu_k|^a while |mu_k| <= 1, and unbounded past 1.
+    The modes are given as for _range_bound, without spin, and a is (k, 1).  A
+    term that turns is at most |t_k| |mu_k|^a while |mu_k| <= 1, and unbounded past 1.
     One that does not turn is |t_k| cos(arg t_k) |mu_k|^n, monotone in n: at
     most the larger of its value at a and its limit, 0 for |mu_k| < 1,
     itself for |mu_k| = 1 and an infinity of its sign past 1.
@@ -848,7 +885,7 @@ def _tail_bound(size: np.ndarray, log_rho: np.ndarray, phase: np.ndarray, turn: 
     limit[value == 0] = 0.0
     bound = np.where(turn == 0, np.maximum(value, limit),
                      np.where((log_rho <= 0) | (size == 0), reach, np.inf))
-    return bound.sum(axis=1)
+    return np.add.reduce(bound, axis=0, initial=1.0)[:, 0]
 
 
 class ExactResult(NamedTuple):
@@ -905,8 +942,9 @@ def evaluate_exact_batch(points: Iterable[tuple[SystemParams, SequenceParams]],
     rendered, a generator whose eigh fails, a segment whose phase overflows
     or holds no digits modulo 2 pi, a propagator that is not unitary)
     yields that error in its place; the
-    other points are unaffected: when the stacked walk raises, each point is
-    walked alone.
+    other points are unaffected: when the stacked walk raises, each group of
+    points that differ only in their waits is walked alone, and the points of
+    a group whose walk raises are walked one by one.
     `points` is read BATCH_SIZE at a time, so memory does not grow with
     their number.
     A chunk's points are rendered one by one into their counts and leaf
@@ -939,13 +977,17 @@ def _evaluate_chunk(points: list, cache: dict | None) -> list[ExactResult | Valu
     at = list(itertools.chain.from_iterable(members.values()))
     try:
         u = _walk([_group(points, group) for group in members.values()], cache) if at else None
-    except ValueError:  # a failed eigh or a refused phase stops the stack: walk each point alone
-        walked = {}
-        for i in sorted(at):
+    except ValueError:  # a failed eigh or a refused phase stops the stack: walk each group
+        walked = {}     # alone, and each point alone only in a group whose walk fails
+        for group in members.values():
             try:
-                (walked[i],) = _walk([_group(points, [i])], cache)
-            except ValueError as err:
-                results[i] = err
+                walked.update(zip(group, _walk([_group(points, group)], cache)))
+            except ValueError:
+                for i in group:
+                    try:
+                        (walked[i],) = _walk([_group(points, [i])], cache)
+                    except ValueError as err:
+                        results[i] = err
         at, u = list(walked), np.array(list(walked.values()))
     if at:
         sequences = [points[i][1] for i in at]

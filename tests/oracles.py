@@ -38,6 +38,7 @@ from scipy.integrate import quad
 
 from hyperpol.analytic import (AnalyticSummary, dirichlet_ratio, filter_f, gamma_analytic,
                                lambda_analytic, phases, stable_polarization)
+from hyperpol.linalg import SZ, kron2
 from hyperpol.params import SequenceParams, SystemParams, whole_number
 from hyperpol.sweep import SEQUENCE_FLOAT_FIELDS, SEQUENCE_INT_FIELDS, SYSTEM_FIELDS
 from hyperpol.timeline import FREE_HYPERFINE, FREE_NUCLEAR, PULSE, Segment, Timeline
@@ -48,6 +49,12 @@ ID2 = np.eye(2, dtype=complex)
 def operator_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Max entry magnitude of A - B (used for oracle comparisons)."""
     return float(np.max(np.abs(np.asarray(a) - np.asarray(b))))
+
+
+def nuclear_hamiltonian(sys: SystemParams) -> np.ndarray:
+    """omega I_z in the 4x4 product space, the Hamiltonian of a hyperfine-free wait: the
+    engine evolves a wait as the diagonal of its hermitian_expm, byte for byte."""
+    return sys.omega * kron2(ID2, SZ)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import cmath
 import itertools
 import math
 from dataclasses import replace
@@ -5,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from hyperpol import analytic, engine, linalg
@@ -33,8 +34,8 @@ from hyperpol.params import SequenceParams, SystemParams
 from hyperpol.timeline import FREE_HYPERFINE, FREE_NUCLEAR, PULSE, Segment, Timeline, render_unit
 
 from oracles import (MIXED_VEC, ONE, exact_fixed_z, fixed_affine_map, fixed_cycle_propagator,
-                     fixed_rate_cycles, operator_distance, random_params, stepped_series,
-                     trotter_propagate)
+                     fixed_rate_cycles, nuclear_hamiltonian, operator_distance, random_params,
+                     stepped_series, trotter_propagate)
 # the complex transfer-matrix oracle, under the short names the tests below use
 from oracles import transfer_modes as _modes
 from oracles import transfer_summary as _spectral_summary
@@ -104,7 +105,7 @@ def flat_product(sys_p, tl):
     for seg in tl.segments:
         if seg not in cache:
             if seg.kind == FREE_NUCLEAR:
-                cache[seg] = hermitian_expm(engine.nuclear_hamiltonian(sys_p), seg.duration)
+                cache[seg] = hermitian_expm(nuclear_hamiltonian(sys_p), seg.duration)
             else:
                 (cache[seg],) = segment_propagator(sys_p, [seg], hyperfine)
         u = cache[seg] @ u
@@ -272,7 +273,7 @@ def identity_started(sys_p, timeline, memo: dict) -> np.ndarray:
     in memo and the waits' hermitian_expm of the nuclear Hamiltonian, each block's
     product started from ID4 (first part @ ID4), one point at a time."""
     half_x, free, pi_x, half_y, pi_y = (memo[sys_p, seg][None] for seg in timeline.leaves)
-    wait_s, wait_w, wait_c = (hermitian_expm(engine.nuclear_hamiltonian(sys_p), [t])
+    wait_s, wait_w, wait_c = (hermitian_expm(nuclear_hamiltonian(sys_p), [t])
                               for t in timeline.waits)
 
     def block(*parts):  # parts in time order
@@ -493,7 +494,7 @@ def test_each_wait_factor_is_the_bytes_of_hermitian_expm():
     for s in systems:
         for triple in triples:
             for j, t in enumerate(triple):
-                assert waits[j, k].tobytes() == hermitian_expm(engine.nuclear_hamiltonian(s),
+                assert waits[j, k].tobytes() == hermitian_expm(nuclear_hamiltonian(s),
                                                               t).tobytes()
             k += 1
     assert waits[0, 0].tobytes() == waits[1, 0].tobytes() == ID4.tobytes()
@@ -534,6 +535,34 @@ def test_a_refused_wait_keeps_its_error_alone_and_in_a_stack():
             except ValueError as error:
                 alone = error
             assert repr(batch[i]) == repr(alone)
+
+
+def test_a_refused_point_walks_only_its_own_group_point_by_point(monkeypatch):
+    # a chunk of two groups: 12 points of the README base that differ in their waits, one
+    # of them with a t_w of 2^60 whose phase holds no digits, and 6 points with n_r = 2.
+    # The stacked walk fails, each group is walked alone, and only the failing group is
+    # walked point by point: 1 + 2 + 12 walks, where one-point walks of all 18 made 19
+    points = [(SYS, replace(README_BASE, t_s=0.1 * j, t_w=2.0 ** 60 if j == 5 else 0.2 * j))
+              for j in range(12)]
+    points += [(SYS, replace(README_BASE, n_r=2, t_s=0.3 * j)) for j in range(6)]
+    walk, walks = engine._walk, []
+
+    def counted(groups, cache):
+        walks.append([len(g.waits) for g in groups])
+        return walk(groups, cache)
+
+    monkeypatch.setattr(engine, "_walk", counted)
+    batch = list(evaluate_exact_batch(points))
+    assert walks == [[12, 6], [12]] + [[1]] * 12 + [[6]]
+    monkeypatch.setattr(engine, "_walk", walk)
+    for point, result in zip(points, batch):
+        try:
+            alone = evaluate_exact(*point)
+        except ValueError as error:
+            alone = error
+        assert repr(result) == repr(alone)
+    assert str(batch[5]) == lost_phase_message(0.05, 2.0 ** 60)
+    assert sum(isinstance(result, ValueError) for result in batch) == 1
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
@@ -745,14 +774,21 @@ def affine_p_s(t: np.ndarray) -> float:
     return engine._spectral_summary(*engine._modes(engine._bloch_maps(t[None])[1]))[0][0]
 
 
-def mode_sum_fractions(mu: np.ndarray, weights: np.ndarray, p_s: float, cycles) -> list[float]:
-    """P(n)/P_s = 1 + Re sum (w/P_s) mu^(n-1) of one point's modes and weights (m,) at each
-    cycle n, with the steady 1 as a term of mode 1 ahead of the others, term by term in the
-    polar form the later-block search reads: |t| e^((n-1) log|mu|) cos(arg t + (n-1) arg mu)."""
-    t, mu = np.r_[1.0, weights / p_s][:, None], np.r_[1.0, mu][:, None]
-    n = np.asarray(cycles, dtype=float) - 1
-    terms = np.abs(t) * np.exp(n * np.log(np.abs(mu))) * np.cos(np.angle(t) + n * np.angle(mu))
-    return terms.sum(axis=0).tolist()
+def block_fractions(mu: np.ndarray, weights: np.ndarray, p_s: float, block: int) -> np.ndarray:
+    """P(n)/P_s = 1 + Re sum (w/P_s) mu^(n-1) of one point's modes and weights (m,) at the
+    cycles block RATE_BLOCK ... (block + 1) RATE_BLOCK, the cycle before the block first, as
+    the later-block search reads them: 1 + Re sum A mu^j, j = 0 ... RATE_BLOCK, with the
+    anchor A = t mu^(block RATE_BLOCK - 1) in polar form, |t| e^(n log|mu|) (cos + i sin)
+    (arg t + n arg mu), and mu^j from numpy's power, summed mode by mode."""
+    n = block * engine.RATE_BLOCK - 1.0
+    t = weights / p_s
+    scale = np.abs(t) * np.exp(n * np.log(np.abs(mu)))
+    angle = np.angle(t) + n * np.angle(mu)
+    anchors = scale * np.cos(angle) + 1j * (scale * np.sin(angle))
+    sums = anchors[0] * mu[0] ** np.arange(engine.RATE_BLOCK + 1.0)
+    for a, m in zip(anchors[1:], mu[1:]):
+        sums = sums + a * m ** np.arange(engine.RATE_BLOCK + 1.0)
+    return 1.0 + sums.real
 
 
 def _affine_modes(pair: KrausPair) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -1023,11 +1059,13 @@ def test_rate_from_modes_matches_the_full_series(seed):
     elif res.n_s < 2 ** 21:
         series = simulate(pair, mixed_state(), series_through(res.n_s))
         assert res.gamma == pytest.approx(measured_rate(series, p_s, res.t_cycle), rel=1e-10)
-    else:  # too long a series to write out: M's mode sum, which the later blocks read,
-        # brackets the crossing instead
+    else:  # too long a series to write out: M's mode sum, as the later blocks read it,
+        # brackets the crossing instead, in the block that holds its first cycle above
         (mu,), (weights,) = series_terms(_superop(pair)[None])
-        before, after = mode_sum_fractions(mu, weights, p_s, [math.floor(res.n_s) + 1,
-                                                              math.floor(res.n_s) + 2])
+        below = math.floor(res.n_s) + 1  # the last cycle below 1 - 1/e
+        block = below // engine.RATE_BLOCK
+        at = below - block * engine.RATE_BLOCK
+        before, after = block_fractions(mu, weights, p_s, block)[at:at + 2]
         assert before <= E_FRACTION <= after
 
 
@@ -1049,19 +1087,19 @@ def recorded_reads(monkeypatch) -> list[int]:
     once for the whole stack, and b for each later block b (cycles b RATE_BLOCK + 1 ...
     (b + 1) RATE_BLOCK) the later-block search reads."""
     reads = []
-    mode_sum, crossings = engine._mode_sum, engine._crossings
+    block_fractions, crossings = engine._block_fractions, engine._crossings
 
     def read_later(*modes_and_n):
-        n = modes_and_n[-1]  # exponents n - 1 of each block's cycles, the one before it first
-        reads.extend((n[:, -1] // engine.RATE_BLOCK).astype(int).tolist())
-        return mode_sum(*modes_and_n)
+        n = modes_and_n[-1]  # (k, 1): the exponent n - 1 of the cycle before each block
+        reads.extend(((n[:, 0] + 1) // engine.RATE_BLOCK).astype(int).tolist())
+        return block_fractions(*modes_and_n)
 
     def read(fractions, above, lo, start):
         if np.ndim(start) == 0:  # block 0, read from cycle 2 on; later blocks pass their starts
             reads.append(0)
         return crossings(fractions, above, lo, start)
 
-    monkeypatch.setattr(engine, "_mode_sum", read_later)
+    monkeypatch.setattr(engine, "_block_fractions", read_later)
     monkeypatch.setattr(engine, "_crossings", read)
     return reads
 
@@ -1098,7 +1136,7 @@ def test_the_mode_sum_puts_the_crossing_on_the_first_cycle_after_the_first_block
     series = simulate(pair, mixed_state(), last + 1)
     assert np.nonzero(series.values / p_s >= E_FRACTION)[0][0] == last
     (mu,), (weights,) = series_terms(_superop(pair)[None])
-    lo, hi = mode_sum_fractions(mu, weights, p_s, [last, last + 1])
+    lo, hi = block_fractions(mu, weights, p_s, 1)[:2]
     assert lo < E_FRACTION <= hi
     reads = recorded_reads(monkeypatch)
     n_s = rate_cycles(pair, p_s)
@@ -1180,9 +1218,10 @@ BLOCK_FIRST_CYCLES = [2 ** e + 1 for e in range(10)]
 @pytest.mark.parametrize("cycle,n", [(c, None) for c in BLOCK_FIRST_CYCLES]
                          + [(290, 300), (400, 300), (700, None)])
 def test_lazy_rate_reads_exactly_what_measured_rate_reads(sign, cycle, n):
-    # the mode sum's N_s against the exact series of the pair, and against what
-    # measured_rate reads from simulate's powers of the Bloch map; n cuts the series that
-    # measured_rate reads, None ends it at the crossing
+    # the read-out's N_s, from block 0 or from the later block that holds the crossing,
+    # against the pair's exact series in rationals (to DAMPING_REL) and against what
+    # measured_rate reads from simulate's powers of the Bloch map (to 1e-10, not byte for
+    # byte); n cuts the series that measured_rate reads, None ends it at the crossing
     pair = damping_to_cross_at(cycle, sign)
     p_s, _ = steady_state(pair)
     assert p_s == pytest.approx(sign, abs=1e-12)
@@ -1200,9 +1239,10 @@ def test_lazy_rate_reads_exactly_what_measured_rate_reads(sign, cycle, n):
 
 @pytest.mark.parametrize("cycle", BLOCK_FIRST_CYCLES + [100, 512, 1024, engine.RATE_BLOCK])
 def test_lazy_rate_stops_at_the_level_that_holds_the_crossing(monkeypatch, cycle):
-    # block 0 is read once for a whole stack, and a crossing in it (cycles 2 ... RATE_BLOCK)
-    # reads no later block; a later crossing reads only the block that holds it, since the
-    # bounds of a monotone series rule out every block before it
+    # the blocks the read-out reads (see recorded_reads): block 0 once for a whole stack, and
+    # for a crossing in it (cycles 2 ... RATE_BLOCK) no later block; a later crossing reads
+    # only the block that holds it, since the bounds of a monotone series rule out every
+    # block before it
     reads = recorded_reads(monkeypatch)
     t = np.array([_superop(damping_to_cross_at(c)) for c in (cycle, 2)])
     assert None not in rate_cycles_of(t, 1.0)
@@ -1360,6 +1400,47 @@ def later_block_pool() -> list[tuple[np.ndarray, float, tuple[np.ndarray, np.nda
 LATER_BLOCK_POOL = later_block_pool()
 
 
+# the modes of the bound property: turning fast and slowly (by less than 1/RATE_BLOCK per
+# cycle), real and negative, steady (mu = 1) and growing (|mu| > 1); and terms, zero among them
+BOUND_MODES = st.one_of(
+    st.builds(cmath.rect, st.floats(0.5, 1.0), st.floats(-math.pi, math.pi)),
+    st.builds(cmath.rect, st.floats(0.9, 1.0), st.floats(-1 / 64, 1 / 64)),
+    st.builds(complex, st.floats(-1.0, -0.5)),
+    st.just(1 + 0j),
+    st.builds(cmath.rect, st.floats(1.0, 1.0005, exclude_min=True), st.floats(-math.pi, math.pi)))
+BOUND_TERMS = st.one_of(st.just(0j), st.builds(cmath.rect, st.floats(0.0, 2.0),
+                                               st.floats(-math.pi, math.pi)))
+# a range of blocks [lo, hi), closed and cut into equal parts or open and cut into doubling ones
+BOUND_RANGES = st.one_of(st.tuples(st.integers(1, 200), st.integers(1, 300)).map(
+    lambda r: (r[0], r[0] + r[1])), st.integers(1, 3).map(lambda lo: (lo, math.inf)))
+
+
+@given(st.lists(st.tuples(BOUND_MODES, BOUND_TERMS), min_size=1, max_size=3), BOUND_RANGES)
+@example([(cmath.rect(1.0, -1 / 128), cmath.rect(1.0, 2.0))], (1, 3))  # a slow turn alone
+@example([(1 + 0j, 0j), (-0.75 + 0j, 0.5 + 0j), (cmath.rect(1.0004, 0.3), 1j)], (2, math.inf))
+@settings(deadline=None)
+def test_each_part_bound_holds_at_every_cycle_of_its_part(modes, span):
+    # the bound of each part, from the modes evaluated once at the edges that neighbouring
+    # parts share, against the mode sum 1 + Re sum t mu^n at every exponent from the part's
+    # edge to the next (up to 2^14 of them: the doubling parts past that are not checked),
+    # where the part's cycles lie
+    mu, terms = (np.array(x)[:, None] for x in zip(*modes))  # (m, 1): a stack of one point
+    rows = engine._search_modes(terms, mu)
+    edges = engine._parts(*(np.array([[x]], dtype=float) for x in span))
+    n = edges * engine.RATE_BLOCK - 1
+    with np.errstate(over="ignore", invalid="ignore"):  # |mu| > 1 overflows far out
+        bound = engine._range_bound(*rows, n)[0]
+    checked = 0
+    for p, (a, z) in enumerate(zip(n[0, :-1].tolist(), n[0, 1:].tolist())):
+        if a == z or z - a > 2 ** 14:
+            continue
+        each = terms * mu ** np.arange(a, z + 1)  # (m, exponents)
+        values = 1.0 + each.real.sum(axis=0)
+        assert values.max() <= bound[p] + 1e-10 * (1.0 + np.abs(each).sum(axis=0).max()), p
+        checked += 1
+    assert checked
+
+
 @given(st.lists(st.integers(0, len(LATER_BLOCK_POOL) - 1), min_size=1, max_size=12))
 @settings(deadline=None)
 def test_stacked_later_search_matches_each_point_alone(picks):
@@ -1404,8 +1485,10 @@ def test_stacked_first_block_read_out_matches_each_point_alone(picks):
 
 @pytest.mark.parametrize("row", [[0.7, 0.9], [E_FRACTION, 0.2], [0.1, 0.7], [0.0, E_FRACTION]])
 def test_a_whole_level_read_gives_the_crossing_measured_rate_reads(row):
-    # crossings on cycle 1 (N_s = 1.0), at the clamp and exactly on the threshold, in a
-    # level that starts at entry 0 (lo = 0) and in one that starts at entry 2
+    # _crossings, which interpolates the crossings of block 0 and of each later block read,
+    # as measured_rate reads them from a written series: on cycle 1 (N_s = 1.0), at the
+    # clamp and exactly on the threshold, in rows that start at entry 0 (lo = 0), as block 0
+    # does, and at entry 2 after lo, as a later block does after the cycle before it
     series = [np.array(row), np.array([0.0, 0.1] + row)]
     fractions = np.array([row, row])
     n_s = engine._crossings(fractions, fractions >= E_FRACTION, np.array([0.0, 0.1]),
@@ -1415,9 +1498,11 @@ def test_a_whole_level_read_gives_the_crossing_measured_rate_reads(row):
 
 
 def test_a_full_stack_of_late_crossings_stays_within_three_times_its_rows():
-    # BATCH_SIZE points that all cross after block 0: block 0's powers mu^(n-1) and their
-    # terms, each 3 x (RATE_BLOCK - 1) complex per point, are the largest arrays a stack
-    # holds, and the peak stays within 4 times one of them (3.2 to 3.3 times is read)
+    # BATCH_SIZE points that all cross after block 0: the table of the modes' powers mu^j,
+    # 3 x (RATE_BLOCK + 1) complex per point, is the largest array a stack holds, and the
+    # points keep it through the later-block search, where a read's products are formed
+    # one mode at a time.  The peak stays within 4 times block 0's terms, 3 x (RATE_BLOCK
+    # - 1) complex per point (3.0 times is read)
     import tracemalloc
 
     points = [(SYS, replace(README_BASE, t_s=(1.85 + 0.002 * j / engine.BATCH_SIZE) * math.pi))
