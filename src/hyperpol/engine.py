@@ -942,9 +942,8 @@ def evaluate_exact_batch(points: Iterable[tuple[SystemParams, SequenceParams]],
     rendered, a generator whose eigh fails, a segment whose phase overflows
     or holds no digits modulo 2 pi, a propagator that is not unitary)
     yields that error in its place; the
-    other points are unaffected: when the stacked walk raises, each group of
-    points that differ only in their waits is walked alone, and the points of
-    a group whose walk raises are walked one by one.
+    other points are unaffected: a stacked walk that raises is halved until
+    each refused point is walked alone (see _walk_halving).
     `points` is read BATCH_SIZE at a time, so memory does not grow with
     their number.
     A chunk's points are rendered one by one into their counts and leaf
@@ -961,40 +960,52 @@ def evaluate_exact_batch(points: Iterable[tuple[SystemParams, SequenceParams]],
 
 
 def _evaluate_chunk(points: list, cache: dict | None) -> list[ExactResult | ValueError]:
-    """evaluate_exact_batch on one chunk of at most BATCH_SIZE points, as a list.
-
-    The valid points are grouped by everything but their waits, (system, tau,
-    tau_pi, n_p, n_r), and each group renders its five DD leaves once."""
+    """evaluate_exact_batch on one chunk of at most BATCH_SIZE points, as a list."""
     results: list = [None] * len(points)
-    members: dict = {}  # (sys, tau, tau_pi, n_p, n_r) -> the indices of its valid points
+    valid = []
     for i, (sys, seq) in enumerate(points):
         try:
             check_sequence(seq)
         except ValueError as err:
             results[i] = err
         else:
-            members.setdefault((sys, seq.tau, seq.tau_pi, seq.n_p, seq.n_r), []).append(i)
-    at = list(itertools.chain.from_iterable(members.values()))
-    try:
-        u = _walk([_group(points, group) for group in members.values()], cache) if at else None
-    except ValueError:  # a failed eigh or a refused phase stops the stack: walk each group
-        walked = {}     # alone, and each point alone only in a group whose walk fails
-        for group in members.values():
-            try:
-                walked.update(zip(group, _walk([_group(points, group)], cache)))
-            except ValueError:
-                for i in group:
-                    try:
-                        (walked[i],) = _walk([_group(points, [i])], cache)
-                    except ValueError as err:
-                        results[i] = err
-        at, u = list(walked), np.array(list(walked.values()))
+            valid.append(i)
+    at, u = _walk_halving(points, valid, cache, results) if valid else ([], None)
     if at:
         sequences = [points[i][1] for i in at]
         solved = _solve(u, sequences, [cycle_durations(seq)[1] for seq in sequences])
         for i, result in zip(at, solved):
             results[i] = result
     return results
+
+
+def _walk_halving(points: list, at: list[int], cache: dict | None,
+                  results: list) -> tuple[list[int], np.ndarray]:
+    """The indices of the points at `at` that walk, in walk order, and their cycle propagators.
+
+    The points are grouped by everything but their waits, (system, tau,
+    tau_pi, n_p, n_r), each group renders its five DD leaves once, and the
+    groups are walked as one stack.  A stack the walk refuses (a failed eigh
+    or a refused phase) is halved, in its walk order, and each half is
+    grouped and walked the same way, so one refused point among k costs at
+    most 2 ceil(log2 k) + 1 walks; a point walked alone that is refused
+    gets its error in `results`.
+    """
+    members: dict = {}  # (sys, tau, tau_pi, n_p, n_r) -> the indices of its points
+    for i in at:
+        sys, seq = points[i]
+        members.setdefault((sys, seq.tau, seq.tau_pi, seq.n_p, seq.n_r), []).append(i)
+    at = list(itertools.chain.from_iterable(members.values()))
+    try:
+        return at, _walk([_group(points, group) for group in members.values()], cache)
+    except ValueError as err:
+        if len(at) == 1:
+            results[at[0]] = err
+            return [], np.empty((0, 4, 4), complex)
+    half = len(at) // 2
+    (first, u), (second, v) = (_walk_halving(points, part, cache, results)
+                               for part in (at[:half], at[half:]))
+    return first + second, np.concatenate((u, v))
 
 
 def _group(points: list, at: list[int]) -> _Group:

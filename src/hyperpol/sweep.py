@@ -27,9 +27,11 @@ Above the engine, each point costs one `apply_point` call, which copies
 the base sequence's fields in (only a changed system goes through its
 constructor) and checks the copy with a few comparisons; for an analytic
 row, one `analytic.summarize` call, a straight line of `math` arithmetic;
-and its share of one `%` per chunk in `ResultTable.to_csv`, which writes
-the bytes of csv.writer without going through it: a chunk's rows of one
-field-type shape are formatted at once.  On the 201x201 (t_s, t_w)
+and its share of one `%` per batch in `ResultTable.to_csv`, which writes
+the bytes of csv.writer without going through it.  Every table, a sweep's,
+a robustness scan's or a `simulate` series, is written the same way, in
+batches of ANALYTIC_CHUNK (64) rows: a batch's rows of one field-type
+shape are formatted at once.  On the 201x201 (t_s, t_w)
 analytic map these take about 2.6, 2.7 and 3.4 us of a 9.3 us point
 (2 vCPUs, Python 3.11.7).
 """
@@ -64,7 +66,7 @@ AXIS_NAMES = SYSTEM_FIELDS + SEQUENCE_FLOAT_FIELDS + SEQUENCE_INT_FIELDS
 ENGINES = ("exact", "analytic", "both")
 TARGETS = ("stable_polarization", "rate")
 
-ANALYTIC_CHUNK = 64  # grid points per chunk of a sweep without the exact engine
+ANALYTIC_CHUNK = 64  # grid points per chunk of a sweep without the exact engine; rows per CSV write
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 MAX_TAU_GRID_POINTS = 10_001  # find_tau_res grid limit: about 2 s of batched exact points
 
@@ -152,28 +154,12 @@ class SweepSpec:
         }
 
 
-class ChunkedRows:
-    """A one-pass iterable of rows that are produced as lists, one per chunk.
-
-    Iterating it yields the rows one by one; `ResultTable.to_csv` takes
-    the lists instead, and formats and writes each before it asks for the
-    next.
-    """
-
-    def __init__(self, chunks: Iterable[list[tuple]]):
-        self.chunks = chunks
-
-    def __iter__(self):
-        return itertools.chain.from_iterable(self.chunks)
-
-
 @dataclass
 class ResultTable:
     """A header, column names and rows, written as one CSV.
 
-    `rows` may be a one-pass iterable, as `run_sweep`'s `ChunkedRows` are:
-    then the rows are read once, by `to_csv` or by the caller, and are gone
-    after.
+    `rows` may be a one-pass iterable, as `run_sweep`'s are: then the rows
+    are read once, by `to_csv` or by the caller, and are gone after.
     """
     header: dict
     columns: tuple[str, ...]
@@ -181,15 +167,15 @@ class ResultTable:
 
     def to_csv(self, fh) -> None:
         """Write the header line and the column names, then the rows as they
-        are read: the text of each chunk of `ChunkedRows` in one write (see
-        _csv_text), the rows of any other iterable one line at a time."""
+        are read, ANALYTIC_CHUNK (64) at a time: each batch's text in one
+        write (see _csv_text).  64 divides BATCH_SIZE, so a sweep's rows
+        are written chunk by chunk: every full chunk's rows are written
+        before the next chunk is evaluated."""
         fh.write("# " + json.dumps(self.header, sort_keys=True) + "\n")
-        fh.writelines(_csv_lines([self.columns]))
-        if isinstance(self.rows, ChunkedRows):
-            for chunk in self.rows.chunks:
-                fh.write(_csv_text(chunk))
-        else:
-            fh.writelines(_csv_lines(self.rows))
+        fh.write(_csv_text([self.columns]))
+        rows = iter(self.rows)
+        while batch := list(itertools.islice(rows, ANALYTIC_CHUNK)):
+            fh.write(_csv_text(batch))
 
     def write(self, path) -> None:
         """to_csv into the file at path.
@@ -232,40 +218,24 @@ def _template(shape: tuple[type, ...]) -> str:
                     for t in shape) + "\n"
 
 
-def _csv_lines(rows):
-    """Each row as the line csv.writer(lineterminator="\n") writes for its fields,
-    where a float field is written as %.17g, None as nan and anything else as str.
-
-    csv (Python 3.11) quotes a field that holds a comma, a quote or a newline,
-    doubling its quotes (a carriage return alone is not quoted), and a row
-    whose one field is empty.  Formatted numbers hold none of these, so a row is
-    formatted with one template per field-type shape, and only a line with
-    an extra comma, a quote, an inner newline or no text at all is built
-    again field by field.  This is the per-row path: `to_csv` writes the
-    rows of any iterable but `ChunkedRows` through it, and `_csv_text`
-    falls back to it for a run whose text needs quoting.
-    """
-    templates: dict = {}
-    for row in rows:
-        row = tuple(row)
-        shape = tuple(map(type, row))
-        template = templates.get(shape)
-        if template is None:
-            template = templates[shape] = _template(shape)
-        line = template % row
-        if (line.count(",") != len(row) - 1 or '"' in line or line.count("\n") != 1
-                or line == "\n"):
-            line = (",".join(map(_csv_field, row)) or ('""' if row else "")) + "\n"
-        yield line
+def _csv_line(row: tuple) -> str:
+    """row's line built field by field (see _csv_field); a row whose one field is empty is ""."""
+    return (",".join(map(_csv_field, row)) or ('""' if row else "")) + "\n"
 
 
 def _csv_text(rows: list[tuple]) -> str:
-    """The lines of _csv_lines(rows), joined.
+    """Each row as the line csv.writer(lineterminator="\n") writes for its fields,
+    where a float field is written as %.17g, None as nan and anything else as
+    str, joined.
 
-    Each run of consecutive rows with one template is formatted by a single
-    %: the template repeated once per row, applied to the run's fields in
-    order.  A run whose text shows an extra comma, a quote, an extra newline
-    or an empty line is formatted again row by row through _csv_lines.
+    csv (Python 3.11) quotes a field that holds a comma, a quote or a newline,
+    doubling its quotes (a carriage return alone is not quoted), and a row
+    whose one field is empty.  Formatted numbers hold none of these, so each
+    run of consecutive rows with one field-type shape is formatted by a
+    single %: its template repeated once per row, applied to the run's
+    fields in order.  A run whose text shows an extra comma, a quote, an
+    extra newline or an empty line is built again row by row through
+    _csv_line.
     """
     shapes = [tuple(map(type, row)) for row in rows]
     templates = {shape: _template(shape) for shape in set(shapes)}
@@ -277,7 +247,7 @@ def _csv_text(rows: list[tuple]) -> str:
         text = template * count % tuple(itertools.chain.from_iterable(run))
         if (text.count(",") != count * (len(run[0]) - 1) or '"' in text
                 or text.count("\n") != count or text[0] == "\n" or "\n\n" in text):
-            text = "".join(_csv_lines(run))
+            text = "".join(map(_csv_line, run))
         parts.append(text)
     return "".join(parts)
 
@@ -368,7 +338,7 @@ def run_sweep(spec: SweepSpec) -> ResultTable:
     return ResultTable(
         header=spec.header(),
         columns=("axis1", "axis2", "engine", "P_s", "lambda", "gamma", "status"),
-        rows=ChunkedRows(_sweep_chunks(spec, grid, names, engines)),
+        rows=itertools.chain.from_iterable(_sweep_chunks(spec, grid, names, engines)),
     )
 
 

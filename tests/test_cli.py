@@ -123,15 +123,15 @@ def test_series_csv_round_trip(config_path, tmp_path):
 
 def test_a_failed_series_write_leaves_no_file(config_path, tmp_path, capsys, monkeypatch):
     out = tmp_path / "series.csv"
-    lines, calls, existed = sweep._csv_lines, itertools.count(), []
+    text, calls, existed = sweep._csv_text, itertools.count(), []
 
     def failing(rows):  # the column line goes through, the rows fail
         if next(calls):
             existed.append(out.exists())
             raise OSError(errno.ENOSPC, "No space left on device")
-        return lines(rows)
+        return text(rows)
 
-    monkeypatch.setattr(sweep, "_csv_lines", failing)
+    monkeypatch.setattr(sweep, "_csv_text", failing)
     assert main(["simulate", "--config", config_path, "--cycles", "5", "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: cannot write {out}: No space left on device\n"
     assert existed == [True]  # the series was going to the file when the write failed

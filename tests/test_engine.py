@@ -540,8 +540,9 @@ def test_a_refused_wait_keeps_its_error_alone_and_in_a_stack():
 def test_a_refused_point_walks_only_its_own_group_point_by_point(monkeypatch):
     # a chunk of two groups: 12 points of the README base that differ in their waits, one
     # of them with a t_w of 2^60 whose phase holds no digits, and 6 points with n_r = 2.
-    # The stacked walk fails, each group is walked alone, and only the failing group is
-    # walked point by point: 1 + 2 + 12 walks, where one-point walks of all 18 made 19
+    # The stacked walk fails and is halved, and only the half that holds the refused point
+    # is halved again, until that point is walked alone: 9 walks, within 2 ceil(log2 18) + 1
+    # = 11, where walking the failing group point by point made 1 + 2 + 12
     points = [(SYS, replace(README_BASE, t_s=0.1 * j, t_w=2.0 ** 60 if j == 5 else 0.2 * j))
               for j in range(12)]
     points += [(SYS, replace(README_BASE, n_r=2, t_s=0.3 * j)) for j in range(6)]
@@ -553,7 +554,8 @@ def test_a_refused_point_walks_only_its_own_group_point_by_point(monkeypatch):
 
     monkeypatch.setattr(engine, "_walk", counted)
     batch = list(evaluate_exact_batch(points))
-    assert walks == [[12, 6], [12]] + [[1]] * 12 + [[6]]
+    assert walks == [[12, 6], [9], [4], [5], [2], [1], [1], [3], [3, 6]]
+    assert len(walks) <= 2 * math.ceil(math.log2(len(points))) + 1
     monkeypatch.setattr(engine, "_walk", walk)
     for point, result in zip(points, batch):
         try:
@@ -1497,7 +1499,7 @@ def test_a_whole_level_read_gives_the_crossing_measured_rate_reads(row):
         measured_rate(PolarizationSeries(values), 1.0, 1.0) for values in series]
 
 
-def test_a_full_stack_of_late_crossings_stays_within_three_times_its_rows():
+def test_a_full_stack_of_late_crossings_stays_within_four_times_block_zero():
     # BATCH_SIZE points that all cross after block 0: the table of the modes' powers mu^j,
     # 3 x (RATE_BLOCK + 1) complex per point, is the largest array a stack holds, and the
     # points keep it through the later-block search, where a read's products are formed

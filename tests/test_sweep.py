@@ -20,7 +20,6 @@ from hyperpol.params import SequenceParams, SystemParams
 from hyperpol.timeline import FREE_NUCLEAR, dd_leaves, render_unit
 from hyperpol.sweep import (
     Axis,
-    ChunkedRows,
     NoResonanceError,
     ResultTable,
     SweepSpec,
@@ -248,6 +247,8 @@ def test_sweep_rows_reach_the_file_chunk_by_chunk(monkeypatch, tmp_path):
         return batch(points, cache=cache)
 
     monkeypatch.setattr(sweep, "evaluate_exact_batch", recording)
+    # the writer reads 64 rows at a time: a full chunk's rows end a batch
+    assert engine.BATCH_SIZE % sweep.ANALYTIC_CHUNK == 0
     spec = spec_for((Axis("t_s", 0.0, 2 * math.pi, 2 * engine.BATCH_SIZE + 3),), engine="exact")
     with open(out, "w", buffering=1) as fh:  # line-buffered: a written row is on disk
         run_sweep(spec).to_csv(fh)
@@ -259,21 +260,24 @@ def test_sweep_rows_reach_the_file_chunk_by_chunk(monkeypatch, tmp_path):
 
 
 def test_an_interrupted_write_removes_only_the_partial_file(tmp_path):
-    def rows():
-        yield (1.0, "a")
+    def rows():  # one whole batch of rows, then one row of the next
+        for i in range(sweep.ANALYTIC_CHUNK + 1):
+            yield (float(i), "a")
         raise KeyboardInterrupt
 
     out = tmp_path / "table.csv"
     with pytest.raises(KeyboardInterrupt):
         ResultTable({}, ("x", "y"), rows()).write(out)
     assert list(tmp_path.iterdir()) == []
-    # through a symbolic link the link and its target stay; the target holds what was written
+    # through a symbolic link the link and its target stay; the target holds what was
+    # written: the rows of the batch finished before the interrupt
     target, link = tmp_path / "target.csv", tmp_path / "link.csv"
     target.write_text("old\n")
     link.symlink_to(target)
     with pytest.raises(KeyboardInterrupt):
         ResultTable({}, ("x", "y"), rows()).write(link)
-    assert link.is_symlink() and target.read_text() == '# {}\nx,y\n1,a\n'
+    assert link.is_symlink() and target.read_text() == '# {}\nx,y\n' + "".join(
+        f"{i},a\n" for i in range(sweep.ANALYTIC_CHUNK))
 
 
 def test_apply_point_maps_fields():
@@ -295,20 +299,24 @@ FIELDS = st.one_of(FLOATS, FLOATS.map(np.float64), st.none(), st.just(""),
                    st.integers(-2 ** 70, 2 ** 70), TEXT)
 
 
-def rows_of(width: int, field=FIELDS):
-    return st.lists(st.tuples(*[field] * width), max_size=5)
+def rows_of(row):
+    """Tables of up to two of the writer's 64-row batches and one row more, which repeat
+    up to 5 rows drawn from `row` in turn, so that any table of up to 5 rows is drawn."""
+    return st.tuples(st.integers(0, 2 * sweep.ANALYTIC_CHUNK + 1),
+                     st.lists(row, min_size=1, max_size=5)).map(lambda t: (t[1] * t[0])[:t[0]])
 
 
 TABLES = st.one_of(
     # one column
-    st.tuples(st.tuples(TEXT), rows_of(1)),
+    st.tuples(st.tuples(TEXT), rows_of(st.tuples(FIELDS))),
     # any width, any field in any column
-    st.integers(2, 8).flatmap(lambda k: st.tuples(st.tuples(*[TEXT] * k), rows_of(k))),
+    st.integers(2, 8).flatmap(lambda k: st.tuples(st.tuples(*[TEXT] * k),
+                                                  rows_of(st.tuples(*[FIELDS] * k)))),
     # robustness-shaped: method, sign, n_p, n_r, tau_pi, |P_s|, gamma, status
     st.tuples(st.just(("method", "sign", "n_p", "n_r", "tau_pi", "abs_P_s", "gamma", "status")),
-              st.lists(st.tuples(TEXT, st.sampled_from([1, -1]), st.integers(1, 64),
-                                 st.integers(1, 64), FLOATS, st.none() | FLOATS,
-                                 st.none() | FLOATS, TEXT), max_size=5)),
+              rows_of(st.tuples(TEXT, st.sampled_from([1, -1]), st.integers(1, 64),
+                                st.integers(1, 64), FLOATS, st.none() | FLOATS,
+                                st.none() | FLOATS, TEXT))),
 )
 
 
@@ -353,10 +361,8 @@ def test_chunked_runs_longer_than_a_batch_are_the_bytes_of_csv_writer(seed):
                                                  for _ in range(8)]:
         shape = rng.choice(LONG_SHAPES)
         rows += [tuple(LONG_FIELDS[t](rng) for t in shape) for _ in range(length)]
-    cuts = sorted(rng.sample(range(1, len(rows)), 4))
-    chunks = [rows[a:b] for a, b in zip([0, *cuts], [*cuts, len(rows)])]
     columns = tuple(f"c{i}" for i in range(7))
-    table = ResultTable({"seed": seed}, columns, ChunkedRows(chunks))
+    table = ResultTable({"seed": seed}, columns, rows)
     assert csv_text(table) == csv_writer_text({"seed": seed}, columns, rows)
 
 
@@ -365,9 +371,10 @@ def test_chunked_runs_longer_than_a_batch_are_the_bytes_of_csv_writer(seed):
 def test_a_row_that_needs_quoting_inside_a_long_run(width, text):
     n = 3 * engine.BATCH_SIZE
     rows = [(0.1 * i, np.float64(i), None, f"r{i}")[-width:] for i in range(n)]
-    rows[n // 2] = rows[n // 2][:-1] + (text,)
+    at = n // 2 + sweep.ANALYTIC_CHUNK // 2  # inside a batch, with rows of its shape around it
+    rows[at] = rows[at][:-1] + (text,)
     columns = ("a", "b", "c", "d")[-width:]
-    table = ResultTable({}, columns, ChunkedRows([rows[:n // 2 + 3], rows[n // 2 + 3:]]))
+    table = ResultTable({}, columns, rows)
     assert csv_text(table) == csv_writer_text({}, columns, rows)
 
 
