@@ -48,8 +48,8 @@ def filter_f(omega: float, n_p: int, tau: float) -> float:
     if abs(cos_half) < SINGULAR_EPS:
         # L'Hopital limit; numerator zeros coincide by parity
         if n_p % 2:
-            return 4 * n_p * sin2 * math.sin(n_p * u / 2) / (omega * math.sin(u / 2))
-        return 4 * n_p * sin2 * math.cos(n_p * u / 2) / (omega * math.sin(u / 2))
+            return n_p * (4.0 * sin2) * math.sin(n_p * u / 2) / (omega * math.sin(u / 2))
+        return n_p * (4.0 * sin2) * math.cos(n_p * u / 2) / (omega * math.sin(u / 2))
     if n_p % 2:
         return 4 * math.cos(n_p * u / 2) * sin2 / (omega * cos_half)
     return -4 * math.sin(n_p * u / 2) * sin2 / (omega * cos_half)
@@ -64,7 +64,10 @@ def dirichlet_ratio(n_r: int, phi: float) -> float:
     s = math.sin(half)
     if abs(s) < SINGULAR_EPS:
         k = round(half / math.pi)
-        return n_r * math.cos(n_r * k * math.pi) / math.cos(k * math.pi)
+        # float(n_r) k: the product n_r k, as a config's counts are floats' values,
+        # but past the float range it is inf, which math.cos refuses as a
+        # ValueError rather than raising an OverflowError
+        return n_r * math.cos(float(n_r) * k * math.pi) / math.cos(k * math.pi)
     return math.sin(n_r * half) / s
 
 
@@ -83,7 +86,7 @@ class PhaseBundle(NamedTuple):
 def phases(sys: SystemParams, seq: SequenceParams) -> PhaseBundle:
     w = sys.omega
     phi0 = w * (seq.t_s + seq.n_p * seq.tau)
-    phi1 = w * (seq.t_s + seq.t_w + 2 * seq.n_p * seq.tau)
+    phi1 = w * (seq.t_s + seq.t_w + seq.n_p * (2.0 * seq.tau))
     t_rep = seq.rep_duration()
     phi_big = w * t_rep
     if not math.isfinite(phi_big):
@@ -229,18 +232,19 @@ def summarize(sys: SystemParams, seq: SequenceParams) -> AnalyticSummary:
     cos_half = math.cos(u / 2)
     if abs(cos_half) < SINGULAR_EPS:
         if n_p % 2:
-            f = 4 * n_p * sin2 * math.sin(n_p * u / 2) / (omega * math.sin(u / 2))
+            f = n_p * (4.0 * sin2) * math.sin(n_p * u / 2) / (omega * math.sin(u / 2))
         else:
-            f = 4 * n_p * sin2 * math.cos(n_p * u / 2) / (omega * math.sin(u / 2))
+            f = n_p * (4.0 * sin2) * math.cos(n_p * u / 2) / (omega * math.sin(u / 2))
     elif n_p % 2:
         f = 4 * math.cos(n_p * u / 2) * sin2 / (omega * cos_half)
     else:
         f = -4 * math.sin(n_p * u / 2) * sin2 / (omega * cos_half)
-    # phases: phi0, phi1, omega*T and theta
+    # phases: phi0, phi1, omega*T and theta; a count times (2 tau), as rep_duration
+    # takes n_p (4 tau), so that an n_p near the float limit overflows to inf
     t_s = seq.t_s
     phi0 = omega * (t_s + n_p * tau)
-    phi1 = omega * (t_s + seq.t_w + 2 * n_p * tau)
-    t_rep = 2 * t_s + seq.t_w + 4 * n_p * tau + seq.t_c
+    phi1 = omega * (t_s + seq.t_w + n_p * (2.0 * tau))
+    t_rep = 2 * t_s + seq.t_w + n_p * (4.0 * tau) + seq.t_c
     phi_big = omega * t_rep
     if not math.isfinite(phi_big):
         raise ValueError(f"timing phase omega*T overflows (omega={omega!r}, T={t_rep!r})")
@@ -250,7 +254,7 @@ def summarize(sys: SystemParams, seq: SequenceParams) -> AnalyticSummary:
     s = math.sin(half)
     if abs(s) < SINGULAR_EPS:
         k = round(half / math.pi)
-        d = n_r * math.cos(n_r * k * math.pi) / math.cos(k * math.pi)
+        d = n_r * math.cos(float(n_r) * k * math.pi) / math.cos(k * math.pi)
     else:
         d = math.sin(n_r * half) / s
     a = 2 * sys.a_perp * d * math.sin(phi1 / 2) * f
@@ -269,7 +273,8 @@ def summarize(sys: SystemParams, seq: SequenceParams) -> AnalyticSummary:
         gamma = 0.0
     else:
         gamma = (1.0 if lam == 0.0 else min(-math.log(lam), 1.0)) / (n_r * t_rep)
-    return AnalyticSummary(f, d, a, p_s, lam, gamma)
+    # the tuple the NamedTuple's __new__ builds, without its Python frame
+    return tuple.__new__(AnalyticSummary, (f, d, a, p_s, lam, gamma))
 
 
 def window_and_sidebands(row, n_r: int, omega: float = 1.0) -> tuple[float, list[float]]:

@@ -61,15 +61,13 @@ class SequenceParams:
 
     `violations` is the one rule for a runnable sequence: counts >= 1, finite
     nonnegative times (tau_pi included), for finite pulses tau >= tau_pi
-    (each pi pulse fits inside its cell), and a finite cycle duration.
-    Construction does not check, so the closed forms can be evaluated
-    anywhere; rendering, sweep points and the command line refuse a
-    sequence with violations.  The instance is frozen, so `violations`
-    checks it once, on the first call, and keeps the list in a slot: it is
-    not a field and not in vars(seq).
+    (each pi pulse fits inside its cell), and a finite cycle duration
+    (`cycle_durations`).  Construction does not check, so the closed forms
+    can be evaluated anywhere; rendering, sweep points and the command line
+    refuse a sequence with violations.  Nothing is kept: each call checks
+    the rule again, a few comparisons for a runnable sequence, and vars(seq)
+    holds the fields alone.
     """
-
-    __slots__ = ("_violations", "__dict__", "__weakref__")
 
     n_p: int
     tau: float
@@ -80,21 +78,16 @@ class SequenceParams:
     tau_pi: float = 0.0
 
     def violations(self) -> list[str]:
-        """The rules the sequence breaks, one message each; empty when it is runnable.
-        The list is the instance's own: read it, do not change it."""
-        problems = getattr(self, "_violations", None)
-        if problems is not None:
-            return problems
+        """The rules the sequence breaks, one message each; empty when it is runnable."""
         # the runnable case in comparisons alone, which NaN fails: tau_pi <= tau
         # is the pulse-fit rule once both are nonnegative, and the cycle
-        # duration is finite only where every time is
-        n_r, tau_pi = self.n_r, self.tau_pi
-        if (self.n_p >= 1 and n_r >= 1 and 0 <= tau_pi <= self.tau
-                and 0 <= self.t_s and 0 <= self.t_w and 0 <= self.t_c
-                and n_r * self.rep_duration() + n_r * 4 * tau_pi < math.inf):
-            problems = []
-            object.__setattr__(self, "_violations", problems)
-            return problems
+        # duration is finite only where every time is (a float zero keeps each
+        # comparison float by float, the interpreter's fast path)
+        tau_pi = self.tau_pi
+        if (self.n_p >= 1 and self.n_r >= 1 and 0.0 <= tau_pi <= self.tau
+                and 0.0 <= self.t_s and 0.0 <= self.t_w and 0.0 <= self.t_c
+                and cycle_durations(self)[1] < math.inf):
+            return []
         problems = []
         if self.n_p < 1:
             problems.append(f"n_p must be >= 1, got {self.n_p}")
@@ -111,19 +104,17 @@ class SequenceParams:
                             f"tau_pi {self.tau_pi}")
         if not problems:
             # finite times can still add up to more than a float holds
-            cycle = self.n_r * self.rep_duration() + self.n_r * 4 * self.tau_pi
+            cycle = cycle_durations(self)[1]
             if not math.isfinite(cycle):
                 problems.append(f"cycle duration n_r (2 t_s + t_w + 4 n_p tau + t_c "
                                 f"+ 4 tau_pi) not finite: {cycle}")
-        object.__setattr__(self, "_violations", problems)
         return problems
-
-    def __getstate__(self) -> dict:  # the fields: a copy checks itself again
-        return vars(self)
 
     def rep_duration(self) -> float:
         """One repetition, 2 t_s + t_w + 4 n_p tau + t_c, without the pulse widths."""
-        return 2 * self.t_s + self.t_w + 4 * self.n_p * self.tau + self.t_c
+        # n_p (4 tau), not (4 n_p) tau: the same float product, but an n_p near
+        # the float limit gives inf where 4 n_p would not convert to a float
+        return 2 * self.t_s + self.t_w + self.n_p * (4.0 * self.tau) + self.t_c
 
     def to_dict(self) -> dict:
         return {
@@ -136,6 +127,14 @@ class SequenceParams:
             "pulse_model": ({"kind": FINITE, "tau_pi": self.tau_pi} if self.tau_pi
                             else {"kind": IDEAL}),
         }
+
+
+def cycle_durations(seq: SequenceParams) -> tuple[float, float]:
+    """(nominal_T, actual_T) of a sequence's cycle, without and with the pulse widths;
+    actual_T is finite exactly when `SequenceParams.violations` finds no cycle to refuse."""
+    nominal_T = seq.n_r * seq.rep_duration()
+    # pi pulses live inside their cells; only the half-pi edges add time
+    return nominal_T, nominal_T + seq.n_r * (8.0 * (seq.tau_pi / 2))
 
 
 def _number(name: str, value) -> float:

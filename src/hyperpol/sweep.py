@@ -25,15 +25,17 @@ exponentiates nothing after its first chunk.
 
 Above the engine, each point costs one `apply_point` call, which copies
 the base sequence's fields in (only a changed system goes through its
-constructor) and checks the copy with a few comparisons; for an analytic
-row, one `analytic.summarize` call, a straight line of `math` arithmetic;
-and its share of one `%` per batch in `ResultTable.to_csv`, which writes
-the bytes of csv.writer without going through it.  Every table, a sweep's,
-a robustness scan's or a `simulate` series, is written the same way, in
-batches of ANALYTIC_CHUNK (64) rows: a batch's rows of one field-type
-shape are formatted at once.  On the 201x201 (t_s, t_w)
-analytic map these take about 2.6, 2.7 and 3.4 us of a 9.3 us point
-(2 vCPUs, Python 3.11.7).
+constructor) and checks the copy with a few comparisons, kept nowhere;
+for an analytic row, one `analytic.summarize` call, a straight line of
+`math` arithmetic; and its share of one `%` per batch in
+`ResultTable.to_csv`, which writes the bytes of csv.writer without going
+through it.  Every table, a sweep's, a robustness scan's or a `simulate`
+series, is written the same way, in batches of ANALYTIC_CHUNK (64) rows:
+a batch's rows of one field-type shape are formatted at once.  On the
+201x201 (t_s, t_w) analytic map these take about 2.2, 2.5 and 3.3 us of
+a 9.6 us point (2 vCPUs, Python 3.11.7).  An exact point is checked
+twice, here and again when the engine renders it: a few comparisons
+against about 30 us of engine work.
 """
 
 from __future__ import annotations
@@ -271,7 +273,11 @@ def apply_point(sys: SystemParams, seq: SequenceParams,
     if seq_kwargs:
         # SequenceParams checks nothing when it is built, so its fields are
         # copied in: the frozen __init__ would set each one again through
-        # object.__setattr__
+        # object.__setattr__.  One merged dict is copied: updating the new
+        # instance's dict from the base's key-sharing dict, then from the
+        # changes, leaves a split table, and every later attribute read of
+        # the copy (the check, summarize) then misses the interpreter's fast
+        # path, about 0.2 us a point more on the analytic map
         fields = {**vars(seq), **seq_kwargs}
         seq = object.__new__(SequenceParams)
         vars(seq).update(fields)

@@ -39,7 +39,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .params import SequenceParams, SystemParams
+from .params import SequenceParams, SystemParams, cycle_durations
 
 FREE_HYPERFINE = "free_hyperfine"
 FREE_NUCLEAR = "free_nuclear"
@@ -99,14 +99,6 @@ def dd_leaves(seq: SequenceParams) -> tuple[Segment, ...]:
     return (Segment(PULSE, half, "+y", HALF_PI), Segment(FREE_HYPERFINE, (seq.tau - tau_pi) / 2),
             Segment(PULSE, whole, "-x", PI), Segment(PULSE, half, "+x", HALF_PI),
             Segment(PULSE, whole, "+y", PI))
-
-
-def cycle_durations(seq: SequenceParams) -> tuple[float, float]:
-    """(nominal_T, actual_T) of a runnable sequence's cycle, without and with the pulse widths."""
-    nominal_T = seq.n_r * seq.rep_duration()
-    # pi pulses live inside their cells; only the half-pi edges add time
-    pulse_time = seq.n_r * 8 * (seq.tau_pi / 2)
-    return nominal_T, nominal_T + pulse_time
 
 
 def render_unit(sys: SystemParams, seq: SequenceParams) -> Timeline:

@@ -525,7 +525,10 @@ def violations_by_rule(seq: SequenceParams) -> list[str]:
         problems.append(f"tau {seq.tau} shorter than the pi-pulse duration "
                         f"tau_pi {seq.tau_pi}")
     if not problems:
-        cycle = seq.n_r * seq.rep_duration() + seq.n_r * 4 * seq.tau_pi
+        # each count times a time scaled by a power of two: 4 n_p or 4 n_r near the
+        # float limit would not convert to a float
+        cycle = (seq.n_r * (2 * seq.t_s + seq.t_w + seq.n_p * (4 * seq.tau) + seq.t_c)
+                 + seq.n_r * (4 * seq.tau_pi))
         if not math.isfinite(cycle):
             problems.append(f"cycle duration n_r (2 t_s + t_w + 4 n_p tau + t_c "
                             f"+ 4 tau_pi) not finite: {cycle}")

@@ -226,6 +226,89 @@ def test_steady_on_an_overflowing_product_prints_one_error_line(tmp_path, capsys
                                        "(defect nan, n_p=100000000000000000000, n_r=1)\n")
 
 
+README_CONFIG = {
+    "system": {"omega": 1.0, "a_perp": 0.05, "a_z": 0.0},
+    "sequence": {"n_p": 1, "tau": "2 pi/omega", "t_s": "3/2 pi/omega", "t_w": "3/2 pi/omega",
+                 "t_c": "3/2 pi/omega", "n_r": 4,
+                 "pulse_model": {"kind": "finite", "tau_pi": "0.2 pi/omega"}},
+}
+INVALID_CYCLE = ("error: invalid sequence: cycle duration n_r (2 t_s + t_w + 4 n_p tau + t_c "
+                 "+ 4 tau_pi) not finite: inf\n")
+
+
+def huge_count_config(tmp_path, count: str) -> str:
+    doc = json.loads(json.dumps(README_CONFIG))
+    doc["sequence"][count] = 1e308  # 4 n_p and 8 n_r do not convert to a float
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("count", ["n_r", "n_p"])
+@pytest.mark.parametrize("argv", [["steady"], ["simulate", "--cycles", "2"],
+                                  ["find-tau-res", "--tau-pi", "0.2 pi/omega"]],
+                         ids=["steady", "simulate", "find-tau-res"])
+def test_a_count_near_the_float_limit_exits_2(tmp_path, capsys, argv, count):
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--config", huge_count_config(tmp_path, count), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == INVALID_CYCLE
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sequence", [{"n_p": 1, "tau": 1.0, "n_r": 3e307},
+                                      {"n_p": 1e308, "tau": 1e-300}], ids=["n_r", "n_p"])
+def test_a_runnable_cycle_near_the_float_limit_exits_0_or_2(tmp_path, capsys, sequence):
+    # 8 n_r or 2 n_p overflows a float but the cycle does not: the check passes, the
+    # analytic engine answers, and the exact engine's power is refused, not raised
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"system": README_CONFIG["system"], "sequence": sequence}))
+    assert main(["steady", "--engine", "analytic", "--config", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["steady", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_a_singular_dirichlet_limit_past_the_float_range_exits_2(tmp_path, capsys):
+    # omega T = 32 pi, so the Dirichlet factor takes its limit n_r cos(n_r k pi) / cos(k pi)
+    # with k = 16; the cycle, 1e308, is finite, but n_r k pi is not
+    path = tmp_path / "limit.json"
+    path.write_text(json.dumps({"system": {"omega": 32 * math.pi, "a_perp": 0.05},
+                                "sequence": {"n_p": 1, "tau": 0.0, "t_w": 1.0, "n_r": 1e308}}))
+    assert main(["steady", "--engine", "analytic", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == "error: math domain error\n"
+
+
+@pytest.mark.parametrize("count", ["n_r", "n_p"])
+def test_sweep_to_a_count_near_the_float_limit_writes_failed_rows(tmp_path, count):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"target": "rate", "engine": "both", "base": README_CONFIG,
+                                "axes": [{"name": count, "start": 1, "stop": 1e308,
+                                          "count": 2}]}))
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", str(spec), "--out", str(out)]) == 0
+    rows = [line.split(",", 3) for line in out.read_text().splitlines()[2:]]
+    assert [row[:3] for row in rows] == [["1", "", "exact"], ["1", "", "analytic"],
+                                         ["1e+308", "", "exact"], ["1e+308", "", "analytic"]]
+    assert [row[3].endswith(",ok") for row in rows] == [True, True, False, False]
+    for row in rows[2:]:
+        assert row[3] == ("nan,nan,nan,failed: invalid sequence: cycle duration n_r "
+                          "(2 t_s + t_w + 4 n_p tau + t_c + 4 tau_pi) not finite: inf")
+
+
+@pytest.mark.parametrize("count", ["n_r", "n_p"])
+def test_robustness_row_with_a_count_near_the_float_limit_is_invalid(tmp_path, count):
+    row = {"method": "II", "sign": 1, "n_p": 1, "n_r": 4}
+    config = {"system": README_CONFIG["system"], "rows": [row, {**row, count: 1e308}],
+              "tau_pi_values": [0, "0.05 pi/omega"]}
+    path = tmp_path / "rob.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "rob.csv"
+    assert main(["robustness", "--config", str(path), "--out", str(out)]) == 0
+    statuses = [line.rsplit(",", 1)[1] for line in out.read_text().splitlines()[2:]]
+    assert statuses == ["ok", "ok", "invalid", "invalid"]
+
+
 PI_PULSE_LONGER_THAN_TAU = {"pulse_model": {"kind": "finite", "tau_pi": "3 pi/omega"}}
 
 
@@ -768,9 +851,12 @@ _ANY_VALUE = st.one_of(
 # most draws are plausible, so that many configs get past the parser
 _TIME = st.one_of(st.floats(0.0, 20.0), st.sampled_from(["2 pi/omega", "3/2 pi/omega"]),
                   _ANY_VALUE)
-# counts stay small: a valid n_p of 1e9 would render billions of segments
+# counts are mostly small, so that many configs are valid; the engine raises its cell and
+# its repetition to n_p and n_r by squaring, so a large count renders no more segments.
+# 3e307 and 1e308 are counts whose 4 n_p or 8 n_r no longer converts to a float
 _COUNT = st.one_of(st.integers(1, 4), st.integers(-1, 4),
-                   st.sampled_from([1.5, 2.0, "3", "x", None, 10 ** 400, math.inf, math.nan]))
+                   st.sampled_from([1.5, 2.0, "3", "x", None, 10 ** 400, math.inf, math.nan,
+                                    1e308, 3e307]))
 _PULSE_MODEL = st.one_of(
     st.fixed_dictionaries({"kind": st.sampled_from(["ideal", "finite", "gaussian", 3])},
                           optional={"tau_pi": _TIME}),

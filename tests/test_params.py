@@ -11,6 +11,7 @@ from hyperpol.params import (
     SequenceParams,
     SystemParams,
     config_from_dict,
+    cycle_durations,
     resolve_time,
     sequence_from_dict,
 )
@@ -92,11 +93,11 @@ def test_validate_requires_pi_pulse_inside_its_cell():
 
 
 def test_a_checked_sequence_keeps_its_fields_copies_and_pickles():
-    # the check is kept on the instance, but not among its fields or in vars()
+    # the check leaves nothing on the instance: vars() holds the fields alone
     bad = SequenceParams(n_p=0, tau=1.0)
     fields = {"n_p": 0, "tau": 1.0, "t_s": 0.0, "t_w": 0.0, "t_c": 0.0, "n_r": 1, "tau_pi": 0.0}
     assert vars(bad) == fields
-    assert bad.violations() == ["n_p must be >= 1, got 0"] and bad.violations() is bad.violations()
+    assert bad.violations() == ["n_p must be >= 1, got 0"]
     assert vars(bad) == fields and SequenceParams(**vars(bad)) == bad
     assert repr(bad) == repr(SequenceParams(**fields)) and hash(bad) == hash(SequenceParams(**fields))
     for twin in (copy.deepcopy(bad), pickle.loads(pickle.dumps(bad)), replace(bad, tau=2.0)):
@@ -173,7 +174,26 @@ def test_violations_match_the_rules_one_by_one(n_p, tau, t_s, t_w, t_c, n_r, tau
     seq = SequenceParams(n_p=n_p, tau=tau, t_s=t_s, t_w=t_w, t_c=t_c, n_r=n_r, tau_pi=tau_pi)
     expected = violations_by_rule(seq)
     assert seq.violations() == expected
-    assert seq.violations() == expected  # the kept list, read back
+    assert seq.violations() == expected  # checked again, the same messages
+
+
+HUGE_COUNTS = st.sampled_from([1, 2, 2 ** 53 + 1, int(3e307), int(1e308), 2 ** 1023])
+EDGE_TIMES = st.sampled_from([0.0, -0.0, 1e-300, 1e308, math.inf, math.nan])
+
+
+@settings(max_examples=400)
+@given(HUGE_COUNTS, EDGE_TIMES, EDGE_TIMES, EDGE_TIMES, EDGE_TIMES, HUGE_COUNTS, EDGE_TIMES)
+def test_a_runnable_sequence_has_a_finite_cycle_whatever_its_counts(n_p, tau, t_s, t_w, t_c,
+                                                                    n_r, tau_pi):
+    # counts up to the float limit: 4 n_p and 8 n_r may not convert to a float, and the
+    # check must refuse such a cycle with a message rather than raise
+    seq = SequenceParams(n_p=n_p, tau=tau, t_s=t_s, t_w=t_w, t_c=t_c, n_r=n_r, tau_pi=tau_pi)
+    problems = seq.violations()
+    assert problems == violations_by_rule(seq)
+    if not problems:
+        nominal, actual = cycle_durations(seq)
+        assert type(nominal) is float and type(actual) is float
+        assert math.isfinite(nominal) and math.isfinite(actual) and actual >= nominal
 
 
 @pytest.mark.parametrize("fields", [

@@ -10,7 +10,7 @@ from types import NoneType
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from hyperpol import analytic, engine, linalg, sweep
@@ -419,6 +419,9 @@ AXIS_VALUES = st.one_of(
                 max_size=3),
        st.sampled_from([SequenceParams(n_p=1, tau=1.0), SequenceParams(n_p=2, tau=2.0, t_s=0.5,
                                                                        n_r=3, tau_pi=0.5)]))
+# counts whose 4 n_p or 4 n_r does not convert to a float: a refused point, not an OverflowError
+@example([("n_r", 1e308)], SequenceParams(n_p=1, tau=1.0))
+@example([("n_p", 1e308)], SequenceParams(n_p=1, tau=1.0))
 def test_apply_point_matches_replace_then_violations(point, base):
     names, values = zip(*point)
     got = outcome(apply_point, SYS, base, names, values)
@@ -538,16 +541,17 @@ def without_reuse(monkeypatch):
                             evaluate_exact_batch([p]) for p in points))
 
 
-def test_each_exact_point_checks_its_sequence_once():
-    # apply_point checks the new sequence and keeps the result on it; rendering reads it back
+def test_apply_point_copies_only_the_fields_and_checks_the_copy():
+    # the copy holds its fields alone, before and after a check, and leaves the base as it was
     base = README_T_S_06
-    assert base.violations() == []  # the base now carries its checked result too,
-    assert vars(base) == asdict(base)  # outside the fields that apply_point copies
+    before = asdict(base)
+    assert base.violations() == [] and vars(base) == before
     sys_p, seq = apply_point(SYS, base, ("t_s", "n_r"), (0.5, 3.0))
     assert (seq.t_s, seq.n_r) == (0.5, 3) and seq == replace(base, t_s=0.5, n_r=3)
-    object.__setattr__(seq, "_violations", ["checked once"])
-    with pytest.raises(ValueError, match="invalid sequence: checked once"):
-        render_unit(sys_p, seq)
+    assert vars(seq) == asdict(seq)
+    assert seq.violations() == [] and vars(seq) == asdict(seq)
+    assert render_unit(sys_p, seq) == render_unit(sys_p, replace(base, t_s=0.5, n_r=3))
+    assert vars(base) == before and asdict(base) == before
     with pytest.raises(ValueError, match="invalid sequence: n_r must be >= 1, got 0"):
         apply_point(SYS, base, ("n_r",), (0.0,))
 
