@@ -146,20 +146,14 @@ def _method_two_tau(sign: int, n_p: int) -> Fraction:
     return best[1]
 
 
-def magic_params(method: str, sign: int, n_p: int,
-                 prefer_second_resonance: bool = False) -> MagicRow:
-    """Generate one catalog row.
-
-    prefer_second_resonance switches Method I at n_p = 2 to the 8/3
-    pulse-interval variant instead of the default 4/3.
-    """
+def magic_params(method: str, sign: int, n_p: int) -> MagicRow:
+    """Generate one catalog row."""
     if sign not in (+1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     if n_p < 1:
         raise ValueError("n_p must be >= 1")
     if method == METHOD_I:
-        taus = resonant_tau(n_p)
-        tau = taus[1] if prefer_second_resonance and len(taus) > 1 else taus[0]
+        tau = resonant_tau(n_p)[0]
         t_s, t_w, t_c = _method_one_waits(sign, n_p, tau)
     elif method == METHOD_II:
         tau = _method_two_tau(sign, n_p)

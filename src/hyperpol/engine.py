@@ -16,11 +16,11 @@ at one Rabi frequency), each group composes its DD blocks once, and the
 groups of one n_p and n_r compose as one stacked product; a DD block that
 all of them share is composed once.  `propagate` is the walk of one
 timeline, its five DD leaves and its three wait durations, as a group of
-one point.  The DD leaves' propagators are memoized per (system, segment)
-in a dict the caller may pass: sweeps, scans and searches share one across
-their points, so points that differ only in their waits exponentiate
-nothing after the first.  The waits never enter the memo.  One table
-outlives a walk, bounded and a pure function of its keys: in
+one point.  A walk keeps its DD leaves' propagators per (system, segment)
+in a memo that a caller of single points may pass on from point to point,
+as robustness scans and the resonant-interval search's steps do; a batch's
+walk covers its chunk and keeps nothing.  The waits never enter the memo.
+One table outlives a walk, bounded and a pure function of its keys: in
 linalg.hermitian_expm each generator's eigendecomposition, keyed by its
 bytes (up to linalg.SPECTRA_LIMIT, cleared when full), so a new duration of
 a generator seen before costs no eigh.  segment_propagator refuses a
@@ -45,9 +45,9 @@ into SPLIT parts whose bounds take each mode once at each edge that
 neighbouring parts share; a single block they cannot rule out is read as
 one product of the table with one anchor t_k mu_k^n per mode, with no
 exp or cos per cycle.  `simulate` writes the series itself through R,
-whose real products cost a quarter to a fifth of the complex ones: its
-first block of SERIES_BLOCK cycles one doubling level of read-out rows at
-a time (cycles 1-2, 3-4, 5-8, ...), then a block at a time.
+whose real products cost a quarter to a fifth of the complex ones, a block
+of SERIES_BLOCK cycles at a time, each read with one set of read-out rows
+r R^j built by doubling.
 
 `evaluate_exact_batch` solves many points at once.  Up to BATCH_SIZE (256)
 points are checked, grouped by everything but their waits (system, tau,
@@ -63,8 +63,9 @@ terms, 3 x (RATE_BLOCK - 1) complex per point (774 KB), freed before the
 search; a read's products are formed one mode at a time.  A full stack of
 later crossings peaks near 3 times 774 KB.  `evaluate_exact` propagates its
 point through `propagate` and shares the rest with the batch, with the
-same bytes.  Sweeps and every step of the resonant-interval search go through the
-batch; only robustness scans still go one point at a time.
+same bytes.  Sweeps and the resonant-interval search's grid go through the
+batch; robustness scans and the search's golden-section steps go one
+point at a time, through a memo they share.
 
 A point alone is a stack of one through the same code, and at that size
 each numpy call costs about its fixed overhead, so the walk and the solve
@@ -247,13 +248,13 @@ def propagate(sys: SystemParams, timeline: Timeline,
     Each block of the cycle is composed once (later parts on the left), and
     the cell and the repetition are raised to their counts by repeated
     squaring.  The DD leaves' propagators are kept in `cache`, keyed by
-    (sys, segment), so a caller that passes one dict to every point of a
-    sweep exponentiates each distinct DD leaf once for the whole sweep;
-    without one, the memo lasts for this call.  The waits, the timeline's
-    three durations, are diagonal phases and never enter the memo.  The
-    dict is cleared whenever it would grow past MEMO_LIMIT entries, and the
-    cached arrays are read-only.  Blocks are not stored.  This is _walk on
-    a group of one point.
+    (sys, segment), so a caller that passes one dict to each of its points,
+    as a robustness scan does, exponentiates each distinct DD leaf once for
+    all of them; without one, the memo lasts for this call.  The waits, the
+    timeline's three durations, are diagonal phases and never enter the
+    memo.  The dict is cleared whenever it would grow past MEMO_LIMIT
+    entries, and the cached arrays are read-only.  Blocks are not stored.
+    This is _walk on a group of one point.
     """
     return _walk([_Group(sys, timeline.n_p, timeline.n_r, timeline.leaves, [timeline.waits])],
                  cache)[0]
@@ -263,10 +264,11 @@ def _walk(groups: list[_Group], cache: dict | None) -> np.ndarray:
     """Cycle propagators (k, 4, 4) of the k points of the groups, walked as one stack,
     in the order of the groups and of their points.
 
-    Every distinct (system, DD leaf) of the stack is read from `cache` or,
-    once, exponentiated: one segment_propagator call per generator covers
-    all its missing leaves, and they join the memo as in propagate once
-    every call has returned.  The waits bypass the memo: each point's three
+    Every distinct (system, DD leaf) of the stack is read from `cache`
+    (None, as the batch passes, for a memo of this walk alone) or, once,
+    exponentiated: one segment_propagator call per generator covers all its
+    missing leaves, and they join the memo as in propagate once every call
+    has returned.  The waits bypass the memo: each point's three
     durations are diagonal phases (see _wait_phases).  A walk that refuses a
     leaf or a wait keeps nothing, and it names a DD leaf's phase that
     overflows, or a generator whose eigh fails, before a wait's phase that
@@ -448,7 +450,20 @@ def _isometries(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def cycle_kraus(sys: SystemParams, seq: SequenceParams) -> KrausPair:
-    return kraus(propagate(sys, render_unit(sys, seq)))
+    """kraus of the sequence's cycle propagator; one that is not unitary is refused
+    with evaluate_exact's message (see _not_unitary)."""
+    (defect,), (k,) = _isometries(propagate(sys, render_unit(sys, seq))[None])
+    if not defect <= UNITARITY_TOL:  # NaN fails too
+        raise _not_unitary(defect, seq)
+    return KrausPair(m_up=k[:2], m_down=k[2:])
+
+
+def _not_unitary(defect: float, seq: SequenceParams) -> ValueError:
+    """The error of a cycle propagator whose defect fails the check, naming the
+    sequence's counts, one of more than 17 digits as its float (n_r=3e+307)."""
+    n_p, n_r = (repr(n) if len(str(n)) <= 17 else repr(float(n)) for n in (seq.n_p, seq.n_r))
+    return ValueError(f"cycle propagator is not unitary (defect {defect:.3e}, n_p={n_p}, "
+                      f"n_r={n_r})")
 
 
 def _channels(m: np.ndarray) -> np.ndarray:
@@ -505,32 +520,15 @@ def _bloch_maps(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rq[:, 0], rq[:, 1]
 
 
-def _level(rows: np.ndarray, power: np.ndarray, x: np.ndarray, start: int):
-    """One doubling level of simulate's first block, for a stack of points.
-
-    rows (k, m, 4) are the real read-out rows r R^j, j < m, of each point's
-    Bloch map R (see _bloch_maps) and power (k, 4, 4) is R^m; the first
-    level starts from the single row r = _READOUT and R.  Returns the rows
-    for j < 2m and P from the Bloch state x at the cycles from start + 1 to
-    2m, where start is the count already read: 0 on the first level, which
-    reads cycles 1-2, m after it.  The next level takes power @ power,
-    R^(2m).  A level holds the same rows whatever the series length, so a
-    shorter series is a prefix of a longer one.
-    Every level has at least two rows: numpy multiplies a single row by its
-    dot kernel, which rounds differently from the matrix-vector kernel of
-    longer products.
-    """
-    rows = np.concatenate([rows, rows @ power], axis=1)
-    return rows, rows[:, start:] @ x
-
-
 def _read(rows: np.ndarray, x: np.ndarray, m: int) -> np.ndarray:
     """rows @ x cut at m entries, in products of at most SERIES_BLOCK/2 rows.
 
-    rows is (n, 4) and x (4,).  One 1024x4 product goes through BLAS's
-    multithreaded matrix-vector kernel, which took milliseconds with two
-    threads against microseconds with one; a 512x4 product runs on one
-    thread either way.
+    rows is (n, 4), n >= 2, and x (4,).  One 1024x4 product goes through
+    BLAS's multithreaded matrix-vector kernel, which took milliseconds with
+    two threads against microseconds with one; a 512x4 product runs on one
+    thread either way.  numpy multiplies a single row by its dot kernel,
+    which rounds differently from the matrix-vector kernel of longer
+    products, so every product holds at least two rows.
     """
     half = SERIES_BLOCK // 2
     chunks = [(rows[a:a + half] @ x[:, None])[:, 0] for a in range(0, min(m, len(rows)), half)]
@@ -541,28 +539,27 @@ def simulate(k: KrausPair, rho0: np.ndarray, n: int) -> PolarizationSeries:
     """Polarization for cycles 1..n; cycle 1 is the freshly prepared state.
 
     Block powers of the real Bloch map R (see _bloch_maps) on the Bloch
-    state of rho0, the real part of B vec(rho0): the first block of
-    SERIES_BLOCK cycles is read level by level through _level, as a stack
-    of one, while its read-out rows r R^j are built by doubling, and the
-    state then jumps by R^SERIES_BLOCK once per later block, which _read
-    reads with the same rows.  A shorter series is a prefix of a longer
-    one, byte for byte.  The rate is not read from this series but from M's
-    mode sum (see _rate_cycles), which agrees with it to rounding.
+    state of rho0, the real part of B vec(rho0): the read-out rows r R^j
+    are built by doubling, [r] to [r, r R], then each block of rows times
+    R^m, while R^m is squared, up to min(n, SERIES_BLOCK) rows and never
+    fewer than two (see _read), so R^SERIES_BLOCK comes from the same
+    squarings.  _read reads every block with these rows, block 0 from the
+    state itself, and the state jumps by R^SERIES_BLOCK once per later
+    block.  A shorter series is a prefix of a longer one, byte for byte.
+    The rate is not read from this series but from M's mode sum (see
+    _rate_cycles), which agrees with it to rounding.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     x = (_BLOCH @ np.asarray(rho0, dtype=complex).reshape(4)).real
     values = np.empty(n)
-    rows, power, start = _READOUT[None], _bloch_maps(_superop(k)[None])[0], 0
-    while start < min(n, SERIES_BLOCK):
+    rows, power = _READOUT, _bloch_maps(_superop(k)[None])[0][0]
+    while len(rows) < max(2, min(n, SERIES_BLOCK)):
+        rows = np.concatenate([rows, rows @ power])
+        power = power @ power
+    for start in range(0, n, SERIES_BLOCK):
         if start:
-            power = power @ power
-        rows, level = _level(rows, power, x, start)
-        values[start:rows.shape[1]] = level[0, :n - start]
-        start = rows.shape[1]
-    rows, power = rows[0], (power @ power)[0]  # R^SERIES_BLOCK when later blocks follow
-    for start in range(SERIES_BLOCK, n, SERIES_BLOCK):
-        x = power @ x
+            x = power @ x
         values[start:start + SERIES_BLOCK] = _read(rows, x, n - start)
     return PolarizationSeries(values=values)
 
@@ -920,7 +917,7 @@ def evaluate_exact(sys: SystemParams, seq: SequenceParams,
     threshold), when the mode sum never reaches 1 - 1/e of P_s (see
     _later_blocks), or when with_rate is off.
     `cache` is handed to `propagate`: one dict shared by the points of a
-    sweep lets them reuse each other's segment propagators.
+    robustness scan lets them reuse each other's DD-leaf propagators.
     After propagate, this is the tail of evaluate_exact_batch on a stack of
     one, with the same bytes; its ValueError is raised.
     """
@@ -933,8 +930,8 @@ def evaluate_exact(sys: SystemParams, seq: SequenceParams,
     return result
 
 
-def evaluate_exact_batch(points: Iterable[tuple[SystemParams, SequenceParams]],
-                         cache: dict | None = None) -> Iterator[ExactResult | ValueError]:
+def evaluate_exact_batch(points: Iterable[tuple[SystemParams, SequenceParams]]
+                         ) -> Iterator[ExactResult | ValueError]:
     """evaluate_exact (with its defaults) for each (system, sequence) pair of
     `points`, yielded in order.
 
@@ -947,8 +944,10 @@ def evaluate_exact_batch(points: Iterable[tuple[SystemParams, SequenceParams]],
     `points` is read BATCH_SIZE at a time, so memory does not grow with
     their number.
     A chunk's points are rendered one by one into their counts and leaf
-    segments, then walked as one stack through the shared `cache` (see
-    _walk): the points of one n_p and n_r compose their blocks together.
+    segments, then walked as one stack (see _walk), which exponentiates
+    each distinct (system, DD leaf) of the chunk once and keeps no memo
+    past the chunk: the points of one n_p and n_r compose their blocks
+    together.
     The stacked propagators share one unitarity check, one stacked real eig
     and solve for their modes (see _modes), and _rate_cycles' evaluation of
     their blocks 0.  The results are those of evaluate_exact, byte for
@@ -956,10 +955,10 @@ def evaluate_exact_batch(points: Iterable[tuple[SystemParams, SequenceParams]],
     """
     points = iter(points)
     while chunk := list(itertools.islice(points, BATCH_SIZE)):
-        yield from _evaluate_chunk(chunk, cache)
+        yield from _evaluate_chunk(chunk)
 
 
-def _evaluate_chunk(points: list, cache: dict | None) -> list[ExactResult | ValueError]:
+def _evaluate_chunk(points: list) -> list[ExactResult | ValueError]:
     """evaluate_exact_batch on one chunk of at most BATCH_SIZE points, as a list."""
     results: list = [None] * len(points)
     valid = []
@@ -970,7 +969,7 @@ def _evaluate_chunk(points: list, cache: dict | None) -> list[ExactResult | Valu
             results[i] = err
         else:
             valid.append(i)
-    at, u = _walk_halving(points, valid, cache, results) if valid else ([], None)
+    at, u = _walk_halving(points, valid, results) if valid else ([], None)
     if at:
         sequences = [points[i][1] for i in at]
         solved = _solve(u, sequences, [cycle_durations(seq)[1] for seq in sequences])
@@ -979,8 +978,7 @@ def _evaluate_chunk(points: list, cache: dict | None) -> list[ExactResult | Valu
     return results
 
 
-def _walk_halving(points: list, at: list[int], cache: dict | None,
-                  results: list) -> tuple[list[int], np.ndarray]:
+def _walk_halving(points: list, at: list[int], results: list) -> tuple[list[int], np.ndarray]:
     """The indices of the points at `at` that walk, in walk order, and their cycle propagators.
 
     The points are grouped by everything but their waits, (system, tau,
@@ -997,13 +995,13 @@ def _walk_halving(points: list, at: list[int], cache: dict | None,
         members.setdefault((sys, seq.tau, seq.tau_pi, seq.n_p, seq.n_r), []).append(i)
     at = list(itertools.chain.from_iterable(members.values()))
     try:
-        return at, _walk([_group(points, group) for group in members.values()], cache)
+        return at, _walk([_group(points, group) for group in members.values()], None)
     except ValueError as err:
         if len(at) == 1:
             results[at[0]] = err
             return [], np.empty((0, 4, 4), complex)
     half = len(at) // 2
-    (first, u), (second, v) = (_walk_halving(points, part, cache, results)
+    (first, u), (second, v) = (_walk_halving(points, part, results)
                                for part in (at[:half], at[half:]))
     return first + second, np.concatenate((u, v))
 
@@ -1024,11 +1022,8 @@ def _solve(u: np.ndarray, sequences: list[SequenceParams], t_cycles: list[float]
     unprojected defect and its sequence's n_p and n_r: a block power that
     overflows reads defect nan."""
     defects, k = _isometries(u)
-    results: list = [
-        None if d <= UNITARITY_TOL else  # NaN fails too
-        ValueError(f"cycle propagator is not unitary (defect {d:.3e}, n_p={seq.n_p!r}, "
-                   f"n_r={seq.n_r!r})")
-        for d, seq in zip(defects.tolist(), sequences)]
+    results: list = [None if d <= UNITARITY_TOL else _not_unitary(d, seq)  # NaN fails too
+                     for d, seq in zip(defects.tolist(), sequences)]
     solved = [i for i, r in enumerate(results) if r is None]
     if not solved:
         return results

@@ -39,7 +39,7 @@ class SystemParams:
             raise ValueError(f"omega must be positive, got {self.omega}")
         if self.a_perp < 0:
             raise ValueError(f"a_perp must be nonnegative, got {self.a_perp}")
-        # frozen, so the hash is computed once: every propagator memo key holds one
+        # frozen, so the hash is computed once: the engine keys its groups and memos by it
         object.__setattr__(self, "_hash", hash((self.omega, self.a_perp, self.a_z)))
 
     def __hash__(self) -> int:

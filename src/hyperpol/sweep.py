@@ -8,20 +8,20 @@ written to a file holds one chunk, not the table, and its memory does not
 grow with the grid.  A chunk is `engine.BATCH_SIZE` (256) points when the
 exact engine runs and ANALYTIC_CHUNK (64) when it does not: the analytic
 rows gain nothing from a larger chunk, and a 201x201 analytic sweep ran
-about 3% faster in chunks of 64 than of 256.  The exact engine
-solves each chunk's valid points, and the grid of the resonant-interval
-search, as one batch (`engine.evaluate_exact_batch`): one stacked walk,
-one real eig of the chunk's affine Bloch maps and one evaluation of the
-first 64 cycles of their mode sums, with the results of evaluating each
-point alone.  The README's 81-point sweep is one chunk, and a 201x201 grid 158.  Each golden-section
-step of the search is a batch of one.  Only robustness scans still go one
-point at a time.  A batch and a single point take the engine's one walk: the points of a
-chunk that differ only in their waits form one group, which renders and
-walks its DD blocks once, the groups that share n_p and n_r compose their
-cycles as one stack, and each wait is two phases computed from its
-duration.  The memo a sweep, scan or search hands to all its points holds
-the propagators of the (system, DD leaf) pairs they share, so a wait sweep
-exponentiates nothing after its first chunk.
+about 3% faster in chunks of 64 than of 256.  The exact engine solves
+each chunk's valid points, and the grid of the resonant-interval search,
+as one batch (`engine.evaluate_exact_batch`): one stacked walk, one real
+eig of the chunk's affine Bloch maps and one evaluation of the first 64
+cycles of their mode sums, with the results of evaluating each point
+alone.  The README's 81-point sweep is one chunk, and a 201x201 grid is
+158 chunks.  A batch and a single point take the engine's one walk: the
+points of a chunk that differ only in their waits form one group, which
+renders and walks its DD blocks once, the groups that share n_p and n_r
+compose their cycles as one stack, and each wait is two phases computed
+from its duration; the walk exponentiates each distinct (system, DD
+leaf) of its chunk once and keeps no propagator after it.  Only robustness
+scans and the search's golden-section steps go one point at a time, and
+only they share a memo of DD-leaf propagators across their points.
 
 Above the engine, each point costs one `apply_point` call, which copies
 the base sequence's fields in (only a changed system goes through its
@@ -289,11 +289,10 @@ def _sweep_chunks(spec: SweepSpec, grid, names: tuple[str, ...], engines: tuple[
     """The rows of `grid`, an iterator of axis-value tuples, as one list per
     chunk of BATCH_SIZE points, or ANALYTIC_CHUNK points when the exact
     engine does not run: the exact engine solves a chunk's valid points
-    as one batch through a propagator memo that lasts as long as the chunks
-    are read, and a chunk's rows are yielded before the next chunk is read.
+    as one batch, whose walk exponentiates each distinct DD leaf of the
+    chunk once, and a chunk's rows are yielded before the next chunk is read.
     Each point is built by one apply_point call, and its analytic row by one
     analytic.summarize call."""
-    cache: dict = {}
     base_sys, base_seq = spec.base_system, spec.base_sequence
     unrated = "below-threshold" if spec.target == "rate" else "ok"
     pad = ("",) if len(names) == 1 else ()  # axis2 of a one-axis sweep
@@ -307,8 +306,7 @@ def _sweep_chunks(spec: SweepSpec, grid, names: tuple[str, ...], engines: tuple[
                 points.append(err)
         exact = iter(())
         if "exact" in engines:
-            exact = evaluate_exact_batch([p for p in points if not isinstance(p, ValueError)],
-                                         cache=cache)
+            exact = evaluate_exact_batch([p for p in points if not isinstance(p, ValueError)])
         rows = []
         for values, point in zip(chunk, points):
             axis1, axis2 = values + pad
@@ -349,17 +347,17 @@ def run_sweep(spec: SweepSpec) -> ResultTable:
 
 
 def _rates_on_grid(sys: SystemParams, seq: SequenceParams, taus: list[float],
-                   tau_pi: float, cache: dict) -> list[float | None]:
+                   tau_pi: float) -> list[float | None]:
     """The exact rate at each tau (with tau_pi), or None where the point is
     invalid, cannot be evaluated or stays below threshold; the valid points
-    are solved as one batch through the shared memo `cache`."""
+    are solved as one batch."""
     points = []
     for tau in taus:
         try:
             points.append(apply_point(sys, seq, ("tau", "tau_pi"), (tau, tau_pi)))
         except ValueError:
             points.append(None)
-    results = evaluate_exact_batch((p for p in points if p is not None), cache=cache)
+    results = evaluate_exact_batch(p for p in points if p is not None)
     rates = []
     for point in points:
         res = None if point is None else next(results)
@@ -374,9 +372,9 @@ def find_tau_res(sys: SystemParams, seq: SequenceParams, tau_pi: float,
     The grid is centered on the resonance-restoring value
     tau - tau_pi/n_p (the ideal tau when tau_pi = 0), ties break toward
     smaller tau, and a golden-section pass refines the best grid point to
-    +-grid_step/10, one batch of one point per step; both share one
-    propagator memo.  The grid holds at most
-    MAX_TAU_GRID_POINTS points, solved as one batch.
+    +-grid_step/10, one evaluate_exact call per step through one memo, so a
+    step after the first exponentiates only its new free half-cell.  The
+    grid holds at most MAX_TAU_GRID_POINTS points, solved as one batch.
     Raises ValueError for a negative tau_pi, a non-finite
     search_halfwidth / grid_step or a grid past that limit, and
     NoResonanceError on a flat landscape.
@@ -395,8 +393,7 @@ def find_tau_res(sys: SystemParams, seq: SequenceParams, tau_pi: float,
         raise ValueError(f"the tau grid would hold {2 * steps + 1} points, more than "
                          f"{MAX_TAU_GRID_POINTS}; widen grid_step or narrow search_halfwidth")
     taus = [center + k * grid_step for k in range(-steps, steps + 1)]
-    cache: dict = {}
-    rates = _rates_on_grid(sys, seq, taus, tau_pi, cache)
+    rates = _rates_on_grid(sys, seq, taus, tau_pi)
     usable = [(r, t) for r, t in zip(rates, taus) if r is not None]
     if not usable:
         raise NoResonanceError("no grid point produced a polarization rate")
@@ -404,8 +401,14 @@ def find_tau_res(sys: SystemParams, seq: SequenceParams, tau_pi: float,
     best_tau = min(t for r, t in usable if r == best_rate)
 
     # one golden-section pass around the winning grid point
+    memo: dict = {}
+
     def negated(t: float) -> float:
-        (r,) = _rates_on_grid(sys, seq, [t], tau_pi, cache)
+        try:  # an invalid point, one that cannot be evaluated, one below threshold: no rate
+            r = evaluate_exact(*apply_point(sys, seq, ("tau", "tau_pi"), (t, tau_pi)),
+                               cache=memo).gamma
+        except ValueError:
+            return math.inf
         return -r if r is not None else math.inf
 
     a, b = best_tau - grid_step, best_tau + grid_step
@@ -431,8 +434,8 @@ def robustness_scan(rows: list[tuple[MagicRow, int]], tau_pi_values,
     Each row keeps its waits; tau is shifted to tau - tau_pi/n_p per
     point.  Points whose sequence breaks `SequenceParams.violations` (the
     pulse no longer fits inside its shortened cell, or n_r < 1) are marked
-    invalid, with ideal and finite pulses alike.  All points share one
-    propagator memo.
+    invalid, with ideal and finite pulses alike.  The points go one at a
+    time through one propagator memo.
     """
     table = ResultTable(
         header={

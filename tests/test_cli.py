@@ -223,7 +223,7 @@ def test_steady_on_an_overflowing_product_prints_one_error_line(tmp_path, capsys
         warnings.simplefilter("error")
         assert main(["steady", "--config", str(path)]) == 2
     assert capsys.readouterr().err == ("error: cycle propagator is not unitary "
-                                       "(defect nan, n_p=100000000000000000000, n_r=1)\n")
+                                       "(defect nan, n_p=1e+20, n_r=1)\n")
 
 
 README_CONFIG = {
@@ -267,6 +267,21 @@ def test_a_runnable_cycle_near_the_float_limit_exits_0_or_2(tmp_path, capsys, se
     assert main(["steady", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["steady"], ["simulate", "--cycles", "2"]],
+                         ids=["steady", "simulate"])
+def test_a_cycle_that_is_not_unitary_is_refused_with_one_message(tmp_path, capsys, argv):
+    # 3e307 repetitions of a unitary cycle round its power away from unitarity; both
+    # commands name the defect and the counts alike, a 308-digit n_r as its float
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"system": {"omega": 1.0, "a_perp": 0.05},
+                                "sequence": {"n_p": 1, "tau": 1.0, "n_r": 3e307}}))
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("error: cycle propagator is not unitary "
+                                       "(defect 1.000e+00, n_p=1, n_r=3e+307)\n")
+    assert not out.exists()
 
 
 def test_a_singular_dirichlet_limit_past_the_float_range_exits_2(tmp_path, capsys):

@@ -329,8 +329,10 @@ def test_an_overflowing_block_part_names_its_defect(n_p, n_r):
               for tau_pi in (0.0, 0.2 * math.pi)]
     errors = list(evaluate_exact_batch(points)) + [
         next(evaluate_exact_batch([point])) for point in points]
+    # a count of more than 17 digits is named as its float
+    named = {1: "1", 4: "4", 10 ** 12: "1000000000000", 10 ** 20: "1e+20", 10 ** 22: "1e+22"}
     assert [str(err) for err in errors] == 2 * [
-        f"cycle propagator is not unitary (defect {defect}, n_p={n_p}, n_r={n_r})"
+        f"cycle propagator is not unitary (defect {defect}, n_p={named[n_p]}, n_r={named[n_r]})"
         for defect in ("1.000e+00", "nan")]
 
 
@@ -351,14 +353,15 @@ EXACT_POINTS = st.builds(exact_point, st.sampled_from([0.0, 0.1, 0.25]), st.inte
 @settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.large_base_example])
 @given(st.lists(EXACT_POINTS, min_size=engine.BATCH_SIZE + 1, max_size=engine.BATCH_SIZE + 24))
 def test_batch_is_each_point_alone_byte_for_byte(points):
-    # more points than one chunk: chunks, counts (n_p, n_r) and the memo they carry are crossed
+    # more points than one chunk: chunks and counts (n_p, n_r) are crossed, and each
+    # chunk's walk exponentiates its own DD leaves
     def alone(point):
         try:
             return evaluate_exact(*point)
         except ValueError as err:
             return err
 
-    batch = list(evaluate_exact_batch(points, cache={}))
+    batch = list(evaluate_exact_batch(points))
     assert list(map(repr, batch)) == [repr(alone(p)) for p in points]
 
 
@@ -1163,8 +1166,8 @@ def test_rate_crossing_at_an_oscillation_peak_inside_a_block():
 
 
 def test_no_rate_read_out_reads_powers_of_the_bloch_map(monkeypatch):
-    # _level and _read serve simulate alone: with both refusing, the README sweep and a point
-    # that crosses after 2^21 cycles solve through the batch to the bytes they read otherwise
+    # _read serves simulate alone: with it refusing, the README sweep and a point that
+    # crosses after 2^21 cycles solve through the batch to the bytes they read otherwise
     points = [(SYS, replace(README_BASE, t_s=f * math.pi)) for f in np.linspace(0, 2, 81)]
     points.append((SYS, replace(README_BASE, t_s=0.6 * math.pi)))
     expected = list(evaluate_exact_batch(points))
@@ -1173,7 +1176,6 @@ def test_no_rate_read_out_reads_powers_of_the_bloch_map(monkeypatch):
     def refused(*args):
         raise AssertionError("the rate read powers of the Bloch map")
 
-    monkeypatch.setattr(engine, "_level", refused)
     monkeypatch.setattr(engine, "_read", refused)
     assert list(evaluate_exact_batch(points)) == expected
     with pytest.raises(AssertionError, match="powers of the Bloch map"):
@@ -1512,7 +1514,7 @@ def test_a_full_stack_of_late_crossings_stays_within_four_times_block_zero():
     list(evaluate_exact_batch(points[:1]))
     tracemalloc.start()
     try:
-        results = list(evaluate_exact_batch(points, cache={}))
+        results = list(evaluate_exact_batch(points))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1539,12 +1541,30 @@ def test_the_bloch_series_strays_from_the_mode_sum_by_at_most_its_drift(at):
 
 @pytest.mark.parametrize("rho0", [mixed_state(), np.array([[1, 1], [1, 1]]) / 2],
                          ids=["mixed", "x-polarized"])
-def test_shorter_series_is_a_prefix_of_a_longer_one(rho0):
-    pair = cycle_kraus(SYS, README_BASE)
-    lengths = (1, 2, 3, 300, 1024, 1025, 5000)
-    values = {n: simulate(pair, rho0, n).values for n in lengths}
-    for m, n in itertools.combinations(lengths, 2):
-        assert values[n][:m].tobytes() == values[m].tobytes(), (m, n)
+def test_shorter_series_is_a_prefix_of_a_longer_one(rho0, rng):
+    # the README channel and random ones, at lengths on both sides of each doubling of the
+    # read-out rows and of each block
+    pairs = [cycle_kraus(SYS, README_BASE)] + [cycle_kraus(*random_params(rng)) for _ in range(4)]
+    lengths = (1, 2, 3, 63, 64, 65, 300, 1023, 1024, 1025, 2049, 5000)
+    for pair in pairs:
+        values = {n: simulate(pair, rho0, n).values for n in lengths}
+        for m, n in itertools.combinations(lengths, 2):
+            assert values[n][:m].tobytes() == values[m].tobytes(), (m, n)
+
+
+@pytest.mark.parametrize("n,reads", [(1, 1), (1024, 1), (1025, 2), (3000, 3)])
+def test_simulate_reads_every_block_through_one_reader(monkeypatch, n, reads):
+    # block 0 is read as every later block is: one _read per SERIES_BLOCK cycles
+    read, calls = engine._read, []
+
+    def counted(rows, x, m):
+        calls.append(len(rows))
+        return read(rows, x, m)
+
+    monkeypatch.setattr(engine, "_read", counted)
+    series = simulate(cycle_kraus(SYS, README_BASE), mixed_state(), n)
+    assert len(series) == n and len(calls) == reads == math.ceil(n / engine.SERIES_BLOCK)
+    assert all(2 <= rows <= engine.SERIES_BLOCK for rows in calls)
 
 
 def test_steady_state_matches_analytic_at_small_coupling():

@@ -17,7 +17,7 @@ from hyperpol import analytic, engine, linalg, sweep
 from hyperpol.catalog import finite_pulse_tau, magic_params
 from hyperpol.engine import evaluate_exact, evaluate_exact_batch
 from hyperpol.params import SequenceParams, SystemParams
-from hyperpol.timeline import FREE_NUCLEAR, dd_leaves, render_unit
+from hyperpol.timeline import FREE_HYPERFINE, FREE_NUCLEAR, dd_leaves, render_unit
 from hyperpol.sweep import (
     Axis,
     NoResonanceError,
@@ -240,11 +240,11 @@ def test_sweep_rows_reach_the_file_chunk_by_chunk(monkeypatch, tmp_path):
     out = tmp_path / "sweep.csv"
     batch, lengths, sizes = sweep.evaluate_exact_batch, [], []
 
-    def recording(points, cache=None):
+    def recording(points):
         points = list(points)
         lengths.append(len(points))
         sizes.append(out.stat().st_size)
-        return batch(points, cache=cache)
+        return batch(points)
 
     monkeypatch.setattr(sweep, "evaluate_exact_batch", recording)
     # the writer reads 64 rows at a time: a full chunk's rows end a batch
@@ -533,11 +533,12 @@ def test_robustness_scan_orders_methods():
 
 def without_reuse(monkeypatch):
     """Make every point of a sweep, scan or search start from an empty propagator memo."""
+    # robustness scans and golden-section steps pass their memo to each point: drop it
     monkeypatch.setattr(sweep, "evaluate_exact",
                         lambda sys_p, seq_p, cache=None: evaluate_exact(sys_p, seq_p))
     # the batch walks a chunk's points as one stack: run each point as a batch of one
     monkeypatch.setattr(sweep, "evaluate_exact_batch",
-                        lambda points, cache=None: itertools.chain.from_iterable(
+                        lambda points: itertools.chain.from_iterable(
                             evaluate_exact_batch([p]) for p in points))
 
 
@@ -614,7 +615,7 @@ def test_sweep_memo_lasts_one_call(monkeypatch):
             distinct.update((sys_p, seg) for seg in timeline.leaves)
     list(run_sweep(spec).rows)
     first = len(calls)
-    assert first == len(distinct)  # each distinct DD leaf once per sweep
+    assert first == len(distinct)  # each distinct DD leaf once per chunk, and this is one
     assert not any(seg.kind == FREE_NUCLEAR for seg in calls)  # waits are phases
     list(run_sweep(spec).rows)
     assert len(calls) - first == first
@@ -837,6 +838,12 @@ def test_each_distinct_segment_is_exponentiated_once(monkeypatch, case):
         points = [apply_point(SYS, README_T_S_06, ("t_s", "t_w"), v)
                   for v in itertools.product(*(a.values().tolist() for a in axes))]
         assert [e[1] for e in log if e[0] == "stack"] == [engine.BATCH_SIZE, 17]
+        # each chunk's walk takes no memo from the one before: the two chunks' points
+        # share their DD leaves, and each walk exponentiates each of them once; the
+        # waits are phases, never exponentiated
+        distinct = {seg for p in points for seg in render_unit(*p).leaves}
+        assert len(segments) == 2 * len(distinct)
+        assert set(segments[:len(distinct)]) == set(segments[len(distinct):]) == distinct
     else:  # one stack per point; 3 pi does not fit in the cells
         rows = [(magic_params("I", +1, 1), 2), (magic_params("II", -1, 2), 3)]
         tau_pi_values = [0.0, 0.1 * math.pi, 0.2 * math.pi, 3 * math.pi]
@@ -844,11 +851,11 @@ def test_each_distinct_segment_is_exponentiated_once(monkeypatch, case):
         points = robustness_points(rows, tau_pi_values)
         assert len(points) == 6
         assert [e[1] for e in log if e[0] == "stack"] == [1] * 6
-    distinct = {seg for p in points for seg in render_unit(*p).leaves}
-    assert len(distinct) < engine.MEMO_LIMIT  # nothing is dropped from the memo
-    # each distinct DD leaf once per memo lifetime, which is the whole call; the
-    # waits are phases, never exponentiated
-    assert len(segments) == len(distinct) and set(segments) == distinct
+        distinct = {seg for p in points for seg in render_unit(*p).leaves}
+        assert len(distinct) < engine.MEMO_LIMIT  # nothing is dropped from the memo
+        # each distinct DD leaf once per memo lifetime, which is the whole scan; the
+        # waits are phases, never exponentiated
+        assert len(segments) == len(distinct) and set(segments) == distinct
     # at most one segment_propagator call per generator in each stack
     stacks = [[]]
     for entry in log:
@@ -860,6 +867,35 @@ def test_each_distinct_segment_is_exponentiated_once(monkeypatch, case):
     # one hermitian_expm per segment_propagator call
     calls = [entry[0] for entry in log if entry[0] != "stack"]
     assert calls and calls == ["generator", "expm"] * (len(calls) // 2)
+
+
+def test_each_golden_section_step_after_the_first_exponentiates_only_its_free_half_cell(
+        monkeypatch):
+    # find-tau-res on the README config at tau_pi = 0.2 pi with the CLI's grid: the grid is
+    # one batch, then each golden-section step walks its point alone through the search's
+    # memo, where every step after the first finds its pulse leaves
+    walks, walk, propagator = [], engine._walk, engine.segment_propagator
+
+    def logged_walk(groups, cache):
+        walks.append((groups, []))
+        return walk(groups, cache)
+
+    def logged_propagator(sys_p, segments, hyperfine):
+        walks[-1][1].append(list(segments))
+        return propagator(sys_p, segments, hyperfine)
+
+    monkeypatch.setattr(engine, "_walk", logged_walk)
+    monkeypatch.setattr(engine, "segment_propagator", logged_propagator)
+    readme = replace(README_T_S_06, t_s=1.5 * math.pi)
+    find_tau_res(SYS, readme, 0.2 * math.pi, search_halfwidth=0.1 * math.pi,
+                 grid_step=0.005 * math.pi)
+    (grid, _), (first, first_calls), *steps = walks
+    assert sum(len(g.waits) for g in grid) == 41 and len(first) == len(first[0].waits) == 1
+    assert {seg for call in first_calls for seg in call} == set(first[0].leaves)
+    assert len(steps) >= 5
+    for (group,), calls in steps:
+        free = group.leaves[1]
+        assert free.kind == FREE_HYPERFINE and calls == [[free]]
 
 
 # the robustness-scan case of test_each_distinct_segment_is_exponentiated_once: six
