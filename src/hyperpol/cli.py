@@ -201,7 +201,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--engine", choices=("exact", "analytic", "both"), default="both")
     p.add_argument("--nominal-duration", action="store_true",
-                   help="normalize the rate by the pulse-free duration")
+                   help="divide the exact rate by the pulse-free cycle duration, as the "
+                        "analytic rate always does (default: the pulse-inclusive duration, "
+                        "so at finite pulses the two rates use different clocks)")
     p.add_argument("--out")
     p.set_defaults(func=cmd_steady)
 

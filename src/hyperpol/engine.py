@@ -42,12 +42,14 @@ is computed once, and block 0, the first RATE_BLOCK cycles, is evaluated
 whole from it.  Where block 0 holds no crossing, exact bounds of the sum
 rule out ranges of later blocks, cutting each range they cannot rule out
 into SPLIT parts whose bounds take each mode once at each edge that
-neighbouring parts share; a single block they cannot rule out is read as
-one product of the table with one anchor t_k mu_k^n per mode, with no
-exp or cos per cycle.  `simulate` writes the series itself through R,
-whose real products cost a quarter to a fifth of the complex ones, a block
-of SERIES_BLOCK cycles at a time, each read with one set of read-out rows
-r R^j built by doubling.
+neighbouring parts share.  The first parts close in on the block where
+the point's heaviest mode alone would cross, and end in single blocks
+around it, so one round of bounds mostly leaves the crossing block alone;
+a single block they cannot rule out is read as one product of the table
+with one anchor t_k mu_k^n per mode, with no exp or cos per cycle.
+`simulate` writes the series itself through R, whose real products cost a
+quarter to a fifth of the complex ones, a block of SERIES_BLOCK cycles at
+a time, each read with one set of read-out rows r R^j built by doubling.
 
 `evaluate_exact_batch` solves many points at once.  Up to BATCH_SIZE (256)
 points are checked, grouped by everything but their waits (system, tau,
@@ -674,8 +676,9 @@ def _rate_cycles(p_s: np.ndarray, mu: np.ndarray, weights: np.ndarray) -> list[f
     cycle 1, the mixed start, and its crossings are found at once (see
     _crossings), interpolated as measured_rate interpolates the series.  The
     points with no crossing there keep their part of the table and search
-    the later blocks together (see _later_blocks).  There is no cap on the
-    cycle count; None means the mode sum never reaches 1 - 1/e.
+    the later blocks together, each from the block its heaviest mode
+    predicts (see _later_blocks).  There is no cap on the cycle count; None
+    means the mode sum never reaches 1 - 1/e.
     """
     terms = (weights / p_s[:, None]).T  # (mode, point), as every array of the read-out
     powers = mu.T[:, :, None] ** _POWERS
@@ -702,14 +705,16 @@ def _later_blocks(terms: np.ndarray, mu: np.ndarray, powers: np.ndarray,
     fractions P(n)/P_s = 1 + Re sum_k t_k mu_k^(n-1) (see _rate_cycles), and
     rows their rows in the table powers (m, K, RATE_BLOCK + 1) of mu_k^j.
     Each point searches the blocks from 1 on, leftmost first, with no end,
-    from the open range [1, inf); _parts cuts each range it reaches into
-    parts.  _range_bound rules parts out; the search goes on in the leftmost
-    part it cannot, and the parts to its right wait their turn.  The bounds
-    are bounds of the function read, so nothing left of a read block reaches
-    1 - 1/e.  A single block the bound cannot rule out is read (see
-    _block_fractions), with the cycle before it as the lower end of a
-    crossing on its first cycle; a read block without a crossing sends the
-    point on to the range waiting to its right.
+    from the open range [1, inf), whose first parts close in on the block
+    where the point's heaviest mode alone would cross and end in single
+    blocks around it (see _first_parts); _parts cuts each range it reaches
+    after that into parts.  _range_bound rules parts out; the search goes on
+    in the leftmost part it cannot, and the parts to its right wait their
+    turn, as one range.  The bounds are bounds of the function read, so
+    nothing left of a read block reaches 1 - 1/e.  A single block the bound
+    cannot rule out is read (see _block_fractions), with the cycle before it
+    as the lower end of a crossing on its first cycle; a read block without
+    a crossing sends the point on to the range waiting to its right.
 
     A point leaves at its crossing, or as None when, at the start of an
     open range past the first, _tail_bound shows that no later cycle can
@@ -725,6 +730,7 @@ def _later_blocks(terms: np.ndarray, mu: np.ndarray, powers: np.ndarray,
     searching, reading = list(range(len(found))), []  # reading: (point, its block to read)
     modes = _search_modes(terms, mu)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        opening = _first_parts(*modes[:2])  # the parts of every point's first round
         while searching or reading:
             while searching:
                 at, searching = searching, []
@@ -737,8 +743,11 @@ def _later_blocks(terms: np.ndarray, mu: np.ndarray, powers: np.ndarray,
                         at = [i for i in at if i not in never]
                         if not at:
                             continue
-                edges = _parts(np.array([lo[i] for i in at])[:, None],
-                               np.array([hi[i] for i in at])[:, None])
+                if opening is None:
+                    edges = _parts(np.array([lo[i] for i in at])[:, None],
+                                   np.array([hi[i] for i in at])[:, None])
+                else:
+                    edges, opening = opening, None
                 bound = _range_bound(*modes[:, :, at], edges * RATE_BLOCK - 1)
                 ruled = bound < E_FRACTION
                 ruled |= edges[:, 1:] == edges[:, :-1]  # an empty part holds nothing to read
@@ -754,7 +763,7 @@ def _later_blocks(terms: np.ndarray, mu: np.ndarray, powers: np.ndarray,
                         lo[i], hi[i] = first, stop
                     elif hi[i] < math.inf:
                         lo[i], hi[i] = later[i].pop()
-                    else:  # every doubling part is ruled out: the open range goes on past them
+                    else:  # every part is ruled out: the open range goes on past them
                         lo[i] = ends[-1]
                     searching.append(i)
             if not reading:
@@ -806,6 +815,34 @@ def _parts(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 _DOUBLING = 2.0 ** np.arange(SPLIT + 1)
 _EQUAL = np.arange(SPLIT + 1) / SPLIT
+
+
+def _first_parts(size: np.ndarray, log_rho: np.ndarray) -> np.ndarray:
+    """Edges (k, SPLIT + 1) of the parts of k points' first ranges [1, inf), seeded at the
+    block b where each point's heaviest mode alone would cross, the modes given by size
+    |t_k| and log_rho log |mu_k| as for _range_bound.
+
+    The term |t_d| |mu_d|^n of the heaviest mode d falls to 1/e at the exponent
+    x = (1 + ln |t_d|) / -ln |mu_d|, in block b = floor(x / RATE_BLOCK).  The
+    edges close in on b from block 1, at b - 1 - 2^j, j = SPLIT - 4 ... 1, and
+    end in the single blocks b - 1, b and b + 1; the open range [b + 2, inf)
+    is left to the search.  A point with no seed in 1 ... 2^52 (|mu_d| >= 1, a
+    zero term, a non-finite x, or a seed in block 0, which holds no crossing)
+    takes the doubling parts of [1, inf) (see _parts).  The parts' bounds still
+    prove that no earlier block crosses, so the seed moves no N_s, only the
+    number of rounds: one on the README sweep, where every seed is the
+    crossing block.
+    """
+    size, log_rho = size[..., 0], log_rho[..., 0]
+    at = size.argmax(axis=0), np.arange(size.shape[1])  # the heaviest mode of each point
+    t, log = size[at], log_rho[at]
+    b = np.floor((1.0 + np.log(t)) / -log / RATE_BLOCK)[:, None]
+    seeded = (log[:, None] < 0) & (b >= 1) & (b <= 2.0 ** 52)  # NaN fails
+    return np.where(seeded, np.maximum(b + _CLOSING, 1.0), _DOUBLING)
+
+
+# the first edges' offsets from the seed block b: -inf (block 1), b - 1 - 2^j, then b - 1 ... b + 2
+_CLOSING = np.concatenate(([-math.inf], -1.0 - _DOUBLING[SPLIT - 4:0:-1], [-1.0, 0.0, 1.0, 2.0]))
 
 
 def _range_bound(size: np.ndarray, log_rho: np.ndarray, phase: np.ndarray, turn: np.ndarray,

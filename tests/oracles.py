@@ -15,7 +15,9 @@ propagator at 2^-200 from the exact Hamiltonians of the float inputs,
 with no numpy arithmetic, and reads its fixed point and its 1 - 1/e
 crossing from that, so that it shows the engine's whole error: the
 rounding of composing the cycle, which the fixed point amplifies by
-1/gap, included.  The DD integral
+1/gap, included.  The block scan reads a mode sum's later blocks one by
+one with the engine's own block read, so that against the rate search it
+checks only where the search's bounds send it.  The DD integral
 oracle integrates the pulse-shape function by adaptive quadrature (scipy,
 a test-only dependency) to check the closed-form filter F.  The sweep
 oracles are the plain forms of two per-point steps of a sweep: the CSV
@@ -36,6 +38,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.integrate import quad
 
+from hyperpol import engine
 from hyperpol.analytic import (AnalyticSummary, dirichlet_ratio, filter_f, gamma_analytic,
                                lambda_analytic, phases, stable_polarization)
 from hyperpol.linalg import SZ, kron2
@@ -441,6 +444,30 @@ def fixed_rate_cycles(q: list, p_s: Fraction, near: float) -> Fraction:
         lo, hi = (lo, mid) if fraction(mid) >= E_FRACTION_EXACT else (mid, hi)
     below, above = fraction(hi - 1), fraction(hi)
     return max(hi - 2 + (E_FRACTION_EXACT - below) / (above - below), Fraction(1))
+
+
+SCAN_BLOCKS = 2 ** 12  # the last block block_scan reads
+
+
+def block_scan(p_s: float, mu: np.ndarray, weights: np.ndarray) -> float | None:
+    """N_s of one point's mode sum P(n) = P_s + Re sum w mu^(n-1), mu and weights (m,), read
+    block by block from block 1 (cycles RATE_BLOCK + 1 ... 2 RATE_BLOCK) on, with no
+    bound to skip a block: each block is read by engine._block_fractions, with the
+    cycle before it, from the table of integer powers mu^j that engine._rate_cycles
+    builds, and the first block that reaches 1 - 1/e is interpolated by
+    engine._crossings, as the later-block search reads the block it lands on.  None
+    when none of blocks 1 ... SCAN_BLOCKS does.
+    """
+    terms, mu = (np.asarray(weights) / p_s)[:, None], np.asarray(mu)[:, None]
+    modes = engine._search_modes(terms, mu)[:4]
+    powers = mu[:, :, None] ** engine._POWERS
+    for block in range(1, SCAN_BLOCKS + 1):
+        start = np.array([block * engine.RATE_BLOCK])
+        values = engine._block_fractions(*modes, powers, np.array([0]), start[:, None] - 1.0)
+        above = values[:, 1:] >= engine.E_FRACTION
+        if above.any():
+            return engine._crossings(values[:, 1:], above, values[:, 0], start).tolist()[0]
+    return None
 
 
 # ---------------------------------------------------------------------------

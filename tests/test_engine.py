@@ -33,9 +33,9 @@ from hyperpol.linalg import ID2, ID4, SX, SZ, hermitian_expm, unitarity_defect
 from hyperpol.params import SequenceParams, SystemParams
 from hyperpol.timeline import FREE_HYPERFINE, FREE_NUCLEAR, PULSE, Segment, Timeline, render_unit
 
-from oracles import (MIXED_VEC, ONE, exact_fixed_z, fixed_affine_map, fixed_cycle_propagator,
-                     fixed_rate_cycles, nuclear_hamiltonian, operator_distance, random_params,
-                     stepped_series, trotter_propagate)
+from oracles import (MIXED_VEC, ONE, SCAN_BLOCKS, block_scan, exact_fixed_z, fixed_affine_map,
+                     fixed_cycle_propagator, fixed_rate_cycles, nuclear_hamiltonian,
+                     operator_distance, random_params, stepped_series, trotter_propagate)
 # the complex transfer-matrix oracle, under the short names the tests below use
 from oracles import transfer_modes as _modes
 from oracles import transfer_summary as _spectral_summary
@@ -1254,6 +1254,37 @@ def test_lazy_rate_stops_at_the_level_that_holds_the_crossing(monkeypatch, cycle
     assert reads == [0] + ([block] if block else [])
 
 
+def recorded_rounds(monkeypatch) -> list[int]:
+    """From now on, the number of points of each round of bounds the later-block search makes."""
+    rounds, range_bound = [], engine._range_bound
+
+    def bound(*modes_and_n):
+        rounds.append(len(modes_and_n[-1]))
+        return range_bound(*modes_and_n)
+
+    monkeypatch.setattr(engine, "_range_bound", bound)
+    return rounds
+
+
+def test_the_later_search_starts_at_each_points_predicted_crossing_block(monkeypatch):
+    # 53 of the README sweep's 81 points cross past block 0, from block 1 to past cycle
+    # 2.8 million; the heaviest mode of each, its population mode, alone would cross in
+    # the block that holds its crossing.  The search's first round of bounds rules out
+    # every block before it, and each point reads that block alone.  So does a damping
+    # pair that crosses at cycle 300, in block 4, alone
+    reads, rounds = recorded_reads(monkeypatch), recorded_rounds(monkeypatch)
+    points = [(SYS, replace(README_BASE, t_s=f * math.pi)) for f in np.linspace(0, 2, 81)]
+    later = [math.ceil(res.n_s) // engine.RATE_BLOCK for res in evaluate_exact_batch(points)
+             if res.n_s is not None and res.n_s > engine.RATE_BLOCK - 1]
+    assert len(later) == 53 and max(later) * engine.RATE_BLOCK > 2_800_000
+    assert rounds == [53]
+    assert reads == [0] + later
+    del reads[:], rounds[:]
+    pair = damping_to_cross_at(300)
+    assert rate_cycles(pair, steady_state(pair)[0]) == pytest.approx(298.5, abs=1e-3)
+    assert rounds == [1] and reads == [0, 299 // engine.RATE_BLOCK]
+
+
 def closed_form_cycles(pair: KrausPair) -> float:
     """N_s of damping_to_cross_at's series P(n) = 1 - lam^(n-1), for the lam the channel holds.
 
@@ -1414,14 +1445,18 @@ BOUND_MODES = st.one_of(
     st.builds(cmath.rect, st.floats(1.0, 1.0005, exclude_min=True), st.floats(-math.pi, math.pi)))
 BOUND_TERMS = st.one_of(st.just(0j), st.builds(cmath.rect, st.floats(0.0, 2.0),
                                                st.floats(-math.pi, math.pi)))
-# a range of blocks [lo, hi), closed and cut into equal parts or open and cut into doubling ones
+# a range of blocks [lo, hi), closed and cut into equal parts or open and cut into doubling ones,
+# or the first range [1, inf) of a search, cut around the block its heaviest mode predicts
+SEEDED = "seeded"
 BOUND_RANGES = st.one_of(st.tuples(st.integers(1, 200), st.integers(1, 300)).map(
-    lambda r: (r[0], r[0] + r[1])), st.integers(1, 3).map(lambda lo: (lo, math.inf)))
+    lambda r: (r[0], r[0] + r[1])), st.integers(1, 3).map(lambda lo: (lo, math.inf)),
+    st.just(SEEDED))
 
 
 @given(st.lists(st.tuples(BOUND_MODES, BOUND_TERMS), min_size=1, max_size=3), BOUND_RANGES)
 @example([(cmath.rect(1.0, -1 / 128), cmath.rect(1.0, 2.0))], (1, 3))  # a slow turn alone
 @example([(1 + 0j, 0j), (-0.75 + 0j, 0.5 + 0j), (cmath.rect(1.0004, 0.3), 1j)], (2, math.inf))
+@example([(0.9995 + 0j, -1 + 0j), (cmath.rect(0.9999, 0.01), 0.2j)], SEEDED)  # seeded at block 31
 @settings(deadline=None)
 def test_each_part_bound_holds_at_every_cycle_of_its_part(modes, span):
     # the bound of each part, from the modes evaluated once at the edges that neighbouring
@@ -1430,7 +1465,11 @@ def test_each_part_bound_holds_at_every_cycle_of_its_part(modes, span):
     # where the part's cycles lie
     mu, terms = (np.array(x)[:, None] for x in zip(*modes))  # (m, 1): a stack of one point
     rows = engine._search_modes(terms, mu)
-    edges = engine._parts(*(np.array([[x]], dtype=float) for x in span))
+    if span == SEEDED:
+        with np.errstate(divide="ignore", invalid="ignore"):  # log 0, and 0 / 0 where |mu| = 1
+            edges = engine._first_parts(*rows[:2])
+    else:
+        edges = engine._parts(*(np.array([[x]], dtype=float) for x in span))
     n = edges * engine.RATE_BLOCK - 1
     with np.errstate(over="ignore", invalid="ignore"):  # |mu| > 1 overflows far out
         bound = engine._range_bound(*rows, n)[0]
@@ -1458,6 +1497,54 @@ def test_stacked_later_search_matches_each_point_alone(picks):
     assert [None if n is None else n.hex() for n in together] == [
         None if n is None else n.hex() for n in alone]
     assert all(type(n) is float for n in together if n is not None)
+
+
+def slow_build_up(cycle: int) -> tuple[complex, complex]:
+    """The mode and term of 1 - mu^n, which first reaches 1 - 1/e near `cycle`."""
+    return complex(math.exp(-1 / cycle)), -1 + 0j
+
+
+# one point's modes and terms (3 each), P_s = 1, whose block 0 holds no crossing: a slow
+# build-up with a slower, light coherence pair (as at the README base); a heavy mode that
+# turns; a heavy mode of modulus 1 or more; and a heavy pair whose terms cancel, so that the
+# seed lies past block 2^52 and no bound rules a block out.  Zero terms are drawn too
+SCAN_POINTS = st.one_of(
+    st.builds(lambda build_up, slower, turn, size, phase: (
+        (build_up[0], cmath.rect(1 - slower * (1 - abs(build_up[0])), turn),
+         cmath.rect(1 - slower * (1 - abs(build_up[0])), -turn)),
+        (build_up[1], cmath.rect(size, phase), cmath.rect(size, -phase))),
+        st.integers(130, 20_000).map(slow_build_up), st.floats(0.1, 0.9), st.floats(0.0, math.pi),
+        st.sampled_from([0.0, 1e-8, 0.01, 0.05]), st.floats(-math.pi, math.pi)),
+    st.builds(lambda cycle, turn, size, other: (
+        (cmath.rect(math.exp(-1 / cycle), turn), *other[0]), (-size + 0j, *other[1])),
+        st.integers(130, 20_000), st.floats(0.0, 0.005), st.floats(1.0, 1.5),
+        st.tuples(st.floats(0.9, 0.999), st.floats(-0.1, 0.1), st.sampled_from([0.0, 0.3])).map(
+            lambda o: ((complex(o[0]), 0.5 + 0j), (complex(o[1]), complex(o[2]))))),
+    st.builds(lambda grow, turn, size: (
+        (cmath.rect(1 + grow, turn), 0.99 + 0j, 0.5 + 0j), (-size + 0j, 0.1 + 0j, 0j)),
+        st.sampled_from([0.0, 1e-6, 1e-4]), st.floats(5e-4, 5e-3), st.floats(1.0, 1.5)),
+    st.integers(130, 2_000).map(slow_build_up).map(lambda build_up: (
+        (1 - 2 ** -53 + 0j, 1 - 2 ** -53 + 0j, build_up[0]), (1e15 + 0j, -1e15 + 0j, build_up[1]))))
+# or a point of LATER_BLOCK_POOL: (P_s, modes, weights)
+POOL_POINTS = st.sampled_from([(p_s, mu, weights) for _, p_s, (mu, weights) in LATER_BLOCK_POOL])
+
+
+@given(st.lists(st.one_of(POOL_POINTS, SCAN_POINTS.map(lambda point: (1.0, *point))),
+                min_size=1, max_size=6))
+@example([(p_s, mu, weights) for _, p_s, (mu, weights) in LATER_BLOCK_POOL])
+@settings(deadline=None, max_examples=40)
+def test_the_search_reads_what_a_block_by_block_scan_reads(points):
+    # wherever the seed sends the search, or where there is none, the bounds rule out only
+    # blocks that do not cross: each point leaves with the N_s that reading every block from
+    # block 1 on gives, byte for byte, or lies past the scan's last block or never crosses
+    p_s, mu, weights = (np.array(x) for x in zip(*points))
+    found = engine._rate_cycles(p_s, mu.astype(complex), weights.astype(complex))
+    for n_s, point in zip(found, points):
+        scanned = block_scan(*point)
+        if scanned is None:
+            assert n_s is None or n_s > SCAN_BLOCKS * engine.RATE_BLOCK
+        else:
+            assert n_s is not None and n_s.hex() == scanned.hex()
 
 
 # the clamp (cycle 2), the first cycles of later blocks (2^e + 1 from 65 on, read against the
