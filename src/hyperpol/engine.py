@@ -39,14 +39,16 @@ crossing of the series, with no cap on its length, read from M's
 closed-form mode sum P(n) = P_s + Re sum_k w_k mu_k^(n-1), whose cost does
 not grow with n.  A table of the integer powers mu_k^j, j = 0 ... RATE_BLOCK,
 is computed once, and block 0, the first RATE_BLOCK cycles, is evaluated
-whole from it.  Where block 0 holds no crossing, exact bounds of the sum
-rule out ranges of later blocks, cutting each range they cannot rule out
-into SPLIT parts whose bounds take each mode once at each edge that
-neighbouring parts share.  The first parts close in on the block where
+whole from it.  Where block 0 holds no crossing, a point holds one range
+of later blocks, from [1, inf) on, that each round of exact bounds of the
+sum cuts into SPLIT parts, whose bounds take each mode once at each edge
+that neighbouring parts share; the point goes on in the leftmost part
+they keep, or past the last edge, and a closed range gone through opens
+on to the blocks past it.  The first parts close in on the block where
 the point's heaviest mode alone would cross, and end in single blocks
 around it, so one round of bounds mostly leaves the crossing block alone;
-a single block they cannot rule out is read as one product of the table
-with one anchor t_k mu_k^n per mode, with no exp or cos per cycle.
+a single block they keep is read in the same round as one product of the
+table with one anchor t_k mu_k^n per mode, with no exp or cos per cycle.
 `simulate` writes the series itself through R, whose real products cost a
 quarter to a fifth of the complex ones, a block of SERIES_BLOCK cycles at
 a time, each read with one set of read-out rows r R^j built by doubling.
@@ -676,9 +678,10 @@ def _rate_cycles(p_s: np.ndarray, mu: np.ndarray, weights: np.ndarray) -> list[f
     cycle 1, the mixed start, and its crossings are found at once (see
     _crossings), interpolated as measured_rate interpolates the series.  The
     points with no crossing there keep their part of the table and search
-    the later blocks together, each from the block its heaviest mode
-    predicts (see _later_blocks).  There is no cap on the cycle count; None
-    means the mode sum never reaches 1 - 1/e.
+    the later blocks together, each in one range of blocks that closes in
+    first on the block its heaviest mode predicts (see _later_blocks).
+    There is no cap on the cycle count; None means the mode sum never
+    reaches 1 - 1/e.
     """
     terms = (weights / p_s[:, None]).T  # (mode, point), as every array of the read-out
     powers = mu.T[:, :, None] ** _POWERS
@@ -704,89 +707,77 @@ def _later_blocks(terms: np.ndarray, mu: np.ndarray, powers: np.ndarray,
     terms and mu (m, k) are the terms t_k = w_k/P_s and modes of the k points'
     fractions P(n)/P_s = 1 + Re sum_k t_k mu_k^(n-1) (see _rate_cycles), and
     rows their rows in the table powers (m, K, RATE_BLOCK + 1) of mu_k^j.
-    Each point searches the blocks from 1 on, leftmost first, with no end,
-    from the open range [1, inf), whose first parts close in on the block
-    where the point's heaviest mode alone would cross and end in single
-    blocks around it (see _first_parts); _parts cuts each range it reaches
-    after that into parts.  _range_bound rules parts out; the search goes on
-    in the leftmost part it cannot, and the parts to its right wait their
-    turn, as one range.  The bounds are bounds of the function read, so
-    nothing left of a read block reaches 1 - 1/e.  A single block the bound
-    cannot rule out is read (see _block_fractions), with the cycle before it
-    as the lower end of a crossing on its first cycle; a read block without
-    a crossing sends the point on to the range waiting to its right.
+    Each point holds one range of blocks [lo, hi), hi = inf while it is open,
+    and no block below lo crosses.  It starts from [1, inf), whose first parts
+    close in on the block where the point's heaviest mode alone would cross
+    and end in single blocks around it (see _first_parts); _parts cuts every
+    later range into parts.  A round bounds the parts of all the points
+    searching as one stack (see _range_bound), and then each point goes on
+    in the leftmost part the bound cannot rule out: a part wider than a block
+    becomes its range, and a single block is read in the same round, all such
+    blocks as one stack (see _block_fractions), with the cycle before it as
+    the lower end of a crossing on its first cycle, their crossings found at
+    once (see _crossings).  A read block without a crossing moves lo past it;
+    where every part is ruled out, lo moves to the last edge.  The bounds are
+    bounds of the function read, so nothing left of a read block reaches
+    1 - 1/e.  A closed range gone through goes on as the open range [hi, inf).
 
-    A point leaves at its crossing, or as None when, at the start of an
-    open range past the first, _tail_bound shows that no later cycle can
-    reach 1 - 1/e.  The bounds of all the points searching are evaluated
-    as one stack; each point searches until it sits on a block to read, and
-    then those blocks are read as one stack, their crossings found at once
-    (see _crossings).  Far out, |mu| > 1 overflows the bounds: an infinite
-    or NaN bound rules nothing out.
+    A point leaves at its crossing, or as None when, at the start of an open
+    range past the first, _tail_bound shows that no later cycle can reach
+    1 - 1/e.  Far out, |mu| > 1 overflows the bounds: an infinite or NaN
+    bound rules nothing out.
     """
     found: list[float | None] = [None] * terms.shape[1]
     lo, hi = [1.0] * len(found), [math.inf] * len(found)  # each point's range of blocks [lo, hi)
-    later = [[] for _ in found]  # the ranges to its right, nearest last
-    searching, reading = list(range(len(found))), []  # reading: (point, its block to read)
+    at = list(range(len(found)))  # the points searching
     modes = _search_modes(terms, mu)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        opening = _first_parts(*modes[:2])  # the parts of every point's first round
-        while searching or reading:
-            while searching:
-                at, searching = searching, []
-                opened = [i for i in at if hi[i] == math.inf and lo[i] > 1]
-                if opened:  # past the first range: does any later cycle reach 1 - 1/e?
-                    reach = _tail_bound(*modes[:4, :, opened],
-                                        np.array([lo[i] for i in opened])[:, None] * RATE_BLOCK)
-                    never = {i for i, r in zip(opened, reach.tolist()) if r < E_FRACTION}
-                    if never:  # the mode sum never does: the point leaves with None
-                        at = [i for i in at if i not in never]
-                        if not at:
-                            continue
-                if opening is None:
-                    edges = _parts(np.array([lo[i] for i in at])[:, None],
-                                   np.array([hi[i] for i in at])[:, None])
-                else:
-                    edges, opening = opening, None
-                bound = _range_bound(*modes[:, :, at], edges * RATE_BLOCK - 1)
-                ruled = bound < E_FRACTION
-                ruled |= edges[:, 1:] == edges[:, :-1]  # an empty part holds nothing to read
-                for i, parts, ends in zip(at, ruled.tolist(), edges.tolist()):
-                    if False in parts:  # go on in the leftmost part kept; the rest of the range waits
-                        p = parts.index(False)
-                        first, stop = ends[p], ends[p + 1]
-                        if stop < hi[i]:
-                            later[i].append((stop, hi[i]))
-                        if stop - first == 1:
-                            reading.append((i, first))
-                            continue
-                        lo[i], hi[i] = first, stop
-                    elif hi[i] < math.inf:
-                        lo[i], hi[i] = later[i].pop()
-                    else:  # every part is ruled out: the open range goes on past them
-                        lo[i] = ends[-1]
-                    searching.append(i)
-            if not reading:
-                break
-            reading.sort()
-            at = [i for i, _ in reading]
-            starts = np.array([b for _, b in reading]) * RATE_BLOCK
+        edges = _first_parts(*modes[:2])
+        while True:
+            bound = _range_bound(*modes[:, :, at], edges * RATE_BLOCK - 1)
+            ruled = bound < E_FRACTION
+            ruled |= edges[:, 1:] == edges[:, :-1]  # an empty part holds nothing to read
             reading = []
-            # the cycles b RATE_BLOCK ... (b + 1) RATE_BLOCK: the one before the block, then it
-            values = _block_fractions(*modes[:4, :, at], powers, rows[at], starts[:, None] - 1.0)
-            above = values[:, 1:] >= E_FRACTION
-            hit = np.logical_or.reduce(above, axis=1)
-            crossed = values[:, 1:], above, values[:, 0], starts
-            if not hit.all():
-                crossed = [x[hit] for x in crossed]
-            crossed = iter(_crossings(*crossed).tolist())
-            for i, is_hit in zip(at, hit.tolist()):
-                if is_hit:
-                    found[i] = next(crossed)
+            for i, parts, ends in zip(at, ruled.tolist(), edges.tolist()):
+                if False not in parts:  # every part is ruled out
+                    lo[i] = ends[-1]
+                    continue
+                p = parts.index(False)
+                lo[i] = ends[p]
+                if ends[p + 1] - lo[i] == 1:
+                    reading.append(i)
                 else:
-                    lo[i], hi[i] = later[i].pop()
-                    searching.append(i)
-    return found
+                    hi[i] = ends[p + 1]
+            if reading:
+                starts = np.array([lo[i] for i in reading]) * RATE_BLOCK
+                # the cycles b RATE_BLOCK ... (b + 1) RATE_BLOCK: the one before the block, then it
+                values = _block_fractions(*modes[:4, :, reading], powers, rows[reading],
+                                          starts[:, None] - 1.0)
+                above = values[:, 1:] >= E_FRACTION
+                hit = np.logical_or.reduce(above, axis=1)
+                crossed = values[:, 1:], above, values[:, 0], starts
+                if not hit.all():
+                    crossed = [x[hit] for x in crossed]
+                crossed = iter(_crossings(*crossed).tolist())
+                for i, is_hit in zip(reading, hit.tolist()):
+                    if is_hit:
+                        found[i] = next(crossed)
+                    else:
+                        lo[i] += 1
+            at = [i for i in at if found[i] is None]
+            for i in at:
+                if lo[i] >= hi[i]:  # a closed range gone through: the open range past it
+                    hi[i] = math.inf
+            opened = [i for i in at if hi[i] == math.inf]
+            if opened:  # past the first range: does any later cycle reach 1 - 1/e?
+                reach = _tail_bound(*modes[:4, :, opened],
+                                    np.array([lo[i] for i in opened])[:, None] * RATE_BLOCK)
+                never = {i for i, r in zip(opened, reach.tolist()) if r < E_FRACTION}
+                at = [i for i in at if i not in never]  # the mode sum never does: None
+            if not at:
+                return found
+            edges = _parts(np.array([lo[i] for i in at])[:, None],
+                           np.array([hi[i] for i in at])[:, None])
 
 
 def _search_modes(terms: np.ndarray, mu: np.ndarray) -> np.ndarray:

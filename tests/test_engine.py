@@ -1221,7 +1221,7 @@ BLOCK_FIRST_CYCLES = [2 ** e + 1 for e in range(10)]
 @pytest.mark.parametrize("sign", [1, -1])
 @pytest.mark.parametrize("cycle,n", [(c, None) for c in BLOCK_FIRST_CYCLES]
                          + [(290, 300), (400, 300), (700, None)])
-def test_lazy_rate_reads_exactly_what_measured_rate_reads(sign, cycle, n):
+def test_the_rate_read_out_reads_exactly_what_measured_rate_reads(sign, cycle, n):
     # the read-out's N_s, from block 0 or from the later block that holds the crossing,
     # against the pair's exact series in rationals (to DAMPING_REL) and against what
     # measured_rate reads from simulate's powers of the Bloch map (to 1e-10, not byte for
@@ -1242,7 +1242,7 @@ def test_lazy_rate_reads_exactly_what_measured_rate_reads(sign, cycle, n):
 
 
 @pytest.mark.parametrize("cycle", BLOCK_FIRST_CYCLES + [100, 512, 1024, engine.RATE_BLOCK])
-def test_lazy_rate_stops_at_the_level_that_holds_the_crossing(monkeypatch, cycle):
+def test_the_rate_read_out_reads_only_the_block_that_holds_the_crossing(monkeypatch, cycle):
     # the blocks the read-out reads (see recorded_reads): block 0 once for a whole stack, and
     # for a crossing in it (cycles 2 ... RATE_BLOCK) no later block; a later crossing reads
     # only the block that holds it, since the bounds of a monotone series rule out every
@@ -1529,9 +1529,27 @@ SCAN_POINTS = st.one_of(
 POOL_POINTS = st.sampled_from([(p_s, mu, weights) for _, p_s, (mu, weights) in LATER_BLOCK_POOL])
 
 
+def readme_search_point(t_s_over_pi: float, t_w_over_pi: float) -> tuple:
+    """(P_s, modes, weights) of the README base at t_s and t_w, as LATER_BLOCK_POOL holds them."""
+    pair = cycle_kraus(SYS, replace(README_BASE, t_s=t_s_over_pi * math.pi,
+                                    t_w=t_w_over_pi * math.pi))
+    mu, weights = series_terms(_superop(pair)[None])
+    return steady_state(pair)[0], mu[0], weights[0]
+
+
+# README-base points whose search takes more than one round: at (t_s, t_w) = (0.04 pi,
+# 1.62 pi) it reads block 2 without a crossing, then block 3 (N_s 195.677); at (0.35 pi,
+# 0.5 pi) its first round rules out every part, and it reads block 1064 without a crossing
+# before block 1065 (N_s 68 199.7)
+SEARCH_POINTS = [readme_search_point(0.04, 1.62), readme_search_point(0.35, 0.5)]
+SCAN_EXAMPLES = [[(p_s, mu, weights) for _, p_s, (mu, weights) in LATER_BLOCK_POOL],
+                 SEARCH_POINTS]
+
+
 @given(st.lists(st.one_of(POOL_POINTS, SCAN_POINTS.map(lambda point: (1.0, *point))),
                 min_size=1, max_size=6))
-@example([(p_s, mu, weights) for _, p_s, (mu, weights) in LATER_BLOCK_POOL])
+@example(SCAN_EXAMPLES[0])
+@example(SCAN_EXAMPLES[1])
 @settings(deadline=None, max_examples=40)
 def test_the_search_reads_what_a_block_by_block_scan_reads(points):
     # wherever the seed sends the search, or where there is none, the bounds rule out only
@@ -1545,6 +1563,71 @@ def test_the_search_reads_what_a_block_by_block_scan_reads(points):
             assert n_s is None or n_s > SCAN_BLOCKS * engine.RATE_BLOCK
         else:
             assert n_s is not None and n_s.hex() == scanned.hex()
+
+
+def recorded_search(monkeypatch) -> list[tuple]:
+    """From now on, the steps of the later-block search, in order: ("range", lo, hi) for each
+    range of blocks [lo, hi) that _parts cuts, ("read", b, crossed) for each block b read,
+    and ("none",) where _tail_bound shows that no later cycle reaches 1 - 1/e."""
+    steps = []
+    parts, block_fractions, tail_bound = engine._parts, engine._block_fractions, engine._tail_bound
+
+    def cut(lo, hi):
+        steps.extend(("range", *r) for r in zip(lo[:, 0].tolist(), hi[:, 0].tolist()))
+        return parts(lo, hi)
+
+    def read(*modes_and_n):
+        values = block_fractions(*modes_and_n)
+        blocks = (modes_and_n[-1][:, 0] + 1) // engine.RATE_BLOCK
+        crossed = np.logical_or.reduce(values[:, 1:] >= E_FRACTION, axis=1)
+        steps.extend(("read", *r) for r in zip(blocks.astype(int).tolist(), crossed.tolist()))
+        return values
+
+    def tail(*modes_and_a):
+        reach = tail_bound(*modes_and_a)
+        steps.extend(("none",) for r in reach.tolist() if r < E_FRACTION)
+        return reach
+
+    monkeypatch.setattr(engine, "_parts", cut)
+    monkeypatch.setattr(engine, "_block_fractions", read)
+    monkeypatch.setattr(engine, "_tail_bound", tail)
+    return steps
+
+
+def search_transitions(steps: list[tuple]) -> set[str]:
+    """The transitions that one point's search steps (see recorded_search) show.  An open range
+    that no read led to follows a round that ruled out every part, and an open range at the
+    end of the last closed one follows a closed range gone through without a crossing."""
+    seen, end = set(), None
+    for before, step in zip([("range",)] + steps, steps):
+        if step[0] == "range" and step[2] == math.inf:
+            if before[0] == "range":
+                seen.add("every part ruled out")
+            if step[1] == end:
+                seen.add("closed range gone through")
+        elif step[0] == "range":
+            end = step[2]
+        elif step[0] == "read" and not step[2]:
+            seen.add("read without a crossing")
+        elif step[0] == "none":
+            seen.add("leaves as None")
+    return seen
+
+
+def test_the_scan_examples_take_every_transition_of_the_search(monkeypatch):
+    # the explicit examples of the scan test above, each point alone, take every transition
+    # of the later-block search at least once
+    steps = recorded_search(monkeypatch)
+    seen, reads = set(), []
+    for p_s, mu, weights in itertools.chain(*SCAN_EXAMPLES):
+        del steps[:]
+        engine._rate_cycles(np.array([p_s]), np.array([mu], dtype=complex),
+                            np.array([weights], dtype=complex))
+        seen |= search_transitions(steps)
+        reads.append([step[1:] for step in steps if step[0] == "read"])
+    assert seen == {"every part ruled out", "closed range gone through",
+                    "read without a crossing", "leaves as None"}
+    assert reads[-2:] == [[(2, False), (3, True)], [(1064, False), (1065, True)]]
 
 
 # the clamp (cycle 2), the first cycles of later blocks (2^e + 1 from 65 on, read against the
@@ -1575,7 +1658,7 @@ def test_stacked_first_block_read_out_matches_each_point_alone(picks):
 
 
 @pytest.mark.parametrize("row", [[0.7, 0.9], [E_FRACTION, 0.2], [0.1, 0.7], [0.0, E_FRACTION]])
-def test_a_whole_level_read_gives_the_crossing_measured_rate_reads(row):
+def test_a_block_read_gives_the_crossing_measured_rate_reads(row):
     # _crossings, which interpolates the crossings of block 0 and of each later block read,
     # as measured_rate reads them from a written series: on cycle 1 (N_s = 1.0), at the
     # clamp and exactly on the threshold, in rows that start at entry 0 (lo = 0), as block 0
